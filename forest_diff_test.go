@@ -22,34 +22,7 @@ import (
 // diffPair builds a variant twice: unsharded oracle and sharded DUT.
 func diffPair(t *testing.T, kind string, shards, tuples int) (oracle, dut *segidx.Index) {
 	t.Helper()
-	mk := func(extra ...segidx.Option) *segidx.Index {
-		opts := append([]segidx.Option{segidx.WithLeafNodeBytes(256)}, extra...)
-		est := segidx.SkeletonEstimate{
-			Tuples: tuples,
-			Domain: segidx.Box(0, 0, 1000, 1000),
-		}
-		pred := est
-		pred.PredictFraction = 0.05
-		var x *segidx.Index
-		var err error
-		switch kind {
-		case "r-tree":
-			x, err = segidx.NewRTree(opts...)
-		case "sr-tree":
-			x, err = segidx.NewSRTree(opts...)
-		case "skeleton-r-tree":
-			x, err = segidx.NewSkeletonRTree(est, opts...)
-		case "skeleton-sr-tree":
-			x, err = segidx.NewSkeletonSRTree(pred, opts...)
-		default:
-			t.Fatalf("unknown kind %q", kind)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
-	return mk(), mk(segidx.WithShards(shards))
+	return mkVariant(t, kind, 1, tuples), mkVariant(t, kind, shards, tuples)
 }
 
 func sortedIDs(entries []segidx.Entry) []segidx.RecordID {

@@ -207,3 +207,53 @@ func TestCountZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestStagingPhaseZeroAllocs gates the read path of a predicted skeleton
+// index that is still collecting its sample: those queries are plain tree
+// queries on the staging tree, not scans that copy the sample out.
+func TestStagingPhaseZeroAllocs(t *testing.T) {
+	spec := harness.NewSpec("allocgate", workload.I3, allocTuples)
+	idx, err := segidx.NewSkeletonSRTree(segidx.SkeletonEstimate{
+		Tuples:          allocTuples,
+		Domain:          workload.Domain(),
+		PredictFraction: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for i, r := range spec.Dataset.Generate(allocTuples/4, spec.Seed) { // half the sample
+		if err := idx.Insert(r, segidx.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := hotpathQueries(spec)
+	warmResident(t, idx, queries)
+	spec.Tuples = allocTuples / 4
+	points := stabPoints(spec, 64)
+	hits := 0
+	fn := func(segidx.Entry) bool { hits++; return true }
+	i := 0
+	for name, probe := range map[string]func() error{
+		"SearchFunc": func() error { return idx.SearchFunc(queries[i%len(queries)], fn) },
+		"StabFunc":   func() error { return idx.StabFunc(fn, points[i%len(points)]...) },
+		"Count":      func() error { n, err := idx.Count(queries[i%len(queries)]); hits += n; return err },
+	} {
+		hits = 0
+		var avg float64
+		withGCOff(func() {
+			avg = testing.AllocsPerRun(100, func() {
+				if err := probe(); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+		})
+		if avg != 0 {
+			t.Errorf("%s allocates %g objects per call while sampling, want 0", name, avg)
+		}
+		if hits == 0 {
+			t.Errorf("%s matched nothing; test is vacuous", name)
+		}
+	}
+}

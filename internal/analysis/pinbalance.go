@@ -2,7 +2,7 @@ package analysis
 
 // pinbalance proves buffer-pool pin discipline on the query and mutation
 // paths: every node pinned by Tree.fetch/fetchMut, Pool.Get/GetMut, or
-// Pool.NewNode, every query context taken from Tree.getQctx/getQctxAt,
+// Pool.NewNode, every query context taken from Tree.getQctx/beginRead,
 // every MVCC snapshot taken by a Snapshot() call, and every write bracket
 // opened by Tree.beginOp, is released (Tree.done, Pool.Unpin,
 // Tree.releaseQctx, View.Release, Tree.publishOp/abortOp) on every path
@@ -274,7 +274,7 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc 
 		argKey = exprText(a.p.Fset, call.Args[0])
 	case name == "NewNode" && recv == "Pool":
 		// Released only through the node's ID.
-	case (name == "getQctx" || name == "getQctxAt") && recv == "Tree":
+	case (name == "getQctx" || name == "beginRead") && recv == "Tree":
 		return pinQctx, "", exprText(a.p.Fset, sel.X) + "." + name + "()", true
 	case name == "beginOp" && recv == "Tree" && len(call.Args) == 0:
 		// A write bracket: must reach publishOp or abortOp on every path
@@ -282,7 +282,7 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc 
 		return pinBracket, "", exprText(a.p.Fset, sel.X) + ".beginOp()", true
 	case name == "Snapshot" && recv != "" && len(call.Args) == 0:
 		// An MVCC snapshot pin: any Snapshot() method on a named receiver
-		// (Tree, Index, Forest, Predictor, the facade engine interface).
+		// (Tree, Predictor, Forest, the core.Engine interface, Index).
 		return pinSnap, "", exprText(a.p.Fset, sel.X) + ".Snapshot()", true
 	default:
 		return 0, "", "", false

@@ -16,7 +16,7 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Epoch(); got != 0 {
+	if got := tr.FlushEpoch(); got != 0 {
 		t.Fatalf("fresh epoch = %d", got)
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -25,7 +25,7 @@ func TestEpochRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.SetEpoch(7)
+	tr.SetFlushEpoch(7)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +34,29 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 7 {
-		t.Fatalf("ReadMeta epoch = %d, want 7", meta.Epoch)
+	if meta.FlushEpoch != 7 {
+		t.Fatalf("ReadMeta epoch = %d, want 7", meta.FlushEpoch)
 	}
 
 	reopened, err := Open(smallConfig(true), st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reopened.Epoch(); got != 7 {
+	if got := reopened.FlushEpoch(); got != 7 {
 		t.Fatalf("reopened epoch = %d, want 7", got)
 	}
 	if reopened.Len() != 20 {
 		t.Fatalf("reopened Len = %d", reopened.Len())
 	}
 
-	// SetEpoch alone does not persist: only the next Flush carries it.
-	reopened.SetEpoch(9)
+	// SetFlushEpoch alone does not persist: only the next Flush carries it.
+	reopened.SetFlushEpoch(9)
 	meta, err = ReadMeta(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 7 {
-		t.Fatalf("epoch persisted without Flush: %d", meta.Epoch)
+	if meta.FlushEpoch != 7 {
+		t.Fatalf("epoch persisted without Flush: %d", meta.FlushEpoch)
 	}
 	if err := reopened.Flush(); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 9 {
-		t.Fatalf("post-flush epoch = %d, want 9", meta.Epoch)
+	if meta.FlushEpoch != 9 {
+		t.Fatalf("post-flush epoch = %d, want 9", meta.FlushEpoch)
 	}
 }

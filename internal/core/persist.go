@@ -28,7 +28,7 @@ import (
 //	39 u8  cut-portion gauge present (images written before the gauge
 //	       existed have 0 here; see Open for the conservative fallback)
 //	40 u64 cut-portion gauge (stored portions in excess of records)
-//	48 u64 forest flush epoch (0 for standalone trees; see SetEpoch)
+//	48 u64 forest flush epoch (0 for standalone trees; see SetFlushEpoch)
 const (
 	metaMagic     = 0x53475452
 	metaVersion   = 1
@@ -59,7 +59,7 @@ func (t *Tree) writeMeta() error {
 	}
 	buf[39] = 1
 	binary.LittleEndian.PutUint64(buf[40:48], uint64(t.cutPortions))
-	binary.LittleEndian.PutUint64(buf[48:56], t.epoch)
+	binary.LittleEndian.PutUint64(buf[48:56], t.flushEpoch)
 	return t.store.Write(metaPageID, buf)
 }
 
@@ -70,10 +70,10 @@ type Meta struct {
 	LeafBytes int
 	Growth    int
 	Spanning  bool
-	// Epoch is the forest flush epoch the tree was committed under (0 for
-	// standalone trees). A forest manifest must never lag its shards; see
-	// SetEpoch.
-	Epoch uint64
+	// FlushEpoch is the forest flush epoch the tree was flushed under (0
+	// for standalone trees). A forest manifest must never lag its shards;
+	// see SetFlushEpoch.
+	FlushEpoch uint64
 }
 
 // ReadMeta reads a persisted tree's metadata from the store.
@@ -89,11 +89,11 @@ func ReadMeta(st store.Store) (Meta, error) {
 		return Meta{}, ErrNoMeta
 	}
 	return Meta{
-		Dims:      int(binary.LittleEndian.Uint16(buf[6:8])),
-		LeafBytes: int(binary.LittleEndian.Uint32(buf[32:36])),
-		Growth:    int(binary.LittleEndian.Uint16(buf[36:38])),
-		Spanning:  buf[38] == 1,
-		Epoch:     binary.LittleEndian.Uint64(buf[48:56]),
+		Dims:       int(binary.LittleEndian.Uint16(buf[6:8])),
+		LeafBytes:  int(binary.LittleEndian.Uint32(buf[32:36])),
+		Growth:     int(binary.LittleEndian.Uint16(buf[36:38])),
+		Spanning:   buf[38] == 1,
+		FlushEpoch: binary.LittleEndian.Uint64(buf[48:56]),
 	}, nil
 }
 
@@ -130,14 +130,14 @@ func Open(cfg Config, st store.Store) (*Tree, error) {
 		return nil, fmt.Errorf("core: store spanning=%v, config says %v", sp, cfg.Spanning)
 	}
 	t := &Tree{
-		cfg:       cfg,
-		codec:     node.Codec{Dims: cfg.Dims},
-		store:     st,
-		modCounts: make(map[page.ID]uint64),
-		root:      page.ID(binary.LittleEndian.Uint64(buf[8:16])),
-		height:    int(binary.LittleEndian.Uint32(buf[16:20])),
-		size:      int(binary.LittleEndian.Uint64(buf[24:32])),
-		epoch:     binary.LittleEndian.Uint64(buf[48:56]),
+		cfg:        cfg,
+		codec:      node.Codec{Dims: cfg.Dims},
+		store:      st,
+		modCounts:  make(map[page.ID]uint64),
+		root:       page.ID(binary.LittleEndian.Uint64(buf[8:16])),
+		height:     int(binary.LittleEndian.Uint32(buf[16:20])),
+		size:       int(binary.LittleEndian.Uint64(buf[24:32])),
+		flushEpoch: binary.LittleEndian.Uint64(buf[48:56]),
 	}
 	if buf[39] == 1 {
 		t.cutPortions = int(binary.LittleEndian.Uint64(buf[40:48]))

@@ -19,7 +19,7 @@ import (
 // A context is single-query state. Direct Tree queries register the
 // context's own snapshot slot for the query's duration (acquireRead);
 // queries through an explicit View run under the view's registration and
-// leave the slot free.
+// leave the slot free (see beginRead).
 type queryCtx struct {
 	// stack is the DFS work list of pages still to visit.
 	stack []page.ID
@@ -31,11 +31,11 @@ type queryCtx struct {
 	nodes   map[page.ID]*node.Node
 	nodeIDs []page.ID
 
-	// epoch is the snapshot epoch every fetch of this query resolves at,
-	// and slot is the context's own registry cell (allocated once,
-	// registered only for direct queries).
-	epoch uint64
-	slot  *snapSlot
+	// st is the pinned state the query reads — every fetch resolves at
+	// its epoch — and slot is the context's own registry cell (allocated
+	// once, registered only for direct queries).
+	st   *treeState
+	slot *snapSlot
 
 	// Dedup set keyed by RecordID: a bitmap for small IDs with a map
 	// spilling the rest. touched lists the dirty bitmap words so reset
@@ -45,22 +45,26 @@ type queryCtx struct {
 	over    map[node.RecordID]struct{}
 
 	// Result arena: deduplicated view entries collected during the
-	// traversal, plus the float backing used by accumulation passes
-	// (SearchContaining unions portions here in place).
+	// traversal, the running Count, plus the float backing used by
+	// accumulation passes (SearchContaining unions portions here in place).
 	entries  []Entry
+	count    int
 	coverOff map[node.RecordID]int
 	coverIDs []node.RecordID
 	coverBuf []float64
 
-	// Sidecar adapters: accelFn is the caller's callback for the current
-	// accelerator-routed query, and accelEmit/collectFn/accelCountFn are
-	// persistent closures built once per context (newQueryCtx) so routing
-	// a query through the accelerator allocates nothing.
-	accelFn      func(Entry) bool
+	// fn is the callback the current query reports entries to: the
+	// caller's for the streaming queries, collectFn for Search answered by
+	// the sidecar.
+	fn func(Entry) bool
+
+	// Sidecar adapters: persistent closures built once per context
+	// (newQueryCtx) so routing a query through the accelerator allocates
+	// nothing. accelEmit forwards each hit to fn, accelCountFn bumps
+	// count, and collectFn appends to entries.
 	accelEmit    func(min, max []float64, id uint64) bool
 	collectFn    func(Entry) bool
 	accelCountFn func(min, max []float64, id uint64) bool
-	accelCount   int
 }
 
 // dedupBitmapWords caps the bitmap at 1<<20 record IDs (128 KiB); IDs at
@@ -74,14 +78,14 @@ func newQueryCtx() *queryCtx {
 		coverOff: make(map[node.RecordID]int),
 	}
 	qc.accelEmit = func(min, max []float64, id uint64) bool {
-		return qc.accelFn(Entry{Rect: geom.Rect{Min: min, Max: max}, ID: node.RecordID(id)})
+		return qc.fn(Entry{Rect: geom.Rect{Min: min, Max: max}, ID: node.RecordID(id)})
 	}
 	qc.collectFn = func(e Entry) bool {
 		qc.entries = append(qc.entries, e)
 		return true
 	}
 	qc.accelCountFn = func(min, max []float64, id uint64) bool {
-		qc.accelCount++
+		qc.count++
 		return true
 	}
 	return qc
@@ -94,14 +98,6 @@ func (t *Tree) getQctx() *queryCtx {
 		return v.(*queryCtx)
 	}
 	return newQueryCtx()
-}
-
-// getQctxAt returns a context resolving fetches at the given snapshot
-// epoch without registering it (the caller's View holds the registration).
-func (t *Tree) getQctxAt(epoch uint64) *queryCtx {
-	qc := t.getQctx()
-	qc.epoch = epoch
-	return qc
 }
 
 // releaseQctx unregisters the context's snapshot slot (if this query
@@ -120,16 +116,16 @@ func (t *Tree) releaseQctx(qc *queryCtx) {
 	qc.resetDedup()
 	qc.entries = qc.entries[:0]
 	qc.resetCovers()
-	qc.accelFn = nil
-	qc.accelCount = 0
-	qc.epoch = 0
+	qc.fn = nil
+	qc.count = 0
+	qc.st = nil
 	t.qctxPool.Put(qc)
 	if registered {
 		t.maybeCollect()
 	}
 }
 
-// fetchCached resolves a node at the context's snapshot epoch, charging
+// fetchCached resolves a node at the context's pinned epoch, charging
 // one logical node access to the given counter. The first visit of a page
 // in this query goes to the buffer pool; revisits hit the context's cache
 // without touching the pool's shard locks. No tree-level lock is held.
@@ -142,7 +138,7 @@ func (t *Tree) fetchCached(qc *queryCtx, id page.ID, accesses *uint64) (*node.No
 	if n, ok := qc.nodes[id]; ok {
 		return n, nil
 	}
-	n, err := t.pool.GetVersion(id, qc.epoch)
+	n, err := t.pool.GetVersion(id, qc.st.epoch)
 	if err != nil {
 		return nil, err
 	}

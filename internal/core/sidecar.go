@@ -133,72 +133,51 @@ func (t *Tree) sidecarFor(st *treeState) *accel.Accel {
 	return ref.sc
 }
 
-// containingRouted answers a SearchContaining-class query (including
-// stabs) through the accelerator when the cost gate elects it, and
-// through the tree otherwise. Either side's latency feeds the gate.
+// routed answers one query through the accelerator when the cost gate
+// elects it and through the tree descent otherwise; either side's latency
+// feeds the gate. contain selects the SearchContaining class (stabs
+// included, reported through emit or, on the tree side, emitContaining)
+// over the intersection class (Search and Count).
 //
 //seglint:hotpath
-func (t *Tree) containingRouted(st *treeState, qc *queryCtx, query geom.Rect, fn func(Entry) bool) error {
-	a := t.sidecarFor(st)
+func (t *Tree) routed(qc *queryCtx, query geom.Rect, contain bool, body nodeBody, emit accel.VisitFunc) error {
+	a := t.sidecarFor(qc.st)
 	if a == nil {
-		return t.containingFunc(st, qc, query, fn)
+		return t.treeSide(qc, query, contain, body)
 	}
-	if a.RouteContain() {
-		start := time.Now()
-		qc.accelFn = fn
-		a.ContainVisit(st.epoch, query.Min, query.Max, qc.accelEmit)
-		qc.accelFn = nil
-		a.ObserveContain(true, time.Since(start).Nanoseconds())
-		return nil
+	var viaAccel bool
+	if contain {
+		viaAccel = a.RouteContain()
+	} else {
+		viaAccel = a.RouteRange(query.Min, query.Max)
 	}
 	start := time.Now()
-	err := t.containingFunc(st, qc, query, fn)
-	a.ObserveContain(false, time.Since(start).Nanoseconds())
+	var err error
+	switch {
+	case !viaAccel:
+		err = t.treeSide(qc, query, contain, body)
+	case contain:
+		a.ContainVisit(qc.st.epoch, query.Min, query.Max, emit)
+	default:
+		a.RangeVisit(qc.st.epoch, query.Min, query.Max, emit)
+	}
+	ns := time.Since(start).Nanoseconds()
+	if contain {
+		a.ObserveContain(viaAccel, ns)
+	} else {
+		a.ObserveRange(viaAccel, ns)
+	}
 	return err
 }
 
-// searchRouted fills qc.entries with the deduplicated intersection result
-// through whichever side the cost gate elects.
+// treeSide is the tree's half of routed: the descent, then for the
+// containing class the report of the covers it accumulated.
 //
 //seglint:hotpath
-func (t *Tree) searchRouted(st *treeState, qc *queryCtx, query geom.Rect) error {
-	a := t.sidecarFor(st)
-	if a == nil {
-		return t.collectDedup(st, qc, query)
+func (t *Tree) treeSide(qc *queryCtx, query geom.Rect, contain bool, body nodeBody) error {
+	err := t.descend(qc, query, body)
+	if contain && err == nil {
+		qc.emitContaining(query)
 	}
-	if a.RouteRange(query.Min, query.Max) {
-		start := time.Now()
-		qc.accelFn = qc.collectFn
-		a.RangeVisit(st.epoch, query.Min, query.Max, qc.accelEmit)
-		qc.accelFn = nil
-		a.ObserveRange(true, time.Since(start).Nanoseconds())
-		return nil
-	}
-	start := time.Now()
-	err := t.collectDedup(st, qc, query)
-	a.ObserveRange(false, time.Since(start).Nanoseconds())
 	return err
-}
-
-// countRouted counts the intersection result through whichever side the
-// cost gate elects.
-//
-//seglint:hotpath
-func (t *Tree) countRouted(st *treeState, qc *queryCtx, query geom.Rect) (int, error) {
-	a := t.sidecarFor(st)
-	if a == nil {
-		return t.countQuery(st, qc, query)
-	}
-	if a.RouteRange(query.Min, query.Max) {
-		start := time.Now()
-		qc.accelCount = 0
-		a.RangeVisit(st.epoch, query.Min, query.Max, qc.accelCountFn)
-		n := qc.accelCount
-		a.ObserveRange(true, time.Since(start).Nanoseconds())
-		return n, nil
-	}
-	start := time.Now()
-	n, err := t.countQuery(st, qc, query)
-	a.ObserveRange(false, time.Since(start).Nanoseconds())
-	return n, err
 }

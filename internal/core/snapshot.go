@@ -211,17 +211,17 @@ func (t *Tree) maybeCollect() {
 }
 
 // acquireRead pins the current published epoch into the context's registry
-// slot and returns the matching state. Lock-free; the loop handles the one
-// race that matters: if the writer publishes between our state load and
-// slot store, its GC scan may have run before our registration became
-// visible and reclaimed versions our epoch needs — but then the re-load
-// observes the newer state and we re-pin at the newer epoch, for which the
-// writer is obliged to retain everything. (The writer publishes the state
-// first and scans the registry second; we store the slot first and check
-// the state second. Under Go's sequentially consistent atomics one of the
-// two orders must cross: either the writer sees our registration, or we
-// see its publication.)
-func (t *Tree) acquireRead(qc *queryCtx) *treeState {
+// slot and makes the matching state the one the context reads. Lock-free;
+// the loop handles the one race that matters: if the writer publishes
+// between our state load and slot store, its GC scan may have run before
+// our registration became visible and reclaimed versions our epoch needs —
+// but then the re-load observes the newer state and we re-pin at the newer
+// epoch, for which the writer is obliged to retain everything. (The writer
+// publishes the state first and scans the registry second; we store the
+// slot first and check the state second. Under Go's sequentially
+// consistent atomics one of the two orders must cross: either the writer
+// sees our registration, or we see its publication.)
+func (t *Tree) acquireRead(qc *queryCtx) {
 	if qc.slot == nil {
 		qc.slot = t.snaps.newSlot()
 	}
@@ -229,8 +229,8 @@ func (t *Tree) acquireRead(qc *queryCtx) *treeState {
 		st := t.state.Load()
 		qc.slot.e.Store(st.epoch)
 		if t.state.Load() == st {
-			qc.epoch = st.epoch
-			return st
+			qc.st = st
+			return
 		}
 	}
 }
@@ -241,6 +241,20 @@ func (t *Tree) acquireRead(qc *queryCtx) *treeState {
 // cache keys its entries on this value.
 func (t *Tree) CommitEpoch() uint64 { return t.state.Load().epoch - 1 }
 
+// AdvanceCommitEpoch republishes the committed state at commit epoch e when
+// e is ahead of the tree's own, changing no contents. A tree taking over
+// from another (a predictor's built skeleton from its staging tree) uses it
+// so the epoch its readers and caches key on never runs backwards. Page
+// versions and sidecar records are compared against epochs, never counted,
+// so the gap is harmless.
+func (t *Tree) AdvanceCommitEpoch(e uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state.Load().epoch < e+1 {
+		t.publishState(e + 1)
+	}
+}
+
 // View is an immutable snapshot of an index. All methods are safe for
 // concurrent use by multiple goroutines; queries acquire no tree-level
 // lock and observe exactly the committed state at the pin epoch, no matter
@@ -250,21 +264,7 @@ func (t *Tree) CommitEpoch() uint64 { return t.state.Load().epoch - 1 }
 // would (never) free it. seglint's pinbalance pass proves the
 // Snapshot/Release pairing statically.
 type View interface {
-	// Search returns the logical records intersecting query (deduplicated
-	// by record ID), as of the snapshot.
-	Search(query geom.Rect) ([]Entry, error)
-	// SearchFunc streams every stored entry intersecting query. Entry
-	// rectangles are views valid only during the callback.
-	SearchFunc(query geom.Rect, fn func(Entry) bool) error
-	// SearchContaining returns the records entirely containing query (the
-	// stabbing query), as of the snapshot.
-	SearchContaining(query geom.Rect) ([]Entry, error)
-	// SearchContainingFunc streams the records entirely containing query.
-	SearchContainingFunc(query geom.Rect, fn func(Entry) bool) error
-	// Count returns the number of logical records intersecting query.
-	Count(query geom.Rect) (int, error)
-	// Len reports the number of logical records in the snapshot.
-	Len() int
+	Reader
 	// Epoch reports the commit epoch the snapshot was pinned at.
 	Epoch() uint64
 	// Release unpins the snapshot. Idempotent; the view is unusable after.
@@ -311,95 +311,23 @@ func (v *TreeView) Epoch() uint64 { return v.st.epoch - 1 }
 // Len reports the number of logical records in the snapshot.
 func (v *TreeView) Len() int { return v.st.size }
 
-// SearchFunc implements View.
+// Search implements Reader on the pinned state.
+func (v *TreeView) Search(query geom.Rect) ([]Entry, error) { return v.t.search(v, query) }
+
+// SearchFunc implements Reader on the pinned state.
 func (v *TreeView) SearchFunc(query geom.Rect, fn func(Entry) bool) error {
-	if v.released.Load() {
-		return ErrSnapshotReleased
-	}
-	t := v.t
-	if err := t.validateRect(query); err != nil {
-		return err
-	}
-	qc := t.getQctxAt(v.st.epoch)
-	defer t.releaseQctx(qc)
-	atomic.AddUint64(&t.stats.Searches, 1)
-	return t.searchFunc(v.st, qc, query, fn)
+	return v.t.searchFunc(v, query, fn)
 }
 
-// Search implements View.
-func (v *TreeView) Search(query geom.Rect) ([]Entry, error) {
-	if v.released.Load() {
-		return nil, ErrSnapshotReleased
-	}
-	t := v.t
-	if err := t.validateRect(query); err != nil {
-		return nil, err
-	}
-	qc := t.getQctxAt(v.st.epoch)
-	defer t.releaseQctx(qc)
-	atomic.AddUint64(&t.stats.Searches, 1)
-	if err := t.searchRouted(v.st, qc, query); err != nil {
-		return nil, err
-	}
-	return materialize(qc.entries, t.cfg.Dims), nil
-}
-
-// SearchContainingFunc implements View.
-func (v *TreeView) SearchContainingFunc(query geom.Rect, fn func(Entry) bool) error {
-	if v.released.Load() {
-		return ErrSnapshotReleased
-	}
-	t := v.t
-	if err := t.validateRect(query); err != nil {
-		return err
-	}
-	qc := t.getQctxAt(v.st.epoch)
-	defer t.releaseQctx(qc)
-	atomic.AddUint64(&t.stats.Searches, 1)
-	return t.containingRouted(v.st, qc, query, fn)
-}
-
-// SearchContaining implements View.
+// SearchContaining implements Reader on the pinned state.
 func (v *TreeView) SearchContaining(query geom.Rect) ([]Entry, error) {
-	return collectContaining(v.t.cfg.Dims, v.SearchContainingFunc, query)
+	return v.t.containing(v, query)
 }
 
-// Count implements View.
-func (v *TreeView) Count(query geom.Rect) (int, error) {
-	if v.released.Load() {
-		return 0, ErrSnapshotReleased
-	}
-	t := v.t
-	if err := t.validateRect(query); err != nil {
-		return 0, err
-	}
-	qc := t.getQctxAt(v.st.epoch)
-	defer t.releaseQctx(qc)
-	atomic.AddUint64(&t.stats.Searches, 1)
-	return t.countRouted(v.st, qc, query)
+// SearchContainingFunc implements Reader on the pinned state.
+func (v *TreeView) SearchContainingFunc(query geom.Rect, fn func(Entry) bool) error {
+	return v.t.containingFunc(v, query, fn)
 }
 
-// collectContaining materializes a containing-func traversal into
-// caller-owned entries; shared by Tree.SearchContaining and the views.
-func collectContaining(k int, search func(geom.Rect, func(Entry) bool) error, query geom.Rect) ([]Entry, error) {
-	var (
-		out    []Entry
-		floats []float64
-	)
-	err := search(query, func(e Entry) bool {
-		floats = append(floats, e.Rect.Min...)
-		floats = append(floats, e.Rect.Max...)
-		out = append(out, Entry{ID: e.ID})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Rect views are installed only now: the appends above may have moved
-	// the backing array.
-	for i := range out {
-		off := i * 2 * k
-		out[i].Rect = geom.Rect{Min: floats[off : off+k : off+k], Max: floats[off+k : off+2*k : off+2*k]}
-	}
-	return out, nil
-}
+// Count implements Reader on the pinned state.
+func (v *TreeView) Count(query geom.Rect) (int, error) { return v.t.count(v, query) }

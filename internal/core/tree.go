@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"segidx/internal/accel"
 	"segidx/internal/buffer"
 	"segidx/internal/geom"
 	"segidx/internal/node"
@@ -76,10 +77,10 @@ type Tree struct {
 	// cache, dedup set, result arena); see queryCtx.
 	qctxPool sync.Pool
 
-	// epoch is the forest flush epoch the next commit will be stamped
+	// flushEpoch is the forest flush epoch the next Flush will be stamped
 	// with (0 for standalone trees). It rides the metadata page, so it
-	// becomes durable atomically with the commit it describes.
-	epoch uint64
+	// becomes durable atomically with the flush it describes.
+	flushEpoch uint64
 
 	// modCounts tracks per-leaf modification frequency for the
 	// coalescing policy ("the L least frequently modified nodes").
@@ -87,6 +88,28 @@ type Tree struct {
 	sinceCoalesce int
 
 	stats Stats
+}
+
+// Engine is the operation set of one index: what the public facade needs
+// from whatever sits behind it. A Tree, a skeleton.Predictor and a
+// forest.Forest each are one.
+type Engine interface {
+	Reader
+	Insert(geom.Rect, node.RecordID) error
+	Delete(node.RecordID, geom.Rect) (int, error)
+	DeleteWhere(geom.Rect, func(Entry) bool) (int, error)
+	SearchWithin(geom.Rect) ([]Entry, error)
+	VisitPortions(func(level int, e Entry) bool) error
+	Height() int
+	NodeCount() int
+	Stats() Stats
+	PoolStats() buffer.Stats
+	AccelStats() []accel.Stats
+	Flush() error
+	CheckInvariants() error
+	Analyze() (*Report, error)
+	Snapshot() View
+	CommitEpoch() uint64
 }
 
 // New creates an empty dynamic index over the given store. Pass a fresh
@@ -131,9 +154,7 @@ func NewInMemory(cfg Config) (*Tree, error) {
 // Config returns the tree's configuration.
 func (t *Tree) Config() Config { return t.cfg }
 
-// Len reports the number of logical records in the index. Records cut into
-// spanning and remnant portions count once. Lock-free: reads the published
-// state.
+// Len implements Reader. Lock-free: reads the published state.
 func (t *Tree) Len() int { return t.state.Load().size }
 
 // Height reports the number of levels (1 for a single leaf root).
@@ -147,23 +168,23 @@ func (t *Tree) NodeCount() int { return t.store.Len() - 1 }
 // PoolStats returns buffer pool counters.
 func (t *Tree) PoolStats() buffer.Stats { return t.pool.Stats() }
 
-// SetEpoch stamps the tree with a forest flush epoch. The epoch is
+// SetFlushEpoch stamps the tree with a forest flush epoch. The stamp is
 // persisted on the metadata page by the next Flush, atomically with that
 // commit — a forest bumps its manifest epoch first, then stamps and
-// flushes each shard, so a durable shard image can never carry an epoch
-// the manifest has not reached.
-func (t *Tree) SetEpoch(e uint64) {
+// flushes each shard, so a durable shard image can never carry a flush
+// epoch the manifest has not reached.
+func (t *Tree) SetFlushEpoch(e uint64) {
 	t.mu.Lock()
-	t.epoch = e
+	t.flushEpoch = e
 	t.mu.Unlock()
 }
 
-// Epoch reports the tree's current forest flush epoch (0 for standalone
-// trees).
-func (t *Tree) Epoch() uint64 {
+// FlushEpoch reports the tree's current forest flush epoch (0 for
+// standalone trees).
+func (t *Tree) FlushEpoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.epoch
+	return t.flushEpoch
 }
 
 // Flush writes all dirty nodes and the tree metadata back to the page

@@ -264,9 +264,9 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		}
 		// The flush protocol's ordering invariant: the manifest commits
 		// before any shard is stamped with the new epoch.
-		if meta.Epoch > m.Epoch {
+		if meta.FlushEpoch > m.Epoch {
 			t.Fatalf("%s: shard %d durable at epoch %d, ahead of manifest epoch %d",
-				desc, i, meta.Epoch, m.Epoch)
+				desc, i, meta.FlushEpoch, m.Epoch)
 		}
 		tr, err := core.Open(smallConfig(false), ws)
 		if err != nil {
@@ -282,17 +282,17 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 			states[i] = "B"
 		default:
 			t.Fatalf("%s: shard %d (%d records, epoch %d) matches neither boundary (A=%d, B=%d records)",
-				desc, i, tr.Len(), meta.Epoch, len(mA[i]), len(mB[i]))
+				desc, i, tr.Len(), meta.FlushEpoch, len(mA[i]), len(mB[i]))
 		}
 		// The durable epoch must agree with the content it identifies:
 		// epoch 1 committed state A; epochs 2 and 3 committed state B.
 		wantState := "B"
-		if meta.Epoch == 1 {
+		if meta.FlushEpoch == 1 {
 			wantState = "A"
 		}
 		if states[i] != wantState {
 			t.Fatalf("%s: shard %d at epoch %d holds state %s, epoch says %s",
-				desc, i, meta.Epoch, states[i], wantState)
+				desc, i, meta.FlushEpoch, states[i], wantState)
 		}
 		shards[i] = Shard{Eng: tr, Store: ws}
 	}

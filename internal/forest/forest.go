@@ -16,32 +16,12 @@ import (
 	"segidx/internal/store"
 )
 
-// Engine is the per-shard operation set: everything the public facade
-// needs from a tree, plus the epoch stamp a forest flush rides on. Both
-// core.Tree and skeleton.Predictor satisfy it.
+// Engine is the per-shard operation set: a core.Engine plus the flush-epoch
+// stamp a forest flush rides on. Both core.Tree and skeleton.Predictor
+// satisfy it.
 type Engine interface {
-	Insert(geom.Rect, node.RecordID) error
-	Delete(node.RecordID, geom.Rect) (int, error)
-	DeleteWhere(geom.Rect, func(core.Entry) bool) (int, error)
-	Search(geom.Rect) ([]core.Entry, error)
-	SearchFunc(geom.Rect, func(core.Entry) bool) error
-	SearchWithin(geom.Rect) ([]core.Entry, error)
-	SearchContaining(geom.Rect) ([]core.Entry, error)
-	SearchContainingFunc(geom.Rect, func(core.Entry) bool) error
-	VisitPortions(func(level int, e core.Entry) bool) error
-	Count(geom.Rect) (int, error)
-	Len() int
-	Height() int
-	NodeCount() int
-	Stats() core.Stats
-	PoolStats() buffer.Stats
-	Flush() error
-	CheckInvariants() error
-	Analyze() (*core.Report, error)
-	SetEpoch(uint64)
-	Snapshot() core.View
-	CommitEpoch() uint64
-	AccelStats() []accel.Stats
+	core.Engine
+	SetFlushEpoch(uint64)
 }
 
 // Shard pairs a shard engine with the store it persists to (nil for
@@ -75,18 +55,21 @@ type Config struct {
 // routed to distinct shards proceed in parallel; the forest adds no
 // global operation lock. Flush serializes against other flushes only.
 type Forest struct {
+	// reads answers every core.Reader method over the live shard engines
+	// and their live covers, which Insert grows.
+	reads
+
 	dims     int
 	shards   []Engine
 	stores   []store.Store
 	manifest *ManifestFile
 
-	ids    idMap
-	covers []cover
+	ids idMap
 
 	par atomic.Int32
 
-	flushMu sync.Mutex
-	epoch   uint64 // guarded by flushMu
+	flushMu    sync.Mutex
+	flushEpoch uint64 // the manifest epoch; guarded by flushMu
 
 	// broken latches the first store.ErrBroken any operation surfaces, so
 	// a forest with one sick shard refuses everything, forest-wide, just
@@ -94,6 +77,17 @@ type Forest struct {
 	broken atomic.Pointer[error]
 
 	scanPool sync.Pool
+}
+
+// reads is the scatter-gather read path over one set of shard readers and
+// their covers: the live engines with the live, grow-only covers (embedded
+// in Forest), or pinned shard views with frozen cover copies (embedded in
+// forestView). Both answer every core.Reader method from here.
+type reads struct {
+	f        *Forest // validation, breakage latch, parallelism, scan pool
+	readers  []core.Reader
+	covers   []cover
+	released atomic.Bool // set by forestView.Release; never on a live forest
 }
 
 // scanCtx carries one streaming query across shards. Its visit closures
@@ -124,18 +118,21 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 		return nil, errors.New("forest: dims must be at least 1")
 	}
 	f := &Forest{
-		dims:     cfg.Dims,
-		shards:   make([]Engine, len(shards)),
-		stores:   make([]store.Store, len(shards)),
-		manifest: cfg.Manifest,
-		covers:   make([]cover, len(shards)),
-		epoch:    cfg.Epoch,
+		dims:       cfg.Dims,
+		shards:     make([]Engine, len(shards)),
+		stores:     make([]store.Store, len(shards)),
+		manifest:   cfg.Manifest,
+		flushEpoch: cfg.Epoch,
 	}
+	f.reads.f = f
+	f.readers = make([]core.Reader, len(shards))
+	f.covers = make([]cover, len(shards))
 	for i, s := range shards {
 		if s.Eng == nil {
 			return nil, fmt.Errorf("forest: shard %d has no engine", i)
 		}
 		f.shards[i] = s.Eng
+		f.readers[i] = s.Eng
 		f.stores[i] = s.Store
 	}
 	f.scanPool.New = func() any {
@@ -222,14 +219,26 @@ func (f *Forest) validate(r geom.Rect) error {
 	return nil
 }
 
+// begin is the entry check of every read: a released view, a latched
+// breakage, then the rectangle.
+func (r *reads) begin(query geom.Rect) error {
+	if r.released.Load() {
+		return core.ErrSnapshotReleased
+	}
+	if err := r.f.guard(); err != nil {
+		return err
+	}
+	return r.f.validate(query)
+}
+
 // Shards reports the number of shards.
 func (f *Forest) Shards() int { return len(f.shards) }
 
-// Epoch reports the forest's current manifest epoch.
-func (f *Forest) Epoch() uint64 {
+// FlushEpoch reports the forest's current manifest epoch.
+func (f *Forest) FlushEpoch() uint64 {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
-	return f.epoch
+	return f.flushEpoch
 }
 
 // SetParallelism bounds the goroutines used for scatter-gather queries
@@ -318,19 +327,16 @@ func (f *Forest) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, 
 // scatter fans op across the shards selected by prune and gathers the
 // per-shard result slices, merging without copying when at most one shard
 // produced results.
-func (f *Forest) scatter(query geom.Rect,
+func (r *reads) scatter(query geom.Rect,
 	prune func(*cover, geom.Rect) bool,
-	op func(Engine, geom.Rect) ([]core.Entry, error),
+	op func(core.Reader, geom.Rect) ([]core.Entry, error),
 ) ([]core.Entry, error) {
-	if err := f.guard(); err != nil {
+	if err := r.begin(query); err != nil {
 		return nil, err
 	}
-	if err := f.validate(query); err != nil {
-		return nil, err
-	}
-	sel := make([]int, 0, len(f.shards))
-	for i := range f.shards {
-		if prune(&f.covers[i], query) {
+	sel := make([]int, 0, len(r.readers))
+	for i := range r.readers {
+		if prune(&r.covers[i], query) {
 			sel = append(sel, i)
 		}
 	}
@@ -338,21 +344,21 @@ func (f *Forest) scatter(query geom.Rect,
 		return nil, nil
 	}
 	results := make([][]core.Entry, len(sel))
-	err := fanout.Run(nil, f.parallelism(), len(sel), func(i int) error {
-		r, err := op(f.shards[sel[i]], query)
-		results[i] = r
+	err := fanout.Run(nil, r.f.parallelism(), len(sel), func(i int) error {
+		res, err := op(r.readers[sel[i]], query)
+		results[i] = res
 		return err
 	})
 	if err != nil {
-		f.note(err)
+		r.f.note(err)
 		return nil, err
 	}
 	// Gather. One non-empty shard hands its slice through unchanged — the
 	// common case under effective pruning costs no re-allocation.
 	total, nonEmpty, last := 0, 0, -1
-	for i, r := range results {
-		if len(r) > 0 {
-			total += len(r)
+	for i, res := range results {
+		if len(res) > 0 {
+			total += len(res)
 			nonEmpty++
 			last = i
 		}
@@ -364,8 +370,8 @@ func (f *Forest) scatter(query geom.Rect,
 		return results[last], nil
 	}
 	out := make([]core.Entry, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
+	for _, res := range results {
+		out = append(out, res...)
 	}
 	return out, nil
 }
@@ -376,88 +382,93 @@ func containsCover(c *cover, q geom.Rect) bool   { return c.contains(q) }
 // Search returns the records intersecting query across all shards,
 // deduplicated per shard by ID (cross-shard duplicates cannot exist: a
 // record lives wholly in one shard).
-func (f *Forest) Search(query geom.Rect) ([]core.Entry, error) {
-	return f.scatter(query, intersectsCover, Engine.Search)
-}
-
-// SearchWithin returns the records entirely contained in query.
-func (f *Forest) SearchWithin(query geom.Rect) ([]core.Entry, error) {
-	return f.scatter(query, intersectsCover, Engine.SearchWithin)
+func (r *reads) Search(query geom.Rect) ([]core.Entry, error) {
+	return r.scatter(query, intersectsCover, core.Reader.Search)
 }
 
 // SearchContaining returns the records that entirely contain query. A
 // shard can only hold a match when its cover contains the query, the
 // tighter prune.
-func (f *Forest) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	return f.scatter(query, containsCover, Engine.SearchContaining)
+func (r *reads) SearchContaining(query geom.Rect) ([]core.Entry, error) {
+	return r.scatter(query, containsCover, core.Reader.SearchContaining)
 }
 
 // stream runs a streaming query over the pruned shards sequentially,
 // honoring fn's early stop across shard boundaries. The pooled scan
 // context keeps the wrapping allocation-free, preserving the per-shard
 // zero-allocation read path.
-func (f *Forest) stream(query geom.Rect,
+func (r *reads) stream(query geom.Rect,
 	prune func(*cover, geom.Rect) bool,
-	op func(Engine, geom.Rect, func(core.Entry) bool) error,
+	op func(core.Reader, geom.Rect, func(core.Entry) bool) error,
 	fn func(core.Entry) bool,
 ) error {
-	if err := f.guard(); err != nil {
+	if err := r.begin(query); err != nil {
 		return err
 	}
-	if err := f.validate(query); err != nil {
-		return err
-	}
-	sc := f.scanPool.Get().(*scanCtx)
+	sc := r.f.scanPool.Get().(*scanCtx)
 	sc.fn, sc.stopped = fn, false
 	var err error
-	for i := range f.shards {
-		if !prune(&f.covers[i], query) {
+	for i := range r.readers {
+		if !prune(&r.covers[i], query) {
 			continue
 		}
-		if err = op(f.shards[i], query, sc.visit); err != nil || sc.stopped {
+		if err = op(r.readers[i], query, sc.visit); err != nil || sc.stopped {
 			break
 		}
 	}
 	sc.fn = nil
-	f.scanPool.Put(sc)
-	f.note(err)
+	r.f.scanPool.Put(sc)
+	r.f.note(err)
 	return err
 }
 
 // SearchFunc streams every stored portion intersecting query; fn
 // returning false stops early, across shards. Entry rectangles are views
 // valid only during the callback.
-func (f *Forest) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return f.stream(query, intersectsCover, Engine.SearchFunc, fn)
+func (r *reads) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
+	return r.stream(query, intersectsCover, core.Reader.SearchFunc, fn)
 }
 
 // SearchContainingFunc streams the records that entirely contain query.
-func (f *Forest) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return f.stream(query, containsCover, Engine.SearchContainingFunc, fn)
+func (r *reads) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
+	return r.stream(query, containsCover, core.Reader.SearchContainingFunc, fn)
 }
 
 // Count returns the number of logical records intersecting query, summed
 // over the shards whose covers overlap it.
-func (f *Forest) Count(query geom.Rect) (int, error) {
-	if err := f.guard(); err != nil {
-		return 0, err
-	}
-	if err := f.validate(query); err != nil {
+func (r *reads) Count(query geom.Rect) (int, error) {
+	if err := r.begin(query); err != nil {
 		return 0, err
 	}
 	total := 0
-	for i := range f.shards {
-		if !f.covers[i].intersects(query) {
+	for i := range r.readers {
+		if !r.covers[i].intersects(query) {
 			continue
 		}
-		n, err := f.shards[i].Count(query)
+		n, err := r.readers[i].Count(query)
 		if err != nil {
-			f.note(err)
+			r.f.note(err)
 			return 0, err
 		}
 		total += n
 	}
 	return total, nil
+}
+
+// Len reports the number of logical records across all shards.
+func (r *reads) Len() int {
+	n := 0
+	for _, s := range r.readers {
+		n += s.Len()
+	}
+	return n
+}
+
+// SearchWithin returns the records entirely contained in query. A record
+// lives wholly in one shard, so the forest-wide stream of intersecting
+// portions carries everything the containment test needs.
+func (f *Forest) SearchWithin(query geom.Rect) ([]core.Entry, error) {
+	return core.Within(f.SearchFunc, query)
 }
 
 // VisitPortions walks every shard's stored portions in shard order; fn
@@ -478,15 +489,6 @@ func (f *Forest) VisitPortions(fn func(level int, e core.Entry) bool) error {
 	f.scanPool.Put(sc)
 	f.note(err)
 	return err
-}
-
-// Len reports the number of logical records across all shards.
-func (f *Forest) Len() int {
-	n := 0
-	for _, s := range f.shards {
-		n += s.Len()
-	}
-	return n
 }
 
 // Height reports the tallest shard's height.
@@ -683,15 +685,15 @@ func (f *Forest) Flush() error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
 	if f.manifest != nil {
-		e := f.epoch + 1
+		e := f.flushEpoch + 1
 		if err := f.manifest.Commit(Manifest{Shards: len(f.shards), Epoch: e}); err != nil {
 			err = fmt.Errorf("%w: %w", store.ErrBroken, err)
 			f.note(err)
 			return err
 		}
-		f.epoch = e
+		f.flushEpoch = e
 		for _, s := range f.shards {
-			s.SetEpoch(e)
+			s.SetFlushEpoch(e)
 		}
 	}
 	errs := make([]error, len(f.shards))

@@ -283,24 +283,24 @@ func TestForestFlushEpochProtocol(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 1 {
-		t.Fatalf("epoch after first Flush = %d", f.Epoch())
+	if f.FlushEpoch() != 1 {
+		t.Fatalf("epoch after first Flush = %d", f.FlushEpoch())
 	}
 	for i, st := range stores {
 		meta, err := core.ReadMeta(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Epoch != 1 {
-			t.Fatalf("shard %d durable epoch = %d, want 1", i, meta.Epoch)
+		if meta.FlushEpoch != 1 {
+			t.Fatalf("shard %d durable epoch = %d, want 1", i, meta.FlushEpoch)
 		}
 	}
 	// FlushShard persists at the current epoch without bumping it.
 	if err := f.FlushShard(0); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 1 {
-		t.Fatalf("FlushShard moved the epoch to %d", f.Epoch())
+	if f.FlushEpoch() != 1 {
+		t.Fatalf("FlushShard moved the epoch to %d", f.FlushEpoch())
 	}
 	if err := f.FlushShard(5); err == nil {
 		t.Fatal("FlushShard(out of range) succeeded")
@@ -308,8 +308,8 @@ func TestForestFlushEpochProtocol(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 2 {
-		t.Fatalf("epoch after second Flush = %d", f.Epoch())
+	if f.FlushEpoch() != 2 {
+		t.Fatalf("epoch after second Flush = %d", f.FlushEpoch())
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ import (
 //
 // Ordering contract with the shards: a forest flush first commits the
 // manifest at epoch E, then stamps every shard with E and commits it
-// (core.Tree.SetEpoch rides the shard's metadata page). A crash at any
+// (core.Tree.SetFlushEpoch rides the shard's metadata page). A crash at any
 // point therefore leaves every shard's durable epoch at or below the
 // manifest's — a shard ahead of the manifest is proof of corruption.
 const (

@@ -143,13 +143,11 @@ func (c *cover) contains(q geom.Rect) bool {
 	return c.set && c.r.Contains(q)
 }
 
-// snapshot returns a point-in-time copy of the cover for a pinned view
-// (false when nothing was ever inserted).
-func (c *cover) snapshot() (geom.Rect, bool) {
+// freeze copies the cover into dst, a fresh cover owned by a pinned view.
+func (c *cover) freeze(dst *cover) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if !c.set {
-		return geom.Rect{}, false
+	if c.set {
+		dst.set, dst.r = true, c.r.Clone()
 	}
-	return c.r.Clone(), true
 }

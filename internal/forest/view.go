@@ -1,11 +1,6 @@
 package forest
 
-import (
-	"sync/atomic"
-
-	"segidx/internal/core"
-	"segidx/internal/geom"
-)
+import "segidx/internal/core"
 
 // CommitEpoch reports the sum of the shards' commit epochs: a monotonic
 // stamp that increases whenever any shard commits a mutation and is stable
@@ -31,159 +26,27 @@ func (f *Forest) CommitEpoch() uint64 {
 // exactly the guarantee concurrent scatter-gather queries already have.
 // Pinned under the forest's quiescence the view is exact.
 func (f *Forest) Snapshot() core.View {
-	v := &forestView{
-		f:      f,
-		views:  make([]core.View, len(f.shards)),
-		covers: make([]geom.Rect, len(f.shards)),
-		set:    make([]bool, len(f.shards)),
-	}
+	v := &forestView{views: make([]core.View, len(f.shards))}
+	v.f = f
+	v.readers = make([]core.Reader, len(f.shards))
+	v.covers = make([]cover, len(f.shards))
 	for i, s := range f.shards {
 		sv := s.Snapshot()
-		v.views[i] = sv
-		v.covers[i], v.set[i] = f.covers[i].snapshot()
+		v.views[i], v.readers[i] = sv, sv
+		f.covers[i].freeze(&v.covers[i])
 	}
 	return v
 }
 
-// forestView is a pinned scatter-gather snapshot: per-shard views plus
-// frozen covers for pruning. Covers are grow-only on the live forest, so a
-// frozen cover is exact for the pinned contents of its shard whenever the
-// pin happened with no insert in flight on that shard; an insert racing
-// the pin may or may not be visible, as for any query concurrent with a
-// write.
+// forestView is a pinned scatter-gather snapshot: the forest's read path
+// over per-shard views and frozen covers. Covers are grow-only on the live
+// forest, so a frozen cover is exact for the pinned contents of its shard
+// whenever the pin happened with no insert in flight on that shard; an
+// insert racing the pin may or may not be visible, as for any query
+// concurrent with a write.
 type forestView struct {
-	f        *Forest
-	views    []core.View
-	covers   []geom.Rect
-	set      []bool
-	released atomic.Bool
-}
-
-func (v *forestView) check(query geom.Rect) error {
-	if v.released.Load() {
-		return core.ErrSnapshotReleased
-	}
-	return v.f.validate(query)
-}
-
-// prune reports whether shard i can hold a match for query under the
-// frozen covers.
-func (v *forestView) prune(i int, query geom.Rect, contains bool) bool {
-	if !v.set[i] {
-		return false
-	}
-	if contains {
-		return v.covers[i].Contains(query)
-	}
-	return v.covers[i].Intersects(query)
-}
-
-// Search implements core.View across the pinned shards.
-func (v *forestView) Search(query geom.Rect) ([]core.Entry, error) {
-	return v.gather(query, false, core.View.Search)
-}
-
-// SearchContaining implements core.View across the pinned shards.
-func (v *forestView) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	return v.gather(query, true, core.View.SearchContaining)
-}
-
-// gather runs op on every non-pruned shard view and concatenates, handing
-// a single shard's slice through unchanged.
-func (v *forestView) gather(query geom.Rect, contains bool,
-	op func(core.View, geom.Rect) ([]core.Entry, error),
-) ([]core.Entry, error) {
-	if err := v.check(query); err != nil {
-		return nil, err
-	}
-	var out []core.Entry
-	first := true
-	for i, sv := range v.views {
-		if !v.prune(i, query, contains) {
-			continue
-		}
-		r, err := op(sv, query)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case len(r) == 0:
-		case first && out == nil:
-			out = r
-		default:
-			out = append(out, r...)
-		}
-		first = false
-	}
-	return out, nil
-}
-
-// SearchFunc implements core.View across the pinned shards, honoring fn's
-// early stop across shard boundaries.
-func (v *forestView) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return v.stream(query, false, core.View.SearchFunc, fn)
-}
-
-// SearchContainingFunc implements core.View across the pinned shards.
-func (v *forestView) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return v.stream(query, true, core.View.SearchContainingFunc, fn)
-}
-
-func (v *forestView) stream(query geom.Rect, contains bool,
-	op func(core.View, geom.Rect, func(core.Entry) bool) error,
-	fn func(core.Entry) bool,
-) error {
-	if err := v.check(query); err != nil {
-		return err
-	}
-	stopped := false
-	visit := func(e core.Entry) bool {
-		if fn(e) {
-			return true
-		}
-		stopped = true
-		return false
-	}
-	for i, sv := range v.views {
-		if !v.prune(i, query, contains) {
-			continue
-		}
-		if err := op(sv, query, visit); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Count implements core.View: the sum over non-pruned shards.
-func (v *forestView) Count(query geom.Rect) (int, error) {
-	if err := v.check(query); err != nil {
-		return 0, err
-	}
-	total := 0
-	for i, sv := range v.views {
-		if !v.prune(i, query, false) {
-			continue
-		}
-		n, err := sv.Count(query)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// Len implements core.View: records across all pinned shard views.
-func (v *forestView) Len() int {
-	n := 0
-	for _, sv := range v.views {
-		n += sv.Len()
-	}
-	return n
+	reads
+	views []core.View
 }
 
 // Epoch implements core.View: the sum of the pinned shard epochs, on the

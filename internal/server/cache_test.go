@@ -102,8 +102,17 @@ func mirrorIDs(t *testing.T, idx *segidx.Index, q segidx.Rect) []uint64 {
 // return the same ID set from both — no matter whether the server
 // answered from cache or engine. If epoch invalidation ever served a
 // stale entry, the ID sets would diverge at the next mutation round.
+//
+// The served index is a predicted skeleton whose per-shard sample (5 of 50
+// expected) outlasts the first round, so the op stream carries each
+// shard's staging-to-skeleton swap: entries cached under a staging epoch
+// must never be served for the built skeleton.
 func TestCacheDifferential(t *testing.T) {
-	srvIdx, err := segidx.NewSRTree(segidx.WithDims(2), segidx.WithShards(4))
+	srvIdx, err := segidx.NewSkeletonSRTree(segidx.SkeletonEstimate{
+		Tuples:          200,
+		Domain:          segidx.Box(0, 0, 1000, 1000),
+		PredictFraction: 0.1,
+	}, segidx.WithDims(2), segidx.WithShards(4))
 	if err != nil {
 		t.Fatalf("server index: %v", err)
 	}
@@ -144,8 +153,14 @@ func TestCacheDifferential(t *testing.T) {
 		return resp
 	}
 
+	var lastEpoch uint64
 	checkAll := func(round int) {
 		t.Helper()
+		if e := s.Epoch(); e < lastEpoch {
+			t.Fatalf("round %d: cache epoch went from %d back to %d", round, lastEpoch, e)
+		} else {
+			lastEpoch = e
+		}
 		for qi, q := range queries {
 			// Ask twice: first answer may be fresh, second is served from
 			// cache; both must equal the mirror.

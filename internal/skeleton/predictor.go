@@ -1,8 +1,8 @@
 // Package skeleton provides distribution prediction for skeleton indexes
 // (Section 4): when the input distribution is unknown but tuples arrive in
-// random order, the first T tuples are buffered in memory, per-dimension
+// random order, the first T tuples are kept in memory, per-dimension
 // histograms are computed from them, a skeleton index is constructed from
-// those histograms, and the buffered plus subsequent tuples are inserted
+// those histograms, and the sampled plus subsequent tuples are inserted
 // into it. The paper found T between 5% and 10% of the expected input to
 // work well and uses 10,000 tuples in its experiments.
 package skeleton
@@ -26,15 +26,19 @@ import (
 // prediction.
 const DefaultBins = 100
 
-// Predictor wraps a Tree, deferring skeleton construction until a sample
-// of the input has been observed. It implements the same operations as
-// core.Tree; searches and deletes during the buffering phase consult the
-// buffer.
+// Predictor defers skeleton construction until a sample of the input has
+// been observed. It is not an engine of its own: every operation delegates
+// to whichever core.Tree the tree pointer holds — a plain staging tree over
+// a private in-memory store while the sample is being collected, the built
+// skeleton over the caller's store afterwards — so answers, errors and
+// epochs are the tree's in both phases. The only state the Predictor keeps
+// itself is the arrival-order sample, which feeds the histograms and is
+// drained into the skeleton when it is built.
 //
-// A Predictor is safe for concurrent use: its own lock guards the sample
-// buffer and the buffering-to-built transition, and once the skeleton is
-// built, operations delegate to the Tree's locking (reads then proceed in
-// parallel under the tree's shared lock).
+// A Predictor is safe for concurrent use. Reads load the tree pointer and
+// take no predictor lock; mu serializes the writes that must stay in step
+// with the sample (inserts and deletes while sampling) and the one
+// staging-to-skeleton swap.
 type Predictor struct {
 	cfg      core.Config
 	st       store.Store
@@ -43,17 +47,12 @@ type Predictor struct {
 	sample   int
 	bins     int
 
-	mu     sync.RWMutex
-	buf    []buffered
-	epoch  uint64                 // forest flush epoch to stamp the tree with at build
-	attach func(*core.Tree) error // optional hook run right after the skeleton is built
-	tree   *core.Tree             // nil until the skeleton is built
+	tree     atomic.Pointer[core.Tree]
+	sampling atomic.Bool // cleared, after tree is swapped, once the skeleton is built
 
-	// muts counts mutating operations for CommitEpoch: a monotonic stamp
-	// that changes whenever the logical contents may have changed. It is
-	// bumped before the operation runs, so a cache keyed on it can only
-	// err toward invalidation, never staleness.
-	muts atomic.Uint64
+	mu     sync.Mutex
+	buf    []buffered             // the sample, in arrival order; nil once drained
+	attach func(*core.Tree) error // optional hook run right after the skeleton is built
 }
 
 type buffered struct {
@@ -61,7 +60,7 @@ type buffered struct {
 	id   node.RecordID
 }
 
-// New creates a predictor that buffers sampleFraction of expectedTuples
+// New creates a predictor that samples sampleFraction of expectedTuples
 // (clamped to [1, expectedTuples]) before building the skeleton over the
 // given domain.
 func New(cfg core.Config, st store.Store, domain geom.Rect, expectedTuples int, sampleFraction float64) (*Predictor, error) {
@@ -81,72 +80,58 @@ func New(cfg core.Config, st store.Store, domain geom.Rect, expectedTuples int, 
 	if sample < 1 {
 		sample = 1
 	}
-	return &Predictor{
+	// The staging tree is a plain R-Tree: nothing is known yet about the
+	// distribution spanning records or coalescing would adapt to, and it
+	// is discarded at the swap.
+	scfg := cfg
+	scfg.Spanning = false
+	scfg.CoalesceEvery = 0
+	staging, err := core.NewInMemory(scfg)
+	if err != nil {
+		return nil, err
+	}
+	p := &Predictor{
 		cfg:      cfg,
 		st:       st,
 		domain:   domain.Clone(),
 		expected: expectedTuples,
 		sample:   sample,
 		bins:     DefaultBins,
-	}, nil
-}
-
-// NewFixedSample is New with an absolute sample size (the paper's
-// experiments buffer exactly 10,000 tuples).
-func NewFixedSample(cfg core.Config, st store.Store, domain geom.Rect, expectedTuples, sampleSize int) (*Predictor, error) {
-	if sampleSize < 1 || sampleSize > expectedTuples {
-		return nil, fmt.Errorf("skeleton: sample size %d outside [1, %d]", sampleSize, expectedTuples)
 	}
-	p, err := New(cfg, st, domain, expectedTuples, 1)
-	if err != nil {
-		return nil, err
-	}
-	p.sample = sampleSize
+	p.tree.Store(staging)
+	p.sampling.Store(true)
 	return p, nil
 }
 
-// built returns the underlying tree, or nil while still buffering.
-func (p *Predictor) built() *core.Tree {
-	p.mu.RLock()
-	t := p.tree
-	p.mu.RUnlock()
-	return t
-}
-
 // Buffering reports whether the predictor is still collecting its sample.
-func (p *Predictor) Buffering() bool { return p.built() == nil }
+func (p *Predictor) Buffering() bool { return p.sampling.Load() }
 
-// Tree returns the underlying tree, or nil while buffering.
-func (p *Predictor) Tree() *core.Tree { return p.built() }
+// Tree returns the tree operations currently delegate to: the staging tree
+// while sampling, the built skeleton afterwards.
+func (p *Predictor) Tree() *core.Tree { return p.tree.Load() }
 
 // Insert adds a record, building the skeleton once the sample is complete.
 func (p *Predictor) Insert(rect geom.Rect, id node.RecordID) error {
-	p.muts.Add(1)
-	if t := p.built(); t != nil {
-		return t.Insert(rect, id)
+	if !p.sampling.Load() {
+		return p.tree.Load().Insert(rect, id)
 	}
 	p.mu.Lock()
-	if p.tree != nil { // built between the check and the lock
-		t := p.tree
-		p.mu.Unlock()
-		return t.Insert(rect, id)
-	}
-	if !rect.Valid() || rect.Dims() != p.cfg.Dims {
-		p.mu.Unlock()
-		return core.ErrBadRect
+	defer p.mu.Unlock()
+	if err := p.tree.Load().Insert(rect, id); err != nil || !p.sampling.Load() {
+		return err
 	}
 	p.buf = append(p.buf, buffered{rect: rect.Clone(), id: id})
-	var err error
 	if len(p.buf) >= p.sample {
-		err = p.buildLocked()
+		return p.buildLocked()
 	}
-	p.mu.Unlock()
-	return err
+	return nil
 }
 
-// buildLocked computes per-dimension histograms from the buffered sample,
-// constructs the skeleton, and drains the buffer into it. The caller must
-// hold the write lock on p.mu.
+// buildLocked computes per-dimension histograms from the sample, constructs
+// the skeleton, drains the sample into it in arrival order, and swaps it in
+// for the staging tree. Readers keep answering from the staging tree, which
+// holds the same records, until the one atomic store. The caller must hold
+// p.mu.
 func (p *Predictor) buildLocked() error {
 	hists := make([]*histogram.Histogram, p.cfg.Dims)
 	for d := 0; d < p.cfg.Dims; d++ {
@@ -167,7 +152,7 @@ func (p *Predictor) buildLocked() error {
 	if err != nil {
 		return err
 	}
-	// The attach hook runs before the buffer drains so sidecars observe
+	// The attach hook runs before the sample drains so sidecars observe
 	// the drained inserts through the tree's normal write path.
 	if p.attach != nil {
 		if err := p.attach(tree); err != nil {
@@ -179,311 +164,96 @@ func (p *Predictor) buildLocked() error {
 			return err
 		}
 	}
+	staging := p.tree.Load()
+	tree.SetFlushEpoch(staging.FlushEpoch())
+	// The swap counts as one commit on the staging tree's scale: results
+	// cached under the staging epoch report whole rectangles where the
+	// skeleton may report cut portions, and the epoch must never run
+	// backwards under a reader.
+	tree.AdvanceCommitEpoch(staging.CommitEpoch() + 1)
+	p.tree.Store(tree)
+	p.sampling.Store(false)
 	p.buf = nil
-	tree.SetEpoch(p.epoch)
-	p.tree = tree
 	return nil
 }
 
 // SetAttach registers a hook run on the tree as soon as the skeleton is
-// built, before the sample buffer drains into it — the facade uses it to
-// attach a stab accelerator. Must be called before the sample completes
-// (in practice: before any Insert).
+// built, before the sample drains into it — the facade uses it to attach a
+// stab accelerator. Must be called before the sample completes (in
+// practice: before any Insert).
 func (p *Predictor) SetAttach(fn func(*core.Tree) error) {
 	p.mu.Lock()
 	p.attach = fn
 	p.mu.Unlock()
 }
 
-// SetEpoch stamps the predictor with a forest flush epoch (see
-// core.Tree.SetEpoch). While buffering, the epoch is remembered and
-// applied to the tree when the skeleton is built.
-func (p *Predictor) SetEpoch(e uint64) {
+// SetFlushEpoch stamps the current tree with a forest flush epoch (see
+// core.Tree.SetFlushEpoch); the skeleton inherits the staging tree's stamp
+// when it is built.
+func (p *Predictor) SetFlushEpoch(e uint64) {
 	p.mu.Lock()
-	p.epoch = e
-	t := p.tree
+	p.tree.Load().SetFlushEpoch(e)
 	p.mu.Unlock()
-	if t != nil {
-		t.SetEpoch(e)
-	}
 }
 
 // Finalize forces skeleton construction from whatever sample has been
-// collected (building a uniform skeleton if nothing was buffered). Useful
+// collected (building a uniform skeleton if nothing was sampled). Useful
 // when the input ends before the sample target is reached.
 func (p *Predictor) Finalize() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.tree != nil {
+	if !p.sampling.Load() {
 		return nil
 	}
 	return p.buildLocked()
 }
 
-// Search returns deduplicated records intersecting query, consulting the
-// buffer while in the buffering phase.
-func (p *Predictor) Search(query geom.Rect) ([]core.Entry, error) {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.Search(query)
+// deleteSampled runs one delete on the current tree and, while sampling,
+// drops the sample entries the staging tree removed (the ones drop picks),
+// so the drain rebuilds exactly the staging tree's contents.
+func (p *Predictor) deleteSampled(del func(*core.Tree) (int, error), drop func(buffered) bool) (int, error) {
+	if !p.sampling.Load() {
+		return del(p.tree.Load())
 	}
-	defer p.mu.RUnlock()
-	return p.searchBufferedLocked(query)
-}
-
-// searchBufferedLocked scans the sample buffer for intersecting records.
-// The caller must hold p.mu.
-func (p *Predictor) searchBufferedLocked(query geom.Rect) ([]core.Entry, error) {
-	if !query.Valid() || query.Dims() != p.cfg.Dims {
-		return nil, core.ErrBadRect
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n, err := del(p.tree.Load())
+	if err != nil || n == 0 || !p.sampling.Load() {
+		return n, err
 	}
-	var out []core.Entry
+	kept := p.buf[:0]
 	for _, b := range p.buf {
-		if b.rect.Intersects(query) {
-			out = append(out, core.Entry{Rect: b.rect.Clone(), ID: b.id})
+		if !drop(b) {
+			kept = append(kept, b)
 		}
 	}
-	return out, nil
-}
-
-// SearchFunc visits records intersecting query.
-func (p *Predictor) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.SearchFunc(query, fn)
-	}
-	entries, err := p.searchBufferedLocked(query)
-	p.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !fn(e) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// SearchWithin returns the records entirely contained in query.
-func (p *Predictor) SearchWithin(query geom.Rect) ([]core.Entry, error) {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.SearchWithin(query)
-	}
-	defer p.mu.RUnlock()
-	if !query.Valid() || query.Dims() != p.cfg.Dims {
-		return nil, core.ErrBadRect
-	}
-	var out []core.Entry
-	for _, b := range p.buf {
-		if query.Contains(b.rect) {
-			out = append(out, core.Entry{Rect: b.rect.Clone(), ID: b.id})
-		}
-	}
-	return out, nil
-}
-
-// SearchContaining returns the records that entirely contain query.
-func (p *Predictor) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.SearchContaining(query)
-	}
-	defer p.mu.RUnlock()
-	return p.containingBufferedLocked(query)
-}
-
-// SearchContainingFunc visits the records that entirely contain query.
-// Entry rectangles are views valid only during the callback (buffered
-// records are reported from in-memory copies with the same contract).
-func (p *Predictor) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.SearchContainingFunc(query, fn)
-	}
-	entries, err := p.containingBufferedLocked(query)
-	p.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !fn(e) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// containingBufferedLocked scans the sample buffer for records containing
-// query. The caller must hold p.mu.
-func (p *Predictor) containingBufferedLocked(query geom.Rect) ([]core.Entry, error) {
-	if !query.Valid() || query.Dims() != p.cfg.Dims {
-		return nil, core.ErrBadRect
-	}
-	var out []core.Entry
-	for _, b := range p.buf {
-		if b.rect.Contains(query) {
-			out = append(out, core.Entry{Rect: b.rect.Clone(), ID: b.id})
-		}
-	}
-	return out, nil
-}
-
-// VisitPortions walks every stored record portion with its storage level
-// (buffered records report level 0).
-func (p *Predictor) VisitPortions(fn func(level int, e core.Entry) bool) error {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.VisitPortions(fn)
-	}
-	// Snapshot the buffer so fn runs without holding the lock.
-	entries := make([]core.Entry, len(p.buf))
-	for i, b := range p.buf {
-		entries[i] = core.Entry{Rect: b.rect.Clone(), ID: b.id}
-	}
-	p.mu.RUnlock()
-	for _, e := range entries {
-		if !fn(0, e) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Count returns the number of records intersecting query.
-func (p *Predictor) Count(query geom.Rect) (int, error) {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.Count(query)
-	}
-	defer p.mu.RUnlock()
-	entries, err := p.searchBufferedLocked(query)
-	return len(entries), err
+	p.buf = kept
+	return n, nil
 }
 
 // Delete removes the record with the given ID.
 func (p *Predictor) Delete(id node.RecordID, hint geom.Rect) (int, error) {
-	p.muts.Add(1)
-	p.mu.Lock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.Unlock()
-		return t.Delete(id, hint)
-	}
-	defer p.mu.Unlock()
-	// A reused ID extends the logical record with extra buffered portions;
-	// Delete must drop every one intersecting the hint, matching a built
-	// tree's whole-record semantics.
-	kept := p.buf[:0]
-	hit := false
-	for _, b := range p.buf {
-		if b.id == id && b.rect.Intersects(hint) {
-			hit = true
-			continue
-		}
-		kept = append(kept, b)
-	}
-	p.buf = kept
-	if hit {
-		return 1, nil
-	}
-	return 0, nil
+	return p.deleteSampled(
+		func(t *core.Tree) (int, error) { return t.Delete(id, hint) },
+		func(b buffered) bool { return b.id == id && b.rect.Intersects(hint) })
 }
 
-// DeleteWhere removes every buffered or indexed record intersecting query
-// and satisfying pred.
+// DeleteWhere removes every record intersecting query and satisfying pred.
 func (p *Predictor) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, error) {
-	p.muts.Add(1)
-	p.mu.Lock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.Unlock()
-		return t.DeleteWhere(query, pred)
-	}
-	defer p.mu.Unlock()
-	if !query.Valid() || query.Dims() != p.cfg.Dims {
-		return 0, core.ErrBadRect
-	}
-	removed := 0
-	kept := p.buf[:0]
-	for _, b := range p.buf {
-		if b.rect.Intersects(query) && (pred == nil || pred(core.Entry{Rect: b.rect, ID: b.id})) {
-			removed++
-			continue
-		}
-		kept = append(kept, b)
-	}
-	p.buf = kept
-	return removed, nil
-}
-
-// Len reports the number of records held (buffered plus indexed).
-func (p *Predictor) Len() int {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.Len()
-	}
-	defer p.mu.RUnlock()
-	return len(p.buf)
-}
-
-// Height reports the tree height (1 while buffering).
-func (p *Predictor) Height() int {
-	if t := p.built(); t != nil {
-		return t.Height()
-	}
-	return 1
-}
-
-// NodeCount reports the number of index nodes (0 while buffering).
-func (p *Predictor) NodeCount() int {
-	if t := p.built(); t != nil {
-		return t.NodeCount()
-	}
-	return 0
-}
-
-// Stats returns tree counters (zero while buffering).
-func (p *Predictor) Stats() core.Stats {
-	if t := p.built(); t != nil {
-		return t.Stats()
-	}
-	return core.Stats{}
-}
-
-// PoolStats returns buffer pool counters (zero while buffering: sampled
-// records live in memory, not on pages).
-func (p *Predictor) PoolStats() buffer.Stats {
-	if t := p.built(); t != nil {
-		return t.PoolStats()
-	}
-	return buffer.Stats{}
-}
-
-// AccelStats returns the built tree's stab-accelerator counters (nil
-// while buffering: the sidecar attaches when the skeleton is built).
-func (p *Predictor) AccelStats() []accel.Stats {
-	if t := p.built(); t != nil {
-		return t.AccelStats()
-	}
-	return nil
+	// A matched record loses all of its rectangles, including ones outside
+	// query, so the sample mirror works from the IDs the predicate accepted.
+	matched := make(map[node.RecordID]bool)
+	return p.deleteSampled(
+		func(t *core.Tree) (int, error) {
+			return t.DeleteWhere(query, func(e core.Entry) bool {
+				ok := pred == nil || pred(e)
+				if ok {
+					matched[e.ID] = true
+				}
+				return ok
+			})
+		},
+		func(b buffered) bool { return matched[b.id] })
 }
 
 // Flush persists the index; it finalizes the skeleton first.
@@ -491,153 +261,35 @@ func (p *Predictor) Flush() error {
 	if err := p.Finalize(); err != nil {
 		return err
 	}
-	return p.built().Flush()
+	return p.tree.Load().Flush()
 }
 
-// CheckInvariants validates the underlying tree (trivially true while
-// buffering).
-func (p *Predictor) CheckInvariants() error {
-	if t := p.built(); t != nil {
-		return t.CheckInvariants()
-	}
-	return nil
+// Everything else is the current tree's.
+
+func (p *Predictor) Search(q geom.Rect) ([]core.Entry, error) { return p.tree.Load().Search(q) }
+func (p *Predictor) SearchFunc(q geom.Rect, fn func(core.Entry) bool) error {
+	return p.tree.Load().SearchFunc(q, fn)
 }
-
-// CommitEpoch reports a monotonic mutation stamp: it increases on every
-// Insert/Delete/DeleteWhere (successful or not) and is stable while the
-// contents are unchanged. The scale differs from core.Tree.CommitEpoch —
-// buffered-phase mutations count here even though the tree does not exist
-// yet — but the contract a result cache needs (changes on mutation, stable
-// otherwise) holds across the buffering-to-built transition.
-func (p *Predictor) CommitEpoch() uint64 { return p.muts.Load() }
-
-// Snapshot pins an immutable view of the predictor's contents. Once the
-// skeleton is built this is the tree's MVCC snapshot (lock-free reads,
-// copy-on-write isolation); while buffering it is a point-in-time copy of
-// the sample buffer. Either way the view observes no subsequent mutations
-// and must be Released.
-func (p *Predictor) Snapshot() core.View {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.Snapshot()
-	}
-	v := &bufView{dims: p.cfg.Dims, epoch: p.muts.Load()}
-	v.entries = make([]core.Entry, len(p.buf))
-	for i, b := range p.buf {
-		v.entries[i] = core.Entry{Rect: b.rect.Clone(), ID: b.id}
-	}
-	p.mu.RUnlock()
-	return v
+func (p *Predictor) SearchWithin(q geom.Rect) ([]core.Entry, error) {
+	return p.tree.Load().SearchWithin(q)
 }
-
-// bufView is a static snapshot of the buffering-phase sample: a deep copy
-// of the buffered records taken under the predictor lock. It needs no
-// registry pin — the copy is self-contained — so Release only poisons the
-// handle.
-type bufView struct {
-	dims     int
-	epoch    uint64
-	entries  []core.Entry
-	released atomic.Bool
+func (p *Predictor) SearchContaining(q geom.Rect) ([]core.Entry, error) {
+	return p.tree.Load().SearchContaining(q)
 }
-
-func (v *bufView) check(query geom.Rect) error {
-	if v.released.Load() {
-		return core.ErrSnapshotReleased
-	}
-	if !query.Valid() || query.Dims() != v.dims {
-		return core.ErrBadRect
-	}
-	return nil
+func (p *Predictor) SearchContainingFunc(q geom.Rect, fn func(core.Entry) bool) error {
+	return p.tree.Load().SearchContainingFunc(q, fn)
 }
-
-// Search implements core.View over the buffered copy.
-func (v *bufView) Search(query geom.Rect) ([]core.Entry, error) {
-	if err := v.check(query); err != nil {
-		return nil, err
-	}
-	var out []core.Entry
-	for _, e := range v.entries {
-		if e.Rect.Intersects(query) {
-			out = append(out, core.Entry{Rect: e.Rect.Clone(), ID: e.ID})
-		}
-	}
-	return out, nil
+func (p *Predictor) Count(q geom.Rect) (int, error) { return p.tree.Load().Count(q) }
+func (p *Predictor) VisitPortions(fn func(level int, e core.Entry) bool) error {
+	return p.tree.Load().VisitPortions(fn)
 }
-
-// SearchFunc implements core.View over the buffered copy.
-func (v *bufView) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	if err := v.check(query); err != nil {
-		return err
-	}
-	for _, e := range v.entries {
-		if e.Rect.Intersects(query) && !fn(e) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// SearchContaining implements core.View over the buffered copy.
-func (v *bufView) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	if err := v.check(query); err != nil {
-		return nil, err
-	}
-	var out []core.Entry
-	for _, e := range v.entries {
-		if e.Rect.Contains(query) {
-			out = append(out, core.Entry{Rect: e.Rect.Clone(), ID: e.ID})
-		}
-	}
-	return out, nil
-}
-
-// SearchContainingFunc implements core.View over the buffered copy.
-func (v *bufView) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	if err := v.check(query); err != nil {
-		return err
-	}
-	for _, e := range v.entries {
-		if e.Rect.Contains(query) && !fn(e) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Count implements core.View over the buffered copy.
-func (v *bufView) Count(query geom.Rect) (int, error) {
-	if err := v.check(query); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range v.entries {
-		if e.Rect.Intersects(query) {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Len implements core.View.
-func (v *bufView) Len() int { return len(v.entries) }
-
-// Epoch implements core.View (the predictor's mutation stamp at pin time).
-func (v *bufView) Epoch() uint64 { return v.epoch }
-
-// Release implements core.View. Idempotent.
-func (v *bufView) Release() { v.released.Store(true) }
-
-// Analyze reports the structure of the underlying tree.
-func (p *Predictor) Analyze() (*core.Report, error) {
-	p.mu.RLock()
-	if p.tree != nil {
-		t := p.tree
-		p.mu.RUnlock()
-		return t.Analyze()
-	}
-	defer p.mu.RUnlock()
-	return &core.Report{Height: 1, LogicalRecords: len(p.buf)}, nil
-}
+func (p *Predictor) Len() int                       { return p.tree.Load().Len() }
+func (p *Predictor) Height() int                    { return p.tree.Load().Height() }
+func (p *Predictor) NodeCount() int                 { return p.tree.Load().NodeCount() }
+func (p *Predictor) Stats() core.Stats              { return p.tree.Load().Stats() }
+func (p *Predictor) PoolStats() buffer.Stats        { return p.tree.Load().PoolStats() }
+func (p *Predictor) AccelStats() []accel.Stats      { return p.tree.Load().AccelStats() }
+func (p *Predictor) CheckInvariants() error         { return p.tree.Load().CheckInvariants() }
+func (p *Predictor) Analyze() (*core.Report, error) { return p.tree.Load().Analyze() }
+func (p *Predictor) Snapshot() core.View            { return p.tree.Load().Snapshot() }
+func (p *Predictor) CommitEpoch() uint64            { return p.tree.Load().CommitEpoch() }

@@ -1,11 +1,14 @@
 package skeleton
 
 import (
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"segidx/internal/core"
 	"segidx/internal/geom"
+	"segidx/internal/histogram"
 	"segidx/internal/node"
 	"segidx/internal/store"
 	"segidx/internal/workload"
@@ -31,9 +34,6 @@ func TestPredictorValidation(t *testing.T) {
 	}
 	if _, err := New(cfg, store.NewMemStore(), domain(), 100, 1.5); err == nil {
 		t.Error("sample fraction > 1 accepted")
-	}
-	if _, err := NewFixedSample(cfg, store.NewMemStore(), domain(), 100, 1000); err == nil {
-		t.Error("sample size above expected accepted")
 	}
 	bad := geom.Rect{Min: []float64{0}, Max: []float64{1}}
 	if _, err := New(cfg, store.NewMemStore(), bad, 100, 0.1); err == nil {
@@ -70,7 +70,7 @@ func TestPredictorBuildsAfterSample(t *testing.T) {
 }
 
 func TestPredictorSearchDuringAndAfterBuffering(t *testing.T) {
-	p, err := NewFixedSample(testConfig(), store.NewMemStore(), domain(), 400, 200)
+	p, err := New(testConfig(), store.NewMemStore(), domain(), 400, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPredictorSearchDuringAndAfterBuffering(t *testing.T) {
 }
 
 func TestPredictorDeleteDuringBuffering(t *testing.T) {
-	p, err := NewFixedSample(testConfig(), store.NewMemStore(), domain(), 100, 50)
+	p, err := New(testConfig(), store.NewMemStore(), domain(), 100, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPredictorDeleteDuringBuffering(t *testing.T) {
 }
 
 func TestPredictorFinalizeEarly(t *testing.T) {
-	p, err := NewFixedSample(testConfig(), store.NewMemStore(), domain(), 1000, 500)
+	p, err := New(testConfig(), store.NewMemStore(), domain(), 1000, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPredictionAdaptsPartitionsToSkew(t *testing.T) {
 	// Feed exponential-Y data: the built skeleton must put more, narrower
 	// partitions at low Y. Verify indirectly: count leaves whose region
 	// center is below the median of the domain.
-	p, err := NewFixedSample(testConfig(), store.NewMemStore(), domain(), 3000, 300)
+	p, err := New(testConfig(), store.NewMemStore(), domain(), 3000, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +222,133 @@ func TestPredictionAdaptsPartitionsToSkew(t *testing.T) {
 	uniCost := cost(uni)
 	if predCost >= uniCost {
 		t.Errorf("high-Y strip: predicted skeleton cost %d not below uniform %d", predCost, uniCost)
+	}
+}
+
+// TestPredictedSkeletonMatchesDirectBuild is the structural oracle for the
+// prediction path: a predictor fed N records must end up with the very tree
+// that core.NewSkeleton builds from histograms of the first T records and
+// that is then fed the same N records in the same order — same shape, same
+// structural report, and the same node accesses for every query. It pins
+// the drain order and the query descent: changing either fails here rather
+// than as a moved benchmark.
+func TestPredictedSkeletonMatchesDirectBuild(t *testing.T) {
+	const n, sample = 2000, 200
+	data := workload.I3.Generate(n, 41)
+	queries := workload.Queries(1, 30, 42)
+	queries = append(queries, workload.Queries(0.01, 30, 43)...)
+	for _, spanning := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Spanning = spanning
+
+		p, err := New(cfg, store.NewMemStore(), domain(), n, float64(sample)/n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hists := make([]*histogram.Histogram, cfg.Dims)
+		for d := range hists {
+			if hists[d], err = histogram.New(domain().Min[d], domain().Max[d], DefaultBins); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range data[:sample] {
+				hists[d].AddInterval(r.Min[d], r.Max[d])
+			}
+		}
+		direct, err := core.NewSkeleton(cfg, store.NewMemStore(), core.Estimate{Tuples: n, Domain: domain(), Hists: hists})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range data {
+			if err := p.Insert(r, node.RecordID(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := direct.Insert(r, node.RecordID(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if p.Height() != direct.Height() || p.NodeCount() != direct.NodeCount() {
+			t.Fatalf("spanning=%v: predicted %d levels/%d nodes, direct %d/%d",
+				spanning, p.Height(), p.NodeCount(), direct.Height(), direct.NodeCount())
+		}
+		got, err1 := p.Analyze()
+		want, err2 := direct.Analyze()
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("spanning=%v: Analyze differs (%v, %v):\npredicted %+v\n   direct %+v", spanning, err1, err2, got, want)
+		}
+		for qi, q := range queries {
+			p0, d0 := p.Stats().SearchNodeAccesses, direct.Stats().SearchNodeAccesses
+			a, err1 := p.Search(q)
+			b, err2 := direct.Search(q)
+			if err1 != nil || err2 != nil || len(a) != len(b) {
+				t.Fatalf("spanning=%v query %d: %d results/%v vs %d/%v", spanning, qi, len(a), err1, len(b), err2)
+			}
+			pn, dn := p.Stats().SearchNodeAccesses-p0, direct.Stats().SearchNodeAccesses-d0
+			if pn != dn || pn == 0 {
+				t.Fatalf("spanning=%v query %d: %d node accesses predicted, %d direct", spanning, qi, pn, dn)
+			}
+		}
+	}
+}
+
+// TestPredictorReadersAcrossSwap runs lock-free readers while a writer
+// carries the predictor from its staging tree through the drain into the
+// skeleton. With inserts only, a reader must never see the whole-domain
+// count or the commit epoch go down — a dip would mean it was handed a
+// skeleton still being drained — and a snapshot must keep its count. Run
+// under -race.
+func TestPredictorReadersAcrossSwap(t *testing.T) {
+	const n = 600
+	p, err := New(testConfig(), store.NewMemStore(), domain(), n, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := workload.I3.Generate(n, 7)
+	all := geom.Rect2(0, 0, workload.DomainHi, workload.DomainHi)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastCount, lastEpoch := 0, uint64(0)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := p.Snapshot()
+				pinned, err1 := v.Count(all)
+				count, err2 := p.Count(all)
+				again, err3 := v.Count(all)
+				epoch := p.CommitEpoch()
+				v.Release()
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Errorf("reader: %v, %v, %v", err1, err2, err3)
+					return
+				}
+				if pinned < lastCount || count < pinned || again != pinned || epoch < lastEpoch {
+					t.Errorf("reader went backwards: count %d then snapshot %d/%d, live %d; epoch %d then %d",
+						lastCount, pinned, again, count, lastEpoch, epoch)
+					return
+				}
+				lastCount, lastEpoch = count, epoch
+			}
+		}()
+	}
+	for i, r := range data {
+		if err := p.Insert(r, node.RecordID(i+1)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if p.Buffering() {
+		t.Fatal("the run never crossed the swap")
+	}
+	if got, err := p.Count(all); err != nil || got != n {
+		t.Fatalf("final Count = %d, %v", got, err)
 	}
 }

@@ -83,30 +83,9 @@ func Point(coords ...float64) Rect { return geom.Point(coords...) }
 // NewRect builds a validated rectangle from min/max corners.
 func NewRect(min, max []float64) (Rect, error) { return geom.NewRect(min, max) }
 
-// engine is the operation set shared by core.Tree and skeleton.Predictor.
-type engine interface {
-	Insert(Rect, RecordID) error
-	Delete(RecordID, Rect) (int, error)
-	DeleteWhere(Rect, func(Entry) bool) (int, error)
-	Search(Rect) ([]Entry, error)
-	SearchFunc(Rect, func(Entry) bool) error
-	SearchWithin(Rect) ([]Entry, error)
-	SearchContaining(Rect) ([]Entry, error)
-	SearchContainingFunc(Rect, func(Entry) bool) error
-	VisitPortions(func(level int, e Entry) bool) error
-	Count(Rect) (int, error)
-	Len() int
-	Height() int
-	NodeCount() int
-	Stats() Stats
-	PoolStats() buffer.Stats
-	Flush() error
-	CheckInvariants() error
-	Analyze() (*Report, error)
-	Snapshot() core.View
-	CommitEpoch() uint64
-	AccelStats() []accel.Stats
-}
+// engine is what an Index drives: a core.Tree, a skeleton.Predictor while
+// and after it predicts its skeleton, or a forest.Forest of either.
+type engine = core.Engine
 
 // Index is a segment index: one of R-Tree, SR-Tree, Skeleton R-Tree, or
 // Skeleton SR-Tree.
@@ -263,7 +242,7 @@ func (x *Index) PoolStats() PoolStats { return x.eng.PoolStats() }
 // AccelStats returns per-sidecar counters for stab accelerators attached
 // via WithStabAccel — one entry per accelerated shard, in shard order.
 // Empty when no accelerator is attached, or while a predictive skeleton
-// index is still buffering its sample.
+// index is still collecting its sample.
 func (x *Index) AccelStats() []AccelStats { return x.eng.AccelStats() }
 
 // Flush persists dirty nodes and metadata to the page store.
@@ -303,7 +282,7 @@ type SkeletonEstimate struct {
 	// is set.
 	Histograms []*Histogram
 	// PredictFraction, when positive, enables distribution prediction:
-	// the index buffers this fraction of Tuples (the paper recommends
+	// the index samples this fraction of Tuples (the paper recommends
 	// 0.05–0.10), computes histograms from the sample, and then builds
 	// the skeleton.
 	PredictFraction float64
@@ -507,11 +486,4 @@ var (
 	ErrDims = core.ErrDims
 	// ErrBadRect indicates an invalid rectangle.
 	ErrBadRect = core.ErrBadRect
-)
-
-// ensure both engines satisfy the interface.
-var (
-	_ engine = (*core.Tree)(nil)
-	_ engine = (*skeleton.Predictor)(nil)
-	_        = errors.Is
 )

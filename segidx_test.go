@@ -3,6 +3,7 @@ package segidx_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -285,5 +286,146 @@ func TestDeleteThroughPublicAPI(t *testing.T) {
 	}
 	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// edgeScript drives one index through the inputs where a second engine
+// implementation is most likely to drift from the tree — a reused record
+// ID, a delete whose hint covers one of two same-ID rectangles, a
+// predicate delete, SearchWithin, wrong-dimension and NaN rectangles — and
+// returns a transcript of every answer: ID sets, counts, lengths and error
+// identities. Along the way it checks that a snapshot's epoch is the
+// index's commit epoch and that the commit epoch never runs backwards.
+func edgeScript(t *testing.T, x *segidx.Index) []string {
+	t.Helper()
+	var log []string
+	note := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	errName := func(err error) string {
+		switch {
+		case err == nil:
+			return "nil"
+		case errors.Is(err, segidx.ErrDims):
+			return "ErrDims"
+		case errors.Is(err, segidx.ErrBadRect):
+			return "ErrBadRect"
+		}
+		return err.Error()
+	}
+	ids := func(entries []segidx.Entry, err error) string {
+		return fmt.Sprintf("%v/%s", sortedIDs(entries), errName(err))
+	}
+
+	a1, a2 := segidx.Box(10, 10, 60, 20), segidx.Box(700, 700, 760, 720)
+	b, c, d := segidx.Box(100, 100, 400, 110), segidx.Box(120, 90, 130, 300), segidx.Box(500, 40, 900, 45)
+	probes := []segidx.Rect{
+		segidx.Box(0, 0, 1000, 1000), // everything
+		segidx.Box(0, 0, 80, 80),     // a1 but not a2
+		segidx.Box(0, 0, 800, 800),   // a1 and a2
+		segidx.Point(125, 105),       // stabs b and c
+		segidx.Point(999, 999),       // stabs nothing
+	}
+	var lastEpoch uint64
+	observe := func(tag string) {
+		t.Helper()
+		v := x.Snapshot()
+		defer v.Release()
+		epoch := x.CommitEpoch()
+		if v.Epoch() != epoch || epoch < lastEpoch {
+			t.Fatalf("%s: Snapshot().Epoch() = %d, CommitEpoch() = %d, previous %d", tag, v.Epoch(), epoch, lastEpoch)
+		}
+		lastEpoch = epoch
+		note("%s: Len %d, view Len %d", tag, x.Len(), v.Len())
+		for _, q := range probes {
+			n, err := x.Count(q)
+			vn, verr := v.Count(q)
+			streamed, serr := uniqueIDs(func(fn func(segidx.Entry) bool) error { return x.SearchFunc(q, fn) })
+			note("%s %v: Search %s, view %s; Count %d/%s, view %d/%s; SearchFunc %d ids/%s; Containing %s, view %s; Within %s",
+				tag, q, ids(x.Search(q)), ids(v.Search(q)), n, errName(err), vn, errName(verr),
+				len(streamed), errName(serr), ids(x.SearchContaining(q)), ids(v.SearchContaining(q)), ids(x.SearchWithin(q)))
+		}
+	}
+
+	for _, rec := range []struct {
+		id segidx.RecordID
+		r  segidx.Rect
+	}{{1, a1}, {2, b}, {3, c}, {1, a2}, {4, d}} {
+		note("Insert %d: %s", rec.id, errName(x.Insert(rec.r, rec.id)))
+	}
+	observe("loaded")
+
+	n, err := x.Delete(1, a2) // one of the two rectangles stored under ID 1
+	note("Delete(1, a2) = %d/%s", n, errName(err))
+	observe("after hinted delete")
+
+	n, err = x.DeleteWhere(segidx.Box(110, 95, 140, 120), func(e segidx.Entry) bool { return e.ID != 3 })
+	note("DeleteWhere = %d/%s", n, errName(err))
+	n, err = x.Delete(99, probes[0])
+	note("Delete(absent) = %d/%s", n, errName(err))
+	observe("after predicate delete")
+
+	v := x.Snapshot()
+	defer v.Release()
+	for name, bad := range map[string]segidx.Rect{
+		"ErrDims":    {Min: []float64{1}, Max: []float64{2}},
+		"ErrBadRect": {Min: []float64{math.NaN(), 0}, Max: []float64{1, 1}},
+	} {
+		_, e1 := x.Search(bad)
+		e2 := x.SearchFunc(bad, func(segidx.Entry) bool { return true })
+		_, e3 := x.SearchContaining(bad)
+		e4 := x.SearchContainingFunc(bad, func(segidx.Entry) bool { return true })
+		_, e5 := x.SearchWithin(bad)
+		_, e6 := x.Count(bad)
+		e7 := x.Insert(bad, 50)
+		_, e8 := x.Delete(1, bad)
+		_, e9 := x.DeleteWhere(bad, nil)
+		_, e10 := v.Search(bad)
+		_, e11 := v.Count(bad)
+		for i, err := range []error{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11} {
+			if errName(err) != name {
+				t.Errorf("bad-rectangle call %d: error %v, want %s", i+1, err, name)
+			}
+		}
+	}
+	if err := x.StabFunc(func(segidx.Entry) bool { return true }, 1); !errors.Is(err, segidx.ErrDims) {
+		t.Errorf("one-coordinate StabFunc: error %v, want ErrDims", err)
+	}
+
+	// Flush finalizes a predicted skeleton still collecting its sample, so
+	// the last observation is always of a built tree.
+	note("Flush: %s", errName(x.Flush()))
+	observe("flushed")
+	return log
+}
+
+// TestVariantsAgreeOnEdgeScript runs edgeScript over the variant table ×
+// shards {1, 4} and requires one transcript from all of them. The expected
+// input is sized so that the predicted skeleton builds on its third insert
+// (one shard) and the sampling variant only at the final Flush: the tree a
+// predictor answers from while sampling, the swap itself, and the built
+// skeleton all have to agree with the plain R-Tree.
+func TestVariantsAgreeOnEdgeScript(t *testing.T) {
+	var want []string
+	for _, kind := range variantKinds {
+		for _, shards := range []int{1, 4} {
+			x := mkVariant(t, kind, shards, 64)
+			got := edgeScript(t, x)
+			if err := x.CheckInvariants(); err != nil {
+				t.Errorf("%s/shards=%d: %v", kind, shards, err)
+			}
+			if err := x.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Errorf("%s/shards=%d diverges from r-tree/shards=1 at line %d:\n got %s\nwant %s",
+						kind, shards, i, append(got, "<end>")[i], want[i])
+					break
+				}
+			}
+		}
 	}
 }

@@ -157,10 +157,10 @@ func openForest(path string, durable bool, opts []Option) (*Index, error) {
 		if err != nil {
 			return fail(errors.Join(fmt.Errorf("segidx: forest shard %d: %w", i, err), st.Close()))
 		}
-		if meta.Epoch > m.Epoch {
+		if meta.FlushEpoch > m.Epoch {
 			return fail(errors.Join(fmt.Errorf(
 				"segidx: forest shard %d at epoch %d, ahead of manifest epoch %d: %w",
-				i, meta.Epoch, m.Epoch, store.ErrBroken), st.Close()))
+				i, meta.FlushEpoch, m.Epoch, store.ErrBroken), st.Close()))
 		}
 		if i == 0 {
 			spanning = meta.Spanning
@@ -326,6 +326,3 @@ func (x *Index) ShardLens() []int {
 	}
 	return []int{x.eng.Len()}
 }
-
-// the forest is a drop-in engine.
-var _ engine = (*forest.Forest)(nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"segidx"
@@ -18,6 +19,12 @@ import (
 // the writer continues. Every held snapshot is repeatedly compared against
 // its mirror across all query families; any divergence means a writer
 // commit leaked into a pinned view.
+
+// variantKinds is the variant table the differential batteries run over:
+// the paper's four indexes, plus the predicted skeleton with a sample so
+// large (half the expected input) that a run starts on the staging tree
+// and crosses the staging-to-skeleton swap midway.
+var variantKinds = []string{"r-tree", "sr-tree", "skeleton-r-tree", "skeleton-sr-tree", "skeleton-sr-tree/sampling"}
 
 // mkVariant builds one index of the named kind (shards <= 1 for a plain
 // tree).
@@ -44,6 +51,9 @@ func mkVariant(t *testing.T, kind string, shards, tuples int) *segidx.Index {
 		x, err = segidx.NewSkeletonRTree(est, opts...)
 	case "skeleton-sr-tree":
 		x, err = segidx.NewSkeletonSRTree(pred, opts...)
+	case "skeleton-sr-tree/sampling":
+		pred.PredictFraction = 0.5
+		x, err = segidx.NewSkeletonSRTree(pred, opts...)
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
@@ -63,10 +73,12 @@ type pinnedSnap struct {
 }
 
 // freezeMirror builds a fresh single-tree index holding exactly the
-// portions live at pin time.
+// portions live at pin time. The mirror of a sampling variant is the
+// variant with the small sample, so a view pinned on the staging tree is
+// compared against a built skeleton.
 func freezeMirror(t *testing.T, kind string, live map[segidx.RecordID][]segidx.Rect, tuples int) *segidx.Index {
 	t.Helper()
-	m := mkVariant(t, kind, 1, tuples)
+	m := mkVariant(t, strings.TrimSuffix(kind, "/sampling"), 1, tuples)
 	for id, rects := range live {
 		for _, r := range rects {
 			if err := m.Insert(r, id); err != nil {
@@ -157,6 +169,7 @@ func runSnapshotDifferential(t *testing.T, kind string, shards int, seed int64, 
 		}
 	}()
 
+	var lastEpoch uint64
 	for step := 0; step < nOps; step++ {
 		switch op := rng.Intn(100); {
 		case op < 55: // insert, occasionally extending a live record
@@ -198,12 +211,24 @@ func runSnapshotDifferential(t *testing.T, kind string, shards int, seed int64, 
 			}
 		}
 
+		// The commit epoch never runs backwards, the staging-to-skeleton
+		// swap included: the HTTP result cache keys on it.
+		epoch := dut.CommitEpoch()
+		if epoch < lastEpoch {
+			t.Fatalf("step %d: CommitEpoch went from %d back to %d", step, lastEpoch, epoch)
+		}
+		lastEpoch = epoch
+
 		// Pin a new long-lived snapshot at a fixed cadence; the earliest
 		// pins live the longest, stretching the version chains and the
 		// epoch-GC horizon.
 		if step%(nOps/6) == nOps/12 {
+			view := dut.Snapshot()
+			if view.Epoch() != epoch {
+				t.Fatalf("step %d: Snapshot().Epoch() = %d, CommitEpoch() = %d", step, view.Epoch(), epoch)
+			}
 			pins = append(pins, pinnedSnap{
-				view:    dut.Snapshot(),
+				view:    view,
 				mirror:  freezeMirror(t, kind, live, nOps/2),
 				pinLen:  dut.Len(),
 				pinStep: step,
@@ -229,13 +254,12 @@ func runSnapshotDifferential(t *testing.T, kind string, shards int, seed int64, 
 }
 
 func TestSnapshotDifferential(t *testing.T) {
-	kinds := []string{"r-tree", "sr-tree", "skeleton-r-tree", "skeleton-sr-tree"}
 	shardCounts := []int{1, 4}
 	nOps := 600
 	if testing.Short() {
 		nOps = 180
 	}
-	for _, kind := range kinds {
+	for _, kind := range variantKinds {
 		for _, shards := range shardCounts {
 			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
 				runSnapshotDifferential(t, kind, shards, int64(len(kind))*37+int64(shards), nOps)
