@@ -1,7 +1,9 @@
 // Command segbench regenerates the paper's performance experiments
 // (Kolovson & Stonebraker, SIGMOD 1991): Graphs 1-6, the 100K-tuple
 // variants, the exponential-centroid rectangle runs the paper omitted
-// (graphs 7-8 here), and ablations over the design parameters.
+// (graphs 7-8 here), and ablations over the design parameters. Systems
+// numbers (latency, throughput, durability, serving) come from
+// `go run ./benchmark`, not from here.
 //
 // Examples:
 //
@@ -10,244 +12,165 @@
 //	segbench -graph 6 -chart          # include an ASCII rendering
 //	segbench -graph 3 -json           # machine-readable BENCH JSON lines
 //	segbench -ablation reserve        # branch-reserve sweep (A1)
-//	segbench -parallel -workers 1,4,8 # concurrent read scale-up (BENCH JSON)
-//	segbench -durability -tuples 20000 # fsync cost of crash-safe commits
-//	segbench -shards 1,2,4,8 -tuples 50000 -flushevery 10 -out BENCH_shards.json
-//	                                  # sharded-forest durable ingest scale-up
-//	segbench -hotpath -tuples 20000 -gate -out BENCH_hotpath.json
-//	                                  # zero-alloc read path gate + artifact
-//	segbench -http 1,4,8 -clients 8 -tuples 20000 -out BENCH_http.json
-//	                                  # HTTP load generator vs a live served index
-//	segbench -mvcc -tuples 20000 -out BENCH_mvcc.json
-//	                                  # snapshot reads vs RWMutex under an active writer
-//	segbench -accel -tuples 100000 -out BENCH_accel.json
-//	                                  # stab showdown: tree vs sidecar vs hybrid routing
+//	segbench -verify                  # graphs 1-6 + the paper's prose claims
 //	segbench -graph 3 -profile g3     # also write g3.cpu.pprof, g3.heap.pprof
 //	segbench -list                    # what can be run
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
 
-	"segidx"
 	"segidx/internal/harness"
 	"segidx/internal/workload"
 )
 
+// config holds the parsed command line.
+type config struct {
+	graphs, ablation, kinds, profile                  string
+	all, verify, csv, json, chart, check, list, quiet bool
+	tuples, queries                                   int
+	seed                                              uint64
+}
+
+// newFlagSet registers every segbench flag. It is the one place flags are
+// declared: -list prints from it, and main_test.go checks README against it.
+func newFlagSet() (*flag.FlagSet, *config) {
+	c := new(config)
+	fs := flag.NewFlagSet("segbench", flag.ContinueOnError)
+	fs.StringVar(&c.graphs, "graph", "", "comma-separated graph numbers to run (1-8)")
+	fs.BoolVar(&c.all, "all", false, "run every graph (1-8)")
+	fs.BoolVar(&c.verify, "verify", false, "run graphs 1-6 and check the paper's qualitative claims")
+	fs.StringVar(&c.ablation, "ablation", "", "run an ablation: reserve | nodesize | predict | coalesce | leafpromo | packing")
+	fs.IntVar(&c.tuples, "tuples", 200000, "dataset size (the paper plots 200K; 100K reported as similar)")
+	fs.IntVar(&c.queries, "queries", workload.QueriesPerQAR, "searches per QAR")
+	fs.Uint64Var(&c.seed, "seed", 1991, "workload seed")
+	fs.StringVar(&c.kinds, "kinds", "", "restrict index types: comma-separated of r,sr,skr,sksr")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&c.json, "json", false, "emit BENCH JSON lines instead of tables")
+	fs.BoolVar(&c.chart, "chart", false, "also render ASCII charts")
+	fs.BoolVar(&c.check, "check", false, "validate index invariants after each build (slow)")
+	fs.BoolVar(&c.list, "list", false, "list runnable experiments and exit")
+	fs.BoolVar(&c.quiet, "quiet", false, "suppress progress output")
+	fs.StringVar(&c.profile, "profile", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof covering the run")
+	return fs, c
+}
+
 func main() {
-	var (
-		graphs     = flag.String("graph", "", "comma-separated graph numbers to run (1-8)")
-		all        = flag.Bool("all", false, "run every graph (1-8)")
-		tuples     = flag.Int("tuples", 200000, "dataset size (the paper plots 200K; 100K reported as similar)")
-		queries    = flag.Int("queries", workload.QueriesPerQAR, "searches per QAR")
-		seed       = flag.Uint64("seed", 1991, "workload seed")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut    = flag.Bool("json", false, "emit BENCH JSON lines instead of tables")
-		chart      = flag.Bool("chart", false, "also render ASCII charts")
-		check      = flag.Bool("check", false, "validate index invariants after each build (slow)")
-		ablation   = flag.String("ablation", "", "run an ablation: reserve | nodesize | predict | coalesce | leafpromo | packing")
-		kinds      = flag.String("kinds", "", "restrict index types: comma-separated of r,sr,skr,sksr")
-		list       = flag.Bool("list", false, "list runnable experiments and exit")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		verify     = flag.Bool("verify", false, "run graphs 1-6 and check the paper's qualitative claims")
-		parallel   = flag.Bool("parallel", false, "run the concurrent read scale-up experiment (emits BENCH JSON)")
-		workers    = flag.String("workers", "1,2,4,8", "worker counts for -parallel, ascending")
-		durability = flag.Bool("durability", false, "measure the fsync cost of crash-safe commits: mem vs file vs WAL store (emits BENCH JSON)")
-		shardsList = flag.String("shards", "", "comma-separated shard counts (baseline 1 first) for the sharded-forest ingest sweep (emits BENCH JSON; honors -out)")
-		httpList   = flag.String("http", "", "comma-separated shard counts for the HTTP load experiment: drive a live segidxd-style server with concurrent clients (emits BENCH JSON; honors -out, -clients, -requests)")
-		clients    = flag.Int("clients", 8, "concurrent HTTP clients for -http")
-		requests   = flag.Int("requests", 4000, "total HTTP requests per shard count for -http")
-		flushEvery = flag.Int("flushevery", 1000, "inserts per Flush for -durability and -shards")
-		mvcc       = flag.Bool("mvcc", false, "run the MVCC writer-vs-reader interference sweep: snapshot reads vs an external RWMutex baseline (emits BENCH JSON; honors -out, -readers)")
-		readersN   = flag.Int("readers", 4, "concurrent readers for -mvcc")
-		hotpath    = flag.Bool("hotpath", false, "run the zero-allocation read path benchmarks (emits BENCH JSON)")
-		gate       = flag.Bool("gate", false, "with -hotpath: exit nonzero if a gated benchmark allocates")
-		out        = flag.String("out", "", "also write the results as a JSON document (honored by -hotpath, -shards, -http, -mvcc, -accel)")
-		baseline   = flag.String("baseline", "", "with -hotpath: previous -out document to report before/after trajectory against")
-		accelRun   = flag.Bool("accel", false, "run the stab-accelerator showdown: tree vs sidecar vs hybrid routing across the interval mixes and the TI temporal workload (emits BENCH JSON; honors -out, -hybrid, -levels)")
-		hybridMode = flag.String("hybrid", "auto", "routing mode for the -accel hybrid lines: off | always | auto")
-		levels     = flag.Int("levels", 10, "hierarchy depth for the -accel sidecar (1-16)")
-		profile    = flag.String("profile", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof covering the run")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	if *list {
-		printList()
-		return
-	}
-	progress := os.Stderr
-	if *quiet {
-		progress = nil
-	}
-
-	if *profile != "" {
-		stop, err := startProfiles(*profile)
-		if err != nil {
-			fatal(err)
+// run executes one segbench invocation and returns its exit status: 0 on
+// success, 1 on a failed run or failed claim, 2 on a usage error. Results
+// go to standard output; usage, errors and progress go to stderr.
+func run(args []string, stderr io.Writer) int {
+	fs, c := newFlagSet()
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		// fatal exits the process directly, skipping this defer: profiles
-		// are flushed only on successful runs.
+		return 2
+	}
+	if c.list {
+		printList(os.Stdout, fs)
+		return 0
+	}
+	if !c.all && !c.verify && c.graphs == "" && c.ablation == "" {
+		fs.Usage()
+		return 2
+	}
+
+	if c.profile != "" {
+		stop, err := startProfiles(c.profile)
+		if err != nil {
+			fmt.Fprintln(stderr, "segbench:", err)
+			return 1
+		}
 		defer stop()
 	}
+	var progress io.Writer
+	if !c.quiet {
+		progress = stderr
+	}
+	if err := c.experiments(progress); err != nil {
+		fmt.Fprintln(stderr, "segbench:", err)
+		return 1
+	}
+	return 0
+}
 
-	if *hotpath {
-		k, err := parseKinds(*kinds)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runHotpath(*tuples, *seed, k, *gate, *out, *baseline, progress); err != nil {
-			fatal(err)
-		}
-		return
+// experiments runs what the flags select: an ablation, the claim
+// verification, or a list of graphs.
+func (c *config) experiments(progress io.Writer) error {
+	if c.ablation != "" {
+		return runAblation(c.ablation, c.tuples, c.queries, c.seed, c.csv, c.check, progress)
 	}
 
-	if *mvcc {
-		k, err := parseKinds(*kinds)
+	// graph runs paper graph g with the command line's overrides applied.
+	graph := func(g int, kinds []harness.Kind) (*harness.Result, error) {
+		spec, err := harness.GraphSpec(g, c.tuples)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		if err := runMVCC(*tuples, *seed, k, *readersN, *out, progress); err != nil {
-			fatal(err)
+		spec.QueriesPerQAR = c.queries
+		spec.Seed = c.seed
+		spec.CheckInvariants = c.check
+		if len(kinds) > 0 {
+			spec.Kinds = kinds
 		}
-		return
+		return harness.Run(spec, progress)
 	}
 
-	if *accelRun {
-		h, err := segidx.ParseHybridMode(*hybridMode)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runAccel(*tuples, *seed, *levels, h, *out, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *parallel {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fatal(err)
-		}
-		k, err := parseKinds(*kinds)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runParallel(*tuples, *queries, *seed, k, ws, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *durability {
-		k, err := parseKinds(*kinds)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runDurability(*tuples, *flushEvery, *seed, k, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *shardsList != "" {
-		counts, err := parseShardCounts(*shardsList)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runShards(*tuples, *flushEvery, *seed, counts, *out, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *httpList != "" {
-		counts, err := parseShardCounts(*httpList)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runHTTPLoad(*tuples, *requests, *clients, *seed, counts, *out, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *ablation != "" {
-		if err := runAblation(*ablation, *tuples, *queries, *seed, *csv, *check, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *verify {
+	if c.verify {
 		results := make(map[int]*harness.Result)
 		for g := 1; g <= 6; g++ {
-			spec, err := harness.GraphSpec(g, *tuples)
+			res, err := graph(g, nil) // the claims compare all four index types
 			if err != nil {
-				fatal(err)
-			}
-			spec.QueriesPerQAR = *queries
-			spec.Seed = *seed
-			spec.CheckInvariants = *check
-			res, err := harness.Run(spec, progress)
-			if err != nil {
-				fatal(err)
+				return err
 			}
 			results[g] = res
 		}
 		report, failures := harness.VerifyClaims(results)
 		fmt.Print(report)
 		if failures > 0 {
-			fmt.Printf("\n%d claim(s) failed\n", failures)
-			os.Exit(1)
+			return fmt.Errorf("%d claim(s) failed", failures)
 		}
 		fmt.Println("\nall claims hold")
-		return
+		return nil
 	}
 
+	kinds, err := parseKinds(c.kinds)
+	if err != nil {
+		return err
+	}
 	var nums []int
-	switch {
-	case *all:
-		for g := 1; g <= 8; g++ {
-			nums = append(nums, g)
-		}
-	case *graphs != "":
-		for _, part := range strings.Split(*graphs, ",") {
+	if c.all {
+		nums = []int{1, 2, 3, 4, 5, 6, 7, 8}
+	} else {
+		for _, part := range strings.Split(c.graphs, ",") {
 			g, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				fatal(fmt.Errorf("bad -graph value %q", part))
+				return fmt.Errorf("bad -graph value %q", part)
 			}
 			nums = append(nums, g)
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
-
 	for _, g := range nums {
-		spec, err := harness.GraphSpec(g, *tuples)
+		res, err := graph(g, kinds)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		spec.QueriesPerQAR = *queries
-		spec.Seed = *seed
-		spec.CheckInvariants = *check
-		if k, err := parseKinds(*kinds); err != nil {
-			fatal(err)
-		} else if len(k) > 0 {
-			spec.Kinds = k
-		}
-		res, err := harness.Run(spec, progress)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res, *csv, *jsonOut, *chart)
+		emit(res, c.csv, c.json, c.chart)
 	}
+	return nil
 }
 
 func emit(res *harness.Result, csv, jsonOut, chart bool) {
@@ -287,28 +210,24 @@ func parseKinds(s string) ([]harness.Kind, error) {
 	return out, nil
 }
 
-func printList() {
-	fmt.Println("graphs (run with -graph N):")
+// printList writes the catalogue of experiments and every flag in fs.
+func printList(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintln(w, "graphs (run with -graph N, or -all):")
 	for g := 1; g <= 8; g++ {
 		spec, _ := harness.GraphSpec(g, 200000)
-		fmt.Printf("  %d  %s\n", g, spec.Name)
+		fmt.Fprintf(w, "  %d  %s\n", g, spec.Name)
 	}
-	fmt.Println("\nablations (run with -ablation NAME):")
-	fmt.Println("  reserve    A1: SR branch reserve 1/2, 2/3 (paper), 3/4 on I3")
-	fmt.Println("  nodesize   A2: node size doubling vs fixed 1 KiB on I3")
-	fmt.Println("  predict    A3: prediction sample 1%, 5%, 10%, and exact histograms on I2")
-	fmt.Println("  coalesce   A4: coalescing on vs off on I2")
-	fmt.Println("  leafpromo  A5: leaf promotion on vs off on I3")
-	fmt.Println("  packing    A6: static packed R-Tree vs dynamic indexes on I1 and I3")
-	fmt.Println("\nother modes:")
-	fmt.Println("  -parallel    concurrent read scale-up (BENCH JSON; -workers, -kinds)")
-	fmt.Println("  -durability  fsync cost of crash-safe commits: mem vs file vs WAL (BENCH JSON; -flushevery, -kinds)")
-	fmt.Println("  -hotpath     zero-allocation read path benchmarks (BENCH JSON; -gate, -out, -baseline, -kinds)")
-	fmt.Println("  -shards      sharded-forest durable ingest scale-up (BENCH JSON; -flushevery, -out)")
-	fmt.Println("  -http        HTTP load generator against a live served index (BENCH JSON; -clients, -requests, -out)")
-	fmt.Println("  -mvcc        MVCC snapshot reads vs RWMutex under an active writer (BENCH JSON; -readers, -out, -kinds)")
-	fmt.Println("  -accel       stab-accelerator showdown: tree vs sidecar vs hybrid routing (BENCH JSON; -hybrid, -levels, -out)")
-	fmt.Println("\nany mode accepts -profile PREFIX to write CPU and heap pprof files")
+	fmt.Fprintln(w, "\nablations (run with -ablation NAME):")
+	fmt.Fprintln(w, "  reserve    A1: SR branch reserve 1/2, 2/3 (paper), 3/4 on I3")
+	fmt.Fprintln(w, "  nodesize   A2: node size doubling vs fixed 1 KiB on I3")
+	fmt.Fprintln(w, "  predict    A3: prediction sample 1%, 5%, 10%, and exact histograms on I2")
+	fmt.Fprintln(w, "  coalesce   A4: coalescing on vs off on I2")
+	fmt.Fprintln(w, "  leafpromo  A5: leaf promotion on vs off on I3")
+	fmt.Fprintln(w, "  packing    A6: static packed R-Tree vs dynamic indexes on I1 and I3")
+	fmt.Fprintln(w, "\nflags:")
+	fs.VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(w, "  -%-9s %s\n", f.Name, f.Usage)
+	})
 }
 
 // startProfiles begins CPU profiling and returns a stop function that
@@ -340,9 +259,4 @@ func startProfiles(prefix string) (func(), error) {
 		heapF.Close()
 		fmt.Fprintf(os.Stderr, "segbench: wrote %s and %s\n", cpuPath, heapPath)
 	}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "segbench:", err)
-	os.Exit(1)
 }

@@ -6,8 +6,8 @@ package segidx_test
 // happens inside the timed loop).
 //
 // The CI bench smoke job runs these with -benchtime=1x -race; the gated
-// view APIs (SearchFunc, StabFunc, Count) must report 0 allocs/op — see
-// cmd/segbench -hotpath for the JSON trajectory (BENCH_hotpath.json).
+// view APIs (SearchFunc, StabFunc, Count) must report 0 allocs/op — the
+// AllocsPerRun gates in hotpath_alloc_test.go enforce it.
 
 import (
 	"testing"

@@ -80,11 +80,6 @@ type Config struct {
 	// upward. Enabled by default with Spanning; ablation A5 measures it.
 	LeafPromotion bool
 
-	// MinFillFrac is the minimum node occupancy enforced by splits and
-	// deletion (Guttman's m <= M/2); expressed as a fraction of the
-	// node's capacity.
-	MinFillFrac float64
-
 	// Split selects the splitting heuristic for non-skeleton nodes.
 	// Skeleton nodes always split their partition region at the entry
 	// median (see split.go).
@@ -105,13 +100,12 @@ type Config struct {
 
 	// PoolBytes caps buffer pool residency (0 = unlimited).
 	PoolBytes int
-
-	// PoolShards sets the buffer pool's lock-stripe count (rounded up to
-	// a power of two; 0 picks a default scaled to GOMAXPROCS). One shard
-	// gives a single global LRU with an exact byte budget; more shards
-	// let concurrent readers pin pages without contending on one mutex.
-	PoolShards int
 }
+
+// minFillFrac is the minimum node occupancy enforced by splits and deletion
+// (Guttman's m <= M/2), as a fraction of the node's capacity: the 40% every
+// paper-scale result was produced with.
+const minFillFrac = 0.4
 
 // DefaultConfig returns the paper's experimental configuration for
 // 2-dimensional data: 1 KiB leaves doubling per level, 2/3 branch reserve,
@@ -123,7 +117,6 @@ func DefaultConfig() Config {
 		Spanning:           false,
 		BranchReserve:      2.0 / 3.0,
 		LeafPromotion:      true,
-		MinFillFrac:        0.4,
 		Split:              SplitQuadratic,
 		CoalesceEvery:      0,
 		CoalesceCandidates: 10,
@@ -143,9 +136,6 @@ func (c Config) Validate() error {
 	if err := c.Sizes.Validate(); err != nil {
 		return err
 	}
-	if c.MinFillFrac <= 0 || c.MinFillFrac > 0.5 {
-		return fmt.Errorf("core: MinFillFrac %g outside (0, 0.5]", c.MinFillFrac)
-	}
 	if c.Spanning && (c.BranchReserve <= 0 || c.BranchReserve > 1) {
 		return fmt.Errorf("core: BranchReserve %g outside (0, 1]", c.BranchReserve)
 	}
@@ -157,9 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.CoalesceMaxFill < 0 || c.CoalesceMaxFill > 1 {
 		return fmt.Errorf("core: CoalesceMaxFill %g outside [0, 1]", c.CoalesceMaxFill)
-	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("core: PoolShards %d < 0", c.PoolShards)
 	}
 	codec := node.Codec{Dims: c.Dims}
 	if codec.LeafCapacity(c.Sizes.LeafBytes) < 2 {

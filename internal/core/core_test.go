@@ -365,8 +365,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Dims = 0 },
 		func(c *Config) { c.Dims = 99 },
-		func(c *Config) { c.MinFillFrac = 0 },
-		func(c *Config) { c.MinFillFrac = 0.9 },
 		func(c *Config) { c.Spanning = true; c.BranchReserve = 0 },
 		func(c *Config) { c.Spanning = true; c.BranchReserve = 1.5 },
 		func(c *Config) { c.Sizes.LeafBytes = 64 },

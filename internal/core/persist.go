@@ -150,7 +150,7 @@ func Open(cfg Config, st store.Store) (*Tree, error) {
 	// The image does not carry the ID set; treat every future insert as a
 	// potential ID reuse.
 	t.ids.markFull()
-	t.pool = buffer.NewSharded(st, t.codec, cfg.PoolBytes, cfg.PoolShards)
+	t.pool = buffer.New(st, t.codec, cfg.PoolBytes)
 	if t.root == page.Nil || t.height < 1 {
 		return nil, errors.New("core: corrupt tree metadata")
 	}

@@ -167,7 +167,7 @@ func (o *op) splitMinFill(n *node.Node, entries int) int {
 	} else {
 		capTotal = o.t.branchCap(n.Level)
 	}
-	m := int(float64(capTotal) * o.t.cfg.MinFillFrac)
+	m := int(float64(capTotal) * minFillFrac)
 	if m < 1 {
 		m = 1
 	}

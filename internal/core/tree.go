@@ -124,7 +124,7 @@ func New(cfg Config, st store.Store) (*Tree, error) {
 		store:     st,
 		modCounts: make(map[page.ID]uint64),
 	}
-	t.pool = buffer.NewSharded(st, t.codec, cfg.PoolBytes, cfg.PoolShards)
+	t.pool = buffer.New(st, t.codec, cfg.PoolBytes)
 	// The metadata page is always the first allocation of a fresh store.
 	meta, err := st.Allocate(metaPageBytes)
 	if err != nil {
@@ -248,7 +248,7 @@ func (t *Tree) spanCap(level int) int {
 
 // minLeaf is the minimum record count of a non-root leaf.
 func (t *Tree) minLeaf() int {
-	m := int(float64(t.leafCap()) * t.cfg.MinFillFrac)
+	m := int(float64(t.leafCap()) * minFillFrac)
 	if m < 1 {
 		m = 1
 	}
@@ -257,7 +257,7 @@ func (t *Tree) minLeaf() int {
 
 // minBranch is the minimum branch count of a non-root internal node.
 func (t *Tree) minBranch(level int) int {
-	m := int(float64(t.branchCap(level)) * t.cfg.MinFillFrac)
+	m := int(float64(t.branchCap(level)) * minFillFrac)
 	if m < 2 {
 		m = 2
 	}

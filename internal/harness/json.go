@@ -4,46 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"segidx"
 )
 
 // The BENCH JSON format: machine-readable result lines, one JSON object
 // per line, each prefixed with "BENCH " so they can be grepped out of
-// mixed human-readable output. Every segbench mode emits them under
-// -json; the -parallel mode emits them unconditionally.
+// mixed human-readable output. segbench emits them under -json.
 
-// PoolJSON is the wire form of buffer pool counters.
-type PoolJSON struct {
+// poolJSON is the wire form of buffer pool counters.
+type poolJSON struct {
 	Gets      uint64  `json:"gets"`
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
 	Evictions uint64  `json:"evictions"`
 	Writes    uint64  `json:"writes"`
 	HitRate   float64 `json:"hit_rate"`
-}
-
-// NewPoolJSON converts a pool stats snapshot (or delta) to its wire form.
-func NewPoolJSON(s segidx.PoolStats) PoolJSON {
-	return PoolJSON{
-		Gets:      s.Gets,
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Evictions: s.Evictions,
-		Writes:    s.Writes,
-		HitRate:   s.HitRate(),
-	}
-}
-
-// PoolDelta returns the counter deltas from before to after.
-func PoolDelta(before, after segidx.PoolStats) segidx.PoolStats {
-	return segidx.PoolStats{
-		Gets:      after.Gets - before.Gets,
-		Hits:      after.Hits - before.Hits,
-		Misses:    after.Misses - before.Misses,
-		Evictions: after.Evictions - before.Evictions,
-		Writes:    after.Writes - before.Writes,
-	}
 }
 
 type curvePointJSON struct {
@@ -61,7 +35,7 @@ type graphJSON struct {
 	Nodes           int              `json:"nodes"`
 	SpanningRecords int              `json:"spanning_records"`
 	BuildMS         float64          `json:"build_ms"`
-	Pool            PoolJSON         `json:"pool"`
+	Pool            poolJSON         `json:"pool"`
 	Curve           []curvePointJSON `json:"curve"`
 }
 
@@ -84,7 +58,14 @@ func (r *Result) BenchJSON() string {
 			g.Nodes = bi.Nodes
 			g.SpanningRecords = bi.SpanningRecords
 			g.BuildMS = float64(bi.BuildTime.Microseconds()) / 1000
-			g.Pool = NewPoolJSON(bi.Pool)
+			g.Pool = poolJSON{
+				Gets:      bi.Pool.Gets,
+				Hits:      bi.Pool.Hits,
+				Misses:    bi.Pool.Misses,
+				Evictions: bi.Pool.Evictions,
+				Writes:    bi.Pool.Writes,
+				HitRate:   bi.Pool.HitRate(),
+			}
 		}
 		for _, p := range c.Points {
 			g.Curve = append(g.Curve, curvePointJSON{QAR: p.QAR, NodesPerSearch: p.AvgNodes})

@@ -12,13 +12,12 @@ import (
 type Option func(*options) error
 
 type options struct {
-	cfg         core.Config
-	st          store.Store
-	path        string
-	durable     bool
-	par         int
-	shards      int
-	shardBudget int
+	cfg     core.Config
+	st      store.Store
+	path    string
+	durable bool
+	par     int
+	shards  int
 
 	// Stab-accelerator sidecar configuration; accelOn gates attachment.
 	accelOn        bool
@@ -55,27 +54,17 @@ func resolve(opts []Option) (*options, error) {
 	return o, nil
 }
 
-// openStore returns the configured page store and whether the index owns
-// (and must close) it.
-func (o *options) openStore() (store.Store, bool, error) {
-	if o.st != nil {
-		return o.st, false, nil
+// openStore opens the page store at path ("" keeps pages in memory),
+// behind a write-ahead log when durable.
+func (o *options) openStore(path string) (store.Store, error) {
+	switch {
+	case path == "":
+		return store.NewMemStore(), nil
+	case o.durable:
+		return store.OpenWALStore(path)
+	default:
+		return store.OpenFileStore(path)
 	}
-	if o.path != "" {
-		if o.durable {
-			ws, err := store.OpenWALStore(o.path)
-			if err != nil {
-				return nil, false, err
-			}
-			return ws, true, nil
-		}
-		fs, err := store.OpenFileStore(o.path)
-		if err != nil {
-			return nil, false, err
-		}
-		return fs, true, nil
-	}
-	return store.NewMemStore(), true, nil
 }
 
 // WithDims sets the dimensionality K of the indexed rectangles
@@ -112,15 +101,6 @@ func WithNodeGrowth(g int) Option {
 func WithBranchReserve(f float64) Option {
 	return func(o *options) error {
 		o.cfg.BranchReserve = f
-		return nil
-	}
-}
-
-// WithMinFill sets the minimum node occupancy fraction enforced by splits
-// and deletion (default 0.4).
-func WithMinFill(f float64) Option {
-	return func(o *options) error {
-		o.cfg.MinFillFrac = f
 		return nil
 	}
 }
@@ -165,24 +145,11 @@ func WithCoalescing(every, candidates int) Option {
 }
 
 // WithPoolBytes caps buffer pool residency in bytes (default 0 =
-// unlimited).
+// unlimited). A sharded index divides the budget evenly across its shards,
+// so sharding does not multiply memory.
 func WithPoolBytes(n int) Option {
 	return func(o *options) error {
 		o.cfg.PoolBytes = n
-		return nil
-	}
-}
-
-// WithPoolShards sets the buffer pool's lock-stripe count (rounded up to
-// a power of two; default 0 picks a count scaled to GOMAXPROCS). One
-// shard gives a single global LRU with an exact byte budget; more shards
-// let concurrent readers pin pages without contending on one mutex.
-func WithPoolShards(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("segidx: negative pool shard count %d", n)
-		}
-		o.cfg.PoolShards = n
 		return nil
 	}
 }
@@ -221,19 +188,6 @@ func WithShards(n int) Option {
 			return fmt.Errorf("segidx: negative shard count %d", n)
 		}
 		o.shards = n
-		return nil
-	}
-}
-
-// WithShardBudget caps each shard's buffer pool at n bytes. Without it, a
-// WithPoolBytes budget is divided evenly across the shards (so sharding
-// does not multiply memory); with neither, shards are unbounded.
-func WithShardBudget(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("segidx: negative shard budget %d", n)
-		}
-		o.shardBudget = n
 		return nil
 	}
 }

@@ -325,59 +325,136 @@ func build(kind string, spanning bool, est *SkeletonEstimate, opts []Option) (*I
 	if err != nil {
 		return nil, err
 	}
-	if o.shards > 1 {
-		return buildForest(kind, spanning, est, o)
-	}
 	cfg := o.cfg
 	cfg.Spanning = spanning
 	if est == nil {
 		cfg.CoalesceEvery = 0 // coalescing is a skeleton-index adaptation
-	}
-	st, owned, err := o.openStore()
-	if err != nil {
+	} else if err := est.validate(cfg.Dims); err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Index, error) {
-		if owned {
-			err = errors.Join(err, st.Close())
-		}
-		return nil, err
+	return o.assemble(kind, cfg, false, func(_ int, cfg core.Config, st store.Store) (forest.Engine, error) {
+		return o.newEngine(cfg, st, est)
+	})
+}
+
+// validate rejects an estimate no skeleton of the given dimensionality can
+// be built from. Constructors call it before they open any store, so a
+// rejected estimate leaves no file behind.
+func (e *SkeletonEstimate) validate(dims int) error {
+	if e.Tuples < 1 {
+		return fmt.Errorf("segidx: skeleton estimate of %d tuples", e.Tuples)
 	}
+	if !(e.PredictFraction <= 1) {
+		return fmt.Errorf("segidx: predict fraction %g above 1", e.PredictFraction)
+	}
+	ce := core.Estimate{Tuples: e.Tuples, Domain: e.Domain}
+	if e.PredictFraction <= 0 {
+		ce.Hists = e.Histograms // ignored, so not checked, under prediction
+	}
+	return ce.Validate(core.Config{Dims: dims})
+}
+
+// newEngine creates one tree's engine on st — a plain tree without an
+// estimate, a staging predictor under distribution prediction, else a
+// pre-built skeleton. Each tree of a forest is sized for its roughly 1/n
+// share of the estimated input.
+func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstimate) (forest.Engine, error) {
 	if est == nil {
 		t, err := core.New(cfg, st)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		if err := o.attachStabAccel(t, nil); err != nil {
-			return fail(err)
-		}
-		return newIndex(t, st, kind, owned, o), nil
+		return t, o.attachStabAccel(t, nil)
 	}
-	if est.Tuples < 1 {
-		return fail(fmt.Errorf("segidx: skeleton estimate of %d tuples", est.Tuples))
-	}
+	n := max(o.shards, 1)
+	tuples := (est.Tuples + n - 1) / n
 	if est.PredictFraction > 0 {
-		p, err := skeleton.New(cfg, st, est.Domain, est.Tuples, est.PredictFraction)
+		p, err := skeleton.New(cfg, st, est.Domain, tuples, est.PredictFraction)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if o.accelOn {
 			p.SetAttach(func(t *core.Tree) error { return o.attachStabAccel(t, est) })
 		}
-		return newIndex(p, st, kind, owned, o), nil
+		return p, nil
 	}
 	t, err := core.NewSkeleton(cfg, st, core.Estimate{
-		Tuples: est.Tuples,
+		Tuples: tuples,
 		Domain: est.Domain,
 		Hists:  est.Histograms,
 	})
 	if err != nil {
+		return nil, err
+	}
+	return t, o.attachStabAccel(t, est)
+}
+
+// assemble is the one constructor behind every New* and BulkLoad call: it
+// validates cfg, opens one page store per shard (a single tree is the
+// 1-shard case and may run on the caller's store), builds each shard's
+// engine with mk, and returns the lone engine as is or n of them behind a
+// forest. rebuild tells the forest that mk hands it non-empty shards.
+// Validation comes first so that a rejected call creates no file.
+func (o *options) assemble(kind string, cfg core.Config, rebuild bool,
+	mk func(i int, cfg core.Config, st store.Store) (forest.Engine, error)) (*Index, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	n := o.shards
+	if n <= 1 {
+		st, owned := o.st, false
+		if st == nil {
+			var err error
+			if st, err = o.openStore(o.path); err != nil {
+				return nil, err
+			}
+			owned = true
+		}
+		eng, err := mk(0, cfg, st)
+		if err != nil {
+			if owned {
+				err = errors.Join(err, st.Close())
+			}
+			return nil, err
+		}
+		return newIndex(eng, st, kind, owned, o), nil
+	}
+
+	cfg = shardConfig(cfg, n)
+	var mf *forest.ManifestFile
+	if o.path != "" {
+		var err error
+		if mf, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
+			return nil, err
+		}
+	}
+	shards := make([]forest.Shard, 0, n)
+	fail := func(err error) (*Index, error) {
+		for _, s := range shards {
+			err = errors.Join(err, s.Store.Close())
+		}
+		if mf != nil {
+			err = errors.Join(err, mf.Close())
+		}
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		st, err := o.openStore(o.shardPath(i))
+		if err != nil {
+			return fail(err)
+		}
+		eng, err := mk(i, cfg, st)
+		if err != nil {
+			return fail(errors.Join(err, st.Close()))
+		}
+		shards = append(shards, forest.Shard{Eng: eng, Store: st})
+	}
+	f, err := forest.New(shards, forest.Config{Dims: cfg.Dims, Manifest: mf, Rebuild: rebuild})
+	if err != nil {
 		return fail(err)
 	}
-	if err := o.attachStabAccel(t, est); err != nil {
-		return fail(err)
-	}
-	return newIndex(t, st, kind, owned, o), nil
+	f.SetParallelism(o.par)
+	return newIndex(f, nil, kind, false, o), nil
 }
 
 // BulkRecord pairs a rectangle with its ID for bulk loading.
@@ -387,33 +464,27 @@ type BulkRecord = core.Record
 // (Sort-Tile-Recursive packing at the given fill fraction, 0 < fill <= 1)
 // — the static construction of Roussopoulos & Leifker that the paper
 // contrasts skeleton indexes against. The resulting index is fully dynamic
-// afterwards: inserts and deletes behave as on any R-Tree.
+// afterwards: inserts and deletes behave as on any R-Tree. A sharded index
+// packs each shard independently from the records routed to it.
 func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, error) {
 	o, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	if o.shards > 1 {
-		return bulkLoadForest(records, fill, o)
-	}
 	cfg := o.cfg
 	cfg.Spanning = false
 	cfg.CoalesceEvery = 0
-	st, owned, err := o.openStore()
-	if err != nil {
-		return nil, err
+	parts := [][]BulkRecord{records}
+	if o.shards > 1 {
+		parts = partitionByShard(records, o.shards)
 	}
-	t, err := core.BulkLoad(cfg, st, records, fill)
-	if err == nil {
-		err = o.attachStabAccel(t, nil)
-	}
-	if err != nil {
-		if owned {
-			err = errors.Join(err, st.Close())
+	return o.assemble("packed-r-tree", cfg, true, func(i int, cfg core.Config, st store.Store) (forest.Engine, error) {
+		t, err := core.BulkLoad(cfg, st, parts[i], fill)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	return newIndex(t, st, "packed-r-tree", owned, o), nil
+		return t, o.attachStabAccel(t, nil)
+	})
 }
 
 // Open reattaches an index previously persisted with Flush or Close to a
@@ -454,27 +525,39 @@ func openStore(fs store.Store, opts []Option) (*Index, error) {
 	if err != nil {
 		return nil, errors.Join(err, fs.Close())
 	}
-	meta, err := core.ReadMeta(fs)
+	t, err := o.openTree(o.cfg, fs)
 	if err != nil {
 		return nil, errors.Join(err, fs.Close())
 	}
-	cfg := o.cfg
+	return newIndex(t, fs, reopenedKind(t), true, o), nil
+}
+
+// openTree reattaches the tree persisted in st: its stored metadata
+// supplies the structural configuration (dimensions, page sizes, spanning
+// mode), cfg the runtime knobs.
+func (o *options) openTree(cfg core.Config, st store.Store) (*core.Tree, error) {
+	meta, err := core.ReadMeta(st)
+	if err != nil {
+		return nil, err
+	}
 	cfg.Dims = meta.Dims
 	cfg.Sizes.LeafBytes = meta.LeafBytes
 	cfg.Sizes.Growth = meta.Growth
 	cfg.Spanning = meta.Spanning
-	t, err := core.Open(cfg, fs)
+	t, err := core.Open(cfg, st)
 	if err != nil {
-		return nil, errors.Join(err, fs.Close())
+		return nil, err
 	}
-	if err := o.attachStabAccel(t, nil); err != nil {
-		return nil, errors.Join(err, fs.Close())
+	return t, o.attachStabAccel(t, nil)
+}
+
+// reopenedKind names a reopened index: the metadata records whether it
+// keeps spanning records, not whether it began as a skeleton.
+func reopenedKind(t *core.Tree) string {
+	if t.Config().Spanning {
+		return "sr-tree"
 	}
-	kind := "r-tree"
-	if meta.Spanning {
-		kind = "sr-tree"
-	}
-	return newIndex(t, fs, kind, true, o), nil
+	return "r-tree"
 }
 
 // ErrNoMeta is returned by Open when the file holds no persisted index.

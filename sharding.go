@@ -6,122 +6,32 @@ import (
 
 	"segidx/internal/core"
 	"segidx/internal/forest"
-	"segidx/internal/skeleton"
 	"segidx/internal/store"
 )
 
-// This file wires the sharded index forest (internal/forest) into the
-// public facade: construction behind WithShards, manifest-sniffing reopen
-// in Open/OpenDurable, sharded bulk loading, and the shard-introspection
-// API. Every Index method in segidx.go works unchanged on a forest —
-// *forest.Forest satisfies the engine interface — so sharding is purely a
-// construction-time decision.
+// This file holds what the public facade needs only for a sharded index
+// forest (internal/forest): the per-shard configuration, path and
+// bulk-load partition that assemble (segidx.go) uses behind WithShards,
+// the manifest-driven reopen for Open/OpenDurable, and the
+// shard-introspection API. Every Index method in segidx.go works unchanged
+// on a forest — *forest.Forest satisfies the engine interface — so
+// sharding is purely a construction-time decision.
 
-// shardConfig derives one shard's configuration from the resolved
-// options: an explicit per-shard budget wins; otherwise a global pool
-// budget is split evenly so sharding does not multiply memory.
-func shardConfig(cfg core.Config, shards, budget int) core.Config {
-	if budget > 0 {
-		cfg.PoolBytes = budget
-	} else if cfg.PoolBytes > 0 {
-		per := cfg.PoolBytes / shards
-		if per < 1 {
-			per = 1
-		}
-		cfg.PoolBytes = per
+// shardConfig derives one shard's configuration: a pool budget is split
+// evenly so sharding does not multiply memory.
+func shardConfig(cfg core.Config, shards int) core.Config {
+	if cfg.PoolBytes > 0 {
+		cfg.PoolBytes = max(cfg.PoolBytes/shards, 1)
 	}
 	return cfg
 }
 
-// buildForest constructs a fresh n-shard forest for build().
-func buildForest(kind string, spanning bool, est *SkeletonEstimate, o *options) (*Index, error) {
-	n := o.shards
-	cfg := o.cfg
-	cfg.Spanning = spanning
-	if est == nil {
-		cfg.CoalesceEvery = 0
-	}
-	scfg := shardConfig(cfg, n, o.shardBudget)
-	perTuples := 0
-	if est != nil {
-		if est.Tuples < 1 {
-			return nil, fmt.Errorf("segidx: skeleton estimate of %d tuples", est.Tuples)
-		}
-		// Each shard receives roughly 1/n of the input; skeleton
-		// pre-construction sizes each shard for its share.
-		perTuples = (est.Tuples + n - 1) / n
-	}
-
-	var mf *forest.ManifestFile
-	var err error
-	if o.path != "" {
-		if mf, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
-			return nil, err
-		}
-	}
-	shards := make([]forest.Shard, 0, n)
-	fail := func(err error) (*Index, error) {
-		for _, s := range shards {
-			err = errors.Join(err, s.Store.Close())
-		}
-		if mf != nil {
-			err = errors.Join(err, mf.Close())
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		st, err := o.openShardStore(i)
-		if err != nil {
-			return fail(err)
-		}
-		var eng forest.Engine
-		switch {
-		case est == nil:
-			var t *core.Tree
-			if t, err = core.New(scfg, st); err == nil {
-				eng, err = t, o.attachStabAccel(t, nil)
-			}
-		case est.PredictFraction > 0:
-			var p *skeleton.Predictor
-			if p, err = skeleton.New(scfg, st, est.Domain, perTuples, est.PredictFraction); err == nil {
-				if o.accelOn {
-					p.SetAttach(func(t *core.Tree) error { return o.attachStabAccel(t, est) })
-				}
-				eng = p
-			}
-		default:
-			var t *core.Tree
-			if t, err = core.NewSkeleton(scfg, st, core.Estimate{
-				Tuples: perTuples,
-				Domain: est.Domain,
-				Hists:  est.Histograms,
-			}); err == nil {
-				eng, err = t, o.attachStabAccel(t, est)
-			}
-		}
-		if err != nil {
-			return fail(errors.Join(err, st.Close()))
-		}
-		shards = append(shards, forest.Shard{Eng: eng, Store: st})
-	}
-	f, err := forest.New(shards, forest.Config{Dims: scfg.Dims, Manifest: mf})
-	if err != nil {
-		return fail(err)
-	}
-	f.SetParallelism(o.par)
-	return newIndex(f, nil, kind, false, o), nil
-}
-
-// openShardStore opens shard i's page store under the forest path.
-func (o *options) openShardStore(i int) (store.Store, error) {
+// shardPath is where shard i's pages live ("" keeps them in memory).
+func (o *options) shardPath(i int) string {
 	if o.path == "" {
-		return store.NewMemStore(), nil
+		return ""
 	}
-	sp := forest.ShardPath(o.path, i)
-	if o.durable {
-		return store.OpenWALStore(sp)
-	}
-	return store.OpenFileStore(sp)
+	return forest.ShardPath(o.path, i)
 }
 
 // openForest reassembles a persisted forest from its manifest for Open
@@ -147,44 +57,33 @@ func openForest(path string, durable bool, opts []Option) (*Index, error) {
 		return nil, errors.Join(err, mf.Close())
 	}
 	o.path, o.durable = path, durable
-	var spanning bool
+	var first *core.Tree // shard 0, which names the kind and the dims
+	cfg := shardConfig(o.cfg, m.Shards)
 	for i := 0; i < m.Shards; i++ {
-		st, err := o.openShardStore(i)
+		st, err := o.openStore(o.shardPath(i))
 		if err != nil {
 			return fail(err)
 		}
-		meta, err := core.ReadMeta(st)
-		if err != nil {
-			return fail(errors.Join(fmt.Errorf("segidx: forest shard %d: %w", i, err), st.Close()))
+		t, err := o.openTree(cfg, st)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("segidx: forest shard %d: %w", i, err)
+		case t.FlushEpoch() > m.Epoch:
+			err = fmt.Errorf("segidx: forest shard %d at epoch %d, ahead of manifest epoch %d: %w",
+				i, t.FlushEpoch(), m.Epoch, store.ErrBroken)
+		case i > 0 && t.Config().Spanning != first.Config().Spanning:
+			err = fmt.Errorf("segidx: forest shard %d spanning=%v differs from shard 0", i, t.Config().Spanning)
 		}
-		if meta.FlushEpoch > m.Epoch {
-			return fail(errors.Join(fmt.Errorf(
-				"segidx: forest shard %d at epoch %d, ahead of manifest epoch %d: %w",
-				i, meta.FlushEpoch, m.Epoch, store.ErrBroken), st.Close()))
+		if err != nil {
+			return fail(errors.Join(err, st.Close()))
 		}
 		if i == 0 {
-			spanning = meta.Spanning
-		} else if meta.Spanning != spanning {
-			return fail(errors.Join(fmt.Errorf(
-				"segidx: forest shard %d spanning=%v differs from shard 0", i, meta.Spanning), st.Close()))
-		}
-		cfg := shardConfig(o.cfg, m.Shards, o.shardBudget)
-		cfg.Dims = meta.Dims
-		cfg.Sizes.LeafBytes = meta.LeafBytes
-		cfg.Sizes.Growth = meta.Growth
-		cfg.Spanning = meta.Spanning
-		t, err := core.Open(cfg, st)
-		if err != nil {
-			return fail(errors.Join(fmt.Errorf("segidx: forest shard %d: %w", i, err), st.Close()))
-		}
-		if err := o.attachStabAccel(t, nil); err != nil {
-			return fail(errors.Join(err, st.Close()))
+			first = t
 		}
 		shards = append(shards, forest.Shard{Eng: t, Store: st})
 	}
-	dims := shards[0].Eng.(*core.Tree).Config().Dims
 	f, err := forest.New(shards, forest.Config{
-		Dims:     dims,
+		Dims:     first.Config().Dims,
 		Manifest: mf,
 		Epoch:    m.Epoch,
 		Rebuild:  true,
@@ -193,23 +92,13 @@ func openForest(path string, durable bool, opts []Option) (*Index, error) {
 		return fail(err)
 	}
 	f.SetParallelism(o.par)
-	kind := "r-tree"
-	if spanning {
-		kind = "sr-tree"
-	}
-	return newIndex(f, nil, kind, false, o), nil
+	return newIndex(f, nil, reopenedKind(first), false, o), nil
 }
 
-// bulkLoadForest partitions the records by their routed shard and packs
-// each shard independently. Duplicate IDs are pinned to their first
-// record's shard so a logical record never straddles shards.
-func bulkLoadForest(records []BulkRecord, fill float64, o *options) (*Index, error) {
-	n := o.shards
-	cfg := o.cfg
-	cfg.Spanning = false
-	cfg.CoalesceEvery = 0
-	scfg := shardConfig(cfg, n, o.shardBudget)
-
+// partitionByShard splits bulk-load records by their routed shard.
+// Duplicate IDs are pinned to their first record's shard so a logical
+// record never straddles shards.
+func partitionByShard(records []BulkRecord, n int) [][]BulkRecord {
 	parts := make([][]BulkRecord, n)
 	pinned := make(map[RecordID]int, len(records))
 	for _, r := range records {
@@ -220,44 +109,7 @@ func bulkLoadForest(records []BulkRecord, fill float64, o *options) (*Index, err
 		}
 		parts[s] = append(parts[s], r)
 	}
-
-	var mf *forest.ManifestFile
-	var err error
-	if o.path != "" {
-		if mf, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
-			return nil, err
-		}
-	}
-	shards := make([]forest.Shard, 0, n)
-	fail := func(err error) (*Index, error) {
-		for _, s := range shards {
-			err = errors.Join(err, s.Store.Close())
-		}
-		if mf != nil {
-			err = errors.Join(err, mf.Close())
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		st, err := o.openShardStore(i)
-		if err != nil {
-			return fail(err)
-		}
-		t, err := core.BulkLoad(scfg, st, parts[i], fill)
-		if err == nil {
-			err = o.attachStabAccel(t, nil)
-		}
-		if err != nil {
-			return fail(errors.Join(err, st.Close()))
-		}
-		shards = append(shards, forest.Shard{Eng: t, Store: st})
-	}
-	f, err := forest.New(shards, forest.Config{Dims: scfg.Dims, Manifest: mf, Rebuild: true})
-	if err != nil {
-		return fail(err)
-	}
-	f.SetParallelism(o.par)
-	return newIndex(f, nil, "packed-r-tree", false, o), nil
+	return parts
 }
 
 // asForest returns the underlying forest, or nil for a single-tree index.

@@ -192,6 +192,52 @@ func TestShardOptionValidation(t *testing.T) {
 	}
 }
 
+// A constructor call that is rejected must not leave anything on disk: an
+// empty file at the path would make a later Open fail with ErrNoMeta
+// instead of "no such index".
+func TestRejectedConstructionLeavesNoFiles(t *testing.T) {
+	domain := segidx.Box(0, 0, 100, 100)
+	rejected := map[string]func(...segidx.Option) (*segidx.Index, error){
+		"no tuples": func(o ...segidx.Option) (*segidx.Index, error) {
+			return segidx.NewSkeletonSRTree(segidx.SkeletonEstimate{Tuples: 0, Domain: domain}, o...)
+		},
+		"predict fraction above 1": func(o ...segidx.Option) (*segidx.Index, error) {
+			return segidx.NewSkeletonSRTree(segidx.SkeletonEstimate{Tuples: 100, Domain: domain, PredictFraction: 1.5}, o...)
+		},
+		"no domain": func(o ...segidx.Option) (*segidx.Index, error) {
+			return segidx.NewSkeletonRTree(segidx.SkeletonEstimate{Tuples: 100, PredictFraction: 0.1}, o...)
+		},
+		"domain of wrong dims": func(o ...segidx.Option) (*segidx.Index, error) {
+			return segidx.NewSkeletonRTree(segidx.SkeletonEstimate{Tuples: 100, Domain: segidx.Point(1, 2, 3)}, o...)
+		},
+		"bad config": func(o ...segidx.Option) (*segidx.Index, error) {
+			return segidx.NewSRTree(append(o, segidx.WithDims(99))...)
+		},
+	}
+	files := map[string]func(string) segidx.Option{
+		"file": segidx.WithFile, "durable": segidx.WithDurableFile,
+	}
+	for name, construct := range rejected {
+		for _, shards := range []int{1, 4} {
+			for kind, withPath := range files {
+				dir := t.TempDir()
+				_, err := construct(withPath(filepath.Join(dir, "ix.db")), segidx.WithShards(shards))
+				if err == nil {
+					t.Errorf("%s, %d shards, %s: accepted", name, shards, kind)
+					continue
+				}
+				left, rerr := os.ReadDir(dir)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				for _, f := range left {
+					t.Errorf("%s, %d shards, %s: left %s behind", name, shards, kind, f.Name())
+				}
+			}
+		}
+	}
+}
+
 func sortedRecordIDs(ids []segidx.RecordID) []segidx.RecordID {
 	out := append([]segidx.RecordID(nil), ids...)
 	for i := 1; i < len(out); i++ {
