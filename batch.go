@@ -2,41 +2,27 @@ package segidx
 
 import (
 	"context"
-	"runtime"
 
 	"segidx/internal/fanout"
 )
 
 // Parallelism reports the worker bound the batch APIs use: the value set
 // by WithParallelism or SetParallelism, or GOMAXPROCS when unset.
-func (x *Index) Parallelism() int {
-	if n := x.par.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (x *Index) Parallelism() int { return x.f.Parallelism() }
 
 // SetParallelism changes the worker bound for subsequent batch calls
-// (0 restores the GOMAXPROCS default). On a sharded index the bound also
-// governs scatter-gather queries and multi-shard flushes. Safe to call
+// (0 restores the GOMAXPROCS default). The bound also governs
+// scatter-gather queries and flushes across several shards. Safe to call
 // concurrently; operations already in flight keep the bound they started
 // with.
-func (x *Index) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	x.par.Store(int32(n))
-	if f := x.asForest(); f != nil {
-		f.SetParallelism(n)
-	}
-}
+func (x *Index) SetParallelism(n int) { x.f.SetParallelism(n) }
 
 // SearchBatch runs Search for every query concurrently, with at most
 // Parallelism() goroutines, and returns the results in query order:
 // results[i] holds the records intersecting queries[i], deduplicated by
 // ID, exactly as a sequential Search(queries[i]) would return them.
 //
-// Workers draw per-query contexts (traversal stack, pin cache, dedup
+// Workers draw per-query contexts (traversal stack, dedup
 // set, result arena) from the tree's shared pool, so a batch of N
 // workers settles on N recycled contexts: steady-state batch queries
 // allocate only the returned result slices.
@@ -49,7 +35,7 @@ func (x *Index) SetParallelism(n int) {
 // returns ctx.Err(). On error the partial results are discarded. A nil
 // ctx is treated as context.Background().
 func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, error) {
-	v := x.eng.Snapshot()
+	v := x.f.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(queries))
 	err := x.runBatch(ctx, len(queries), func(i int) error {
@@ -70,7 +56,7 @@ func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, err
 // ordering, parallelism, snapshot, and error semantics). Each point is a
 // coordinate slice of the index's dimensionality.
 func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, error) {
-	v := x.eng.Snapshot()
+	v := x.f.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(points))
 	err := x.runBatch(ctx, len(points), func(i int) error {
@@ -99,7 +85,7 @@ func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, e
 // reconcile via Search. A nil ctx is treated as context.Background().
 func (x *Index) InsertBatch(ctx context.Context, records []BulkRecord) error {
 	return x.runBatch(ctx, len(records), func(i int) error {
-		return x.eng.Insert(records[i].Rect, records[i].ID)
+		return x.f.Insert(records[i].Rect, records[i].ID)
 	})
 }
 

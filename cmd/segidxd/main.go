@@ -128,6 +128,7 @@ func openIndex(file, durable string, shards, dims int, kind string, poolBytes, p
 	opts := []segidx.Option{
 		segidx.WithDims(dims),
 		segidx.WithParallelism(parallelism),
+		segidx.WithShards(shards),
 	}
 	if accelLevels > 0 {
 		opts = append(opts,
@@ -136,9 +137,6 @@ func openIndex(file, durable string, shards, dims int, kind string, poolBytes, p
 	}
 	if poolBytes > 0 {
 		opts = append(opts, segidx.WithPoolBytes(poolBytes))
-	}
-	if shards > 1 {
-		opts = append(opts, segidx.WithShards(shards))
 	}
 	path := file
 	if durable != "" {

@@ -16,7 +16,9 @@
 //
 // All four share one engine, so comparisons between them isolate exactly
 // the paper's three tactics: spanning records, per-level node sizes, and
-// skeleton pre-construction.
+// skeleton pre-construction. An Index has one shape as well: a forest of
+// n >= 1 such trees (WithShards; one by default), where the forest of one
+// routes nothing and persists as the single file its tree writes.
 //
 // # Quick start
 //

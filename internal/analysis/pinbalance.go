@@ -293,7 +293,7 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc 
 
 // releaseTargets classifies a call as a pin release and resolves which
 // tracked pins it releases. isRelease may be true with no targets (e.g.
-// UnpinBatch over escaped cached pins).
+// an Unpin of a page this function never pinned).
 func (a *pinAnalysis) releaseTargets(call *ast.CallExpr) ([]*pinInfo, bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
@@ -317,8 +317,6 @@ func (a *pinAnalysis) releaseTargets(call *ast.CallExpr) ([]*pinInfo, bool) {
 			}
 		}
 		return targets, true
-	case name == "UnpinBatch" && recv == "Pool":
-		return nil, true
 	case (name == "publishOp" || name == "abortOp") && recv == "Tree":
 		var targets []*pinInfo
 		for _, pi := range a.pins {

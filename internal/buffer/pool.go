@@ -78,9 +78,9 @@ type Stats struct {
 	RetainedBytes uint64 // bytes held by retained version frames (gauge)
 }
 
-// add accumulates o's counters into s (gauges are summed too: for a
-// sharded pool the aggregate gauge is the total across shards).
-func (s *Stats) add(o Stats) {
+// Add accumulates o's counters into s (gauges are summed too: for a
+// sharded pool, or a forest of pools, the aggregate gauge is the total).
+func (s *Stats) Add(o Stats) {
 	s.Gets += o.Gets
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -520,38 +520,6 @@ func (p *Pool) Unpin(id page.ID, dirty bool) error {
 	return p.unpinLocked(s, id, dirty)
 }
 
-// UnpinBatch releases one clean pin on each id, grouping consecutive ids
-// that hash to the same shard under a single lock acquisition. On error
-// the remaining ids stay pinned (callers treat any failure as fatal, the
-// same way Tree.done does).
-//
-// The unlockpath suppression: cur aliases s after `cur = s`, but the
-// analyzer's textual lock keys treat cur.mu and s.mu as distinct; every
-// path here holds exactly one shard lock and releases it before return
-// or re-acquisition.
-//
-//seglint:allow unlockpath — cur/s aliasing: one shard lock held at a time, released on every path
-func (p *Pool) UnpinBatch(ids []page.ID) error {
-	var cur *shard
-	for _, id := range ids {
-		if s := p.shardFor(id); s != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			s.mu.Lock()
-			cur = s
-		}
-		if err := p.unpinLocked(cur, id, false); err != nil {
-			cur.mu.Unlock()
-			return err
-		}
-	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-	return nil
-}
-
 // unpinLocked releases one pin on a resident frame, pushing it onto the
 // shard's LRU when the pin count reaches zero. The caller must hold s.mu.
 func (p *Pool) unpinLocked(s *shard, id page.ID, dirty bool) error {
@@ -908,7 +876,7 @@ func (p *Pool) Stats() Stats {
 		for _, pv := range s.old {
 			st.Retained += uint64(len(pv.frames))
 		}
-		out.add(st)
+		out.Add(st)
 		s.mu.Unlock()
 	}
 	return out

@@ -364,7 +364,7 @@ func TestPoolShardAccounting(t *testing.T) {
 		t.Fatalf("ShardStats returned %d entries, want %d", len(perShard), p.Shards())
 	}
 	for _, s := range perShard {
-		sum.add(s)
+		sum.Add(s)
 	}
 	if agg != sum {
 		t.Fatalf("Stats() = %+v, sum of ShardStats() = %+v", agg, sum)

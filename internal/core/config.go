@@ -27,29 +27,6 @@ import (
 	"segidx/internal/page"
 )
 
-// SplitAlgorithm selects the node splitting heuristic for non-skeleton
-// nodes.
-type SplitAlgorithm int
-
-const (
-	// SplitQuadratic is Guttman's quadratic-cost split, the algorithm
-	// used in the paper's experiments.
-	SplitQuadratic SplitAlgorithm = iota
-	// SplitLinear is Guttman's linear-cost split.
-	SplitLinear
-)
-
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case SplitQuadratic:
-		return "quadratic"
-	case SplitLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
-	}
-}
-
 // Config controls a Tree. The zero value is not valid; start from
 // DefaultConfig.
 type Config struct {
@@ -79,11 +56,6 @@ type Config struct {
 	// long intervals inserted before the tree grows can never migrate
 	// upward. Enabled by default with Spanning; ablation A5 measures it.
 	LeafPromotion bool
-
-	// Split selects the splitting heuristic for non-skeleton nodes.
-	// Skeleton nodes always split their partition region at the entry
-	// median (see split.go).
-	Split SplitAlgorithm
 
 	// CoalesceEvery triggers a scan for mergeable sibling leaves after
 	// this many insertions (0 disables coalescing). Skeleton indexes in
@@ -117,7 +89,6 @@ func DefaultConfig() Config {
 		Spanning:           false,
 		BranchReserve:      2.0 / 3.0,
 		LeafPromotion:      true,
-		Split:              SplitQuadratic,
 		CoalesceEvery:      0,
 		CoalesceCandidates: 10,
 		CoalesceMaxFill:    0.8,
@@ -138,9 +109,6 @@ func (c Config) Validate() error {
 	}
 	if c.Spanning && (c.BranchReserve <= 0 || c.BranchReserve > 1) {
 		return fmt.Errorf("core: BranchReserve %g outside (0, 1]", c.BranchReserve)
-	}
-	if c.Split != SplitQuadratic && c.Split != SplitLinear {
-		return fmt.Errorf("core: unknown split algorithm %d", int(c.Split))
 	}
 	if c.CoalesceEvery < 0 || c.CoalesceCandidates < 0 {
 		return errors.New("core: negative coalescing parameters")

@@ -333,34 +333,6 @@ func TestCountAndLen(t *testing.T) {
 	}
 }
 
-func TestLinearSplitVariant(t *testing.T) {
-	cfg := smallConfig(true)
-	cfg.Split = SplitLinear
-	tr, err := NewInMemory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(37))
-	m := newModel()
-	for i := 0; i < 1500; i++ {
-		r := randBox(rng)
-		id := node.RecordID(i + 1)
-		if err := tr.Insert(r, id); err != nil {
-			t.Fatal(err)
-		}
-		m.insert(r, id)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 100; q++ {
-		query := randQuery(rng)
-		if !idsEqual(searchIDs(t, tr, query), m.search(query)) {
-			t.Fatalf("linear-split tree diverged from model on %v", query)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Dims = 0 },
@@ -368,7 +340,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Spanning = true; c.BranchReserve = 0 },
 		func(c *Config) { c.Spanning = true; c.BranchReserve = 1.5 },
 		func(c *Config) { c.Sizes.LeafBytes = 64 },
-		func(c *Config) { c.Split = SplitAlgorithm(42) },
 		func(c *Config) { c.CoalesceEvery = -1 },
 		func(c *Config) { c.CoalesceMaxFill = 2 },
 		func(c *Config) { c.Spanning = true; c.BranchReserve = 0.999 },

@@ -1,19 +1,16 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/page"
 )
 
 // queryCtx is the per-query scratch state of the read path: the traversal
-// stack, the node cache, the dedup set, the result arena, and the snapshot
-// registration slot. Contexts are recycled through Tree.qctxPool so a
-// steady-state query performs no heap allocation: every buffer is
-// truncated (not freed) on release and the maps retain their buckets
-// across the clear idiom. Batch workers draw from the same pool, so N
+// stack, the dedup set, the result arena, and the snapshot registration
+// slot. Contexts are recycled through Tree.qctxPool so a steady-state query
+// performs no heap allocation: every buffer is truncated (not freed) on
+// release and the maps retain their buckets across the clear idiom. Batch workers draw from the same pool, so N
 // concurrent workers settle on N contexts.
 //
 // A context is single-query state. Direct Tree queries register the
@@ -24,16 +21,10 @@ type queryCtx struct {
 	// stack is the DFS work list of pages still to visit.
 	stack []page.ID
 
-	// nodes caches the node pointer for every page this query resolved,
-	// so revisits skip the pool's shard locks. Nothing is pinned: the
-	// cached versions are immutable and the registered snapshot epoch
-	// keeps them reachable.
-	nodes   map[page.ID]*node.Node
-	nodeIDs []page.ID
-
 	// st is the pinned state the query reads — every fetch resolves at
-	// its epoch — and slot is the context's own registry cell (allocated
-	// once, registered only for direct queries).
+	// its epoch, and the registered epoch keeps the versions resolved there
+	// reachable with no page pinned — and slot is the context's own
+	// registry cell (allocated once, registered only for direct queries).
 	st   *treeState
 	slot *snapSlot
 
@@ -73,7 +64,6 @@ const dedupBitmapWords = 1 << 14
 
 func newQueryCtx() *queryCtx {
 	qc := &queryCtx{
-		nodes:    make(map[page.ID]*node.Node),
 		over:     make(map[node.RecordID]struct{}),
 		coverOff: make(map[node.RecordID]int),
 	}
@@ -108,10 +98,6 @@ func (t *Tree) releaseQctx(qc *queryCtx) {
 	if registered {
 		qc.slot.e.Store(0)
 	}
-	for _, id := range qc.nodeIDs {
-		delete(qc.nodes, id)
-	}
-	qc.nodeIDs = qc.nodeIDs[:0]
 	qc.stack = qc.stack[:0]
 	qc.resetDedup()
 	qc.entries = qc.entries[:0]
@@ -123,28 +109,6 @@ func (t *Tree) releaseQctx(qc *queryCtx) {
 	if registered {
 		t.maybeCollect()
 	}
-}
-
-// fetchCached resolves a node at the context's pinned epoch, charging
-// one logical node access to the given counter. The first visit of a page
-// in this query goes to the buffer pool; revisits hit the context's cache
-// without touching the pool's shard locks. No tree-level lock is held.
-//
-//seglint:hotpath
-func (t *Tree) fetchCached(qc *queryCtx, id page.ID, accesses *uint64) (*node.Node, error) {
-	if accesses != nil {
-		atomic.AddUint64(accesses, 1)
-	}
-	if n, ok := qc.nodes[id]; ok {
-		return n, nil
-	}
-	n, err := t.pool.GetVersion(id, qc.st.epoch)
-	if err != nil {
-		return nil, err
-	}
-	qc.nodes[id] = n
-	qc.nodeIDs = append(qc.nodeIDs, id)
-	return n, nil
 }
 
 // markSeen records id in the dedup set and reports whether it was already

@@ -92,9 +92,9 @@ func (t *Tree) beginRead(v *TreeView, query geom.Rect) (*queryCtx, error) {
 type nodeBody func(qc *queryCtx, n *node.Node, query geom.Rect) bool
 
 // descend is the one query traversal: depth-first from the pinned root
-// into every branch intersecting query, running body on each node. Nodes
-// resolve at the context's pinned epoch, each charged as one search node
-// access.
+// into every branch intersecting query, running body on each node. A page
+// has one parent branch, so each node is reached, resolved at the context's
+// pinned epoch and charged as one search node access exactly once.
 //
 //seglint:hotpath
 func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
@@ -102,7 +102,8 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 	for len(qc.stack) > 0 {
 		id := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
-		n, err := t.fetchCached(qc, id, &t.stats.SearchNodeAccesses)
+		atomic.AddUint64(&t.stats.SearchNodeAccesses, 1)
+		n, err := t.pool.GetVersion(id, qc.st.epoch)
 		if err != nil {
 			return err
 		}
@@ -341,9 +342,9 @@ func (t *Tree) Count(query geom.Rect) (int, error) { return t.count(nil, query) 
 // to report which rule predicates have been escalated to non-leaf nodes.
 //
 // The walk runs against a snapshot: it observes one committed state even
-// while writers commit. Nodes are resolved one at a time without the
-// context cache — a full-tree visit must not hold every node reachable
-// at once.
+// while writers commit. It is not a descend: it needs every branch rather
+// than the intersecting ones, reports each node's level, and is not a
+// search, so it charges no node accesses.
 func (t *Tree) VisitPortions(fn func(level int, e Entry) bool) error {
 	qc := t.getQctx()
 	defer t.releaseQctx(qc)

@@ -146,18 +146,12 @@ func pickBranches(src []node.Branch, idx []int) []node.Branch {
 
 // distribute partitions entry indices between the node (keep) and its new
 // sibling (move). Skeleton nodes split their partition region; others use
-// the configured Guttman algorithm.
+// Guttman's quadratic split, the paper's algorithm.
 func (o *op) distribute(n, sib *node.Node, rects []geom.Rect) (keep, move []int) {
 	if n.HasRegion() {
 		return o.regionSplit(n, sib, rects)
 	}
-	minFill := o.splitMinFill(n, len(rects))
-	switch o.t.cfg.Split {
-	case SplitLinear:
-		return linearSplit(rects, minFill)
-	default:
-		return quadraticSplit(rects, minFill)
-	}
+	return quadraticSplit(rects, o.splitMinFill(n, len(rects)))
 }
 
 func (o *op) splitMinFill(n *node.Node, entries int) int {
@@ -301,77 +295,4 @@ func pickSeedsQuadratic(rects []geom.Rect) (int, int) {
 		}
 	}
 	return seedA, seedB
-}
-
-// linearSplit is Guttman's linear-cost distribution: seeds with the
-// greatest normalized separation along any dimension, remaining entries
-// assigned to the group whose cover grows least.
-func linearSplit(rects []geom.Rect, minFill int) (groupA, groupB []int) {
-	dims := rects[0].Dims()
-	bestSep := -1.0
-	seedA, seedB := 0, 1
-	for d := 0; d < dims; d++ {
-		// Entry with the highest low side and entry with the lowest high
-		// side.
-		hiLow, loHigh := 0, 0
-		lo, hi := rects[0].Min[d], rects[0].Max[d]
-		for i := 1; i < len(rects); i++ {
-			if rects[i].Min[d] > rects[hiLow].Min[d] {
-				hiLow = i
-			}
-			if rects[i].Max[d] < rects[loHigh].Max[d] {
-				loHigh = i
-			}
-			if rects[i].Min[d] < lo {
-				lo = rects[i].Min[d]
-			}
-			if rects[i].Max[d] > hi {
-				hi = rects[i].Max[d]
-			}
-		}
-		width := hi - lo
-		if width <= 0 || hiLow == loHigh {
-			continue
-		}
-		sep := (rects[hiLow].Min[d] - rects[loHigh].Max[d]) / width
-		if sep > bestSep {
-			bestSep = sep
-			seedA, seedB = loHigh, hiLow
-		}
-	}
-	if seedA == seedB {
-		seedB = (seedA + 1) % len(rects)
-	}
-	groupA = append(groupA, seedA)
-	groupB = append(groupB, seedB)
-	coverA := rects[seedA].Clone()
-	coverB := rects[seedB].Clone()
-	rest := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != seedA && i != seedB {
-			rest = append(rest, i)
-		}
-	}
-	for pos, i := range rest {
-		remaining := len(rest) - pos
-		// Honor minimum fill: hand the whole remainder to a starved group.
-		if len(groupA)+remaining <= minFill {
-			groupA = append(groupA, i)
-			coverA.ExpandInPlace(rects[i])
-			continue
-		}
-		if len(groupB)+remaining <= minFill {
-			groupB = append(groupB, i)
-			coverB.ExpandInPlace(rects[i])
-			continue
-		}
-		if coverA.Enlargement(rects[i]) <= coverB.Enlargement(rects[i]) {
-			groupA = append(groupA, i)
-			coverA.ExpandInPlace(rects[i])
-		} else {
-			groupB = append(groupB, i)
-			coverB.ExpandInPlace(rects[i])
-		}
-	}
-	return groupA, groupB
 }

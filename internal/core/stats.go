@@ -35,6 +35,28 @@ type Stats struct {
 	CutPortions uint64
 }
 
+// Add accumulates o into s, for totals over the trees of a forest. Every
+// field is a per-tree count (CutPortions, the only gauge, sums disjoint
+// per-tree gauges), so field-wise addition neither drops nor double-counts.
+func (s *Stats) Add(o Stats) {
+	s.Searches += o.Searches
+	s.SearchNodeAccesses += o.SearchNodeAccesses
+	s.Inserts += o.Inserts
+	s.InsertNodeAccesses += o.InsertNodeAccesses
+	s.Deletes += o.Deletes
+	s.LeafSplits += o.LeafSplits
+	s.NonLeafSplits += o.NonLeafSplits
+	s.Cuts += o.Cuts
+	s.Remnants += o.Remnants
+	s.SpanPlaced += o.SpanPlaced
+	s.Promotions += o.Promotions
+	s.Demotions += o.Demotions
+	s.Relinks += o.Relinks
+	s.Coalesces += o.Coalesces
+	s.Reinserts += o.Reinserts
+	s.CutPortions += o.CutPortions
+}
+
 // Stats returns a snapshot of the tree's counters. Counters written only
 // by mutating operations are read under the lock; search-path counters are
 // updated atomically by concurrent readers and loaded the same way.

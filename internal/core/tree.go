@@ -73,13 +73,14 @@ type Tree struct {
 	// ids tracks the record IDs present so Insert detects ID reuse.
 	ids idSet
 
-	// qctxPool recycles per-query read-path state (traversal stack, pin
-	// cache, dedup set, result arena); see queryCtx.
+	// qctxPool recycles per-query read-path state (traversal stack, dedup
+	// set, result arena); see queryCtx.
 	qctxPool sync.Pool
 
 	// flushEpoch is the forest flush epoch the next Flush will be stamped
-	// with (0 for standalone trees). It rides the metadata page, so it
-	// becomes durable atomically with the flush it describes.
+	// with (0 until a forest with a manifest stamps one). It rides the
+	// metadata page, so it becomes durable atomically with the flush it
+	// describes.
 	flushEpoch uint64
 
 	// modCounts tracks per-leaf modification frequency for the
@@ -90,9 +91,9 @@ type Tree struct {
 	stats Stats
 }
 
-// Engine is the operation set of one index: what the public facade needs
-// from whatever sits behind it. A Tree, a skeleton.Predictor and a
-// forest.Forest each are one.
+// Engine is the operation set of one tree of an index: what a forest
+// needs from each of its shards. A Tree and a skeleton.Predictor each are
+// one.
 type Engine interface {
 	Reader
 	Insert(geom.Rect, node.RecordID) error
@@ -105,6 +106,8 @@ type Engine interface {
 	Stats() Stats
 	PoolStats() buffer.Stats
 	AccelStats() []accel.Stats
+	// SetFlushEpoch stamps the forest flush epoch the next Flush persists.
+	SetFlushEpoch(uint64)
 	Flush() error
 	CheckInvariants() error
 	Analyze() (*Report, error)

@@ -210,7 +210,7 @@ func forestCrashCells() []forestCrashCell {
 }
 
 // shardMatches reports whether eng answers exactly like the shard model.
-func shardMatches(t *testing.T, eng Engine, m shardModel) bool {
+func shardMatches(t *testing.T, eng core.Engine, m shardModel) bool {
 	t.Helper()
 	if eng.Len() != len(m) {
 		return false

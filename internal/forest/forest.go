@@ -16,18 +16,10 @@ import (
 	"segidx/internal/store"
 )
 
-// Engine is the per-shard operation set: a core.Engine plus the flush-epoch
-// stamp a forest flush rides on. Both core.Tree and skeleton.Predictor
-// satisfy it.
-type Engine interface {
-	core.Engine
-	SetFlushEpoch(uint64)
-}
-
 // Shard pairs a shard engine with the store it persists to (nil for
 // engines whose store the caller manages).
 type Shard struct {
-	Eng   Engine
+	Eng   core.Engine
 	Store store.Store
 }
 
@@ -44,11 +36,12 @@ type Config struct {
 	// Rebuild walks every shard's stored portions to reconstruct the
 	// ID-to-shard routing map and the per-shard covers. Required when the
 	// shards hold pre-existing data (reopen); a record found in two shards
-	// fails assembly.
+	// fails assembly. A forest of one shard routes nothing and walks
+	// nothing.
 	Rebuild bool
 }
 
-// Forest shards one logical index across N engines. See the package
+// Forest shards one logical index across N >= 1 engines. See the package
 // comment for the architecture; the zero value is unusable — use New.
 //
 // Concurrency: each shard engine carries its own write lock, so writers
@@ -56,15 +49,13 @@ type Config struct {
 // global operation lock. Flush serializes against other flushes only.
 type Forest struct {
 	// reads answers every core.Reader method over the live shard engines
-	// and their live covers, which Insert grows.
+	// and the live router, whose covers Insert grows.
 	reads
 
 	dims     int
-	shards   []Engine
+	shards   []core.Engine
 	stores   []store.Store
 	manifest *ManifestFile
-
-	ids idMap
 
 	par atomic.Int32
 
@@ -80,13 +71,14 @@ type Forest struct {
 }
 
 // reads is the scatter-gather read path over one set of shard readers and
-// their covers: the live engines with the live, grow-only covers (embedded
-// in Forest), or pinned shard views with frozen cover copies (embedded in
-// forestView). Both answer every core.Reader method from here.
+// the router that prunes them: the live engines with the live, grow-only
+// covers (embedded in Forest), or pinned shard views with frozen cover
+// copies (embedded in forestView). Both answer every core.Reader method
+// from here.
 type reads struct {
 	f        *Forest // validation, breakage latch, parallelism, scan pool
 	readers  []core.Reader
-	covers   []cover
+	rt       *router     // nil with one shard: every query goes to it
 	released atomic.Bool // set by forestView.Release; never on a live forest
 }
 
@@ -119,14 +111,14 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 	}
 	f := &Forest{
 		dims:       cfg.Dims,
-		shards:     make([]Engine, len(shards)),
+		shards:     make([]core.Engine, len(shards)),
 		stores:     make([]store.Store, len(shards)),
 		manifest:   cfg.Manifest,
 		flushEpoch: cfg.Epoch,
 	}
 	f.reads.f = f
 	f.readers = make([]core.Reader, len(shards))
-	f.covers = make([]cover, len(shards))
+	f.rt = newRouter(len(shards))
 	for i, s := range shards {
 		if s.Eng == nil {
 			return nil, fmt.Errorf("forest: shard %d has no engine", i)
@@ -154,35 +146,11 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 		return sc
 	}
 	if cfg.Rebuild {
-		if err := f.rebuild(); err != nil {
+		if err := f.rt.rebuild(f.shards); err != nil {
 			return nil, err
 		}
 	}
 	return f, nil
-}
-
-// rebuild reconstructs the routing map and covers from the shards'
-// stored portions.
-func (f *Forest) rebuild() error {
-	for i, s := range f.shards {
-		var conflict node.RecordID
-		bad := false
-		err := s.VisitPortions(func(_ int, e core.Entry) bool {
-			if !f.ids.record(e.ID, i) {
-				conflict, bad = e.ID, true
-				return false
-			}
-			f.covers[i].grow(e.Rect)
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("forest: rebuild shard %d: %w", i, err)
-		}
-		if bad {
-			return fmt.Errorf("forest: record %d stored in two shards (corrupt forest)", conflict)
-		}
-	}
-	return nil
 }
 
 // guard returns the latched breakage, if any. It allocates nothing.
@@ -241,16 +209,15 @@ func (f *Forest) FlushEpoch() uint64 {
 	return f.flushEpoch
 }
 
-// SetParallelism bounds the goroutines used for scatter-gather queries
-// and multi-shard flushes; 0 restores the default (GOMAXPROCS).
+// SetParallelism bounds the goroutines used for scatter-gather queries,
+// multi-shard flushes and the facade's batch calls; 0 (or less) restores
+// the default, GOMAXPROCS at call time.
 func (f *Forest) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	f.par.Store(int32(n))
+	f.par.Store(int32(max(n, 0)))
 }
 
-func (f *Forest) parallelism() int {
+// Parallelism reports the bound SetParallelism set, or GOMAXPROCS.
+func (f *Forest) Parallelism() int {
 	if p := f.par.Load(); p > 0 {
 		return int(p)
 	}
@@ -271,12 +238,12 @@ func (f *Forest) Insert(r geom.Rect, id node.RecordID) error {
 	if err := f.validate(r); err != nil {
 		return err
 	}
-	shard := f.ids.assign(id, RouteRect(r, len(f.shards)))
+	shard := f.rt.assign(id, r)
 	if err := f.shards[shard].Insert(r, id); err != nil {
 		f.note(err)
 		return err
 	}
-	f.covers[shard].grow(r)
+	f.rt.grow(shard, r)
 	return nil
 }
 
@@ -290,7 +257,7 @@ func (f *Forest) Delete(id node.RecordID, hint geom.Rect) (int, error) {
 	if err := f.validate(hint); err != nil {
 		return 0, err
 	}
-	shard := f.ids.lookup(id)
+	shard := f.rt.owner(id)
 	if shard < 0 {
 		return 0, nil
 	}
@@ -311,7 +278,7 @@ func (f *Forest) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, 
 	}
 	total := 0
 	for i := range f.shards {
-		if !f.covers[i].intersects(query) {
+		if !f.rt.intersects(i, query) {
 			continue
 		}
 		n, err := f.shards[i].DeleteWhere(query, pred)
@@ -328,7 +295,7 @@ func (f *Forest) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, 
 // per-shard result slices, merging without copying when at most one shard
 // produced results.
 func (r *reads) scatter(query geom.Rect,
-	prune func(*cover, geom.Rect) bool,
+	prune func(*router, int, geom.Rect) bool,
 	op func(core.Reader, geom.Rect) ([]core.Entry, error),
 ) ([]core.Entry, error) {
 	if err := r.begin(query); err != nil {
@@ -336,7 +303,7 @@ func (r *reads) scatter(query geom.Rect,
 	}
 	sel := make([]int, 0, len(r.readers))
 	for i := range r.readers {
-		if prune(&r.covers[i], query) {
+		if prune(r.rt, i, query) {
 			sel = append(sel, i)
 		}
 	}
@@ -344,7 +311,7 @@ func (r *reads) scatter(query geom.Rect,
 		return nil, nil
 	}
 	results := make([][]core.Entry, len(sel))
-	err := fanout.Run(nil, r.f.parallelism(), len(sel), func(i int) error {
+	err := fanout.Run(nil, r.f.Parallelism(), len(sel), func(i int) error {
 		res, err := op(r.readers[sel[i]], query)
 		results[i] = res
 		return err
@@ -376,21 +343,18 @@ func (r *reads) scatter(query geom.Rect,
 	return out, nil
 }
 
-func intersectsCover(c *cover, q geom.Rect) bool { return c.intersects(q) }
-func containsCover(c *cover, q geom.Rect) bool   { return c.contains(q) }
-
 // Search returns the records intersecting query across all shards,
 // deduplicated per shard by ID (cross-shard duplicates cannot exist: a
 // record lives wholly in one shard).
 func (r *reads) Search(query geom.Rect) ([]core.Entry, error) {
-	return r.scatter(query, intersectsCover, core.Reader.Search)
+	return r.scatter(query, (*router).intersects, core.Reader.Search)
 }
 
 // SearchContaining returns the records that entirely contain query. A
 // shard can only hold a match when its cover contains the query, the
 // tighter prune.
 func (r *reads) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	return r.scatter(query, containsCover, core.Reader.SearchContaining)
+	return r.scatter(query, (*router).contains, core.Reader.SearchContaining)
 }
 
 // stream runs a streaming query over the pruned shards sequentially,
@@ -398,7 +362,7 @@ func (r *reads) SearchContaining(query geom.Rect) ([]core.Entry, error) {
 // context keeps the wrapping allocation-free, preserving the per-shard
 // zero-allocation read path.
 func (r *reads) stream(query geom.Rect,
-	prune func(*cover, geom.Rect) bool,
+	prune func(*router, int, geom.Rect) bool,
 	op func(core.Reader, geom.Rect, func(core.Entry) bool) error,
 	fn func(core.Entry) bool,
 ) error {
@@ -409,7 +373,7 @@ func (r *reads) stream(query geom.Rect,
 	sc.fn, sc.stopped = fn, false
 	var err error
 	for i := range r.readers {
-		if !prune(&r.covers[i], query) {
+		if !prune(r.rt, i, query) {
 			continue
 		}
 		if err = op(r.readers[i], query, sc.visit); err != nil || sc.stopped {
@@ -426,12 +390,12 @@ func (r *reads) stream(query geom.Rect,
 // returning false stops early, across shards. Entry rectangles are views
 // valid only during the callback.
 func (r *reads) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return r.stream(query, intersectsCover, core.Reader.SearchFunc, fn)
+	return r.stream(query, (*router).intersects, core.Reader.SearchFunc, fn)
 }
 
 // SearchContainingFunc streams the records that entirely contain query.
 func (r *reads) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return r.stream(query, containsCover, core.Reader.SearchContainingFunc, fn)
+	return r.stream(query, (*router).contains, core.Reader.SearchContainingFunc, fn)
 }
 
 // Count returns the number of logical records intersecting query, summed
@@ -442,7 +406,7 @@ func (r *reads) Count(query geom.Rect) (int, error) {
 	}
 	total := 0
 	for i := range r.readers {
-		if !r.covers[i].intersects(query) {
+		if !r.rt.intersects(i, query) {
 			continue
 		}
 		n, err := r.readers[i].Count(query)
@@ -511,30 +475,11 @@ func (f *Forest) NodeCount() int {
 	return n
 }
 
-// Stats returns activity counters summed across shards. Every field of
-// core.Stats is a per-shard count (CutPortions, the only gauge, is a sum
-// of disjoint per-shard gauges), so field-wise addition neither drops nor
-// double-counts anything.
+// Stats returns activity counters summed across shards.
 func (f *Forest) Stats() core.Stats {
 	var out core.Stats
 	for _, sh := range f.shards {
-		s := sh.Stats()
-		out.Searches += s.Searches
-		out.SearchNodeAccesses += s.SearchNodeAccesses
-		out.Inserts += s.Inserts
-		out.InsertNodeAccesses += s.InsertNodeAccesses
-		out.Deletes += s.Deletes
-		out.LeafSplits += s.LeafSplits
-		out.NonLeafSplits += s.NonLeafSplits
-		out.Cuts += s.Cuts
-		out.Remnants += s.Remnants
-		out.SpanPlaced += s.SpanPlaced
-		out.Promotions += s.Promotions
-		out.Demotions += s.Demotions
-		out.Relinks += s.Relinks
-		out.Coalesces += s.Coalesces
-		out.Reinserts += s.Reinserts
-		out.CutPortions += s.CutPortions
+		out.Add(sh.Stats())
 	}
 	return out
 }
@@ -544,12 +489,7 @@ func (f *Forest) Stats() core.Stats {
 func (f *Forest) PoolStats() buffer.Stats {
 	var out buffer.Stats
 	for _, sh := range f.shards {
-		s := sh.PoolStats()
-		out.Gets += s.Gets
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-		out.Writes += s.Writes
+		out.Add(sh.PoolStats())
 	}
 	return out
 }
@@ -591,23 +531,26 @@ func (f *Forest) ShardLens() []int {
 	return out
 }
 
-// Analyze merges the per-shard structural reports: counts sum, height is
-// the maximum, and per-level quality metrics are node-weighted means.
+// Analyze merges the per-shard structural reports into the first shard's:
+// counts sum, height is the maximum, and per-level quality metrics are
+// node-weighted means. The first report is the base the others fold into,
+// so a forest of one reports exactly what its tree does.
 func (f *Forest) Analyze() (*core.Report, error) {
 	if err := f.guard(); err != nil {
 		return nil, err
 	}
-	out := &core.Report{}
-	var weights []int // per-level node counts backing the weighted means
+	var out *core.Report
 	for _, s := range f.shards {
 		r, err := s.Analyze()
 		if err != nil {
 			f.note(err)
 			return nil, err
 		}
-		if r.Height > out.Height {
-			out.Height = r.Height
+		if out == nil {
+			out = r
+			continue
 		}
+		out.Height = max(out.Height, r.Height)
 		out.Nodes += r.Nodes
 		out.LogicalRecords += r.LogicalRecords
 		out.StoredPortions += r.StoredPortions
@@ -615,15 +558,12 @@ func (f *Forest) Analyze() (*core.Report, error) {
 		for _, lv := range r.Levels {
 			for len(out.Levels) <= lv.Level {
 				out.Levels = append(out.Levels, core.LevelReport{Level: len(out.Levels)})
-				weights = append(weights, 0)
 			}
 			dst := &out.Levels[lv.Level]
-			w0, w1 := weights[lv.Level], lv.Nodes
-			if w0+w1 > 0 {
-				dst.MeanAspect = (dst.MeanAspect*float64(w0) + lv.MeanAspect*float64(w1)) / float64(w0+w1)
-				dst.Occupancy = (dst.Occupancy*float64(w0) + lv.Occupancy*float64(w1)) / float64(w0+w1)
+			if w0, w1 := float64(dst.Nodes), float64(lv.Nodes); w0+w1 > 0 {
+				dst.MeanAspect = (dst.MeanAspect*w0 + lv.MeanAspect*w1) / (w0 + w1)
+				dst.Occupancy = (dst.Occupancy*w0 + lv.Occupancy*w1) / (w0 + w1)
 			}
-			weights[lv.Level] += lv.Nodes
 			dst.Nodes += lv.Nodes
 			dst.Branches += lv.Branches
 			dst.Records += lv.Records
@@ -634,9 +574,8 @@ func (f *Forest) Analyze() (*core.Report, error) {
 	return out, nil
 }
 
-// CheckInvariants validates every shard and the cross-shard invariants:
-// no record ID stored in more than one shard, and every stored ID routed
-// to the shard that holds it.
+// CheckInvariants validates every shard and the cross-shard routing
+// invariants (router.check).
 func (f *Forest) CheckInvariants() error {
 	if err := f.guard(); err != nil {
 		return err
@@ -646,29 +585,7 @@ func (f *Forest) CheckInvariants() error {
 			return fmt.Errorf("forest: shard %d: %w", i, err)
 		}
 	}
-	owner := make(map[node.RecordID]int)
-	for i, s := range f.shards {
-		var ferr error
-		err := s.VisitPortions(func(_ int, e core.Entry) bool {
-			if prev, ok := owner[e.ID]; ok && prev != i {
-				ferr = fmt.Errorf("forest: record %d stored in shards %d and %d", e.ID, prev, i)
-				return false
-			}
-			owner[e.ID] = i
-			if got := f.ids.lookup(e.ID); got != i {
-				ferr = fmt.Errorf("forest: record %d stored in shard %d but routed to %d", e.ID, i, got)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if ferr != nil {
-			return ferr
-		}
-	}
-	return nil
+	return f.rt.check(f.shards)
 }
 
 // Flush persists the forest at a new epoch: the manifest (when durable)
@@ -697,7 +614,7 @@ func (f *Forest) Flush() error {
 		}
 	}
 	errs := make([]error, len(f.shards))
-	_ = fanout.Run(nil, f.parallelism(), len(f.shards), func(i int) error {
+	_ = fanout.Run(nil, f.Parallelism(), len(f.shards), func(i int) error {
 		errs[i] = f.shards[i].Flush()
 		return nil // attempt every shard; errors are joined below
 	})
@@ -722,8 +639,10 @@ func (f *Forest) FlushShard(i int) error {
 	return err
 }
 
-// Close flushes the forest and closes every shard store and the
-// manifest. All errors are reported.
+// Close flushes the forest and closes every shard store it was given and
+// the manifest; a shard whose store the caller manages (Shard.Store nil)
+// is flushed and its store left open. The stores are closed even when the
+// flush fails; all errors are reported.
 func (f *Forest) Close() error {
 	err := f.Flush()
 	for _, st := range f.stores {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -381,9 +382,25 @@ func TestForestRebuild(t *testing.T) {
 func TestForestAggregation(t *testing.T) {
 	f := newMemForest(t, 4, true)
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
+	rects := make([]geom.Rect, 700)
+	for i := range rects {
+		rects[i] = randRect(rng)
+	}
+	for i := 0; i < 400; i++ {
+		if err := f.Insert(rects[i], node.RecordID(i+1)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// With a snapshot held, every page a write touches is cloned and its
+	// superseded version retained: the MVCC pool counters all move.
+	v := f.Snapshot()
+	defer v.Release()
+	for i := 400; i < 700; i++ {
+		if err := f.Insert(rects[i], node.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.Delete(node.RecordID(i-399), rects[i-400]); err != nil || n != 1 {
+			t.Fatalf("Delete(%d) = %d, %v", i-399, n, err)
 		}
 	}
 	for q := 0; q < 40; q++ {
@@ -391,29 +408,15 @@ func TestForestAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wantStats core.Stats
-	for _, s := range f.ShardStats() {
-		wantStats.Inserts += s.Inserts
-		wantStats.Searches += s.Searches
-		wantStats.CutPortions += s.CutPortions
-	}
 	got := f.Stats()
-	if got.Inserts != wantStats.Inserts || got.Inserts != 500 {
-		t.Fatalf("Stats.Inserts = %d (per-shard sum %d), want 500", got.Inserts, wantStats.Inserts)
+	checkFieldSums(t, "Stats", got, f.ShardStats())
+	if got.Inserts != 700 || got.Deletes != 300 || got.Searches == 0 {
+		t.Fatalf("Stats = %+v, want 700 inserts, 300 deletes, some searches", got)
 	}
-	if got.Searches != wantStats.Searches {
-		t.Fatalf("Stats.Searches = %d, per-shard sum %d", got.Searches, wantStats.Searches)
-	}
-	if got.CutPortions != wantStats.CutPortions {
-		t.Fatalf("Stats.CutPortions = %d, per-shard sum %d", got.CutPortions, wantStats.CutPortions)
-	}
-
-	var gets uint64
-	for _, s := range f.ShardPoolStats() {
-		gets += s.Gets
-	}
-	if ps := f.PoolStats(); ps.Gets != gets {
-		t.Fatalf("PoolStats.Gets = %d, per-shard sum %d", ps.Gets, gets)
+	ps := f.PoolStats()
+	checkFieldSums(t, "PoolStats", ps, f.ShardPoolStats())
+	if ps.Gets == 0 || ps.Clones == 0 || ps.Retained == 0 {
+		t.Fatalf("PoolStats = %+v, want Gets, Clones and Retained to have moved", ps)
 	}
 
 	lens := f.ShardLens()
@@ -421,7 +424,7 @@ func TestForestAggregation(t *testing.T) {
 	for _, n := range lens {
 		sum += n
 	}
-	if sum != f.Len() || sum != 500 {
+	if sum != f.Len() || sum != 400 {
 		t.Fatalf("shard lens %v sum %d, Len %d", lens, sum, f.Len())
 	}
 
@@ -429,7 +432,7 @@ func TestForestAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LogicalRecords != 500 {
+	if rep.LogicalRecords != 400 {
 		t.Fatalf("Analyze.LogicalRecords = %d", rep.LogicalRecords)
 	}
 	if rep.Height != f.Height() {
@@ -444,6 +447,60 @@ func TestForestAggregation(t *testing.T) {
 	}
 	if nodes != rep.Nodes {
 		t.Fatalf("level nodes %d != total %d", nodes, rep.Nodes)
+	}
+}
+
+// checkFieldSums asserts that every field of an aggregate stats struct (all
+// uint64 counters and gauges) is the sum of that field over the parts, so a
+// field added to the struct cannot be left out of the aggregation.
+func checkFieldSums[T any](t *testing.T, what string, got T, parts []T) {
+	t.Helper()
+	gv := reflect.ValueOf(got)
+	for i := 0; i < gv.NumField(); i++ {
+		var want uint64
+		for _, p := range parts {
+			want += reflect.ValueOf(p).Field(i).Uint()
+		}
+		if g := gv.Field(i).Uint(); g != want {
+			t.Errorf("%s.%s = %d, per-shard sum %d", what, gv.Type().Field(i).Name, g, want)
+		}
+	}
+}
+
+// TestForestOfOneReportsItsTree pins what a forest of one must not lose to
+// aggregation: Stats, PoolStats and Analyze are the tree's own values, bit
+// for bit — no trip through a sum or a node-weighted mean.
+func TestForestOfOneReportsItsTree(t *testing.T) {
+	f := newMemForest(t, 1, true)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 600; i++ {
+		if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Search(randRect(rng)); err != nil {
+		t.Fatal(err)
+	}
+	tree := f.shards[0]
+	if got, want := f.Stats(), tree.Stats(); got != want {
+		t.Fatalf("Stats = %+v, tree's %+v", got, want)
+	}
+	if got, want := f.PoolStats(), tree.PoolStats(); got != want {
+		t.Fatalf("PoolStats = %+v, tree's %+v", got, want)
+	}
+	got, err := f.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tree.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze = %+v, tree's %+v", got, want)
+	}
+	if len(want.Levels) < 2 {
+		t.Fatalf("tree of %d levels is too small to exercise the per-level means", len(want.Levels))
 	}
 }
 

@@ -1,11 +1,13 @@
-// Package forest shards one logical segment index across N independent
-// trees — each with its own page store, write-ahead log, buffer-pool
-// budget, and write lock — behind the same operation set a single tree
-// exposes. A router assigns every logical record to exactly one shard by
-// hashing its rectangle's center, so writers on different shards never
-// contend; queries scatter across the shards whose covers overlap the
+// Package forest shards one logical segment index across N >= 1
+// independent trees — each with its own page store, write-ahead log,
+// buffer-pool budget, and write lock — behind the same operation set a
+// single tree exposes. A router assigns every logical record to exactly one
+// shard by hashing its rectangle's center, so writers on different shards
+// never contend; queries scatter across the shards whose covers overlap the
 // query and gather the per-shard results, which need no cross-shard
-// deduplication because a record lives wholly in one shard.
+// deduplication because a record lives wholly in one shard. Every index is
+// a forest: the plain tree is the forest of one, which has no router and no
+// manifest and persists as exactly the files its one tree writes.
 package forest
 
 import (

@@ -1,9 +1,11 @@
 package forest
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
+	"segidx/internal/core"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 )
@@ -150,4 +152,123 @@ func (c *cover) freeze(dst *cover) {
 	if c.set {
 		dst.set, dst.r = true, c.r.Clone()
 	}
+}
+
+// router is the routing state of a forest of two or more shards: which
+// shard owns each record ID, and every shard's cover. A forest of one shard
+// has a nil router — there is nothing to route, nothing to prune and nothing
+// to rebuild, so it keeps no per-ID and no per-cover state and opens without
+// reading a page. Every method accepts the nil receiver, which is where the
+// one-shard case lives; forest.go never asks how many shards it has.
+type router struct {
+	ids    *idMap
+	covers []cover
+}
+
+func newRouter(shards int) *router {
+	if shards == 1 {
+		return nil
+	}
+	return &router{ids: new(idMap), covers: make([]cover, shards)}
+}
+
+// assign returns the home shard of an insert: the shard already owning id
+// if the ID was ever seen, else the one r hashes to, which then owns it.
+func (rt *router) assign(id node.RecordID, r geom.Rect) int {
+	if rt == nil {
+		return 0
+	}
+	return rt.ids.assign(id, RouteRect(r, len(rt.covers)))
+}
+
+// owner returns the shard owning id, or -1 if no shard can hold it.
+func (rt *router) owner(id node.RecordID) int {
+	if rt == nil {
+		return 0
+	}
+	return rt.ids.lookup(id)
+}
+
+// grow expands shard's cover to include r.
+func (rt *router) grow(shard int, r geom.Rect) {
+	if rt != nil {
+		rt.covers[shard].grow(r)
+	}
+}
+
+// intersects reports whether shard may hold a record intersecting q.
+func (rt *router) intersects(shard int, q geom.Rect) bool {
+	return rt == nil || rt.covers[shard].intersects(q)
+}
+
+// contains reports whether shard may hold a record containing q.
+func (rt *router) contains(shard int, q geom.Rect) bool {
+	return rt == nil || rt.covers[shard].contains(q)
+}
+
+// freeze returns the router of a pinned view: copies of the covers, which
+// the live forest keeps growing, over the shared ID map.
+func (rt *router) freeze() *router {
+	if rt == nil {
+		return nil
+	}
+	out := &router{ids: rt.ids, covers: make([]cover, len(rt.covers))}
+	for i := range rt.covers {
+		rt.covers[i].freeze(&out.covers[i])
+	}
+	return out
+}
+
+// rebuild reconstructs the ID map and the covers from the shards' stored
+// portions, for shards that come with data (reopen, bulk load). A record
+// found in two shards fails it.
+func (rt *router) rebuild(shards []core.Engine) error {
+	if rt == nil {
+		return nil
+	}
+	for i, s := range shards {
+		var conflict node.RecordID
+		bad := false
+		err := s.VisitPortions(func(_ int, e core.Entry) bool {
+			if !rt.ids.record(e.ID, i) {
+				conflict, bad = e.ID, true
+				return false
+			}
+			rt.covers[i].grow(e.Rect)
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("forest: rebuild shard %d: %w", i, err)
+		}
+		if bad {
+			return fmt.Errorf("forest: record %d stored in two shards (corrupt forest)", conflict)
+		}
+	}
+	return nil
+}
+
+// check verifies the cross-shard invariant: every stored ID is routed to
+// the shard that holds it. An ID routes to one shard, so this also rules
+// out a record stored in two.
+func (rt *router) check(shards []core.Engine) error {
+	if rt == nil {
+		return nil
+	}
+	for i, s := range shards {
+		var ferr error
+		err := s.VisitPortions(func(_ int, e core.Entry) bool {
+			if got := rt.ids.lookup(e.ID); got != i {
+				ferr = fmt.Errorf("forest: record %d stored in shard %d but routed to %d", e.ID, i, got)
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		if ferr != nil {
+			return ferr
+		}
+	}
+	return nil
 }

@@ -162,7 +162,7 @@ func TestForestConcurrentStress(t *testing.T) {
 // entered signals once a writer is inside the shard's insert path, and
 // release lets it finish.
 type gatedEngine struct {
-	Engine
+	core.Engine
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once

@@ -13,7 +13,7 @@ func (f *Forest) CommitEpoch() uint64 {
 	return e
 }
 
-// Snapshot pins one view per shard plus a copy of the per-shard covers and
+// Snapshot pins one view per shard plus a copy of the router's covers and
 // returns a core.View over the union. Each shard view is a true MVCC
 // snapshot (lock-free reads, copy-on-write isolation), so queries on the
 // returned view never block behind writers on any shard.
@@ -29,21 +29,20 @@ func (f *Forest) Snapshot() core.View {
 	v := &forestView{views: make([]core.View, len(f.shards))}
 	v.f = f
 	v.readers = make([]core.Reader, len(f.shards))
-	v.covers = make([]cover, len(f.shards))
 	for i, s := range f.shards {
 		sv := s.Snapshot()
 		v.views[i], v.readers[i] = sv, sv
-		f.covers[i].freeze(&v.covers[i])
 	}
+	v.rt = f.rt.freeze()
 	return v
 }
 
 // forestView is a pinned scatter-gather snapshot: the forest's read path
 // over per-shard views and frozen covers. Covers are grow-only on the live
-// forest, so a frozen cover is exact for the pinned contents of its shard
-// whenever the pin happened with no insert in flight on that shard; an
-// insert racing the pin may or may not be visible, as for any query
-// concurrent with a write.
+// forest and frozen after every shard is pinned, so a frozen cover bounds
+// the pinned contents of its shard whenever the pin happened with no insert
+// in flight on that shard; an insert racing the pin may or may not be
+// visible, as for any query concurrent with a write.
 type forestView struct {
 	reads
 	views []core.View

@@ -493,7 +493,7 @@ type EngineStats struct {
 	ShardLens   []int              `json:"shard_lens"`
 	Stats       segidx.Stats       `json:"stats"`
 	Pool        segidx.PoolStats   `json:"pool"`
-	ShardPools  []segidx.PoolStats `json:"shard_pools,omitempty"`
+	ShardPools  []segidx.PoolStats `json:"shard_pools"`
 	// Accel lists the per-shard stab-accelerator sidecars (absent when
 	// none is attached).
 	Accel []segidx.AccelStats `json:"accel,omitempty"`
@@ -525,12 +525,10 @@ func (s *Server) snapshotMetrics() Metrics {
 			ShardLens:   s.idx.ShardLens(),
 			Stats:       s.idx.Stats(),
 			Pool:        s.idx.PoolStats(),
+			ShardPools:  s.idx.ShardPoolStats(),
+			Accel:       s.idx.AccelStats(),
 		},
 	}
-	if m.Engine.Shards > 1 {
-		m.Engine.ShardPools = s.idx.ShardPoolStats()
-	}
-	m.Engine.Accel = s.idx.AccelStats()
 	return m
 }
 

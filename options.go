@@ -20,13 +20,10 @@ type options struct {
 	shards  int
 
 	// Stab-accelerator sidecar configuration; accelOn gates attachment.
-	accelOn        bool
-	accelDim       int
-	accelLevels    int
-	accelLo        float64
-	accelHi        float64
-	accelDomainSet bool
-	accelMode      accel.Mode
+	accelOn     bool
+	accelDim    int
+	accelLevels int
+	accelMode   accel.Mode
 }
 
 func resolve(opts []Option) (*options, error) {
@@ -47,8 +44,8 @@ func resolve(opts []Option) (*options, error) {
 		return nil, fmt.Errorf("segidx: WithStore and WithFile are mutually exclusive")
 	}
 	if o.st != nil && o.shards > 1 {
-		// A sharded index needs one independent store per shard; a single
-		// caller-provided store cannot host a forest.
+		// Every shard needs its own store; a single caller-provided store
+		// can only be the one shard's.
 		return nil, fmt.Errorf("segidx: WithStore and WithShards are mutually exclusive")
 	}
 	return o, nil
@@ -101,23 +98,6 @@ func WithNodeGrowth(g int) Option {
 func WithBranchReserve(f float64) Option {
 	return func(o *options) error {
 		o.cfg.BranchReserve = f
-		return nil
-	}
-}
-
-// WithQuadraticSplit selects Guttman's quadratic split (the default and
-// the paper's algorithm).
-func WithQuadraticSplit() Option {
-	return func(o *options) error {
-		o.cfg.Split = core.SplitQuadratic
-		return nil
-	}
-}
-
-// WithLinearSplit selects Guttman's linear-cost split.
-func WithLinearSplit() Option {
-	return func(o *options) error {
-		o.cfg.Split = core.SplitLinear
 		return nil
 	}
 }
@@ -180,8 +160,9 @@ func WithParallelism(n int) Option {
 // With WithFile or WithDurableFile, path holds the forest manifest and
 // shard i's pages live at path.shard<i> (plus a ".wal" sibling per shard
 // when durable); Open and OpenDurable detect the manifest and reassemble
-// the forest. n <= 1 builds a regular single tree. Incompatible with
-// WithStore.
+// the forest. n <= 1 is the default, one tree: a forest of one that routes
+// and prunes nothing and stores its pages at path itself, with no manifest.
+// Incompatible with WithStore.
 func WithShards(n int) Option {
 	return func(o *options) error {
 		if n < 0 {
@@ -192,13 +173,13 @@ func WithShards(n int) Option {
 	}
 }
 
-// Default hot-dimension domain for WithStabAccel when neither
-// WithStabAccelDomain nor a skeleton estimate supplies one. Matches the
-// benchmark workload domain; out-of-domain values clamp to the edge cells
-// of the accelerator (exact answers, degraded balance).
+// Default hot-dimension domain for WithStabAccel when no skeleton estimate
+// supplies one. Matches the benchmark workload domain; out-of-domain values
+// clamp to the edge cells of the accelerator (exact answers, degraded
+// balance).
 const (
-	defaultAccelLo = 0
-	defaultAccelHi = 100000
+	defaultAccelLo = 0.0
+	defaultAccelHi = 100000.0
 )
 
 // WithStabAccel attaches a HINT-style hierarchical stab accelerator as a
@@ -209,10 +190,9 @@ const (
 // epoch-consistent with the tree's MVCC commits, so snapshot reads see
 // matching answers; each shard of a forest gets its own sidecar. Queries
 // route between tree and sidecar through an adaptive cost gate — see
-// WithHybridMode. The hot-dimension domain defaults to the skeleton
-// estimate's domain when one is given, else [0, 100000]; override with
-// WithStabAccelDomain. Values outside the domain stay exact but crowd the
-// edge cells.
+// WithHybridMode. The hot-dimension domain is the skeleton estimate's
+// domain when one is given, else [0, 100000]. Values outside the domain
+// stay exact but crowd the edge cells.
 //
 // Queries answered by the sidecar report each record's full original
 // rectangle, where the bare tree may report a cut record's narrower
@@ -235,20 +215,6 @@ func WithStabAccel(dim, levels int) Option {
 	}
 }
 
-// WithStabAccelDomain sets the hot-dimension domain [lo, hi) the stab
-// accelerator partitions. Only meaningful with WithStabAccel.
-func WithStabAccelDomain(lo, hi float64) Option {
-	return func(o *options) error {
-		if !(lo < hi) {
-			return fmt.Errorf("segidx: empty accelerator domain [%g, %g]", lo, hi)
-		}
-		o.accelLo = lo
-		o.accelHi = hi
-		o.accelDomainSet = true
-		return nil
-	}
-}
-
 // WithHybridMode sets the stab accelerator's routing policy: HybridAuto
 // (default) lets the adaptive cost gate pick tree or sidecar per query
 // from observed latencies, HybridAlways routes every eligible query to
@@ -265,20 +231,16 @@ func WithHybridMode(m HybridMode) Option {
 }
 
 // newStabAccel builds the configured accelerator for an index of the
-// given dimensionality (nil when none was requested). est, when non-nil
-// and the caller set no explicit domain, supplies the hot-dimension
-// bounds.
+// given dimensionality (nil when none was requested). est, when non-nil,
+// supplies the hot-dimension bounds.
 func (o *options) newStabAccel(dims int, est *SkeletonEstimate) (*accel.Accel, error) {
 	if !o.accelOn {
 		return nil, nil
 	}
-	lo, hi := o.accelLo, o.accelHi
-	if !o.accelDomainSet {
-		lo, hi = defaultAccelLo, defaultAccelHi
-		if est != nil && est.Domain.Valid() && est.Domain.Dims() > o.accelDim &&
-			est.Domain.Min[o.accelDim] < est.Domain.Max[o.accelDim] {
-			lo, hi = est.Domain.Min[o.accelDim], est.Domain.Max[o.accelDim]
-		}
+	lo, hi := defaultAccelLo, defaultAccelHi
+	if est != nil && est.Domain.Valid() && est.Domain.Dims() > o.accelDim &&
+		est.Domain.Min[o.accelDim] < est.Domain.Max[o.accelDim] {
+		lo, hi = est.Domain.Min[o.accelDim], est.Domain.Max[o.accelDim]
 	}
 	return accel.New(accel.Config{
 		Dims:   dims,

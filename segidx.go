@@ -3,7 +3,6 @@ package segidx
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"segidx/internal/accel"
 	"segidx/internal/buffer"
@@ -83,10 +82,6 @@ func Point(coords ...float64) Rect { return geom.Point(coords...) }
 // NewRect builds a validated rectangle from min/max corners.
 func NewRect(min, max []float64) (Rect, error) { return geom.NewRect(min, max) }
 
-// engine is what an Index drives: a core.Tree, a skeleton.Predictor while
-// and after it predicts its skeleton, or a forest.Forest of either.
-type engine = core.Engine
-
 // Index is a segment index: one of R-Tree, SR-Tree, Skeleton R-Tree, or
 // Skeleton SR-Tree.
 //
@@ -97,12 +92,13 @@ type engine = core.Engine
 // mechanism as an explicit repeatable-read View. The batch APIs
 // (SearchBatch, StabBatch, InsertBatch) fan work across a bounded
 // goroutine pool; see WithParallelism.
+//
+// Every Index is a forest of n >= 1 trees (see WithShards); the plain tree
+// is the forest of one, which routes nothing and persists as the one file
+// (plus log) its tree writes.
 type Index struct {
-	eng   engine
-	st    store.Store
-	kind  string
-	owned bool         // whether Close should close the store
-	par   atomic.Int32 // batch worker bound; 0 = GOMAXPROCS
+	f    *forest.Forest
+	kind string
 }
 
 // Kind reports which index type this is ("r-tree", "sr-tree",
@@ -111,27 +107,27 @@ func (x *Index) Kind() string { return x.kind }
 
 // Insert adds a record. The rectangle's dimensionality must match the
 // index; IDs must be unique per logical record.
-func (x *Index) Insert(r Rect, id RecordID) error { return x.eng.Insert(r, id) }
+func (x *Index) Insert(r Rect, id RecordID) error { return x.f.Insert(r, id) }
 
 // Delete removes the record with the given ID. hint must cover the
 // rectangle originally inserted (passing that rectangle is ideal); it
 // bounds the search for the record's portions. Returns the number of
 // logical records removed (0 or 1).
-func (x *Index) Delete(id RecordID, hint Rect) (int, error) { return x.eng.Delete(id, hint) }
+func (x *Index) Delete(id RecordID, hint Rect) (int, error) { return x.f.Delete(id, hint) }
 
 // DeleteWhere removes every logical record that has a stored portion
 // intersecting query and satisfying pred (nil matches everything),
 // returning the number removed. Useful for retention policies ("drop all
 // history before 1990").
 func (x *Index) DeleteWhere(query Rect, pred func(Entry) bool) (int, error) {
-	return x.eng.DeleteWhere(query, pred)
+	return x.f.DeleteWhere(query, pred)
 }
 
 // Search returns the records intersecting query, deduplicated by ID. The
 // result is owned by the caller: rectangles are copied out of the index
 // into one shared backing array, so a non-empty result costs two
 // allocations regardless of size.
-func (x *Index) Search(query Rect) ([]Entry, error) { return x.eng.Search(query) }
+func (x *Index) Search(query Rect) ([]Entry, error) { return x.f.Search(query) }
 
 // SearchFunc streams every stored portion intersecting query; fn returning
 // false stops early. Cut records may be visited once per portion.
@@ -141,18 +137,18 @@ func (x *Index) Search(query Rect) ([]Entry, error) { return x.eng.Search(query)
 // rectangle to retain it. In exchange, a query over resident pages
 // performs zero heap allocations.
 func (x *Index) SearchFunc(query Rect, fn func(Entry) bool) error {
-	return x.eng.SearchFunc(query, fn)
+	return x.f.SearchFunc(query, fn)
 }
 
 // Count returns the number of logical records intersecting query.
-func (x *Index) Count(query Rect) (int, error) { return x.eng.Count(query) }
+func (x *Index) Count(query Rect) (int, error) { return x.f.Count(query) }
 
 // VisitPortions walks every stored record portion with the tree level it
 // is stored at (0 = leaf; higher levels are spanning index records). For
 // structural inspection; fn returning false stops the walk. Entry
 // rectangles are views valid only during the callback.
 func (x *Index) VisitPortions(fn func(level int, e Entry) bool) error {
-	return x.eng.VisitPortions(fn)
+	return x.f.VisitPortions(fn)
 }
 
 // Stab returns the records containing the given point — the stabbing
@@ -172,7 +168,7 @@ func (x *Index) StabFunc(fn func(Entry) bool, coords ...float64) error {
 	// The point rectangle views the coords slice directly instead of
 	// copying it (Point validates and copies); validateRect inside the
 	// engine still rejects NaNs and dimension mismatches.
-	return x.eng.SearchContainingFunc(Rect{Min: coords, Max: coords}, fn)
+	return x.f.SearchContainingFunc(Rect{Min: coords, Max: coords}, fn)
 }
 
 // SearchContainingFunc streams the records that entirely contain query
@@ -180,20 +176,20 @@ func (x *Index) StabFunc(fn func(Entry) bool, coords ...float64) error {
 // the union of its stored portions as the rectangle — a view valid only
 // during the callback. fn returning false stops early.
 func (x *Index) SearchContainingFunc(query Rect, fn func(Entry) bool) error {
-	return x.eng.SearchContainingFunc(query, fn)
+	return x.f.SearchContainingFunc(query, fn)
 }
 
 // SearchWithin returns the records entirely contained in query,
 // deduplicated by ID.
 func (x *Index) SearchWithin(query Rect) ([]Entry, error) {
-	return x.eng.SearchWithin(query)
+	return x.f.SearchWithin(query)
 }
 
 // SearchContaining returns the records that entirely contain query (the
 // generalized stabbing query). Cut records are reassembled before the
 // containment test.
 func (x *Index) SearchContaining(query Rect) ([]Entry, error) {
-	return x.eng.SearchContaining(query)
+	return x.f.SearchContaining(query)
 }
 
 // View is an immutable snapshot of an index: queries on it acquire no
@@ -212,63 +208,54 @@ var ErrSnapshotReleased = core.ErrSnapshotReleased
 // a held view retains every superseded page version it can reach. On a
 // sharded index the shard views are pinned in shard order (see
 // forest.Snapshot for the cross-shard atomicity contract).
-func (x *Index) Snapshot() View { return x.eng.Snapshot() }
+func (x *Index) Snapshot() View { return x.f.Snapshot() }
 
 // CommitEpoch reports a monotonic stamp of committed mutations: stable
 // while the index is unchanged, increasing with every committed
 // Insert/Delete/DeleteWhere. Snapshots taken at equal epochs observe equal
 // contents.
-func (x *Index) CommitEpoch() uint64 { return x.eng.CommitEpoch() }
+func (x *Index) CommitEpoch() uint64 { return x.f.CommitEpoch() }
 
 // Len reports the number of logical records stored.
-func (x *Index) Len() int { return x.eng.Len() }
+func (x *Index) Len() int { return x.f.Len() }
 
 // Height reports the number of tree levels.
-func (x *Index) Height() int { return x.eng.Height() }
+func (x *Index) Height() int { return x.f.Height() }
 
 // NodeCount reports the number of index nodes (pages).
-func (x *Index) NodeCount() int { return x.eng.NodeCount() }
+func (x *Index) NodeCount() int { return x.f.NodeCount() }
 
 // Stats returns a snapshot of activity counters. The paper's cost metric —
 // average index nodes accessed per search — is the delta of
 // SearchNodeAccesses over the delta of Searches.
-func (x *Index) Stats() Stats { return x.eng.Stats() }
+func (x *Index) Stats() Stats { return x.f.Stats() }
 
 // PoolStats returns a snapshot of buffer pool counters: cache hits and
 // misses, evictions, and dirty write-backs. The hit rate over a query
 // sweep shows how well the working set fits the pool budget.
-func (x *Index) PoolStats() PoolStats { return x.eng.PoolStats() }
+func (x *Index) PoolStats() PoolStats { return x.f.PoolStats() }
 
 // AccelStats returns per-sidecar counters for stab accelerators attached
 // via WithStabAccel — one entry per accelerated shard, in shard order.
 // Empty when no accelerator is attached, or while a predictive skeleton
 // index is still collecting its sample.
-func (x *Index) AccelStats() []AccelStats { return x.eng.AccelStats() }
+func (x *Index) AccelStats() []AccelStats { return x.f.AccelStats() }
 
 // Flush persists dirty nodes and metadata to the page store.
-func (x *Index) Flush() error { return x.eng.Flush() }
+func (x *Index) Flush() error { return x.f.Flush() }
 
 // CheckInvariants validates the entire structure; see core.Tree.
-func (x *Index) CheckInvariants() error { return x.eng.CheckInvariants() }
+func (x *Index) CheckInvariants() error { return x.f.CheckInvariants() }
 
 // Analyze computes a structural report: per-level node counts, coverage
 // area, sibling overlap, aspect ratios, and occupancy.
-func (x *Index) Analyze() (*Report, error) { return x.eng.Analyze() }
+func (x *Index) Analyze() (*Report, error) { return x.f.Analyze() }
 
-// Close flushes and releases the index and, when the index owns its store
-// (default in-memory store or WithFile), closes the store. The store is
-// closed even when the flush fails; all errors are reported. A sharded
-// index closes every shard store and the forest manifest.
-func (x *Index) Close() error {
-	if f := x.asForest(); f != nil {
-		return f.Close()
-	}
-	err := x.eng.Flush()
-	if x.owned {
-		err = errors.Join(err, x.st.Close())
-	}
-	return err
-}
+// Close flushes and releases the index and closes every store the index
+// owns — each shard's in-memory store or file, and the forest manifest —
+// but not a caller's WithStore store. The stores are closed even when the
+// flush fails; all errors are reported.
+func (x *Index) Close() error { return x.f.Close() }
 
 // SkeletonEstimate describes the expected input for skeleton
 // pre-construction (Section 4 of the paper).
@@ -312,14 +299,6 @@ func NewSkeletonSRTree(est SkeletonEstimate, opts ...Option) (*Index, error) {
 	return build("skeleton-sr-tree", true, &est, opts)
 }
 
-// newIndex assembles the public handle around an engine, applying the
-// resolved runtime options.
-func newIndex(eng engine, st store.Store, kind string, owned bool, o *options) *Index {
-	x := &Index{eng: eng, st: st, kind: kind, owned: owned}
-	x.par.Store(int32(o.par))
-	return x
-}
-
 func build(kind string, spanning bool, est *SkeletonEstimate, opts []Option) (*Index, error) {
 	o, err := resolve(opts)
 	if err != nil {
@@ -332,7 +311,7 @@ func build(kind string, spanning bool, est *SkeletonEstimate, opts []Option) (*I
 	} else if err := est.validate(cfg.Dims); err != nil {
 		return nil, err
 	}
-	return o.assemble(kind, cfg, false, func(_ int, cfg core.Config, st store.Store) (forest.Engine, error) {
+	return o.assemble(kind, cfg, false, func(_ int, cfg core.Config, st store.Store) (core.Engine, error) {
 		return o.newEngine(cfg, st, est)
 	})
 }
@@ -358,7 +337,7 @@ func (e *SkeletonEstimate) validate(dims int) error {
 // estimate, a staging predictor under distribution prediction, else a
 // pre-built skeleton. Each tree of a forest is sized for its roughly 1/n
 // share of the estimated input.
-func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstimate) (forest.Engine, error) {
+func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstimate) (core.Engine, error) {
 	if est == nil {
 		t, err := core.New(cfg, st)
 		if err != nil {
@@ -390,71 +369,73 @@ func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstima
 }
 
 // assemble is the one constructor behind every New* and BulkLoad call: it
-// validates cfg, opens one page store per shard (a single tree is the
-// 1-shard case and may run on the caller's store), builds each shard's
-// engine with mk, and returns the lone engine as is or n of them behind a
-// forest. rebuild tells the forest that mk hands it non-empty shards.
-// Validation comes first so that a rejected call creates no file.
+// validates cfg, creates the manifest a forest of several files needs, and
+// plants n = max(shards, 1) trees built by mk. rebuild tells the forest
+// that mk hands it non-empty shards. Validation comes first so that a
+// rejected call creates no file.
 func (o *options) assemble(kind string, cfg core.Config, rebuild bool,
-	mk func(i int, cfg core.Config, st store.Store) (forest.Engine, error)) (*Index, error) {
+	mk func(i int, cfg core.Config, st store.Store) (core.Engine, error)) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := o.shards
-	if n <= 1 {
-		st, owned := o.st, false
-		if st == nil {
-			var err error
-			if st, err = o.openStore(o.path); err != nil {
-				return nil, err
-			}
-			owned = true
-		}
-		eng, err := mk(0, cfg, st)
-		if err != nil {
-			if owned {
-				err = errors.Join(err, st.Close())
-			}
-			return nil, err
-		}
-		return newIndex(eng, st, kind, owned, o), nil
-	}
-
+	n := max(o.shards, 1)
 	cfg = shardConfig(cfg, n)
-	var mf *forest.ManifestFile
-	if o.path != "" {
+	fc := forest.Config{Dims: cfg.Dims, Rebuild: rebuild}
+	if o.path != "" && n > 1 { // one shard is one file: nothing to enumerate
 		var err error
-		if mf, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
+		if fc.Manifest, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
 			return nil, err
 		}
 	}
+	f, err := o.plant(n, &fc, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
+	if err != nil {
+		return nil, err
+	}
+	return &Index{f: f, kind: kind}, nil
+}
+
+// plant opens one page store per shard — a caller's WithStore store is the
+// one shard's, and stays the caller's to close — builds each shard's engine
+// with mk and assembles the forest. fc is read after the last mk call, so
+// mk may fill in what only an opened shard knows. Any failure closes every
+// store opened so far and the manifest.
+func (o *options) plant(n int, fc *forest.Config,
+	mk func(i int, st store.Store) (core.Engine, error)) (*forest.Forest, error) {
 	shards := make([]forest.Shard, 0, n)
-	fail := func(err error) (*Index, error) {
+	fail := func(err error) (*forest.Forest, error) {
 		for _, s := range shards {
-			err = errors.Join(err, s.Store.Close())
+			if s.Store != nil {
+				err = errors.Join(err, s.Store.Close())
+			}
 		}
-		if mf != nil {
-			err = errors.Join(err, mf.Close())
+		if fc.Manifest != nil {
+			err = errors.Join(err, fc.Manifest.Close())
 		}
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		st, err := o.openStore(o.shardPath(i))
+		sh := forest.Shard{}
+		st := o.st
+		if st == nil {
+			var err error
+			if st, err = o.openStore(o.shardPath(i, n)); err != nil {
+				return fail(err)
+			}
+			sh.Store = st
+		}
+		shards = append(shards, sh) // before mk, so that fail closes this store too
+		eng, err := mk(i, st)
 		if err != nil {
 			return fail(err)
 		}
-		eng, err := mk(i, cfg, st)
-		if err != nil {
-			return fail(errors.Join(err, st.Close()))
-		}
-		shards = append(shards, forest.Shard{Eng: eng, Store: st})
+		shards[i].Eng = eng
 	}
-	f, err := forest.New(shards, forest.Config{Dims: cfg.Dims, Manifest: mf, Rebuild: rebuild})
+	f, err := forest.New(shards, *fc)
 	if err != nil {
 		return fail(err)
 	}
 	f.SetParallelism(o.par)
-	return newIndex(f, nil, kind, false, o), nil
+	return f, nil
 }
 
 // BulkRecord pairs a rectangle with its ID for bulk loading.
@@ -474,11 +455,8 @@ func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, 
 	cfg := o.cfg
 	cfg.Spanning = false
 	cfg.CoalesceEvery = 0
-	parts := [][]BulkRecord{records}
-	if o.shards > 1 {
-		parts = partitionByShard(records, o.shards)
-	}
-	return o.assemble("packed-r-tree", cfg, true, func(i int, cfg core.Config, st store.Store) (forest.Engine, error) {
+	parts := partitionByShard(records, max(o.shards, 1))
+	return o.assemble("packed-r-tree", cfg, true, func(i int, cfg core.Config, st store.Store) (core.Engine, error) {
 		t, err := core.BulkLoad(cfg, st, parts[i], fill)
 		if err != nil {
 			return nil, err
@@ -492,16 +470,7 @@ func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, 
 // configuration (dimensions, page sizes, spanning mode); options may tune
 // runtime knobs such as the buffer budget. A path holding a forest
 // manifest (WithFile + WithShards) reassembles the whole forest.
-func Open(path string, opts ...Option) (*Index, error) {
-	if forest.SniffManifest(store.OS, path) {
-		return openForest(path, false, opts)
-	}
-	fs, err := store.OpenFileStore(path)
-	if err != nil {
-		return nil, err
-	}
-	return openStore(fs, opts)
-}
+func Open(path string, opts ...Option) (*Index, error) { return open(path, false, opts) }
 
 // OpenDurable reattaches an index created via WithDurableFile. Opening
 // replays the write-ahead log first: an interrupted Flush is either
@@ -509,27 +478,52 @@ func Open(path string, opts ...Option) (*Index, error) {
 // boundary. A path holding a forest manifest (WithDurableFile +
 // WithShards) replays every shard's log and reassembles the forest at
 // the manifest's epoch.
-func OpenDurable(path string, opts ...Option) (*Index, error) {
-	if forest.SniffManifest(store.OS, path) {
-		return openForest(path, true, opts)
-	}
-	ws, err := store.OpenWALStore(path)
+func OpenDurable(path string, opts ...Option) (*Index, error) { return open(path, true, opts) }
+
+// open reassembles a persisted index: the shards its manifest names, or,
+// where path holds no manifest, the one tree stored at path itself. Each
+// shard store is opened (replaying its WAL when durable) and its metadata
+// verified against the manifest — a shard whose durable epoch is ahead of
+// the manifest cannot result from any crash of the flush protocol and is
+// rejected as corruption — and the routing state of a forest of several
+// shards is rebuilt from their stored portions.
+func open(path string, durable bool, opts []Option) (*Index, error) {
+	o, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	return openStore(ws, opts)
-}
-
-func openStore(fs store.Store, opts []Option) (*Index, error) {
-	o, err := resolve(opts)
-	if err != nil {
-		return nil, errors.Join(err, fs.Close())
+	// What is on disk decides the store and the shard count; the options
+	// that choose them at construction do not apply.
+	o.st, o.path, o.durable, o.shards = nil, path, durable, 1
+	fc := forest.Config{Rebuild: true}
+	if forest.SniffManifest(store.OS, path) {
+		mf, m, err := forest.OpenManifest(store.OS, path)
+		if err != nil {
+			return nil, err
+		}
+		o.shards, fc.Manifest, fc.Epoch = m.Shards, mf, m.Epoch
 	}
-	t, err := o.openTree(o.cfg, fs)
+	cfg := shardConfig(o.cfg, o.shards)
+	var first *core.Tree // shard 0, which names the kind and the dims
+	f, err := o.plant(o.shards, &fc, func(i int, st store.Store) (core.Engine, error) {
+		t, err := o.openTree(cfg, st)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("segidx: shard %d: %w", i, err)
+		case fc.Manifest != nil && t.FlushEpoch() > fc.Epoch:
+			return nil, fmt.Errorf("segidx: shard %d at epoch %d, ahead of manifest epoch %d: %w",
+				i, t.FlushEpoch(), fc.Epoch, store.ErrBroken)
+		case i == 0:
+			first, fc.Dims = t, t.Config().Dims
+		case t.Config().Spanning != first.Config().Spanning:
+			return nil, fmt.Errorf("segidx: shard %d spanning=%v differs from shard 0", i, t.Config().Spanning)
+		}
+		return t, nil
+	})
 	if err != nil {
-		return nil, errors.Join(err, fs.Close())
+		return nil, err
 	}
-	return newIndex(t, fs, reopenedKind(t), true, o), nil
+	return &Index{f: f, kind: reopenedKind(first)}, nil
 }
 
 // openTree reattaches the tree persisted in st: its stored metadata

@@ -94,83 +94,6 @@ func TestAllIndexTypesAgree(t *testing.T) {
 	}
 }
 
-func TestPublicPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.db")
-	idx, err := segidx.NewSRTree(segidx.WithFile(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := workload.I1.Generate(500, 9)
-	for i, r := range data {
-		if err := idx.Insert(r, segidx.RecordID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := idx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	idx2, err := segidx.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx2.Close()
-	if idx2.Kind() != "sr-tree" {
-		t.Errorf("reopened kind = %q", idx2.Kind())
-	}
-	if idx2.Len() != 500 {
-		t.Fatalf("reopened Len = %d", idx2.Len())
-	}
-	n, err := idx2.Count(segidx.Box(0, 0, workload.DomainHi, workload.DomainHi))
-	if err != nil || n != 500 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-	if err := idx2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicDurablePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.db")
-	idx, err := segidx.NewSRTree(segidx.WithDurableFile(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := workload.I1.Generate(500, 9)
-	for i, r := range data {
-		if err := idx.Insert(r, segidx.RecordID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%100 == 0 {
-			if err := idx.Flush(); err != nil {
-				t.Fatalf("Flush at %d: %v", i+1, err)
-			}
-		}
-	}
-	if err := idx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	idx2, err := segidx.OpenDurable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx2.Close()
-	if idx2.Kind() != "sr-tree" {
-		t.Errorf("reopened kind = %q", idx2.Kind())
-	}
-	if idx2.Len() != 500 {
-		t.Fatalf("reopened Len = %d", idx2.Len())
-	}
-	n, err := idx2.Count(segidx.Box(0, 0, workload.DomainHi, workload.DomainHi))
-	if err != nil || n != 500 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-	if err := idx2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenMissingFileMeta(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.db")
 	// Create an empty file store with no index in it.

@@ -2,71 +2,164 @@ package segidx_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"segidx"
+	"segidx/internal/forest"
 	"segidx/internal/store"
 )
 
-// Facade-level persistence tests for the sharded forest: a durable
-// forest survives Close/OpenDurable with its full contents, reopening
-// detects the manifest automatically, and the flush protocol's ordering
-// invariant is enforced on the way back in — a shard whose durable epoch
-// is ahead of the manifest is rejected as corruption.
+// Facade-level persistence tests: an index of any shard count survives
+// Close and Open/OpenDurable with its full contents in the file layout it
+// has always had, reopening detects a manifest automatically, and the flush
+// protocol's ordering invariant is enforced on the way back in — a shard
+// whose durable epoch is ahead of the manifest is rejected as corruption.
 
-func TestForestDurableRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "forest.db")
-	idx, err := segidx.NewSRTree(
-		segidx.WithDurableFile(path),
-		segidx.WithShards(3),
-		segidx.WithLeafNodeBytes(256),
-	)
-	if err != nil {
-		t.Fatal(err)
+// TestIndexLayoutAndRoundTrip builds the same index as one tree and as a
+// forest of three, in memory, in a file and behind a write-ahead log, and
+// checks what the one engine shape must not lose. A forest of one writes
+// exactly the files a lone tree always wrote (p, plus p.wal when durable;
+// no manifest, no p.shard0), so files from before the unification still
+// open; it comes back without reading its pages, having no routing state
+// to rebuild; and every reopened index answers like the brute-force model.
+func TestIndexLayoutAndRoundTrip(t *testing.T) {
+	backings := []struct {
+		name    string
+		durable bool
+		with    func(string) segidx.Option // nil keeps the pages in memory
+		open    func(string, ...segidx.Option) (*segidx.Index, error)
+	}{
+		{name: "memory"},
+		{name: "file", with: segidx.WithFile, open: segidx.Open},
+		{name: "durable", durable: true, with: segidx.WithDurableFile, open: segidx.OpenDurable},
 	}
-	rng := rand.New(rand.NewSource(17))
-	live := make(map[segidx.RecordID]segidx.Rect)
-	for i := 0; i < 200; i++ {
-		r := diffRect(rng)
-		id := segidx.RecordID(i + 1)
-		if err := idx.Insert(r, id); err != nil {
-			t.Fatal(err)
-		}
-		live[id] = r
-	}
-	for i := 0; i < 40; i++ {
-		id := segidx.RecordID(5*i + 1)
-		if _, err := idx.Delete(id, live[id]); err != nil {
-			t.Fatal(err)
-		}
-		delete(live, id)
-	}
-	if err := idx.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 3} {
+		for _, b := range backings {
+			t.Run(fmt.Sprintf("%s/%d-shards", b.name, shards), func(t *testing.T) {
+				// The one-shard files are big enough that a scan of the stored
+				// portions on reopen could not hide among a few page reads.
+				n := 400
+				if shards == 1 && b.with != nil {
+					n = 20000
+				}
+				dir := t.TempDir()
+				path := filepath.Join(dir, "ix.db")
+				opts := []segidx.Option{segidx.WithShards(shards), segidx.WithLeafNodeBytes(256)}
+				if b.with != nil {
+					opts = append(opts, b.with(path))
+				}
+				idx, err := segidx.NewSRTree(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(17))
+				live := make(map[segidx.RecordID]segidx.Rect)
+				for i := 0; i < n; i++ {
+					r, id := diffRect(rng), segidx.RecordID(i+1)
+					if err := idx.Insert(r, id); err != nil {
+						t.Fatal(err)
+					}
+					live[id] = r
+					if (i+1)%(n/4) == 0 {
+						if err := idx.Flush(); err != nil {
+							t.Fatalf("Flush at %d: %v", i+1, err)
+						}
+					}
+				}
+				for id := segidx.RecordID(1); int(id) <= n; id += 5 {
+					if got, err := idx.Delete(id, live[id]); err != nil || got != 1 {
+						t.Fatalf("Delete(%d) = %d, %v", id, got, err)
+					}
+					delete(live, id)
+				}
+				checkAgainstModel(t, idx, shards, live, rng)
+				if err := idx.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if b.with == nil {
+					return
+				}
 
-	re, err := segidx.OpenDurable(path)
-	if err != nil {
+				var want []string
+				for i := 0; i < shards; i++ {
+					pages := "ix.db" // a forest of one is its tree's file
+					if shards > 1 {
+						pages = fmt.Sprintf("ix.db.shard%d", i)
+					}
+					want = append(want, pages)
+					if b.durable {
+						want = append(want, pages+".wal")
+					}
+				}
+				if shards > 1 {
+					want = append(want, "ix.db") // the manifest
+				}
+				sort.Strings(want)
+				var got []string
+				left, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range left {
+					got = append(got, f.Name())
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("files after Close = %v, want %v", got, want)
+				}
+				if sniffed := forest.SniffManifest(store.OS, path); sniffed != (shards > 1) {
+					t.Fatalf("SniffManifest(%s) = %v with %d shards", path, sniffed, shards)
+				}
+
+				re, err := b.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gets := re.PoolStats().Gets; shards == 1 && gets > 2 {
+					t.Fatalf("opening a one-shard index of %d records cost %d pool gets, want <= 2 (no scan)", n, gets)
+				}
+				checkAgainstModel(t, re, shards, live, rng)
+
+				// The reopened index keeps working: mutate, close, reopen again.
+				live[segidx.RecordID(n+1)] = segidx.Box(5, 5, 6, 6)
+				if err := re.Insert(live[segidx.RecordID(n+1)], segidx.RecordID(n+1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re2, err := b.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstModel(t, re2, shards, live, rng)
+				if err := re2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// checkAgainstModel compares an SR-Tree index with the brute-force model of
+// what it should hold: shape, invariants and fifty searches.
+func checkAgainstModel(t *testing.T, idx *segidx.Index, shards int, live map[segidx.RecordID]segidx.Rect, rng *rand.Rand) {
+	t.Helper()
+	if idx.Kind() != "sr-tree" || idx.Shards() != shards || idx.Len() != len(live) {
+		t.Fatalf("kind %q, %d shards, Len %d; want sr-tree, %d, %d",
+			idx.Kind(), idx.Shards(), idx.Len(), shards, len(live))
+	}
+	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if re.Shards() != 3 {
-		t.Fatalf("reopened forest has %d shards, want 3", re.Shards())
-	}
-	if re.Kind() != "sr-tree" {
-		t.Fatalf("reopened kind = %q, want sr-tree", re.Kind())
-	}
-	if re.Len() != len(live) {
-		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(live))
-	}
-	if err := re.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 40; q++ {
+	for q := 0; q < 50; q++ {
 		query := diffRect(rng)
-		got, err := re.Search(query)
+		got, err := idx.Search(query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,54 +173,27 @@ func TestForestDurableRoundTrip(t *testing.T) {
 			t.Fatalf("query %d: got %d records, want %d", q, len(got), len(want))
 		}
 	}
-
-	// The reopened forest keeps working: mutate, close, reopen again.
-	if err := re.Insert(segidx.Box(5, 5, 6, 6), 9999); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := segidx.OpenDurable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re2.Len() != len(live)+1 {
-		t.Fatalf("second reopen Len = %d, want %d", re2.Len(), len(live)+1)
-	}
-	if err := re2.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestForestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "forest.db")
-	idx, err := segidx.NewRTree(
-		segidx.WithFile(path),
-		segidx.WithShards(2),
-		segidx.WithLeafNodeBytes(256),
-	)
+// TestCloseLeavesCallerStoreOpen: a WithStore store is the one shard's
+// pages but stays the caller's — Close flushes into it and leaves it usable.
+func TestCloseLeavesCallerStoreOpen(t *testing.T) {
+	st := store.NewMemStore()
+	idx, err := segidx.NewSRTree(segidx.WithStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		if err := idx.Insert(diffRect(rng), segidx.RecordID(i+1)); err != nil {
-			t.Fatal(err)
-		}
+	if err := idx.Insert(segidx.Box(1, 1, 2, 2), 1); err != nil {
+		t.Fatal(err)
 	}
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := segidx.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if st.Len() < 2 {
+		t.Fatalf("store holds %d pages after Close, want the metadata page and a root", st.Len())
 	}
-	if re.Shards() != 2 || re.Len() != 100 {
-		t.Fatalf("reopened shards=%d len=%d, want 2 and 100", re.Shards(), re.Len())
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := st.Allocate(64); err != nil {
+		t.Fatalf("caller's store after Close: %v", err)
 	}
 }
 
