@@ -131,12 +131,14 @@ func BenchmarkInsert(b *testing.B) {
 			data := spec.Dataset.Generate(b.N, spec.Seed)
 			idx := newFor(b, spec, kind)
 			defer idx.Close()
+			before := idx.PoolStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := idx.Insert(data[i], segidx.RecordID(i+1)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportClones(b, before, idx.PoolStats())
 		})
 	}
 }
@@ -287,6 +289,8 @@ func BenchmarkDelete(b *testing.B) {
 	idx := buildFor(b, spec, harness.KindSRTree)
 	defer idx.Close()
 	data := spec.Dataset.Generate(spec.Tuples, spec.Seed)
+	var cow segidx.PoolStats // over the deletes alone
+	before := idx.PoolStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(data)
@@ -299,11 +303,23 @@ func BenchmarkDelete(b *testing.B) {
 			b.Fatalf("delete %d removed %d", id, n)
 		}
 		b.StopTimer()
+		after := idx.PoolStats()
+		cow.Clones += after.Clones - before.Clones
+		cow.ClonedBytes += after.ClonedBytes - before.ClonedBytes
 		if err := idx.Insert(data[j], id); err != nil {
 			b.Fatal(err)
 		}
+		before = idx.PoolStats()
 		b.StartTimer()
 	}
+	reportClones(b, segidx.PoolStats{}, cow)
+}
+
+// reportClones reports the copy-on-write cost of the b.N measured
+// operations: pages cloned and page bytes cloned per operation.
+func reportClones(b *testing.B, before, after segidx.PoolStats) {
+	b.ReportMetric(float64(after.Clones-before.Clones)/float64(b.N), "clones/op")
+	b.ReportMetric(float64(after.ClonedBytes-before.ClonedBytes)/float64(b.N), "cloned-B/op")
 }
 
 // BenchmarkBulkLoad measures packed construction throughput.

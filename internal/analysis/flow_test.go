@@ -114,6 +114,7 @@ type Tree struct{ root ID }
 
 func (t *Tree) fetch(id ID) (*node, error)    { return &node{ID: id}, nil }
 func (t *Tree) fetchMut(id ID) (*node, error) { return &node{ID: id}, nil }
+func (t *Tree) mut(n *node) (*node, error)    { return n, nil }
 func (t *Tree) done(id ID, dirty bool) error  { _, _ = id, dirty; return nil }
 func (t *Tree) getQctx() *qctx                { return &qctx{} }
 func (t *Tree) releaseQctx(qc *qctx)          { _ = qc }
@@ -266,6 +267,45 @@ func getMutClean(p *Pool, id ID) error {
 	}
 	defer p.Unpin(n.ID, true)
 	return n.use()
+}
+
+// upgradeClean: the write path's idiom — descend with a read pin, upgrade
+// it at the first change (into the same variable), release once by ID. The
+// untouched path releases the read pin; a failed upgrade holds nothing.
+func (t *Tree) upgradeClean(id ID) error {
+	n, err := t.fetch(id)
+	if err != nil {
+		return err
+	}
+	if !n.bad() {
+		return t.done(id, false)
+	}
+	if n, err = t.mut(n); err != nil {
+		return err
+	}
+	if n.bad() {
+		t.done(n.ID, true)
+		return errBad
+	}
+	return t.done(id, true)
+}
+
+// upgradeStale: the upgrade's result lands in m, so n still holds the
+// published version snapshots read — touching it is a finding, and so is
+// dropping the write pin on the errBad path.
+func (t *Tree) upgradeStale(id ID) error {
+	n, err := t.fetch(id)
+	if err != nil {
+		return err
+	}
+	m, err := t.mut(n)
+	if err != nil {
+		return err
+	}
+	if n.bad() { // want pinbalance
+		return errBad // want pinbalance
+	}
+	return t.done(m.ID, true)
 }
 
 // snapLeak: the early return drops the snapshot without Release.

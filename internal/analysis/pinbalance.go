@@ -20,6 +20,13 @@ package analysis
 // currently held. A release with no live matching pin on some path is a
 // double unpin.
 //
+// The write path's upgrade (Tree.mut(n), Pool.Upgrade(id)) is both at
+// once: it consumes the read pin on the page — also when it fails — and
+// yields a write pin on the same page, released the same way. The pointer
+// that went in is the published version snapshots read from then on, so
+// any later use of that variable (short of overwriting it, as in
+// n, err = t.mut(n)) is reported.
+//
 // Ownership transfer is respected: a pin whose variable escapes the
 // function (returned, stored into a struct/map/slice, or handed bare to a
 // helper call) is no longer this function's to release and is not
@@ -77,6 +84,14 @@ type pinInfo struct {
 	errObj  types.Object
 	aliases map[types.Object]bool // objects assigned from varObj.ID
 	escaped bool
+
+	// upgraded is the argument of an upgrade call (nil for other births)
+	// and consumes the pins on its page the upgrade takes over; staleObj
+	// is the variable the argument names when the result lands elsewhere,
+	// i.e. the pre-upgrade pointer that must not be used again.
+	upgraded ast.Expr
+	consumes []*pinInfo
+	staleObj types.Object
 }
 
 // pinFact is the per-path state of one pin.
@@ -86,6 +101,8 @@ type pinFact struct {
 	// errLive is true while the birth's error variable still describes
 	// this acquisition, enabling `err != nil` edge refinement.
 	errLive bool
+	// stale is set while staleObj still holds the pre-upgrade pointer.
+	stale tri
 }
 
 type pinState map[*pinInfo]*pinFact
@@ -168,6 +185,12 @@ func (a *pinAnalysis) collectPins(body *ast.BlockStmt) {
 				pi.varObj = objOf(a.p.Info, id)
 			}
 		}
+		if a.isUpgrade(call) {
+			pi.upgraded = call.Args[0]
+			if o := identObj(a.p.Info, pi.upgraded); o != pi.varObj {
+				pi.staleObj = o
+			}
+		}
 		if len(lhs) >= 2 {
 			if id, ok := lhs[1].(*ast.Ident); ok && id.Name != "_" {
 				pi.errObj = objOf(a.p.Info, id)
@@ -178,12 +201,50 @@ func (a *pinAnalysis) collectPins(body *ast.BlockStmt) {
 		return true
 	})
 	for _, pi := range a.pins {
+		if pi.upgraded != nil {
+			pi.consumes = a.consumed(pi)
+			// t.mut(n) names its page through the pin it consumes.
+			for _, src := range pi.consumes {
+				if pi.argKey == "" {
+					pi.argKey = src.argKey
+				}
+			}
+		}
 		if pi.varObj == nil {
 			continue
 		}
 		pi.aliases = a.collectAliases(body, pi.varObj)
 		pi.escaped = a.escapes(body, pi)
 	}
+}
+
+// isUpgrade reports whether the call is the write path's upgrade primitive.
+func (a *pinAnalysis) isUpgrade(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	recv := namedTypeName(a.p.Info, sel.X)
+	return (sel.Sel.Name == "mut" && recv == "Tree") || (sel.Sel.Name == "Upgrade" && recv == "Pool")
+}
+
+// consumed resolves the pins an upgrade birth takes over: those held in the
+// node variable passed to mut, or on the page ID passed to Upgrade.
+func (a *pinAnalysis) consumed(up *pinInfo) []*pinInfo {
+	var out []*pinInfo
+	if obj := identObj(a.p.Info, up.upgraded); obj != nil {
+		for _, pi := range a.pins {
+			if pi != up && pi.kind == pinPage && pi.varObj == obj {
+				out = append(out, pi)
+			}
+		}
+	}
+	for _, pi := range a.matchPagePins(up.upgraded) {
+		if pi != up {
+			out = append(out, pi)
+		}
+	}
+	return out
 }
 
 // collectAliases finds `x := v.ID` style assignments so a later release
@@ -243,8 +304,8 @@ func (a *pinAnalysis) escapes(body *ast.BlockStmt, pi *pinInfo) bool {
 		case *ast.BinaryExpr:
 			return true // comparisons (v == nil) do not retain the pointer
 		case *ast.CallExpr:
-			if _, isRelease := a.releaseTargets(parent); isRelease {
-				return true // the release itself is not an escape
+			if _, isRelease := a.releaseTargets(parent); isRelease || a.isUpgrade(parent) {
+				return true // the release (or upgrade) itself is not an escape
 			}
 		case *ast.AssignStmt:
 			for _, l := range parent.Lhs {
@@ -272,6 +333,13 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc 
 		argKey = exprText(a.p.Fset, call.Args[0])
 	case (name == "Get" || name == "GetMut") && recv == "Pool" && len(call.Args) == 1:
 		argKey = exprText(a.p.Fset, call.Args[0])
+	case a.isUpgrade(call):
+		// The write pin an upgrade yields. Upgrade(id) names its page; for
+		// mut(n) collectPins copies the key of the pin n holds.
+		if name == "Upgrade" {
+			argKey = exprText(a.p.Fset, call.Args[0])
+		}
+		return pinPage, argKey, exprText(a.p.Fset, sel.X) + "." + name + "(" + exprText(a.p.Fset, call.Args[0]) + ")", true
 	case name == "NewNode" && recv == "Pool":
 		// Released only through the node's ID.
 	case (name == "getQctx" || name == "beginRead") && recv == "Tree":
@@ -392,6 +460,7 @@ func (a *pinAnalysis) Join(dst, src pinState) (pinState, bool) {
 			nf := *sf
 			nf.held = joinPath(triBot, sf.held)
 			nf.deferred = joinPath(triBot, sf.deferred)
+			nf.stale = joinPath(triBot, sf.stale)
 			dst[k] = &nf
 			changed = true
 			continue
@@ -402,6 +471,10 @@ func (a *pinAnalysis) Join(dst, src pinState) (pinState, bool) {
 		}
 		if d := joinPath(df.deferred, sf.deferred); d != df.deferred {
 			df.deferred = d
+			changed = true
+		}
+		if st := joinPath(df.stale, sf.stale); st != df.stale {
+			df.stale = st
 			changed = true
 		}
 		if df.errLive && !sf.errLive {
@@ -421,12 +494,25 @@ func (a *pinAnalysis) Join(dst, src pinState) (pinState, bool) {
 			df.deferred = d
 			changed = true
 		}
+		if st := joinPath(df.stale, triBot); st != df.stale {
+			df.stale = st
+			changed = true
+		}
 	}
 	return dst, changed
 }
 
 func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
+	if a.report {
+		a.reportStaleUses(n, s)
+	}
 	if pi, ok := a.byBirth[n]; ok {
+		// An upgrade takes over the pins on its page, success or not.
+		for _, src := range pi.consumes {
+			if f := s[src]; f != nil {
+				f.held = triNo
+			}
+		}
 		// The assignment also overwrites whatever the variables held
 		// before: other pins sharing the variable or error object lose
 		// their tracking/refinement first.
@@ -440,6 +526,10 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 		}
 		f.held = triYes
 		f.errLive = pi.errObj != nil
+		f.stale = triNo
+		if pi.staleObj != nil {
+			f.stale = triYes
+		}
 		return s
 	}
 	if ds, ok := n.(*ast.DeferStmt); ok {
@@ -527,7 +617,35 @@ func (a *pinAnalysis) transferAssign(as *ast.AssignStmt, s pinState) {
 			if pi.varObj == obj {
 				f.held = triNo
 			}
+			if pi.staleObj == obj {
+				f.stale = triNo
+			}
 		}
+	}
+}
+
+// reportStaleUses flags every read of a variable that still holds the
+// pointer an upgrade consumed; an assignment's left-hand side is an
+// overwrite, not a read.
+func (a *pinAnalysis) reportStaleUses(n ast.Node, s pinState) {
+	for pi, f := range s {
+		if f.stale != triYes && f.stale != triMaybe {
+			continue
+		}
+		overwritten := make(map[*ast.Ident]bool)
+		inspectCFGNode(n, func(m ast.Node) bool {
+			if as, ok := m.(*ast.AssignStmt); ok {
+				for _, l := range as.Lhs {
+					if id, ok := l.(*ast.Ident); ok {
+						overwritten[id] = true
+					}
+				}
+			}
+			if id, ok := m.(*ast.Ident); ok && !overwritten[id] && objOf(a.p.Info, id) == pi.staleObj {
+				a.p.Reportf(id.Pos(), "uses %s after %s upgraded it: the pre-upgrade pointer is the published version snapshots read; use the upgrade's result", id.Name, pi.desc)
+			}
+			return true
+		})
 	}
 }
 

@@ -11,17 +11,26 @@
 //
 // Every frame carries the epoch it was installed at. The single writer of a
 // tree brackets each mutating operation with BeginWrite(e) and Publish(e):
-// inside the bracket, GetMut clones the published head of a page before
-// mutating it (copy-on-write), retiring the pre-image into the shard's
-// version chain with supersession epoch e, and Free defers the store-level
-// page release the same way. Readers call GetVersion(id, epoch) with the
-// epoch of the tree state they pinned: the resident head serves them when
-// it was installed at or before their epoch, otherwise the version chain
-// does, otherwise the store does (the retention discipline guarantees the
-// durable image is never newer than what such a fall-through may observe —
-// see the invariant below). Readers never pin; published node versions are
-// immutable, and Go's garbage collector keeps a node alive for as long as
-// any query still holds its pointer.
+// inside the bracket the writer descends with Get like any reader of the
+// newest version and calls Upgrade on a page at its first mutation, not its
+// first visit. Upgrade clones the published head (copy-on-write), retires
+// the pre-image into the shard's version chain with supersession epoch e
+// and hands the writer's pin over to the clone, which is born dirty — so a
+// frame is dirty exactly when it was mutated, and an operation clones,
+// writes back and logs the pages it changed rather than the path it walked.
+// Free defers the store-level page release the same way. Mutating a node
+// obtained from Get without upgrading it is the one thing the writer must
+// never do: the change would be visible to pinned snapshots and, the frame
+// being clean, lost at the next Flush.
+//
+// Readers call GetVersion(id, epoch) with the epoch of the tree state they
+// pinned: the resident head serves them when it was installed at or before
+// their epoch, otherwise the version chain does, otherwise the store does
+// (the retention discipline guarantees the durable image is never newer
+// than what such a fall-through may observe — see the invariant below).
+// Readers never pin; published node versions are immutable, and Go's
+// garbage collector keeps a node alive for as long as any query still holds
+// its pointer.
 //
 // Retention invariant: whenever a page version visible at epoch E is
 // superseded or its page freed, the pre-image is retained in the version
@@ -71,7 +80,8 @@ type Stats struct {
 	Evictions uint64 // frames evicted to honor the budget
 	Writes    uint64 // dirty pages written back
 
-	Clones        uint64 // copy-on-write clones made by GetMut
+	Clones        uint64 // copy-on-write clones made by Upgrade
+	ClonedBytes   uint64 // page bytes of those clones
 	Collected     uint64 // superseded version frames reclaimed by Collect
 	DeferredFrees uint64 // store page frees executed after their epoch drained
 	Retained      uint64 // superseded version frames currently retained (gauge)
@@ -87,6 +97,7 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.Writes += o.Writes
 	s.Clones += o.Clones
+	s.ClonedBytes += o.ClonedBytes
 	s.Collected += o.Collected
 	s.DeferredFrees += o.DeferredFrees
 	s.Retained += o.Retained
@@ -280,7 +291,7 @@ func (p *Pool) shardFor(id page.ID) *shard {
 }
 
 // BeginWrite opens a write bracket at the given epoch (the tree's published
-// epoch plus one). Frames installed by NewNode and GetMut inside the
+// epoch plus one). Frames installed by NewNode and Upgrade inside the
 // bracket carry this epoch and stay resident until Publish or Rollback.
 // Only the tree's single writer may call this, under its write lock.
 func (p *Pool) BeginWrite(epoch uint64) { p.writeEpoch = epoch }
@@ -431,66 +442,51 @@ func (p *Pool) readLocked(s *shard, id page.ID) (*frame, error) {
 }
 
 // GetMut returns the node for id ready for mutation inside the open write
-// bracket, pinned. The first GetMut of a page per bracket clones the
-// published head (copy-on-write) and retires the pre-image into the version
-// chain; later GetMuts of the same page return the same clone. Outside a
-// bracket GetMut degenerates to Get. Only the tree's single writer may call
-// this, under its write lock.
+// bracket, pinned: Get followed by Upgrade, for a page the writer fetches in
+// order to change it. A descent that may leave the page untouched pins it
+// with Get and upgrades only once it knows. Only the tree's single writer
+// may call this, under its write lock.
 func (p *Pool) GetMut(id page.ID) (*node.Node, error) {
-	if !p.inBracket() {
-		return p.Get(id)
+	if _, err := p.Get(id); err != nil {
+		return nil, err
 	}
-	we := p.writeEpoch
+	return p.Upgrade(id)
+}
+
+// Upgrade turns the writer's pin on id (from Get) into a pin on the open
+// bracket's mutable version of the page and returns that version. The first
+// Upgrade of a page per bracket clones the published head (copy-on-write),
+// retires the pre-image into the version chain and marks the clone dirty;
+// on a page the bracket already owns, and outside a bracket, it returns the
+// pinned node itself. The pointer Get returned must not be used afterwards:
+// once retired it is what snapshots read. Upgrade consumes the caller's pin
+// even when it fails — a published head someone else also pins cannot be
+// retired (the other holder would unpin into a frame no longer resident),
+// which is a pin-discipline bug in the caller. Only the tree's single
+// writer may call this, under its write lock.
+func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Gets++
-	if f, ok := s.resident[id]; ok {
-		if f.install == we {
-			s.stats.Hits++
-			s.pinLocked(f)
-			return f.n, nil
-		}
-		if f.pins > 0 {
-			// A pinned published head must not be retired: the pin holder
-			// would unpin into a frame no longer resident. This is a pin
-			// discipline bug in the caller.
-			return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
-		}
-		s.stats.Hits++
-		clone := f.n.CloneCompact()
-		if f.inLRU {
-			s.lruRemove(f)
-		}
-		delete(s.resident, id)
-		s.bytes -= f.bytes
-		p.retireLocked(s, id, f, we)
-		nf := &frame{n: clone, bytes: f.bytes, pins: 1, dirty: true, install: we}
-		s.resident[id] = nf
-		s.bytes += nf.bytes
-		s.stats.Clones++
-		p.evictLocked(s)
-		return clone, nil
+	f, ok := s.resident[id]
+	if !ok || f.pins == 0 {
+		return nil, fmt.Errorf("buffer: upgrade of unpinned %v", id)
 	}
-	s.stats.Misses++
-	if pv, dead := s.old[id]; dead && pv.deadAt != 0 {
-		return nil, fmt.Errorf("buffer: get %v: %w", id, store.ErrNotFound)
+	we := p.writeEpoch
+	if f.install == we || !p.inBracket() {
+		return f.n, nil
 	}
-	pre, err := p.readLocked(s, id)
-	if err != nil {
-		return nil, err
+	f.pins--
+	if f.pins > 0 {
+		return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
 	}
-	// Retain the durable pre-image for snapshots pinned below the bracket,
-	// then mutate a clone. The pre-image is reclaimed at the bracket's end
-	// when no snapshot needs it.
-	p.retireLocked(s, id, pre, we)
-	clone := pre.n.CloneCompact()
-	nf := &frame{n: clone, bytes: pre.bytes, pins: 1, dirty: true, install: we}
+	delete(s.resident, id)
+	p.retireLocked(s, id, f, we)
+	nf := &frame{n: f.n.CloneCompact(), bytes: f.bytes, pins: 1, dirty: true, install: we}
 	s.resident[id] = nf
-	s.bytes += nf.bytes
 	s.stats.Clones++
-	p.evictLocked(s)
-	return clone, nil
+	s.stats.ClonedBytes += uint64(f.bytes)
+	return nf.n, nil
 }
 
 // retireLocked pushes a superseded version frame onto the page's chain.

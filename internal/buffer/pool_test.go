@@ -120,6 +120,116 @@ func TestPinnedFramesAreNotEvicted(t *testing.T) {
 	p.Unpin(a.ID, true)
 }
 
+// TestUpgradeClonesAtFirstMutation walks the write path's protocol: pin with
+// Get, upgrade before the first change, and only then is there a clone — one
+// per page per bracket, born dirty, with the pre-image still serving the
+// epoch before it.
+func TestUpgradeClonesAtFirstMutation(t *testing.T) {
+	p, _ := newPool(t, 0)
+	p.BeginWrite(1)
+	n, err := p.NewNode(0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addRecord(n, 1)
+	id := n.ID
+	if err := p.Unpin(id, true); err != nil {
+		t.Fatal(err)
+	}
+	p.Publish(1)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := p.Stats().Writes
+
+	// A bracket that only reads: no clone, nothing to write back.
+	p.BeginWrite(2)
+	if _, err := p.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(id, false); err != nil {
+		t.Fatal(err)
+	}
+	p.Publish(2)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Clones != 0 || s.Writes != flushed {
+		t.Fatalf("read-only bracket: %d clones, %d write-backs", s.Clones, s.Writes-flushed)
+	}
+
+	// A bracket that changes the page: Get, Upgrade, mutate the result.
+	p.BeginWrite(3)
+	head, err := p.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := p.Upgrade(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clone == head {
+		t.Fatal("Upgrade of a published head returned the head itself")
+	}
+	addRecord(clone, 2)
+	if again, err := p.GetMut(id); err != nil || again != clone {
+		t.Fatalf("second upgrade in the bracket = (%p, %v), want the same clone %p", again, err, clone)
+	}
+	if err := p.Unpin(id, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(id, false); err != nil { // the upgraded pin, released as read: the clone is dirty already
+		t.Fatal(err)
+	}
+	p.Publish(3)
+	if s := p.Stats(); s.Clones != 1 || s.ClonedBytes != 1024 || s.Retained != 1 {
+		t.Fatalf("stats after one upgrade = %+v", s)
+	}
+	if old, err := p.GetVersion(id, 2); err != nil || old != head || len(old.Records) != 1 {
+		t.Fatalf("epoch 2 resolves to (%p, %v) with %d records, want the pre-image %p with 1", old, err, len(old.Records), head)
+	}
+	if cur, err := p.GetVersion(id, 3); err != nil || cur != clone {
+		t.Fatalf("epoch 3 resolves to (%p, %v), want the clone", cur, err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Writes - flushed; got != 1 {
+		t.Fatalf("%d write-backs for one changed page", got)
+	}
+
+	// A published head someone else pins cannot be retired; the failed
+	// upgrade gives its own pin up.
+	p.BeginWrite(4)
+	if _, err := p.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.GetMut(id); !errors.Is(err, ErrPinned) {
+		t.Fatalf("upgrade of a twice-pinned head = %v, want ErrPinned", err)
+	}
+	if err := p.Unpin(id, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(id, false); err == nil {
+		t.Fatal("the failed upgrade kept its pin")
+	}
+	if _, err := p.Upgrade(id); err == nil {
+		t.Fatal("Upgrade without a pin succeeded")
+	}
+	if err := p.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Outside a bracket there is nothing to isolate: the node is mutated in
+	// place.
+	if same, err := p.GetMut(id); err != nil || same != clone {
+		t.Fatalf("GetMut outside a bracket = (%p, %v), want the resident node", same, err)
+	}
+	if err := p.Unpin(id, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUnpinErrors(t *testing.T) {
 	p, _ := newPool(t, 0)
 	n, _ := p.NewNode(0, 1024)
@@ -468,6 +578,9 @@ func TestPoolConcurrentHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// treeMu stands in for the tree's lock: a page is mutated and the pool
+	// flushed only under it (the pool marshals pinned dirty frames too).
+	var treeMu sync.RWMutex
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines+1)
 	for g := 0; g < goroutines; g++ {
@@ -498,7 +611,9 @@ func TestPoolConcurrentHammer(t *testing.T) {
 					errs <- err
 					return
 				}
+				treeMu.RLock()
 				pn.Records[0].ID = node.RecordID(1000*g + i)
+				treeMu.RUnlock()
 				if err := p.Unpin(private[g], true); err != nil {
 					errs <- err
 					return
@@ -510,7 +625,10 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if err := p.Flush(); err != nil {
+			treeMu.Lock()
+			err := p.Flush()
+			treeMu.Unlock()
+			if err != nil {
 				errs <- err
 				return
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"segidx/internal/geom"
 	"segidx/internal/node"
@@ -86,15 +87,11 @@ func (t *Tree) coalesceScan(nid page.ID, candidates map[page.ID]bool, o *op) err
 		return nil
 	}
 
-	// n is a leaf parent: look for a mergeable pair involving a candidate.
-	// Re-fetch for mutation (copy-on-write): the read-only pin above must
-	// be released before the page is cloned into the write bracket.
-	t.done(nid, false)
-	n, err = t.fetchMut(nid, o.accesses)
-	if err != nil {
-		return err
-	}
-	dirty := false
+	// n is a leaf parent: look for a mergeable pair involving a candidate,
+	// and clone n only once one is found. (The visit is charged twice, as
+	// when the scan re-fetched every leaf parent for mutation, so
+	// InsertNodeAccesses means what it did.)
+	atomic.AddUint64(o.accesses, 1)
 	for i := range n.Branches {
 		if !candidates[n.Branches[i].Child] {
 			continue
@@ -103,17 +100,17 @@ func (t *Tree) coalesceScan(nid page.ID, candidates map[page.ID]bool, o *op) err
 		if j < 0 {
 			continue
 		}
-		if err := t.mergeLeaves(n, i, j, o); err != nil {
-			t.done(nid, dirty)
+		if n, err = t.mut(n); err != nil {
 			return err
 		}
-		dirty = true
-		if t.cfg.Spanning {
+		err = t.mergeLeaves(n, i, j, o)
+		if err == nil && t.cfg.Spanning {
 			o.revalidate[nid] = true
 		}
-		break // one merge per parent per trigger
+		t.done(nid, true)
+		return err // one merge per parent per trigger
 	}
-	t.done(nid, dirty)
+	t.done(nid, false)
 	return nil
 }
 
@@ -184,15 +181,15 @@ func (t *Tree) mergeLeaves(n *node.Node, i, j int, o *op) error {
 	if err != nil {
 		return err
 	}
-	drop, err := t.fetchMut(dropID, o.accesses)
+	// The dropped leaf is only read: its page is freed as it stands.
+	drop, err := t.fetch(dropID, o.accesses)
 	if err != nil {
-		t.done(keepID, false)
+		t.done(keepID, true)
 		return err
 	}
 	keep.Records = append(keep.Records, drop.Records...)
 	keep.Region = keep.Region.Union(drop.Region)
-	drop.Records = nil
-	t.done(dropID, true)
+	t.done(dropID, false)
 	if err := t.pool.Free(dropID); err != nil {
 		t.done(keepID, true)
 		return err

@@ -51,8 +51,7 @@ func (t *Tree) DeleteWhere(query geom.Rect, pred func(Entry) bool) (int, error) 
 	defer t.mu.Unlock()
 	t.beginOp()
 
-	// Pass 1: collect matching IDs (read-only; pins released before the
-	// mutating pass so copy-on-write never meets a pinned head).
+	// Pass 1: collect matching IDs (read-only).
 	ids := make(map[node.RecordID]bool)
 	stack := []page.ID{t.root}
 	for len(stack) > 0 {
@@ -159,23 +158,31 @@ func (t *Tree) deleteMatching(hint geom.Rect, match func(node.Record) bool) (int
 
 // deleteRec removes matching record portions under nid. It returns the
 // node's new cover rectangle and whether the node became underfull and was
-// dismantled (its surviving entries moved to orphans and its page freed by
-// the caller's bookkeeping here).
+// dismantled: its surviving entries moved to orphans, its page left for the
+// caller to free. The descent visits every subtree the hint meets but
+// clones only the nodes that lose an entry or see a branch rectangle move;
+// a dismantled node is not emptied, since nothing reads a page on its way
+// to being freed except snapshots, which must still see its entries.
 func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bool, o *op, removed map[node.RecordID]int, orphans *[]orphan) (geom.Rect, bool, error) {
-	n, err := t.fetchMut(nid, o.accesses)
+	n, err := t.fetch(nid, o.accesses)
 	if err != nil {
 		return geom.Rect{}, false, err
 	}
 	dims := t.cfg.Dims
-	dirty := false
+	dirty := false // set once n is the bracket's clone, made at its first change
 
 	// Remove matching records on this node (leaf data records or spanning
 	// index records).
 	for i := len(n.Records) - 1; i >= 0; i-- {
 		if n.Records[i].Rect.Intersects(hint) && match(n.Records[i]) {
+			if !dirty {
+				if n, err = t.mut(n); err != nil {
+					return geom.Rect{}, false, err
+				}
+				dirty = true
+			}
 			removed[n.Records[i].ID]++
 			n.RemoveRecord(i)
-			dirty = true
 		}
 	}
 	if n.IsLeaf() {
@@ -188,7 +195,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 			for _, rec := range n.Records {
 				*orphans = append(*orphans, orphan{rec: rec, level: -1})
 			}
-			n.Records = nil
 		}
 		t.done(nid, dirty)
 		return cover, underfull, nil
@@ -199,13 +205,23 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 		if !n.Branches[i].Rect.Intersects(hint) {
 			continue
 		}
-		childCover, childGone, err := t.deleteRec(n.Branches[i].Child, hint, match, o, removed, orphans)
+		child := n.Branches[i].Child
+		childCover, childGone, err := t.deleteRec(child, hint, match, o, removed, orphans)
 		if err != nil {
 			t.done(nid, dirty)
 			return geom.Rect{}, false, err
 		}
+		moved := !n.Branches[i].Rect.Equal(childCover)
+		if !childGone && !moved {
+			continue
+		}
+		if !dirty {
+			if n, err = t.mut(n); err != nil {
+				return geom.Rect{}, false, err
+			}
+			dirty = true
+		}
 		if childGone {
-			child := n.Branches[i].Child
 			// Spanning records linked to the removed branch are orphaned.
 			for j := len(n.Records) - 1; j >= 0; j-- {
 				if n.Records[j].Span == child {
@@ -219,13 +235,11 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 				t.done(nid, dirty)
 				return geom.Rect{}, false, err
 			}
-			dirty = true
-		} else if !n.Branches[i].Rect.Equal(childCover) {
+		} else {
 			n.Branches[i].Rect = childCover
 			if t.cfg.Spanning {
 				o.revalidate[nid] = true
 			}
-			dirty = true
 		}
 	}
 
@@ -240,8 +254,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 		for _, rec := range n.Records {
 			*orphans = append(*orphans, orphan{rec: rec, level: -1})
 		}
-		n.Branches = nil
-		n.Records = nil
 		delete(o.revalidate, nid)
 	}
 	t.done(nid, dirty)
@@ -309,22 +321,21 @@ func (o *op) insertBranch(b node.Branch, level int) error {
 		}
 	}
 	var path []pathStep
-	cur, err := t.fetchMut(t.root, o.accesses)
+	cur, err := t.fetch(t.root, o.accesses)
 	if err != nil {
 		return err
 	}
 	for cur.Level > level+1 {
 		bi := chooseBranch(cur, b.Rect)
-		child, err := t.fetchMut(cur.Branches[bi].Child, o.accesses)
+		child, err := t.fetch(cur.Branches[bi].Child, o.accesses)
 		if err != nil {
-			t.done(cur.ID, true)
-			for i := len(path) - 1; i >= 0; i-- {
-				t.done(path[i].n.ID, true)
-			}
-			return err
+			return o.release(path, cur, err)
 		}
 		path = append(path, pathStep{cur, bi})
 		cur = child
+	}
+	if cur, err = t.mut(cur); err != nil {
+		return o.release(path, nil, err)
 	}
 	o.addBranch(cur, b)
 	if t.cfg.Spanning {
@@ -359,7 +370,7 @@ func (t *Tree) growRootForBranch(o *op) error {
 // through the op queue). The caller must hold the write lock on t.mu.
 func (t *Tree) collapseRoot(o *op) error {
 	for {
-		n, err := t.fetchMut(t.root, o.accesses)
+		n, err := t.fetch(t.root, o.accesses)
 		if err != nil {
 			return err
 		}
@@ -372,9 +383,7 @@ func (t *Tree) collapseRoot(o *op) error {
 			t.stats.Reinserts++
 		}
 		child := n.Branches[0].Child
-		n.Branches = nil
-		n.Records = nil
-		t.done(n.ID, true)
+		t.done(n.ID, false)
 		if err := t.pool.Free(n.ID); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"segidx/internal/geom"
 	"segidx/internal/node"
+	"segidx/internal/store"
 )
 
 // fuzzOps decodes a byte stream into a bounded tree workload. Layout per
@@ -43,6 +44,68 @@ func (o *fuzzOps) rect() geom.Rect {
 	return geom.Rect2(x1, y1, x2, y2)
 }
 
+// The write path clones a page only when it changes it, so its failure mode
+// is a node changed through a read pin: visible to snapshots that should be
+// isolated from it, and — the frame being clean — never written back. The
+// two helpers below are the oracle for that; both fuzz targets use them.
+
+// frozenAcross runs one mutating step with a snapshot pinned just before it
+// and, once the step has published, requires the snapshot's full scan to be
+// pre, the model's cut from before the step.
+func frozenAcross(t *testing.T, tr *Tree, pre []node.RecordID, step func()) {
+	t.Helper()
+	want := make(map[node.RecordID]bool, len(pre))
+	for _, id := range pre {
+		want[id] = true
+	}
+	v := tr.Snapshot()
+	defer v.Release()
+	step()
+	if got := snapIDSet(t, v); !sameIDSet(got, want) || v.Len() != len(want) {
+		t.Fatalf("snapshot pinned before the op scans %d records (Len %d) after it published; the model's pre-op cut holds %d",
+			len(got), v.Len(), len(want))
+	}
+}
+
+// portions lists every stored record portion with its level, in visit order.
+func portions(t *testing.T, tr *Tree) []string {
+	t.Helper()
+	var out []string
+	if err := tr.VisitPortions(func(level int, e Entry) bool {
+		out = append(out, fmt.Sprint(level, e.ID, e.Rect))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// reopensAsLive flushes the tree, reopens its store as a second tree and
+// requires that one to be sound and to hold exactly the live tree's
+// portions: a change made to a clean frame is missing from the store.
+func reopensAsLive(t *testing.T, tr *Tree, st store.Store) {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(tr.Config(), st)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatalf("reopened tree: %v", err)
+	}
+	live, stored := portions(t, tr), portions(t, re)
+	if re.Len() != tr.Len() || fmt.Sprint(live) != fmt.Sprint(stored) {
+		t.Fatalf("reopened tree holds %d records in %d portions, live tree %d in %d (or they differ in place)",
+			re.Len(), len(stored), tr.Len(), len(live))
+	}
+}
+
+// flushEvery is how many mutations the fuzz targets let pass between
+// flushes, so later operations meet clean frames as well as dirty ones.
+const flushEvery = 8
+
 // FuzzTreeOps drives a tree and the brute-force model through the same
 // decoded operation stream — the differential oracle — checking after every
 // step that searches agree, Len matches, and every structural invariant
@@ -72,7 +135,8 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		for _, spanning := range []bool{false, true} {
 			t.Run(fmt.Sprintf("spanning=%v", spanning), func(t *testing.T) {
-				tr, err := NewInMemory(smallConfig(spanning))
+				st := store.NewMemStore()
+				tr, err := New(smallConfig(spanning), st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,15 +145,17 @@ func FuzzTreeOps(f *testing.F) {
 				nextID := node.RecordID(1)
 				var live []node.RecordID
 
-				for ops.more() {
+				for mutations := 0; ops.more(); {
 					switch ops.byte() % 3 {
 					case 0: // insert
 						r := ops.rect()
 						id := nextID
 						nextID++
-						if err := tr.Insert(r, id); err != nil {
-							t.Fatalf("Insert(%v, %d): %v", r, id, err)
-						}
+						frozenAcross(t, tr, m.search(domain1000()), func() {
+							if err := tr.Insert(r, id); err != nil {
+								t.Fatalf("Insert(%v, %d): %v", r, id, err)
+							}
+						})
 						m.insert(r, id)
 						live = append(live, id)
 					case 1: // delete a live record (or a missing one when none)
@@ -102,13 +168,15 @@ func FuzzTreeOps(f *testing.F) {
 						i := int(ops.byte()) % len(live)
 						id := live[i]
 						live = append(live[:i], live[i+1:]...)
-						n, err := tr.Delete(id, m.rects[id])
-						if err != nil {
-							t.Fatalf("Delete(%d): %v", id, err)
-						}
-						if n != 1 {
-							t.Fatalf("Delete(%d) removed %d records, want 1", id, n)
-						}
+						frozenAcross(t, tr, m.search(domain1000()), func() {
+							n, err := tr.Delete(id, m.rects[id])
+							if err != nil {
+								t.Fatalf("Delete(%d): %v", id, err)
+							}
+							if n != 1 {
+								t.Fatalf("Delete(%d) removed %d records, want 1", id, n)
+							}
+						})
 						m.delete(id)
 					case 2: // search
 						q := ops.rect()
@@ -125,13 +193,20 @@ func FuzzTreeOps(f *testing.F) {
 					if err := tr.CheckInvariants(); err != nil {
 						t.Fatalf("invariants violated mid-stream: %v", err)
 					}
+					if mutations++; mutations%flushEvery == 0 {
+						if err := tr.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 
-				// Final cross-check over the whole domain.
+				// Final cross-check over the whole domain, then of the store
+				// against the live tree.
 				got := searchIDs(t, tr, domain1000())
 				if want := m.search(domain1000()); !idsEqual(got, want) {
 					t.Fatalf("final full-domain search %v, model says %v", got, want)
 				}
+				reopensAsLive(t, tr, st)
 			})
 		}
 	})

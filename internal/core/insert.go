@@ -146,18 +146,7 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 	allowSpanning := t.cfg.Spanning && attempts < maxSpanningAttempts
 
 	var path []pathStep
-	// fail unpins every pinned node on the error path.
-	fail := func(pinned *node.Node, err error) error {
-		if pinned != nil {
-			t.done(pinned.ID, true)
-		}
-		for i := len(path) - 1; i >= 0; i-- {
-			t.done(path[i].n.ID, true)
-		}
-		return err
-	}
-
-	cur, err := t.fetchMut(t.root, o.accesses)
+	cur, err := t.fetch(t.root, o.accesses)
 	if err != nil {
 		return err
 	}
@@ -179,12 +168,19 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 				if cur.ID != t.root && !region.Contains(rect) {
 					clip, ok := rect.Clip(region)
 					if !ok {
-						return fail(cur, fmt.Errorf("core: cut of %v by %v produced no spanning portion", rect, region))
+						return o.release(path, cur, fmt.Errorf("core: cut of %v by %v produced no spanning portion", rect, region))
 					}
 					remnants = rect.Remnants(region)
 					portion = clip
 				}
 				rec := node.Record{Rect: portion, ID: id, Span: cur.Branches[bi].Child}
+				// A refused record leaves cur untouched, so only a node that
+				// will take the record is cloned.
+				if _, ok := o.spanningVictim(cur, rec); ok {
+					if cur, err = t.mut(cur); err != nil {
+						return o.release(path, nil, err)
+					}
+				}
 				if o.placeSpanning(cur, rec) {
 					t.stats.SpanPlaced++
 					if len(remnants) > 0 {
@@ -206,22 +202,43 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 		}
 		bi := chooseBranch(cur, rect)
 		region = cur.Branches[bi].Rect.Clone()
-		child, err := t.fetchMut(cur.Branches[bi].Child, o.accesses)
+		child, err := t.fetch(cur.Branches[bi].Child, o.accesses)
 		if err != nil {
-			return fail(cur, err)
+			return o.release(path, cur, err)
 		}
 		path = append(path, pathStep{cur, bi})
 		cur = child
 	}
 
+	if cur, err = t.mut(cur); err != nil {
+		return o.release(path, nil, err)
+	}
 	cur.Records = append(cur.Records, node.Record{Rect: rect, ID: id})
 	t.touchLeaf(cur.ID)
 	return o.ascend(path, cur)
 }
 
+// release unpins cur (when non-nil) and every node of a descent path, and
+// returns err: the way out of a descent that stops early, on an error or
+// because nothing above changes. Nodes the operation mutated are dirty
+// already (clones are born dirty), so everything is released as read.
+func (o *op) release(path []pathStep, cur *node.Node, err error) error {
+	if cur != nil {
+		o.t.done(cur.ID, false)
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		o.t.done(path[i].n.ID, false)
+	}
+	return err
+}
+
 // ascend walks back up a descent path from the modified node n, updating
 // branch rectangles, installing split siblings, placing promoted spanning
-// records, and growing the root as needed. It consumes (unpins) n and every
+// records, and growing the root as needed. An ancestor is cloned only when
+// one of those changes it: the walk stops at the first one whose branch
+// rectangle already equals the child's new cover with no sibling or
+// promoted record pending — nothing above it can change either — and
+// releases the rest of the path untouched. It consumes (unpins) n and every
 // node on the path.
 func (o *op) ascend(path []pathStep, n *node.Node) error {
 	t := o.t
@@ -229,34 +246,35 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 
 	var sibling *node.Node     // pinned; new node at child's level
 	var promoted []node.Record // spanning records bound for the parent
+	var err error
 	if t.overflowing(n) {
-		var err error
-		sibling, promoted, err = o.split(n)
-		if err != nil {
-			t.done(n.ID, true)
-			for i := len(path) - 1; i >= 0; i-- {
-				t.done(path[i].n.ID, true)
-			}
-			return err
+		if sibling, promoted, err = o.split(n); err != nil {
+			return o.release(path, n, err)
 		}
 	}
 
 	child := n
 	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i].n
-		idx := path[i].idx
-
+		parent, idx := path[i].n, path[i].idx
 		newRect := child.Cover(dims)
-		oldRect := parent.Branches[idx].Rect
-		parent.Branches[idx].Rect = newRect
-		if t.cfg.Spanning && !oldRect.Equal(newRect) {
-			// The branch region changed: growth can break former
-			// spanning relationships (the paper's demotion case), and a
-			// shrink can collapse a dimension to zero extent, which also
-			// disqualifies records spanning through it.
-			o.revalidate[parent.ID] = true
-		}
 		t.done(child.ID, true)
+		moved := !parent.Branches[idx].Rect.Equal(newRect)
+		if !moved && sibling == nil && len(promoted) == 0 {
+			return o.release(path[:i+1], nil, nil)
+		}
+		if parent, err = t.mut(parent); err != nil {
+			return o.release(path[:i], nil, err)
+		}
+		if moved {
+			parent.Branches[idx].Rect = newRect
+			if t.cfg.Spanning {
+				// The branch region changed: growth can break former
+				// spanning relationships (the paper's demotion case), and a
+				// shrink can collapse a dimension to zero extent, which also
+				// disqualifies records spanning through it.
+				o.revalidate[parent.ID] = true
+			}
+		}
 
 		if sibling != nil {
 			o.addBranch(parent, node.Branch{
@@ -268,14 +286,8 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 		o.placePromoted(parent, promoted)
 		promoted = nil
 		if t.overflowing(parent) {
-			var err error
-			sibling, promoted, err = o.split(parent)
-			if err != nil {
-				t.done(parent.ID, true)
-				for j := i - 1; j >= 0; j-- {
-					t.done(path[j].n.ID, true)
-				}
-				return err
+			if sibling, promoted, err = o.split(parent); err != nil {
+				return o.release(path[:i], parent, err)
 			}
 		}
 		child = parent
@@ -376,7 +388,7 @@ func (o *op) drain() error {
 // or removed and queued for reinsertion (the paper's demotion).
 func (o *op) revalidateNode(id page.ID) error {
 	t := o.t
-	n, err := t.fetchMut(id, o.accesses)
+	n, err := t.fetch(id, o.accesses)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			return nil // node freed by a concurrent structural change in this op
@@ -387,12 +399,18 @@ func (o *op) revalidateNode(id page.ID) error {
 		t.done(id, false)
 		return nil
 	}
-	dirty := false
+	dirty := false // set once n is the bracket's clone, made at the first stale link
 	for i := len(n.Records) - 1; i >= 0; i-- {
 		rec := n.Records[i]
 		bi := n.BranchIndex(rec.Span)
 		if bi >= 0 && spansQualify(rec.Rect, n.Branches[bi].Rect) {
 			continue
+		}
+		if !dirty {
+			if n, err = t.mut(n); err != nil {
+				return err
+			}
+			dirty = true
 		}
 		relinked := false
 		for j := range n.Branches {
@@ -400,7 +418,6 @@ func (o *op) revalidateNode(id page.ID) error {
 				n.Records[i].Span = n.Branches[j].Child
 				t.stats.Relinks++
 				relinked = true
-				dirty = true
 				break
 			}
 		}
@@ -408,7 +425,6 @@ func (o *op) revalidateNode(id page.ID) error {
 			n.RemoveRecord(i)
 			t.stats.Demotions++
 			o.enqueue(rec.Rect, rec.ID)
-			dirty = true
 		}
 	}
 	t.done(id, dirty)

@@ -10,6 +10,7 @@ import (
 
 	"segidx/internal/geom"
 	"segidx/internal/node"
+	"segidx/internal/store"
 )
 
 // everything is a query rectangle covering any record the tests insert.
@@ -328,7 +329,8 @@ func FuzzSnapshotOps(f *testing.F) {
 		if len(data) > 512 {
 			t.Skip()
 		}
-		tr, err := NewInMemory(smallConfig(true))
+		st := store.NewMemStore()
+		tr, err := New(smallConfig(true), st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,12 +366,26 @@ func FuzzSnapshotOps(f *testing.F) {
 
 		nextID := node.RecordID(1)
 		var liveIDs []node.RecordID
+		// mutate runs one write with the pre-op pin of frozenAcross, and
+		// flushes now and then so writes meet clean frames too.
+		mutations := 0
+		mutate := func(write func() error) {
+			frozenAcross(t, tr, liveIDs, func() {
+				if err := write(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if mutations++; mutations%flushEvery == 0 {
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		for pos < len(data) {
 			switch next() % 5 {
 			case 0: // insert
-				if err := tr.Insert(rect(), nextID); err != nil {
-					t.Fatalf("Insert: %v", err)
-				}
+				r := rect()
+				mutate(func() error { return tr.Insert(r, nextID) })
 				liveIDs = append(liveIDs, nextID)
 				nextID++
 			case 1: // delete
@@ -378,10 +394,8 @@ func FuzzSnapshotOps(f *testing.F) {
 				}
 				i := int(next()) % len(liveIDs)
 				id := liveIDs[i]
+				mutate(func() error { _, err := tr.Delete(id, everything()); return err })
 				liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
-				if _, err := tr.Delete(id, everything()); err != nil {
-					t.Fatalf("Delete: %v", err)
-				}
 			case 2: // pin a snapshot (bounded so chains stay interesting)
 				if len(pins) >= 6 {
 					continue
@@ -419,5 +433,6 @@ func FuzzSnapshotOps(f *testing.F) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		reopensAsLive(t, tr, st)
 	})
 }

@@ -50,22 +50,37 @@ func (o *op) evictRecord(n *node.Node, i int) {
 	o.enqueue(rec.Rect, rec.ID)
 }
 
+// spanningVictim decides how rec can be stored on n: ok is false when it
+// cannot (the page is full and no resident is strictly shorter); otherwise
+// evict is the resident to displace first, or -1 when rec fits as n stands.
+// It reads n only, so a descent can ask before it clones the node.
+func (o *op) spanningVictim(n *node.Node, rec node.Record) (evict int, ok bool) {
+	t := o.t
+	if t.codec.UsedBytes(n)+t.codec.RecordBytes() <= t.pageBytes(n.Level) {
+		return -1, true
+	}
+	si := shortestRecord(n)
+	if si < 0 || recMargin(n.Records[si].Rect) >= recMargin(rec.Rect) {
+		return -1, false
+	}
+	return si, true
+}
+
 // placeSpanning tries to store a spanning record on n, evicting strictly
 // shorter residents to make byte room. Reports whether the record was
-// placed.
+// placed; a record spanningVictim refuses leaves n untouched.
 func (o *op) placeSpanning(n *node.Node, rec node.Record) bool {
-	t := o.t
-	pageBytes := t.pageBytes(n.Level)
-	need := t.codec.RecordBytes()
-	for t.codec.UsedBytes(n)+need > pageBytes {
-		si := shortestRecord(n)
-		if si < 0 || recMargin(n.Records[si].Rect) >= recMargin(rec.Rect) {
+	for {
+		si, ok := o.spanningVictim(n, rec)
+		if !ok {
 			return false
+		}
+		if si < 0 {
+			n.Records = append(n.Records, rec)
+			return true
 		}
 		o.evictRecord(n, si)
 	}
-	n.Records = append(n.Records, rec)
-	return true
 }
 
 // addBranch installs a branch on n, evicting spanning records as needed;

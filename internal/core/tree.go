@@ -293,8 +293,8 @@ func (t *Tree) fitsBytes(n *node.Node) bool {
 // charging one logical node access to the given counter. The counter is
 // updated atomically because inspection passes run under the read lock
 // concurrently. The caller must hold t.mu (or own the tree exclusively, as
-// bulk construction does before publishing it); inside a write bracket the
-// pin must be released before the same page is fetched for mutation.
+// bulk construction does before publishing it). The write path descends
+// with fetch too, and calls mut on a node before the first change to it.
 func (t *Tree) fetch(id page.ID, accesses *uint64) (*node.Node, error) {
 	n, err := t.pool.Get(id)
 	if err != nil {
@@ -306,10 +306,25 @@ func (t *Tree) fetch(id page.ID, accesses *uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// fetchMut pins and returns a node for mutation inside the current write
-// bracket: the first fetchMut of a page per operation copy-on-writes it,
-// so snapshots pinned before the operation keep reading the pre-image.
-// The caller must hold the write lock on t.mu.
+// mut exchanges the pin fetch took on n for a pin on the version of the
+// page the current write bracket may change, and returns that version: the
+// bracket's copy-on-write clone, made here at the first mut of the page per
+// operation, so snapshots pinned before the operation keep reading the
+// pre-image. Pages are cloned at their first mutation, not their first
+// visit, so a frame is dirty exactly when an operation changed it; n itself
+// must not be used afterwards. On failure the pin is gone. The caller must
+// hold the write lock on t.mu.
+func (t *Tree) mut(n *node.Node) (*node.Node, error) {
+	m, err := t.pool.Upgrade(n.ID)
+	if err != nil {
+		return nil, fmt.Errorf("core: upgrade %v: %w", n.ID, err)
+	}
+	return m, nil
+}
+
+// fetchMut is fetch followed by mut, for a node fetched in order to change
+// it (a descent that may leave the node untouched uses fetch and mut
+// separately). The caller must hold the write lock on t.mu.
 func (t *Tree) fetchMut(id page.ID, accesses *uint64) (*node.Node, error) {
 	n, err := t.pool.GetMut(id)
 	if err != nil {

@@ -156,7 +156,11 @@ func (n *Node) Clone() *Node {
 // pool's page versioning: a writer clones the published node and mutates
 // the clone, so the per-clone cost is a handful of allocations rather than
 // two slices per rectangle as with Clone. The views are capped so an
-// append through any rect cannot spill into its neighbor's storage.
+// append through any rect cannot spill into its neighbor's storage. The
+// entry slices get room for one more entry: a clone exists because a
+// mutation follows, most often a single append, which then neither
+// reallocates nor leaves the node carrying append's doubling as slack
+// until its next clone.
 func (n *Node) CloneCompact() *Node {
 	c := &Node{ID: n.ID, Level: n.Level}
 	k := 0
@@ -181,14 +185,14 @@ func (n *Node) CloneCompact() *Node {
 		off += 2 * n.Region.Dims()
 	}
 	if len(n.Branches) > 0 {
-		c.Branches = make([]Branch, len(n.Branches))
+		c.Branches = make([]Branch, len(n.Branches), len(n.Branches)+1)
 		for i, b := range n.Branches {
 			c.Branches[i] = Branch{Rect: b.Rect.CopyInto(flat, off), Child: b.Child}
 			off += 2 * k
 		}
 	}
 	if len(n.Records) > 0 {
-		c.Records = make([]Record, len(n.Records))
+		c.Records = make([]Record, len(n.Records), len(n.Records)+1)
 		for i, r := range n.Records {
 			c.Records[i] = Record{Rect: r.Rect.CopyInto(flat, off), ID: r.ID, Span: r.Span}
 			off += 2 * k
