@@ -3,6 +3,7 @@ package segidx_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"segidx"
@@ -291,6 +292,78 @@ func TestAccelStatsSurface(t *testing.T) {
 	}
 }
 
+// TestAccelBirthsNondecreasing pins the invariant the sidecar's
+// comparison-free count relies on — births never decrease along any slot
+// list — across every way a sidecar is seeded: attached to the built
+// skeleton at a predictor's swap, then reseeded from the page file by
+// OpenDurable, each followed by churn. CheckInvariants verifies it on
+// every attached sidecar.
+func TestAccelBirthsNondecreasing(t *testing.T) {
+	const n = 400
+	path := filepath.Join(t.TempDir(), "ix.seg")
+	recs := workload.TI.Generate(n, 3)
+	opts := []segidx.Option{segidx.WithStabAccel(0, 8), segidx.WithHybridMode(segidx.HybridAlways)}
+	est := segidx.SkeletonEstimate{Tuples: n, Domain: workload.Domain(), PredictFraction: 0.05}
+	x, err := segidx.NewSkeletonSRTree(est, append(opts, segidx.WithDurableFile(path))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	// churn inserts recs[from:to] as ids from+1..to, deleting every third
+	// one again and flushing every 16.
+	churn := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := x.Insert(recs[i], segidx.RecordID(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 2 {
+				if n, err := x.Delete(segidx.RecordID(i), recs[i-1]); err != nil || n != 1 {
+					t.Fatalf("Delete(%d) = %d, %v", i, n, err)
+				}
+			}
+			if i%16 == 15 {
+				if err := x.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// The predictor samples the first 5 % of the estimate, then swaps.
+	swapAt := int(est.PredictFraction * n)
+	for i := 0; i < swapAt; i++ {
+		if len(x.AccelStats()) != 0 {
+			t.Fatalf("a sidecar was attached after %d of %d sampled inserts", i, swapAt)
+		}
+		if err := x.Insert(recs[i], segidx.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(x.AccelStats()) != 1 {
+		t.Fatal("no sidecar attached at the predictor's swap")
+	}
+	check("after the swap")
+	churn(swapAt, n/2)
+	check("after churn on the built skeleton")
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if x, err = segidx.OpenDurable(path, opts...); err != nil {
+		t.Fatal(err)
+	}
+	check("after OpenDurable")
+	churn(n/2, n)
+	check("after churn on the reopened index")
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzAccelOps feeds a decoded byte stream to an accelerated index and a
 // plain oracle of the same variant, checking observational equivalence
 // after every operation. The first bytes select the variant, the shard
@@ -386,12 +459,23 @@ func FuzzAccelOps(f *testing.F) {
 				if n1 != n2 || (err1 == nil) != (err2 == nil) {
 					t.Fatalf("Delete(%d) = (%d, %v) vs (%d, %v)", id, n1, err1, n2, err2)
 				}
-			case 2: // range search
+			case 2: // range search and count; the shape byte picks a query
+				// the sidecar's list boxes fall inside (the full Y extent)
+				// or straddle (a tall band), or a small box most miss
 				q := rect()
+				switch next() % 3 {
+				case 1:
+					q.Min[1], q.Max[1] = workload.DomainLo, workload.DomainHi
+				case 2:
+					q.Max[1] = q.Min[1] + workload.DomainHi/4
+				}
 				want, err1 := oracle.Search(q)
 				got, err2 := dut.Search(q)
 				if err1 != nil || err2 != nil || !equalIDSlices(sortedIDs(want), sortedIDs(got)) {
 					t.Fatalf("Search(%v) = %v/%v vs %v/%v", q, sortedIDs(want), err1, sortedIDs(got), err2)
+				}
+				if n, err := dut.Count(q); err != nil || n != len(want) {
+					t.Fatalf("Count(%v) = %d, %v; want %d", q, n, err, len(want))
 				}
 			case 3: // vertical-line stab — the accelerator's hot path
 				x := coord()
@@ -401,11 +485,17 @@ func FuzzAccelOps(f *testing.F) {
 				if err1 != nil || err2 != nil || !equalIDSlices(sortedIDs(want), sortedIDs(got)) {
 					t.Fatalf("line stab %g = %v/%v vs %v/%v", x, sortedIDs(want), err1, sortedIDs(got), err2)
 				}
+				if n, err := dut.Count(q); err != nil || n != len(want) {
+					t.Fatalf("line count %g = %d, %v; want %d", x, n, err, len(want))
+				}
 				if pv != nil {
 					want, err1 := pv.Search(q)
 					got, err2 := dv.Search(q)
 					if err1 != nil || err2 != nil || !equalIDSlices(sortedIDs(want), sortedIDs(got)) {
 						t.Fatalf("pinned line stab %g diverges (%v, %v)", x, err1, err2)
+					}
+					if n, err := dv.Count(q); err != nil || n != len(want) {
+						t.Fatalf("pinned line count %g = %d, %v; want %d", x, n, err, len(want))
 					}
 				}
 			case 4: // (re)pin the snapshot pair

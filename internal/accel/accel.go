@@ -76,9 +76,13 @@ type recTable struct {
 
 // slotList is one published version of a cell's slot list. The visible
 // prefix slots[:len] is immutable; appends write beyond it into shared
-// backing and publish a longer header.
+// backing and publish a longer header. Slots are appended in commit order
+// and compaction keeps that order, so births never decrease along a list.
+// box (2*k floats, hot extents unused) bounds the slots' rectangles; it is
+// immutable and shared until an appended rectangle grows it.
 type slotList struct {
 	slots []uint32
+	box   []float64
 }
 
 // Mode selects the hybrid routing policy; see Accel.RouteContain.
@@ -206,7 +210,8 @@ type Accel struct {
 	pendDel []uint64
 	live    map[uint64]uint32
 	retired []retire
-	dead    int
+	// nLive publishes len(live) to Stats, which runs without the lock.
+	nLive atomic.Int64
 }
 
 // New creates an empty accelerator.
@@ -248,6 +253,7 @@ func (a *Accel) Degrade() {
 	// Frozen state serves no reader; drop the writer-side buffers.
 	a.pendIns, a.pendDel, a.retired = nil, nil, nil
 	a.live = nil
+	a.nLive.Store(0)
 }
 
 // Degraded reports whether routing is permanently disabled.
@@ -356,7 +362,6 @@ func (a *Accel) Commit(newEpoch, minEpoch uint64) {
 			continue
 		}
 		delete(a.live, id)
-		a.dead++
 		chunk := t.deaths[slot>>deathChunkShift]
 		atomic.StoreUint64(&chunk[slot&deathChunkMask], newEpoch)
 		ca := a.cellOf(t.starts[slot])
@@ -395,19 +400,21 @@ func (a *Accel) Commit(newEpoch, minEpoch uint64) {
 		}
 		t = nt
 		a.live[a.pendIns[i].id] = slot
+		rect := a.pendIns[i].rect // an owned copy, never edited: a box may alias it
 		ca := a.cellOf(t.starts[slot])
 		cb := a.cellOf(t.ends[slot])
 		a.decompose(ca, cb, func(v uint32, bound bool) {
 			if bound {
-				appendSlot(&a.bounds[v], slot)
+				a.appendSlot(&a.bounds[v], slot, rect)
 			} else {
-				appendSlot(&a.covers[v], slot)
+				a.appendSlot(&a.covers[v], slot, rect)
 			}
 		})
-		appendSlot(&a.origins[ca], slot)
+		a.appendSlot(&a.origins[ca], slot, rect)
 	}
 	a.pendIns = a.pendIns[:0]
 	a.recs.Store(t)
+	a.nLive.Store(int64(len(a.live)))
 
 	a.drainRetired(t, minEpoch)
 }
@@ -415,13 +422,13 @@ func (a *Accel) Commit(newEpoch, minEpoch uint64) {
 // appendSlot publishes list ∪ {slot}: in place beyond the visible length
 // while capacity lasts (the immutable prefix is untouched), into fresh
 // backing otherwise. Readers holding older headers keep their shorter
-// immutable view either way.
-func appendSlot(p *atomic.Pointer[slotList], slot uint32) {
+// immutable view either way. rect is slot's rectangle.
+func (a *Accel) appendSlot(p *atomic.Pointer[slotList], slot uint32, rect []float64) {
 	cur := p.Load()
 	if cur == nil {
 		s := make([]uint32, 1, 8)
 		s[0] = slot
-		p.Store(&slotList{slots: s})
+		p.Store(&slotList{slots: s, box: rect})
 		return
 	}
 	n := len(cur.slots)
@@ -433,7 +440,27 @@ func appendSlot(p *atomic.Pointer[slotList], slot uint32) {
 		copy(s, cur.slots)
 	}
 	s[n] = slot
-	p.Store(&slotList{slots: s})
+	p.Store(&slotList{slots: s, box: a.growBox(cur.box, rect)})
+}
+
+// growBox returns box ∪ r outside the hot dimension, the only extents a box
+// is read for: r for a nil box, box itself when r adds nothing, else a
+// fresh box, so published boxes are never edited.
+func (a *Accel) growBox(box, r []float64) []float64 {
+	k := a.k
+	if box == nil {
+		return r
+	}
+	for i := 0; i < k; i++ {
+		if i != a.dim && (r[i] < box[i] || r[k+i] > box[k+i]) {
+			g := make([]float64, 2*k)
+			for j := 0; j < k; j++ {
+				g[j], g[k+j] = min(box[j], r[j]), max(box[k+j], r[k+j])
+			}
+			return g
+		}
+	}
+	return box
 }
 
 // drainRetired compacts every cell list whose retirement epoch the GC
@@ -449,34 +476,49 @@ func (a *Accel) drainRetired(t *recTable, minEpoch uint64) {
 	if i > 0 {
 		n := copy(a.retired, a.retired[i:])
 		a.retired = a.retired[:n]
-		a.dead -= i // approximate: one retire group per dead record's cells
-		if a.dead < 0 {
-			a.dead = 0
-		}
 	}
 }
 
 // compact republishes a cell list without the slots dead at or below
-// minEpoch.
+// minEpoch, with the box recomputed over the slots it keeps.
 func (a *Accel) compact(t *recTable, p *atomic.Pointer[slotList], minEpoch uint64) {
 	cur := p.Load()
 	if cur == nil {
 		return
 	}
 	keep := cur.slots[:0:0]
-	dropped := false
+	var box []float64
 	for _, s := range cur.slots {
 		chunk := t.deaths[s>>deathChunkShift]
-		d := atomic.LoadUint64(&chunk[s&deathChunkMask])
-		if d != 0 && d <= minEpoch {
-			dropped = true
+		if d := atomic.LoadUint64(&chunk[s&deathChunkMask]); d != 0 && d <= minEpoch {
 			continue
 		}
 		keep = append(keep, s)
+		off := int(s) * 2 * a.k
+		box = a.growBox(box, t.rects[off:off+2*a.k:off+2*a.k])
 	}
-	if dropped {
-		p.Store(&slotList{slots: keep})
+	if len(keep) == 0 {
+		p.Store(nil)
+	} else if len(keep) < len(cur.slots) {
+		p.Store(&slotList{slots: keep, box: box})
 	}
+}
+
+// CheckBirths verifies the invariant the comparison-free count relies on:
+// births never decrease along any slot list.
+func (a *Accel) CheckBirths() error {
+	t := a.recs.Load()
+	for _, lists := range [][]atomic.Pointer[slotList]{a.covers, a.bounds, a.origins} {
+		for i := range lists {
+			l := lists[i].Load()
+			for j := 1; l != nil && j < len(l.slots) && int(l.slots[j]) < len(t.births); j++ {
+				if t.births[l.slots[j]] < t.births[l.slots[j-1]] {
+					return fmt.Errorf("accel: births decrease along a slot list at position %d", j)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Stats is a point-in-time snapshot of accelerator occupancy and routing
@@ -503,16 +545,16 @@ type Stats struct {
 	EwmaRangeAccelNs   uint64 `json:"ewma_range_accel_ns"`
 }
 
-// Stats returns current counters. Safe to call concurrently with readers;
-// Live and Slots are writer-side gauges and may lag one commit when read
-// without the tree's write lock.
+// Stats returns current counters. Safe to call concurrently with readers
+// and the writer; Live and Slots may lag one commit when read without the
+// tree's write lock.
 func (a *Accel) Stats() Stats {
 	t := a.recs.Load()
 	return Stats{
 		Dim:                a.dim,
 		Levels:             a.levels,
 		Slots:              len(t.ids),
-		Live:               len(a.live),
+		Live:               int(a.nLive.Load()),
 		Degraded:           a.degraded.Load(),
 		RoutedAccel:        a.routedAccel.Load(),
 		RoutedTree:         a.routedTree.Load(),

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -38,16 +39,23 @@ func intersects(r, q geom.Rect) bool {
 	return true
 }
 
-func collectIDs(a *Accel, epoch uint64, q geom.Rect, rangeQ bool) []uint64 {
+// collectIDs returns the sorted IDs the visit path reports, failing t when
+// the visit's match count disagrees with them.
+func collectIDs(t *testing.T, a *Accel, epoch uint64, q geom.Rect, rangeQ bool) []uint64 {
+	t.Helper()
 	var ids []uint64
 	fn := func(min, max []float64, id uint64) bool {
 		ids = append(ids, id)
 		return true
 	}
+	var n int
 	if rangeQ {
-		a.RangeVisit(epoch, q.Min, q.Max, fn)
+		n = a.RangeVisit(epoch, q.Min, q.Max, fn)
 	} else {
-		a.ContainVisit(epoch, q.Min, q.Max, fn)
+		n = a.ContainVisit(epoch, q.Min, q.Max, fn)
+	}
+	if n != len(ids) {
+		t.Fatalf("visit of %v reports %d matches but emitted %d", q, n, len(ids))
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -79,12 +87,74 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
-// TestAccelOracle drives interleaved inserts/deletes through epoched
-// commits and checks stab, containing, and intersection answers against a
-// brute-force oracle at every historical epoch — including values outside
-// the configured domain, which must clamp, not break.
+// oracleRect draws a rectangle whose hot extent overshoots the [0, 1000]
+// domain on both sides and whose other extents are up to 20 tall in
+// [0, 100].
+func oracleRect(rng *rand.Rand, dims, hot int) geom.Rect {
+	r := geom.Rect{Min: make([]float64, dims), Max: make([]float64, dims)}
+	for i := range r.Min {
+		if i == hot {
+			r.Min[i] = rng.Float64()*1400 - 200
+			r.Max[i] = r.Min[i] + rng.Float64()*300
+		} else {
+			r.Min[i] = rng.Float64() * 100
+			r.Max[i] = r.Min[i] + rng.Float64()*20
+		}
+	}
+	return r
+}
+
+// oracleQuery draws a query whose hot extent is a point (stab or
+// time-slice) or a range, and whose other extents are all one shape: a
+// point, a data-sized box, the full data extent (every list box falls
+// inside it), a band above all data (every box misses it), or a tall band
+// that straddles list boxes.
+func oracleQuery(rng *rand.Rand, dims, hot int, hotPoint bool, shape int) geom.Rect {
+	q := oracleRect(rng, dims, hot)
+	for i := range q.Min {
+		switch {
+		case i == hot:
+			if hotPoint {
+				q.Max[i] = q.Min[i]
+			}
+		case shape == 0:
+			q.Max[i] = q.Min[i]
+		case shape == 2:
+			q.Min[i], q.Max[i] = -10, 130
+		case shape == 3:
+			q.Min[i], q.Max[i] = 125, 200
+		case shape == 4:
+			q.Max[i] = q.Min[i] + 60
+		}
+	}
+	return q
+}
+
+// TestAccelOracle drives interleaved inserts, deletes, and compactions
+// through epoched commits and checks stab, containing, and intersection
+// answers — visited and counted (nil VisitFunc) — against a brute-force
+// oracle at historical epochs, including values outside the configured
+// domain, which must clamp, not break. The query shapes make list boxes
+// miss, fall inside, and straddle the query; the test asserts all three
+// occur.
 func TestAccelOracle(t *testing.T) {
-	a, err := New(Config{Dims: 2, Dim: 0, Levels: 6, Lo: 0, Hi: 1000})
+	for _, cfg := range []Config{
+		{Dims: 2, Dim: 0, Levels: 6, Lo: 0, Hi: 1000},
+		{Dims: 2, Dim: 1, Levels: 6, Lo: 0, Hi: 1000},
+		{Dims: 3, Dim: 2, Levels: 5, Lo: 0, Hi: 1000},
+		{Dims: 1, Dim: 0, Levels: 6, Lo: 0, Hi: 1000},
+	} {
+		t.Run(fmt.Sprintf("dims=%d/hot=%d", cfg.Dims, cfg.Dim), func(t *testing.T) {
+			miss, inside, partial := runAccelOracle(t, cfg)
+			if cfg.Dims > 1 && (miss == 0 || inside == 0 || partial == 0) {
+				t.Fatalf("query shapes did not exercise every list class: %d miss, %d inside, %d partial", miss, inside, partial)
+			}
+		})
+	}
+}
+
+func runAccelOracle(t *testing.T, cfg Config) (miss, inside, partial int) {
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,26 +163,17 @@ func TestAccelOracle(t *testing.T) {
 	nextID := uint64(1)
 	epoch := uint64(1)
 
-	randRect := func() geom.Rect {
-		// Deliberately overshoots the domain on both sides.
-		lo := rng.Float64()*1400 - 200
-		hi := lo + rng.Float64()*300
-		y := rng.Float64() * 100
-		return geom.Rect2(lo, y, hi, y+rng.Float64()*20)
-	}
-
 	for step := 0; step < 60; step++ {
-		// One commit: a few inserts, sometimes a delete.
+		// One commit: a few inserts and up to two deletes.
 		newEpoch := epoch + 1
 		n := 1 + rng.Intn(5)
 		for i := 0; i < n; i++ {
-			r := randRect()
+			r := oracleRect(rng, cfg.Dims, cfg.Dim)
 			a.StageInsert(r, nextID)
 			oracle = append(oracle, oracleRec{r: r, id: nextID, birth: newEpoch})
 			nextID++
 		}
-		if step%3 == 2 {
-			// Delete a random live record.
+		for d := rng.Intn(3); d > 0; d-- {
 			live := make([]int, 0, len(oracle))
 			for i, o := range oracle {
 				if o.death == 0 && o.birth <= epoch {
@@ -135,24 +196,45 @@ func TestAccelOracle(t *testing.T) {
 		if a.Degraded() {
 			t.Fatalf("step %d: unexpected degrade", step)
 		}
+		if err := a.CheckBirths(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 
 		// Check answers at several epochs, including historical ones that
 		// compaction must not have disturbed (only epochs >= minEpoch are
 		// pinnable in the real system).
 		for _, e := range []uint64{epoch, epoch - 1, minEpoch} {
-			for q := 0; q < 8; q++ {
-				x := rng.Float64()*1400 - 200
-				y := rng.Float64() * 100
-				stab := geom.Point(x, y)
-				if got, want := collectIDs(a, e, stab, false), oracleIDs(oracle, e, stab, false); !equalIDs(got, want) {
-					t.Fatalf("step %d epoch %d stab(%g,%g): got %v want %v", step, e, x, y, got, want)
-				}
-				box := randRect()
-				if got, want := collectIDs(a, e, box, true), oracleIDs(oracle, e, box, true); !equalIDs(got, want) {
-					t.Fatalf("step %d epoch %d range %v: got %v want %v", step, e, box, got, want)
-				}
-				if got, want := collectIDs(a, e, box, false), oracleIDs(oracle, e, box, false); !equalIDs(got, want) {
-					t.Fatalf("step %d epoch %d contain %v: got %v want %v", step, e, box, got, want)
+			for shape := 0; shape < 5; shape++ {
+				for _, hotPoint := range []bool{true, false} {
+					q := oracleQuery(rng, cfg.Dims, cfg.Dim, hotPoint, shape)
+					for _, rangeQ := range []bool{true, false} {
+						want := oracleIDs(oracle, e, q, rangeQ)
+						if got := collectIDs(t, a, e, q, rangeQ); !equalIDs(got, want) {
+							t.Fatalf("step %d epoch %d range=%v %v: got %v want %v", step, e, rangeQ, q, got, want)
+						}
+						var n int
+						if rangeQ {
+							n = a.RangeVisit(e, q.Min, q.Max, nil)
+						} else {
+							n = a.ContainVisit(e, q.Min, q.Max, nil)
+						}
+						if n != len(want) {
+							t.Fatalf("step %d epoch %d range=%v %v: count %d want %d", step, e, rangeQ, q, n, len(want))
+						}
+					}
+					r := read{lim: q.Max, need: q.Min}
+					for v := a.cellOf(q.Min[cfg.Dim]) + a.nCells; v >= 1; v >>= 1 {
+						if l := a.covers[v].Load(); l != nil {
+							switch m, in := a.classify(&r, l.box); {
+							case m:
+								miss++
+							case in:
+								inside++
+							default:
+								partial++
+							}
+						}
+					}
 				}
 			}
 		}
@@ -160,6 +242,34 @@ func TestAccelOracle(t *testing.T) {
 	st := a.Stats()
 	if st.Slots == 0 || st.Live == 0 {
 		t.Fatalf("implausible stats after churn: %+v", st)
+	}
+	return miss, inside, partial
+}
+
+// TestAccelStatsRace reads Stats while the writer commits: the /metrics
+// endpoint calls it without the tree's write lock. Meaningful under -race.
+func TestAccelStatsRace(t *testing.T) {
+	a, err := New(Config{Dims: 2, Dim: 0, Levels: 4, Lo: 0, Hi: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			_ = a.Stats()
+		}
+	}()
+	for e := uint64(2); e < 200; e++ {
+		a.StageInsert(geom.Rect2(float64(e%90), 0, float64(e%90)+5, 1), e)
+		if e%2 == 0 {
+			a.StageDelete(e - 1)
+		}
+		a.Commit(e, e-1)
+	}
+	<-done
+	if got := a.Stats().Live; got != 100 {
+		t.Fatalf("Live = %d after 198 inserts and 98 deletes, want 100", got)
 	}
 }
 
@@ -178,7 +288,7 @@ func TestAccelAbort(t *testing.T) {
 	a.StageInsert(geom.Rect2(50, 0, 60, 0), 3)
 	a.Commit(3, 1)
 
-	got := collectIDs(a, 3, geom.Rect2(0, 0, 100, 0), true)
+	got := collectIDs(t, a, 3, geom.Rect2(0, 0, 100, 0), true)
 	if !equalIDs(got, []uint64{1, 3}) {
 		t.Fatalf("after abort+commit: got %v want [1 3]", got)
 	}
@@ -219,10 +329,10 @@ func TestAccelDeleteUnknownID(t *testing.T) {
 	a.StageDelete(1)
 	a.StageDelete(1)
 	a.Commit(3, 2)
-	if got := collectIDs(a, 2, geom.Point(15, 2), false); !equalIDs(got, []uint64{1}) {
+	if got := collectIDs(t, a, 2, geom.Point(15, 2), false); !equalIDs(got, []uint64{1}) {
 		t.Fatalf("epoch 2 stab: got %v want [1]", got)
 	}
-	if got := collectIDs(a, 3, geom.Point(15, 2), false); len(got) != 0 {
+	if got := collectIDs(t, a, 3, geom.Point(15, 2), false); len(got) != 0 {
 		t.Fatalf("epoch 3 stab after delete: got %v want empty", got)
 	}
 }

@@ -64,7 +64,8 @@ func (e *InvariantError) Unwrap() error { return e.Err }
 //   - the recorded height matches the root level;
 //   - stored portions in excess of distinct record IDs never exceed the
 //     cut-portion gauge (when the gauge is zero the read path skips
-//     duplicate elimination, so an under-count would surface duplicates).
+//     duplicate elimination, so an under-count would surface duplicates);
+//   - births never decrease along the attached sidecar's slot lists.
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -82,6 +83,9 @@ func (t *Tree) CheckInvariants() error {
 			Err: fmt.Errorf("%d stored portions over %d distinct records exceed the cut-portion gauge %d",
 				portions, distinct, t.cutPortions),
 		}
+	}
+	if ref := t.sidecar.Load(); ref != nil {
+		return ref.sc.CheckBirths()
 	}
 	return nil
 }

@@ -51,11 +51,10 @@ type queryCtx struct {
 
 	// Sidecar adapters: persistent closures built once per context
 	// (newQueryCtx) so routing a query through the accelerator allocates
-	// nothing. accelEmit forwards each hit to fn, accelCountFn bumps
-	// count, and collectFn appends to entries.
-	accelEmit    func(min, max []float64, id uint64) bool
-	collectFn    func(Entry) bool
-	accelCountFn func(min, max []float64, id uint64) bool
+	// nothing. accelEmit forwards each hit to fn and collectFn appends to
+	// entries.
+	accelEmit func(min, max []float64, id uint64) bool
+	collectFn func(Entry) bool
 }
 
 // dedupBitmapWords caps the bitmap at 1<<20 record IDs (128 KiB); IDs at
@@ -72,10 +71,6 @@ func newQueryCtx() *queryCtx {
 	}
 	qc.collectFn = func(e Entry) bool {
 		qc.entries = append(qc.entries, e)
-		return true
-	}
-	qc.accelCountFn = func(min, max []float64, id uint64) bool {
-		qc.count++
 		return true
 	}
 	return qc

@@ -256,7 +256,7 @@ func (t *Tree) count(v *TreeView, query geom.Rect) (int, error) {
 		return 0, err
 	}
 	defer t.releaseQctx(qc)
-	if err := t.routed(qc, query, false, countNode, qc.accelCountFn); err != nil {
+	if err := t.routed(qc, query, false, countNode, nil); err != nil {
 		return 0, err
 	}
 	return qc.count, nil

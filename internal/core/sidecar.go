@@ -137,7 +137,7 @@ func (t *Tree) sidecarFor(st *treeState) *accel.Accel {
 // elects it and through the tree descent otherwise; either side's latency
 // feeds the gate. contain selects the SearchContaining class (stabs
 // included, reported through emit or, on the tree side, emitContaining)
-// over the intersection class (Search and Count).
+// over the intersection class (Search and Count); a nil emit counts.
 //
 //seglint:hotpath
 func (t *Tree) routed(qc *queryCtx, query geom.Rect, contain bool, body nodeBody, emit accel.VisitFunc) error {
@@ -157,9 +157,9 @@ func (t *Tree) routed(qc *queryCtx, query geom.Rect, contain bool, body nodeBody
 	case !viaAccel:
 		err = t.treeSide(qc, query, contain, body)
 	case contain:
-		a.ContainVisit(qc.st.epoch, query.Min, query.Max, emit)
+		qc.count = a.ContainVisit(qc.st.epoch, query.Min, query.Max, emit)
 	default:
-		a.RangeVisit(qc.st.epoch, query.Min, query.Max, emit)
+		qc.count = a.RangeVisit(qc.st.epoch, query.Min, query.Max, emit)
 	}
 	ns := time.Since(start).Nanoseconds()
 	if contain {
