@@ -218,9 +218,10 @@ func TestAccelDifferential(t *testing.T) {
 	}
 }
 
-// TestAccelDifferentialAuto runs the battery in auto mode, where the cost
-// gate freely flips between tree and sidecar mid-stream: both answers
-// must be identical regardless of which side served each query.
+// TestAccelDifferentialAuto runs the battery in auto mode, where routing
+// sends slices to the sidecar and points and boxes to the tree
+// mid-stream: both answers must be identical regardless of which side
+// served each query.
 func TestAccelDifferentialAuto(t *testing.T) {
 	recs := workload.I2.Generate(400, 99)
 	oracle := accelBuild(t, "sr-tree", 1, 400)
@@ -289,6 +290,62 @@ func TestAccelStatsSurface(t *testing.T) {
 	}
 	if err := dut.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// accelRoutes sums the routing counters across all shards.
+func accelRoutes(x *segidx.Index) (sidecar, tree uint64) {
+	for _, s := range x.AccelStats() {
+		sidecar += s.RoutedAccel
+		tree += s.RoutedTree
+	}
+	return sidecar, tree
+}
+
+// TestAccelAutoRoutesByShape pins auto routing to the query's shape on the
+// temporal workload: time-slices over the whole Y extent all go to the
+// sidecar and 10 %×10 % boxes all go to the tree, on one shard and on three.
+func TestAccelAutoRoutesByShape(t *testing.T) {
+	const n, queries = 2000, 4096
+	recs := workload.TI.Generate(n, 11)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			x := accelBuild(t, "skeleton-sr-tree", shards, n,
+				segidx.WithStabAccel(0, 10), segidx.WithHybridMode(segidx.HybridAuto))
+			defer x.Close()
+			for i, r := range recs {
+				if err := x.Insert(r, segidx.RecordID(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := len(x.AccelStats()); got != shards {
+				t.Fatalf("%d sidecars attached, want %d", got, shards)
+			}
+			count := func(q segidx.Rect) {
+				if _, err := x.Count(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			side0, tree0 := accelRoutes(x)
+			for _, tm := range workload.TIStabTimes(recs[n-1].Max[0], queries, 5) {
+				count(segidx.Box(tm, workload.DomainLo, tm, workload.DomainHi))
+			}
+			side1, tree1 := accelRoutes(x)
+			if tree1 != tree0 || side1 == side0 {
+				t.Fatalf("full-Y slices: %d routed to the sidecar, %d to the tree; want all to the sidecar", side1-side0, tree1-tree0)
+			}
+			rng := rand.New(rand.NewSource(int64(shards)))
+			const edge = (workload.DomainHi - workload.DomainLo) / 10
+			for i := 0; i < queries; i++ {
+				x0 := workload.DomainLo + rng.Float64()*(workload.DomainHi-workload.DomainLo-edge)
+				y0 := workload.DomainLo + rng.Float64()*(workload.DomainHi-workload.DomainLo-edge)
+				count(segidx.Box(x0, y0, x0+edge, y0+edge))
+			}
+			side2, tree2 := accelRoutes(x)
+			if side2 != side1 || tree2 == tree1 {
+				t.Fatalf("10%%×10%% boxes: %d routed to the sidecar, %d to the tree; want all to the tree", side2-side1, tree2-tree1)
+			}
+		})
 	}
 }
 

@@ -92,12 +92,12 @@ func TestStabFuncZeroAllocs(t *testing.T) {
 	}
 }
 
-// accelAllocIndex builds a sidecar-accelerated index in always mode and
+// accelAllocIndex builds a sidecar-accelerated index in the given mode and
 // loads it with interval data, returning stab points on the hot dimension.
-func accelAllocIndex(t *testing.T) (*segidx.Index, [][]float64) {
+func accelAllocIndex(t *testing.T, mode segidx.HybridMode) (*segidx.Index, [][]float64) {
 	t.Helper()
 	idx := accelBuild(t, "sr-tree", 1, allocTuples,
-		segidx.WithStabAccel(0, 10), segidx.WithHybridMode(segidx.HybridAlways))
+		segidx.WithStabAccel(0, 10), segidx.WithHybridMode(mode))
 	records := workload.I3.Generate(allocTuples, 31)
 	for i, r := range records {
 		if err := idx.Insert(r, segidx.RecordID(i+1)); err != nil {
@@ -112,73 +112,83 @@ func accelAllocIndex(t *testing.T) (*segidx.Index, [][]float64) {
 	return idx, points
 }
 
-// accelRouted sums the sidecar-routed query count across all shards.
-func accelRouted(idx *segidx.Index) uint64 {
-	var n uint64
-	for _, s := range idx.AccelStats() {
-		n += s.RoutedAccel
-	}
-	return n
-}
-
-func TestAccelStabFuncZeroAllocs(t *testing.T) {
-	idx, points := accelAllocIndex(t)
-	defer idx.Close()
-	fn := func(segidx.Entry) bool { return true }
-	for _, p := range points {
-		if err := idx.StabFunc(fn, p...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := accelRouted(idx)
-	i := 0
+// accelAllocGate asserts that probe allocates nothing per call and that
+// every call went to the sidecar when viaSidecar, else to the tree.
+func accelAllocGate(t *testing.T, idx *segidx.Index, viaSidecar bool, probe func() error) {
+	t.Helper()
+	side0, tree0 := accelRoutes(idx)
 	var avg float64
 	withGCOff(func() {
 		avg = testing.AllocsPerRun(100, func() {
-			if err := idx.StabFunc(fn, points[i%len(points)]...); err != nil {
+			if err := probe(); err != nil {
 				t.Fatal(err)
 			}
-			i++
 		})
 	})
-	if accelRouted(idx) <= before {
-		t.Fatal("always mode did not route the probes through the sidecar")
+	side, tree := accelRoutes(idx)
+	side, tree = side-side0, tree-tree0
+	ok, want := side > 0 && tree == 0, "sidecar"
+	if !viaSidecar {
+		ok, want = tree > 0 && side == 0, "tree"
+	}
+	if !ok {
+		t.Fatalf("%d calls routed to the sidecar and %d to the tree; want all to the %s", side, tree, want)
 	}
 	if avg != 0 {
-		t.Fatalf("sidecar StabFunc allocates %g objects per call, want 0", avg)
+		t.Fatalf("allocates %g objects per call, want 0", avg)
+	}
+}
+
+// accelAllocModes are the modes the sidecar alloc gates run in: always,
+// and auto, the default.
+var accelAllocModes = []segidx.HybridMode{segidx.HybridAlways, segidx.HybridAuto}
+
+func TestAccelStabFuncZeroAllocs(t *testing.T) {
+	for _, mode := range accelAllocModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			idx, points := accelAllocIndex(t, mode)
+			defer idx.Close()
+			fn := func(segidx.Entry) bool { return true }
+			for _, p := range points {
+				if err := idx.StabFunc(fn, p...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A 2-D point covers none of the data's Y extent: auto sends it
+			// to the tree.
+			i := 0
+			accelAllocGate(t, idx, mode == segidx.HybridAlways, func() error {
+				i++
+				return idx.StabFunc(fn, points[i%len(points)]...)
+			})
+		})
 	}
 }
 
 func TestAccelCountZeroAllocs(t *testing.T) {
-	idx, points := accelAllocIndex(t)
-	defer idx.Close()
-	// Vertical hot-dimension lines: the 1-D-degenerate ranges the sidecar
-	// answers from its stab-part plus origin-part scan.
-	queries := make([]segidx.Rect, len(points))
-	for i, p := range points {
-		queries[i] = segidx.Box(p[0], workload.DomainLo, p[0], workload.DomainHi)
-	}
-	for _, q := range queries {
-		if _, err := idx.Count(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := accelRouted(idx)
-	i := 0
-	var avg float64
-	withGCOff(func() {
-		avg = testing.AllocsPerRun(100, func() {
-			if _, err := idx.Count(queries[i%len(queries)]); err != nil {
-				t.Fatal(err)
+	for _, mode := range accelAllocModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			idx, points := accelAllocIndex(t, mode)
+			defer idx.Close()
+			// Vertical hot-dimension lines: the 1-D-degenerate ranges the
+			// sidecar answers from its stab-part plus origin-part scan, in
+			// either mode.
+			queries := make([]segidx.Rect, len(points))
+			for i, p := range points {
+				queries[i] = segidx.Box(p[0], workload.DomainLo, p[0], workload.DomainHi)
 			}
-			i++
+			for _, q := range queries {
+				if _, err := idx.Count(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			accelAllocGate(t, idx, true, func() error {
+				i++
+				_, err := idx.Count(queries[i%len(queries)])
+				return err
+			})
 		})
-	})
-	if accelRouted(idx) <= before {
-		t.Fatal("always mode did not route the probes through the sidecar")
-	}
-	if avg != 0 {
-		t.Fatalf("sidecar Count allocates %g objects per call, want 0", avg)
 	}
 }
 

@@ -72,6 +72,10 @@ type recTable struct {
 	ids    []uint64
 	births []uint64      // commit epoch the slot became visible
 	deaths []*deathChunk // atomic death epochs; 0 = live
+	// box (2*k floats, hot extents unused; nil while empty) bounds every
+	// rectangle ever appended. Compaction never shrinks it: Route reads
+	// it, and an over-approximation only sends a query to the tree.
+	box []float64
 }
 
 // slotList is one published version of a cell's slot list. The visible
@@ -85,11 +89,11 @@ type slotList struct {
 	box   []float64
 }
 
-// Mode selects the hybrid routing policy; see Accel.RouteContain.
+// Mode selects the hybrid routing policy; see Accel.Route.
 type Mode int32
 
 const (
-	// ModeAuto routes each query by the adaptive cost gate.
+	// ModeAuto routes each query by its shape (route.go).
 	ModeAuto Mode = iota
 	// ModeAlways routes every eligible query through the accelerator
 	// (degraded accelerators still fall back to the tree).
@@ -198,12 +202,9 @@ type Accel struct {
 	mode     atomic.Int32
 	degraded atomic.Bool
 
-	// Cost-gate state; see route.go.
-	ewma        [4]atomic.Uint64
-	seq         atomic.Uint64
+	// Routing counters; see Route.
 	routedAccel atomic.Uint64
 	routedTree  atomic.Uint64
-	probes      atomic.Uint64
 
 	// Writer state, guarded by the owning tree's write lock.
 	pendIns []staged
@@ -394,6 +395,7 @@ func (a *Accel) Commit(newEpoch, minEpoch uint64) {
 			ids:    append(t.ids, a.pendIns[i].id),
 			births: append(t.births, newEpoch),
 			deaths: t.deaths,
+			box:    a.growBox(t.box, a.pendIns[i].rect),
 		}
 		if int(slot>>deathChunkShift) == len(nt.deaths) {
 			nt.deaths = append(nt.deaths, new(deathChunk))
@@ -533,16 +535,13 @@ type Stats struct {
 	Live  int `json:"live"`
 	// Degraded reports whether routing is permanently disabled.
 	Degraded bool `json:"degraded"`
-	// Routing counters: queries answered by the accelerator, queries sent
-	// to the tree while an accelerator was attached, and cost-gate probes.
+	// Routing counters: queries answered by the accelerator, and queries
+	// sent to the tree while an accelerator was attached.
 	RoutedAccel uint64 `json:"routed_accel"`
 	RoutedTree  uint64 `json:"routed_tree"`
-	Probes      uint64 `json:"probes"`
-	// Cost-gate EWMAs in nanoseconds (0 = unmeasured).
-	EwmaContainTreeNs  uint64 `json:"ewma_contain_tree_ns"`
-	EwmaContainAccelNs uint64 `json:"ewma_contain_accel_ns"`
-	EwmaRangeTreeNs    uint64 `json:"ewma_range_tree_ns"`
-	EwmaRangeAccelNs   uint64 `json:"ewma_range_accel_ns"`
+	// Probes is always 0: routing never sends a query to the side it
+	// rejected. Kept for callers that read it.
+	Probes uint64 `json:"probes"`
 }
 
 // Stats returns current counters. Safe to call concurrently with readers
@@ -551,17 +550,12 @@ type Stats struct {
 func (a *Accel) Stats() Stats {
 	t := a.recs.Load()
 	return Stats{
-		Dim:                a.dim,
-		Levels:             a.levels,
-		Slots:              len(t.ids),
-		Live:               int(a.nLive.Load()),
-		Degraded:           a.degraded.Load(),
-		RoutedAccel:        a.routedAccel.Load(),
-		RoutedTree:         a.routedTree.Load(),
-		Probes:             a.probes.Load(),
-		EwmaContainTreeNs:  a.ewma[ewContainTree].Load(),
-		EwmaContainAccelNs: a.ewma[ewContainAccel].Load(),
-		EwmaRangeTreeNs:    a.ewma[ewRangeTree].Load(),
-		EwmaRangeAccelNs:   a.ewma[ewRangeAccel].Load(),
+		Dim:         a.dim,
+		Levels:      a.levels,
+		Slots:       len(t.ids),
+		Live:        int(a.nLive.Load()),
+		Degraded:    a.degraded.Load(),
+		RoutedAccel: a.routedAccel.Load(),
+		RoutedTree:  a.routedTree.Load(),
 	}
 }

@@ -311,7 +311,7 @@ func TestAccelDegradeOnDuplicateID(t *testing.T) {
 	if !a.Degraded() {
 		t.Fatal("duplicate live ID must degrade")
 	}
-	if a.RouteContain() || a.RouteRange([]float64{0, 0}, []float64{1, 1}) {
+	if a.Route([]float64{15, 0}, []float64{15, 0}) {
 		t.Fatal("degraded accelerator must never route, even in ModeAlways")
 	}
 }
@@ -337,60 +337,90 @@ func TestAccelDeleteUnknownID(t *testing.T) {
 	}
 }
 
-// TestAccelRouting exercises the three modes and the degenerate gate
-// states.
+// TestAccelRouting checks the side Route picks for each query shape in
+// each mode, then that auto mode never probes the side it rejected. The
+// 2-D cases hold records whose Y extents span [10, 50].
 func TestAccelRouting(t *testing.T) {
+	base := []geom.Rect{geom.Rect2(10, 10, 20, 30), geom.Rect2(40, 20, 60, 50)}
+	outside := geom.Rect2(30, 40, 35, 90) // grows the Y extent to [10, 90]
+	for _, tc := range []struct {
+		name       string
+		dims       int
+		rects      []geom.Rect
+		del        []uint64 // deleted and compacted after the inserts commit
+		degrade    bool
+		qmin, qmax []float64
+		want       [3]bool // sidecar? in ModeAuto, ModeAlways, ModeOff
+	}{
+		{"full-extent slice", 2, base, nil, false, []float64{15, 0}, []float64{15, 100}, [3]bool{true, true, false}},
+		{"slice over exactly the extent", 2, base, nil, false, []float64{15, 10}, []float64{15, 50}, [3]bool{true, true, false}},
+		{"full-extent range of a quarter", 2, base, nil, false, []float64{0, 0}, []float64{25, 100}, [3]bool{true, true, false}},
+		{"slice over part of the extent", 2, base, nil, false, []float64{15, 0}, []float64{15, 49}, [3]bool{false, true, false}},
+		{"2-D box", 2, base, nil, false, []float64{10, 20}, []float64{20, 30}, [3]bool{false, true, false}},
+		{"point", 2, base, nil, false, []float64{15, 20}, []float64{15, 20}, [3]bool{false, true, false}},
+		{"wider than a quarter", 2, base, nil, false, []float64{0, 0}, []float64{26, 100}, [3]bool{false, true, false}},
+		{"degraded", 2, base, nil, true, []float64{15, 0}, []float64{15, 100}, [3]bool{false, false, false}},
+		{"1-D point stab", 1, []geom.Rect{{Min: []float64{10}, Max: []float64{20}}}, nil, false, []float64{15}, []float64{15}, [3]bool{true, true, false}},
+		{"1-D range wider than a quarter", 1, []geom.Rect{{Min: []float64{10}, Max: []float64{20}}}, nil, false, []float64{0}, []float64{30}, [3]bool{false, true, false}},
+		{"empty sidecar, point", 2, nil, nil, false, []float64{15, 20}, []float64{15, 20}, [3]bool{true, true, false}},
+		{"slice after an out-of-extent insert", 2, append(base[:2:2], outside), nil, false, []float64{15, 0}, []float64{15, 60}, [3]bool{false, true, false}},
+		{"slice after that record is deleted and compacted", 2, append(base[:2:2], outside), []uint64{3}, false, []float64{15, 0}, []float64{15, 60}, [3]bool{false, true, false}},
+		{"slice covering the grown extent", 2, append(base[:2:2], outside), nil, false, []float64{15, 0}, []float64{15, 90}, [3]bool{true, true, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := New(Config{Dims: tc.dims, Dim: 0, Levels: 4, Lo: 0, Hi: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range tc.rects {
+				a.StageInsert(r, uint64(i+1))
+			}
+			a.Commit(2, 1)
+			for _, id := range tc.del {
+				a.StageDelete(id)
+			}
+			a.Commit(3, 3)
+			if tc.degrade {
+				a.Degrade()
+			}
+			routed := 0
+			for _, m := range []Mode{ModeAuto, ModeAlways, ModeOff} {
+				a.SetMode(m)
+				got := a.Route(tc.qmin, tc.qmax)
+				if got != tc.want[m] {
+					t.Errorf("%v: Route = %v, want %v", m, got, tc.want[m])
+				}
+				if got {
+					routed++
+				}
+			}
+			if st := a.Stats(); st.RoutedAccel != uint64(routed) || st.RoutedTree != uint64(3-routed) || st.Probes != 0 {
+				t.Errorf("stats after 3 routes (%d to the sidecar): %+v", routed, st)
+			}
+		})
+	}
+
+	// 10⁴ alternating slices and points in auto mode: each goes to the side
+	// its shape picks, every time.
 	a, err := New(Config{Dims: 2, Dim: 0, Levels: 4, Lo: 0, Hi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetMode(ModeOff)
-	if a.RouteContain() {
-		t.Fatal("ModeOff routed")
-	}
-	a.SetMode(ModeAlways)
-	if !a.RouteContain() {
-		t.Fatal("ModeAlways refused")
-	}
-	a.SetMode(ModeAuto)
-	// Unmeasured accelerator side gets first claim (modulo probes).
-	accel, tree := 0, 0
-	for i := 0; i < 256; i++ {
-		if a.RouteContain() {
-			accel++
-		} else {
-			tree++
+	a.StageInsert(base[0], 1)
+	a.Commit(2, 1)
+	slice := [2][]float64{{15, 0}, {15, 100}}
+	point := [2][]float64{{15, 20}, {15, 20}}
+	for i := 0; i < 10_000; i++ {
+		q, want := slice, true
+		if i%2 == 1 {
+			q, want = point, false
+		}
+		if a.Route(q[0], q[1]) != want {
+			t.Fatalf("route %d of %v went to the other side", i, q)
 		}
 	}
-	if accel == 0 {
-		t.Fatal("auto mode never tried the unmeasured accelerator")
-	}
-	if tree == 0 {
-		t.Fatal("auto mode never probed the other side")
-	}
-	// Teach the gate the accelerator is slow; routing must flip.
-	for i := 0; i < 64; i++ {
-		a.ObserveContain(true, 1_000_000)
-		a.ObserveContain(false, 1_000)
-	}
-	tree = 0
-	for i := 0; i < 63; i++ {
-		if !a.RouteContain() {
-			tree++
-		}
-	}
-	if tree < 32 {
-		t.Fatalf("gate did not learn the slow side: only %d/63 tree routes", tree)
-	}
-	// A domain-wide range is statically guarded in auto mode.
-	for i := 0; i < 64; i++ {
-		a.ObserveRange(true, 1)
-	}
-	if a.RouteRange([]float64{0, 0}, []float64{100, 0}) {
-		t.Fatal("domain-wide range must not route in auto mode")
-	}
-	if got := a.Stats(); got.RoutedAccel == 0 || got.RoutedTree == 0 || got.Probes == 0 {
-		t.Fatalf("stats counters not advancing: %+v", got)
+	if st := a.Stats(); st.RoutedAccel != 5_000 || st.RoutedTree != 5_000 || st.Probes != 0 {
+		t.Fatalf("stats after 10⁴ routes: %+v", st)
 	}
 }
 

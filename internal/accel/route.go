@@ -1,48 +1,41 @@
 package accel
 
-// The adaptive cost gate. Per query class (containing-style stabs vs.
-// intersection ranges) the gate keeps one EWMA of observed latency per
-// side and routes each query to the cheaper side, with a deterministic
-// 1-in-probePeriod probe sent to the other side so both averages stay
-// current as the workload drifts. Probing is free in the only currency
-// that matters: both sides return identical answers, a probe only moves
-// where the time is spent. The EWMA update is a racy load-compute-store —
-// concurrent readers can lose each other's samples — which is acceptable
-// for a heuristic that only has to track which side is cheaper, never an
-// exact figure.
+// Routing by shape. In auto mode a query runs on the accelerator only
+// when it is narrow in the hot dimension and, in every other dimension,
+// covers recTable.box, a grow-only bound of every rectangle the
+// accelerator was ever given. Such a query needs no per-slot comparison
+// outside the hot dimension: every list box lies inside an intersection,
+// and a containment that wide can match only records spanning the whole
+// extent, which the list boxes rule out wholesale. On any other shape the
+// tree's descent prunes the other dimensions too and which side wins
+// depends on the data (DESIGN §12), so the tree answers.
+//
+// The decision reads the query and one header: no clock, no measurement,
+// no probe of the other side. The box never shrinks; an over-approximation
+// only sends a query to the tree, and both sides answer identically.
 
-// EWMA slot indices.
-const (
-	ewContainTree = iota
-	ewContainAccel
-	ewRangeTree
-	ewRangeAccel
-)
-
-// probePeriod routes every Nth auto-mode query to the side the gate
-// currently disfavors.
-const probePeriod = 64
-
-// maxRangeWidthFrac is the static guard for intersection queries: wider
-// than this fraction of the hot domain, the origin-cell scan touches too
-// much of the bottom level to win, and auto mode goes straight to the
-// tree without polluting the range EWMA.
+// maxRangeWidthFrac is the guard on the query's hot extent: wider than
+// this fraction of the hot domain, the origin-cell scan touches too much
+// of the bottom level to win.
 const maxRangeWidthFrac = 0.25
 
-// RouteContain decides whether a containing-style query (Stab,
-// SearchContaining) should run on the accelerator.
-func (a *Accel) RouteContain() bool {
-	return a.route(ewContainTree, ewContainAccel, false)
+// Route decides whether the query [qmin, qmax] — a containment or an
+// intersection — runs on the accelerator, and counts the decision in
+// Stats. Safe for concurrent lock-free use.
+//
+//seglint:hotpath
+func (a *Accel) Route(qmin, qmax []float64) bool {
+	via := a.route(qmin, qmax)
+	if via {
+		a.routedAccel.Add(1)
+	} else {
+		a.routedTree.Add(1)
+	}
+	return via
 }
 
-// RouteRange decides whether an intersection query (Search, Count) should
-// run on the accelerator.
-func (a *Accel) RouteRange(qmin, qmax []float64) bool {
-	wide := (qmax[a.dim]-qmin[a.dim])*a.scale > maxRangeWidthFrac*float64(a.nCells)
-	return a.route(ewRangeTree, ewRangeAccel, wide)
-}
-
-func (a *Accel) route(treeIdx, accelIdx int, guard bool) bool {
+//seglint:hotpath
+func (a *Accel) route(qmin, qmax []float64) bool {
 	if a.degraded.Load() {
 		return false
 	}
@@ -52,58 +45,16 @@ func (a *Accel) route(treeIdx, accelIdx int, guard bool) bool {
 	case ModeAlways:
 		return true
 	}
-	if guard {
+	if (qmax[a.dim]-qmin[a.dim])*a.scale > maxRangeWidthFrac*float64(a.nCells) {
 		return false
 	}
-	at := a.ewma[accelIdx].Load()
-	tt := a.ewma[treeIdx].Load()
-	var prefer bool
-	switch {
-	case at == 0: // unmeasured sides get first claim
-		prefer = true
-	case tt == 0:
-		prefer = false
-	default:
-		prefer = at <= tt
+	if box := a.recs.Load().box; box != nil { // nil: never given a rectangle, nothing to cover
+		k := a.k
+		for i := 0; i < k; i++ {
+			if i != a.dim && (qmin[i] > box[i] || qmax[i] < box[k+i]) {
+				return false
+			}
+		}
 	}
-	if a.seq.Add(1)%probePeriod == 0 {
-		a.probes.Add(1)
-		return !prefer
-	}
-	return prefer
-}
-
-// ObserveContain feeds one containing-style query latency (ns) back into
-// the gate. usedAccel tells which side produced it.
-func (a *Accel) ObserveContain(usedAccel bool, ns int64) {
-	a.observe(ewContainTree, ewContainAccel, usedAccel, ns)
-}
-
-// ObserveRange feeds one intersection query latency (ns) back into the
-// gate.
-func (a *Accel) ObserveRange(usedAccel bool, ns int64) {
-	a.observe(ewRangeTree, ewRangeAccel, usedAccel, ns)
-}
-
-func (a *Accel) observe(treeIdx, accelIdx int, usedAccel bool, ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	idx := treeIdx
-	if usedAccel {
-		idx = accelIdx
-		a.routedAccel.Add(1)
-	} else {
-		a.routedTree.Add(1)
-	}
-	e := &a.ewma[idx]
-	old := e.Load()
-	nv := old - old/8 + uint64(ns)/8
-	if old == 0 {
-		nv = uint64(ns)
-	}
-	if nv == 0 {
-		nv = 1 // keep a measured side distinguishable from an unmeasured one
-	}
-	e.Store(nv)
+	return true
 }

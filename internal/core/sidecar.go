@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"segidx/internal/accel"
 	"segidx/internal/geom"
@@ -11,8 +10,8 @@ import (
 
 // Sidecar integration: an optional HINT-style stab accelerator
 // (internal/accel) the tree keeps epoch-consistent with its own MVCC
-// state and consults for containing-style and intersection queries
-// through an adaptive cost gate.
+// state and consults for containing-style and intersection queries whose
+// shape it wins on (accel.Route).
 //
 // Synchronization rides the existing write bracket: Insert stages the
 // original rectangle and deleteMatching stages each removed ID, publishOp
@@ -133,48 +132,22 @@ func (t *Tree) sidecarFor(st *treeState) *accel.Accel {
 	return ref.sc
 }
 
-// routed answers one query through the accelerator when the cost gate
-// elects it and through the tree descent otherwise; either side's latency
-// feeds the gate. contain selects the SearchContaining class (stabs
-// included, reported through emit or, on the tree side, emitContaining)
-// over the intersection class (Search and Count); a nil emit counts.
+// routed answers one query through the accelerator when the query's shape
+// elects it (accel.Route) and through the tree descent otherwise. contain
+// selects the SearchContaining class (stabs included, reported through emit
+// or, on the tree side, emitContaining) over the intersection class (Search
+// and Count); a nil emit counts.
 //
 //seglint:hotpath
 func (t *Tree) routed(qc *queryCtx, query geom.Rect, contain bool, body nodeBody, emit accel.VisitFunc) error {
-	a := t.sidecarFor(qc.st)
-	if a == nil {
-		return t.treeSide(qc, query, contain, body)
+	if a := t.sidecarFor(qc.st); a != nil && a.Route(query.Min, query.Max) {
+		if contain {
+			qc.count = a.ContainVisit(qc.st.epoch, query.Min, query.Max, emit)
+		} else {
+			qc.count = a.RangeVisit(qc.st.epoch, query.Min, query.Max, emit)
+		}
+		return nil
 	}
-	var viaAccel bool
-	if contain {
-		viaAccel = a.RouteContain()
-	} else {
-		viaAccel = a.RouteRange(query.Min, query.Max)
-	}
-	start := time.Now()
-	var err error
-	switch {
-	case !viaAccel:
-		err = t.treeSide(qc, query, contain, body)
-	case contain:
-		qc.count = a.ContainVisit(qc.st.epoch, query.Min, query.Max, emit)
-	default:
-		qc.count = a.RangeVisit(qc.st.epoch, query.Min, query.Max, emit)
-	}
-	ns := time.Since(start).Nanoseconds()
-	if contain {
-		a.ObserveContain(viaAccel, ns)
-	} else {
-		a.ObserveRange(viaAccel, ns)
-	}
-	return err
-}
-
-// treeSide is the tree's half of routed: the descent, then for the
-// containing class the report of the covers it accumulated.
-//
-//seglint:hotpath
-func (t *Tree) treeSide(qc *queryCtx, query geom.Rect, contain bool, body nodeBody) error {
 	err := t.descend(qc, query, body)
 	if contain && err == nil {
 		qc.emitContaining(query)

@@ -189,8 +189,7 @@ const (
 // intersection queries without touching tree pages. The sidecar is kept
 // epoch-consistent with the tree's MVCC commits, so snapshot reads see
 // matching answers; each shard of a forest gets its own sidecar. Queries
-// route between tree and sidecar through an adaptive cost gate — see
-// WithHybridMode. The hot-dimension domain is the skeleton estimate's
+// route between tree and sidecar by their shape — see WithHybridMode. The hot-dimension domain is the skeleton estimate's
 // domain when one is given, else [0, 100000]. Values outside the domain
 // stay exact but crowd the edge cells.
 //
@@ -216,10 +215,10 @@ func WithStabAccel(dim, levels int) Option {
 }
 
 // WithHybridMode sets the stab accelerator's routing policy: HybridAuto
-// (default) lets the adaptive cost gate pick tree or sidecar per query
-// from observed latencies, HybridAlways routes every eligible query to
-// the sidecar, HybridOff keeps the sidecar maintained but unused. Only
-// meaningful with WithStabAccel.
+// (default) picks tree or sidecar per query from the query's shape,
+// HybridAlways routes every eligible query to the sidecar, HybridOff
+// keeps the sidecar maintained but unused. Only meaningful with
+// WithStabAccel.
 func WithHybridMode(m HybridMode) Option {
 	return func(o *options) error {
 		if m != HybridAuto && m != HybridAlways && m != HybridOff {

@@ -37,8 +37,9 @@ type PoolStats = buffer.Stats
 // Report is a structural quality report; see (*Index).Analyze.
 type Report = core.Report
 
-// AccelStats holds one stab-accelerator sidecar's counters (routing
-// decisions, EWMA latencies, live slots); see WithStabAccel.
+// AccelStats holds one stab-accelerator sidecar's counters (queries routed
+// to each side, live and allocated slots, the degraded flag); see
+// WithStabAccel.
 type AccelStats = accel.Stats
 
 // HybridMode selects how queries route between the tree and an attached
@@ -46,8 +47,10 @@ type AccelStats = accel.Stats
 type HybridMode = accel.Mode
 
 const (
-	// HybridAuto routes each eligible query adaptively, using observed
-	// latencies of both sides plus occasional probes of the disfavored one.
+	// HybridAuto routes a query by its shape alone: to the accelerator
+	// when it spans at most a quarter of the hot domain and, in every
+	// other dimension, covers the extent of every record the accelerator
+	// was ever given; to the tree otherwise.
 	HybridAuto = accel.ModeAuto
 	// HybridAlways routes every eligible query to the accelerator.
 	HybridAlways = accel.ModeAlways
