@@ -210,7 +210,7 @@ func (t *Tree) mergeLeaves(n *node.Node, i, j int, o *op) error {
 		// Relink against the merged branch (the merged rect index may
 		// have shifted after RemoveBranch; look it up).
 		bi := n.BranchIndex(keepID)
-		if bi >= 0 && spansQualify(n.Records[k].Rect, n.Branches[bi].Rect) {
+		if bi >= 0 && spansQualify(&n.Records[k].Rect, &n.Branches[bi].Rect) {
 			n.Records[k].Span = keepID
 			t.stats.Relinks++
 			continue

@@ -166,7 +166,7 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 		if bi < 0 {
 			return fail("node %v spanning record %d links to absent branch %v", id, i, rec.Span)
 		}
-		if !spansQualify(rec.Rect, n.Branches[bi].Rect) {
+		if !spansQualify(&rec.Rect, &n.Branches[bi].Rect) {
 			return fail("node %v spanning record %d (%v) does not span branch %v",
 				id, i, rec.Rect, n.Branches[bi].Rect)
 		}

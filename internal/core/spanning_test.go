@@ -144,7 +144,7 @@ func findSubRootCutSegment(t *testing.T, tr *Tree) geom.Rect {
 			if chooseBranch(root, seg) != ci {
 				continue // would descend elsewhere
 			}
-			if !spansQualify(seg, b.Rect) {
+			if !spansQualify(&seg, &b.Rect) {
 				continue
 			}
 			tr.done(cb.Child, false)

@@ -97,9 +97,9 @@ func (o *op) split(n *node.Node) (*node.Node, []node.Record, error) {
 					continue // cycling record; leave it where it is
 				}
 				switch {
-				case spansQualify(rec.Rect, coverN):
+				case spansQualify(&rec.Rect, &coverN):
 					rec.Span = n.ID
-				case spansQualify(rec.Rect, coverS):
+				case spansQualify(&rec.Rect, &coverS):
 					rec.Span = sib.ID
 				default:
 					continue

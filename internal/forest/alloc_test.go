@@ -8,6 +8,7 @@ package forest
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"segidx/internal/core"
@@ -64,5 +65,55 @@ func TestForestStreamingAllocs(t *testing.T) {
 				t.Errorf("%s %s matched nothing; test is vacuous", r.name, q.name)
 			}
 		}
+	}
+}
+
+// TestForestChurnHeapFlat holds a fixed live window while unique IDs churn
+// through it — each step appends a new record and expires the oldest — and
+// checks that the heap does not grow with the number of IDs ever seen:
+// placement by ID keeps no per-record routing state.
+func TestForestChurnHeapFlat(t *testing.T) {
+	const (
+		window = 1000
+		warmup = 20_000
+		steps  = 200_000
+	)
+	f := newMemForest(t, 2, true)
+	rng := rand.New(rand.NewSource(3))
+	ring := make([]geom.Rect, window)
+	next := node.RecordID(0)
+	step := func() {
+		slot := int(next % window)
+		if next >= window {
+			if n, err := f.Delete(next-window, ring[slot]); err != nil || n != 1 {
+				t.Fatalf("expire %d = %d, %v", next-window, n, err)
+			}
+		}
+		ring[slot] = randRect(rng)
+		if err := f.Insert(ring[slot], next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < warmup; i++ {
+		step()
+	}
+	before := heap()
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	after := heap()
+	if f.Len() != window {
+		t.Fatalf("Len = %d, want the window of %d", f.Len(), window)
+	}
+	if growth := int64(after) - int64(before); growth > 512<<10 {
+		t.Fatalf("heap grew %.2f MiB over %d append/expire steps at a live window of %d",
+			float64(growth)/(1<<20), steps, window)
 	}
 }

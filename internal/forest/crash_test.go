@@ -91,7 +91,7 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Dims: 2, Manifest: mf})
+	f, err := New(shards, Config{Manifest: mf})
 	if err != nil {
 		return opsM, 0, 0, err
 	}
@@ -110,7 +110,7 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 		if err := f.Insert(r, id); err != nil {
 			return err
 		}
-		model[f.Route(r)][id] = r
+		model[f.Route(id)][id] = r
 		return nil
 	}
 	for i := 0; i < fcPreFlush; i++ {
@@ -299,7 +299,7 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 
 	// The reassembled forest must answer as the union of its recovered
 	// shards and satisfy every forest invariant.
-	f, err := New(shards, Config{Dims: 2, Manifest: mf, Epoch: m.Epoch, Rebuild: true})
+	f, err := New(shards, Config{Manifest: mf, Epoch: m.Epoch})
 	if err != nil {
 		t.Fatalf("%s: forest reassembly: %v", desc, err)
 	}
@@ -428,7 +428,7 @@ func TestForestManifestCommitFailureBreaksForest(t *testing.T) {
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Dims: 2, Manifest: mf})
+	f, err := New(shards, Config{Manifest: mf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestForestManifestCommitFailureBreaksForest(t *testing.T) {
 		if err := f.Insert(r, id); err != nil {
 			t.Fatal(err)
 		}
-		model[f.Route(r)][id] = r
+		model[f.Route(id)][id] = r
 	}
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)

@@ -25,20 +25,12 @@ type Shard struct {
 
 // Config configures forest assembly.
 type Config struct {
-	// Dims is the dimensionality every operation is validated against.
-	Dims int
 	// Manifest, when non-nil, is the forest's durable root: Flush commits
 	// it at a bumped epoch before stamping and flushing the shards.
 	Manifest *ManifestFile
 	// Epoch is the manifest epoch the forest starts at (0 for fresh
 	// forests; the recovered manifest epoch on reopen).
 	Epoch uint64
-	// Rebuild walks every shard's stored portions to reconstruct the
-	// ID-to-shard routing map and the per-shard covers. Required when the
-	// shards hold pre-existing data (reopen); a record found in two shards
-	// fails assembly. A forest of one shard routes nothing and walks
-	// nothing.
-	Rebuild bool
 }
 
 // Forest shards one logical index across N >= 1 engines. See the package
@@ -48,11 +40,9 @@ type Config struct {
 // routed to distinct shards proceed in parallel; the forest adds no
 // global operation lock. Flush serializes against other flushes only.
 type Forest struct {
-	// reads answers every core.Reader method over the live shard engines
-	// and the live router, whose covers Insert grows.
+	// reads answers every core.Reader method over the live shard engines.
 	reads
 
-	dims     int
 	shards   []core.Engine
 	stores   []store.Store
 	manifest *ManifestFile
@@ -70,15 +60,14 @@ type Forest struct {
 	scanPool sync.Pool
 }
 
-// reads is the scatter-gather read path over one set of shard readers and
-// the router that prunes them: the live engines with the live, grow-only
-// covers (embedded in Forest), or pinned shard views with frozen cover
-// copies (embedded in forestView). Both answer every core.Reader method
-// from here.
+// reads is the scatter-gather read path over one set of shard readers:
+// the live engines (embedded in Forest) or pinned shard views (embedded in
+// forestView). Both answer every core.Reader method from here. Records are
+// placed by ID, so any shard may hold a match for any query: every read
+// visits every shard.
 type reads struct {
-	f        *Forest // validation, breakage latch, parallelism, scan pool
+	f        *Forest // breakage latch, parallelism, scan pool
 	readers  []core.Reader
-	rt       *router     // nil with one shard: every query goes to it
 	released atomic.Bool // set by forestView.Release; never on a live forest
 }
 
@@ -97,8 +86,10 @@ type scanCtx struct {
 
 // New assembles a forest over the given shards. Every shard must already
 // be configured identically (dims, page sizes, spanning mode); the forest
-// does not verify engine configuration beyond dimensionality of the
-// operations it routes.
+// does not verify engine configuration, and each shard checks the
+// rectangles of the operations it receives. Shards that come with data
+// must hold only records RouteID places on them; New reads no page to
+// check it (CheckInvariants does).
 func New(shards []Shard, cfg Config) (*Forest, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("forest: need at least one shard")
@@ -106,11 +97,7 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 	if len(shards) > maxShards {
 		return nil, fmt.Errorf("forest: %d shards exceeds the limit of %d", len(shards), maxShards)
 	}
-	if cfg.Dims < 1 {
-		return nil, errors.New("forest: dims must be at least 1")
-	}
 	f := &Forest{
-		dims:       cfg.Dims,
 		shards:     make([]core.Engine, len(shards)),
 		stores:     make([]store.Store, len(shards)),
 		manifest:   cfg.Manifest,
@@ -118,7 +105,6 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 	}
 	f.reads.f = f
 	f.readers = make([]core.Reader, len(shards))
-	f.rt = newRouter(len(shards))
 	for i, s := range shards {
 		if s.Eng == nil {
 			return nil, fmt.Errorf("forest: shard %d has no engine", i)
@@ -145,11 +131,6 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 		}
 		return sc
 	}
-	if cfg.Rebuild {
-		if err := f.rt.rebuild(f.shards); err != nil {
-			return nil, err
-		}
-	}
 	return f, nil
 }
 
@@ -174,29 +155,13 @@ func (f *Forest) note(err error) {
 	f.broken.CompareAndSwap(nil, boxed)
 }
 
-// validate mirrors the single tree's operation-entry rectangle check, so
-// a query the forest prunes to zero shards still reports the error a
-// single tree would.
-func (f *Forest) validate(r geom.Rect) error {
-	if !r.Valid() {
-		return core.ErrBadRect
-	}
-	if r.Dims() != f.dims {
-		return core.ErrDims
-	}
-	return nil
-}
-
-// begin is the entry check of every read: a released view, a latched
-// breakage, then the rectangle.
-func (r *reads) begin(query geom.Rect) error {
+// begin is the entry check of every read: a released view, then a latched
+// breakage. The shards check the rectangle.
+func (r *reads) begin() error {
 	if r.released.Load() {
 		return core.ErrSnapshotReleased
 	}
-	if err := r.f.guard(); err != nil {
-		return err
-	}
-	return r.f.validate(query)
+	return r.f.guard()
 }
 
 // Shards reports the number of shards.
@@ -224,64 +189,40 @@ func (f *Forest) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Route reports the shard an insert of r would target absent ID-reuse
-// pinning: the rectangle-center hash over the shard count.
-func (f *Forest) Route(r geom.Rect) int { return RouteRect(r, len(f.shards)) }
+// Route reports the home shard of a record ID (RouteID over the shard
+// count).
+func (f *Forest) Route(id node.RecordID) int { return RouteID(id, len(f.shards)) }
 
-// Insert routes the record to its home shard — the shard already owning
-// its ID if the ID was ever seen, else the one its rectangle hashes to —
-// and grows that shard's cover.
+// Insert adds the record to its ID's home shard.
 func (f *Forest) Insert(r geom.Rect, id node.RecordID) error {
 	if err := f.guard(); err != nil {
 		return err
 	}
-	if err := f.validate(r); err != nil {
-		return err
-	}
-	shard := f.rt.assign(id, r)
-	if err := f.shards[shard].Insert(r, id); err != nil {
-		f.note(err)
-		return err
-	}
-	f.rt.grow(shard, r)
-	return nil
+	err := f.shards[f.Route(id)].Insert(r, id)
+	f.note(err)
+	return err
 }
 
-// Delete removes the record with the given ID from its owning shard. An
-// ID the forest has never seen removes nothing, matching a single tree's
-// miss behavior; the hint is validated first either way.
+// Delete removes the record with the given ID from its ID's home shard.
 func (f *Forest) Delete(id node.RecordID, hint geom.Rect) (int, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	if err := f.validate(hint); err != nil {
-		return 0, err
-	}
-	shard := f.rt.owner(id)
-	if shard < 0 {
-		return 0, nil
-	}
-	n, err := f.shards[shard].Delete(id, hint)
+	n, err := f.shards[f.Route(id)].Delete(id, hint)
 	f.note(err)
 	return n, err
 }
 
-// DeleteWhere applies the predicate delete on every shard whose cover
-// overlaps query. Shards run sequentially: the predicate is caller code
-// and the single-tree contract never invokes it concurrently.
+// DeleteWhere applies the predicate delete on every shard. Shards run
+// sequentially: the predicate is caller code and the single-tree contract
+// never invokes it concurrently.
 func (f *Forest) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, error) {
 	if err := f.guard(); err != nil {
 		return 0, err
 	}
-	if err := f.validate(query); err != nil {
-		return 0, err
-	}
 	total := 0
-	for i := range f.shards {
-		if !f.rt.intersects(i, query) {
-			continue
-		}
-		n, err := f.shards[i].DeleteWhere(query, pred)
+	for _, s := range f.shards {
+		n, err := s.DeleteWhere(query, pred)
 		total += n
 		if err != nil {
 			f.note(err)
@@ -291,28 +232,15 @@ func (f *Forest) DeleteWhere(query geom.Rect, pred func(core.Entry) bool) (int, 
 	return total, nil
 }
 
-// scatter fans op across the shards selected by prune and gathers the
-// per-shard result slices, merging without copying when at most one shard
-// produced results.
-func (r *reads) scatter(query geom.Rect,
-	prune func(*router, int, geom.Rect) bool,
-	op func(core.Reader, geom.Rect) ([]core.Entry, error),
-) ([]core.Entry, error) {
-	if err := r.begin(query); err != nil {
+// scatter fans op across every shard and gathers the per-shard result
+// slices, merging without copying when at most one shard produced results.
+func (r *reads) scatter(query geom.Rect, op func(core.Reader, geom.Rect) ([]core.Entry, error)) ([]core.Entry, error) {
+	if err := r.begin(); err != nil {
 		return nil, err
 	}
-	sel := make([]int, 0, len(r.readers))
-	for i := range r.readers {
-		if prune(r.rt, i, query) {
-			sel = append(sel, i)
-		}
-	}
-	if len(sel) == 0 {
-		return nil, nil
-	}
-	results := make([][]core.Entry, len(sel))
-	err := fanout.Run(nil, r.f.Parallelism(), len(sel), func(i int) error {
-		res, err := op(r.readers[sel[i]], query)
+	results := make([][]core.Entry, len(r.readers))
+	err := fanout.Run(nil, r.f.Parallelism(), len(r.readers), func(i int) error {
+		res, err := op(r.readers[i], query)
 		results[i] = res
 		return err
 	})
@@ -320,8 +248,8 @@ func (r *reads) scatter(query geom.Rect,
 		r.f.note(err)
 		return nil, err
 	}
-	// Gather. One non-empty shard hands its slice through unchanged — the
-	// common case under effective pruning costs no re-allocation.
+	// Gather. One non-empty shard hands its slice through unchanged, as a
+	// forest of one always does, at no re-allocation.
 	total, nonEmpty, last := 0, 0, -1
 	for i, res := range results {
 		if len(res) > 0 {
@@ -347,36 +275,30 @@ func (r *reads) scatter(query geom.Rect,
 // deduplicated per shard by ID (cross-shard duplicates cannot exist: a
 // record lives wholly in one shard).
 func (r *reads) Search(query geom.Rect) ([]core.Entry, error) {
-	return r.scatter(query, (*router).intersects, core.Reader.Search)
+	return r.scatter(query, core.Reader.Search)
 }
 
-// SearchContaining returns the records that entirely contain query. A
-// shard can only hold a match when its cover contains the query, the
-// tighter prune.
+// SearchContaining returns the records that entirely contain query.
 func (r *reads) SearchContaining(query geom.Rect) ([]core.Entry, error) {
-	return r.scatter(query, (*router).contains, core.Reader.SearchContaining)
+	return r.scatter(query, core.Reader.SearchContaining)
 }
 
-// stream runs a streaming query over the pruned shards sequentially,
-// honoring fn's early stop across shard boundaries. The pooled scan
-// context keeps the wrapping allocation-free, preserving the per-shard
-// zero-allocation read path.
+// stream runs a streaming query over the shards sequentially, honoring
+// fn's early stop across shard boundaries. The pooled scan context keeps
+// the wrapping allocation-free, preserving the per-shard zero-allocation
+// read path.
 func (r *reads) stream(query geom.Rect,
-	prune func(*router, int, geom.Rect) bool,
 	op func(core.Reader, geom.Rect, func(core.Entry) bool) error,
 	fn func(core.Entry) bool,
 ) error {
-	if err := r.begin(query); err != nil {
+	if err := r.begin(); err != nil {
 		return err
 	}
 	sc := r.f.scanPool.Get().(*scanCtx)
 	sc.fn, sc.stopped = fn, false
 	var err error
-	for i := range r.readers {
-		if !prune(r.rt, i, query) {
-			continue
-		}
-		if err = op(r.readers[i], query, sc.visit); err != nil || sc.stopped {
+	for _, s := range r.readers {
+		if err = op(s, query, sc.visit); err != nil || sc.stopped {
 			break
 		}
 	}
@@ -390,26 +312,23 @@ func (r *reads) stream(query geom.Rect,
 // returning false stops early, across shards. Entry rectangles are views
 // valid only during the callback.
 func (r *reads) SearchFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return r.stream(query, (*router).intersects, core.Reader.SearchFunc, fn)
+	return r.stream(query, core.Reader.SearchFunc, fn)
 }
 
 // SearchContainingFunc streams the records that entirely contain query.
 func (r *reads) SearchContainingFunc(query geom.Rect, fn func(core.Entry) bool) error {
-	return r.stream(query, (*router).contains, core.Reader.SearchContainingFunc, fn)
+	return r.stream(query, core.Reader.SearchContainingFunc, fn)
 }
 
 // Count returns the number of logical records intersecting query, summed
-// over the shards whose covers overlap it.
+// over the shards.
 func (r *reads) Count(query geom.Rect) (int, error) {
-	if err := r.begin(query); err != nil {
+	if err := r.begin(); err != nil {
 		return 0, err
 	}
 	total := 0
-	for i := range r.readers {
-		if !r.rt.intersects(i, query) {
-			continue
-		}
-		n, err := r.readers[i].Count(query)
+	for _, s := range r.readers {
+		n, err := s.Count(query)
 		if err != nil {
 			r.f.note(err)
 			return 0, err
@@ -574,8 +493,8 @@ func (f *Forest) Analyze() (*core.Report, error) {
 	return out, nil
 }
 
-// CheckInvariants validates every shard and the cross-shard routing
-// invariants (router.check).
+// CheckInvariants validates every shard and the cross-shard placement
+// invariant (checkPlacement).
 func (f *Forest) CheckInvariants() error {
 	if err := f.guard(); err != nil {
 		return err
@@ -585,7 +504,7 @@ func (f *Forest) CheckInvariants() error {
 			return fmt.Errorf("forest: shard %d: %w", i, err)
 		}
 	}
-	return f.rt.check(f.shards)
+	return checkPlacement(f.shards)
 }
 
 // Flush persists the forest at a new epoch: the manifest (when durable)

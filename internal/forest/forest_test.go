@@ -36,7 +36,7 @@ func newMemForest(t *testing.T, n int, spanning bool) *Forest {
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Dims: 2})
+	f, err := New(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +149,14 @@ func TestForestMatchesModel(t *testing.T) {
 	}
 }
 
-// TestForestIDReuseStaysOnOneShard verifies the routing invariant: a
-// second insert under a live ID lands on the ID's home shard no matter
-// where its rectangle hashes, so dedup and delete semantics survive
+// TestForestIDReuseStaysOnOneShard verifies the placement invariant: a
+// second insert under a live ID lands on the ID's home shard however far
+// its rectangle lies from the first, so dedup and delete semantics survive
 // sharding.
 func TestForestIDReuseStaysOnOneShard(t *testing.T) {
 	f := newMemForest(t, 4, true)
 	a := geom.Rect2(0, 0, 10, 10)
-	b := geom.Rect2(900, 900, 910, 910) // hashes elsewhere with near-certainty
-	if RouteRect(a, 4) == RouteRect(b, 4) {
-		b = geom.Rect2(700, 300, 705, 305)
-	}
+	b := geom.Rect2(900, 900, 910, 910)
 	if err := f.Insert(a, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +196,11 @@ func TestForestIDReuseStaysOnOneShard(t *testing.T) {
 	}
 }
 
-func TestForestValidatesBeforePruning(t *testing.T) {
-	f := newMemForest(t, 2, false) // empty: every query prunes to zero shards
+// TestForestRejectsBadRectangles checks that an empty forest reports the
+// errors a single tree would: the shards check every rectangle, with or
+// without records to search.
+func TestForestRejectsBadRectangles(t *testing.T) {
+	f := newMemForest(t, 2, false)
 	bad := geom.Rect{Min: []float64{1, 1}, Max: []float64{0, 0}}
 	if _, err := f.Search(bad); !errors.Is(err, core.ErrBadRect) {
 		t.Fatalf("Search(bad) = %v, want ErrBadRect", err)
@@ -271,7 +271,7 @@ func TestForestFlushEpochProtocol(t *testing.T) {
 		stores[i] = st
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Dims: 2, Manifest: mf})
+	f, err := New(shards, Config{Manifest: mf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,54 +326,76 @@ func TestForestFlushEpochProtocol(t *testing.T) {
 	}
 }
 
-// TestForestRebuild reopens shards with pre-existing data and verifies
-// the routing map and covers are reconstructed: queries work, ID reuse
-// still pins, and a record split across shards is rejected.
-func TestForestRebuild(t *testing.T) {
-	mkShard := func(t *testing.T, seed int64, base int) (Shard, map[node.RecordID]geom.Rect) {
-		st := store.NewMemStore()
-		tr, err := core.New(smallConfig(true), st)
-		if err != nil {
-			t.Fatal(err)
+// TestForestPlacement assembles a forest over shards that come with data,
+// as a reopen or a bulk load does: shards filled by RouteID answer and
+// delete through the forest, while a record planted on the wrong shard is
+// reported by CheckInvariants.
+func TestForestPlacement(t *testing.T) {
+	const shards = 3
+	mkShards := func(t *testing.T, place func(id node.RecordID) int) ([]Shard, map[node.RecordID]geom.Rect) {
+		out := make([]Shard, shards)
+		for i := range out {
+			st := store.NewMemStore()
+			tr, err := core.New(smallConfig(true), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = Shard{Eng: tr, Store: st}
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(1))
 		rects := make(map[node.RecordID]geom.Rect)
-		for i := 0; i < 80; i++ {
-			id := node.RecordID(base + i)
+		for id := node.RecordID(1); id <= 240; id++ {
 			r := randRect(rng)
-			if err := tr.Insert(r, id); err != nil {
+			if err := out[place(id)].Eng.Insert(r, id); err != nil {
 				t.Fatal(err)
 			}
 			rects[id] = r
 		}
-		return Shard{Eng: tr, Store: st}, rects
+		return out, rects
 	}
-	s0, r0 := mkShard(t, 1, 1000)
-	s1, r1 := mkShard(t, 2, 2000)
-	f, err := New([]Shard{s0, s1}, Config{Dims: 2, Rebuild: true})
+
+	placed, rects := mkShards(t, func(id node.RecordID) int { return RouteID(id, shards) })
+	f, err := New(placed, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() != len(r0)+len(r1) {
-		t.Fatalf("Len = %d", f.Len())
+	if f.Len() != len(rects) {
+		t.Fatalf("Len = %d, want %d", f.Len(), len(rects))
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// A rebuilt map still routes deletes to the owning shard.
-	for id, r := range r0 {
-		n, err := f.Delete(id, r)
-		if err != nil || n != 1 {
-			t.Fatalf("Delete(%d) = %d, %v", id, n, err)
+	for id, r := range rects {
+		if id%2 == 0 {
+			if n, err := f.Delete(id, r); err != nil || n != 1 {
+				t.Fatalf("Delete(%d) = %d, %v", id, n, err)
+			}
+			delete(rects, id)
 		}
-		break
+	}
+	got, err := f.Search(geom.Rect2(-1, -1, 1100, 1100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rects) || f.Len() != len(rects) {
+		t.Fatalf("after deletes: Search %d, Len %d, want %d", len(got), f.Len(), len(rects))
 	}
 
-	// Conflicting shards: the same ID stored in both must fail assembly.
-	c0, _ := mkShard(t, 3, 5000)
-	c1, _ := mkShard(t, 4, 5000)
-	if _, err := New([]Shard{c0, c1}, Config{Dims: 2, Rebuild: true}); err == nil {
-		t.Fatal("rebuild accepted a record stored in two shards")
+	// One record on a shard its ID does not route to: assembly reads no
+	// page, so only the invariant check can tell.
+	const stray = node.RecordID(7)
+	misplaced, _ := mkShards(t, func(id node.RecordID) int {
+		if id == stray {
+			return (RouteID(id, shards) + 1) % shards
+		}
+		return RouteID(id, shards)
+	})
+	f, err = New(misplaced, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a record stored on the wrong shard")
 	}
 }
 
@@ -505,7 +527,7 @@ func TestForestOfOneReportsItsTree(t *testing.T) {
 }
 
 // TestForestDeleteWhere checks the predicate delete sums per-shard
-// removals and prunes by cover.
+// removals.
 func TestForestDeleteWhere(t *testing.T) {
 	f := newMemForest(t, 4, true)
 	rng := rand.New(rand.NewSource(13))

@@ -1,13 +1,13 @@
 // Package forest shards one logical segment index across N >= 1
 // independent trees — each with its own page store, write-ahead log,
 // buffer-pool budget, and write lock — behind the same operation set a
-// single tree exposes. A router assigns every logical record to exactly one
-// shard by hashing its rectangle's center, so writers on different shards
-// never contend; queries scatter across the shards whose covers overlap the
-// query and gather the per-shard results, which need no cross-shard
-// deduplication because a record lives wholly in one shard. Every index is
-// a forest: the plain tree is the forest of one, which has no router and no
-// manifest and persists as exactly the files its one tree writes.
+// single tree exposes. Shards buy write parallelism only: every logical
+// record lives wholly in the shard its ID hashes to (RouteID), so writers
+// on different shards never contend and a record's shard needs no state to
+// find; queries scatter across every shard and gather the per-shard
+// results, which need no cross-shard deduplication. Every index is a
+// forest: the plain tree is the forest of one, which has no manifest and
+// persists as exactly the files its one tree writes.
 package forest
 
 import (
@@ -23,7 +23,10 @@ import (
 
 // The manifest is the forest's durable root: a tiny file holding the
 // shard count and the current flush epoch, checksummed and double-slotted
-// so an interrupted write can never destroy the last durable state.
+// so an interrupted write can never destroy the last durable state. Its
+// version names the placement rule the shards were written under: version
+// 1 placed records by rectangle center, version 2 by RouteID. A forest of
+// another version is refused, never re-routed.
 //
 // Layout: two 64-byte slots. A commit with epoch E writes slot E%2, so
 // consecutive commits alternate slots and a torn write tears only the
@@ -46,7 +49,7 @@ import (
 // manifest's — a shard ahead of the manifest is proof of corruption.
 const (
 	manifestMagic     = 0x5347464d // "SGFM"
-	manifestVersion   = 1
+	manifestVersion   = 2
 	manifestSlotBytes = 64
 	manifestCRCOff    = 60
 	maxShards         = 1 << 10
@@ -55,6 +58,11 @@ const (
 // ErrNoManifest is returned by OpenManifest when the file holds no valid
 // manifest slot (missing, empty, or never successfully committed).
 var ErrNoManifest = errors.New("forest: no manifest (was Flush called before close?)")
+
+// ErrManifestVersion is returned by OpenManifest and CreateManifest when
+// the file holds an intact manifest slot of a version this build does not
+// read: its shards place records by another rule.
+var ErrManifestVersion = errors.New("forest: unsupported manifest version")
 
 // Manifest is the decoded durable root of a forest.
 type Manifest struct {
@@ -88,29 +96,33 @@ func encodeSlot(m Manifest) []byte {
 	return buf
 }
 
-// decodeSlot parses one manifest slot; ok is false for anything but a
-// checksum-valid slot of the current version.
-func decodeSlot(buf []byte) (Manifest, bool) {
+// decodeSlot parses one manifest slot. ok is false for a torn, foreign or
+// out-of-range slot; a checksum-valid slot of another version is an error,
+// so a forest written under another placement rule is refused rather than
+// mistaken for one that was never flushed.
+func decodeSlot(buf []byte) (m Manifest, ok bool, err error) {
 	if len(buf) < manifestSlotBytes {
-		return Manifest{}, false
+		return Manifest{}, false, nil
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != manifestMagic {
-		return Manifest{}, false
+		return Manifest{}, false, nil
 	}
 	if binary.LittleEndian.Uint32(buf[manifestCRCOff:manifestCRCOff+4]) != crc32.ChecksumIEEE(buf[:manifestCRCOff]) {
-		return Manifest{}, false
+		return Manifest{}, false, nil
 	}
-	if binary.LittleEndian.Uint16(buf[4:6]) != manifestVersion {
-		return Manifest{}, false
+	if v := binary.LittleEndian.Uint16(buf[4:6]); v != manifestVersion {
+		return Manifest{}, false, fmt.Errorf("%w: the forest was written at version %d, this build reads version %d "+
+			"(records are placed on shards by ID since version 2); rebuild the index or bulk-load its records again",
+			ErrManifestVersion, v, manifestVersion)
 	}
-	m := Manifest{
+	m = Manifest{
 		Shards: int(binary.LittleEndian.Uint16(buf[6:8])),
 		Epoch:  binary.LittleEndian.Uint64(buf[8:16]),
 	}
 	if m.Shards < 1 || m.Shards > maxShards {
-		return Manifest{}, false
+		return Manifest{}, false, nil
 	}
-	return m, true
+	return m, true, nil
 }
 
 // readSlots reads and decodes both slots from f.
@@ -122,10 +134,12 @@ func readSlots(f store.File) (best Manifest, found bool, err error) {
 	}
 	buf = buf[:n]
 	for off := 0; off+manifestSlotBytes <= len(buf); off += manifestSlotBytes {
-		if m, ok := decodeSlot(buf[off : off+manifestSlotBytes]); ok {
-			if !found || m.Epoch > best.Epoch {
-				best, found = m, true
-			}
+		m, ok, err := decodeSlot(buf[off : off+manifestSlotBytes])
+		if err != nil {
+			return Manifest{}, false, err
+		}
+		if ok && (!found || m.Epoch > best.Epoch) {
+			best, found = m, true
 		}
 	}
 	return best, found, nil

@@ -1,8 +1,11 @@
 package forest
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"segidx/internal/store"
@@ -121,5 +124,45 @@ func TestCreateManifestRejectsBadShardCounts(t *testing.T) {
 		if _, err := CreateManifest(store.OS, filepath.Join(dir, "m.db"), n); err == nil {
 			t.Fatalf("CreateManifest(%d) succeeded", n)
 		}
+	}
+}
+
+// TestManifestRefusesVersion1 writes an intact version-1 slot by hand — a
+// forest whose shards placed records by rectangle center — and checks it is
+// refused with an error naming the version, not mistaken for a forest that
+// was never flushed, and not overwritten by a fresh manifest.
+func TestManifestRefusesVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "forest.db")
+	slot := make([]byte, manifestSlotBytes)
+	binary.LittleEndian.PutUint32(slot[0:4], manifestMagic)
+	binary.LittleEndian.PutUint16(slot[4:6], 1)
+	binary.LittleEndian.PutUint16(slot[6:8], 2)
+	binary.LittleEndian.PutUint64(slot[8:16], 4)
+	binary.LittleEndian.PutUint32(slot[manifestCRCOff:], crc32.ChecksumIEEE(slot[:manifestCRCOff]))
+	f, err := store.OS.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(slot, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if !SniffManifest(store.OS, path) {
+		t.Fatal("SniffManifest missed a version-1 manifest")
+	}
+	_, _, err = OpenManifest(store.OS, path)
+	if !errors.Is(err, ErrManifestVersion) || errors.Is(err, ErrNoManifest) {
+		t.Fatalf("OpenManifest(v1) = %v, want ErrManifestVersion", err)
+	}
+	for _, want := range []string{"version 1", "rebuild", "bulk-load"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenManifest(v1) error %q does not say %q", err, want)
+		}
+	}
+	if _, err := CreateManifest(store.OS, path, 2); !errors.Is(err, ErrManifestVersion) {
+		t.Fatalf("CreateManifest over a v1 manifest = %v, want ErrManifestVersion", err)
 	}
 }

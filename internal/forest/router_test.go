@@ -14,99 +14,49 @@ func randRect(rng *rand.Rand) geom.Rect {
 	return geom.Rect2(x, y, x+w, y+h)
 }
 
-func TestRouteRectDeterministicAndBounded(t *testing.T) {
+func TestRouteIDDeterministicAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
-		r := randRect(rng)
-		for _, n := range []int{1, 2, 4, 8} {
-			s := RouteRect(r, n)
+		id := node.RecordID(rng.Uint64())
+		for _, n := range []int{1, 2, 3, 4, 8, maxShards} {
+			s := RouteID(id, n)
 			if s < 0 || s >= n {
-				t.Fatalf("RouteRect(%v, %d) = %d out of range", r, n, s)
+				t.Fatalf("RouteID(%d, %d) = %d out of range", id, n, s)
 			}
-			if s2 := RouteRect(r.Clone(), n); s2 != s {
-				t.Fatalf("RouteRect not deterministic: %d vs %d", s, s2)
+			if s2 := RouteID(id, n); s2 != s {
+				t.Fatalf("RouteID not deterministic: %d vs %d", s, s2)
 			}
 		}
 	}
-	if RouteRect(randRect(rng), 1) != 0 {
-		t.Fatal("single shard must route to 0")
-	}
-}
-
-// TestRouteRectSpreads checks the center hash actually distributes:
-// every shard receives a reasonable share of uniform random rectangles.
-func TestRouteRectSpreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n, shards = 8000, 8
-	counts := make([]int, shards)
-	for i := 0; i < n; i++ {
-		counts[RouteRect(randRect(rng), shards)]++
-	}
-	for s, c := range counts {
-		if c < n/shards/2 || c > n/shards*2 {
-			t.Fatalf("shard %d got %d of %d (counts %v)", s, c, n, counts)
+	// The placement is part of the file format: these values must never
+	// change, or every stored forest would fail CheckInvariants.
+	for _, c := range []struct {
+		id      node.RecordID
+		n, want int
+	}{{0, 4, 0}, {1, 4, 1}, {2, 4, 3}, {1 << 40, 8, 7}, {12345, 3, 2}, {7, 2, 1}} {
+		if got := RouteID(c.id, c.n); got != c.want {
+			t.Errorf("RouteID(%d, %d) = %d, want %d", c.id, c.n, got, c.want)
 		}
 	}
 }
 
-// TestRouteRectExtentIndependent verifies routing depends only on the
-// center: widening a rectangle symmetrically keeps its shard.
-func TestRouteRectExtentIndependent(t *testing.T) {
-	r := geom.Rect2(10, 20, 30, 40)
-	wide := geom.Rect2(5, 15, 35, 45) // same center (20, 30)
-	if RouteRect(r, 8) != RouteRect(wide, 8) {
-		t.Fatal("routing changed with extent despite identical center")
-	}
-}
-
-func TestIDMapPinsFirstAssignment(t *testing.T) {
-	var im idMap
-	if got := im.lookup(7); got != -1 {
-		t.Fatalf("lookup(unseen) = %d, want -1", got)
-	}
-	if got := im.assign(7, 3); got != 3 {
-		t.Fatalf("assign = %d, want 3", got)
-	}
-	if got := im.assign(7, 5); got != 3 {
-		t.Fatalf("re-assign moved the ID: %d, want 3", got)
-	}
-	if got := im.lookup(7); got != 3 {
-		t.Fatalf("lookup = %d, want 3", got)
-	}
-	// record agrees with an existing binding, refuses a conflicting one.
-	if !im.record(7, 3) {
-		t.Fatal("record(7, 3) rejected the existing binding")
-	}
-	if im.record(7, 4) {
-		t.Fatal("record(7, 4) accepted a conflicting binding")
-	}
-	// Stripes cover the whole ID space without panics.
-	for id := node.RecordID(0); id < 10000; id += 97 {
-		im.assign(id, int(uint64(id)%8))
-	}
-}
-
-func TestCoverGrowAndPrune(t *testing.T) {
-	var c cover
-	if c.intersects(geom.Rect2(0, 0, 1, 1)) {
-		t.Fatal("empty cover intersects")
-	}
-	if c.contains(geom.Rect2(0, 0, 1, 1)) {
-		t.Fatal("empty cover contains")
-	}
-	c.grow(geom.Rect2(10, 10, 20, 20))
-	c.grow(geom.Rect2(15, 5, 30, 18))
-	// Cover is now [10,30]x[5,20].
-	if !c.intersects(geom.Rect2(29, 19, 40, 40)) {
-		t.Fatal("cover misses an overlapping query")
-	}
-	if c.intersects(geom.Rect2(31, 0, 40, 40)) {
-		t.Fatal("cover intersects a disjoint query")
-	}
-	if !c.contains(geom.Rect2(12, 6, 28, 19)) {
-		t.Fatal("cover fails to contain an inner query")
-	}
-	if c.contains(geom.Rect2(12, 4, 28, 19)) {
-		t.Fatal("cover contains a protruding query")
+// TestRouteIDSpreads checks that the ID mix spreads the ID patterns
+// callers actually use — sequential IDs, and IDs strided by the shard
+// count — within 5 % of an even share on every shard.
+func TestRouteIDSpreads(t *testing.T) {
+	const perShard = 20000
+	for _, n := range []int{2, 3, 4, 8} {
+		for _, stride := range []int{1, n} {
+			counts := make([]int, n)
+			for i := 0; i < n*perShard; i++ {
+				counts[RouteID(node.RecordID(1+i*stride), n)]++
+			}
+			for s, c := range counts {
+				if c < perShard*95/100 || c > perShard*105/100 {
+					t.Errorf("n=%d stride=%d: shard %d got %d, want %d ± 5 %% (counts %v)",
+						n, stride, s, c, perShard, counts)
+				}
+			}
+		}
 	}
 }

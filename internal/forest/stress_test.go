@@ -18,11 +18,11 @@ import (
 // sharding exists to deliver: a stalled shard does not serialize the
 // writers on the other shards.
 
-// shardRects generates count rectangles that route to each shard of an
-// n-shard forest, keyed by shard.
-func shardRects(rng *rand.Rand, n, count int) [][]geom.Rect {
-	out := make([][]geom.Rect, n)
-	for {
+// shardRecords generates count records whose IDs route to each shard of
+// an n-shard forest, keyed by shard. IDs are unique across shards.
+func shardRecords(rng *rand.Rand, n, count int) [][]core.Record {
+	out := make([][]core.Record, n)
+	for id := node.RecordID(1); ; id++ {
 		done := true
 		for s := range out {
 			if len(out[s]) < count {
@@ -32,10 +32,8 @@ func shardRects(rng *rand.Rand, n, count int) [][]geom.Rect {
 		if done {
 			return out
 		}
-		r := randRect(rng)
-		s := RouteRect(r, n)
-		if len(out[s]) < count {
-			out[s] = append(out[s], r)
+		if s := RouteID(id, n); len(out[s]) < count {
+			out[s] = append(out[s], core.Record{Rect: randRect(rng), ID: id})
 		}
 	}
 }
@@ -51,7 +49,7 @@ func TestForestConcurrentStress(t *testing.T) {
 		readers   = 2
 	)
 	f := newMemForest(t, shards, true)
-	rects := shardRects(rand.New(rand.NewSource(42)), shards, perWriter)
+	recs := shardRecords(rand.New(rand.NewSource(42)), shards, perWriter)
 
 	var wgWork, wgReaders sync.WaitGroup
 	stopReaders := make(chan struct{})
@@ -63,14 +61,13 @@ func TestForestConcurrentStress(t *testing.T) {
 		wgWork.Add(1)
 		go func(w int) {
 			defer wgWork.Done()
-			for i, r := range rects[w] {
-				id := node.RecordID(w*1_000_000 + i + 1)
-				if err := f.Insert(r, id); err != nil {
+			for i, r := range recs[w] {
+				if err := f.Insert(r.Rect, r.ID); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
 				if i%5 == 0 {
-					if _, err := f.Delete(id, r); err != nil {
+					if _, err := f.Delete(r.ID, r.Rect); err != nil {
 						errs <- fmt.Errorf("writer %d delete: %w", w, err)
 						return
 					}
@@ -197,16 +194,16 @@ func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 	}
 	gate.Engine = fshards[0].Eng
 	fshards[0].Eng = gate
-	f, err := New(fshards, Config{Dims: 2})
+	f, err := New(fshards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects := shardRects(rand.New(rand.NewSource(7)), shards, 100)
+	recs := shardRecords(rand.New(rand.NewSource(7)), shards, 100)
 
 	// Park a writer inside shard 0.
 	blockedDone := make(chan error, 1)
 	go func() {
-		blockedDone <- f.Insert(rects[0][0], 1)
+		blockedDone <- f.Insert(recs[0][0].Rect, recs[0][0].ID)
 	}()
 	<-gate.entered
 
@@ -217,8 +214,8 @@ func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i, r := range rects[w] {
-				if err := f.Insert(r, node.RecordID(w*1000+i+2)); err != nil {
+			for _, r := range recs[w] {
+				if err := f.Insert(r.Rect, r.ID); err != nil {
 					errs <- err
 					return
 				}

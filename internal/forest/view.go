@@ -13,10 +13,10 @@ func (f *Forest) CommitEpoch() uint64 {
 	return e
 }
 
-// Snapshot pins one view per shard plus a copy of the router's covers and
-// returns a core.View over the union. Each shard view is a true MVCC
-// snapshot (lock-free reads, copy-on-write isolation), so queries on the
-// returned view never block behind writers on any shard.
+// Snapshot pins one view per shard and returns a core.View over the
+// union. Each shard view is a true MVCC snapshot (lock-free reads,
+// copy-on-write isolation), so queries on the returned view never block
+// behind writers on any shard.
 //
 // Shard views are pinned in shard order, not atomically across shards: a
 // write committing while Snapshot runs may be visible in a later-pinned
@@ -33,16 +33,11 @@ func (f *Forest) Snapshot() core.View {
 		sv := s.Snapshot()
 		v.views[i], v.readers[i] = sv, sv
 	}
-	v.rt = f.rt.freeze()
 	return v
 }
 
 // forestView is a pinned scatter-gather snapshot: the forest's read path
-// over per-shard views and frozen covers. Covers are grow-only on the live
-// forest and frozen after every shard is pinned, so a frozen cover bounds
-// the pinned contents of its shard whenever the pin happened with no insert
-// in flight on that shard; an insert racing the pin may or may not be
-// visible, as for any query concurrent with a write.
+// over per-shard views.
 type forestView struct {
 	reads
 	views []core.View

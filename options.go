@@ -150,19 +150,19 @@ func WithParallelism(n int) Option {
 // WithShards partitions the index into n independent trees ("shards")
 // behind the same Index facade. Each shard has its own page store,
 // write-ahead log (with WithDurableFile), buffer-pool budget, and write
-// lock, so writers routed to distinct shards proceed in parallel; queries
-// scatter across the shards whose bounding covers overlap the query and
-// gather the results. Records are assigned to shards by hashing the
-// rectangle center (see (*Index).ShardOf); re-inserting under a live ID
-// stays on the ID's home shard, preserving single-tree dedup and delete
-// semantics.
+// lock, so writers on distinct shards proceed in parallel; queries scatter
+// across every shard and gather the results. A record's shard is a fixed
+// hash of its ID (see (*Index).ShardOf), so every portion inserted under
+// one ID lands on the same shard, preserving single-tree dedup and delete
+// semantics. Shards buy write parallelism only: each holds a uniform
+// sample of the data, so no query skips a shard.
 //
 // With WithFile or WithDurableFile, path holds the forest manifest and
 // shard i's pages live at path.shard<i> (plus a ".wal" sibling per shard
 // when durable); Open and OpenDurable detect the manifest and reassemble
-// the forest. n <= 1 is the default, one tree: a forest of one that routes
-// and prunes nothing and stores its pages at path itself, with no manifest.
-// Incompatible with WithStore.
+// the forest without reading its records. n <= 1 is the default, one tree:
+// a forest of one that routes nothing and stores its pages at path itself,
+// with no manifest. Incompatible with WithStore.
 func WithShards(n int) Option {
 	return func(o *options) error {
 		if n < 0 {

@@ -314,7 +314,7 @@ func build(kind string, spanning bool, est *SkeletonEstimate, opts []Option) (*I
 	} else if err := est.validate(cfg.Dims); err != nil {
 		return nil, err
 	}
-	return o.assemble(kind, cfg, false, func(_ int, cfg core.Config, st store.Store) (core.Engine, error) {
+	return o.assemble(kind, cfg, func(_ int, cfg core.Config, st store.Store) (core.Engine, error) {
 		return o.newEngine(cfg, st, est)
 	})
 }
@@ -373,24 +373,23 @@ func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstima
 
 // assemble is the one constructor behind every New* and BulkLoad call: it
 // validates cfg, creates the manifest a forest of several files needs, and
-// plants n = max(shards, 1) trees built by mk. rebuild tells the forest
-// that mk hands it non-empty shards. Validation comes first so that a
-// rejected call creates no file.
-func (o *options) assemble(kind string, cfg core.Config, rebuild bool,
+// plants n = max(shards, 1) trees built by mk. Validation comes first so
+// that a rejected call creates no file.
+func (o *options) assemble(kind string, cfg core.Config,
 	mk func(i int, cfg core.Config, st store.Store) (core.Engine, error)) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := max(o.shards, 1)
 	cfg = shardConfig(cfg, n)
-	fc := forest.Config{Dims: cfg.Dims, Rebuild: rebuild}
+	var fc forest.Config
 	if o.path != "" && n > 1 { // one shard is one file: nothing to enumerate
 		var err error
 		if fc.Manifest, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
 			return nil, err
 		}
 	}
-	f, err := o.plant(n, &fc, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
+	f, err := o.plant(n, fc, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
 	if err != nil {
 		return nil, err
 	}
@@ -399,10 +398,9 @@ func (o *options) assemble(kind string, cfg core.Config, rebuild bool,
 
 // plant opens one page store per shard — a caller's WithStore store is the
 // one shard's, and stays the caller's to close — builds each shard's engine
-// with mk and assembles the forest. fc is read after the last mk call, so
-// mk may fill in what only an opened shard knows. Any failure closes every
-// store opened so far and the manifest.
-func (o *options) plant(n int, fc *forest.Config,
+// with mk and assembles the forest. Any failure closes every store opened
+// so far and the manifest.
+func (o *options) plant(n int, fc forest.Config,
 	mk func(i int, st store.Store) (core.Engine, error)) (*forest.Forest, error) {
 	shards := make([]forest.Shard, 0, n)
 	fail := func(err error) (*forest.Forest, error) {
@@ -433,7 +431,7 @@ func (o *options) plant(n int, fc *forest.Config,
 		}
 		shards[i].Eng = eng
 	}
-	f, err := forest.New(shards, *fc)
+	f, err := forest.New(shards, fc)
 	if err != nil {
 		return fail(err)
 	}
@@ -459,7 +457,7 @@ func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, 
 	cfg.Spanning = false
 	cfg.CoalesceEvery = 0
 	parts := partitionByShard(records, max(o.shards, 1))
-	return o.assemble("packed-r-tree", cfg, true, func(i int, cfg core.Config, st store.Store) (core.Engine, error) {
+	return o.assemble("packed-r-tree", cfg, func(i int, cfg core.Config, st store.Store) (core.Engine, error) {
 		t, err := core.BulkLoad(cfg, st, parts[i], fill)
 		if err != nil {
 			return nil, err
@@ -488,8 +486,9 @@ func OpenDurable(path string, opts ...Option) (*Index, error) { return open(path
 // shard store is opened (replaying its WAL when durable) and its metadata
 // verified against the manifest — a shard whose durable epoch is ahead of
 // the manifest cannot result from any crash of the flush protocol and is
-// rejected as corruption — and the routing state of a forest of several
-// shards is rebuilt from their stored portions.
+// rejected as corruption. Opening walks no records: they are placed by
+// ID, so there is no routing state to rebuild, and whether each record
+// sits on its ID's shard is CheckInvariants' to verify.
 func open(path string, durable bool, opts []Option) (*Index, error) {
 	o, err := resolve(opts)
 	if err != nil {
@@ -498,7 +497,7 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 	// What is on disk decides the store and the shard count; the options
 	// that choose them at construction do not apply.
 	o.st, o.path, o.durable, o.shards = nil, path, durable, 1
-	fc := forest.Config{Rebuild: true}
+	var fc forest.Config
 	if forest.SniffManifest(store.OS, path) {
 		mf, m, err := forest.OpenManifest(store.OS, path)
 		if err != nil {
@@ -507,8 +506,8 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 		o.shards, fc.Manifest, fc.Epoch = m.Shards, mf, m.Epoch
 	}
 	cfg := shardConfig(o.cfg, o.shards)
-	var first *core.Tree // shard 0, which names the kind and the dims
-	f, err := o.plant(o.shards, &fc, func(i int, st store.Store) (core.Engine, error) {
+	var first *core.Tree // shard 0, which names the kind
+	f, err := o.plant(o.shards, fc, func(i int, st store.Store) (core.Engine, error) {
 		t, err := o.openTree(cfg, st)
 		switch {
 		case err != nil:
@@ -517,7 +516,7 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 			return nil, fmt.Errorf("segidx: shard %d at epoch %d, ahead of manifest epoch %d: %w",
 				i, t.FlushEpoch(), fc.Epoch, store.ErrBroken)
 		case i == 0:
-			first, fc.Dims = t, t.Config().Dims
+			first = t
 		case t.Config().Spanning != first.Config().Spanning:
 			return nil, fmt.Errorf("segidx: shard %d spanning=%v differs from shard 0", i, t.Config().Spanning)
 		}

@@ -31,21 +31,16 @@ func (o *options) shardPath(i, n int) string {
 	return forest.ShardPath(o.path, i)
 }
 
-// partitionByShard splits bulk-load records by their routed shard.
-// Duplicate IDs are pinned to their first record's shard so a logical
-// record never straddles shards.
+// partitionByShard splits bulk-load records by their ID's home shard, so
+// records sharing an ID land together and a logical record never
+// straddles shards.
 func partitionByShard(records []BulkRecord, n int) [][]BulkRecord {
 	if n == 1 {
 		return [][]BulkRecord{records}
 	}
 	parts := make([][]BulkRecord, n)
-	pinned := make(map[RecordID]int, len(records))
 	for _, r := range records {
-		s, ok := pinned[r.ID]
-		if !ok {
-			s = forest.RouteRect(r.Rect, n)
-			pinned[r.ID] = s
-		}
+		s := forest.RouteID(r.ID, n)
 		parts[s] = append(parts[s], r)
 	}
 	return parts
@@ -55,10 +50,11 @@ func partitionByShard(records []BulkRecord, n int) [][]BulkRecord {
 // built with WithShards).
 func (x *Index) Shards() int { return x.f.Shards() }
 
-// ShardOf reports the shard an insert of r would route to by the
-// rectangle-center hash. An insert reusing a live record ID instead stays
-// on that ID's home shard regardless of its rectangle.
-func (x *Index) ShardOf(r Rect) int { return x.f.Route(r) }
+// ShardOf reports the shard that holds, or would hold, the record with the
+// given ID: a fixed hash of the ID alone, the same for every index with the
+// same shard count. Writers that each own the IDs of one shard never
+// contend on a write lock.
+func (x *Index) ShardOf(id RecordID) int { return x.f.Route(id) }
 
 // FlushShard persists one shard's dirty pages at the forest's current
 // epoch without committing a new manifest epoch — the group-commit

@@ -26,8 +26,9 @@ import (
 // checks what the one engine shape must not lose. A forest of one writes
 // exactly the files a lone tree always wrote (p, plus p.wal when durable;
 // no manifest, no p.shard0), so files from before the unification still
-// open; it comes back without reading its pages, having no routing state
-// to rebuild; and every reopened index answers like the brute-force model.
+// open; an index of any shard count comes back without reading its pages,
+// records being placed by ID with no routing state to rebuild; and every
+// reopened index answers like the brute-force model.
 func TestIndexLayoutAndRoundTrip(t *testing.T) {
 	backings := []struct {
 		name    string
@@ -42,10 +43,10 @@ func TestIndexLayoutAndRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for _, b := range backings {
 			t.Run(fmt.Sprintf("%s/%d-shards", b.name, shards), func(t *testing.T) {
-				// The one-shard files are big enough that a scan of the stored
-				// portions on reopen could not hide among a few page reads.
+				// The files are big enough that a scan of the stored portions
+				// on reopen could not hide among a few page reads.
 				n := 400
-				if shards == 1 && b.with != nil {
+				if b.with != nil {
 					n = 20000
 				}
 				dir := t.TempDir()
@@ -120,8 +121,9 @@ func TestIndexLayoutAndRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gets := re.PoolStats().Gets; shards == 1 && gets > 2 {
-					t.Fatalf("opening a one-shard index of %d records cost %d pool gets, want <= 2 (no scan)", n, gets)
+				if gets := re.PoolStats().Gets; gets > uint64(2*shards) {
+					t.Fatalf("opening a %d-shard index of %d records cost %d pool gets, want <= %d (no scan)",
+						shards, n, gets, 2*shards)
 				}
 				checkAgainstModel(t, re, shards, live, rng)
 
