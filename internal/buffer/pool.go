@@ -23,6 +23,12 @@
 // never do: the change would be visible to pinned snapshots and, the frame
 // being clean, lost at the next Flush.
 //
+// A clone is a header copy sharing the pre-image's float storage, and it is
+// unsealed (node.Node.Seal). NewNode and Upgrade queue every node they hand
+// the writer; Seal packs each queued node's rectangles into a run of its
+// own, and the tree calls it before it publishes a state, so a reader only
+// ever resolves sealed nodes. Rollback drops the queue.
+//
 // Readers call GetVersion(id, epoch) with the epoch of the tree state they
 // pinned: the resident head serves them when it was installed at or before
 // their epoch, otherwise the version chain does, otherwise the store does
@@ -222,6 +228,11 @@ type Pool struct {
 	// signal for "is there anything to collect" that readers can poll
 	// without taking shard locks.
 	retained atomic.Int64
+
+	// unsealed queues the nodes NewNode and Upgrade handed the writer
+	// since the last Seal or Rollback: the only nodes that can be
+	// unsealed. Writer-only, like writeEpoch.
+	unsealed []*node.Node
 }
 
 // defaultShardCount sizes the stripe set to the parallelism available at
@@ -301,19 +312,34 @@ func (p *Pool) BeginWrite(epoch uint64) { p.writeEpoch = epoch }
 // once no snapshot needs them (see Collect).
 func (p *Pool) Publish(epoch uint64) { p.published.Store(epoch) }
 
+// Seal seals every node NewNode and Upgrade handed out since the last Seal
+// or Rollback (node.Node.Seal), so the state the writer publishes next
+// shows readers only sealed nodes. The tree calls it before it publishes a
+// state. Only the tree's single writer may call this, under its write
+// lock.
+func (p *Pool) Seal() {
+	for _, n := range p.unsealed {
+		n.Seal(p.codec.Dims)
+	}
+	clear(p.unsealed)
+	p.unsealed = p.unsealed[:0]
+}
+
 // inBracket reports whether a write bracket is open. Writer-only.
 func (p *Pool) inBracket() bool { return p.writeEpoch > p.published.Load() }
 
 // NewNode allocates a fresh page of pageBytes in the store and returns the
-// corresponding empty node, pinned and marked dirty. Inside a write bracket
-// the frame carries the bracket epoch, so snapshots pinned before the
-// bracket never observe it.
+// corresponding empty node, pinned and marked dirty and queued for the
+// next Seal. Inside a write bracket the frame carries the bracket epoch, so
+// snapshots pinned before the bracket never observe it. Only the tree's
+// single writer may call this, under its write lock.
 func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 	id, err := p.store.Allocate(pageBytes)
 	if err != nil {
 		return nil, err
 	}
 	n := &node.Node{ID: id, Level: level}
+	p.unsealed = append(p.unsealed, n)
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,15 +481,17 @@ func (p *Pool) GetMut(id page.ID) (*node.Node, error) {
 
 // Upgrade turns the writer's pin on id (from Get) into a pin on the open
 // bracket's mutable version of the page and returns that version. The first
-// Upgrade of a page per bracket clones the published head (copy-on-write),
-// retires the pre-image into the version chain and marks the clone dirty;
-// on a page the bracket already owns, and outside a bracket, it returns the
-// pinned node itself. The pointer Get returned must not be used afterwards:
-// once retired it is what snapshots read. Upgrade consumes the caller's pin
-// even when it fails — a published head someone else also pins cannot be
-// retired (the other holder would unpin into a frame no longer resident),
-// which is a pin-discipline bug in the caller. Only the tree's single
-// writer may call this, under its write lock.
+// Upgrade of a page per bracket clones the published head (copy-on-write,
+// a header clone sharing the head's floats), retires the pre-image into the
+// version chain and marks the clone dirty; on a page the bracket already
+// owns, and outside a bracket, it returns the pinned node itself. The clone,
+// and outside a bracket the node itself, is queued for the next Seal. The
+// pointer Get returned must not be used afterwards: once retired it is what
+// snapshots read. Upgrade consumes the caller's pin even when it fails — a
+// published head someone else also pins cannot be retired (the other
+// holder would unpin into a frame no longer resident), which is a
+// pin-discipline bug in the caller. Only the tree's single writer may call
+// this, under its write lock.
 func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
@@ -473,7 +501,11 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 		return nil, fmt.Errorf("buffer: upgrade of unpinned %v", id)
 	}
 	we := p.writeEpoch
-	if f.install == we || !p.inBracket() {
+	if f.install == we {
+		return f.n, nil
+	}
+	if !p.inBracket() {
+		p.unsealed = append(p.unsealed, f.n)
 		return f.n, nil
 	}
 	f.pins--
@@ -482,7 +514,8 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 	}
 	delete(s.resident, id)
 	p.retireLocked(s, id, f, we)
-	nf := &frame{n: f.n.CloneCompact(), bytes: f.bytes, pins: 1, dirty: true, install: we}
+	nf := &frame{n: f.n.CloneHeaders(), bytes: f.bytes, pins: 1, dirty: true, install: we}
+	p.unsealed = append(p.unsealed, nf.n)
 	s.resident[id] = nf
 	s.stats.Clones++
 	s.stats.ClonedBytes += uint64(f.bytes)
@@ -711,6 +744,8 @@ func (p *Pool) Rollback() error {
 	if !p.inBracket() {
 		return nil
 	}
+	clear(p.unsealed)
+	p.unsealed = p.unsealed[:0]
 	we := p.writeEpoch
 	var errs []error
 	for i := range p.shards {

@@ -65,6 +65,9 @@ func (e *InvariantError) Unwrap() error { return e.Err }
 //   - stored portions in excess of distinct record IDs never exceed the
 //     cut-portion gauge (when the gauge is zero the read path skips
 //     duplicate elimination, so an under-count would surface duplicates);
+//   - every node is sealed, its packed run holding its branch and record
+//     rectangles bit for bit, in entry order (readers test entries on the
+//     run alone);
 //   - births never decrease along the attached sidecar's slot lists.
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()
@@ -179,6 +182,11 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 	// during recursion below.
 	if n.HasRegion() && !n.Region.Valid() {
 		return fail("node %v has invalid region %v", id, n.Region)
+	}
+
+	// Readers test entries on the packed run alone.
+	if err := n.CheckSeal(dims); err != nil {
+		return fail("node %v: %w", id, err)
 	}
 
 	// Recurse.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"segidx/internal/geom"
@@ -85,19 +87,28 @@ func (t *Tree) beginRead(v *TreeView, query geom.Rect) (*queryCtx, error) {
 	return qc, nil
 }
 
+// errUnsealed is what a reader returns when the descent reaches a node
+// without a packed run: every node a published state can reach is sealed
+// (publishState), so meeting one means that invariant broke.
+var errUnsealed = errors.New("core: reader reached an unsealed node")
+
 // nodeBody is the per-node half of a query: it tests one fetched node's
-// records against query, accumulating into the context. Returning false
-// stops the descent. Bodies are plain functions whose state lives in the
-// context, so handing one to descend allocates nothing.
-type nodeBody func(qc *queryCtx, n *node.Node, query geom.Rect) bool
+// records — keys is the node's packed record run (node.Node.Keys) —
+// against query, accumulating into the context. Returning false stops the
+// descent. Bodies are plain functions whose state lives in the context, so
+// handing one to descend allocates nothing.
+type nodeBody func(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool
 
 // descend is the one query traversal: depth-first from the pinned root
 // into every branch intersecting query, running body on each node. A page
 // has one parent branch, so each node is reached, resolved at the context's
-// pinned epoch and charged as one search node access exactly once.
+// pinned epoch and charged as one search node access exactly once. Entries
+// are tested on the node's packed run with one kernel (geom.Rect.
+// NextOverlap); a branch or record is read only on a hit.
 //
 //seglint:hotpath
 func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
+	k := len(query.Min)
 	qc.stack = append(qc.stack, qc.st.root)
 	for len(qc.stack) > 0 {
 		id := qc.stack[len(qc.stack)-1]
@@ -107,15 +118,15 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 		if err != nil {
 			return err
 		}
-		if !body(qc, n, query) {
+		branches, records, ok := n.Keys(k)
+		if !ok {
+			return fmt.Errorf("%w: page %v", errUnsealed, id)
+		}
+		if !body(qc, n, records, query) {
 			return nil
 		}
-		if !n.IsLeaf() {
-			for i := range n.Branches {
-				if n.Branches[i].Rect.Intersects(query) {
-					qc.stack = append(qc.stack, n.Branches[i].Child)
-				}
-			}
+		for i := query.NextOverlap(branches, 0); i >= 0; i = query.NextOverlap(branches, i+1) {
+			qc.stack = append(qc.stack, n.Branches[i].Child)
 		}
 	}
 	return nil
@@ -125,12 +136,10 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 // caller's callback.
 //
 //seglint:hotpath
-func streamNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
-	for i := range n.Records {
-		if n.Records[i].Rect.Intersects(query) {
-			if !qc.fn(Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID}) {
-				return false
-			}
+func streamNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
+	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
+		if !qc.fn(Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID}) {
+			return false
 		}
 	}
 	return true
@@ -143,15 +152,13 @@ func streamNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
 // dedup set is skipped entirely.
 //
 //seglint:hotpath
-func collectNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
+func collectNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
 	dedup := qc.st.cutPortions > 0
-	for i := range n.Records {
-		if n.Records[i].Rect.Intersects(query) {
-			if dedup && qc.markSeen(n.Records[i].ID) {
-				continue
-			}
-			qc.entries = append(qc.entries, Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID})
+	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
+		if dedup && qc.markSeen(n.Records[i].ID) {
+			continue
 		}
+		qc.entries = append(qc.entries, Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID})
 	}
 	return true
 }
@@ -159,15 +166,13 @@ func collectNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
 // countNode is Count's body: collectNode without the entries.
 //
 //seglint:hotpath
-func countNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
+func countNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
 	dedup := qc.st.cutPortions > 0
-	for i := range n.Records {
-		if n.Records[i].Rect.Intersects(query) {
-			if dedup && qc.markSeen(n.Records[i].ID) {
-				continue
-			}
-			qc.count++
+	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
+		if dedup && qc.markSeen(n.Records[i].ID) {
+			continue
 		}
+		qc.count++
 	}
 	return true
 }
@@ -177,13 +182,10 @@ func countNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
 // covers once the descent has seen every portion.
 //
 //seglint:hotpath
-func coverNode(qc *queryCtx, n *node.Node, query geom.Rect) bool {
+func coverNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
 	k := len(query.Min)
-	for i := range n.Records {
+	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
 		r := n.Records[i].Rect
-		if !r.Intersects(query) {
-			continue
-		}
 		rid := n.Records[i].ID
 		if off, ok := qc.coverOff[rid]; ok {
 			// Union in place inside the accumulation buffer.

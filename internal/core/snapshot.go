@@ -117,8 +117,12 @@ func (r *snapRegistry) min(published uint64) uint64 {
 
 // publishState publishes the tree's current mutable fields as the
 // committed state at the given epoch and tells the pool the epoch is
-// durable-eligible. The caller must own the tree exclusively.
+// durable-eligible. The nodes the operation created or changed are sealed
+// first: a reader can pin the epoch only after the state store, so no
+// reader ever reaches an unsealed node. The caller must own the tree
+// exclusively.
 func (t *Tree) publishState(epoch uint64) {
+	t.pool.Seal()
 	t.state.Store(&treeState{
 		root:        t.root,
 		height:      t.height,

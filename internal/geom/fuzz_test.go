@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -129,6 +130,108 @@ func FuzzRectOps(f *testing.F) {
 		}
 		if s.Contains(r) && len(rem) != 0 {
 			t.Fatalf("r inside region but %d remnants returned", len(rem))
+		}
+	})
+}
+
+// overlapPalette is the coordinate alphabet FuzzPackedOverlap draws edge
+// cases from: signed zeros, infinities, the largest finite magnitudes and
+// small integers that make touching edges and points likely.
+var overlapPalette = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2, math.Inf(1), math.Inf(-1),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0.5, 3,
+}
+
+// overlapFloats decodes fuzz bytes into coordinates: a byte below
+// len(overlapPalette) picks a palette value, any other byte is followed by
+// eight bytes of raw float64 bits.
+func overlapFloats(data []byte) []float64 {
+	var out []float64
+	for len(data) > 0 {
+		tag := data[0]
+		data = data[1:]
+		if int(tag) < len(overlapPalette) {
+			out = append(out, overlapPalette[tag])
+			continue
+		}
+		if len(data) < 8 {
+			break
+		}
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		data = data[8:]
+	}
+	return out
+}
+
+// encodeOverlap is overlapFloats' inverse for seed inputs.
+func encodeOverlap(vals ...float64) []byte {
+	var out []byte
+	for _, v := range vals {
+		idx := -1
+		for i, p := range overlapPalette {
+			if math.Float64bits(p) == math.Float64bits(v) {
+				idx = i
+			}
+		}
+		if idx >= 0 {
+			out = append(out, byte(idx))
+			continue
+		}
+		out = append(out, 0xff)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// FuzzPackedOverlap checks that the packed-run kernel a reader tests node
+// entries with, NextOverlap, finds exactly the entries Intersects accepts,
+// in order, for k = 1…4: the query is the first 2k decoded floats, every
+// further 2k floats one entry. Inputs are taken raw — unordered corners,
+// NaN and all — so the two must agree on every input, not only on valid
+// rectangles.
+func FuzzPackedOverlap(f *testing.F) {
+	inf, big := math.Inf(1), math.MaxFloat64
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(1), encodeOverlap(0, 1, 1, 2, 2, 3, -1, 0, 5, 7))                     // 1-D touching edges
+	f.Add(uint8(2), encodeOverlap(0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 0, 3, 1))    // point corner, touching
+	f.Add(uint8(2), encodeOverlap(-inf, 0, inf, 0, 3, 0, 3, 0, 0, negZero, 1, 0))     // infinite line, points, -0
+	f.Add(uint8(3), encodeOverlap(-big, -big, -big, big, big, big, 0, 0, 0, 0, 0, 0)) // ±MaxFloat64
+	f.Add(uint8(4), encodeOverlap(0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0.5, 3, 0.5, 3, 0.5, 3, 0.5, 3))
+	f.Fuzz(func(t *testing.T, kb uint8, data []byte) {
+		k := int(kb%4) + 1
+		vals := overlapFloats(data)
+		if len(vals) < 2*k {
+			t.Skip()
+		}
+		q := Rect{Min: vals[:k:k], Max: vals[k : 2*k : 2*k]}
+		keys := vals[2*k:]
+		n := len(keys) / (2 * k)
+		keys = keys[:n*2*k]
+		var want []int
+		for i := 0; i < n; i++ {
+			o := i * 2 * k
+			e := Rect{Min: keys[o : o+k], Max: keys[o+k : o+2*k]}
+			if e.Intersects(q) {
+				want = append(want, i)
+			}
+		}
+		var got []int
+		for i := q.NextOverlap(keys, 0); i >= 0; i = q.NextOverlap(keys, i+1) {
+			got = append(got, i)
+			if len(got) > n {
+				t.Fatalf("NextOverlap revisits entries: %v", got)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d q=%v keys=%v: NextOverlap hits %v, Intersects %v", k, q, keys, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d q=%v keys=%v: NextOverlap hits %v, Intersects %v", k, q, keys, got, want)
+			}
+		}
+		if q.NextOverlap(keys, n) != -1 {
+			t.Fatal("NextOverlap past the last entry found one")
 		}
 	})
 }

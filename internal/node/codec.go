@@ -142,11 +142,13 @@ func (c Codec) Unmarshal(buf []byte, want page.ID) (*Node, error) {
 	off := fixedHeader
 	// One flat backing array holds every rectangle on the page — the
 	// region plus all branch and record rects — so decoding costs O(1)
-	// allocations rather than O(entries). The decoded rects are views
-	// into it; mutators replace whole Rect headers (they never write the
-	// decoded float storage), so the views stay stable for the node's
-	// lifetime. See DESIGN.md "Memory layout and rect lifetimes".
+	// allocations rather than O(entries), and the array is the node's
+	// packed run: a decoded node comes sealed (see Node.Seal). The
+	// decoded rects are views into it; mutators replace whole Rect
+	// headers (they never write the decoded float storage), so the views
+	// stay stable for the node's lifetime. See DESIGN.md §8.
 	flat := make([]float64, (1+nb+nr)*2*c.Dims)
+	n.packed = flat
 	fo := 0
 	if flags&flagHasRegion != 0 {
 		var region geom.Rect

@@ -13,6 +13,11 @@
 package node
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
 	"segidx/internal/geom"
 	"segidx/internal/page"
 )
@@ -64,6 +69,10 @@ type Node struct {
 	// Records holds data records (leaf) or spanning index records
 	// (non-leaf, each tagged with the child branch it spans).
 	Records []Record
+
+	// packed is the sealed key run every Rect above views (see Seal); nil
+	// while the node is unsealed. Every node a reader can reach is sealed.
+	packed []float64
 }
 
 // HasRegion reports whether the node carries a skeleton partition region.
@@ -124,79 +133,121 @@ func (n *Node) SpanningFor(child page.ID) []int {
 }
 
 // RemoveRecord deletes the record at index i, preserving order of the rest.
+// The slot it vacates is zeroed: a stale Rect header left in the slice's
+// slack would keep the float run it views — a copy-on-write pre-image's,
+// once the node is sealed — reachable for the node's lifetime.
 func (n *Node) RemoveRecord(i int) {
-	n.Records = append(n.Records[:i], n.Records[i+1:]...)
+	n.Records = slices.Delete(n.Records, i, i+1)
 }
 
-// RemoveBranch deletes the branch at index i, preserving order of the rest.
+// RemoveBranch deletes the branch at index i, preserving order of the rest,
+// and zeroes the slot it vacates (see RemoveRecord).
 func (n *Node) RemoveBranch(i int) {
-	n.Branches = append(n.Branches[:i], n.Branches[i+1:]...)
+	n.Branches = slices.Delete(n.Branches, i, i+1)
 }
 
-// Clone returns a deep copy of the node (used by the buffer pool tests and
-// the invariant checker snapshots).
-func (n *Node) Clone() *Node {
-	c := &Node{ID: n.ID, Level: n.Level}
-	if n.Region.Dims() > 0 {
-		c.Region = n.Region.Clone()
-	}
-	c.Branches = make([]Branch, len(n.Branches))
-	for i, b := range n.Branches {
-		c.Branches[i] = Branch{Rect: b.Rect.Clone(), Child: b.Child}
-	}
-	c.Records = make([]Record, len(n.Records))
-	for i, r := range n.Records {
-		c.Records[i] = Record{Rect: r.Rect.Clone(), ID: r.ID, Span: r.Span}
-	}
-	return c
-}
-
-// CloneCompact returns a deep copy of n whose rectangles all view one flat
-// float backing array. It is the copy-on-write primitive of the buffer
-// pool's page versioning: a writer clones the published node and mutates
-// the clone, so the per-clone cost is a handful of allocations rather than
-// two slices per rectangle as with Clone. The views are capped so an
-// append through any rect cannot spill into its neighbor's storage. The
-// entry slices get room for one more entry: a clone exists because a
-// mutation follows, most often a single append, which then neither
-// reallocates nor leaves the node carrying append's doubling as slack
-// until its next clone.
-func (n *Node) CloneCompact() *Node {
-	c := &Node{ID: n.ID, Level: n.Level}
-	k := 0
-	if len(n.Branches) > 0 {
-		k = n.Branches[0].Rect.Dims()
-	} else if len(n.Records) > 0 {
-		k = n.Records[0].Rect.Dims()
-	} else if n.Region.Dims() > 0 {
-		k = n.Region.Dims()
-	}
-	need := 2 * k * (len(n.Branches) + len(n.Records))
-	if n.Region.Dims() > 0 {
-		need += 2 * n.Region.Dims()
-	}
-	if need == 0 {
-		return c
-	}
-	flat := make([]float64, need)
-	off := 0
-	if n.Region.Dims() > 0 {
-		c.Region = n.Region.CopyInto(flat, off)
-		off += 2 * n.Region.Dims()
-	}
+// CloneHeaders returns the copy-on-write clone of n: a new node whose entry
+// slices copy n's entries, Rect headers included, so its rectangles share
+// n's float storage. The clone is unsealed. Sharing is safe because the
+// floats are write-once (DESIGN.md §8): mutators replace whole Rect headers
+// and never write through one, so n — the pre-image snapshots keep reading
+// — keeps its floats, and the clone's Seal copies what it holds into a run
+// of its own. The entry slices get room for one more entry: a clone exists
+// because a mutation follows, most often a single append, which then
+// neither reallocates nor leaves the node carrying append's doubling as
+// slack until its next clone.
+func (n *Node) CloneHeaders() *Node {
+	c := &Node{ID: n.ID, Level: n.Level, Region: n.Region}
 	if len(n.Branches) > 0 {
 		c.Branches = make([]Branch, len(n.Branches), len(n.Branches)+1)
-		for i, b := range n.Branches {
-			c.Branches[i] = Branch{Rect: b.Rect.CopyInto(flat, off), Child: b.Child}
-			off += 2 * k
-		}
+		copy(c.Branches, n.Branches)
 	}
 	if len(n.Records) > 0 {
 		c.Records = make([]Record, len(n.Records), len(n.Records)+1)
-		for i, r := range n.Records {
-			c.Records[i] = Record{Rect: r.Rect.CopyInto(flat, off), ID: r.ID, Span: r.Span}
-			off += 2 * k
-		}
+		copy(c.Records, n.Records)
 	}
 	return c
+}
+
+// Seal packs every rectangle of n into one fresh flat run — the region
+// slot, then the branches, then the records, each 2k floats laid out
+// [min₀…min_{k−1}, max₀…max_{k−1}] — and re-points each Rect header at its
+// slot, so the node reads exactly like one Codec.Unmarshal decoded. A node
+// without a region gets the EmptyRect marker in its region slot. A reader
+// scans the run with geom.Rect.NextOverlap instead of testing each entry's
+// Rect; Keys hands it out. Sealing allocates one float array and never
+// writes the storage the old headers viewed, so views taken before it keep
+// reading the same floats.
+func (n *Node) Seal(k int) {
+	s := 2 * k
+	flat := make([]float64, (1+len(n.Branches)+len(n.Records))*s)
+	if n.Region.Dims() == k {
+		n.Region = n.Region.CopyInto(flat, 0)
+	} else {
+		n.Region, _ = emptyRectFlat(k, flat, 0)
+	}
+	off := s
+	for i := range n.Branches {
+		n.Branches[i].Rect = n.Branches[i].Rect.CopyInto(flat, off)
+		off += s
+	}
+	for i := range n.Records {
+		n.Records[i].Rect = n.Records[i].Rect.CopyInto(flat, off)
+		off += s
+	}
+	n.packed = flat
+}
+
+// Keys returns the branch and record rectangles of n's packed run at
+// dimensionality k, each a stride-2k run in entry order. ok is false when
+// n is unsealed or its run does not match its entry counts: such a node
+// must never reach a reader.
+func (n *Node) Keys(k int) (branches, records []float64, ok bool) {
+	s := 2 * k
+	b := s * (1 + len(n.Branches))
+	if len(n.packed) != b+s*len(n.Records) {
+		return nil, nil, false
+	}
+	return n.packed[s:b], n.packed[b:], true
+}
+
+// CheckSeal returns nil when n is sealed and its packed run holds every
+// branch and record rectangle bit for bit, in entry order, and otherwise
+// describes the first disagreement.
+func (n *Node) CheckSeal(k int) error {
+	if n.packed == nil {
+		return errors.New("node is not sealed")
+	}
+	branches, records, ok := n.Keys(k)
+	if !ok {
+		return fmt.Errorf("packed run of %d floats does not fit %d branches and %d records",
+			len(n.packed), len(n.Branches), len(n.Records))
+	}
+	s := 2 * k
+	for i := range n.Branches {
+		if !sameBits(branches[i*s:(i+1)*s], n.Branches[i].Rect) {
+			return fmt.Errorf("branch %d rect %v differs from its packed key", i, n.Branches[i].Rect)
+		}
+	}
+	for i := range n.Records {
+		if !sameBits(records[i*s:(i+1)*s], n.Records[i].Rect) {
+			return fmt.Errorf("record %d rect %v differs from its packed key", i, n.Records[i].Rect)
+		}
+	}
+	return nil
+}
+
+// sameBits reports whether key holds r's corners with identical bits.
+func sameBits(key []float64, r geom.Rect) bool {
+	k := len(key) / 2
+	if len(r.Min) != k || len(r.Max) != k {
+		return false
+	}
+	for d := 0; d < k; d++ {
+		if math.Float64bits(key[d]) != math.Float64bits(r.Min[d]) ||
+			math.Float64bits(key[k+d]) != math.Float64bits(r.Max[d]) {
+			return false
+		}
+	}
+	return true
 }

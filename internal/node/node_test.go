@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -247,22 +248,139 @@ func TestRemoveEntries(t *testing.T) {
 	if len(n.Branches) != 2 || n.Branches[1].Child != 3 {
 		t.Errorf("RemoveBranch: %+v", n.Branches)
 	}
-	n.Records = []Record{{ID: 1}, {ID: 2}, {ID: 3}}
+	n.Records = []Record{{ID: 1}, {ID: 2}, {ID: 3, Rect: geom.Rect2(0, 0, 1, 1)}}
 	n.RemoveRecord(0)
 	if len(n.Records) != 2 || n.Records[0].ID != 2 {
 		t.Errorf("RemoveRecord: %+v", n.Records)
 	}
+	// The vacated slots hold no stale header that could keep a float run
+	// reachable.
+	if stale := n.Records[:3][2]; stale.Rect.Min != nil || stale.ID != 0 {
+		t.Errorf("RemoveRecord left %+v in the slack", stale)
+	}
+	if stale := n.Branches[:3][2]; stale.Child != 0 {
+		t.Errorf("RemoveBranch left %+v in the slack", stale)
+	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	n := randNode(rand.New(rand.NewSource(3)), 1, 2, 2)
-	c := n.Clone()
-	c.Branches[0].Rect.Min[0] = -999
-	c.Records[0].ID = 12345
-	if n.Branches[0].Rect.Min[0] == -999 {
-		t.Error("Clone shares branch rect storage")
+// sharesFloats reports whether a and b view the same float storage.
+func sharesFloats(a, b geom.Rect) bool { return &a.Min[0] == &b.Min[0] }
+
+func TestUnmarshalReturnsSealed(t *testing.T) {
+	c := Codec{Dims: 2}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []*Node{randNode(rng, 0, 0, 7), randNode(rng, 1, 5, 3), {ID: 9}} {
+		buf, err := c.Marshal(n, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Unmarshal(buf, n.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.CheckSeal(2); err != nil {
+			t.Fatalf("decoded %v: %v", n.ID, err)
+		}
+		branches, records, ok := got.Keys(2)
+		if !ok || len(branches) != 4*len(n.Branches) || len(records) != 4*len(n.Records) {
+			t.Fatalf("Keys = %d branch and %d record floats, ok %v", len(branches), len(records), ok)
+		}
 	}
-	if n.Records[0].ID == 12345 {
-		t.Error("Clone shares record storage")
+}
+
+func TestCloneHeadersSharesFloats(t *testing.T) {
+	c := Codec{Dims: 2}
+	n := randNode(rand.New(rand.NewSource(3)), 1, 2, 2)
+	buf, err := c.Marshal(n, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := c.Unmarshal(buf, n.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := sealed.CloneHeaders()
+	if _, _, ok := clone.Keys(2); ok {
+		t.Fatal("an unsealed clone hands out keys")
+	}
+	if err := clone.CheckSeal(2); err == nil || !strings.Contains(err.Error(), "not sealed") {
+		t.Fatalf("CheckSeal on a header clone = %v, want not sealed", err)
+	}
+	if !nodesEqual(clone, sealed) {
+		t.Fatal("header clone differs from its source")
+	}
+	for i := range clone.Branches {
+		if !sharesFloats(clone.Branches[i].Rect, sealed.Branches[i].Rect) {
+			t.Fatalf("branch %d copied its floats", i)
+		}
+	}
+	for i := range clone.Records {
+		if !sharesFloats(clone.Records[i].Rect, sealed.Records[i].Rect) {
+			t.Fatalf("record %d copied its floats", i)
+		}
+	}
+	// The entry slices are the clone's own.
+	clone.Records[0].ID = 12345
+	if sealed.Records[0].ID == 12345 {
+		t.Fatal("header clone shares its record slice")
+	}
+}
+
+func TestSealRoundTripsThroughMarshal(t *testing.T) {
+	c := Codec{Dims: 2}
+	rng := rand.New(rand.NewSource(5))
+	nodes := []*Node{randNode(rng, 0, 0, 9), randNode(rng, 2, 6, 4), {ID: 4}}
+	withRegion := randNode(rng, 0, 0, 3)
+	withRegion.Region = geom.Rect2(0, 0, 2000, 2000)
+	nodes = append(nodes, withRegion)
+	for _, n := range nodes {
+		want, err := c.Marshal(n, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Seal(2)
+		if err := n.CheckSeal(2); err != nil {
+			t.Fatalf("sealed %v: %v", n.ID, err)
+		}
+		got, err := c.Marshal(n, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("sealing %v changed its page image at %s", n.ID, diffOffsets(got, want))
+		}
+	}
+}
+
+func TestSealKeepsPreImageViews(t *testing.T) {
+	c := Codec{Dims: 2}
+	n := randNode(rand.New(rand.NewSource(8)), 0, 0, 4)
+	buf, err := c.Marshal(n, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := c.Unmarshal(buf, n.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := pre.Records[1].Rect
+	before := view.Clone()
+
+	// The writer's copy-on-write: clone, replace a header, append, seal.
+	m := pre.CloneHeaders()
+	m.Records[1].Rect = geom.Rect2(-5, -5, -1, -1)
+	m.Records = append(m.Records, Record{Rect: geom.Rect2(1, 1, 2, 2), ID: 77})
+	m.Seal(2)
+	if err := m.CheckSeal(2); err != nil {
+		t.Fatal(err)
+	}
+	if sharesFloats(m.Records[0].Rect, pre.Records[0].Rect) {
+		t.Fatal("Seal left an entry viewing the pre-image's floats")
+	}
+	if !view.Equal(before) || !pre.Records[1].Rect.Equal(before) {
+		t.Fatalf("pre-image view reads %v after Seal, want %v", view, before)
+	}
+	if err := pre.CheckSeal(2); err != nil {
+		t.Fatalf("pre-image after the clone's Seal: %v", err)
 	}
 }
