@@ -1,38 +1,28 @@
-// Command seglint runs the repository's custom static-analysis passes
-// (internal/analysis) over the module: the syntactic checks (lockcheck,
-// floatcmp, errchecklite, nodepanic, hotalloc) and the flow-sensitive
-// proofs (unlockpath, pinbalance, walorder). It exits non-zero when any
-// diagnostic survives the //seglint:allow directives, making it suitable
-// as a CI gate:
+// Command seglint runs the repository's static-analysis passes
+// (internal/analysis; `seglint -h` lists them, DESIGN.md §5 audits them)
+// over the module's packages, one package at a time in package order. It
+// exits 1 when any diagnostic survives the //seglint:allow directives and
+// 2 when a package fails to load:
 //
 //	go run ./cmd/seglint ./...
-//	go run ./cmd/seglint -json ./... > seglint.json
 //
 // Patterns follow the usual go tool forms: "./...", "./internal/...",
 // "./internal/geom", or fully qualified import paths.
-//
-// Packages are type-loaded serially (the loader caches dependencies and is
-// not safe for concurrent use) but analyzed in parallel, one worker per
-// CPU; diagnostics are reported in package order regardless of which
-// worker finishes first.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
+	"slices"
 
 	"segidx/internal/analysis"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: seglint [-json] [packages]\n\npasses:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: seglint [packages]\n\npasses:\n")
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -42,7 +32,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	n, err := run(patterns, *jsonOut, os.Stdout)
+	n, err := run(patterns, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seglint:", err)
 		os.Exit(2)
@@ -53,25 +43,9 @@ func main() {
 	}
 }
 
-// jsonDiag is the machine-readable form of one diagnostic.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the top-level -json document.
-type jsonReport struct {
-	Diagnostics []jsonDiag `json:"diagnostics"`
-	Count       int        `json:"count"`
-}
-
 // run loads every module package matching the patterns, applies the
-// analyzers across a worker pool, prints diagnostics to out (plain lines
-// or one JSON document), and returns the diagnostic count.
-func run(patterns []string, jsonOut bool, out io.Writer) (int, error) {
+// analyzers, prints diagnostics to out, and returns the diagnostic count.
+func run(patterns []string, out io.Writer) (int, error) {
 	root, modPath, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		return 0, err
@@ -81,75 +55,19 @@ func run(patterns []string, jsonOut bool, out io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-
-	// Load serially: the loader shares an importer cache across packages.
-	var pkgs []*analysis.Package
+	n := 0
 	for _, pkgPath := range all {
-		matched := false
-		for _, pat := range patterns {
-			if loader.Match(pkgPath, pat) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if !slices.ContainsFunc(patterns, func(pat string) bool { return loader.Match(pkgPath, pat) }) {
 			continue
 		}
 		pkg, err := loader.Load(pkgPath)
 		if err != nil {
-			return 0, err
+			return n, err
 		}
-		pkgs = append(pkgs, pkg)
-	}
-
-	// Analyze in parallel; results land in package order.
-	analyzers := analysis.Analyzers()
-	perPkg := make([][]analysis.Diagnostic, len(pkgs))
-	workers := runtime.NumCPU()
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				perPkg[i] = analysis.Run(pkgs[i], analyzers)
-			}
-		}()
-	}
-	for i := range pkgs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	var diags []analysis.Diagnostic
-	for _, ds := range perPkg {
-		diags = append(diags, ds...)
-	}
-	if jsonOut {
-		report := jsonReport{Diagnostics: make([]jsonDiag, 0, len(diags)), Count: len(diags)}
-		for _, d := range diags {
-			report.Diagnostics = append(report.Diagnostics, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
+		for _, d := range analysis.Run(pkg, analysis.Analyzers()) {
+			fmt.Fprintln(out, d)
+			n++
 		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return len(diags), err
-		}
-		return len(diags), nil
 	}
-	for _, d := range diags {
-		fmt.Fprintln(out, d)
-	}
-	return len(diags), nil
+	return n, nil
 }

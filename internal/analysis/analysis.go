@@ -3,23 +3,20 @@
 // built entirely on the standard library's go/ast, go/parser, and go/types
 // (the container this repo builds in has no module network access).
 //
-// It provides:
+// It provides a Loader that parses and type-checks the module's packages
+// from source (loader.go); an Analyzer abstraction with typed Pass state
+// and positioned Diagnostics; a CFG and dataflow layer for the
+// flow-sensitive passes (cfg.go, dataflow.go); the repo's passes, listed
+// by Analyzers and audited in DESIGN.md §5; and a directive mechanism,
+// "//seglint:allow <name>[,<name>...] — reason", that suppresses a named
+// analyzer on the directive's line, on the line below it, or — when the
+// directive appears in a function's doc comment — throughout that
+// function. Every suppression is expected to carry a rationale so
+// exceptions stay auditable, and a directive naming no pass is itself a
+// diagnostic.
 //
-//   - a Loader that parses and type-checks the module's packages from
-//     source, resolving standard-library imports through the source
-//     importer (loader.go);
-//   - an Analyzer abstraction with typed Pass state and positioned
-//     Diagnostics;
-//   - the repo's custom passes: lockcheck, floatcmp, errchecklite,
-//     nodepanic, and hotalloc;
-//   - a directive mechanism, "//seglint:allow <name>[,<name>...] — reason",
-//     that suppresses a named analyzer on the directive's line, on the line
-//     below it, or — when the directive appears in a function's doc
-//     comment — throughout that function. Every suppression is expected to
-//     carry a rationale so exceptions stay auditable.
-//
-// The cmd/seglint driver wires the passes over ./... and is part of the
-// tier-1 CI gate.
+// cmd/seglint runs the passes; its TestRepoIsClean keeps the module clean
+// under go test.
 package analysis
 
 import (
@@ -78,12 +75,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers lists every pass the driver runs, in reporting order. The
-// first five are the flow-insensitive style passes from the original
-// seglint; unlockpath, pinbalance, and walorder are the flow-sensitive
-// proofs built on the CFG/dataflow layer (cfg.go, dataflow.go).
+// Analyzers lists every pass the driver runs, in reporting order. DESIGN.md
+// §5 has one row per pass: its discipline, its directives, and what else
+// would catch a violation.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, FloatCmp, ErrCheckLite, NodePanic, HotAlloc, UnlockPath, PinBalance, WALOrder}
+	return []*Analyzer{Locks, FloatCmp, ErrCheckLite, NodePanic, HotAlloc, PinBalance, WALOrder}
 }
 
 // Run executes the given analyzers over a loaded package, drops findings
@@ -123,6 +119,7 @@ func RunUnfiltered(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			kept = append(kept, d)
 		}
 	}
+	kept = append(kept, sup.unknown...)
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i].Pos, kept[j].Pos
 		if a.Filename != b.Filename {
@@ -136,14 +133,15 @@ func RunUnfiltered(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return kept
 }
 
-// directiveRe matches "seglint:allow name" or "seglint:allow name1,name2"
-// inside a comment, optionally followed by a rationale.
-var directiveRe = regexp.MustCompile(`seglint:allow\s+([a-z][a-z0-9,]*)`)
+// directiveRe matches a "//seglint:allow name" or "//seglint:allow
+// name1,name2" comment, optionally followed by a rationale.
+var directiveRe = regexp.MustCompile(`^//seglint:allow\s+(\S+)`)
 
 // suppressions indexes //seglint:allow directives: per file, the analyzer
 // names allowed on each line.
 type suppressions struct {
-	byLine map[string]map[int]map[string]bool
+	byLine  map[string]map[int]map[string]bool
+	unknown []Diagnostic // directives naming no pass
 }
 
 func (s *suppressions) allow(file string, line int, names []string) {
@@ -166,6 +164,10 @@ func (s *suppressions) allows(d Diagnostic) bool {
 // its own line and the following line; a directive inside a function's doc
 // comment suppresses the function's whole body.
 func buildSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	sup := &suppressions{byLine: make(map[string]map[int]map[string]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -175,6 +177,12 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				for _, n := range names {
+					if !known[n] {
+						sup.unknown = append(sup.unknown, Diagnostic{Pos: pos, Analyzer: "seglint",
+							Message: fmt.Sprintf("//seglint:allow names %q, which is not a pass (seglint -h lists them)", n)})
+					}
+				}
 				end := fset.Position(c.End())
 				for l := pos.Line; l <= end.Line+1; l++ {
 					sup.allow(pos.Filename, l, names)

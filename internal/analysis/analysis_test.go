@@ -71,8 +71,11 @@ func checkFixtureAt(t *testing.T, a *Analyzer, pkgPath, src string) {
 	}
 }
 
-func TestLockCheck(t *testing.T) {
-	checkFixture(t, LockCheck, `package fixture
+// TestLocksHelpers pins the locked-helper contract: helpers never take
+// their caller's lock, and exported callers hold a lock on every path to
+// the call.
+func TestLocksHelpers(t *testing.T) {
+	checkFixture(t, Locks, `package fixture
 
 import "sync"
 
@@ -86,8 +89,8 @@ func (t *Tree) helper() int { return t.size }
 
 // badHelper re-acquires the lock it requires. The caller must hold t.mu.
 func (t *Tree) badHelper() int {
-	t.mu.RLock()         // want lockcheck
-	defer t.mu.RUnlock() // want lockcheck
+	t.mu.RLock()         // want locks
+	defer t.mu.RUnlock() // want locks
 	return t.size
 }
 
@@ -100,16 +103,44 @@ func (t *Tree) Good() int {
 
 // Bad never acquires the lock.
 func (t *Tree) Bad() int {
-	return t.helper() // want lockcheck
+	return t.helper() // want locks
 }
 
 // Late acquires only after the helper call.
 func (t *Tree) Late() int {
-	v := t.helper() // want lockcheck
+	v := t.helper() // want locks
 	t.mu.Lock()
 	v += t.size
 	t.mu.Unlock()
 	return v
+}
+
+// Early releases the lock on its fast path and then calls the helper:
+// the lock is acquired earlier in the source, but not held on this path.
+func (t *Tree) Early(x int) int {
+	t.mu.Lock()
+	if x > 0 {
+		t.mu.Unlock()
+		return t.helper() // want locks
+	}
+	defer t.mu.Unlock()
+	return t.helper()
+}
+
+// Sometimes holds the lock on one arm only when it calls the helper.
+func (t *Tree) Sometimes(x int) int {
+	if x > 0 {
+		t.mu.Lock()
+	}
+	v := t.helper() // want locks
+	t.mu.Unlock()
+	return v
+}
+
+// Misspelled names no pass, so it suppresses nothing and is reported.
+func (t *Tree) Misspelled() int {
+	//seglint:allow lokcs — misspelled pass name // want seglint
+	return t.helper() // want locks
 }
 
 // unexportedCaller is exempt: assumed to run under its caller's lock.
@@ -117,7 +148,7 @@ func (t *Tree) unexportedCaller() int { return t.helper() }
 
 // Allowed is excused by directive.
 //
-//seglint:allow lockcheck — fixture: receiver is unpublished here
+//seglint:allow locks — fixture: receiver is unpublished here
 func (t *Tree) Allowed() int { return t.helper() }
 
 // NoHelpers needs no lock because it calls no locked helper.
@@ -126,14 +157,14 @@ func (t *Tree) NoHelpers() int { return 42 }
 // evictLocked is a locked helper by naming convention alone (no doc
 // phrase); it must not re-acquire, and exported callers must lock first.
 func (t *Tree) evictLocked() {
-	t.mu.Lock() // want lockcheck
+	t.mu.Lock() // want locks
 	t.size--
-	t.mu.Unlock() // want lockcheck
+	t.mu.Unlock() // want locks
 }
 
 // Shrink calls a Locked-suffix helper without acquiring.
 func (t *Tree) Shrink() {
-	t.evictLocked() // want lockcheck
+	t.evictLocked() // want locks
 }
 
 // ShrinkSafe locks first.
@@ -149,7 +180,7 @@ func (t *Tree) shardHelper() int { return t.size }
 
 // ShardUser calls it without locking.
 func (t *Tree) ShardUser() int {
-	return t.shardHelper() // want lockcheck
+	return t.shardHelper() // want locks
 }
 
 var (
@@ -163,8 +194,8 @@ func bareHelper() int { return count }
 // bareBad re-acquires the bare identifier mutex. The caller must hold
 // the lock.
 func bareBad() int {
-	mu.Lock()         // want lockcheck
-	defer mu.Unlock() // want lockcheck
+	mu.Lock()         // want locks
+	defer mu.Unlock() // want locks
 	return count
 }
 
@@ -190,7 +221,7 @@ func LocalOnly() int {
 	var mu sync.Mutex
 	mu.Lock()
 	defer mu.Unlock()
-	return bareHelper() // want lockcheck
+	return bareHelper() // want locks
 }
 `)
 }
@@ -344,7 +375,7 @@ func TestAppliesTo(t *testing.T) {
 		{NodePanic, "segidx/cmd/segbench", false},
 		{NodePanic, "segidx/examples/quickstart", false},
 		{NodePanic, "segidx", true},
-		{LockCheck, "segidx/rulelock", true},
+		{Locks, "segidx/rulelock", true},
 		{ErrCheckLite, "segidx/cmd/seglint", false},
 	}
 	for _, c := range cases {

@@ -2,7 +2,7 @@ package analysis
 
 // Control-flow graphs over go/ast function bodies, in the spirit of
 // golang.org/x/tools/go/cfg but standard-library-only. The graph is the
-// substrate for the flow-sensitive passes (unlockpath, pinbalance,
+// substrate for the flow-sensitive passes (locks, pinbalance,
 // walorder): basic blocks of statements and evaluated expressions,
 // connected by edges that remember the branch condition they encode so a
 // dataflow problem can refine facts along `err != nil`-style edges.

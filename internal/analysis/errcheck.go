@@ -105,6 +105,17 @@ func pathHasSuffix(path string, suffixes []string) bool {
 	return false
 }
 
+// calleeObject resolves the called function or method, or nil.
+func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return info.Uses[fun]
+	case *ast.SelectorExpr:
+		return info.Uses[fun.Sel]
+	}
+	return nil
+}
+
 // calleeFunc resolves the called function, following method values through
 // selections so interface-method calls (store.Store.Write) resolve to the
 // interface method's declaring package.

@@ -8,8 +8,9 @@ import "testing"
 // idioms (defer release, per-path release, lock handoff, error-path
 // refinement) to pin both directions.
 
-func TestUnlockPath(t *testing.T) {
-	checkFixture(t, UnlockPath, `package fixture
+// TestLocksPaths pins per-path release balance.
+func TestLocksPaths(t *testing.T) {
+	checkFixture(t, Locks, `package fixture
 
 import "sync"
 
@@ -22,7 +23,7 @@ type Tree struct {
 func (t *Tree) leak(x int) int {
 	t.mu.Lock()
 	if x > 0 {
-		return x // want unlockpath
+		return x // want locks
 	}
 	t.mu.Unlock()
 	return 0
@@ -64,27 +65,27 @@ func (t *Tree) maybeDefer(x int) int {
 	if x > 0 {
 		defer t.mu.Unlock()
 	}
-	return x // want unlockpath
+	return x // want locks
 }
 
 // double: second release on the same path.
 func (t *Tree) double() {
 	t.mu.Lock()
 	t.mu.Unlock()
-	t.mu.Unlock() // want unlockpath
+	t.mu.Unlock() // want locks
 }
 
 // reenter: sync mutexes are not reentrant.
 func (t *Tree) reenter() {
 	t.mu.Lock()
-	t.mu.Lock() // want unlockpath
+	t.mu.Lock() // want locks
 	t.mu.Unlock()
 }
 
 // upgrade: taking the write lock while holding the read lock self-deadlocks.
 func (t *Tree) upgrade() {
 	t.mu.RLock()
-	t.mu.Lock() // want unlockpath
+	t.mu.Lock() // want locks
 	t.mu.Unlock()
 	t.mu.RUnlock()
 }

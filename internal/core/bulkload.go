@@ -24,7 +24,7 @@ import (
 // a valid SR-Tree (subsequent inserts may create spanning records), but
 // packing itself places every record in a leaf.
 //
-//seglint:allow lockcheck — the tree is under construction and unpublished; no other goroutine can observe it until BulkLoad returns
+//seglint:allow locks — the tree is under construction and unpublished; no other goroutine can observe it until BulkLoad returns
 func BulkLoad(cfg Config, st store.Store, records []Record, fill float64) (*Tree, error) {
 	if fill <= 0 || fill > 1 {
 		return nil, fmt.Errorf("core: bulk-load fill %g outside (0, 1]", fill)

@@ -139,7 +139,6 @@ func (t *Tree) deleteMatching(hint geom.Rect, match func(node.Record) bool) (int
 			}
 		} else {
 			o.enqueue(orp.rec.Rect, orp.rec.ID)
-			t.stats.Reinserts++
 		}
 	}
 	if err := o.drain(); err != nil {
@@ -380,7 +379,6 @@ func (t *Tree) collapseRoot(o *op) error {
 		}
 		for _, rec := range n.Records {
 			o.enqueue(rec.Rect, rec.ID)
-			t.stats.Reinserts++
 		}
 		child := n.Branches[0].Child
 		t.done(n.ID, false)

@@ -325,3 +325,80 @@ func TestDeleteWhereEmptyAndValidation(t *testing.T) {
 		t.Error("invalid query accepted")
 	}
 }
+
+// TestDismantleReinsertsEachSurvivorOnce pins what Stats.Reinserts counts:
+// a delete that leaves a leaf underfull dismantles it, and each of its k
+// surviving records is reinserted once, so the counter rises by exactly k
+// when the reinsertions cause no split.
+func TestDismantleReinsertsEachSurvivorOnce(t *testing.T) {
+	tr, err := NewInMemory(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*tr.leafCap(); i++ {
+		x := float64(i)
+		if err := tr.Insert(geom.Rect2(x, 0, x+0.5, 0.5), node.RecordID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := leafRecords(t, tr)
+	if tr.Height() != 2 || len(leaves) < 3 {
+		t.Fatalf("fixture: height %d with %d leaves, want height 2 and at least 3 leaves", tr.Height(), len(leaves))
+	}
+	// Thin every leaf to the minimum fill, so the survivors of the one
+	// dismantled below fit beside any sibling without a split.
+	for _, recs := range leaves {
+		for _, rec := range recs[tr.minLeaf():] {
+			if n, err := tr.Delete(rec.ID, rec.Rect); err != nil || n != 1 {
+				t.Fatalf("Delete(%d) = %d, %v", rec.ID, n, err)
+			}
+		}
+	}
+	if got := len(leafRecords(t, tr)); got != len(leaves) {
+		t.Fatalf("thinning changed the leaf count %d -> %d", len(leaves), got)
+	}
+
+	victim := leaves[0][0]
+	k := tr.minLeaf() - 1
+	if k < 1 {
+		t.Fatalf("fixture: minLeaf %d leaves no survivors", tr.minLeaf())
+	}
+	before := tr.Stats()
+	if n, err := tr.Delete(victim.ID, victim.Rect); err != nil || n != 1 {
+		t.Fatalf("Delete(%d) = %d, %v", victim.ID, n, err)
+	}
+	after := tr.Stats()
+	if splits := after.LeafSplits + after.NonLeafSplits - before.LeafSplits - before.NonLeafSplits; splits != 0 {
+		t.Fatalf("fixture: the delete caused %d splits", splits)
+	}
+	if got := len(leafRecords(t, tr)); got != len(leaves)-1 {
+		t.Fatalf("leaf count %d after the delete, want %d (one leaf dismantled)", got, len(leaves)-1)
+	}
+	if got := after.Reinserts - before.Reinserts; got != uint64(k) {
+		t.Fatalf("Reinserts rose by %d, want %d (one per survivor)", got, k)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// leafRecords returns the records of each leaf under a height-2 tree's
+// root, in branch order.
+func leafRecords(t *testing.T, tr *Tree) [][]node.Record {
+	t.Helper()
+	root, err := tr.fetch(tr.root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.done(root.ID, false)
+	var out [][]node.Record
+	for _, b := range root.Branches {
+		leaf, err := tr.fetch(b.Child, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, append([]node.Record(nil), leaf.Records...))
+		tr.done(leaf.ID, false)
+	}
+	return out
+}

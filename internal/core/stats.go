@@ -26,7 +26,12 @@ type Stats struct {
 	Relinks    uint64 // spanning records relinked to a different branch
 
 	Coalesces uint64 // sibling leaf merges performed
-	Reinserts uint64 // records reinserted (demotion, condensation, merges)
+
+	// Reinserts counts insertions from an op's reinsertion queue, once per
+	// record popped: demoted spanning records, cut remnants, promoted
+	// records that found no room, and the records of a dismantled node or
+	// collapsed root.
+	Reinserts uint64
 
 	// CutPortions is a gauge (not a counter): the number of stored record
 	// portions currently in excess of logical records. Zero means no
