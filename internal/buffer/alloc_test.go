@@ -1,0 +1,127 @@
+//go:build !race
+
+// The race detector instruments allocations and defeats the measurement,
+// so this file is excluded from -race builds.
+
+package buffer
+
+import (
+	"runtime"
+	"testing"
+
+	"segidx/internal/node"
+	"segidx/internal/page"
+	"segidx/internal/store"
+)
+
+// TestGetVersionHitZeroAllocs gates the lock-free read hit: serving a
+// resident head from the page table allocates nothing.
+func TestGetVersionHitZeroAllocs(t *testing.T) {
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
+	var ids []page.ID
+	for i := 0; i < 64; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, n.ID)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tally Tally
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := p.GetVersion(ids[i%len(ids)], 0, &tally); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Fatalf("GetVersion hit allocates %g objects", avg)
+	}
+	p.Settle(&tally)
+	if s := p.Stats(); s.Hits != s.Gets || s.Gets < 1000 {
+		t.Fatalf("stats = %+v, want every call counted as a hit", s)
+	}
+}
+
+// TestPageTableChurnHeapFlat allocates and frees 10⁶ page IDs through the
+// pool while a fixed set of long-lived pages and a sliding window of
+// recent ones stay live, as a split-heavy index allocates new IDs forever.
+// Chunks whose IDs have all been freed must be dropped: the number of
+// attached chunks and the heap stay flat.
+func TestPageTableChurnHeapFlat(t *testing.T) {
+	const (
+		fixed  = 1000
+		window = 3000
+		warmup = 100_000
+		steps  = 1_000_000
+	)
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
+	alloc := func() page.ID {
+		n, err := p.NewNode(0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seal() // as the tree does before it publishes; empties the queue
+		if err := p.Unpin(n.ID, false); err != nil {
+			t.Fatal(err)
+		}
+		return n.ID
+	}
+	for i := 0; i < fixed; i++ {
+		alloc()
+	}
+	ring := make([]page.ID, window)
+	next := 0
+	step := func() {
+		slot := next % window
+		if next >= window {
+			if err := p.Free(ring[slot]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ring[slot] = alloc()
+		next++
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < warmup; i++ {
+		step()
+	}
+	before, chunks := heap(), p.table.attached()
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	after := heap()
+	if got := p.Resident(); got != fixed+window {
+		t.Fatalf("Resident = %d, want %d", got, fixed+window)
+	}
+	// The live IDs span the fixed block plus one window: at most two
+	// chunks more than they fill, however many IDs went by.
+	limit := (fixed+chunkSize-1)/chunkSize + window/chunkSize + 2
+	if got := p.table.attached(); got > limit || got > chunks+1 {
+		t.Fatalf("%d chunks attached after %d steps (%d after warmup, limit %d)", got, steps, chunks, limit)
+	}
+	if growth := int64(after) - int64(before); growth > 512<<10 {
+		t.Fatalf("heap grew %.2f MiB over %d allocate/free steps at %d live pages",
+			float64(growth)/(1<<20), steps, fixed+window)
+	}
+}
+
+// attached counts the page table's attached chunks.
+func (t *table) attached() int {
+	n := 0
+	if d := t.dir.Load(); d != nil {
+		for i := range d.chunks {
+			if d.chunks[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

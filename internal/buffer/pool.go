@@ -1,4 +1,4 @@
-// Package buffer implements a pinning LRU buffer pool over decoded segment
+// Package buffer implements a pinning CLOCK buffer pool over decoded segment
 // index nodes, with copy-on-write page versioning for MVCC snapshot reads.
 //
 // The tree layer reads and writes nodes exclusively through a Pool. Nodes
@@ -50,12 +50,19 @@
 // reinstating their pre-images restores the pool to the published state.
 //
 // The pool is lock-striped: pages hash to one of N shards, each with its
-// own mutex, LRU list, byte budget, and counters. Concurrent readers
-// touching different pages therefore proceed without contending on a
-// single pool-wide lock; only accesses to pages in the same shard
-// serialize. The byte budget is split evenly across shards and covers the
-// resident heads; retained superseded versions are accounted separately
-// (RetainedBytes) and live exactly as long as the snapshots that need them.
+// own mutex, CLOCK ring, byte budget, and counters. A resident hit takes
+// no lock at all. A dense page table indexed by page ID holds every
+// resident head; GetVersion serves a head installed at or before the
+// reader's epoch from one table slot, sets the slot's reference bit only
+// when it is clear, and counts the hit in the caller's Tally, which
+// Settle folds into the pool's counters once per query. Misses, version
+// chains and the writer's paths take the shard lock and update the table
+// under it; only accesses to pages in the same shard serialize. The byte
+// budget is split evenly across shards and covers the resident heads;
+// the evictor sweeps the shard's ring, clearing set reference bits and
+// evicting the first unpinned, published frame whose bit is clear.
+// Retained superseded versions are accounted separately (RetainedBytes)
+// and live exactly as long as the snapshots that need them.
 //
 // The paper's search-cost metric (average index nodes accessed per search)
 // is independent of buffer residency; the pool's hit/miss statistics are
@@ -118,11 +125,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
+// frame is one page version. It holds its node by value, so a node
+// pointer the pool hands out is the frame's address: a lock-free hit
+// returns it without reading the frame, and it keeps the frame alive.
 type frame struct {
-	n     *node.Node
-	bytes int // on-page size of the node
-	pins  int
-	dirty bool
+	n node.Node
 
 	// install is the write epoch the frame's version was created at (0 for
 	// versions loaded from the store outside a write bracket, which are
@@ -132,13 +139,10 @@ type frame struct {
 	install    uint64
 	superseded uint64
 
-	// Intrusive LRU links. Frames double as their own list elements so
-	// unpinning never allocates (a container/list push costs an Element
-	// plus boxing the page ID — one or two heap objects per node visit
-	// on the read path). inLRU distinguishes an unlinked frame from one
-	// linked at either end of the list.
-	lruPrev, lruNext *frame
-	inLRU            bool
+	bytes int // on-page size of the node
+	pins  int
+	dirty bool
+	ring  int // index in the shard's CLOCK ring while resident
 }
 
 // visibleAt reports whether a retired version serves a snapshot at epoch e.
@@ -155,63 +159,44 @@ type pageVersions struct {
 	deadAt uint64   // epoch the page was freed at; 0 = page is live
 }
 
-// shard is one lock stripe: an independent LRU pool over the pages that
+// retiredAt reports whether the newest retired version was superseded at
+// epoch e; a nil chain has none.
+func (pv *pageVersions) retiredAt(e uint64) bool {
+	return pv != nil && len(pv.frames) > 0 && pv.frames[0].superseded == e
+}
+
+// shard is one lock stripe: an independent CLOCK pool over the pages that
 // hash to it.
 type shard struct {
-	mu       sync.Mutex
-	budget   int // max resident bytes in this shard; 0 means unlimited
-	resident map[page.ID]*frame
-	old      map[page.ID]*pageVersions // retained superseded versions + graveyard
-	// Intrusive list of unpinned frames; lruHead = most recently used,
-	// lruTail = eviction candidate.
-	lruHead, lruTail *frame
-	bytes            int // resident head bytes in this shard
-	retainedBytes    int // bytes held by retained version frames
-	stats            Stats
+	mu     sync.Mutex
+	budget int                       // max resident bytes in this shard; 0 means unlimited
+	old    map[page.ID]*pageVersions // retained superseded versions + graveyard
+	// ring holds the shard's resident heads, pinned or not; the evictor's
+	// hand sweeps it.
+	ring          []*frame
+	hand          int
+	bytes         int // resident head bytes in this shard
+	retained      int // version frames in old
+	retainedBytes int // bytes held by retained version frames
+	stats         Stats
 
 	// pad keeps neighboring shards' mutexes off one cache line.
 	_ [64]byte
 }
 
-// lruPushFront links an unpinned frame at the MRU end. The caller must
-// hold s.mu and the frame must not already be linked.
-func (s *shard) lruPushFront(f *frame) {
-	f.lruPrev = nil
-	f.lruNext = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.lruPrev = f
-	}
-	s.lruHead = f
-	if s.lruTail == nil {
-		s.lruTail = f
-	}
-	f.inLRU = true
-}
+// Tally counts the hits one reader's GetVersion calls served without a
+// lock. It lives in the reader's query context; Settle adds it to the
+// pool's Gets and Hits once per query, so a hit writes nothing shared.
+type Tally struct{ hits uint64 }
 
-// lruRemove unlinks a frame from the shard's LRU. The caller must hold
-// s.mu and the frame must be linked.
-func (s *shard) lruRemove(f *frame) {
-	if f.lruPrev != nil {
-		f.lruPrev.lruNext = f.lruNext
-	} else {
-		s.lruHead = f.lruNext
-	}
-	if f.lruNext != nil {
-		f.lruNext.lruPrev = f.lruPrev
-	} else {
-		s.lruTail = f.lruPrev
-	}
-	f.lruPrev, f.lruNext = nil, nil
-	f.inLRU = false
-}
-
-// Pool is a pinning, lock-striped LRU buffer pool with copy-on-write page
-// versioning. The zero value is not usable; use New or NewSharded.
+// Pool is a pinning, lock-striped CLOCK buffer pool with copy-on-write
+// page versioning. The zero value is not usable; use New or NewSharded.
 type Pool struct {
 	store  store.Store
 	codec  node.Codec
 	shards []shard
 	mask   uint64 // len(shards) - 1; shard count is a power of two
+	table  table  // resident heads by page ID, read without locks
 
 	// published is the newest committed write epoch: frames installed at
 	// or below it are durable-eligible (evictable); frames above it belong
@@ -233,6 +218,11 @@ type Pool struct {
 	// since the last Seal or Rollback: the only nodes that can be
 	// unsealed. Writer-only, like writeEpoch.
 	unsealed []*node.Node
+
+	// hits counts the lock-free hits readers settled, on a cache line of
+	// its own so that settling does not disturb the lines lookups read.
+	_    [64]byte
+	hits atomic.Uint64
 }
 
 // defaultShardCount sizes the stripe set to the parallelism available at
@@ -266,7 +256,7 @@ func New(st store.Store, codec node.Codec, budgetBytes int) *Pool {
 
 // NewSharded creates a pool with an explicit shard count (rounded up to a
 // power of two; <= 0 selects the default). One shard gives a single global
-// LRU with an exact byte budget; more shards trade budget precision for
+// CLOCK with an exact byte budget; more shards trade budget precision for
 // concurrent throughput.
 func NewSharded(st store.Store, codec node.Codec, budgetBytes, shards int) *Pool {
 	if shards <= 0 {
@@ -285,7 +275,6 @@ func NewSharded(st store.Store, codec node.Codec, budgetBytes, shards int) *Pool
 	}
 	for i := range p.shards {
 		p.shards[i].budget = perShard
-		p.shards[i].resident = make(map[page.ID]*frame)
 		p.shards[i].old = make(map[page.ID]*pageVersions)
 	}
 	return p
@@ -338,15 +327,14 @@ func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &node.Node{ID: id, Level: level}
-	p.unsealed = append(p.unsealed, n)
+	f := &frame{n: node.Node{ID: id, Level: level}, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
+	p.unsealed = append(p.unsealed, &f.n)
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resident[id] = &frame{n: n, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
-	s.bytes += pageBytes
+	p.installLocked(s, f)
 	p.evictLocked(s)
-	return n, nil
+	return &f.n, nil
 }
 
 // Get returns the newest version of the node for id, pinned. Every Get must
@@ -358,10 +346,11 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Gets++
-	if f, ok := s.resident[id]; ok {
+	if f := p.table.load(id); f != nil {
 		s.stats.Hits++
-		s.pinLocked(f)
-		return f.n, nil
+		f.pins++
+		p.table.slot(id).touch()
+		return &f.n, nil
 	}
 	s.stats.Misses++
 	if pv, dead := s.old[id]; dead && pv.deadAt != 0 {
@@ -375,10 +364,9 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 		return nil, err
 	}
 	f.pins = 1
-	s.resident[id] = f
-	s.bytes += f.bytes
+	p.installLocked(s, f)
 	p.evictLocked(s)
-	return f.n, nil
+	return &f.n, nil
 }
 
 // GetVersion returns the version of the node for id visible at the given
@@ -388,26 +376,49 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 // a snapshot registration at the epoch, which is what keeps the version
 // chain populated (see the retention invariant in the package comment).
 //
+// A resident head installed at or before the epoch is served from the
+// page table without a lock and counted in t; hand t to Settle when the
+// query ends. Every other case takes the shard lock and is counted there.
+// A head the table shows is safe to serve: the writer swaps a page's head
+// before it publishes the epoch that makes the old head stale.
+//
 //seglint:hotpath
-func (p *Pool) GetVersion(id page.ID, epoch uint64) (*node.Node, error) {
+func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (*node.Node, error) {
+	if f := p.table.hit(id, epoch); f != nil {
+		t.hits++
+		return &f.n, nil
+	}
+	return p.getVersionSlow(id, epoch)
+}
+
+// Settle adds the hits counted in t to the pool's Gets and Hits and
+// zeroes t.
+func (p *Pool) Settle(t *Tally) {
+	if t.hits != 0 {
+		p.hits.Add(t.hits)
+		t.hits = 0
+	}
+}
+
+// getVersionSlow is GetVersion under the shard lock: the head may have
+// become resident meanwhile, or the epoch needs a retained version or the
+// durable image.
+func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Gets++
-	head, ok := s.resident[id]
-	if ok && head.install <= epoch {
+	head := p.table.load(id)
+	if head != nil && head.install <= epoch {
 		s.stats.Hits++
-		if head.pins == 0 && head.inLRU {
-			s.lruRemove(head)
-			s.lruPushFront(head)
-		}
-		return head.n, nil
+		p.table.slot(id).touch()
+		return &head.n, nil
 	}
 	if pv, ok := s.old[id]; ok {
 		for _, f := range pv.frames {
 			if f.visibleAt(epoch) {
 				s.stats.Hits++
-				return f.n, nil
+				return &f.n, nil
 			}
 		}
 		// No retained version covers the epoch: the visible version is the
@@ -419,9 +430,9 @@ func (p *Pool) GetVersion(id page.ID, epoch uint64) (*node.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return f.n, nil
+		return &f.n, nil
 	}
-	if ok {
+	if head != nil {
 		// head.install > epoch with no version chain: by the retention
 		// invariant no registered snapshot at this epoch can exist. Serve
 		// the durable pre-image best-effort rather than corrupting state.
@@ -430,18 +441,16 @@ func (p *Pool) GetVersion(id page.ID, epoch uint64) (*node.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return f.n, nil
+		return &f.n, nil
 	}
 	s.stats.Misses++
 	f, err := p.readLocked(s, id)
 	if err != nil {
 		return nil, err
 	}
-	s.resident[id] = f
-	s.bytes += f.bytes
-	s.lruPushFront(f)
+	p.installLocked(s, f)
 	p.evictLocked(s)
-	return f.n, nil
+	return &f.n, nil
 }
 
 // readLocked reads and decodes a page from the store, returning an
@@ -460,7 +469,7 @@ func (p *Pool) readLocked(s *shard, id page.ID) (*frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("buffer: decode %v: %w", id, err)
 	}
-	f := &frame{n: n, bytes: len(buf)}
+	f := &frame{n: *n, bytes: len(buf)}
 	if pv, ok := s.old[id]; ok && len(pv.frames) > 0 {
 		f.install = pv.frames[0].superseded
 	}
@@ -496,38 +505,39 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.resident[id]
-	if !ok || f.pins == 0 {
+	f := p.table.load(id)
+	if f == nil || f.pins == 0 {
 		return nil, fmt.Errorf("buffer: upgrade of unpinned %v", id)
 	}
 	we := p.writeEpoch
 	if f.install == we {
-		return f.n, nil
+		return &f.n, nil
 	}
 	if !p.inBracket() {
-		p.unsealed = append(p.unsealed, f.n)
-		return f.n, nil
+		p.unsealed = append(p.unsealed, &f.n)
+		return &f.n, nil
 	}
 	f.pins--
 	if f.pins > 0 {
 		return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
 	}
-	delete(s.resident, id)
 	p.retireLocked(s, id, f, we)
-	nf := &frame{n: f.n.CloneHeaders(), bytes: f.bytes, pins: 1, dirty: true, install: we}
-	p.unsealed = append(p.unsealed, nf.n)
-	s.resident[id] = nf
+	nf := &frame{n: f.n.CloneHeaders(), bytes: f.bytes, pins: 1, dirty: true, ring: f.ring, install: we}
+	p.unsealed = append(p.unsealed, &nf.n)
+	s.ring[nf.ring] = nf
+	p.table.set(id, nf)
 	s.stats.Clones++
 	s.stats.ClonedBytes += uint64(f.bytes)
-	return nf.n, nil
+	return &nf.n, nil
 }
 
 // retireLocked pushes a superseded version frame onto the page's chain.
-// The caller must hold s.mu and must already have detached f from the
-// resident map and LRU.
+// A retired frame is never written back, but it keeps its dirty flag:
+// when Rollback reinstates it, that flag still says whether the store
+// holds its content. The caller must hold s.mu and must replace or drop f
+// as the page's resident head.
 func (p *Pool) retireLocked(s *shard, id page.ID, f *frame, epoch uint64) {
 	f.superseded = epoch
-	f.dirty = false
 	pv, ok := s.old[id]
 	if !ok {
 		pv = &pageVersions{}
@@ -536,8 +546,38 @@ func (p *Pool) retireLocked(s *shard, id page.ID, f *frame, epoch uint64) {
 	pv.frames = append(pv.frames, nil)
 	copy(pv.frames[1:], pv.frames)
 	pv.frames[0] = f
+	s.retained++
 	s.retainedBytes += f.bytes
 	p.retained.Add(1)
+}
+
+// installLocked makes f the resident head of its page: table slot, shard
+// bytes and a CLOCK ring place just behind the hand, so a sweep reaches it
+// last. The frame the hand pointed at moves to the ring's end, still ahead
+// of the hand. The caller must hold s.mu.
+func (p *Pool) installLocked(s *shard, f *frame) {
+	f.ring = len(s.ring)
+	s.ring = append(s.ring, f)
+	if h := s.hand; h < f.ring {
+		g := s.ring[h]
+		s.ring[h], s.ring[f.ring] = f, g
+		f.ring, g.ring = h, f.ring
+		s.hand++
+	}
+	s.bytes += f.bytes
+	p.table.set(f.n.ID, f)
+}
+
+// dropLocked removes the resident head f from the table, the ring (the
+// ring's last frame takes its place) and the shard bytes. The caller must
+// hold s.mu.
+func (p *Pool) dropLocked(s *shard, f *frame) {
+	last := s.ring[len(s.ring)-1]
+	s.ring[f.ring], last.ring = last, f.ring
+	s.ring[len(s.ring)-1] = nil
+	s.ring = s.ring[:len(s.ring)-1]
+	s.bytes -= f.bytes
+	p.table.set(f.n.ID, nil)
 }
 
 // Unpin releases one pin. dirty marks the node as modified since fetch; it
@@ -549,11 +589,11 @@ func (p *Pool) Unpin(id page.ID, dirty bool) error {
 	return p.unpinLocked(s, id, dirty)
 }
 
-// unpinLocked releases one pin on a resident frame, pushing it onto the
-// shard's LRU when the pin count reaches zero. The caller must hold s.mu.
+// unpinLocked releases one pin on a resident frame, making it evictable
+// when the pin count reaches zero. The caller must hold s.mu.
 func (p *Pool) unpinLocked(s *shard, id page.ID, dirty bool) error {
-	f, ok := s.resident[id]
-	if !ok {
+	f := p.table.load(id)
+	if f == nil {
 		return fmt.Errorf("buffer: unpin of non-resident %v", id)
 	}
 	if f.pins == 0 {
@@ -564,59 +604,50 @@ func (p *Pool) unpinLocked(s *shard, id page.ID, dirty bool) error {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		s.lruPushFront(f)
 		p.evictLocked(s)
 	}
 	return nil
 }
 
-// pinLocked pins a frame, removing it from the shard's LRU if it was
-// unpinned. The caller must hold the shard lock.
-func (s *shard) pinLocked(f *frame) {
-	if f.pins == 0 && f.inLRU {
-		s.lruRemove(f)
-	}
-	f.pins++
-}
-
-// evictLocked evicts least-recently-used unpinned frames of the shard
-// until its budget is honored. Frames installed by the open write bracket
-// are skipped: writing them back would clobber the durable pre-image that
-// snapshots below the bracket (and Rollback) still rely on. Frames that
-// fail to serialize stay resident (the error will resurface on Flush). The
-// caller must hold s.mu.
+// evictLocked sweeps the shard's CLOCK ring until its budget is honored:
+// a frame whose reference bit is set has it cleared and is passed over,
+// the first unpinned frame found with a clear bit is evicted, and two
+// full turns without reaching the budget end the sweep. Frames installed
+// by the open write bracket are skipped: writing them back would clobber
+// the durable pre-image that snapshots below the bracket (and Rollback)
+// still rely on. Frames that fail to serialize stay resident (the error
+// will resurface on Flush). The caller must hold s.mu.
 func (p *Pool) evictLocked(s *shard) {
 	if s.budget <= 0 {
 		return
 	}
 	published := p.published.Load()
-	f := s.lruTail
-	for f != nil && s.bytes > s.budget {
-		prev := f.lruPrev
-		if f.install > published {
-			f = prev
+	for steps := 2 * len(s.ring); s.bytes > s.budget && steps > 0; steps-- {
+		if s.hand >= len(s.ring) {
+			s.hand = 0
+		}
+		f := s.ring[s.hand]
+		if f.pins > 0 || f.install > published || p.table.slot(f.n.ID).clearRef() {
+			s.hand++
 			continue
 		}
 		if f.dirty {
 			if err := p.writeBackLocked(s, f); err != nil {
 				// Keep the frame; skip it this round to avoid data loss
 				// (the error will resurface on Flush).
-				f = prev
+				s.hand++
 				continue
 			}
 		}
-		s.lruRemove(f)
-		delete(s.resident, f.n.ID)
-		s.bytes -= f.bytes
+		p.dropLocked(s, f) // the ring's last frame moves under the hand
 		s.stats.Evictions++
-		f = prev
 	}
 }
 
 // writeBackLocked serializes a dirty frame to the store. The caller must
 // hold s.mu.
 func (p *Pool) writeBackLocked(s *shard, f *frame) error {
-	buf, err := p.codec.Marshal(f.n, f.bytes)
+	buf, err := p.codec.Marshal(&f.n, f.bytes)
 	if err != nil {
 		return err
 	}
@@ -635,7 +666,7 @@ func (p *Pool) Flush() error {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for _, f := range s.resident {
+		for _, f := range s.ring {
 			if f.dirty {
 				if err := p.writeBackLocked(s, f); err != nil {
 					s.mu.Unlock()
@@ -662,16 +693,14 @@ func (p *Pool) Invalidate() int {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for id, f := range s.resident {
-			if f.pins > 0 {
+		// Backwards, so the frame dropLocked moves into slot i has been
+		// visited already.
+		for i := len(s.ring) - 1; i >= 0; i-- {
+			if f := s.ring[i]; f.pins > 0 {
 				pinned++
-				continue
+			} else {
+				p.dropLocked(s, f)
 			}
-			if f.inLRU {
-				s.lruRemove(f)
-			}
-			delete(s.resident, id)
-			s.bytes -= f.bytes
 		}
 		s.mu.Unlock()
 	}
@@ -688,35 +717,27 @@ func (p *Pool) Invalidate() int {
 func (p *Pool) Free(id page.ID) error {
 	s := p.shardFor(id)
 	s.mu.Lock()
-	f, ok := s.resident[id]
-	if ok && f.pins > 0 {
+	f := p.table.load(id)
+	if f != nil && f.pins > 0 {
 		s.mu.Unlock()
 		return ErrPinned
 	}
 	if !p.inBracket() {
-		if ok {
-			if f.inLRU {
-				s.lruRemove(f)
-			}
-			delete(s.resident, id)
-			s.bytes -= f.bytes
+		if f != nil {
+			p.dropLocked(s, f)
 		}
 		s.mu.Unlock()
 		return p.store.Free(id)
 	}
 	we := p.writeEpoch
-	if ok {
-		if f.inLRU {
-			s.lruRemove(f)
-		}
-		delete(s.resident, id)
-		s.bytes -= f.bytes
+	if f != nil {
+		p.dropLocked(s, f)
 		if f.install == we {
 			// The head was created inside this bracket; no snapshot can
 			// see it. If it cloned a published pre-image, the chain entry
 			// keeps serving old snapshots; if it was a fresh allocation,
 			// nothing references the page and the store free is immediate.
-			if pv, chained := s.old[id]; !chained || pv.frames[0].superseded != we {
+			if !s.old[id].retiredAt(we) {
 				s.mu.Unlock()
 				return p.store.Free(id)
 			}
@@ -758,56 +779,29 @@ func (p *Pool) Rollback() error {
 				pv.deadAt = 0
 			}
 		}
-		for id, f := range s.resident {
+		// Backwards, so the frame dropLocked moves into slot i has been
+		// visited already.
+		for i := len(s.ring) - 1; i >= 0; i-- {
+			f := s.ring[i]
 			if f.install != we {
 				continue
 			}
-			if f.inLRU {
-				s.lruRemove(f)
-			}
-			delete(s.resident, id)
-			s.bytes -= f.bytes
 			// An error-path frame may still be pinned (the op bailed out
 			// mid-descent); dropping it is exactly the point of rollback.
-			if pv, ok := s.old[id]; ok && len(pv.frames) > 0 && pv.frames[0].superseded == we {
-				pre := pv.frames[0]
-				pv.frames = pv.frames[1:]
-				s.retainedBytes -= pre.bytes
-				p.retained.Add(-1)
-				if len(pv.frames) == 0 && pv.deadAt == 0 {
-					delete(s.old, id)
-				}
-				pre.superseded = 0
-				pre.pins = 0
-				s.resident[id] = pre
-				s.bytes += pre.bytes
-				s.lruPushFront(pre)
-			} else {
+			p.dropLocked(s, f)
+			if !s.old[f.n.ID].retiredAt(we) {
 				// Fresh allocation of the aborted bracket.
-				if err := p.store.Free(id); err != nil {
+				if err := p.store.Free(f.n.ID); err != nil {
 					errs = append(errs, err)
 				}
 			}
 		}
-		// A page both CoW'd (or freed) and whose clone was already dropped
-		// by Free inside the bracket: restore the pre-image head.
+		// Reinstate every pre-image the bracket retired, whether its clone
+		// was dropped above or by Free inside the bracket. This runs after
+		// the ring walk because installing displaces ring slots.
 		for id, pv := range s.old {
-			if _, ok := s.resident[id]; ok {
-				continue
-			}
-			if len(pv.frames) > 0 && pv.frames[0].superseded == we {
-				pre := pv.frames[0]
-				pv.frames = pv.frames[1:]
-				s.retainedBytes -= pre.bytes
-				p.retained.Add(-1)
-				if len(pv.frames) == 0 && pv.deadAt == 0 {
-					delete(s.old, id)
-				}
-				pre.superseded = 0
-				pre.pins = 0
-				s.resident[id] = pre
-				s.bytes += pre.bytes
-				s.lruPushFront(pre)
+			if pv.retiredAt(we) && p.table.load(id) == nil {
+				p.reinstateLocked(s, id, pv)
 			}
 		}
 		p.evictLocked(s)
@@ -815,6 +809,22 @@ func (p *Pool) Rollback() error {
 	}
 	p.writeEpoch = p.published.Load()
 	return errors.Join(errs...)
+}
+
+// reinstateLocked pops the newest retired version off id's chain pv and
+// makes it the resident head again. The caller must hold s.mu.
+func (p *Pool) reinstateLocked(s *shard, id page.ID, pv *pageVersions) {
+	pre := pv.frames[0]
+	pv.frames = pv.frames[1:]
+	s.retained--
+	s.retainedBytes -= pre.bytes
+	p.retained.Add(-1)
+	if len(pv.frames) == 0 && pv.deadAt == 0 {
+		delete(s.old, id)
+	}
+	pre.superseded = 0
+	pre.pins = 0
+	p.installLocked(s, pre)
 }
 
 // Collect reclaims version chain entries whose supersession epoch is at or
@@ -835,6 +845,7 @@ func (p *Pool) Collect(min uint64, freePages bool) error {
 					kept = append(kept, f)
 					continue
 				}
+				s.retained--
 				s.retainedBytes -= f.bytes
 				s.stats.Collected++
 				p.retained.Add(-1)
@@ -870,13 +881,9 @@ func (p *Pool) RetainedVersions() int { return int(p.retained.Load()) }
 
 // PageBytes reports the on-page size of a resident or stored node.
 func (p *Pool) PageBytes(id page.ID) (int, error) {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	if f, ok := s.resident[id]; ok {
-		s.mu.Unlock()
+	if f := p.table.load(id); f != nil {
 		return f.bytes, nil
 	}
-	s.mu.Unlock()
 	return p.store.PageSize(id)
 }
 
@@ -887,44 +894,37 @@ func (p *Pool) Resident() int {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		total += len(s.resident)
+		total += len(s.ring)
 		s.mu.Unlock()
 	}
 	return total
 }
 
-// Stats returns pool counters aggregated across shards. Shards are
-// snapshotted one at a time, so under concurrent load the aggregate is a
-// consistent-per-shard, approximate-global view.
+// Stats returns pool counters aggregated across shards, plus the settled
+// lock-free hits. Shards are snapshotted one at a time, so under
+// concurrent load the aggregate is a consistent-per-shard,
+// approximate-global view.
 func (p *Pool) Stats() Stats {
-	var out Stats
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		st := s.stats
-		st.RetainedBytes = uint64(s.retainedBytes)
-		st.Retained = 0
-		for _, pv := range s.old {
-			st.Retained += uint64(len(pv.frames))
-		}
+	h := p.hits.Load()
+	out := Stats{Gets: h, Hits: h}
+	for _, st := range p.ShardStats() {
 		out.Add(st)
-		s.mu.Unlock()
 	}
 	return out
 }
 
 // ShardStats returns a per-shard snapshot of the counters, in shard order.
-// Intended for tests and diagnostics.
+// A shard counts only the calls it served under its lock; hits served from
+// the page table belong to no shard and appear in Stats alone. Intended
+// for tests and diagnostics.
 func (p *Pool) ShardStats() []Stats {
 	out := make([]Stats, len(p.shards))
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		out[i] = s.stats
+		out[i].Retained = uint64(s.retained)
 		out[i].RetainedBytes = uint64(s.retainedBytes)
-		for _, pv := range s.old {
-			out[i].Retained += uint64(len(pv.frames))
-		}
 		s.mu.Unlock()
 	}
 	return out

@@ -3,6 +3,9 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +16,7 @@ import (
 )
 
 // newPool builds a single-shard pool: the legacy tests in this file assert
-// exact byte-budget and LRU-order behavior, which only one shard provides
+// exact byte-budget and CLOCK-order behavior, which only one shard provides
 // (a sharded pool splits the budget per stripe). The shard-specific tests
 // below construct multi-shard pools explicitly.
 func newPool(t *testing.T, budget int) (*Pool, *store.MemStore) {
@@ -21,6 +24,10 @@ func newPool(t *testing.T, budget int) (*Pool, *store.MemStore) {
 	st := store.NewMemStore()
 	return NewSharded(st, node.Codec{Dims: 2}, budget, 1), st
 }
+
+// resident reports whether id has a resident head, without touching its
+// reference bit.
+func resident(p *Pool, id page.ID) bool { return p.table.load(id) != nil }
 
 func addRecord(n *node.Node, id uint64) {
 	n.Records = append(n.Records, node.Record{
@@ -81,6 +88,14 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 	if p.Stats().Evictions == 0 {
 		t.Fatal("expected evictions")
 	}
+	// Nothing was referenced after its creation, and a new frame enters
+	// the CLOCK ring just behind the hand: the sweep evicts in creation
+	// order and the two newest pages stay.
+	for i, id := range ids {
+		if want := i >= 4; resident(p, id) != want {
+			t.Fatalf("page %d resident = %v, want %v", i, !want, want)
+		}
+	}
 	// Every node, including evicted ones, reloads with its contents.
 	for i, id := range ids {
 		n, err := p.Get(id)
@@ -93,6 +108,72 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 		if err := p.Unpin(id, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClockSecondChance pins the eviction policy on one shard. A hit sets
+// a page's reference bit; the sweep clears a set bit and passes over the
+// page once, then evicts the first unreferenced page it meets. The last
+// step is where CLOCK and LRU part. LRU would evict a, whose last use is
+// the oldest. CLOCK does not order by last use: e takes the ring slot
+// under the hand, which moves a to the ring's end, and the sweep clears
+// c's bit and evicts d, the first unreferenced page it meets.
+func TestClockSecondChance(t *testing.T) {
+	p, st := newPool(t, 3*1024)
+	var tally Tally
+	mk := func(v uint64) page.ID {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addRecord(n, v)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+		return n.ID
+	}
+	hit := func(id page.ID) {
+		if _, err := p.GetVersion(id, 0, &tally); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(step string, in, out []page.ID) {
+		t.Helper()
+		for _, id := range in {
+			if !resident(p, id) {
+				t.Fatalf("%s: %v was evicted", step, id)
+			}
+		}
+		for _, id := range out {
+			if resident(p, id) {
+				t.Fatalf("%s: %v is still resident", step, id)
+			}
+		}
+	}
+	a, b, c := mk(1), mk(2), mk(3)
+	hit(a)
+	d := mk(4)
+	want("after d", []page.ID{a, c, d}, []page.ID{b})
+	hit(c)
+	e := mk(5)
+	want("after e", []page.ID{a, c, e}, []page.ID{b, d})
+	if s := p.Stats(); s.Evictions != 2 || s.Writes != 2 {
+		t.Fatalf("stats = %+v, want 2 evictions, each written back", s)
+	}
+	// The evicted pages reload from the store with their contents.
+	for v, id := range []page.ID{b, d} {
+		buf, err := st.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := node.Codec{Dims: 2}.Unmarshal(buf, id)
+		if err != nil || len(n.Records) != 1 || n.Records[0].ID != node.RecordID(2*v+2) {
+			t.Fatalf("written-back page %v = %+v, %v", id, n, err)
+		}
+	}
+	p.Settle(&tally)
+	if s := p.Stats(); s.Gets != 2 || s.Hits != 2 {
+		t.Fatalf("stats after two lock-free hits = %+v", s)
 	}
 }
 
@@ -185,10 +266,10 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	if s := p.Stats(); s.Clones != 1 || s.ClonedBytes != 1024 || s.Retained != 1 {
 		t.Fatalf("stats after one upgrade = %+v", s)
 	}
-	if old, err := p.GetVersion(id, 2); err != nil || old != head || len(old.Records) != 1 {
+	if old, err := p.GetVersion(id, 2, new(Tally)); err != nil || old != head || len(old.Records) != 1 {
 		t.Fatalf("epoch 2 resolves to (%p, %v) with %d records, want the pre-image %p with 1", old, err, len(old.Records), head)
 	}
-	if cur, err := p.GetVersion(id, 3); err != nil || cur != clone {
+	if cur, err := p.GetVersion(id, 3, new(Tally)); err != nil || cur != clone {
 		t.Fatalf("epoch 3 resolves to (%p, %v), want the clone", cur, err)
 	}
 	if err := p.Flush(); err != nil {
@@ -655,6 +736,256 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	if s.Gets != s.Hits+s.Misses {
 		t.Fatalf("Gets %d != Hits %d + Misses %d", s.Gets, s.Hits, s.Misses)
 	}
+}
+
+// TestPoolRetainedGaugeIsIncremental checks the per-shard Retained count
+// against the lock-free gauge through a copy-on-write, Collect and
+// Rollback sequence on a multi-shard pool.
+func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
+	p := NewSharded(store.NewMemStore(), node.Codec{Dims: 2}, 0, 4)
+	check := func(step string, want int) {
+		t.Helper()
+		if got := p.Stats().Retained; got != uint64(p.RetainedVersions()) || got != uint64(want) {
+			t.Fatalf("%s: Stats().Retained = %d, RetainedVersions() = %d, want %d",
+				step, got, p.RetainedVersions(), want)
+		}
+	}
+	p.BeginWrite(1)
+	var ids []page.ID
+	for i := 0; i < 12; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addRecord(n, uint64(i))
+		ids = append(ids, n.ID)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Seal()
+	p.Publish(1)
+	check("built", 0)
+	upgrade := func(ids []page.ID) {
+		for _, id := range ids {
+			if _, err := p.GetMut(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Unpin(id, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p.BeginWrite(2)
+	upgrade(ids[:8])
+	p.Seal()
+	p.Publish(2)
+	check("eight clones at epoch 2", 8)
+	p.BeginWrite(3)
+	upgrade(ids[:4])
+	if err := p.Free(ids[10]); err != nil {
+		t.Fatal(err)
+	}
+	p.Seal()
+	p.Publish(3)
+	check("four clones and a free at epoch 3", 13)
+	if err := p.Collect(2, true); err != nil {
+		t.Fatal(err)
+	}
+	check("collected to 2", 5)
+	p.BeginWrite(4)
+	upgrade(ids[:6])
+	if err := p.Free(ids[11]); err != nil {
+		t.Fatal(err)
+	}
+	check("bracket 4 open", 12)
+	if err := p.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check("rolled back", 5)
+	if err := p.Collect(3, true); err != nil {
+		t.Fatal(err)
+	}
+	check("collected to 3", 0)
+}
+
+// TestPoolConcurrentVersionReads races lock-free GetVersion hits against
+// one writer that clones, frees, allocates, rolls back, collects and
+// evicts (the budget holds a fraction of the pages) on the same page IDs.
+// Each reader registers a published epoch, as the tree's snapshot registry
+// does, and checks every page it reads against the writer's record of
+// what each page held at that epoch.
+func TestPoolConcurrentVersionReads(t *testing.T) {
+	const (
+		pages    = 48
+		readers  = 3
+		brackets = 1000
+	)
+	p := NewSharded(store.NewMemStore(), node.Codec{Dims: 2}, 16*1024, 4)
+	var (
+		mu      sync.Mutex // guards pinned, history and published
+		pinned  [readers]uint64
+		history = map[uint64]map[page.ID]uint64{} // epoch -> page -> record ID
+		done    = make(chan struct{})
+	)
+	// record is the writer's working view: page -> record ID.
+	record := map[page.ID]uint64{}
+	p.BeginWrite(1)
+	for i := 0; i < pages; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addRecord(n, uint64(i))
+		record[n.ID] = uint64(i)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Seal()
+	p.Publish(1)
+	history[1] = maps.Clone(record)
+
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var tally Tally
+			defer p.Settle(&tally)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				e := p.published.Load()
+				pinned[r] = e
+				want := history[e]
+				mu.Unlock()
+				for id, v := range want {
+					n, err := p.GetVersion(id, e, &tally)
+					if err != nil {
+						errs <- fmt.Errorf("epoch %d: GetVersion(%v): %w", e, id, err)
+						return
+					}
+					if len(n.Records) != 1 || uint64(n.Records[0].ID) != v {
+						errs <- fmt.Errorf("epoch %d: page %v holds %+v, want record %d", e, id, n.Records, v)
+						return
+					}
+				}
+				mu.Lock()
+				pinned[r] = 0
+				mu.Unlock()
+			}
+		}(r)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	next := uint64(1000)
+	for b := 0; b < brackets; b++ {
+		e := p.published.Load() + 1
+		p.BeginWrite(e)
+		work := maps.Clone(record)
+		ids := make([]page.ID, 0, len(work))
+		for id := range work {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for k := 0; k < 6; k++ {
+			id := ids[rng.Intn(len(ids))]
+			if _, ok := work[id]; !ok {
+				continue
+			}
+			switch op := rng.Intn(4); {
+			case op == 0 && len(work) > pages/2:
+				if err := p.Free(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(work, id)
+			case op == 1 && len(work) < 2*pages:
+				n, err := p.NewNode(0, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next++
+				addRecord(n, next)
+				work[n.ID] = next
+				if err := p.Unpin(n.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				n, err := p.GetMut(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next++
+				n.Records[0].ID = node.RecordID(next)
+				work[id] = next
+				if err := p.Unpin(id, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if rng.Intn(5) == 0 {
+			if err := p.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		p.Seal()
+		mu.Lock()
+		history[e] = work
+		p.Publish(e)
+		min := e
+		for _, pe := range pinned {
+			if pe != 0 && pe < min {
+				min = pe
+			}
+		}
+		mu.Unlock()
+		record = work
+		if err := p.Collect(min, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Evictions == 0 || s.Clones == 0 || s.Gets != s.Hits+s.Misses {
+		t.Fatalf("stats = %+v: want evictions and clones, and Gets = Hits + Misses", s)
+	}
+}
+
+// BenchmarkGetVersionHit measures the lock-free read hit: one table slot
+// lookup and a tally increment.
+func BenchmarkGetVersionHit(b *testing.B) {
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
+	var ids []page.ID
+	for i := 0; i < 1024; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, n.ID)
+		if err := p.Unpin(n.ID, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var tally Tally
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.GetVersion(ids[i%len(ids)], 0, &tally); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	p.Settle(&tally)
 }
 
 func BenchmarkPoolGetHit(b *testing.B) {

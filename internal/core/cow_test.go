@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"segidx/internal/buffer"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/page"
@@ -300,8 +301,9 @@ func TestInsertInsideLeafCoverKeepsAncestorVersions(t *testing.T) {
 	}
 
 	pre := tr.state.Load().epoch
+	var tally buffer.Tally
 	version := func(id page.ID, epoch uint64) *node.Node {
-		n, err := tr.pool.GetVersion(id, epoch)
+		n, err := tr.pool.GetVersion(id, epoch, &tally)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+
+	"segidx/internal/buffer"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/page"
@@ -20,6 +23,11 @@ import (
 type queryCtx struct {
 	// stack is the DFS work list of pages still to visit.
 	stack []page.ID
+
+	// nodes counts the search node accesses and tally the pool's lock-free
+	// hits; releaseQctx adds both to the shared counters once per query.
+	nodes uint64
+	tally buffer.Tally
 
 	// st is the pinned state the query reads — every fetch resolves at
 	// its epoch, and the registered epoch keeps the versions resolved there
@@ -89,6 +97,11 @@ func (t *Tree) getQctx() *queryCtx {
 // registered it), resets the context, recycles it, and gives the releasing
 // reader a chance to sweep version garbage its release may have unpinned.
 func (t *Tree) releaseQctx(qc *queryCtx) {
+	if qc.nodes != 0 {
+		atomic.AddUint64(&t.stats.SearchNodeAccesses, qc.nodes)
+		qc.nodes = 0
+	}
+	t.pool.Settle(&qc.tally)
 	registered := qc.slot != nil && qc.slot.e.Load() != 0
 	if registered {
 		qc.slot.e.Store(0)

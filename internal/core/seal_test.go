@@ -90,7 +90,7 @@ func TestReaderRejectsUnsealedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	*root = *root.CloneHeaders()
+	*root = root.CloneHeaders()
 	if err := tr.pool.Unpin(tr.root, false); err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,8 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 	for len(qc.stack) > 0 {
 		id := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
-		atomic.AddUint64(&t.stats.SearchNodeAccesses, 1)
-		n, err := t.pool.GetVersion(id, qc.st.epoch)
+		qc.nodes++
+		n, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
 		if err != nil {
 			return err
 		}
@@ -355,7 +355,7 @@ func (t *Tree) VisitPortions(fn func(level int, e Entry) bool) error {
 	for len(qc.stack) > 0 {
 		id := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
-		n, err := t.pool.GetVersion(id, qc.st.epoch)
+		n, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
 		if err != nil {
 			return err
 		}

@@ -146,7 +146,7 @@ func (n *Node) RemoveBranch(i int) {
 	n.Branches = slices.Delete(n.Branches, i, i+1)
 }
 
-// CloneHeaders returns the copy-on-write clone of n: a new node whose entry
+// CloneHeaders returns the copy-on-write clone of n: a node whose entry
 // slices copy n's entries, Rect headers included, so its rectangles share
 // n's float storage. The clone is unsealed. Sharing is safe because the
 // floats are write-once (DESIGN.md §8): mutators replace whole Rect headers
@@ -155,9 +155,10 @@ func (n *Node) RemoveBranch(i int) {
 // of its own. The entry slices get room for one more entry: a clone exists
 // because a mutation follows, most often a single append, which then
 // neither reallocates nor leaves the node carrying append's doubling as
-// slack until its next clone.
-func (n *Node) CloneHeaders() *Node {
-	c := &Node{ID: n.ID, Level: n.Level, Region: n.Region}
+// slack until its next clone. The clone is returned by value so the buffer
+// pool can place it inside its frame without a separate allocation.
+func (n *Node) CloneHeaders() Node {
+	c := Node{ID: n.ID, Level: n.Level, Region: n.Region}
 	if len(n.Branches) > 0 {
 		c.Branches = make([]Branch, len(n.Branches), len(n.Branches)+1)
 		copy(c.Branches, n.Branches)

@@ -306,7 +306,7 @@ func TestCloneHeadersSharesFloats(t *testing.T) {
 	if err := clone.CheckSeal(2); err == nil || !strings.Contains(err.Error(), "not sealed") {
 		t.Fatalf("CheckSeal on a header clone = %v, want not sealed", err)
 	}
-	if !nodesEqual(clone, sealed) {
+	if !nodesEqual(&clone, sealed) {
 		t.Fatal("header clone differs from its source")
 	}
 	for i := range clone.Branches {

@@ -23,10 +23,11 @@ var ErrBroken = errors.New("store: broken after failed sync")
 //	[magic u32][state u8][pad u24][size u32][id u64] + size data bytes
 //
 // Pages are written in place. Free releases a slot to a per-size free list;
-// Allocate reuses a freed slot of exactly the requested size before
-// extending the file. Opening an existing file rebuilds the page table and
-// free lists with a single forward scan, so no separate metadata needs to
-// stay consistent with the data (a torn final slot is truncated away).
+// Allocate reuses a freed slot of exactly the requested size, under a new
+// page ID, before extending the file. Opening an existing file rebuilds
+// the page table and free lists with a single forward scan, so no separate
+// metadata needs to stay consistent with the data (a torn final slot is
+// truncated away).
 //
 // A bare FileStore offers page-at-a-time durability only: a crash between
 // two Writes of one logical update leaves the mix on disk. Wrap it in a
@@ -111,6 +112,9 @@ func (fs *FileStore) recover() error {
 			}
 		case stateFree:
 			fs.free[size] = append(fs.free[size], off)
+			if id >= fs.next {
+				fs.next = id + 1
+			}
 		default:
 			return fmt.Errorf("store: corrupt slot state %d at offset %d", state, off)
 		}
@@ -298,10 +302,12 @@ func (fs *FileStore) Free(id page.ID) error {
 }
 
 // freeLocked marks the page's slot free on disk and in the free lists. The
-// caller must hold fs.mu and have checked the page exists.
+// free header keeps the page's ID, so a reopen never hands the ID out
+// again even when it was the highest allocated. The caller must hold
+// fs.mu and have checked the page exists.
 func (fs *FileStore) freeLocked(id page.ID) error {
 	s := fs.pages[id]
-	if err := fs.writeHeader(s.off, stateFree, s.size, 0); err != nil {
+	if err := fs.writeHeader(s.off, stateFree, s.size, id); err != nil {
 		return fmt.Errorf("store: free header: %w", err)
 	}
 	delete(fs.pages, id)

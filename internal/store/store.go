@@ -22,6 +22,14 @@ var ErrClosed = errors.New("store: closed")
 // Store is a page allocator and reader/writer. Pages have fixed individual
 // sizes chosen at allocation time (segment indexes allocate larger pages at
 // higher tree levels). Implementations must be safe for concurrent use.
+//
+// Page IDs increase strictly and are never reused: Allocate returns an ID
+// above every ID the store has handed out, freed pages included, and a
+// reopened store continues above every ID its file records. The buffer
+// pool indexes its resident pages by ID in a dense table and relies on
+// this. (A WALStore allocation that never reached the file, because its
+// batch never committed or freed it again, may be handed out again after
+// a reopen: no committed state refers to it.)
 type Store interface {
 	// Allocate reserves a new page of the given size and returns its ID.
 	Allocate(size int) (page.ID, error)
@@ -31,7 +39,7 @@ type Store interface {
 	// Read returns the page contents. The returned slice is a copy the
 	// caller may retain.
 	Read(id page.ID) ([]byte, error)
-	// Free releases the page for reuse.
+	// Free releases the page. Its space may be reused; its ID is not.
 	Free(id page.ID) error
 	// PageSize reports the allocated size of a live page.
 	PageSize(id page.ID) (int, error)
