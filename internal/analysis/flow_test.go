@@ -114,7 +114,6 @@ func (q *qctx) count() int  { return len(q.pinned) }
 type Tree struct{ root ID }
 
 func (t *Tree) fetch(id ID) (*node, error)    { return &node{ID: id}, nil }
-func (t *Tree) fetchMut(id ID) (*node, error) { return &node{ID: id}, nil }
 func (t *Tree) mut(n *node) (*node, error)    { return n, nil }
 func (t *Tree) done(id ID, dirty bool) error  { _, _ = id, dirty; return nil }
 func (t *Tree) getQctx() *qctx                { return &qctx{} }
@@ -134,7 +133,8 @@ func (t *Tree) abortOp(err error) error { return err }
 
 type Pool struct{}
 
-func (p *Pool) GetMut(id ID) (*node, error)  { return &node{ID: id}, nil }
+func (p *Pool) Get(id ID) (*node, error)      { return &node{ID: id}, nil }
+func (p *Pool) Upgrade(id ID) (*node, error)  { return &node{ID: id}, nil }
 func (p *Pool) Unpin(id ID, dirty bool) error { _, _ = id, dirty; return nil }
 
 // leak: the errBad return path skips the release; the err return path is
@@ -236,8 +236,11 @@ func (t *Tree) refetch(id ID) error {
 	if leaf {
 		return nil
 	}
-	n, err = t.fetchMut(id)
+	n, err = t.fetch(id)
 	if err != nil {
+		return err
+	}
+	if n, err = t.mut(n); err != nil {
 		return err
 	}
 	if n.bad() {
@@ -247,10 +250,14 @@ func (t *Tree) refetch(id ID) error {
 	return t.done(id, true)
 }
 
-// mutLeak: a fetchMut pin leaks on the errBad path like any other pin.
+// mutLeak: the write pin an upgrade yields leaks on the errBad path like
+// any other pin.
 func (t *Tree) mutLeak(id ID) error {
-	n, err := t.fetchMut(id)
+	n, err := t.fetch(id)
 	if err != nil {
+		return err
+	}
+	if n, err = t.mut(n); err != nil {
 		return err
 	}
 	if n.bad() {
@@ -259,10 +266,13 @@ func (t *Tree) mutLeak(id ID) error {
 	return t.done(id, true)
 }
 
-// getMutClean: the pool-level copy-on-write acquisition balances through
-// Unpin.
+// getMutClean: the pool-level copy-on-write acquisition (Get, then
+// Upgrade of its pin) balances through Unpin.
 func getMutClean(p *Pool, id ID) error {
-	n, err := p.GetMut(id)
+	if _, err := p.Get(id); err != nil {
+		return err
+	}
+	n, err := p.Upgrade(id)
 	if err != nil {
 		return err
 	}
@@ -364,8 +374,11 @@ func (t *Tree) bracketLeak(x int) error {
 // publish on the success path.
 func (t *Tree) bracketClean(id ID) error {
 	t.beginOp()
-	n, err := t.fetchMut(id)
+	n, err := t.fetch(id)
 	if err != nil {
+		return t.abortOp(err)
+	}
+	if n, err = t.mut(n); err != nil {
 		return t.abortOp(err)
 	}
 	if n.bad() {

@@ -1,12 +1,12 @@
 package analysis
 
 // pinbalance proves buffer-pool pin discipline on the query and mutation
-// paths: every node pinned by Tree.fetch/fetchMut, Pool.Get/GetMut, or
-// Pool.NewNode, every query context taken from Tree.getQctx/beginRead,
-// every MVCC snapshot taken by a Snapshot() call, and every write bracket
-// opened by Tree.beginOp, is released (Tree.done, Pool.Unpin,
-// Tree.releaseQctx, View.Release, Tree.publishOp/abortOp) on every path
-// out of the function — by a deferred release or an explicit one per path.
+// paths: every node pinned by Tree.fetch, Pool.Get or Pool.NewNode, every
+// query context taken from Tree.getQctx/beginRead, every MVCC snapshot
+// taken by a Snapshot() call, and every write bracket opened by
+// Tree.beginOp, is released (Tree.done, Pool.Unpin, Tree.releaseQctx,
+// View.Release, Tree.publishOp/abortOp) on every path out of the function
+// — by a deferred release or an explicit one per path.
 //
 // The write bracket matters beyond the page pool: publishOp commits and
 // abortOp discards the stab-accelerator sidecar staging buffers, so a
@@ -15,7 +15,7 @@ package analysis
 // silently corrupting historical snapshot answers.
 //
 // A release resolves against the *live* pin on its page: the
-// release-refetch-release idiom (done(id); fetchMut(id); ... done(id))
+// release-refetch-release idiom (done(id); fetch(id); ... done(id))
 // creates two pins on the same ID, and each done call discharges the one
 // currently held. A release with no live matching pin on some path is a
 // double unpin.
@@ -329,9 +329,9 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc 
 	recv := namedTypeName(a.p.Info, sel.X)
 	name := sel.Sel.Name
 	switch {
-	case (name == "fetch" || name == "fetchMut") && recv == "Tree" && len(call.Args) >= 1:
+	case name == "fetch" && recv == "Tree" && len(call.Args) >= 1:
 		argKey = exprText(a.p.Fset, call.Args[0])
-	case (name == "Get" || name == "GetMut") && recv == "Pool" && len(call.Args) == 1:
+	case name == "Get" && recv == "Pool" && len(call.Args) == 1:
 		argKey = exprText(a.p.Fset, call.Args[0])
 	case a.isUpgrade(call):
 		// The write pin an upgrade yields. Upgrade(id) names its page; for

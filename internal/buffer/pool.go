@@ -14,7 +14,7 @@
 // inside the bracket the writer descends with Get like any reader of the
 // newest version and calls Upgrade on a page at its first mutation, not its
 // first visit. Upgrade clones the published head (copy-on-write), retires
-// the pre-image into the shard's version chain with supersession epoch e
+// the pre-image into the page's version chain with supersession epoch e
 // and hands the writer's pin over to the clone, which is born dirty — so a
 // frame is dirty exactly when it was mutated, and an operation clones,
 // writes back and logs the pages it changed rather than the path it walked.
@@ -49,17 +49,16 @@
 // also what makes Rollback possible: dropping the bracket's heads and
 // reinstating their pre-images restores the pool to the published state.
 //
-// The pool is lock-striped: pages hash to one of N shards, each with its
-// own mutex, CLOCK ring, byte budget, and counters. A resident hit takes
-// no lock at all. A dense page table indexed by page ID holds every
-// resident head; GetVersion serves a head installed at or before the
-// reader's epoch from one table slot, sets the slot's reference bit only
-// when it is clear, and counts the hit in the caller's Tally, which
-// Settle folds into the pool's counters once per query. Misses, version
-// chains and the writer's paths take the shard lock and update the table
-// under it; only accesses to pages in the same shard serialize. The byte
-// budget is split evenly across shards and covers the resident heads;
-// the evictor sweeps the shard's ring, clearing set reference bits and
+// A resident hit takes no lock at all. A dense page table indexed by page
+// ID holds every resident head; GetVersion serves a head installed at or
+// before the reader's epoch from one table slot, sets the slot's reference
+// bit only when it is clear, and counts the hit in the caller's Tally,
+// which Settle folds into the pool's counters once per query. Everything
+// else — misses, version chains, the writer's paths, eviction — runs under
+// the pool's one mutex, which guards one CLOCK ring, the version chains,
+// the counters and every write to the table; concurrent misses on one
+// pool therefore serialize. The byte budget covers the resident heads
+// exactly; the evictor sweeps the ring, clearing set reference bits and
 // evicting the first unpinned, published frame whose bit is clear.
 // Retained superseded versions are accounted separately (RetainedBytes)
 // and live exactly as long as the snapshots that need them.
@@ -72,7 +71,6 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -84,8 +82,7 @@ import (
 // ErrPinned is returned when an operation requires an unpinned frame.
 var ErrPinned = errors.New("buffer: page is pinned")
 
-// Stats counts pool activity since creation. For a sharded pool the
-// counters are aggregated across shards.
+// Stats counts pool activity since creation.
 type Stats struct {
 	Gets      uint64 // Get/GetVersion calls
 	Hits      uint64 // calls satisfied from memory
@@ -102,7 +99,7 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s (gauges are summed too: for a
-// sharded pool, or a forest of pools, the aggregate gauge is the total).
+// forest of pools, the aggregate gauge is the total).
 func (s *Stats) Add(o Stats) {
 	s.Gets += o.Gets
 	s.Hits += o.Hits
@@ -142,7 +139,7 @@ type frame struct {
 	bytes int // on-page size of the node
 	pins  int
 	dirty bool
-	ring  int // index in the shard's CLOCK ring while resident
+	ring  int // index in the pool's CLOCK ring while resident
 }
 
 // visibleAt reports whether a retired version serves a snapshot at epoch e.
@@ -165,43 +162,35 @@ func (pv *pageVersions) retiredAt(e uint64) bool {
 	return pv != nil && len(pv.frames) > 0 && pv.frames[0].superseded == e
 }
 
-// shard is one lock stripe: an independent CLOCK pool over the pages that
-// hash to it.
-type shard struct {
-	mu     sync.Mutex
-	budget int                       // max resident bytes in this shard; 0 means unlimited
-	old    map[page.ID]*pageVersions // retained superseded versions + graveyard
-	// ring holds the shard's resident heads, pinned or not; the evictor's
-	// hand sweeps it.
-	ring          []*frame
-	hand          int
-	bytes         int // resident head bytes in this shard
-	retained      int // version frames in old
-	retainedBytes int // bytes held by retained version frames
-	stats         Stats
-
-	// pad keeps neighboring shards' mutexes off one cache line.
-	_ [64]byte
-}
-
 // Tally counts the hits one reader's GetVersion calls served without a
 // lock. It lives in the reader's query context; Settle adds it to the
 // pool's Gets and Hits once per query, so a hit writes nothing shared.
 type Tally struct{ hits uint64 }
 
-// Pool is a pinning, lock-striped CLOCK buffer pool with copy-on-write
-// page versioning. The zero value is not usable; use New or NewSharded.
+// Pool is a pinning CLOCK buffer pool with copy-on-write page versioning.
+// The zero value is not usable; use New.
 type Pool struct {
 	store  store.Store
 	codec  node.Codec
-	shards []shard
-	mask   uint64 // len(shards) - 1; shard count is a power of two
-	table  table  // resident heads by page ID, read without locks
+	budget int   // max resident head bytes; 0 means unlimited
+	table  table // resident heads by page ID, read without locks
+
+	// mu guards the fields below up to published, and every write to the
+	// table.
+	mu  sync.Mutex
+	old map[page.ID]*pageVersions // retained superseded versions + graveyard
+	// ring holds the resident heads, pinned or not; the evictor's hand
+	// sweeps it.
+	ring          []*frame
+	hand          int
+	bytes         int // resident head bytes
+	retainedBytes int // bytes held by retained version frames
+	stats         Stats
 
 	// published is the newest committed write epoch: frames installed at
 	// or below it are durable-eligible (evictable); frames above it belong
 	// to the in-progress bracket. Written under the tree's write lock,
-	// read under shard locks, hence atomic.
+	// read under mu, hence atomic.
 	published atomic.Uint64
 
 	// writeEpoch is the epoch of the in-progress write bracket (equals
@@ -209,9 +198,8 @@ type Pool struct {
 	// it, always under the tree's write lock.
 	writeEpoch uint64
 
-	// retained counts version frames across all shards' chains; a cheap
-	// signal for "is there anything to collect" that readers can poll
-	// without taking shard locks.
+	// retained counts the version frames in old; a cheap signal for "is
+	// there anything to collect" that readers can poll without taking mu.
 	retained atomic.Int64
 
 	// unsealed queues the nodes NewNode and Upgrade handed the writer
@@ -225,69 +213,16 @@ type Pool struct {
 	hits atomic.Uint64
 }
 
-// defaultShardCount sizes the stripe set to the parallelism available at
-// construction time: at least 8 shards so small machines still spread
-// collisions, at most 128, rounded up to a power of two.
-func defaultShardCount() int {
-	n := runtime.GOMAXPROCS(0) * 4
-	if n < 8 {
-		n = 8
-	}
-	if n > 128 {
-		n = 128
-	}
-	return ceilPow2(n)
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// New creates a pool over the given store with the default shard count.
-// budgetBytes caps resident node bytes (0 = unlimited). The pool must
-// outlive every node pointer handed out while pinned.
+// New creates a pool over the given store. budgetBytes caps resident node
+// bytes (0 = unlimited). The pool must outlive every node pointer handed
+// out while pinned.
 func New(st store.Store, codec node.Codec, budgetBytes int) *Pool {
-	return NewSharded(st, codec, budgetBytes, 0)
-}
-
-// NewSharded creates a pool with an explicit shard count (rounded up to a
-// power of two; <= 0 selects the default). One shard gives a single global
-// CLOCK with an exact byte budget; more shards trade budget precision for
-// concurrent throughput.
-func NewSharded(st store.Store, codec node.Codec, budgetBytes, shards int) *Pool {
-	if shards <= 0 {
-		shards = defaultShardCount()
-	}
-	shards = ceilPow2(shards)
-	p := &Pool{
+	return &Pool{
 		store:  st,
 		codec:  codec,
-		shards: make([]shard, shards),
-		mask:   uint64(shards - 1),
+		budget: budgetBytes,
+		old:    make(map[page.ID]*pageVersions),
 	}
-	perShard := 0
-	if budgetBytes > 0 {
-		perShard = (budgetBytes + shards - 1) / shards
-	}
-	for i := range p.shards {
-		p.shards[i].budget = perShard
-		p.shards[i].old = make(map[page.ID]*pageVersions)
-	}
-	return p
-}
-
-// Shards reports the number of lock stripes.
-func (p *Pool) Shards() int { return len(p.shards) }
-
-// shardFor maps a page ID to its stripe. Sequentially allocated IDs are
-// mixed (Fibonacci hashing) so tree levels do not clump into one shard.
-func (p *Pool) shardFor(id page.ID) *shard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &p.shards[(h>>32)&p.mask]
 }
 
 // BeginWrite opens a write bracket at the given epoch (the tree's published
@@ -329,11 +264,10 @@ func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 	}
 	f := &frame{n: node.Node{ID: id, Level: level}, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
 	p.unsealed = append(p.unsealed, &f.n)
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p.installLocked(s, f)
-	p.evictLocked(s)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.installLocked(f)
+	p.evictLocked()
 	return &f.n, nil
 }
 
@@ -342,30 +276,29 @@ func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 // the bracket's unpublished clone — exactly what the writer's read-only
 // passes must observe.
 func (p *Pool) Get(id page.ID) (*node.Node, error) {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Gets++
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stats.Gets++
 	if f := p.table.load(id); f != nil {
-		s.stats.Hits++
+		p.stats.Hits++
 		f.pins++
 		p.table.slot(id).touch()
 		return &f.n, nil
 	}
-	s.stats.Misses++
-	if pv, dead := s.old[id]; dead && pv.deadAt != 0 {
+	p.stats.Misses++
+	if pv, dead := p.old[id]; dead && pv.deadAt != 0 {
 		// The page was freed in a committed or in-progress bracket and the
 		// store-level free is merely deferred for old snapshots; to the
 		// newest-version view it is gone.
 		return nil, fmt.Errorf("buffer: get %v: %w", id, store.ErrNotFound)
 	}
-	f, err := p.readLocked(s, id)
+	f, err := p.readLocked(id)
 	if err != nil {
 		return nil, err
 	}
 	f.pins = 1
-	p.installLocked(s, f)
-	p.evictLocked(s)
+	p.installLocked(f)
+	p.evictLocked()
 	return &f.n, nil
 }
 
@@ -378,9 +311,9 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 //
 // A resident head installed at or before the epoch is served from the
 // page table without a lock and counted in t; hand t to Settle when the
-// query ends. Every other case takes the shard lock and is counted there.
-// A head the table shows is safe to serve: the writer swaps a page's head
-// before it publishes the epoch that makes the old head stale.
+// query ends. Every other case takes the pool's mutex and is counted
+// there. A head the table shows is safe to serve: the writer swaps a
+// page's head before it publishes the epoch that makes the old head stale.
 //
 //seglint:hotpath
 func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (*node.Node, error) {
@@ -400,24 +333,23 @@ func (p *Pool) Settle(t *Tally) {
 	}
 }
 
-// getVersionSlow is GetVersion under the shard lock: the head may have
+// getVersionSlow is GetVersion under the pool's mutex: the head may have
 // become resident meanwhile, or the epoch needs a retained version or the
 // durable image.
 func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Gets++
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stats.Gets++
 	head := p.table.load(id)
 	if head != nil && head.install <= epoch {
-		s.stats.Hits++
+		p.stats.Hits++
 		p.table.slot(id).touch()
 		return &head.n, nil
 	}
-	if pv, ok := s.old[id]; ok {
+	if pv, ok := p.old[id]; ok {
 		for _, f := range pv.frames {
 			if f.visibleAt(epoch) {
-				s.stats.Hits++
+				p.stats.Hits++
 				return &f.n, nil
 			}
 		}
@@ -425,8 +357,8 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
 		// durable image (a freed page's final content, or a chain whose
 		// head was evicted). Serve it without caching — installing a head
 		// here would collide with the chain's epoch bookkeeping.
-		s.stats.Misses++
-		f, err := p.readLocked(s, id)
+		p.stats.Misses++
+		f, err := p.readLocked(id)
 		if err != nil {
 			return nil, err
 		}
@@ -436,20 +368,20 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
 		// head.install > epoch with no version chain: by the retention
 		// invariant no registered snapshot at this epoch can exist. Serve
 		// the durable pre-image best-effort rather than corrupting state.
-		s.stats.Misses++
-		f, err := p.readLocked(s, id)
+		p.stats.Misses++
+		f, err := p.readLocked(id)
 		if err != nil {
 			return nil, err
 		}
 		return &f.n, nil
 	}
-	s.stats.Misses++
-	f, err := p.readLocked(s, id)
+	p.stats.Misses++
+	f, err := p.readLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	p.installLocked(s, f)
-	p.evictLocked(s)
+	p.installLocked(f)
+	p.evictLocked()
 	return &f.n, nil
 }
 
@@ -457,10 +389,10 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
 // uninstalled frame. The install epoch is inferred from the version chain:
 // the durable image of a page with retained versions is its most recently
 // superseded-away head, which was installed exactly when the newest chain
-// entry was retired. The caller must hold s.mu; the store read happens
-// under the shard lock so concurrent accesses cannot decode the same page
-// twice.
-func (p *Pool) readLocked(s *shard, id page.ID) (*frame, error) {
+// entry was retired. The caller must hold p.mu. The store read happens
+// under it because a read done outside could install an image older than
+// a head that was written back and evicted in between.
+func (p *Pool) readLocked(id page.ID) (*frame, error) {
 	buf, err := p.store.Read(id)
 	if err != nil {
 		return nil, err
@@ -470,22 +402,10 @@ func (p *Pool) readLocked(s *shard, id page.ID) (*frame, error) {
 		return nil, fmt.Errorf("buffer: decode %v: %w", id, err)
 	}
 	f := &frame{n: *n, bytes: len(buf)}
-	if pv, ok := s.old[id]; ok && len(pv.frames) > 0 {
+	if pv, ok := p.old[id]; ok && len(pv.frames) > 0 {
 		f.install = pv.frames[0].superseded
 	}
 	return f, nil
-}
-
-// GetMut returns the node for id ready for mutation inside the open write
-// bracket, pinned: Get followed by Upgrade, for a page the writer fetches in
-// order to change it. A descent that may leave the page untouched pins it
-// with Get and upgrades only once it knows. Only the tree's single writer
-// may call this, under its write lock.
-func (p *Pool) GetMut(id page.ID) (*node.Node, error) {
-	if _, err := p.Get(id); err != nil {
-		return nil, err
-	}
-	return p.Upgrade(id)
 }
 
 // Upgrade turns the writer's pin on id (from Get) into a pin on the open
@@ -502,9 +422,8 @@ func (p *Pool) GetMut(id page.ID) (*node.Node, error) {
 // pin-discipline bug in the caller. Only the tree's single writer may call
 // this, under its write lock.
 func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	f := p.table.load(id)
 	if f == nil || f.pins == 0 {
 		return nil, fmt.Errorf("buffer: upgrade of unpinned %v", id)
@@ -521,77 +440,70 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 	if f.pins > 0 {
 		return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
 	}
-	p.retireLocked(s, id, f, we)
+	p.retireLocked(id, f, we)
 	nf := &frame{n: f.n.CloneHeaders(), bytes: f.bytes, pins: 1, dirty: true, ring: f.ring, install: we}
 	p.unsealed = append(p.unsealed, &nf.n)
-	s.ring[nf.ring] = nf
+	p.ring[nf.ring] = nf
 	p.table.set(id, nf)
-	s.stats.Clones++
-	s.stats.ClonedBytes += uint64(f.bytes)
+	p.stats.Clones++
+	p.stats.ClonedBytes += uint64(f.bytes)
 	return &nf.n, nil
 }
 
 // retireLocked pushes a superseded version frame onto the page's chain.
 // A retired frame is never written back, but it keeps its dirty flag:
 // when Rollback reinstates it, that flag still says whether the store
-// holds its content. The caller must hold s.mu and must replace or drop f
+// holds its content. The caller must hold p.mu and must replace or drop f
 // as the page's resident head.
-func (p *Pool) retireLocked(s *shard, id page.ID, f *frame, epoch uint64) {
+func (p *Pool) retireLocked(id page.ID, f *frame, epoch uint64) {
 	f.superseded = epoch
-	pv, ok := s.old[id]
+	pv, ok := p.old[id]
 	if !ok {
 		pv = &pageVersions{}
-		s.old[id] = pv
+		p.old[id] = pv
 	}
 	pv.frames = append(pv.frames, nil)
 	copy(pv.frames[1:], pv.frames)
 	pv.frames[0] = f
-	s.retained++
-	s.retainedBytes += f.bytes
+	p.retainedBytes += f.bytes
 	p.retained.Add(1)
 }
 
-// installLocked makes f the resident head of its page: table slot, shard
-// bytes and a CLOCK ring place just behind the hand, so a sweep reaches it
-// last. The frame the hand pointed at moves to the ring's end, still ahead
-// of the hand. The caller must hold s.mu.
-func (p *Pool) installLocked(s *shard, f *frame) {
-	f.ring = len(s.ring)
-	s.ring = append(s.ring, f)
-	if h := s.hand; h < f.ring {
-		g := s.ring[h]
-		s.ring[h], s.ring[f.ring] = f, g
+// installLocked makes f the resident head of its page: table slot, bytes
+// and a CLOCK ring place just behind the hand, so a sweep reaches it last.
+// The frame the hand pointed at moves to the ring's end, still ahead of the
+// hand. The caller must hold p.mu.
+func (p *Pool) installLocked(f *frame) {
+	f.ring = len(p.ring)
+	p.ring = append(p.ring, f)
+	if h := p.hand; h < f.ring {
+		g := p.ring[h]
+		p.ring[h], p.ring[f.ring] = f, g
 		f.ring, g.ring = h, f.ring
-		s.hand++
+		p.hand++
 	}
-	s.bytes += f.bytes
+	p.bytes += f.bytes
 	p.table.set(f.n.ID, f)
 }
 
 // dropLocked removes the resident head f from the table, the ring (the
-// ring's last frame takes its place) and the shard bytes. The caller must
-// hold s.mu.
-func (p *Pool) dropLocked(s *shard, f *frame) {
-	last := s.ring[len(s.ring)-1]
-	s.ring[f.ring], last.ring = last, f.ring
-	s.ring[len(s.ring)-1] = nil
-	s.ring = s.ring[:len(s.ring)-1]
-	s.bytes -= f.bytes
+// ring's last frame takes its place) and the resident bytes. The caller
+// must hold p.mu.
+func (p *Pool) dropLocked(f *frame) {
+	last := p.ring[len(p.ring)-1]
+	p.ring[f.ring], last.ring = last, f.ring
+	p.ring[len(p.ring)-1] = nil
+	p.ring = p.ring[:len(p.ring)-1]
+	p.bytes -= f.bytes
 	p.table.set(f.n.ID, nil)
 }
 
 // Unpin releases one pin. dirty marks the node as modified since fetch; it
-// will be written back before eviction or on Flush.
+// will be written back before eviction or on Flush. A frame whose last pin
+// goes becomes evictable.
 func (p *Pool) Unpin(id page.ID, dirty bool) error {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return p.unpinLocked(s, id, dirty)
-}
-
-// unpinLocked releases one pin on a resident frame, making it evictable
-// when the pin count reaches zero. The caller must hold s.mu.
-func (p *Pool) unpinLocked(s *shard, id page.ID, dirty bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	f := p.table.load(id)
 	if f == nil {
 		return fmt.Errorf("buffer: unpin of non-resident %v", id)
@@ -604,49 +516,49 @@ func (p *Pool) unpinLocked(s *shard, id page.ID, dirty bool) error {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		p.evictLocked(s)
+		p.evictLocked()
 	}
 	return nil
 }
 
-// evictLocked sweeps the shard's CLOCK ring until its budget is honored:
-// a frame whose reference bit is set has it cleared and is passed over,
-// the first unpinned frame found with a clear bit is evicted, and two
-// full turns without reaching the budget end the sweep. Frames installed
-// by the open write bracket are skipped: writing them back would clobber
-// the durable pre-image that snapshots below the bracket (and Rollback)
-// still rely on. Frames that fail to serialize stay resident (the error
-// will resurface on Flush). The caller must hold s.mu.
-func (p *Pool) evictLocked(s *shard) {
-	if s.budget <= 0 {
+// evictLocked sweeps the CLOCK ring until the budget is honored: a frame
+// whose reference bit is set has it cleared and is passed over, the first
+// unpinned frame found with a clear bit is evicted, and two full turns
+// without reaching the budget end the sweep. Frames installed by the open
+// write bracket are skipped: writing them back would clobber the durable
+// pre-image that snapshots below the bracket (and Rollback) still rely on.
+// Frames that fail to serialize stay resident (the error will resurface on
+// Flush). The caller must hold p.mu.
+func (p *Pool) evictLocked() {
+	if p.budget <= 0 {
 		return
 	}
 	published := p.published.Load()
-	for steps := 2 * len(s.ring); s.bytes > s.budget && steps > 0; steps-- {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
+	for steps := 2 * len(p.ring); p.bytes > p.budget && steps > 0; steps-- {
+		if p.hand >= len(p.ring) {
+			p.hand = 0
 		}
-		f := s.ring[s.hand]
+		f := p.ring[p.hand]
 		if f.pins > 0 || f.install > published || p.table.slot(f.n.ID).clearRef() {
-			s.hand++
+			p.hand++
 			continue
 		}
 		if f.dirty {
-			if err := p.writeBackLocked(s, f); err != nil {
+			if err := p.writeBackLocked(f); err != nil {
 				// Keep the frame; skip it this round to avoid data loss
 				// (the error will resurface on Flush).
-				s.hand++
+				p.hand++
 				continue
 			}
 		}
-		p.dropLocked(s, f) // the ring's last frame moves under the hand
-		s.stats.Evictions++
+		p.dropLocked(f) // the ring's last frame moves under the hand
+		p.stats.Evictions++
 	}
 }
 
 // writeBackLocked serializes a dirty frame to the store. The caller must
-// hold s.mu.
-func (p *Pool) writeBackLocked(s *shard, f *frame) error {
+// hold p.mu.
+func (p *Pool) writeBackLocked(f *frame) error {
 	buf, err := p.codec.Marshal(&f.n, f.bytes)
 	if err != nil {
 		return err
@@ -654,27 +566,23 @@ func (p *Pool) writeBackLocked(s *shard, f *frame) error {
 	if err := p.store.Write(f.n.ID, buf); err != nil {
 		return err
 	}
-	s.stats.Writes++
+	p.stats.Writes++
 	f.dirty = false
 	return nil
 }
 
-// Flush writes every dirty resident node back to the store, shard by
-// shard. The tree calls it only between write brackets, so every dirty
-// frame is a published version.
+// Flush writes every dirty resident node back to the store. The tree calls
+// it only between write brackets, so every dirty frame is a published
+// version.
 func (p *Pool) Flush() error {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for _, f := range s.ring {
-			if f.dirty {
-				if err := p.writeBackLocked(s, f); err != nil {
-					s.mu.Unlock()
-					return err
-				}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range p.ring {
+		if f.dirty {
+			if err := p.writeBackLocked(f); err != nil {
+				return err
 			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -689,20 +597,17 @@ func (p *Pool) Flush() error {
 // in-flight snapshots, and the broken store latches every later read
 // anyway.
 func (p *Pool) Invalidate() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	pinned := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		// Backwards, so the frame dropLocked moves into slot i has been
-		// visited already.
-		for i := len(s.ring) - 1; i >= 0; i-- {
-			if f := s.ring[i]; f.pins > 0 {
-				pinned++
-			} else {
-				p.dropLocked(s, f)
-			}
+	// Backwards, so the frame dropLocked moves into slot i has been
+	// visited already.
+	for i := len(p.ring) - 1; i >= 0; i-- {
+		if f := p.ring[i]; f.pins > 0 {
+			pinned++
+		} else {
+			p.dropLocked(f)
 		}
-		s.mu.Unlock()
 	}
 	return pinned
 }
@@ -715,43 +620,42 @@ func (p *Pool) Invalidate() int {
 // store-level free runs in a later Collect once every snapshot that could
 // see the page has been released. The node must be unpinned.
 func (p *Pool) Free(id page.ID) error {
-	s := p.shardFor(id)
-	s.mu.Lock()
+	p.mu.Lock()
 	f := p.table.load(id)
 	if f != nil && f.pins > 0 {
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return ErrPinned
 	}
 	if !p.inBracket() {
 		if f != nil {
-			p.dropLocked(s, f)
+			p.dropLocked(f)
 		}
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return p.store.Free(id)
 	}
 	we := p.writeEpoch
 	if f != nil {
-		p.dropLocked(s, f)
+		p.dropLocked(f)
 		if f.install == we {
 			// The head was created inside this bracket; no snapshot can
 			// see it. If it cloned a published pre-image, the chain entry
 			// keeps serving old snapshots; if it was a fresh allocation,
 			// nothing references the page and the store free is immediate.
-			if !s.old[id].retiredAt(we) {
-				s.mu.Unlock()
+			if !p.old[id].retiredAt(we) {
+				p.mu.Unlock()
 				return p.store.Free(id)
 			}
 		} else {
-			p.retireLocked(s, id, f, we)
+			p.retireLocked(id, f, we)
 		}
 	}
-	pv, chained := s.old[id]
+	pv, chained := p.old[id]
 	if !chained {
 		pv = &pageVersions{}
-		s.old[id] = pv
+		p.old[id] = pv
 	}
 	pv.deadAt = we
-	s.mu.Unlock()
+	p.mu.Unlock()
 	return nil
 }
 
@@ -769,62 +673,58 @@ func (p *Pool) Rollback() error {
 	p.unsealed = p.unsealed[:0]
 	we := p.writeEpoch
 	var errs []error
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		// Undo deferred frees first so their pre-images are back in the
-		// chains for the head-restoration pass below.
-		for _, pv := range s.old {
-			if pv.deadAt == we {
-				pv.deadAt = 0
-			}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Undo deferred frees first so their pre-images are back in the chains
+	// for the head-restoration pass below.
+	for _, pv := range p.old {
+		if pv.deadAt == we {
+			pv.deadAt = 0
 		}
-		// Backwards, so the frame dropLocked moves into slot i has been
-		// visited already.
-		for i := len(s.ring) - 1; i >= 0; i-- {
-			f := s.ring[i]
-			if f.install != we {
-				continue
-			}
-			// An error-path frame may still be pinned (the op bailed out
-			// mid-descent); dropping it is exactly the point of rollback.
-			p.dropLocked(s, f)
-			if !s.old[f.n.ID].retiredAt(we) {
-				// Fresh allocation of the aborted bracket.
-				if err := p.store.Free(f.n.ID); err != nil {
-					errs = append(errs, err)
-				}
-			}
-		}
-		// Reinstate every pre-image the bracket retired, whether its clone
-		// was dropped above or by Free inside the bracket. This runs after
-		// the ring walk because installing displaces ring slots.
-		for id, pv := range s.old {
-			if pv.retiredAt(we) && p.table.load(id) == nil {
-				p.reinstateLocked(s, id, pv)
-			}
-		}
-		p.evictLocked(s)
-		s.mu.Unlock()
 	}
+	// Backwards, so the frame dropLocked moves into slot i has been
+	// visited already.
+	for i := len(p.ring) - 1; i >= 0; i-- {
+		f := p.ring[i]
+		if f.install != we {
+			continue
+		}
+		// An error-path frame may still be pinned (the op bailed out
+		// mid-descent); dropping it is exactly the point of rollback.
+		p.dropLocked(f)
+		if !p.old[f.n.ID].retiredAt(we) {
+			// Fresh allocation of the aborted bracket.
+			if err := p.store.Free(f.n.ID); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	// Reinstate every pre-image the bracket retired, whether its clone was
+	// dropped above or by Free inside the bracket. This runs after the ring
+	// walk because installing displaces ring slots.
+	for id, pv := range p.old {
+		if pv.retiredAt(we) && p.table.load(id) == nil {
+			p.reinstateLocked(id, pv)
+		}
+	}
+	p.evictLocked()
 	p.writeEpoch = p.published.Load()
 	return errors.Join(errs...)
 }
 
 // reinstateLocked pops the newest retired version off id's chain pv and
-// makes it the resident head again. The caller must hold s.mu.
-func (p *Pool) reinstateLocked(s *shard, id page.ID, pv *pageVersions) {
+// makes it the resident head again. The caller must hold p.mu.
+func (p *Pool) reinstateLocked(id page.ID, pv *pageVersions) {
 	pre := pv.frames[0]
 	pv.frames = pv.frames[1:]
-	s.retained--
-	s.retainedBytes -= pre.bytes
+	p.retainedBytes -= pre.bytes
 	p.retained.Add(-1)
 	if len(pv.frames) == 0 && pv.deadAt == 0 {
-		delete(s.old, id)
+		delete(p.old, id)
 	}
 	pre.superseded = 0
 	pre.pins = 0
-	p.installLocked(s, pre)
+	p.installLocked(pre)
 }
 
 // Collect reclaims version chain entries whose supersession epoch is at or
@@ -835,97 +735,63 @@ func (p *Pool) reinstateLocked(s *shard, id page.ID, pv *pageVersions) {
 // stays on writer paths. min must not exceed the published epoch.
 func (p *Pool) Collect(min uint64, freePages bool) error {
 	var errs []error
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for id, pv := range s.old {
-			kept := pv.frames[:0]
-			for _, f := range pv.frames {
-				if f.superseded > min {
-					kept = append(kept, f)
-					continue
-				}
-				s.retained--
-				s.retainedBytes -= f.bytes
-				s.stats.Collected++
-				p.retained.Add(-1)
-			}
-			for j := len(kept); j < len(pv.frames); j++ {
-				pv.frames[j] = nil
-			}
-			pv.frames = kept
-			if len(pv.frames) > 0 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id, pv := range p.old {
+		kept := pv.frames[:0]
+		for _, f := range pv.frames {
+			if f.superseded > min {
+				kept = append(kept, f)
 				continue
 			}
-			if pv.deadAt == 0 {
-				delete(s.old, id)
-				continue
-			}
-			if pv.deadAt <= min && freePages {
-				if err := p.store.Free(id); err != nil {
-					errs = append(errs, err)
-					continue
-				}
-				s.stats.DeferredFrees++
-				delete(s.old, id)
-			}
+			p.retainedBytes -= f.bytes
+			p.stats.Collected++
+			p.retained.Add(-1)
 		}
-		s.mu.Unlock()
+		for j := len(kept); j < len(pv.frames); j++ {
+			pv.frames[j] = nil
+		}
+		pv.frames = kept
+		if len(pv.frames) > 0 {
+			continue
+		}
+		if pv.deadAt == 0 {
+			delete(p.old, id)
+			continue
+		}
+		if pv.deadAt <= min && freePages {
+			if err := p.store.Free(id); err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			p.stats.DeferredFrees++
+			delete(p.old, id)
+		}
 	}
 	return errors.Join(errs...)
 }
 
 // RetainedVersions reports the number of superseded version frames
-// currently retained across all shards, without taking shard locks.
+// currently retained, without taking the pool's mutex.
 func (p *Pool) RetainedVersions() int { return int(p.retained.Load()) }
 
-// PageBytes reports the on-page size of a resident or stored node.
-func (p *Pool) PageBytes(id page.ID) (int, error) {
-	if f := p.table.load(id); f != nil {
-		return f.bytes, nil
-	}
-	return p.store.PageSize(id)
-}
-
-// Resident reports the number of nodes currently in memory across all
-// shards (resident heads; retained versions are not counted).
+// Resident reports the number of nodes currently in memory (resident
+// heads; retained versions are not counted).
 func (p *Pool) Resident() int {
-	total := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		total += len(s.ring)
-		s.mu.Unlock()
-	}
-	return total
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.ring)
 }
 
-// Stats returns pool counters aggregated across shards, plus the settled
-// lock-free hits. Shards are snapshotted one at a time, so under
-// concurrent load the aggregate is a consistent-per-shard,
-// approximate-global view.
+// Stats returns the pool's counters, including the settled lock-free hits.
 func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	out := p.stats
+	out.Retained = uint64(p.retained.Load())
+	out.RetainedBytes = uint64(p.retainedBytes)
+	p.mu.Unlock()
 	h := p.hits.Load()
-	out := Stats{Gets: h, Hits: h}
-	for _, st := range p.ShardStats() {
-		out.Add(st)
-	}
-	return out
-}
-
-// ShardStats returns a per-shard snapshot of the counters, in shard order.
-// A shard counts only the calls it served under its lock; hits served from
-// the page table belong to no shard and appear in Stats alone. Intended
-// for tests and diagnostics.
-func (p *Pool) ShardStats() []Stats {
-	out := make([]Stats, len(p.shards))
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		out[i] = s.stats
-		out[i].Retained = uint64(s.retained)
-		out[i].RetainedBytes = uint64(s.retainedBytes)
-		s.mu.Unlock()
-	}
+	out.Gets += h
+	out.Hits += h
 	return out
 }

@@ -15,14 +15,20 @@ import (
 	"segidx/internal/store"
 )
 
-// newPool builds a single-shard pool: the legacy tests in this file assert
-// exact byte-budget and CLOCK-order behavior, which only one shard provides
-// (a sharded pool splits the budget per stripe). The shard-specific tests
-// below construct multi-shard pools explicitly.
+// newPool builds a pool over a fresh MemStore.
 func newPool(t *testing.T, budget int) (*Pool, *store.MemStore) {
 	t.Helper()
 	st := store.NewMemStore()
-	return NewSharded(st, node.Codec{Dims: 2}, budget, 1), st
+	return New(st, node.Codec{Dims: 2}, budget), st
+}
+
+// getMut pins id and upgrades the pin, as the writer does for a page it
+// fetches in order to change it.
+func getMut(p *Pool, id page.ID) (*node.Node, error) {
+	if _, err := p.Get(id); err != nil {
+		return nil, err
+	}
+	return p.Upgrade(id)
 }
 
 // resident reports whether id has a resident head, without touching its
@@ -111,7 +117,7 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 	}
 }
 
-// TestClockSecondChance pins the eviction policy on one shard. A hit sets
+// TestClockSecondChance pins the eviction policy. A hit sets
 // a page's reference bit; the sweep clears a set bit and passes over the
 // page once, then evicts the first unreferenced page it meets. The last
 // step is where CLOCK and LRU part. LRU would evict a, whose last use is
@@ -177,28 +183,53 @@ func TestClockSecondChance(t *testing.T) {
 	}
 }
 
+// TestPinnedFramesAreNotEvicted pins pages whose footprint reaches or
+// exceeds the budget, churns unpinned pages through the pool, and checks
+// each pinned pointer still resolves to the identical in-memory node.
 func TestPinnedFramesAreNotEvicted(t *testing.T) {
-	p, _ := newPool(t, 1024) // budget of one page
-	a, _ := p.NewNode(0, 1024)
-	// a stays pinned; allocating b pushes the pool over budget but a must
-	// survive because it is pinned.
-	b, err := p.NewNode(0, 1024)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ budget, pinned, churn int }{
+		{1024, 1, 1},       // a budget of one page, held by the pinned one
+		{2 * 1024, 12, 64}, // pinned footprint far above the budget
+	} {
+		t.Run(fmt.Sprintf("pinned=%d,churn=%d", tc.pinned, tc.churn), func(t *testing.T) {
+			p, _ := newPool(t, tc.budget)
+			var hold []*node.Node
+			for i := 0; i < tc.pinned; i++ {
+				n, err := p.NewNode(0, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addRecord(n, uint64(9000+i))
+				hold = append(hold, n) // stays pinned
+			}
+			for i := 0; i < tc.churn; i++ {
+				n, err := p.NewNode(0, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Unpin(n.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if p.Stats().Evictions == 0 {
+				t.Fatal("no evictions; churn is vacuous")
+			}
+			for i, n := range hold {
+				got, err := p.Get(n.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != n {
+					t.Fatalf("pinned node %d was evicted and re-decoded", i)
+				}
+				if got.Records[0].ID != node.RecordID(9000+i) {
+					t.Fatalf("pinned node %d contents changed", i)
+				}
+				p.Unpin(n.ID, false) // release the Get pin
+				p.Unpin(n.ID, true)  // release the original pin
+			}
+		})
 	}
-	addRecord(a, 1)
-	if err := p.Unpin(b.ID, true); err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Get(a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != a {
-		t.Error("pinned node was evicted")
-	}
-	p.Unpin(a.ID, true)
-	p.Unpin(a.ID, true)
 }
 
 // TestUpgradeClonesAtFirstMutation walks the write path's protocol: pin with
@@ -253,7 +284,7 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 		t.Fatal("Upgrade of a published head returned the head itself")
 	}
 	addRecord(clone, 2)
-	if again, err := p.GetMut(id); err != nil || again != clone {
+	if again, err := getMut(p, id); err != nil || again != clone {
 		t.Fatalf("second upgrade in the bracket = (%p, %v), want the same clone %p", again, err, clone)
 	}
 	if err := p.Unpin(id, false); err != nil {
@@ -285,7 +316,7 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	if _, err := p.Get(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.GetMut(id); !errors.Is(err, ErrPinned) {
+	if _, err := getMut(p, id); !errors.Is(err, ErrPinned) {
 		t.Fatalf("upgrade of a twice-pinned head = %v, want ErrPinned", err)
 	}
 	if err := p.Unpin(id, false); err != nil {
@@ -303,8 +334,8 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 
 	// Outside a bracket there is nothing to isolate: the node is mutated in
 	// place.
-	if same, err := p.GetMut(id); err != nil || same != clone {
-		t.Fatalf("GetMut outside a bracket = (%p, %v), want the resident node", same, err)
+	if same, err := getMut(p, id); err != nil || same != clone {
+		t.Fatalf("Get+Upgrade outside a bracket = (%p, %v), want the resident node", same, err)
 	}
 	if err := p.Unpin(id, false); err != nil {
 		t.Fatal(err)
@@ -451,14 +482,6 @@ func TestCorruptPageRejected(t *testing.T) {
 	}
 }
 
-func TestPageBytes(t *testing.T) {
-	p, _ := newPool(t, 0)
-	n, _ := p.NewNode(2, 4096)
-	if got, err := p.PageBytes(n.ID); err != nil || got != 4096 {
-		t.Fatalf("PageBytes = %d, %v", got, err)
-	}
-}
-
 func TestPinChurnUnderPressure(t *testing.T) {
 	// Repeatedly pin chains of nodes while the budget allows only a few
 	// frames; correctness of contents must survive heavy eviction.
@@ -512,22 +535,30 @@ func TestPinChurnUnderPressure(t *testing.T) {
 	}
 }
 
-// TestPoolShardAccounting checks the aggregate counters of a multi-shard
-// pool: Stats() must equal the sum of ShardStats(), Hits+Misses must
-// equal Gets, and the shard count must round up to a power of two.
-func TestPoolShardAccounting(t *testing.T) {
-	st := store.NewMemStore()
-	p := NewSharded(st, node.Codec{Dims: 2}, 4*1024, 7) // rounds up to 8
-	if got := p.Shards(); got != 8 {
-		t.Fatalf("Shards = %d, want 8 (rounded up from 7)", got)
+// TestPoolBudgetIsWhole checks that New's byte budget covers the whole
+// pool: a page of half the budget stays resident once unpinned, and only a
+// pool over its budget evicts. Under that pressure every Get is counted
+// once, as a hit or a miss.
+func TestPoolBudgetIsWhole(t *testing.T) {
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 16*1024)
+	big, err := p.NewNode(0, 8*1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var ids []page.ID
+	addRecord(big, 1)
+	if err := p.Unpin(big.ID, true); err != nil {
+		t.Fatal(err)
+	}
+	if !resident(p, big.ID) || p.Stats().Evictions != 0 {
+		t.Fatalf("an 8 KiB page in a 16 KiB pool: resident = %v, stats = %+v", resident(p, big.ID), p.Stats())
+	}
+	ids := []page.ID{big.ID}
 	for i := 0; i < 24; i++ {
 		n, err := p.NewNode(0, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
-		addRecord(n, uint64(i+1))
+		addRecord(n, uint64(i+2))
 		ids = append(ids, n.ID)
 		if err := p.Unpin(n.ID, true); err != nil {
 			t.Fatal(err)
@@ -548,88 +579,25 @@ func TestPoolShardAccounting(t *testing.T) {
 			}
 		}
 	}
-	agg := p.Stats()
-	var sum Stats
-	perShard := p.ShardStats()
-	if len(perShard) != p.Shards() {
-		t.Fatalf("ShardStats returned %d entries, want %d", len(perShard), p.Shards())
+	s := p.Stats()
+	if s.Gets != s.Hits+s.Misses {
+		t.Fatalf("Gets %d != Hits %d + Misses %d", s.Gets, s.Hits, s.Misses)
 	}
-	for _, s := range perShard {
-		sum.Add(s)
+	if s.Gets != uint64(3*len(ids)) {
+		t.Fatalf("Gets = %d, want %d", s.Gets, 3*len(ids))
 	}
-	if agg != sum {
-		t.Fatalf("Stats() = %+v, sum of ShardStats() = %+v", agg, sum)
-	}
-	if agg.Gets != agg.Hits+agg.Misses {
-		t.Fatalf("Gets %d != Hits %d + Misses %d", agg.Gets, agg.Hits, agg.Misses)
-	}
-	if agg.Gets != uint64(3*len(ids)) {
-		t.Fatalf("Gets = %d, want %d", agg.Gets, 3*len(ids))
-	}
-	if agg.Misses == 0 || agg.Evictions == 0 {
-		t.Fatalf("expected evictions under a tight budget: %+v", agg)
+	if s.Misses == 0 || s.Evictions == 0 {
+		t.Fatalf("expected evictions under a tight budget: %+v", s)
 	}
 }
 
-// TestPoolShardPinnedNeverEvicted pins a set of nodes spread across the
-// shards of a pool with a budget far below the pinned footprint, churns
-// unpinned pages through every shard, and checks each pinned pointer
-// still resolves to the identical in-memory node.
-func TestPoolShardPinnedNeverEvicted(t *testing.T) {
-	st := store.NewMemStore()
-	p := NewSharded(st, node.Codec{Dims: 2}, 2*1024, 8)
-	const pinned = 12
-	type held struct {
-		id page.ID
-		n  *node.Node
-	}
-	var hold []held
-	for i := 0; i < pinned; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(9000+i))
-		hold = append(hold, held{n.ID, n}) // stays pinned
-	}
-	// Churn: allocate and release far more bytes than the budget so every
-	// shard evicts whatever it legally can.
-	for i := 0; i < 64; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Stats().Evictions == 0 {
-		t.Fatal("no evictions; churn is vacuous")
-	}
-	for i, h := range hold {
-		got, err := p.Get(h.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != h.n {
-			t.Fatalf("pinned node %d was evicted and re-decoded", i)
-		}
-		if got.Records[0].ID != node.RecordID(9000+i) {
-			t.Fatalf("pinned node %d contents changed", i)
-		}
-		p.Unpin(h.id, false) // release the Get pin
-		p.Unpin(h.id, true)  // release the original pin
-	}
-}
-
-// TestPoolConcurrentHammer drives a multi-shard pool from many goroutines
-// under -race: all goroutines re-read a shared set of pages (including
-// IDs that collide onto the same shard), each goroutine mutates a private
-// page, and Flush/Stats/Resident run concurrently. Final contents are
+// TestPoolConcurrentHammer drives a pool from many goroutines under
+// -race: all goroutines re-read a shared set of pages, each goroutine
+// mutates a private page, and Flush/Stats/Resident run concurrently. Final contents are
 // verified after the storm.
 func TestPoolConcurrentHammer(t *testing.T) {
 	st := store.NewMemStore()
-	p := NewSharded(st, node.Codec{Dims: 2}, 8*1024, 4)
+	p := New(st, node.Codec{Dims: 2}, 8*1024)
 	const (
 		sharedPages = 16
 		goroutines  = 8
@@ -670,8 +638,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Read-only access to a shared page; offsets by goroutine so
-				// colliding IDs hit the same shard from different goroutines.
+				// Read-only access to a shared page, offset by goroutine.
 				id := shared[(i+g*3)%sharedPages]
 				n, err := p.Get(id)
 				if err != nil {
@@ -738,16 +705,17 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestPoolRetainedGaugeIsIncremental checks the per-shard Retained count
-// against the lock-free gauge through a copy-on-write, Collect and
-// Rollback sequence on a multi-shard pool.
+// TestPoolRetainedGaugeIsIncremental checks the retained-version gauges
+// (Stats().Retained, RetainedBytes and the lock-free RetainedVersions)
+// through a copy-on-write, Collect and Rollback sequence.
 func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
-	p := NewSharded(store.NewMemStore(), node.Codec{Dims: 2}, 0, 4)
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
 	check := func(step string, want int) {
 		t.Helper()
-		if got := p.Stats().Retained; got != uint64(p.RetainedVersions()) || got != uint64(want) {
-			t.Fatalf("%s: Stats().Retained = %d, RetainedVersions() = %d, want %d",
-				step, got, p.RetainedVersions(), want)
+		s := p.Stats()
+		if s.Retained != uint64(want) || p.RetainedVersions() != want || s.RetainedBytes != uint64(want*1024) {
+			t.Fatalf("%s: Stats().Retained = %d (%d bytes), RetainedVersions() = %d, want %d (%d bytes)",
+				step, s.Retained, s.RetainedBytes, p.RetainedVersions(), want, want*1024)
 		}
 	}
 	p.BeginWrite(1)
@@ -768,7 +736,7 @@ func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
 	check("built", 0)
 	upgrade := func(ids []page.ID) {
 		for _, id := range ids {
-			if _, err := p.GetMut(id); err != nil {
+			if _, err := getMut(p, id); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Unpin(id, true); err != nil {
@@ -821,7 +789,7 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 		readers  = 3
 		brackets = 1000
 	)
-	p := NewSharded(store.NewMemStore(), node.Codec{Dims: 2}, 16*1024, 4)
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 16*1024)
 	var (
 		mu      sync.Mutex // guards pinned, history and published
 		pinned  [readers]uint64
@@ -917,7 +885,7 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				n, err := p.GetMut(id)
+				n, err := getMut(p, id)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"segidx/internal/page"
@@ -22,20 +21,20 @@ const refBit = 1 << 63
 // copy-on-write clone keeps its page's ID, so a flat index can stand in for
 // a map. Each slot pairs the head frame with its install epoch and CLOCK
 // reference bit, so a lookup (hit) reads one slot and takes no lock: that
-// is what lets GetVersion serve a resident hit without its shard's mutex
+// is what lets GetVersion serve a resident hit without the pool's mutex
 // and without reading the frame.
 //
 // The directory is a slice of chunk pointers, replaced whole when it grows.
-// Each chunk counts its live slots. Only the holder of a page's shard lock
-// writes that page's slot; the table's own mutex serializes directory
-// growth and the attaching and detaching of chunks, never a lookup. A chunk
-// whose last slot is cleared is marked dead and detached, so a workload
-// that allocates new IDs forever keeps only the chunks its live pages use.
-// A dead chunk is never written again: a reader still holding it through
-// an old directory finds only empty slots and takes the locked path.
+// Each chunk counts its live slots. Every write — slot, chunk count,
+// directory — happens under the pool's mutex, so the table has one writer
+// at a time and needs no protocol among writers. A chunk whose last slot
+// is cleared is detached, so a workload that allocates new IDs forever
+// keeps only the chunks its live pages use. A detached chunk is never
+// written again (the writer reaches chunks only through the current
+// directory): a reader still holding it finds only empty slots and takes
+// the locked path.
 type table struct {
 	dir atomic.Pointer[directory]
-	mu  sync.Mutex
 }
 
 type directory struct {
@@ -44,9 +43,7 @@ type directory struct {
 
 type chunk struct {
 	slots [chunkSize]slot
-	// live counts the non-nil slots; -1 marks a detached chunk, which no
-	// store may revive.
-	live atomic.Int32
+	live  int // non-nil slots
 }
 
 // slot is one page's entry: its head frame and a word holding the frame's
@@ -100,7 +97,7 @@ func (t *table) hit(id page.ID, epoch uint64) *frame {
 
 // touch sets the slot's reference bit. One compare-and-swap is enough:
 // it fails only when a reader set the bit first or the holder of the
-// shard lock changed the head, whose bit then starts clear anyway.
+// pool's mutex changed the head, whose bit then starts clear anyway.
 func (sl *slot) touch() {
 	if w := sl.w.Load(); w&refBit == 0 {
 		sl.w.CompareAndSwap(w, w|refBit)
@@ -108,7 +105,7 @@ func (sl *slot) touch() {
 }
 
 // clearRef clears the reference bit and reports whether it was set. The
-// caller holds the page's shard lock, so the only other writers are
+// caller holds the pool's mutex, so the only other writers are
 // readers setting a clear bit, and the swap cannot fail.
 func (sl *slot) clearRef() bool {
 	w := sl.w.Load()
@@ -124,8 +121,8 @@ func (t *table) chunk(i uint64) *chunk {
 	return d.chunks[i].Load()
 }
 
-// set makes f the resident head of id; nil clears the slot. Only the
-// holder of id's shard lock may set its slot.
+// set makes f the resident head of id; nil clears the slot. The caller
+// must hold the pool's mutex.
 func (t *table) set(id page.ID, f *frame) {
 	i, s := uint64(id)>>chunkBits, id&(chunkSize-1)
 	c := t.chunk(i)
@@ -134,41 +131,27 @@ func (t *table) set(id page.ID, f *frame) {
 			return
 		}
 		c.slots[s].f.Store(nil)
-		if c.live.Add(-1) == 0 && c.live.CompareAndSwap(0, -1) {
-			t.detach(i, c)
+		if c.live--; c.live == 0 {
+			t.dir.Load().chunks[i].Store(nil)
 		}
 		return
 	}
-	for c == nil || (c.slots[s].f.Load() == nil && !c.reserve()) {
+	if c == nil {
 		c = t.attach(i)
 	}
 	sl := &c.slots[s]
 	if sl.f.Load() != nil {
 		sl.f.Store(nil)
+	} else {
+		c.live++
 	}
 	sl.w.Store(f.install)
 	sl.f.Store(f)
 }
 
-// reserve counts one more live slot, unless the chunk is dead.
-func (c *chunk) reserve() bool {
-	for {
-		n := c.live.Load()
-		if n < 0 {
-			return false
-		}
-		if c.live.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// attach returns a chunk for directory index i that is not dead,
-// attaching a new one if needed and growing the directory (at least
-// doubling it) when i is past its end.
+// attach attaches a new chunk at directory index i, growing the directory
+// (at least doubling it) when i is past its end.
 func (t *table) attach(i uint64) *chunk {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	d := t.dir.Load()
 	if d == nil || i >= uint64(len(d.chunks)) {
 		var old []atomic.Pointer[chunk]
@@ -181,20 +164,7 @@ func (t *table) attach(i uint64) *chunk {
 		}
 		t.dir.Store(d)
 	}
-	c := d.chunks[i].Load()
-	if c == nil || c.live.Load() < 0 {
-		c = new(chunk)
-		d.chunks[i].Store(c)
-	}
+	c := new(chunk)
+	d.chunks[i].Store(c)
 	return c
-}
-
-// detach drops the dead chunk c from directory index i, unless a newer
-// chunk has already replaced it there.
-func (t *table) detach(i uint64, c *chunk) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d := t.dir.Load(); d.chunks[i].Load() == c {
-		d.chunks[i].Store(nil)
-	}
 }

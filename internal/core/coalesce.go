@@ -177,8 +177,11 @@ func regionsAdjacent(a, b geom.Rect) bool {
 func (t *Tree) mergeLeaves(n *node.Node, i, j int, o *op) error {
 	keepID := n.Branches[i].Child
 	dropID := n.Branches[j].Child
-	keep, err := t.fetchMut(keepID, o.accesses)
+	keep, err := t.fetch(keepID, o.accesses)
 	if err != nil {
+		return err
+	}
+	if keep, err = t.mut(keep); err != nil {
 		return err
 	}
 	// The dropped leaf is only read: its page is freed as it stands.

@@ -322,20 +322,6 @@ func (t *Tree) mut(n *node.Node) (*node.Node, error) {
 	return m, nil
 }
 
-// fetchMut is fetch followed by mut, for a node fetched in order to change
-// it (a descent that may leave the node untouched uses fetch and mut
-// separately). The caller must hold the write lock on t.mu.
-func (t *Tree) fetchMut(id page.ID, accesses *uint64) (*node.Node, error) {
-	n, err := t.pool.GetMut(id)
-	if err != nil {
-		return nil, fmt.Errorf("core: fetch %v: %w", id, err)
-	}
-	if accesses != nil {
-		atomic.AddUint64(accesses, 1)
-	}
-	return n, nil
-}
-
 // done unpins a node. The caller must hold t.mu.
 //
 //seglint:allow nodepanic — an unpin failure is a pin-discipline bug; surface loudly rather than silently corrupting LRU state

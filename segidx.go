@@ -31,7 +31,7 @@ type Entry = core.Entry
 type Stats = core.Stats
 
 // PoolStats holds buffer pool counters (gets, hits, misses, evictions,
-// write-backs), aggregated across the pool's lock stripes.
+// write-backs); a forest's are summed across its shards' pools.
 type PoolStats = buffer.Stats
 
 // Report is a structural quality report; see (*Index).Analyze.
