@@ -432,15 +432,20 @@ type Store struct {
 }
 
 func (ws *Store) applyLocked(recs []byte) error { return nil }
-func (ws *Store) trimLog() error                { return nil }
 `
 
 	t.Run("correct protocol", func(t *testing.T) {
 		checkFixture(t, WALOrder, header+`
-// Commit follows the full order: append, sync log, apply, sync data, trim.
-func (ws *Store) Commit(batch []byte) error {
+// Commit follows the full order: write, cut the stale tail, sync log,
+// apply, sync data.
+func (ws *Store) Commit(batch []byte, cut bool) error {
 	if _, err := ws.log.WriteAt(batch, 0); err != nil {
 		return err
+	}
+	if cut {
+		if err := ws.log.Truncate(int64(len(batch))); err != nil {
+			return err
+		}
 	}
 	if err := ws.log.Sync(); err != nil {
 		return err
@@ -451,16 +456,16 @@ func (ws *Store) Commit(batch []byte) error {
 	if err := ws.inner.Sync(); err != nil {
 		return err
 	}
-	if err := ws.trimLog(); err != nil {
-		return err
-	}
 	return nil
 }
 
-// replayDiscard is the parse-failure path: trimming with nothing logged
-// in-function is the correct discard.
-func (ws *Store) replayDiscard() error {
-	return ws.trimLog()
+// replay applies a batch logged by an earlier call: nothing is logged
+// in-function, so applying first is correct.
+func (ws *Store) replay(batch []byte) error {
+	if err := ws.applyLocked(batch); err != nil {
+		return err
+	}
+	return ws.inner.Sync()
 }
 
 // latchClosure is the Commit idiom: a closure latches sick on error paths
@@ -502,10 +507,7 @@ func (ws *Store) replayThenCommit(batch []byte, replay bool) error {
 	if err := ws.applyLocked(batch); err != nil {
 		return err
 	}
-	if err := ws.inner.Sync(); err != nil {
-		return err
-	}
-	return ws.trimLog()
+	return ws.inner.Sync()
 }
 `)
 	})
@@ -542,19 +544,21 @@ func (ws *Store) commitNoSync(batch []byte) error {
 `)
 	})
 
-	t.Run("trim before durable", func(t *testing.T) {
+	t.Run("cut after log sync", func(t *testing.T) {
+		// A cut is a log write: after the log sync it leaves the log
+		// unsynced again, so the apply that follows it is reported.
 		checkFixture(t, WALOrder, header+`
-func (ws *Store) trimEarly(batch []byte) error {
+func (ws *Store) cutLate(batch []byte) error {
 	if _, err := ws.log.WriteAt(batch, 0); err != nil {
 		return err
 	}
 	if err := ws.log.Sync(); err != nil {
 		return err
 	}
-	if err := ws.applyLocked(batch); err != nil {
+	if err := ws.log.Truncate(int64(len(batch))); err != nil {
 		return err
 	}
-	if err := ws.trimLog(); err != nil { // want walorder
+	if err := ws.applyLocked(batch); err != nil { // want walorder
 		return err
 	}
 	return ws.inner.Sync()

@@ -8,16 +8,14 @@ package analysis
 //     is outstanding, or logging after applying, inverts the protocol;
 //   - sync-before-success: Commit must not return nil while a logged batch
 //     has not been applied and synced to the inner store;
-//   - trim-last: the log is truncated only after the applied batch is
-//     durable in the data file (or when the batch never parsed at all —
-//     the replay discard path starts with nothing logged in-function);
 //   - latch: once ErrBroken latches (ws.sick is assigned), no further log
 //     or data mutation may run on that path.
 //
 // Operations are recognized structurally, matching WALStore's shape: calls
-// through the `.log` and `.inner` fields, the applyLocked/trimLog helper
-// methods, and assignments to the `.sick` field — including latching
-// closures (`fail := func(err error) error { ws.sick = ...; ... }`).
+// through the `.log` and `.inner` fields (a log Truncate is a log write,
+// so it too must precede the log sync), the applyLocked helper method, and
+// assignments to the `.sick` field — including latching closures
+// (`fail := func(err error) error { ws.sick = ...; ... }`).
 //
 // The state is a pair of phase sets — phases performed on *every* path
 // reaching a point (must) and on *at least one* path (may) — so replay's
@@ -59,7 +57,6 @@ const (
 	opLogSync
 	opApply
 	opInnerSync
-	opTrim
 	opLatch
 )
 
@@ -195,11 +192,8 @@ func (a *walAnalysis) classifyCall(call *ast.CallExpr) walOp {
 		return opNone
 	}
 	name := sel.Sel.Name
-	switch name {
-	case "applyLocked":
+	if name == "applyLocked" {
 		return opApply
-	case "trimLog":
-		return opTrim
 	}
 	field, ok := sel.X.(*ast.SelectorExpr)
 	if !ok {
@@ -208,12 +202,10 @@ func (a *walAnalysis) classifyCall(call *ast.CallExpr) walOp {
 	switch field.Sel.Name {
 	case "log":
 		switch name {
-		case "WriteAt", "Write":
+		case "WriteAt", "Write", "Truncate":
 			return opLogWrite
 		case "Sync":
 			return opLogSync
-		case "Truncate":
-			return opTrim
 		}
 	case "inner":
 		switch name {
@@ -240,9 +232,10 @@ func (a *walAnalysis) applyOp(op walOp, pos token.Pos, s *walState) {
 	switch op {
 	case opLogWrite:
 		if a.report && s.must&phaseApplied != 0 {
-			a.p.Reportf(pos, "%s appends to the write-ahead log after applying to the data pages (write-ahead order inverted)", a.fnName)
+			a.p.Reportf(pos, "%s writes the write-ahead log after applying to the data pages (write-ahead order inverted)", a.fnName)
 		}
-		// A new batch append invalidates every later phase on this path.
+		// A log write (a batch or a cut) invalidates every later phase on
+		// this path.
 		s.must, s.may = phaseLogged, phaseLogged
 	case opLogSync:
 		if s.must&phaseLogged != 0 {
@@ -264,11 +257,6 @@ func (a *walAnalysis) applyOp(op walOp, pos token.Pos, s *walState) {
 		if s.may&phaseApplied != 0 {
 			s.may |= phaseInnerSynced
 		}
-	case opTrim:
-		if a.report && s.must&phaseLogged != 0 && s.may&phaseInnerSynced == 0 {
-			a.p.Reportf(pos, "%s trims the write-ahead log before the applied batch is synced to the data file; a crash here loses the batch", a.fnName)
-		}
-		s.must, s.may = 0, 0
 	case opLatch:
 		s.sick = triYes
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 
@@ -20,7 +21,7 @@ var ErrBroken = errors.New("store: broken after failed sync")
 //
 // Layout: the file is a sequence of slots, each
 //
-//	[magic u32][state u8][pad u24][size u32][id u64] + size data bytes
+//	[magic u32][state u8][check u24][size u32][id u64] + size data bytes
 //
 // Pages are written in place. Free releases a slot to a per-size free list;
 // Allocate reuses a freed slot of exactly the requested size, under a new
@@ -28,6 +29,12 @@ var ErrBroken = errors.New("store: broken after failed sync")
 // the page table and free lists with a single forward scan, so no separate
 // metadata needs to stay consistent with the data (a torn final slot is
 // truncated away).
+//
+// check is a checksum of the header's other fields. Free, and Allocate on
+// a freed slot, rewrite a header in place, and a torn rewrite could read as
+// a live page under a dead ID, or under an ID spliced from two — maybe
+// another live page's. A header failing its check holds no page (a
+// WALStore replays the torn operation); check 0 marks an older header.
 //
 // A bare FileStore offers page-at-a-time durability only: a crash between
 // two Writes of one logical update leaves the mix on disk. Wrap it in a
@@ -96,6 +103,7 @@ func (fs *FileStore) recover() error {
 		}
 		magic := binary.LittleEndian.Uint32(hdr[0:4])
 		state := hdr[4]
+		check := uint32(hdr[5]) | uint32(hdr[6])<<8 | uint32(hdr[7])<<16
 		size := int(binary.LittleEndian.Uint32(hdr[8:12]))
 		id := page.ID(binary.LittleEndian.Uint64(hdr[12:20]))
 		if magic != slotMagic || size <= 0 || size > maxPageSize {
@@ -104,17 +112,15 @@ func (fs *FileStore) recover() error {
 		if off+slotHeader+int64(size) > end {
 			break // torn final slot
 		}
-		switch state {
-		case stateLive:
-			fs.pages[id] = slot{off: off, size: size}
-			if id >= fs.next {
-				fs.next = id + 1
-			}
-		case stateFree:
+		// Even a torn header's ID is retired: it is spliced from real ones.
+		if id >= fs.next {
+			fs.next = id + 1
+		}
+		switch {
+		case state == stateFree || check != 0 && check != slotCheck(hdr):
 			fs.free[size] = append(fs.free[size], off)
-			if id >= fs.next {
-				fs.next = id + 1
-			}
+		case state == stateLive:
+			fs.pages[id] = slot{off: off, size: size}
 		default:
 			return fmt.Errorf("store: corrupt slot state %d at offset %d", state, off)
 		}
@@ -142,8 +148,17 @@ func (fs *FileStore) writeHeader(off int64, state byte, size int, id page.ID) er
 	hdr[4] = state
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(size))
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(id))
+	check := slotCheck(hdr)
+	hdr[5], hdr[6], hdr[7] = byte(check), byte(check>>8), byte(check>>16)
 	_, err := fs.f.WriteAt(hdr, off)
 	return err
+}
+
+// slotCheck is a slot header's 24-bit checksum: the CRC-32 of the header
+// without its check bytes, never 0, which marks an unchecked header.
+func slotCheck(hdr []byte) uint32 {
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:5]), crc32.IEEETable, hdr[8:slotHeader])
+	return max(crc&0xFFFFFF, 1)
 }
 
 // placeLocked finds a slot for a new page of the given size — reusing a

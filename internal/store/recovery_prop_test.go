@@ -174,12 +174,19 @@ func goldenOps(t *testing.T, fs *FileStore) {
 	}
 }
 
-const goldenImage = "testdata/filestore_v1.db"
+// goldenImage is the golden sequence as FileStore writes it today, with
+// checked slot headers; legacyImage is the same sequence written before
+// headers carried a check (check bytes 0), which must still open.
+const (
+	goldenImage = "testdata/filestore_v2.db"
+	legacyImage = "testdata/filestore_v1.db"
+)
 
 // TestGoldenImageFormat regenerates the golden sequence and compares the
 // raw file bytes against testdata, pinning the slot layout (magic, state
-// byte, size, id, body placement) against accidental format changes. Run
-// with UPDATE_GOLDEN=1 to rewrite the image after a deliberate change.
+// byte, header check, size, id, body placement) against accidental format
+// changes. Run with UPDATE_GOLDEN=1 to rewrite the image after a
+// deliberate change.
 func TestGoldenImageFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden.db")
 	fs, err := OpenFileStore(path)
@@ -212,11 +219,17 @@ func TestGoldenImageFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenImageRecovers opens a copy of the committed golden image and
+// TestGoldenImageRecovers opens a copy of each committed golden image and
 // asserts the recovered state, proving today's scanner still reads
 // yesterday's files.
 func TestGoldenImageRecovers(t *testing.T) {
-	img, err := os.ReadFile(goldenImage)
+	for _, image := range []string{legacyImage, goldenImage} {
+		t.Run(filepath.Base(image), func(t *testing.T) { goldenImageRecovers(t, image) })
+	}
+}
+
+func goldenImageRecovers(t *testing.T, image string) {
+	img, err := os.ReadFile(image)
 	if err != nil {
 		t.Fatalf("missing golden image: %v", err)
 	}

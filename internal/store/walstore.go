@@ -23,15 +23,17 @@ type Committer interface {
 }
 
 // WALStore makes a FileStore crash-consistent. Allocate, Write, and Free
-// are buffered in memory; Commit appends the whole batch to a checksummed
-// write-ahead log, fsyncs it, applies the batch to the FileStore in place,
-// fsyncs that, and trims the log. Opening a WALStore replays the log: a
-// complete, checksum-valid batch is finished (idempotently — a crash
-// mid-apply re-applies), anything less is discarded, so the store always
-// recovers to exactly a commit boundary.
+// are buffered in memory; Commit writes the whole batch as a checksummed
+// image at the start of the write-ahead log, fsyncs it, applies the batch
+// to the FileStore in place, and fsyncs that. Opening a WALStore replays
+// the log: a complete, checksum-valid batch is finished (idempotently — a
+// crash mid-apply re-applies), anything less is discarded, so the store
+// always recovers to exactly a commit boundary.
 //
-// The log holds at most one batch: it is truncated (and the truncation
-// synced) before Commit returns, so recovery never has to order batches.
+// The log holds at most one batch and is never emptied: after a commit it
+// still holds that commit's batch, and reopening re-applies it over the
+// state it produced, which changes nothing. The next commit overwrites it
+// in place, so recovery never has to order batches.
 //
 // Log layout (little endian):
 //
@@ -54,6 +56,7 @@ type WALStore struct {
 	freed  map[page.ID]bool   // existing pages pending release
 
 	nextID page.ID
+	logLen int64 // log file size: the last batch plus any stale tail
 	closed bool
 	sick   error // sticky failure; non-nil after a failed commit or sync
 	closeE error
@@ -66,6 +69,12 @@ const (
 	walOpAlloc     = 1
 	walOpWrite     = 2
 	walOpFree      = 3
+
+	// walTailSlack bounds the stale tail a batch may leave behind it in
+	// the log. Cutting the tail frees file blocks, which on ext4 costs tens
+	// of milliseconds where overwriting them costs microseconds, so Commit
+	// cuts only a tail past this: once, after a bulk commit.
+	walTailSlack = 1 << 20
 )
 
 // WALSuffix is appended to the store path to name the write-ahead log.
@@ -102,15 +111,15 @@ func OpenWALStoreIn(fsys FS, path string) (*WALStore, error) {
 	return ws, nil
 }
 
-// replay finishes or discards the batch found in the log at open.
+// replay finishes the batch found in the log at open — usually the last
+// commit, already applied, which re-applying leaves unchanged — or
+// discards a torn one, leaving it for the next commit to overwrite.
 func (ws *WALStore) replay() error {
 	size, err := ws.log.Size()
 	if err != nil {
 		return fmt.Errorf("store: wal size: %w", err)
 	}
-	if size == 0 {
-		return nil
-	}
+	ws.logLen = size
 	buf := make([]byte, size)
 	if _, err := ws.log.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return fmt.Errorf("store: wal read: %w", err)
@@ -118,28 +127,13 @@ func (ws *WALStore) replay() error {
 	recs, ok := parseBatch(buf)
 	if !ok {
 		// Interrupted before the commit record was durable: the batch
-		// never happened. Discard it.
-		return ws.trimLog()
+		// never happened.
+		return nil
 	}
 	if err := ws.applyLocked(recs); err != nil {
 		return err
 	}
-	if err := ws.inner.Sync(); err != nil {
-		return err
-	}
-	return ws.trimLog()
-}
-
-// trimLog empties the log and syncs the truncation so a later crash cannot
-// resurrect a stale batch over a newer store state.
-func (ws *WALStore) trimLog() error {
-	if err := ws.log.Truncate(0); err != nil {
-		return fmt.Errorf("store: wal trim: %w", err)
-	}
-	if err := ws.log.Sync(); err != nil {
-		return fmt.Errorf("store: wal trim sync: %w", err)
-	}
-	return nil
+	return ws.inner.Sync()
 }
 
 // walRecord is one logged mutation.
@@ -150,8 +144,9 @@ type walRecord struct {
 	data []byte // write contents
 }
 
-// parseBatch decodes a log image. ok is false when the image is anything
-// other than a complete, checksum-valid batch.
+// parseBatch decodes the batch at the start of a log image; bytes after
+// its trailer (a longer earlier batch's tail) are ignored. ok is false
+// when the image does not start with a complete, checksum-valid batch.
 func parseBatch(buf []byte) ([]walRecord, bool) {
 	if len(buf) < 8 || binary.LittleEndian.Uint32(buf[0:4]) != walBatchMagic {
 		return nil, false
@@ -353,36 +348,9 @@ func (ws *WALStore) Pending() int {
 	return len(ws.allocs) + len(ws.writes) + len(ws.freed)
 }
 
-// encodeBatchLocked serializes the pending mutations in canonical order
-// (allocs, then writes, then frees, each sorted by page ID) so the on-disk
+// pendingRecordsLocked lists the pending mutations in canonical order
+// (allocs, then writes, then frees, each sorted by page ID), so the on-disk
 // commit image is deterministic. The caller must hold ws.mu.
-func (ws *WALStore) encodeBatchLocked() []byte {
-	count := len(ws.allocs) + len(ws.writes) + len(ws.freed)
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, walBatchMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	rec := func(op byte, id page.ID, n int) {
-		buf = append(buf, op)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	}
-	for _, id := range sortedIDs(ws.allocs) {
-		rec(walOpAlloc, id, ws.allocs[id])
-	}
-	for _, id := range sortedIDs(ws.writes) {
-		rec(walOpWrite, id, len(ws.writes[id]))
-		buf = append(buf, ws.writes[id]...)
-	}
-	for _, id := range sortedIDs(ws.freed) {
-		rec(walOpFree, id, 0)
-	}
-	crc := crc32.ChecksumIEEE(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, walCommitMagic)
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
-// pendingRecordsLocked converts the pending maps to the same canonical
-// record order the encoder writes. The caller must hold ws.mu.
 func (ws *WALStore) pendingRecordsLocked() []walRecord {
 	recs := make([]walRecord, 0, len(ws.allocs)+len(ws.writes)+len(ws.freed))
 	for _, id := range sortedIDs(ws.allocs) {
@@ -397,6 +365,23 @@ func (ws *WALStore) pendingRecordsLocked() []walRecord {
 	return recs
 }
 
+// encodeBatch serializes records as one log image.
+func encodeBatch(recs []walRecord) []byte {
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint32(buf, walBatchMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, r := range recs {
+		buf = append(buf, r.op)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.id))
+		// n is an alloc's page size, a write's data length, a free's 0.
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.size+len(r.data)))
+		buf = append(buf, r.data...)
+	}
+	crc := crc32.ChecksumIEEE(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, walCommitMagic)
+	return binary.LittleEndian.AppendUint32(buf, crc)
+}
+
 func sortedIDs[V any](m map[page.ID]V) []page.ID {
 	ids := make([]page.ID, 0, len(m))
 	for id := range m {
@@ -406,8 +391,8 @@ func sortedIDs[V any](m map[page.ID]V) []page.ID {
 	return ids
 }
 
-// Commit makes the pending batch durable: log, sync, apply in place, sync,
-// trim. Any failure on that path permanently breaks the store — the
+// Commit makes the pending batch durable: log, sync, apply in place,
+// sync. Any failure on that path permanently breaks the store — the
 // durable image is still exactly a commit boundary (recoverable by
 // reopening), but the in-memory state can no longer be trusted to match
 // it.
@@ -424,22 +409,30 @@ func (ws *WALStore) Commit() error {
 		ws.sick = fmt.Errorf("%w: %w", ErrBroken, err)
 		return ws.sick
 	}
-	batch := ws.encodeBatchLocked()
+	recs := ws.pendingRecordsLocked()
+	batch := encodeBatch(recs)
 	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return fail(fmt.Errorf("store: wal append: %w", err))
+		return fail(fmt.Errorf("store: wal write: %w", err))
 	}
+	n := int64(len(batch))
+	if ws.logLen-n > walTailSlack {
+		// The tail belongs to the previous batch, which is applied and
+		// synced, so losing it (or the cut itself) in a crash is harmless.
+		if err := ws.log.Truncate(n); err != nil {
+			return fail(fmt.Errorf("store: wal cut: %w", err))
+		}
+		ws.logLen = n
+	}
+	ws.logLen = max(ws.logLen, n)
 	if err := ws.log.Sync(); err != nil {
 		return fail(fmt.Errorf("store: wal sync: %w", err))
 	}
 	// The batch is durable from here on: even if applying fails, reopening
 	// replays the log to completion.
-	if err := ws.applyLocked(ws.pendingRecordsLocked()); err != nil {
+	if err := ws.applyLocked(recs); err != nil {
 		return fail(err)
 	}
 	if err := ws.inner.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := ws.trimLog(); err != nil {
 		return fail(err)
 	}
 	ws.allocs = make(map[page.ID]int)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"segidx/internal/page"
@@ -12,13 +13,52 @@ import (
 	"segidx/internal/store/faultstore"
 )
 
-func fileSize(t *testing.T, path string) int64 {
+// walView is what a freshly opened WALStore shows: the contents of the
+// given pages (nil for a page that does not exist), Len, and the ID the
+// next Allocate hands out.
+type walView struct {
+	Pages map[page.ID][]byte
+	Len   int
+	Next  page.ID
+}
+
+// viewWAL opens the store at path in fsys, replaying its log, records its
+// view of ids and closes it again without committing anything.
+func viewWAL(t *testing.T, fsys store.FS, path string, ids []page.ID) walView {
 	t.Helper()
-	info, err := os.Stat(path)
+	ws, err := store.OpenWALStoreIn(fsys, path)
 	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
+	}
+	v := walView{Pages: make(map[page.ID][]byte), Len: ws.Len()}
+	for _, id := range ids {
+		got, err := ws.Read(id)
+		switch {
+		case errors.Is(err, store.ErrNotFound):
+			got = nil
+		case err != nil:
+			t.Fatalf("Read(%v): %v", id, err)
+		}
+		v.Pages[id] = got
+	}
+	if v.Next, err = ws.Allocate(64); err != nil {
 		t.Fatal(err)
 	}
-	return info.Size()
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// requireReplayIsNoOp reopens the store at path twice: replaying the log
+// over the state it produced must change nothing.
+func requireReplayIsNoOp(t *testing.T, fsys store.FS, path string, ids []page.ID) walView {
+	t.Helper()
+	first := viewWAL(t, fsys, path, ids)
+	if again := viewWAL(t, fsys, path, ids); !reflect.DeepEqual(first, again) {
+		t.Fatalf("second reopen changed the store:\nfirst  %+v\nsecond %+v", first, again)
+	}
+	return first
 }
 
 // walOnDisk allocates a WALStore over a fresh fault-injection disk.
@@ -57,15 +97,18 @@ func TestWALStoreCommitRoundTrip(t *testing.T) {
 	if err := ws.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	// Committed batch clears pending and trims the log.
+	// Committed batch clears pending. The log keeps the batch, and
+	// re-applying it on every open leaves pages and files as they were.
 	if ws.Pending() != 0 {
 		t.Errorf("Pending after commit = %d, want 0", ws.Pending())
 	}
-	if got := fileSize(t, path+store.WALSuffix); got != 0 {
-		t.Errorf("log size after commit = %d, want 0", got)
-	}
 	if err := ws.Close(); err != nil {
 		t.Fatal(err)
+	}
+	pagesBefore, _ := os.ReadFile(path)
+	requireReplayIsNoOp(t, store.OS, path, []page.ID{a, b})
+	if pagesAfter, _ := os.ReadFile(path); !bytes.Equal(pagesBefore, pagesAfter) {
+		t.Errorf("reopening rewrote the page file (%d -> %d bytes)", len(pagesBefore), len(pagesAfter))
 	}
 
 	ws2, err := store.OpenWALStore(path)
@@ -220,18 +263,17 @@ func TestWALStoreReplayFinishesCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	defer ws2.Close()
 	got, err := ws2.Read(a)
 	if err != nil || got[0] != 7 {
 		t.Fatalf("replay did not finish the commit: %v", err)
 	}
-	// The log must be trimmed after replay: reopening again must not
-	// re-apply anything.
-	if size, _ := img.OpenFile("pages.db" + store.WALSuffix); size != nil {
-		n, err := size.Size()
-		if err != nil || n != 0 {
-			t.Errorf("log not trimmed after replay: size=%d err=%v", n, err)
-		}
+	if err := ws2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replaying the finished batch again, over the state it produced,
+	// changes nothing.
+	if v := requireReplayIsNoOp(t, img, "pages.db", []page.ID{a}); v.Len != 1 {
+		t.Errorf("Len after second replay = %d, want 1", v.Len)
 	}
 }
 

@@ -2,6 +2,7 @@ package segidx
 
 import (
 	"fmt"
+	"os"
 
 	"segidx/internal/accel"
 	"segidx/internal/core"
@@ -52,16 +53,21 @@ func resolve(opts []Option) (*options, error) {
 }
 
 // openStore opens the page store at path ("" keeps pages in memory),
-// behind a write-ahead log when durable.
+// behind a write-ahead log when durable. A durable file's log always holds
+// its last commit, which the next durable open re-applies, so writing the
+// pages without the log would let that stale batch overwrite newer pages:
+// a path with a non-empty log opens durably or not at all.
 func (o *options) openStore(path string) (store.Store, error) {
 	switch {
 	case path == "":
 		return store.NewMemStore(), nil
 	case o.durable:
 		return store.OpenWALStore(path)
-	default:
-		return store.OpenFileStore(path)
 	}
+	if fi, err := os.Stat(path + store.WALSuffix); err == nil && fi.Size() > 0 {
+		return nil, fmt.Errorf("segidx: %s has a write-ahead log; open it with OpenDurable", path)
+	}
+	return store.OpenFileStore(path)
 }
 
 // WithDims sets the dimensionality K of the indexed rectangles
@@ -278,7 +284,8 @@ func WithFile(path string) Option {
 // crash-atomic commit: after a crash at any point, reopening with
 // OpenDurable recovers the state of the last completed Flush — never a
 // torn hybrid. Each Flush costs an fsync of the log and of the page file;
-// see EXPERIMENTS.md for the measured overhead.
+// see EXPERIMENTS.md for the measured overhead. The log keeps the last
+// Flush's batch, so the path reopens only with OpenDurable.
 func WithDurableFile(path string) Option {
 	return func(o *options) error {
 		if path == "" {

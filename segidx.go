@@ -470,15 +470,20 @@ func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, 
 // file created via WithFile. The stored metadata supplies the structural
 // configuration (dimensions, page sizes, spanning mode); options may tune
 // runtime knobs such as the buffer budget. A path holding a forest
-// manifest (WithFile + WithShards) reassembles the whole forest.
+// manifest (WithFile + WithShards) reassembles the whole forest. A path
+// created via WithDurableFile is refused: open it with OpenDurable.
 func Open(path string, opts ...Option) (*Index, error) { return open(path, false, opts) }
 
 // OpenDurable reattaches an index created via WithDurableFile. Opening
-// replays the write-ahead log first: an interrupted Flush is either
-// finished or discarded, so the index always comes back at a commit
-// boundary. A path holding a forest manifest (WithDurableFile +
-// WithShards) replays every shard's log and reassembles the forest at
-// the manifest's epoch.
+// replays the write-ahead log first. The log always holds the last
+// Flush's batch: an interrupted Flush is finished if its batch was
+// durable and discarded if not, and a completed one is re-applied, which
+// changes nothing. So the index always comes back at a commit boundary.
+// A path holding a forest manifest (WithDurableFile + WithShards) replays
+// every shard's log and reassembles the forest at the manifest's epoch.
+// Such a path opens only durably: Open refuses it, because flushing
+// without the log would leave a stale batch to be replayed over newer
+// pages.
 func OpenDurable(path string, opts ...Option) (*Index, error) { return open(path, true, opts) }
 
 // open reassembles a persisted index: the shards its manifest names, or,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"segidx"
@@ -196,6 +197,52 @@ func TestCloseLeavesCallerStoreOpen(t *testing.T) {
 	}
 	if _, err := st.Allocate(64); err != nil {
 		t.Fatalf("caller's store after Close: %v", err)
+	}
+}
+
+// TestOpenRefusesDurableFile: a durable index's log always holds its last
+// commit, which OpenDurable re-applies. Opening the pages without the log
+// and flushing would let that stale batch overwrite the newer pages on the
+// next OpenDurable, so Open refuses the path and names OpenDurable, for a
+// lone tree and for every shard of a forest.
+func TestOpenRefusesDurableFile(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ix.db")
+			idx, err := segidx.NewSRTree(segidx.WithDurableFile(path), segidx.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(9))
+			live := make(map[segidx.RecordID]segidx.Rect)
+			for i := 1; i <= 40; i++ {
+				r := diffRect(rng)
+				if err := idx.Insert(r, segidx.RecordID(i)); err != nil {
+					t.Fatal(err)
+				}
+				live[segidx.RecordID(i)] = r
+			}
+			if err := idx.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if re, err := segidx.Open(path); err == nil {
+				_ = re.Close()
+				t.Fatal("Open accepted a durable index")
+			} else if !strings.Contains(err.Error(), "OpenDurable") {
+				t.Fatalf("Open of a durable index = %v, want an error naming OpenDurable", err)
+			}
+			re, err := segidx.OpenDurable(path)
+			if err != nil {
+				t.Fatalf("OpenDurable after a refused Open: %v", err)
+			}
+			checkAgainstModel(t, re, shards, live, rng)
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
