@@ -6,6 +6,7 @@
 package buffer
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -45,6 +46,69 @@ func TestGetVersionHitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPoolMissAllocs gates a read miss: GetVersion on a page that is not
+// resident allocates the store's read buffer, the page image and the
+// frame, and nothing else — no node headers, no entry slices. The image's
+// element type holds no pointers, so the collector never scans it.
+func TestPoolMissAllocs(t *testing.T) {
+	if k := reflect.TypeOf(node.Image(nil)).Elem().Kind(); k != reflect.Float64 {
+		t.Fatalf("a page image holds %v words, want float64", k)
+	}
+	const pages = 64
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 1024)
+	var ids []page.ID
+	for i := 0; i < pages; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 20; j++ { // a full leaf
+			addRecord(n, uint64(20*i+j))
+		}
+		ids = append(ids, n.ID)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Publish(0)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Cycling through 64 pages in a pool of one misses on nearly every
+	// call; allocations are counted per miss.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var (
+		tally Tally
+		img   node.Image
+		err   error
+		ms    runtime.MemStats
+	)
+	get := func(i int) {
+		if img, err = p.GetVersion(ids[i%pages], 0, &tally); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(0)
+	runtime.ReadMemStats(&ms)
+	mallocs, misses := ms.Mallocs, p.Stats().Misses
+	for i := 1; i <= 1000; i++ {
+		get(i)
+	}
+	runtime.ReadMemStats(&ms)
+	mallocs, misses = ms.Mallocs-mallocs, p.Stats().Misses-misses
+	if got := recordIDs(img); len(got) != 20 {
+		t.Fatalf("the last miss read %d records, want 20", len(got))
+	}
+	if misses < 900 {
+		t.Fatalf("%d misses in 1000 calls; the gate measured hits", misses)
+	}
+	per := float64(mallocs) / float64(misses)
+	t.Logf("%d misses, %.2f allocations each", misses, per)
+	if per > 3 {
+		t.Fatalf("a GetVersion miss allocates %.2f objects, want at most 3", per)
+	}
+}
+
 // TestPageTableChurnHeapFlat allocates and frees 10⁶ page IDs through the
 // pool while a fixed set of long-lived pages and a sliding window of
 // recent ones stay live, as a split-heavy index allocates new IDs forever.
@@ -63,7 +127,7 @@ func TestPageTableChurnHeapFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Seal() // as the tree does before it publishes; empties the queue
+		p.Publish(0) // as the tree does after each operation; empties the queue
 		if err := p.Unpin(n.ID, false); err != nil {
 			t.Fatal(err)
 		}

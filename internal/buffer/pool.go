@@ -1,11 +1,12 @@
-// Package buffer implements a pinning CLOCK buffer pool over decoded segment
-// index nodes, with copy-on-write page versioning for MVCC snapshot reads.
+// Package buffer implements a pinning CLOCK buffer pool over segment index
+// pages, with copy-on-write page versioning for MVCC snapshot reads.
 //
-// The tree layer reads and writes nodes exclusively through a Pool. Nodes
-// are decoded once on miss and stay resident until evicted; eviction
-// considers only unpinned frames, serializing dirty ones back to the store.
-// This mirrors a conventional database buffer manager while letting the
-// index algorithms work on structured nodes rather than raw bytes.
+// The tree layer reads and writes nodes exclusively through a Pool. A
+// frame holds a page version as its page image (node.Image), which readers
+// scan and write-back writes out, and, once the writer has asked for them,
+// as headers (node.Node) viewing the image. A miss copies the store's bytes
+// into an image once. Frames stay resident until evicted; eviction
+// considers only unpinned frames, writing dirty ones back to the store.
 //
 // # Page versioning
 //
@@ -23,20 +24,19 @@
 // never do: the change would be visible to pinned snapshots and, the frame
 // being clean, lost at the next Flush.
 //
-// A clone is a header copy sharing the pre-image's float storage, and it is
-// unsealed (node.Node.Seal). NewNode and Upgrade queue every node they hand
-// the writer; Seal packs each queued node's rectangles into a run of its
-// own, and the tree calls it before it publishes a state, so a reader only
-// ever resolves sealed nodes. Rollback drops the queue.
+// A clone is a header copy viewing the pre-image's image, with no image of
+// its own. NewNode and Upgrade queue the frames they hand the writer, and
+// Publish, which the tree calls before it publishes a state, encodes each
+// into a fresh image, so readers only ever resolve published images.
+// Rollback drops the bracket's frames from the queue.
 //
 // Readers call GetVersion(id, epoch) with the epoch of the tree state they
 // pinned: the resident head serves them when it was installed at or before
 // their epoch, otherwise the version chain does, otherwise the store does
 // (the retention discipline guarantees the durable image is never newer
 // than what such a fall-through may observe — see the invariant below).
-// Readers never pin; published node versions are immutable, and Go's
-// garbage collector keeps a node alive for as long as any query still holds
-// its pointer.
+// Readers never pin; published images are immutable, and Go's garbage
+// collector keeps an image alive for as long as any query still holds it.
 //
 // Retention invariant: whenever a page version visible at epoch E is
 // superseded or its page freed, the pre-image is retained in the version
@@ -71,6 +71,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -122,11 +123,17 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
-// frame is one page version. It holds its node by value, so a node
-// pointer the pool hands out is the frame's address: a lock-free hit
-// returns it without reading the frame, and it keeps the frame alive.
+// frame is one page version. It holds its headers by value, so a node
+// pointer the pool hands the writer is the frame's address and keeps the
+// frame alive.
 type frame struct {
-	n node.Node
+	// img is the version's page image, immutable once published; nil while
+	// the frame waits in the pool's queue to be encoded.
+	img node.Image
+	// n is the writer's form of the version, its rectangles viewing img;
+	// n.ID is Nil until Get builds it for a frame a miss loaded.
+	n  node.Node
+	id page.ID
 
 	// install is the write epoch the frame's version was created at (0 for
 	// versions loaded from the store outside a write bracket, which are
@@ -202,10 +209,9 @@ type Pool struct {
 	// there anything to collect" that readers can poll without taking mu.
 	retained atomic.Int64
 
-	// unsealed queues the nodes NewNode and Upgrade handed the writer
-	// since the last Seal or Rollback: the only nodes that can be
-	// unsealed. Writer-only, like writeEpoch.
-	unsealed []*node.Node
+	// queue holds the frames that lack an image since the last Publish.
+	// Guarded by mu.
+	queue []*frame
 
 	// hits counts the lock-free hits readers settled, on a cache line of
 	// its own so that settling does not disturb the lines lookups read.
@@ -231,22 +237,32 @@ func New(st store.Store, codec node.Codec, budgetBytes int) *Pool {
 // Only the tree's single writer may call this, under its write lock.
 func (p *Pool) BeginWrite(epoch uint64) { p.writeEpoch = epoch }
 
-// Publish commits the open write bracket: frames installed at the epoch
-// become evictable and the pre-images retired under it become reclaimable
-// once no snapshot needs them (see Collect).
-func (p *Pool) Publish(epoch uint64) { p.published.Store(epoch) }
-
-// Seal seals every node NewNode and Upgrade handed out since the last Seal
-// or Rollback (node.Node.Seal), so the state the writer publishes next
-// shows readers only sealed nodes. The tree calls it before it publishes a
-// state. Only the tree's single writer may call this, under its write
-// lock.
-func (p *Pool) Seal() {
-	for _, n := range p.unsealed {
-		n.Seal(p.codec.Dims)
+// Publish commits the open write bracket: every queued frame is encoded
+// into a fresh page image, frames installed at the epoch become evictable
+// and the pre-images retired under it become reclaimable once no snapshot
+// needs them (see Collect). The tree's single writer calls it, under its
+// write lock, before it publishes the state at the epoch.
+func (p *Pool) Publish(epoch uint64) {
+	p.mu.Lock()
+	for _, f := range p.queue {
+		if f.img == nil {
+			f.img = p.codec.Encode(&f.n)
+		}
 	}
-	clear(p.unsealed)
-	p.unsealed = p.unsealed[:0]
+	clear(p.queue)
+	p.queue = p.queue[:0]
+	p.mu.Unlock()
+	p.published.Store(epoch)
+}
+
+// staleLocked drops the image of f, whose headers change outside a write
+// bracket, and queues f to be encoded again at the next Publish or
+// write-back. The caller must hold p.mu.
+func (p *Pool) staleLocked(f *frame) {
+	if f.img != nil {
+		f.img = nil
+		p.queue = append(p.queue, f)
+	}
 }
 
 // inBracket reports whether a write bracket is open. Writer-only.
@@ -254,7 +270,7 @@ func (p *Pool) inBracket() bool { return p.writeEpoch > p.published.Load() }
 
 // NewNode allocates a fresh page of pageBytes in the store and returns the
 // corresponding empty node, pinned and marked dirty and queued for the
-// next Seal. Inside a write bracket the frame carries the bracket epoch, so
+// next Publish. Inside a write bracket the frame carries the bracket epoch, so
 // snapshots pinned before the bracket never observe it. Only the tree's
 // single writer may call this, under its write lock.
 func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
@@ -262,10 +278,10 @@ func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &frame{n: node.Node{ID: id, Level: level}, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
-	p.unsealed = append(p.unsealed, &f.n)
+	f := &frame{n: node.Node{ID: id, Level: level}, id: id, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.queue = append(p.queue, f)
 	p.installLocked(f)
 	p.evictLocked()
 	return &f.n, nil
@@ -279,35 +295,40 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Gets++
-	if f := p.table.load(id); f != nil {
+	f := p.table.load(id)
+	if f != nil {
 		p.stats.Hits++
 		f.pins++
 		p.table.slot(id).touch()
-		return &f.n, nil
+	} else {
+		p.stats.Misses++
+		if pv, dead := p.old[id]; dead && pv.deadAt != 0 {
+			// The page was freed in a committed or in-progress bracket and
+			// the store-level free is merely deferred for old snapshots; to
+			// the newest-version view it is gone.
+			return nil, fmt.Errorf("buffer: get %v: %w", id, store.ErrNotFound)
+		}
+		var err error
+		if f, err = p.readLocked(id); err != nil {
+			return nil, err
+		}
+		f.pins = 1
+		p.installLocked(f)
+		p.evictLocked()
 	}
-	p.stats.Misses++
-	if pv, dead := p.old[id]; dead && pv.deadAt != 0 {
-		// The page was freed in a committed or in-progress bracket and the
-		// store-level free is merely deferred for old snapshots; to the
-		// newest-version view it is gone.
-		return nil, fmt.Errorf("buffer: get %v: %w", id, store.ErrNotFound)
+	if f.n.ID == page.Nil {
+		// A frame a miss loaded gets headers when the writer first asks.
+		f.n = p.codec.Headers(f.img)
 	}
-	f, err := p.readLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	f.pins = 1
-	p.installLocked(f)
-	p.evictLocked()
 	return &f.n, nil
 }
 
-// GetVersion returns the version of the node for id visible at the given
-// snapshot epoch, without pinning it. The returned node is immutable (the
-// writer mutates only unpublished clones) and remains valid for as long as
-// the caller holds the pointer, even across eviction. The caller must hold
-// a snapshot registration at the epoch, which is what keeps the version
-// chain populated (see the retention invariant in the package comment).
+// GetVersion returns the page image of id's version visible at the given
+// snapshot epoch, without pinning it. The image is immutable and remains
+// valid for as long as the caller holds it, even across eviction. The
+// caller must hold a snapshot registration at the epoch, which is what
+// keeps the version chain populated (see the retention invariant in the
+// package comment).
 //
 // A resident head installed at or before the epoch is served from the
 // page table without a lock and counted in t; hand t to Settle when the
@@ -316,10 +337,10 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 // page's head before it publishes the epoch that makes the old head stale.
 //
 //seglint:hotpath
-func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (*node.Node, error) {
+func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (node.Image, error) {
 	if f := p.table.hit(id, epoch); f != nil {
 		t.hits++
-		return &f.n, nil
+		return f.img, nil
 	}
 	return p.getVersionSlow(id, epoch)
 }
@@ -336,7 +357,7 @@ func (p *Pool) Settle(t *Tally) {
 // getVersionSlow is GetVersion under the pool's mutex: the head may have
 // become resident meanwhile, or the epoch needs a retained version or the
 // durable image.
-func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
+func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (node.Image, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Gets++
@@ -344,64 +365,51 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (*node.Node, error) {
 	if head != nil && head.install <= epoch {
 		p.stats.Hits++
 		p.table.slot(id).touch()
-		return &head.n, nil
+		return head.img, nil
 	}
-	if pv, ok := p.old[id]; ok {
+	pv := p.old[id]
+	if pv != nil {
 		for _, f := range pv.frames {
 			if f.visibleAt(epoch) {
 				p.stats.Hits++
-				return &f.n, nil
+				return f.img, nil
 			}
 		}
-		// No retained version covers the epoch: the visible version is the
-		// durable image (a freed page's final content, or a chain whose
-		// head was evicted). Serve it without caching — installing a head
-		// here would collide with the chain's epoch bookkeeping.
-		p.stats.Misses++
-		f, err := p.readLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return &f.n, nil
-	}
-	if head != nil {
-		// head.install > epoch with no version chain: by the retention
-		// invariant no registered snapshot at this epoch can exist. Serve
-		// the durable pre-image best-effort rather than corrupting state.
-		p.stats.Misses++
-		f, err := p.readLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return &f.n, nil
 	}
 	p.stats.Misses++
 	f, err := p.readLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	p.installLocked(f)
-	p.evictLocked()
-	return &f.n, nil
+	// A chain without a version covering the epoch (a freed page's final
+	// content, or a chain whose head was evicted) leaves the durable image
+	// visible; so, best-effort, does a head installed after the epoch with
+	// no chain, which no registered snapshot can ask for. Neither is
+	// cached: it would collide with the chain's bookkeeping or the head.
+	if pv == nil && head == nil {
+		p.installLocked(f)
+		p.evictLocked()
+	}
+	return f.img, nil
 }
 
-// readLocked reads and decodes a page from the store, returning an
-// uninstalled frame. The install epoch is inferred from the version chain:
-// the durable image of a page with retained versions is its most recently
-// superseded-away head, which was installed exactly when the newest chain
-// entry was retired. The caller must hold p.mu. The store read happens
-// under it because a read done outside could install an image older than
-// a head that was written back and evicted in between.
+// readLocked reads a page from the store into a fresh image, returning an
+// uninstalled frame without headers. The install epoch is inferred from
+// the version chain: the durable image of a page with retained versions
+// is its most recently superseded-away head, which was installed exactly
+// when the newest chain entry was retired. The caller must hold p.mu. The
+// store read happens under it because a read done outside could install
+// an image older than a head that was written back and evicted in between.
 func (p *Pool) readLocked(id page.ID) (*frame, error) {
 	buf, err := p.store.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	n, err := p.codec.Unmarshal(buf, id)
+	img, err := p.codec.Decode(buf, id)
 	if err != nil {
 		return nil, fmt.Errorf("buffer: decode %v: %w", id, err)
 	}
-	f := &frame{n: *n, bytes: len(buf)}
+	f := &frame{img: img, id: id, bytes: len(buf)}
 	if pv, ok := p.old[id]; ok && len(pv.frames) > 0 {
 		f.install = pv.frames[0].superseded
 	}
@@ -411,10 +419,10 @@ func (p *Pool) readLocked(id page.ID) (*frame, error) {
 // Upgrade turns the writer's pin on id (from Get) into a pin on the open
 // bracket's mutable version of the page and returns that version. The first
 // Upgrade of a page per bracket clones the published head (copy-on-write,
-// a header clone sharing the head's floats), retires the pre-image into the
+// a header clone viewing the head's image), retires the pre-image into the
 // version chain and marks the clone dirty; on a page the bracket already
 // owns, and outside a bracket, it returns the pinned node itself. The clone,
-// and outside a bracket the node itself, is queued for the next Seal. The
+// and outside a bracket the node itself, is queued for the next Publish. The
 // pointer Get returned must not be used afterwards: once retired it is what
 // snapshots read. Upgrade consumes the caller's pin even when it fails — a
 // published head someone else also pins cannot be retired (the other
@@ -433,7 +441,7 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 		return &f.n, nil
 	}
 	if !p.inBracket() {
-		p.unsealed = append(p.unsealed, &f.n)
+		p.staleLocked(f)
 		return &f.n, nil
 	}
 	f.pins--
@@ -441,8 +449,8 @@ func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
 		return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
 	}
 	p.retireLocked(id, f, we)
-	nf := &frame{n: f.n.CloneHeaders(), bytes: f.bytes, pins: 1, dirty: true, ring: f.ring, install: we}
-	p.unsealed = append(p.unsealed, &nf.n)
+	nf := &frame{n: f.n.CloneHeaders(), id: id, bytes: f.bytes, pins: 1, dirty: true, ring: f.ring, install: we}
+	p.queue = append(p.queue, nf)
 	p.ring[nf.ring] = nf
 	p.table.set(id, nf)
 	p.stats.Clones++
@@ -483,7 +491,7 @@ func (p *Pool) installLocked(f *frame) {
 		p.hand++
 	}
 	p.bytes += f.bytes
-	p.table.set(f.n.ID, f)
+	p.table.set(f.id, f)
 }
 
 // dropLocked removes the resident head f from the table, the ring (the
@@ -495,12 +503,13 @@ func (p *Pool) dropLocked(f *frame) {
 	p.ring[len(p.ring)-1] = nil
 	p.ring = p.ring[:len(p.ring)-1]
 	p.bytes -= f.bytes
-	p.table.set(f.n.ID, nil)
+	p.table.set(f.id, nil)
 }
 
 // Unpin releases one pin. dirty marks the node as modified since fetch; it
-// will be written back before eviction or on Flush. A frame whose last pin
-// goes becomes evictable.
+// will be written back before eviction or on Flush, and outside a write
+// bracket its image is encoded again first. A frame whose last pin goes
+// becomes evictable.
 func (p *Pool) Unpin(id page.ID, dirty bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -514,6 +523,9 @@ func (p *Pool) Unpin(id page.ID, dirty bool) error {
 	f.pins--
 	if dirty {
 		f.dirty = true
+		if !p.inBracket() {
+			p.staleLocked(f)
+		}
 	}
 	if f.pins == 0 {
 		p.evictLocked()
@@ -539,7 +551,7 @@ func (p *Pool) evictLocked() {
 			p.hand = 0
 		}
 		f := p.ring[p.hand]
-		if f.pins > 0 || f.install > published || p.table.slot(f.n.ID).clearRef() {
+		if f.pins > 0 || f.install > published || p.table.slot(f.id).clearRef() {
 			p.hand++
 			continue
 		}
@@ -556,14 +568,18 @@ func (p *Pool) evictLocked() {
 	}
 }
 
-// writeBackLocked serializes a dirty frame to the store. The caller must
+// writeBackLocked writes a dirty frame's image to the store, encoding it
+// first when its headers changed outside a write bracket. The caller must
 // hold p.mu.
 func (p *Pool) writeBackLocked(f *frame) error {
-	buf, err := p.codec.Marshal(&f.n, f.bytes)
+	if f.img == nil {
+		f.img = p.codec.Encode(&f.n)
+	}
+	buf, err := p.codec.Page(f.img, f.bytes)
 	if err != nil {
 		return err
 	}
-	if err := p.store.Write(f.n.ID, buf); err != nil {
+	if err := p.store.Write(f.id, buf); err != nil {
 		return err
 	}
 	p.stats.Writes++
@@ -669,12 +685,11 @@ func (p *Pool) Rollback() error {
 	if !p.inBracket() {
 		return nil
 	}
-	clear(p.unsealed)
-	p.unsealed = p.unsealed[:0]
 	we := p.writeEpoch
 	var errs []error
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.queue = slices.DeleteFunc(p.queue, func(f *frame) bool { return f.install == we })
 	// Undo deferred frees first so their pre-images are back in the chains
 	// for the head-restoration pass below.
 	for _, pv := range p.old {
@@ -692,9 +707,9 @@ func (p *Pool) Rollback() error {
 		// An error-path frame may still be pinned (the op bailed out
 		// mid-descent); dropping it is exactly the point of rollback.
 		p.dropLocked(f)
-		if !p.old[f.n.ID].retiredAt(we) {
+		if !p.old[f.id].retiredAt(we) {
 			// Fresh allocation of the aborted bracket.
-			if err := p.store.Free(f.n.ID); err != nil {
+			if err := p.store.Free(f.id); err != nil {
 				errs = append(errs, err)
 			}
 		}

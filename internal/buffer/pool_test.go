@@ -35,6 +35,29 @@ func getMut(p *Pool, id page.ID) (*node.Node, error) {
 // reference bit.
 func resident(p *Pool, id page.ID) bool { return p.table.load(id) != nil }
 
+// recordIDs reads the record IDs of a page image, as a reader does.
+func recordIDs(img node.Image) []uint64 {
+	_, records := img.Runs(2)
+	var ids []uint64
+	for i := 0; i < len(records)/6; i++ {
+		_, id := node.RecordAt(records, 2, i)
+		ids = append(ids, uint64(id))
+	}
+	return ids
+}
+
+// headImage returns the image of id's resident head, nil when it has none.
+func headImage(p *Pool, id page.ID) node.Image {
+	if f := p.table.load(id); f != nil {
+		return f.img
+	}
+	return nil
+}
+
+// sameImage reports whether a and b are the same image, not merely equal
+// ones.
+func sameImage(a, b node.Image) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
 func addRecord(n *node.Node, id uint64) {
 	n.Records = append(n.Records, node.Record{
 		Rect: geom.Rect2(float64(id), 0, float64(id)+1, 1),
@@ -271,6 +294,7 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	}
 
 	// A bracket that changes the page: Get, Upgrade, mutate the result.
+	preImg := headImage(p, id)
 	p.BeginWrite(3)
 	head, err := p.Get(id)
 	if err != nil {
@@ -293,15 +317,18 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	if err := p.Unpin(id, false); err != nil { // the upgraded pin, released as read: the clone is dirty already
 		t.Fatal(err)
 	}
+	if img := headImage(p, id); img != nil {
+		t.Fatalf("the unpublished clone has an image of %d words", len(img))
+	}
 	p.Publish(3)
 	if s := p.Stats(); s.Clones != 1 || s.ClonedBytes != 1024 || s.Retained != 1 {
 		t.Fatalf("stats after one upgrade = %+v", s)
 	}
-	if old, err := p.GetVersion(id, 2, new(Tally)); err != nil || old != head || len(old.Records) != 1 {
-		t.Fatalf("epoch 2 resolves to (%p, %v) with %d records, want the pre-image %p with 1", old, err, len(old.Records), head)
+	if old, err := p.GetVersion(id, 2, new(Tally)); err != nil || !sameImage(old, preImg) || len(recordIDs(old)) != 1 {
+		t.Fatalf("epoch 2 resolves to (%v, %v), want the pre-image's image with 1 record", recordIDs(old), err)
 	}
-	if cur, err := p.GetVersion(id, 3, new(Tally)); err != nil || cur != clone {
-		t.Fatalf("epoch 3 resolves to (%p, %v), want the clone", cur, err)
+	if cur, err := p.GetVersion(id, 3, new(Tally)); err != nil || !sameImage(cur, headImage(p, id)) || len(recordIDs(cur)) != 2 {
+		t.Fatalf("epoch 3 resolves to (%v, %v), want the clone's image with 2 records", recordIDs(cur), err)
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
@@ -628,7 +655,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		}
 	}
 	// treeMu stands in for the tree's lock: a page is mutated and the pool
-	// flushed only under it (the pool marshals pinned dirty frames too).
+	// flushed only under it (the pool encodes pinned dirty frames too).
 	var treeMu sync.RWMutex
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines+1)
@@ -731,7 +758,6 @@ func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Seal()
 	p.Publish(1)
 	check("built", 0)
 	upgrade := func(ids []page.ID) {
@@ -746,7 +772,6 @@ func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
 	}
 	p.BeginWrite(2)
 	upgrade(ids[:8])
-	p.Seal()
 	p.Publish(2)
 	check("eight clones at epoch 2", 8)
 	p.BeginWrite(3)
@@ -754,7 +779,6 @@ func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
 	if err := p.Free(ids[10]); err != nil {
 		t.Fatal(err)
 	}
-	p.Seal()
 	p.Publish(3)
 	check("four clones and a free at epoch 3", 13)
 	if err := p.Collect(2, true); err != nil {
@@ -810,7 +834,6 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Seal()
 	p.Publish(1)
 	history[1] = maps.Clone(record)
 
@@ -834,13 +857,13 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 				want := history[e]
 				mu.Unlock()
 				for id, v := range want {
-					n, err := p.GetVersion(id, e, &tally)
+					img, err := p.GetVersion(id, e, &tally)
 					if err != nil {
 						errs <- fmt.Errorf("epoch %d: GetVersion(%v): %w", e, id, err)
 						return
 					}
-					if len(n.Records) != 1 || uint64(n.Records[0].ID) != v {
-						errs <- fmt.Errorf("epoch %d: page %v holds %+v, want record %d", e, id, n.Records, v)
+					if got := recordIDs(img); len(got) != 1 || got[0] != v {
+						errs <- fmt.Errorf("epoch %d: page %v holds records %v, want %d", e, id, got, v)
 						return
 					}
 				}
@@ -903,7 +926,6 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 			}
 			continue
 		}
-		p.Seal()
 		mu.Lock()
 		history[e] = work
 		p.Publish(e)
@@ -996,5 +1018,81 @@ func BenchmarkPoolGetMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Unpin(id, false)
+	}
+}
+
+// TestGetVersionFallsBackToDurableImage drives getVersionSlow's two reads
+// of the durable image: a page whose version chain holds no version
+// covering the epoch, because the head that did was evicted, and a head
+// installed after the epoch with no chain at all, because the chain was
+// collected (no registered reader can ask for that epoch, but the read
+// stays well-defined). Neither read installs a frame.
+func TestGetVersionFallsBackToDurableImage(t *testing.T) {
+	p, _ := newPool(t, 0)
+	read := func(id page.ID, e uint64) []uint64 {
+		t.Helper()
+		img, err := p.GetVersion(id, e, new(Tally))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recordIDs(img)
+	}
+	change := func(id page.ID, e, rec uint64) {
+		t.Helper()
+		p.BeginWrite(e)
+		n, err := getMut(p, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addRecord(n, rec)
+		if err := p.Unpin(id, true); err != nil {
+			t.Fatal(err)
+		}
+		p.Publish(e)
+	}
+	p.BeginWrite(1)
+	n, err := p.NewNode(0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := n.ID
+	addRecord(n, 1)
+	if err := p.Unpin(id, true); err != nil {
+		t.Fatal(err)
+	}
+	p.Publish(1)
+
+	// Epoch 2's version is written back and evicted (Invalidate drops the
+	// clean head as eviction would); the chain keeps only epoch 1's.
+	change(id, 2, 2)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate()
+	misses := p.Stats().Misses
+	if got := read(id, 2); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("epoch 2 past an evicted head reads %v, want the durable [1 2]", got)
+	}
+	if got := read(id, 1); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("epoch 1 reads %v, want the chain's [1]", got)
+	}
+	if resident(p, id) || p.Stats().Misses != misses+1 {
+		t.Fatalf("the durable read installed a head (resident %v) or was not one miss (%d)", resident(p, id), p.Stats().Misses-misses)
+	}
+
+	// Epoch 3's head stays resident and unflushed; its chain is collected.
+	if err := p.Collect(2, true); err != nil {
+		t.Fatal(err)
+	}
+	change(id, 3, 3)
+	if err := p.Collect(3, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(id, 2); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("epoch 2 below a chainless head reads %v, want the durable [1 2]", got)
+	}
+	if img, err := p.GetVersion(id, 3, new(Tally)); err != nil || !sameImage(img, headImage(p, id)) ||
+		!slices.Equal(recordIDs(img), []uint64{1, 2, 3}) {
+		t.Fatalf("epoch 3 reads %v, %v; want the resident head's [1 2 3]", recordIDs(img), err)
 	}
 }

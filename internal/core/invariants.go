@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 
+	"segidx/internal/buffer"
 	"segidx/internal/geom"
+	"segidx/internal/node"
 	"segidx/internal/page"
 )
 
@@ -65,9 +69,9 @@ func (e *InvariantError) Unwrap() error { return e.Err }
 //   - stored portions in excess of distinct record IDs never exceed the
 //     cut-portion gauge (when the gauge is zero the read path skips
 //     duplicate elimination, so an under-count would surface duplicates);
-//   - every node is sealed, its packed run holding its branch and record
-//     rectangles bit for bit, in entry order (readers test entries on the
-//     run alone);
+//   - every node's published page image decodes (node.Codec.Unmarshal)
+//     to the writer's headers bit for bit, in entry order (readers scan
+//     the image alone);
 //   - births never decrease along the attached sidecar's slot lists.
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()
@@ -184,11 +188,6 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 		return fail("node %v has invalid region %v", id, n.Region)
 	}
 
-	// Readers test entries on the packed run alone.
-	if err := n.CheckSeal(dims); err != nil {
-		return fail("node %v: %w", id, err)
-	}
-
 	// Recurse.
 	for i := range n.Branches {
 		b := n.Branches[i]
@@ -229,6 +228,37 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 			return err
 		}
 	}
+
+	// Readers scan the published image alone. Checked last, so that
+	// headers changed against the rules fail on what they broke first.
+	if err := t.checkImage(n); err != nil {
+		return fail("node %v: %w", id, err)
+	}
+	return nil
+}
+
+// checkImage decodes the page image readers resolve for n's page with
+// Codec.Unmarshal and compares it with n, the writer's headers, bit for
+// bit. The caller must hold t.mu and a pin on n, so the lookup is a table
+// hit, counted in a tally nobody settles.
+func (t *Tree) checkImage(n *node.Node) error {
+	img, err := t.pool.GetVersion(n.ID, t.state.Load().epoch, new(buffer.Tally))
+	if err != nil {
+		return err
+	}
+	if img == nil {
+		return errors.New("no published page image")
+	}
+	buf, err := t.codec.Page(img, t.pageBytes(n.Level))
+	if err != nil {
+		return err
+	}
+	if _, err := t.codec.Unmarshal(buf, n.ID); err != nil {
+		return fmt.Errorf("published image: %w", err)
+	}
+	if want, err := t.codec.Marshal(n, len(buf)); err != nil || !bytes.Equal(buf, want) {
+		return fmt.Errorf("headers differ from their published image (%v)", err)
+	}
 	return nil
 }
 
@@ -241,33 +271,13 @@ func (t *Tree) RecordCount() (portions int, distinct int, err error) {
 }
 
 // recordCountLocked counts stored portions and distinct record IDs. The
-// caller must hold t.mu.
+// caller must hold t.mu, so the published state it walks is the tree's.
 func (t *Tree) recordCountLocked() (portions int, distinct int, err error) {
-	ids := make(map[uint64]bool)
-	var walk func(id page.ID) error
-	walk = func(id page.ID) error {
-		n, err := t.fetch(id, nil)
-		if err != nil {
-			return err
-		}
-		portions += len(n.Records)
-		for i := range n.Records {
-			ids[uint64(n.Records[i].ID)] = true
-		}
-		children := make([]page.ID, len(n.Branches))
-		for i := range n.Branches {
-			children[i] = n.Branches[i].Child
-		}
-		t.done(id, false)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root); err != nil {
-		return 0, 0, err
-	}
-	return portions, len(ids), nil
+	ids := make(map[node.RecordID]bool)
+	err = t.VisitPortions(func(_ int, e Entry) bool {
+		portions++
+		ids[e.ID] = true
+		return true
+	})
+	return portions, len(ids), err
 }

@@ -155,15 +155,11 @@ func Open(cfg Config, st store.Store) (*Tree, error) {
 		return nil, errors.New("core: corrupt tree metadata")
 	}
 	// Sanity-check the root decodes at the expected level.
-	n, err := t.pool.Get(t.root)
+	img, err := t.pool.GetVersion(t.root, 0, new(buffer.Tally))
 	if err != nil {
 		return nil, fmt.Errorf("core: open root: %w", err)
 	}
-	level := n.Level
-	if err := t.pool.Unpin(t.root, false); err != nil {
-		return nil, err
-	}
-	if level != t.height-1 {
+	if level := img.Level(); level != t.height-1 {
 		return nil, fmt.Errorf("core: root level %d does not match height %d", level, t.height)
 	}
 	t.publishState(1)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"segidx/internal/geom"
@@ -87,24 +85,19 @@ func (t *Tree) beginRead(v *TreeView, query geom.Rect) (*queryCtx, error) {
 	return qc, nil
 }
 
-// errUnsealed is what a reader returns when the descent reaches a node
-// without a packed run: every node a published state can reach is sealed
-// (publishState), so meeting one means that invariant broke.
-var errUnsealed = errors.New("core: reader reached an unsealed node")
-
 // nodeBody is the per-node half of a query: it tests one fetched node's
-// records — keys is the node's packed record run (node.Node.Keys) —
-// against query, accumulating into the context. Returning false stops the
+// records — its page image's record run (node.Image.Runs) — against
+// query, accumulating into the context. Returning false stops the
 // descent. Bodies are plain functions whose state lives in the context, so
 // handing one to descend allocates nothing.
-type nodeBody func(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool
+type nodeBody func(qc *queryCtx, records []float64, query geom.Rect) bool
 
 // descend is the one query traversal: depth-first from the pinned root
 // into every branch intersecting query, running body on each node. A page
 // has one parent branch, so each node is reached, resolved at the context's
 // pinned epoch and charged as one search node access exactly once. Entries
-// are tested on the node's packed run with one kernel (geom.Rect.
-// NextOverlap); a branch or record is read only on a hit.
+// are tested on the page image's runs with one kernel (geom.Rect.
+// NextOverlap); a child or record ID is read only on a hit.
 //
 //seglint:hotpath
 func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
@@ -114,19 +107,16 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 		id := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
 		qc.nodes++
-		n, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
+		img, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
 		if err != nil {
 			return err
 		}
-		branches, records, ok := n.Keys(k)
-		if !ok {
-			return fmt.Errorf("%w: page %v", errUnsealed, id)
-		}
-		if !body(qc, n, records, query) {
+		branches, records := img.Runs(k)
+		if !body(qc, records, query) {
 			return nil
 		}
-		for i := query.NextOverlap(branches, 0); i >= 0; i = query.NextOverlap(branches, i+1) {
-			qc.stack = append(qc.stack, n.Branches[i].Child)
+		for i := query.NextOverlap(branches, 2*k+1, 0); i >= 0; i = query.NextOverlap(branches, 2*k+1, i+1) {
+			qc.stack = append(qc.stack, node.Child(branches, k, i))
 		}
 	}
 	return nil
@@ -136,9 +126,11 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 // caller's callback.
 //
 //seglint:hotpath
-func streamNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
-	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
-		if !qc.fn(Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID}) {
+func streamNode(qc *queryCtx, records []float64, query geom.Rect) bool {
+	k := len(query.Min)
+	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
+		r, id := node.RecordAt(records, k, i)
+		if !qc.fn(Entry{Rect: r, ID: id}) {
 			return false
 		}
 	}
@@ -152,13 +144,15 @@ func streamNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) boo
 // dedup set is skipped entirely.
 //
 //seglint:hotpath
-func collectNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
+func collectNode(qc *queryCtx, records []float64, query geom.Rect) bool {
+	k := len(query.Min)
 	dedup := qc.st.cutPortions > 0
-	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
-		if dedup && qc.markSeen(n.Records[i].ID) {
+	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
+		r, id := node.RecordAt(records, k, i)
+		if dedup && qc.markSeen(id) {
 			continue
 		}
-		qc.entries = append(qc.entries, Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID})
+		qc.entries = append(qc.entries, Entry{Rect: r, ID: id})
 	}
 	return true
 }
@@ -166,11 +160,14 @@ func collectNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bo
 // countNode is Count's body: collectNode without the entries.
 //
 //seglint:hotpath
-func countNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
+func countNode(qc *queryCtx, records []float64, query geom.Rect) bool {
+	k := len(query.Min)
 	dedup := qc.st.cutPortions > 0
-	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
-		if dedup && qc.markSeen(n.Records[i].ID) {
-			continue
+	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
+		if dedup {
+			if _, id := node.RecordAt(records, k, i); qc.markSeen(id) {
+				continue
+			}
 		}
 		qc.count++
 	}
@@ -182,11 +179,10 @@ func countNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool
 // covers once the descent has seen every portion.
 //
 //seglint:hotpath
-func coverNode(qc *queryCtx, n *node.Node, keys []float64, query geom.Rect) bool {
+func coverNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 	k := len(query.Min)
-	for i := query.NextOverlap(keys, 0); i >= 0; i = query.NextOverlap(keys, i+1) {
-		r := n.Records[i].Rect
-		rid := n.Records[i].ID
+	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
+		r, rid := node.RecordAt(records, k, i)
 		if off, ok := qc.coverOff[rid]; ok {
 			// Union in place inside the accumulation buffer.
 			for d := 0; d < k; d++ {
@@ -348,6 +344,7 @@ func (t *Tree) Count(query geom.Rect) (int, error) { return t.count(nil, query) 
 // than the intersecting ones, reports each node's level, and is not a
 // search, so it charges no node accesses.
 func (t *Tree) VisitPortions(fn func(level int, e Entry) bool) error {
+	k := t.cfg.Dims
 	qc := t.getQctx()
 	defer t.releaseQctx(qc)
 	t.acquireRead(qc)
@@ -355,17 +352,20 @@ func (t *Tree) VisitPortions(fn func(level int, e Entry) bool) error {
 	for len(qc.stack) > 0 {
 		id := qc.stack[len(qc.stack)-1]
 		qc.stack = qc.stack[:len(qc.stack)-1]
-		n, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
+		img, err := t.pool.GetVersion(id, qc.st.epoch, &qc.tally)
 		if err != nil {
 			return err
 		}
-		for i := range n.Records {
-			if !fn(n.Level, Entry{Rect: n.Records[i].Rect, ID: n.Records[i].ID}) {
+		branches, records := img.Runs(k)
+		level := img.Level()
+		for i := 0; i < len(records)/(2*k+2); i++ {
+			r, rid := node.RecordAt(records, k, i)
+			if !fn(level, Entry{Rect: r, ID: rid}) {
 				return nil
 			}
 		}
-		for i := range n.Branches {
-			qc.stack = append(qc.stack, n.Branches[i].Child)
+		for i := 0; i < len(branches)/(2*k+1); i++ {
+			qc.stack = append(qc.stack, node.Child(branches, k, i))
 		}
 	}
 	return nil

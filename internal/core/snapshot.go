@@ -116,13 +116,13 @@ func (r *snapRegistry) min(published uint64) uint64 {
 }
 
 // publishState publishes the tree's current mutable fields as the
-// committed state at the given epoch and tells the pool the epoch is
-// durable-eligible. The nodes the operation created or changed are sealed
-// first: a reader can pin the epoch only after the state store, so no
-// reader ever reaches an unsealed node. The caller must own the tree
-// exclusively.
+// committed state at the given epoch. The pool publishes the epoch first:
+// it encodes a fresh page image for every node the operation created or
+// changed and makes the epoch durable-eligible. A reader can pin the epoch
+// only after the state store, so no reader ever reaches a page whose image
+// is missing or stale. The caller must own the tree exclusively.
 func (t *Tree) publishState(epoch uint64) {
-	t.pool.Seal()
+	t.pool.Publish(epoch)
 	t.state.Store(&treeState{
 		root:        t.root,
 		height:      t.height,
@@ -130,7 +130,6 @@ func (t *Tree) publishState(epoch uint64) {
 		cutPortions: t.cutPortions,
 		epoch:       epoch,
 	})
-	t.pool.Publish(epoch)
 }
 
 // beginOp opens the copy-on-write bracket for one mutating operation. The

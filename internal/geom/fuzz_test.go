@@ -3,6 +3,7 @@ package geom
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -183,12 +184,31 @@ func encodeOverlap(vals ...float64) []byte {
 	return out
 }
 
-// FuzzPackedOverlap checks that the packed-run kernel a reader tests node
-// entries with, NextOverlap, finds exactly the entries Intersects accepts,
-// in order, for k = 1…4: the query is the first 2k decoded floats, every
-// further 2k floats one entry. Inputs are taken raw — unordered corners,
-// NaN and all — so the two must agree on every input, not only on valid
-// rectangles.
+// idFillers are bit patterns FuzzPackedOverlap writes into the words
+// between keys, where a page image keeps its IDs. Read as a coordinate,
+// NaN would accept an entry its key rejects and an infinity would reject
+// or accept one, so a kernel that read such a word would give different
+// hits under different fillers. nil stands for the fuzz input's own
+// floats, cycled: arbitrary bits.
+var idFillers = []*uint64{
+	ptr(math.Float64bits(math.NaN())),
+	ptr(math.Float64bits(math.Inf(1))),
+	ptr(math.Float64bits(math.Inf(-1))),
+	ptr(0xfff0_0000_0000_0001), // a signalling NaN
+	nil,
+}
+
+func ptr(v uint64) *uint64 { return &v }
+
+// FuzzPackedOverlap checks that the kernel a reader tests node entries
+// with, NextOverlap, finds exactly the entries Intersects accepts, in
+// order, for k = 1…4 and strides 2k, 2k+1 and 2k+2 (a bare key run, a
+// page image's branch run, its record run): the query is the first 2k
+// decoded floats, every further 2k floats one entry's key. The words
+// after each key are filled from idFillers, and every filling must give
+// the same hits: the kernel never reads an ID word as a key. Inputs are
+// taken raw — unordered corners, NaN and all — so the two must agree on
+// every input, not only on valid rectangles.
 func FuzzPackedOverlap(f *testing.F) {
 	inf, big := math.Inf(1), math.MaxFloat64
 	negZero := math.Copysign(0, -1)
@@ -197,41 +217,51 @@ func FuzzPackedOverlap(f *testing.F) {
 	f.Add(uint8(2), encodeOverlap(-inf, 0, inf, 0, 3, 0, 3, 0, 0, negZero, 1, 0))     // infinite line, points, -0
 	f.Add(uint8(3), encodeOverlap(-big, -big, -big, big, big, big, 0, 0, 0, 0, 0, 0)) // ±MaxFloat64
 	f.Add(uint8(4), encodeOverlap(0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0.5, 3, 0.5, 3, 0.5, 3, 0.5, 3))
+	f.Add(uint8(1+4), encodeOverlap(0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, -1, -1, 0, 0)) // branch stride, k = 2
+	f.Add(uint8(1+8), encodeOverlap(0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, -1, -1, 0, 0)) // record stride, k = 2
+	f.Add(uint8(0+8), encodeOverlap(0, 1, 1, 2, 2, 3, -1, 0, 5, 7, -inf, inf))         // record stride, k = 1
 	f.Fuzz(func(t *testing.T, kb uint8, data []byte) {
 		k := int(kb%4) + 1
+		stride := 2*k + int(kb/4)%3
 		vals := overlapFloats(data)
 		if len(vals) < 2*k {
 			t.Skip()
 		}
 		q := Rect{Min: vals[:k:k], Max: vals[k : 2*k : 2*k]}
-		keys := vals[2*k:]
-		n := len(keys) / (2 * k)
-		keys = keys[:n*2*k]
+		flat := vals[2*k:]
+		n := len(flat) / (2 * k)
 		var want []int
 		for i := 0; i < n; i++ {
 			o := i * 2 * k
-			e := Rect{Min: keys[o : o+k], Max: keys[o+k : o+2*k]}
+			e := Rect{Min: flat[o : o+k], Max: flat[o+k : o+2*k]}
 			if e.Intersects(q) {
 				want = append(want, i)
 			}
 		}
-		var got []int
-		for i := q.NextOverlap(keys, 0); i >= 0; i = q.NextOverlap(keys, i+1) {
-			got = append(got, i)
-			if len(got) > n {
-				t.Fatalf("NextOverlap revisits entries: %v", got)
+		for _, fill := range idFillers {
+			keys := make([]float64, n*stride)
+			for j := range keys {
+				if i, w := j/stride, j%stride; w < 2*k {
+					keys[j] = flat[i*2*k+w]
+				} else if fill != nil {
+					keys[j] = math.Float64frombits(*fill)
+				} else {
+					keys[j] = vals[j%len(vals)]
+				}
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d q=%v keys=%v: NextOverlap hits %v, Intersects %v", k, q, keys, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d q=%v keys=%v: NextOverlap hits %v, Intersects %v", k, q, keys, got, want)
+			var got []int
+			for i := q.NextOverlap(keys, stride, 0); i >= 0; i = q.NextOverlap(keys, stride, i+1) {
+				got = append(got, i)
+				if len(got) > n {
+					t.Fatalf("NextOverlap revisits entries: %v", got)
+				}
 			}
-		}
-		if q.NextOverlap(keys, n) != -1 {
-			t.Fatal("NextOverlap past the last entry found one")
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d stride=%d q=%v keys=%v: NextOverlap hits %v, Intersects %v", k, stride, q, keys, got, want)
+			}
+			if q.NextOverlap(keys, stride, n) != -1 {
+				t.Fatal("NextOverlap past the last entry found one")
+			}
 		}
 	})
 }

@@ -223,16 +223,16 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
-// NextOverlap returns the index of the first rectangle at or after entry
-// from in the packed run keys that intersects r, or -1 when none does.
-// keys holds rectangles of r's dimensionality k at stride 2k, each laid out
-// [min₀…min_{k−1}, max₀…max_{k−1}] (a sealed node's run). The test is
-// Intersects' closed-interval test, so touching edges overlap; it is the
-// one kernel a reader tests node entries with, one call per hit rather
-// than per entry.
+// NextOverlap returns the index of the first entry at or after entry from
+// in the run keys that intersects r, or -1 when none does. Entries sit at
+// stride words, each starting with a rectangle of r's dimensionality k laid
+// out [min₀…min_{k−1}, max₀…max_{k−1}]; the stride − 2k words after it
+// (a page image's IDs) are never read. The test is Intersects'
+// closed-interval test, so touching edges overlap; it is the one kernel a
+// reader tests node entries with, one call per hit rather than per entry.
 //
 //seglint:hotpath
-func (r Rect) NextOverlap(keys []float64, from int) int {
+func (r Rect) NextOverlap(keys []float64, stride, from int) int {
 	k := len(r.Min)
 	lo, hi := r.Min, r.Max[:k]
 	s := 2 * k
@@ -240,7 +240,7 @@ func (r Rect) NextOverlap(keys []float64, from int) int {
 	// before the loop over the rest is what makes the generic kernel
 	// nearly as fast as a 2-D unrolled one (EXPERIMENTS.md).
 	lo0, hi0 := lo[0], hi[0]
-	for i, o := from, from*s; o+s <= len(keys); i, o = i+1, o+s {
+	for i, o := from, from*stride; o+stride <= len(keys); i, o = i+1, o+stride {
 		e := keys[o : o+s : o+s]
 		if hi0 < e[0] || lo0 > e[k] {
 			continue

@@ -80,57 +80,179 @@ func (c Codec) UsedBytes(n *Node) int {
 	return c.HeaderBytes() + len(n.Branches)*c.BranchBytes() + len(n.Records)*c.RecordBytes()
 }
 
-// Marshal encodes the node into a buffer of exactly pageBytes.
-func (c Codec) Marshal(n *Node, pageBytes int) ([]byte, error) {
-	if need := c.UsedBytes(n); need > pageBytes {
-		return nil, fmt.Errorf("node: %v needs %d bytes, page is %d", n.ID, need, pageBytes)
-	}
-	if len(n.Branches) > math.MaxUint16 || len(n.Records) > math.MaxUint16 {
-		return nil, fmt.Errorf("node: %v entry count overflows encoding", n.ID)
-	}
-	buf := make([]byte, pageBytes)
-	binary.LittleEndian.PutUint16(buf[0:2], codecMagic)
-	binary.LittleEndian.PutUint16(buf[2:4], uint16(n.Level))
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(len(n.Branches)))
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(n.Records)))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(n.ID))
-	off := fixedHeader
+// Image is a node's page image: the used prefix of the layout above as
+// 8-byte words — header (3 words), region (2k), branches at stride 2k+1,
+// records at stride 2k+2 — word i holding page bytes [8i, 8i+8) read as a
+// little-endian u64 and kept as that float64's bits, so rectangles read
+// as floats and IDs as math.Float64bits of their word, whatever the
+// host's byte order. An image is immutable once built: readers test
+// entries on its runs with geom.Rect.NextOverlap and hand out Rect views
+// into it.
+type Image []float64
+
+const headerWords = fixedHeader / 8
+
+func (m Image) word(i int) uint64 { return math.Float64bits(m[i]) }
+
+// Level reports the node's level (0 = leaf).
+func (m Image) Level() int { return int(uint16(m.word(0) >> 16)) }
+
+// id reports the page the image belongs to.
+func (m Image) id() page.ID { return page.ID(m.word(1)) }
+
+// counts reports the node's branch and record counts.
+func (m Image) counts() (nb, nr int) {
+	w := m.word(0)
+	return int(uint16(w >> 32)), int(uint16(w >> 48))
+}
+
+// Runs returns the image's branch run (stride 2k+1) and record run
+// (stride 2k+2) at dimensionality k.
+//
+//seglint:hotpath
+func (m Image) Runs(k int) (branches, records []float64) {
+	nb, nr := m.counts()
+	b := headerWords + 2*k
+	r := b + nb*(2*k+1)
+	return m[b:r:r], m[r : r+nr*(2*k+2)]
+}
+
+// Child returns the child page of entry i of a branch run at
+// dimensionality k.
+//
+//seglint:hotpath
+func Child(branches []float64, k, i int) page.ID {
+	return page.ID(math.Float64bits(branches[i*(2*k+1)+2*k]))
+}
+
+// RecordAt returns entry i of a record run at dimensionality k: a view of
+// its rectangle into the run, and its record ID.
+//
+//seglint:hotpath
+func RecordAt(records []float64, k, i int) (geom.Rect, RecordID) {
+	o := i * (2*k + 2)
+	return rectAt(records, o, k), RecordID(math.Float64bits(records[o+2*k]))
+}
+
+// rectAt views the rectangle whose 2k words start at m[o], capped so an
+// append through the view cannot spill into the next words.
+func rectAt(m []float64, o, k int) geom.Rect {
+	return geom.Rect{Min: m[o : o+k : o+k], Max: m[o+k : o+2*k : o+2*k]}
+}
+
+// putRect writes r's corners into the 2k words at m[o].
+func putRect(m []float64, o, k int, r geom.Rect) {
+	copy(m[o:o+k], r.Min)
+	copy(m[o+k:o+2*k], r.Max)
+}
+
+// image lays n out as its page image.
+func (c Codec) image(n *Node) Image {
+	k := c.Dims
+	m := make(Image, c.UsedBytes(n)/8)
+	m[0] = math.Float64frombits(codecMagic | uint64(uint16(n.Level))<<16 |
+		uint64(uint16(len(n.Branches)))<<32 | uint64(uint16(len(n.Records)))<<48)
+	m[1] = math.Float64frombits(uint64(n.ID))
 	if n.HasRegion() {
-		binary.LittleEndian.PutUint16(buf[16:18], flagHasRegion)
-		off = c.putRect(buf, off, n.Region)
-	} else {
-		off += c.RectBytes()
+		m[2] = math.Float64frombits(flagHasRegion)
+		putRect(m, headerWords, k, n.Region)
 	}
+	o := headerWords + 2*k
 	for i := range n.Branches {
-		off = c.putRect(buf, off, n.Branches[i].Rect)
-		binary.LittleEndian.PutUint64(buf[off:off+8], uint64(n.Branches[i].Child))
-		off += 8
+		putRect(m, o, k, n.Branches[i].Rect)
+		m[o+2*k] = math.Float64frombits(uint64(n.Branches[i].Child))
+		o += 2*k + 1
 	}
 	for i := range n.Records {
-		off = c.putRect(buf, off, n.Records[i].Rect)
-		binary.LittleEndian.PutUint64(buf[off:off+8], uint64(n.Records[i].ID))
-		off += 8
-		binary.LittleEndian.PutUint64(buf[off:off+8], uint64(n.Records[i].Span))
-		off += 8
+		putRect(m, o, k, n.Records[i].Rect)
+		m[o+2*k] = math.Float64frombits(uint64(n.Records[i].ID))
+		m[o+2*k+1] = math.Float64frombits(uint64(n.Records[i].Span))
+		o += 2*k + 2
+	}
+	return m
+}
+
+// point re-points n's rectangles — the region, if n has one, and every
+// branch and record — at their words in m, n's image.
+func (c Codec) point(n *Node, m Image) {
+	k := c.Dims
+	if m.word(2)&flagHasRegion != 0 {
+		n.Region = rectAt(m, headerWords, k)
+	}
+	branches, records := m.Runs(k)
+	for i := range n.Branches {
+		n.Branches[i].Rect = rectAt(branches, i*(2*k+1), k)
+	}
+	for i := range n.Records {
+		n.Records[i].Rect = rectAt(records, i*(2*k+2), k)
+	}
+}
+
+// Encode returns a fresh page image of n and re-points n's rectangles at
+// it. It never writes the floats the old rectangles viewed, so views taken
+// before it, such as a copy-on-write pre-image's, keep reading them.
+func (c Codec) Encode(n *Node) Image {
+	m := c.image(n)
+	c.point(n, m)
+	return m
+}
+
+// Headers returns the writer's form of the node in m: entry slices whose
+// rectangles are views into m's floats.
+func (c Codec) Headers(m Image) Node {
+	nb, nr := m.counts()
+	n := Node{
+		ID:       m.id(),
+		Level:    m.Level(),
+		Branches: make([]Branch, nb),
+		Records:  make([]Record, nr),
+	}
+	k := c.Dims
+	branches, records := m.Runs(k)
+	for i := range n.Branches {
+		n.Branches[i].Child = Child(branches, k, i)
+	}
+	for i := range n.Records {
+		n.Records[i].Rect, n.Records[i].ID = RecordAt(records, k, i)
+		n.Records[i].Span = page.ID(math.Float64bits(records[i*(2*k+2)+2*k+1]))
+	}
+	c.point(&n, m)
+	return n
+}
+
+// Page lays the image m out as a page of pageBytes bytes, zero-padded:
+// the bytes Marshal writes for the node m holds.
+func (c Codec) Page(m Image, pageBytes int) ([]byte, error) {
+	if need := 8 * len(m); need > pageBytes {
+		return nil, fmt.Errorf("node: %v needs %d bytes, page is %d", m.id(), need, pageBytes)
+	}
+	k := c.Dims
+	if nb, nr := m.counts(); len(m) != headerWords+2*k+nb*(2*k+1)+nr*(2*k+2) {
+		return nil, fmt.Errorf("node: %v entry count overflows encoding", m.id())
+	}
+	buf := make([]byte, pageBytes)
+	for i, w := range m {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(w))
 	}
 	return buf, nil
 }
 
-// Unmarshal decodes a page image into a node. The expected ID guards
-// against page-table corruption.
-func (c Codec) Unmarshal(buf []byte, want page.ID) (*Node, error) {
+// Marshal encodes the node into a buffer of exactly pageBytes.
+func (c Codec) Marshal(n *Node, pageBytes int) ([]byte, error) {
+	return c.Page(c.image(n), pageBytes)
+}
+
+// Decode copies the used prefix of a page's bytes into an image, with
+// every check Unmarshal makes; want guards against page-table corruption.
+func (c Codec) Decode(buf []byte, want page.ID) (Image, error) {
 	if len(buf) < c.HeaderBytes() {
 		return nil, fmt.Errorf("node: page %v too small (%d bytes)", want, len(buf))
 	}
 	if magic := binary.LittleEndian.Uint16(buf[0:2]); magic != codecMagic {
 		return nil, fmt.Errorf("node: page %v bad magic %#x", want, magic)
 	}
-	n := &Node{
-		ID:    page.ID(binary.LittleEndian.Uint64(buf[8:16])),
-		Level: int(binary.LittleEndian.Uint16(buf[2:4])),
-	}
-	if n.ID != want {
-		return nil, fmt.Errorf("node: page says it is %v, expected %v", n.ID, want)
+	if id := page.ID(binary.LittleEndian.Uint64(buf[8:16])); id != want {
+		return nil, fmt.Errorf("node: page says it is %v, expected %v", id, want)
 	}
 	nb := int(binary.LittleEndian.Uint16(buf[4:6]))
 	nr := int(binary.LittleEndian.Uint16(buf[6:8]))
@@ -138,93 +260,45 @@ func (c Codec) Unmarshal(buf []byte, want page.ID) (*Node, error) {
 	if need > len(buf) {
 		return nil, fmt.Errorf("node: page %v declares %d+%d entries exceeding page size", want, nb, nr)
 	}
-	flags := binary.LittleEndian.Uint16(buf[16:18])
-	off := fixedHeader
-	// One flat backing array holds every rectangle on the page — the
-	// region plus all branch and record rects — so decoding costs O(1)
-	// allocations rather than O(entries), and the array is the node's
-	// packed run: a decoded node comes sealed (see Node.Seal). The
-	// decoded rects are views into it; mutators replace whole Rect
-	// headers (they never write the decoded float storage), so the views
-	// stay stable for the node's lifetime. See DESIGN.md §8.
-	flat := make([]float64, (1+nb+nr)*2*c.Dims)
-	n.packed = flat
-	fo := 0
-	if flags&flagHasRegion != 0 {
-		var region geom.Rect
-		region, off, fo = c.getRectFlat(buf, off, flat, fo)
-		if !region.Valid() {
-			return nil, fmt.Errorf("node: page %v has corrupt region rect", want)
-		}
-		n.Region = region
-	} else {
-		n.Region, fo = emptyRectFlat(c.Dims, flat, fo)
-		off += c.RectBytes()
+	m := make(Image, need/8)
+	for i, b := 0, buf[:need]; i < len(m); i, b = i+1, b[8:] {
+		m[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	n.Branches = make([]Branch, nb)
-	for i := 0; i < nb; i++ {
-		var r geom.Rect
-		r, off, fo = c.getRectFlat(buf, off, flat, fo)
-		if !r.Valid() {
-			return nil, fmt.Errorf("node: page %v branch %d has corrupt rect", want, i)
-		}
-		n.Branches[i] = Branch{Rect: r, Child: page.ID(binary.LittleEndian.Uint64(buf[off : off+8]))}
-		off += 8
-	}
-	n.Records = make([]Record, nr)
-	for i := 0; i < nr; i++ {
-		var r geom.Rect
-		r, off, fo = c.getRectFlat(buf, off, flat, fo)
-		if !r.Valid() {
-			return nil, fmt.Errorf("node: page %v record %d has corrupt rect", want, i)
-		}
-		n.Records[i] = Record{
-			Rect: r,
-			ID:   RecordID(binary.LittleEndian.Uint64(buf[off : off+8])),
-			Span: page.ID(binary.LittleEndian.Uint64(buf[off+8 : off+16])),
-		}
-		off += 16
-	}
-	return n, nil
-}
-
-func (c Codec) putRect(buf []byte, off int, r geom.Rect) int {
-	for d := 0; d < c.Dims; d++ {
-		binary.LittleEndian.PutUint64(buf[off:off+8], math.Float64bits(r.Min[d]))
-		off += 8
-	}
-	for d := 0; d < c.Dims; d++ {
-		binary.LittleEndian.PutUint64(buf[off:off+8], math.Float64bits(r.Max[d]))
-		off += 8
-	}
-	return off
-}
-
-// getRectFlat decodes one rectangle from buf at off into the 2*Dims floats
-// at flat[fo:], returning a Rect whose corners are views into flat. The
-// capped slice expressions keep an append on a view from spilling into the
-// neighboring rect's storage.
-func (c Codec) getRectFlat(buf []byte, off int, flat []float64, fo int) (geom.Rect, int, int) {
 	k := c.Dims
-	r := geom.Rect{Min: flat[fo : fo+k : fo+k], Max: flat[fo+k : fo+2*k : fo+2*k]}
-	for d := 0; d < k; d++ {
-		r.Min[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off : off+8]))
-		off += 8
+	if m.word(2)&flagHasRegion != 0 && invalid(m[headerWords:headerWords+2*k], k, 2*k) >= 0 {
+		return nil, fmt.Errorf("node: page %v has corrupt region rect", want)
 	}
-	for d := 0; d < k; d++ {
-		r.Max[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off : off+8]))
-		off += 8
+	branches, records := m.Runs(k)
+	if i := invalid(branches, k, 2*k+1); i >= 0 {
+		return nil, fmt.Errorf("node: page %v branch %d has corrupt rect", want, i)
 	}
-	return r, off, fo + 2*k
+	if i := invalid(records, k, 2*k+2); i >= 0 {
+		return nil, fmt.Errorf("node: page %v record %d has corrupt rect", want, i)
+	}
+	return m, nil
 }
 
-// emptyRectFlat writes the EmptyRect identity into flat[fo:] and returns a
-// view of it (see geom.EmptyRect).
-func emptyRectFlat(dims int, flat []float64, fo int) (geom.Rect, int) {
-	r := geom.Rect{Min: flat[fo : fo+dims : fo+dims], Max: flat[fo+dims : fo+2*dims : fo+2*dims]}
-	for d := 0; d < dims; d++ {
-		r.Min[d] = math.Inf(1)
-		r.Max[d] = math.Inf(-1)
+// invalid returns the index of the first entry of run, at stride words,
+// whose rectangle is not Valid (min ≤ max fails for a NaN too), or -1.
+func invalid(run []float64, k, stride int) int {
+	for i, o := 0, 0; o < len(run); i, o = i+1, o+stride {
+		e := run[o : o+2*k]
+		for d := 0; d < k; d++ {
+			if !(e[d] <= e[k+d]) {
+				return i
+			}
+		}
 	}
-	return r, fo + 2*dims
+	return -1
+}
+
+// Unmarshal decodes a page into the writer's form of its node (Decode,
+// then Headers). The expected ID guards against page-table corruption.
+func (c Codec) Unmarshal(buf []byte, want page.ID) (*Node, error) {
+	m, err := c.Decode(buf, want)
+	if err != nil {
+		return nil, err
+	}
+	n := c.Headers(m)
+	return &n, nil
 }

@@ -13,9 +13,6 @@
 package node
 
 import (
-	"errors"
-	"fmt"
-	"math"
 	"slices"
 
 	"segidx/internal/geom"
@@ -46,11 +43,8 @@ type Record struct {
 	Span page.ID
 }
 
-// IsSpanning reports whether the record is stored as a spanning index
-// record (linked to a branch) rather than a leaf data record.
-func (r Record) IsSpanning() bool { return r.Span != page.Nil }
-
-// Node is the in-memory image of one index page.
+// Node is the writer's form of one index page: entry headers whose
+// rectangles view the page's Image.
 type Node struct {
 	ID    page.ID
 	Level int // 0 = leaf
@@ -58,8 +52,8 @@ type Node struct {
 	// Region is the pre-allocated partition region of a skeleton index
 	// node (Section 4). Skeleton nodes keep covering their partition even
 	// while empty, which is what gives the skeleton its regular
-	// decomposition. For non-skeleton nodes Region is the EmptyRect
-	// marker and the node covers exactly its content MBR.
+	// decomposition. For non-skeleton nodes HasRegion is false and the
+	// node covers exactly its content MBR.
 	Region geom.Rect
 
 	// Branches are the child pointers of a non-leaf node. Empty for
@@ -69,10 +63,6 @@ type Node struct {
 	// Records holds data records (leaf) or spanning index records
 	// (non-leaf, each tagged with the child branch it spans).
 	Records []Record
-
-	// packed is the sealed key run every Rect above views (see Seal); nil
-	// while the node is unsealed. Every node a reader can reach is sealed.
-	packed []float64
 }
 
 // HasRegion reports whether the node carries a skeleton partition region.
@@ -134,8 +124,8 @@ func (n *Node) SpanningFor(child page.ID) []int {
 
 // RemoveRecord deletes the record at index i, preserving order of the rest.
 // The slot it vacates is zeroed: a stale Rect header left in the slice's
-// slack would keep the float run it views — a copy-on-write pre-image's,
-// once the node is sealed — reachable for the node's lifetime.
+// slack would keep the page image it views — a copy-on-write pre-image's,
+// once the node is published — reachable for the node's lifetime.
 func (n *Node) RemoveRecord(i int) {
 	n.Records = slices.Delete(n.Records, i, i+1)
 }
@@ -146,17 +136,13 @@ func (n *Node) RemoveBranch(i int) {
 	n.Branches = slices.Delete(n.Branches, i, i+1)
 }
 
-// CloneHeaders returns the copy-on-write clone of n: a node whose entry
-// slices copy n's entries, Rect headers included, so its rectangles share
-// n's float storage. The clone is unsealed. Sharing is safe because the
-// floats are write-once (DESIGN.md §8): mutators replace whole Rect headers
-// and never write through one, so n — the pre-image snapshots keep reading
-// — keeps its floats, and the clone's Seal copies what it holds into a run
-// of its own. The entry slices get room for one more entry: a clone exists
-// because a mutation follows, most often a single append, which then
-// neither reallocates nor leaves the node carrying append's doubling as
-// slack until its next clone. The clone is returned by value so the buffer
-// pool can place it inside its frame without a separate allocation.
+// CloneHeaders returns the copy-on-write clone of n: a copy of n's entries
+// whose rectangles still view n's page image. Sharing is safe because
+// images are immutable and mutators replace whole Rect headers (DESIGN.md
+// §8); the clone gets an image of its own when it is published. The entry
+// slices get room for one more entry, the append that most often follows,
+// and the clone is returned by value so the buffer pool can place it
+// inside its frame without a separate allocation.
 func (n *Node) CloneHeaders() Node {
 	c := Node{ID: n.ID, Level: n.Level, Region: n.Region}
 	if len(n.Branches) > 0 {
@@ -168,87 +154,4 @@ func (n *Node) CloneHeaders() Node {
 		copy(c.Records, n.Records)
 	}
 	return c
-}
-
-// Seal packs every rectangle of n into one fresh flat run — the region
-// slot, then the branches, then the records, each 2k floats laid out
-// [min₀…min_{k−1}, max₀…max_{k−1}] — and re-points each Rect header at its
-// slot, so the node reads exactly like one Codec.Unmarshal decoded. A node
-// without a region gets the EmptyRect marker in its region slot. A reader
-// scans the run with geom.Rect.NextOverlap instead of testing each entry's
-// Rect; Keys hands it out. Sealing allocates one float array and never
-// writes the storage the old headers viewed, so views taken before it keep
-// reading the same floats.
-func (n *Node) Seal(k int) {
-	s := 2 * k
-	flat := make([]float64, (1+len(n.Branches)+len(n.Records))*s)
-	if n.Region.Dims() == k {
-		n.Region = n.Region.CopyInto(flat, 0)
-	} else {
-		n.Region, _ = emptyRectFlat(k, flat, 0)
-	}
-	off := s
-	for i := range n.Branches {
-		n.Branches[i].Rect = n.Branches[i].Rect.CopyInto(flat, off)
-		off += s
-	}
-	for i := range n.Records {
-		n.Records[i].Rect = n.Records[i].Rect.CopyInto(flat, off)
-		off += s
-	}
-	n.packed = flat
-}
-
-// Keys returns the branch and record rectangles of n's packed run at
-// dimensionality k, each a stride-2k run in entry order. ok is false when
-// n is unsealed or its run does not match its entry counts: such a node
-// must never reach a reader.
-func (n *Node) Keys(k int) (branches, records []float64, ok bool) {
-	s := 2 * k
-	b := s * (1 + len(n.Branches))
-	if len(n.packed) != b+s*len(n.Records) {
-		return nil, nil, false
-	}
-	return n.packed[s:b], n.packed[b:], true
-}
-
-// CheckSeal returns nil when n is sealed and its packed run holds every
-// branch and record rectangle bit for bit, in entry order, and otherwise
-// describes the first disagreement.
-func (n *Node) CheckSeal(k int) error {
-	if n.packed == nil {
-		return errors.New("node is not sealed")
-	}
-	branches, records, ok := n.Keys(k)
-	if !ok {
-		return fmt.Errorf("packed run of %d floats does not fit %d branches and %d records",
-			len(n.packed), len(n.Branches), len(n.Records))
-	}
-	s := 2 * k
-	for i := range n.Branches {
-		if !sameBits(branches[i*s:(i+1)*s], n.Branches[i].Rect) {
-			return fmt.Errorf("branch %d rect %v differs from its packed key", i, n.Branches[i].Rect)
-		}
-	}
-	for i := range n.Records {
-		if !sameBits(records[i*s:(i+1)*s], n.Records[i].Rect) {
-			return fmt.Errorf("record %d rect %v differs from its packed key", i, n.Records[i].Rect)
-		}
-	}
-	return nil
-}
-
-// sameBits reports whether key holds r's corners with identical bits.
-func sameBits(key []float64, r geom.Rect) bool {
-	k := len(key) / 2
-	if len(r.Min) != k || len(r.Max) != k {
-		return false
-	}
-	for d := 0; d < k; d++ {
-		if math.Float64bits(key[d]) != math.Float64bits(r.Min[d]) ||
-			math.Float64bits(key[k+d]) != math.Float64bits(r.Max[d]) {
-			return false
-		}
-	}
-	return true
 }

@@ -266,11 +266,36 @@ func TestRemoveEntries(t *testing.T) {
 // sharesFloats reports whether a and b view the same float storage.
 func sharesFloats(a, b geom.Rect) bool { return &a.Min[0] == &b.Min[0] }
 
-func TestUnmarshalReturnsSealed(t *testing.T) {
+// viewsImage reports whether every rectangle of n views its words in m.
+func viewsImage(n *Node, m Image, k int) bool {
+	branches, records := m.Runs(k)
+	for i := range n.Branches {
+		if !sharesFloats(n.Branches[i].Rect, rectAt(branches, i*(2*k+1), k)) {
+			return false
+		}
+	}
+	for i := range n.Records {
+		if !sharesFloats(n.Records[i].Rect, rectAt(records, i*(2*k+2), k)) {
+			return false
+		}
+	}
+	return !n.HasRegion() || sharesFloats(n.Region, rectAt(m, headerWords, k))
+}
+
+// TestDecodeMatchesUnmarshal checks that a page's image, read by Decode,
+// is the node Unmarshal returns: the same entries through the readers'
+// accessors, headers that view the image, and the page's bytes again.
+func TestDecodeMatchesUnmarshal(t *testing.T) {
 	c := Codec{Dims: 2}
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []*Node{randNode(rng, 0, 0, 7), randNode(rng, 1, 5, 3), {ID: 9}} {
+	withRegion := randNode(rng, 0, 0, 5)
+	withRegion.Region = geom.Rect2(-10, -10, 2000, 2000)
+	for _, n := range []*Node{randNode(rng, 0, 0, 7), randNode(rng, 1, 5, 3), {ID: 9}, withRegion} {
 		buf, err := c.Marshal(n, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.Decode(buf, n.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,12 +303,37 @@ func TestUnmarshalReturnsSealed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.CheckSeal(2); err != nil {
-			t.Fatalf("decoded %v: %v", n.ID, err)
+		if !nodesEqual(got, n) || got.HasRegion() != n.HasRegion() {
+			t.Fatalf("Unmarshal(%v) = %+v, want %+v", n.ID, got, n)
 		}
-		branches, records, ok := got.Keys(2)
-		if !ok || len(branches) != 4*len(n.Branches) || len(records) != 4*len(n.Records) {
-			t.Fatalf("Keys = %d branch and %d record floats, ok %v", len(branches), len(records), ok)
+		if len(m)*8 != c.UsedBytes(n) || m.id() != n.ID || m.Level() != n.Level {
+			t.Fatalf("image of %v: %d words, %v@%d", n.ID, len(m), m.id(), m.Level())
+		}
+		branches, records := m.Runs(2)
+		if len(branches) != 5*len(n.Branches) || len(records) != 6*len(n.Records) {
+			t.Fatalf("Runs = %d branch and %d record words", len(branches), len(records))
+		}
+		for i := range n.Branches {
+			if Child(branches, 2, i) != n.Branches[i].Child {
+				t.Fatalf("branch %d child %v, want %v", i, Child(branches, 2, i), n.Branches[i].Child)
+			}
+		}
+		for i := range n.Records {
+			r, id := RecordAt(records, 2, i)
+			if id != n.Records[i].ID || !r.Equal(n.Records[i].Rect) {
+				t.Fatalf("record %d reads (%v, %d), want (%v, %d)", i, r, id, n.Records[i].Rect, n.Records[i].ID)
+			}
+		}
+		h := c.Headers(m)
+		if !nodesEqual(&h, n) || !viewsImage(&h, m, 2) {
+			t.Fatalf("Headers(%v) = %+v, want %+v viewing the image", n.ID, h, n)
+		}
+		again, err := c.Page(m, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, buf) {
+			t.Fatalf("Page of the decoded image of %v differs at %s", n.ID, diffOffsets(again, buf))
 		}
 	}
 }
@@ -295,38 +345,27 @@ func TestCloneHeadersSharesFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := c.Unmarshal(buf, n.ID)
+	m, err := c.Decode(buf, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := sealed.CloneHeaders()
-	if _, _, ok := clone.Keys(2); ok {
-		t.Fatal("an unsealed clone hands out keys")
-	}
-	if err := clone.CheckSeal(2); err == nil || !strings.Contains(err.Error(), "not sealed") {
-		t.Fatalf("CheckSeal on a header clone = %v, want not sealed", err)
-	}
-	if !nodesEqual(&clone, sealed) {
+	pre := c.Headers(m)
+	clone := pre.CloneHeaders()
+	if !nodesEqual(&clone, &pre) {
 		t.Fatal("header clone differs from its source")
 	}
-	for i := range clone.Branches {
-		if !sharesFloats(clone.Branches[i].Rect, sealed.Branches[i].Rect) {
-			t.Fatalf("branch %d copied its floats", i)
-		}
-	}
-	for i := range clone.Records {
-		if !sharesFloats(clone.Records[i].Rect, sealed.Records[i].Rect) {
-			t.Fatalf("record %d copied its floats", i)
-		}
+	// The clone's rectangles view the pre-image's page image.
+	if !viewsImage(&clone, m, 2) {
+		t.Fatal("header clone copied its floats")
 	}
 	// The entry slices are the clone's own.
 	clone.Records[0].ID = 12345
-	if sealed.Records[0].ID == 12345 {
+	if pre.Records[0].ID == 12345 {
 		t.Fatal("header clone shares its record slice")
 	}
 }
 
-func TestSealRoundTripsThroughMarshal(t *testing.T) {
+func TestEncodeRoundTripsThroughMarshal(t *testing.T) {
 	c := Codec{Dims: 2}
 	rng := rand.New(rand.NewSource(5))
 	nodes := []*Node{randNode(rng, 0, 0, 9), randNode(rng, 2, 6, 4), {ID: 4}}
@@ -338,49 +377,61 @@ func TestSealRoundTripsThroughMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.Seal(2)
-		if err := n.CheckSeal(2); err != nil {
-			t.Fatalf("sealed %v: %v", n.ID, err)
+		m := c.Encode(n)
+		if !viewsImage(n, m, 2) {
+			t.Fatalf("Encode left %v's rectangles off its image", n.ID)
+		}
+		img, err := c.Page(m, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatalf("the image of %v is not its page at %s", n.ID, diffOffsets(img, want))
 		}
 		got, err := c.Marshal(n, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("sealing %v changed its page image at %s", n.ID, diffOffsets(got, want))
+			t.Fatalf("encoding %v changed its page image at %s", n.ID, diffOffsets(got, want))
 		}
 	}
 }
 
-func TestSealKeepsPreImageViews(t *testing.T) {
+func TestEncodeKeepsPreImageViews(t *testing.T) {
 	c := Codec{Dims: 2}
 	n := randNode(rand.New(rand.NewSource(8)), 0, 0, 4)
 	buf, err := c.Marshal(n, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := c.Unmarshal(buf, n.ID)
+	m, err := c.Decode(buf, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pre := c.Headers(m)
 	view := pre.Records[1].Rect
 	before := view.Clone()
 
-	// The writer's copy-on-write: clone, replace a header, append, seal.
-	m := pre.CloneHeaders()
-	m.Records[1].Rect = geom.Rect2(-5, -5, -1, -1)
-	m.Records = append(m.Records, Record{Rect: geom.Rect2(1, 1, 2, 2), ID: 77})
-	m.Seal(2)
-	if err := m.CheckSeal(2); err != nil {
-		t.Fatal(err)
+	// The writer's copy-on-write: clone, replace a header, append, encode.
+	w := pre.CloneHeaders()
+	w.Records[1].Rect = geom.Rect2(-5, -5, -1, -1)
+	w.Records = append(w.Records, Record{Rect: geom.Rect2(1, 1, 2, 2), ID: 77})
+	wm := c.Encode(&w)
+	if !viewsImage(&w, wm, 2) {
+		t.Fatal("Encode left the clone's rectangles off its image")
 	}
-	if sharesFloats(m.Records[0].Rect, pre.Records[0].Rect) {
-		t.Fatal("Seal left an entry viewing the pre-image's floats")
+	if sharesFloats(w.Records[0].Rect, pre.Records[0].Rect) {
+		t.Fatal("Encode left an entry viewing the pre-image's floats")
 	}
 	if !view.Equal(before) || !pre.Records[1].Rect.Equal(before) {
-		t.Fatalf("pre-image view reads %v after Seal, want %v", view, before)
+		t.Fatalf("pre-image view reads %v after Encode, want %v", view, before)
 	}
-	if err := pre.CheckSeal(2); err != nil {
-		t.Fatalf("pre-image after the clone's Seal: %v", err)
+	again, err := c.Page(m, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, buf) {
+		t.Fatalf("the pre-image's image changed at %s", diffOffsets(again, buf))
 	}
 }
