@@ -480,7 +480,10 @@ func (p *Pool) retireLocked(id page.ID, f *frame, epoch uint64) {
 // installLocked makes f the resident head of its page: table slot, bytes
 // and a CLOCK ring place just behind the hand, so a sweep reaches it last.
 // The frame the hand pointed at moves to the ring's end, still ahead of the
-// hand. The caller must hold p.mu.
+// hand. A hand past the ring's end (the sweep evicted the last slot) stands
+// where the sweep wraps it to slot 0, so the ring's end is already just
+// behind it: f is appended and the hand wrapped, not left on f. The caller
+// must hold p.mu.
 func (p *Pool) installLocked(f *frame) {
 	f.ring = len(p.ring)
 	p.ring = append(p.ring, f)
@@ -489,6 +492,8 @@ func (p *Pool) installLocked(f *frame) {
 		p.ring[h], p.ring[f.ring] = f, g
 		f.ring, g.ring = h, f.ring
 		p.hand++
+	} else {
+		p.hand = 0
 	}
 	p.bytes += f.bytes
 	p.table.set(f.id, f)

@@ -206,6 +206,46 @@ func TestClockSecondChance(t *testing.T) {
 	}
 }
 
+// TestMissInstallsBehindHand cycles 8 published pages through a pool of
+// one page. Every read misses, and the page it read must be the one left
+// resident: the sweep that follows the install evicts the previous page,
+// never the new one. A miss once appended the new frame under a hand that
+// stood past the ring's end, so the sweep took the page just read.
+func TestMissInstallsBehindHand(t *testing.T) {
+	const pages = 8
+	p, _ := newPool(t, 1024)
+	var ids []page.ID
+	for i := 0; i < pages; i++ {
+		n, err := p.NewNode(0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addRecord(n, uint64(i))
+		ids = append(ids, n.ID)
+		if err := p.Unpin(n.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Publish(0)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var tally Tally
+	for i := 0; i < 3*pages; i++ {
+		id := ids[i%pages]
+		before := p.Stats().Misses
+		if _, err := p.GetVersion(id, 0, &tally); err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats().Misses == before {
+			t.Fatalf("read %d of %v hit in a one-page pool cycling %d pages", i, id, pages)
+		}
+		if !resident(p, id) {
+			t.Fatalf("read %d: the miss on %v evicted the page it read", i, id)
+		}
+	}
+}
+
 // TestPinnedFramesAreNotEvicted pins pages whose footprint reaches or
 // exceeds the budget, churns unpinned pages through the pool, and checks
 // each pinned pointer still resolves to the identical in-memory node.

@@ -77,12 +77,6 @@ type Tree struct {
 	// set, result arena); see queryCtx.
 	qctxPool sync.Pool
 
-	// flushEpoch is the forest flush epoch the next Flush will be stamped
-	// with (0 until a forest with a manifest stamps one). It rides the
-	// metadata page, so it becomes durable atomically with the flush it
-	// describes.
-	flushEpoch uint64
-
 	// modCounts tracks per-leaf modification frequency for the
 	// coalescing policy ("the L least frequently modified nodes").
 	modCounts     map[page.ID]uint64
@@ -106,8 +100,6 @@ type Engine interface {
 	Stats() Stats
 	PoolStats() buffer.Stats
 	AccelStats() []accel.Stats
-	// SetFlushEpoch stamps the forest flush epoch the next Flush persists.
-	SetFlushEpoch(uint64)
 	Flush() error
 	CheckInvariants() error
 	Analyze() (*Report, error)
@@ -170,25 +162,6 @@ func (t *Tree) NodeCount() int { return t.store.Len() - 1 }
 
 // PoolStats returns buffer pool counters.
 func (t *Tree) PoolStats() buffer.Stats { return t.pool.Stats() }
-
-// SetFlushEpoch stamps the tree with a forest flush epoch. The stamp is
-// persisted on the metadata page by the next Flush, atomically with that
-// commit — a forest bumps its manifest epoch first, then stamps and
-// flushes each shard, so a durable shard image can never carry a flush
-// epoch the manifest has not reached.
-func (t *Tree) SetFlushEpoch(e uint64) {
-	t.mu.Lock()
-	t.flushEpoch = e
-	t.mu.Unlock()
-}
-
-// FlushEpoch reports the tree's current forest flush epoch (0 for
-// standalone trees).
-func (t *Tree) FlushEpoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.flushEpoch
-}
 
 // Flush writes all dirty nodes and the tree metadata back to the page
 // store, then commits if the store is transactional (store.Committer,

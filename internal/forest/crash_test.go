@@ -19,20 +19,19 @@ import (
 // one fault-injection disk hosts the manifest and every shard's WAL
 // store, power is cut after the Nth disk mutation anywhere in the
 // forest, and recovery must land every shard on one of its own commit
-// boundaries while the flush protocol's ordering invariant holds — no
-// shard's durable epoch is ever ahead of the manifest's.
+// boundaries.
 //
-// The workload commits twice (states A and B) and closes (a re-commit
-// of B). With the flush protocol ordering — manifest first, then the
-// shards — the allowed per-shard states mirror the single-tree matrix:
+// The workload creates the forest (the manifest's one write), commits
+// twice (states A and B) and closes (a re-commit of B). The allowed
+// per-shard states mirror the single-tree matrix:
 //
 //	crash at n <= opsA:      each shard empty or at A
 //	crash at opsA < n <= opsB: each shard at A or B
 //	crash at n > opsB:       each shard at B
 //
 // Shards move through a commit independently, so a crash inside a flush
-// legitimately leaves a mixed forest (shard 0 at B, shard 1 still at A);
-// what can never happen is a shard ahead of the manifest.
+// legitimately leaves a mixed forest (shard 0 at B, shard 1 still at A).
+// That is the whole contract: the forest adds no atomicity across shards.
 
 const (
 	fcShards    = 3
@@ -71,11 +70,9 @@ func snapshotShards(src []shardModel) []shardModel {
 // non-nil) with the per-shard oracle state at those boundaries. In crash
 // runs the returned error is the injected power cut.
 func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM, opsA, opsB int, err error) {
-	mf, err := CreateManifest(disk, "forest.db", fcShards)
-	if err != nil {
+	if err := CreateManifest(disk, "forest.db", fcShards); err != nil {
 		return 0, 0, 0, err
 	}
-	defer func() { _ = mf.Close() }() // idempotent; Close also closes it
 	opsM = disk.Ops()
 
 	shards := make([]Shard, fcShards)
@@ -91,7 +88,7 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Manifest: mf})
+	f, err := New(shards)
 	if err != nil {
 		return opsM, 0, 0, err
 	}
@@ -223,13 +220,13 @@ func shardMatches(t *testing.T, eng core.Engine, m shardModel) bool {
 }
 
 // recoverForestAndClassify reopens the crash image, replays every WAL,
-// checks the epoch-ordering invariant, classifies each shard against its
-// commit boundaries, and reassembles the full forest to prove it answers
-// as the union of the recovered shards. Returns one state per shard
-// ("empty", "A", or "B"), or nil when no manifest survived.
+// classifies each shard against its commit boundaries, and reassembles
+// the full forest to prove it answers as the union of the recovered
+// shards. Returns one state per shard ("empty", "A", or "B"), or nil when
+// no manifest survived.
 func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shardModel, desc string) []string {
 	t.Helper()
-	mf, m, err := OpenManifest(img, "forest.db")
+	m, err := OpenManifest(img, "forest.db")
 	if err != nil {
 		if errors.Is(err, ErrNoManifest) {
 			return nil
@@ -247,7 +244,7 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 			t.Fatalf("%s: shard %d recovery open: %v", desc, i, err)
 		}
 		defer func() { _ = ws.Close() }()
-		meta, err := core.ReadMeta(ws)
+		_, err = core.ReadMeta(ws)
 		if errors.Is(err, core.ErrNoMeta) {
 			// Never committed: replace with a fresh empty tree so the
 			// forest can still be assembled.
@@ -262,12 +259,6 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		if err != nil {
 			t.Fatalf("%s: shard %d ReadMeta: %v", desc, i, err)
 		}
-		// The flush protocol's ordering invariant: the manifest commits
-		// before any shard is stamped with the new epoch.
-		if meta.FlushEpoch > m.Epoch {
-			t.Fatalf("%s: shard %d durable at epoch %d, ahead of manifest epoch %d",
-				desc, i, meta.FlushEpoch, m.Epoch)
-		}
 		tr, err := core.Open(smallConfig(false), ws)
 		if err != nil {
 			t.Fatalf("%s: shard %d recovery Open: %v", desc, i, err)
@@ -281,25 +272,15 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		case shardMatches(t, tr, mB[i]):
 			states[i] = "B"
 		default:
-			t.Fatalf("%s: shard %d (%d records, epoch %d) matches neither boundary (A=%d, B=%d records)",
-				desc, i, tr.Len(), meta.FlushEpoch, len(mA[i]), len(mB[i]))
-		}
-		// The durable epoch must agree with the content it identifies:
-		// epoch 1 committed state A; epochs 2 and 3 committed state B.
-		wantState := "B"
-		if meta.FlushEpoch == 1 {
-			wantState = "A"
-		}
-		if states[i] != wantState {
-			t.Fatalf("%s: shard %d at epoch %d holds state %s, epoch says %s",
-				desc, i, meta.FlushEpoch, states[i], wantState)
+			t.Fatalf("%s: shard %d (%d records) matches neither boundary (A=%d, B=%d records)",
+				desc, i, tr.Len(), len(mA[i]), len(mB[i]))
 		}
 		shards[i] = Shard{Eng: tr, Store: ws}
 	}
 
 	// The reassembled forest must answer as the union of its recovered
 	// shards and satisfy every forest invariant.
-	f, err := New(shards, Config{Manifest: mf, Epoch: m.Epoch})
+	f, err := New(shards)
 	if err != nil {
 		t.Fatalf("%s: forest reassembly: %v", desc, err)
 	}
@@ -324,9 +305,6 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		t.Fatalf("%s: recovered forest returns %d records, union of shard states has %d",
 			desc, len(got), len(want))
 	}
-	if err := mf.Close(); err != nil {
-		t.Fatalf("%s: manifest close: %v", desc, err)
-	}
 	return states
 }
 
@@ -342,9 +320,10 @@ func forestAllowedStates(n, opsA, opsB int) []string {
 }
 
 // TestForestCrashMatrix cuts power at sampled disk-op crash points
-// during the sharded workload and asserts every shard recovers to a
-// commit boundary with the manifest never behind any shard. Set
-// SEGIDX_CRASH_EXHAUSTIVE=1 to enumerate every crash point.
+// during the sharded workload and asserts every shard recovers to one of
+// its own commit boundaries, and the manifest is lost only while its
+// creation was in flight. Set SEGIDX_CRASH_EXHAUSTIVE=1 to enumerate
+// every crash point.
 func TestForestCrashMatrix(t *testing.T) {
 	var mA, mB []shardModel
 	ref := faultstore.NewDisk()
@@ -404,16 +383,72 @@ func TestForestCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestForestManifestCommitFailureBreaksForest proves the forest-wide
-// broken latch: a manifest commit failure mid-Flush leaves every later
-// operation — reads included, on every shard — refusing with ErrBroken,
-// while the durable image stays at the previous commit boundary.
-func TestForestManifestCommitFailureBreaksForest(t *testing.T) {
+// TestForestShardCommitFailureBreaksForest proves the forest-wide broken
+// latch: one shard's failed commit leaves every later operation — reads,
+// writes and FlushShard, on every shard — refusing with ErrBroken, while
+// the durable image stays at the previous commit boundary on every shard.
+func TestForestShardCommitFailureBreaksForest(t *testing.T) {
 	disk := faultstore.NewDisk()
-	var mA []shardModel
-	// Build the forest by hand so the disk stays writable after Flush A.
-	mf, err := CreateManifest(disk, "forest.db", fcShards)
-	if err != nil {
+	f, model := newDurableForest(t, disk)
+	f.SetParallelism(1)
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mA := snapshotShards(model)
+
+	// Dirty every shard, then fail the next disk write: shard 0's log
+	// write, the first step of its commit.
+	rng := rand.New(rand.NewSource(7))
+	for i := fcPreFlush; i < fcPreFlush+20; i++ {
+		if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	disk.FailWrite(1, boom)
+	if err := f.FlushShard(0); !errors.Is(err, boom) || !errors.Is(err, store.ErrBroken) {
+		t.Fatalf("FlushShard with a failing log write = %v, want the injected error wrapped in ErrBroken", err)
+	}
+	if _, err := f.Search(geom.Rect2(0, 0, 1000, 1000)); !errors.Is(err, store.ErrBroken) {
+		t.Fatalf("Search after a failed shard commit = %v, want ErrBroken", err)
+	}
+	if _, err := f.Count(geom.Rect2(0, 0, 1000, 1000)); !errors.Is(err, store.ErrBroken) {
+		t.Fatalf("Count after a failed shard commit = %v, want ErrBroken", err)
+	}
+	for i := 0; i < fcShards; i++ {
+		id := node.RecordID(100000)
+		for f.Route(id) != i {
+			id++
+		}
+		if err := f.Insert(randRect(rng), id); !errors.Is(err, store.ErrBroken) {
+			t.Fatalf("Insert on shard %d after a failed shard commit = %v, want ErrBroken", i, err)
+		}
+		if err := f.FlushShard(i); !errors.Is(err, store.ErrBroken) {
+			t.Fatalf("FlushShard(%d) after a failed shard commit = %v, want ErrBroken", i, err)
+		}
+	}
+	if err := f.Flush(); !errors.Is(err, store.ErrBroken) {
+		t.Fatalf("Flush after a failed shard commit = %v, want ErrBroken", err)
+	}
+	if err := f.Close(); !errors.Is(err, store.ErrBroken) {
+		t.Fatalf("Close = %v, want ErrBroken", err)
+	}
+
+	// The durable image is exactly commit boundary A on every shard.
+	states := recoverForestAndClassify(t, disk, mA, mA, "shard-commit-failure")
+	for i, st := range states {
+		if st != "A" {
+			t.Fatalf("shard %d recovered %q, want the first commit boundary", i, st)
+		}
+	}
+}
+
+// newDurableForest creates a forest of fcShards durable R-Tree shards on
+// disk and inserts fcPreFlush records, unflushed. It returns the forest
+// and the records each shard holds.
+func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Forest, []shardModel) {
+	t.Helper()
+	if err := CreateManifest(disk, "forest.db", fcShards); err != nil {
 		t.Fatal(err)
 	}
 	shards := make([]Shard, fcShards)
@@ -428,59 +463,21 @@ func TestForestManifestCommitFailureBreaksForest(t *testing.T) {
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Manifest: mf})
+	f, err := New(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetParallelism(1)
 	model := make([]shardModel, fcShards)
 	for i := range model {
 		model[i] = make(shardModel)
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < fcPreFlush; i++ {
-		r := randRect(rng)
-		id := node.RecordID(i + 1)
+		r, id := randRect(rng), node.RecordID(i+1)
 		if err := f.Insert(r, id); err != nil {
 			t.Fatal(err)
 		}
 		model[f.Route(id)][id] = r
 	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mA = snapshotShards(model)
-
-	// Dirty the forest, then fail the next disk write: the manifest's
-	// epoch-2 slot.
-	for i := fcPreFlush; i < fcPreFlush+20; i++ {
-		if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	boom := errors.New("boom")
-	disk.FailWrite(1, boom)
-	if err := f.Flush(); !errors.Is(err, boom) || !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("Flush with failing manifest commit = %v, want the injected error wrapped in ErrBroken", err)
-	}
-	if _, err := f.Search(geom.Rect2(0, 0, 1000, 1000)); !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("Search after failed manifest commit = %v, want ErrBroken", err)
-	}
-	if err := f.Insert(randRect(rng), 99999); !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("Insert after failed manifest commit = %v, want ErrBroken", err)
-	}
-	if err := f.FlushShard(0); !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("FlushShard after failed manifest commit = %v, want ErrBroken", err)
-	}
-	if err := f.Close(); !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("Close = %v, want ErrBroken", err)
-	}
-
-	// The durable image is exactly commit boundary A on every shard.
-	states := recoverForestAndClassify(t, disk, mA, mA, "manifest-commit-failure")
-	for i, st := range states {
-		if st != "A" {
-			t.Fatalf("shard %d recovered %q, want the first commit boundary", i, st)
-		}
-	}
+	return f, model
 }

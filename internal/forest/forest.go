@@ -23,34 +23,20 @@ type Shard struct {
 	Store store.Store
 }
 
-// Config configures forest assembly.
-type Config struct {
-	// Manifest, when non-nil, is the forest's durable root: Flush commits
-	// it at a bumped epoch before stamping and flushing the shards.
-	Manifest *ManifestFile
-	// Epoch is the manifest epoch the forest starts at (0 for fresh
-	// forests; the recovered manifest epoch on reopen).
-	Epoch uint64
-}
-
 // Forest shards one logical index across N >= 1 engines. See the package
 // comment for the architecture; the zero value is unusable — use New.
 //
 // Concurrency: each shard engine carries its own write lock, so writers
 // routed to distinct shards proceed in parallel; the forest adds no
-// global operation lock. Flush serializes against other flushes only.
+// global operation lock, and Flush takes none either.
 type Forest struct {
 	// reads answers every core.Reader method over the live shard engines.
 	reads
 
-	shards   []core.Engine
-	stores   []store.Store
-	manifest *ManifestFile
+	shards []core.Engine
+	stores []store.Store
 
 	par atomic.Int32
-
-	flushMu    sync.Mutex
-	flushEpoch uint64 // the manifest epoch; guarded by flushMu
 
 	// broken latches the first store.ErrBroken any operation surfaces, so
 	// a forest with one sick shard refuses everything, forest-wide, just
@@ -90,7 +76,7 @@ type scanCtx struct {
 // rectangles of the operations it receives. Shards that come with data
 // must hold only records RouteID places on them; New reads no page to
 // check it (CheckInvariants does).
-func New(shards []Shard, cfg Config) (*Forest, error) {
+func New(shards []Shard) (*Forest, error) {
 	if len(shards) < 1 {
 		return nil, errors.New("forest: need at least one shard")
 	}
@@ -98,10 +84,8 @@ func New(shards []Shard, cfg Config) (*Forest, error) {
 		return nil, fmt.Errorf("forest: %d shards exceeds the limit of %d", len(shards), maxShards)
 	}
 	f := &Forest{
-		shards:     make([]core.Engine, len(shards)),
-		stores:     make([]store.Store, len(shards)),
-		manifest:   cfg.Manifest,
-		flushEpoch: cfg.Epoch,
+		shards: make([]core.Engine, len(shards)),
+		stores: make([]store.Store, len(shards)),
 	}
 	f.reads.f = f
 	f.readers = make([]core.Reader, len(shards))
@@ -166,13 +150,6 @@ func (r *reads) begin() error {
 
 // Shards reports the number of shards.
 func (f *Forest) Shards() int { return len(f.shards) }
-
-// FlushEpoch reports the forest's current manifest epoch.
-func (f *Forest) FlushEpoch() uint64 {
-	f.flushMu.Lock()
-	defer f.flushMu.Unlock()
-	return f.flushEpoch
-}
 
 // SetParallelism bounds the goroutines used for scatter-gather queries,
 // multi-shard flushes and the facade's batch calls; 0 (or less) restores
@@ -507,30 +484,15 @@ func (f *Forest) CheckInvariants() error {
 	return checkPlacement(f.shards)
 }
 
-// Flush persists the forest at a new epoch: the manifest (when durable)
-// commits epoch E first, then every shard is stamped with E and flushed —
-// concurrently, each to its own store and WAL. A crash anywhere in this
-// sequence leaves every durable shard at an epoch at most E, which reopen
-// verifies. All shard flushes are attempted even after one fails; the
-// joined error is returned and, when it carries store.ErrBroken, latched
-// forest-wide.
+// Flush persists every shard, concurrently, each to its own store and
+// WAL. Each shard commits atomically on its own; the forest adds no
+// cross-shard atomicity, so a crash inside a flush may recover some shards
+// at this commit and others at their previous one (DESIGN §9). All shard
+// flushes are attempted even after one fails; the joined error is
+// returned and, when it carries store.ErrBroken, latched forest-wide.
 func (f *Forest) Flush() error {
 	if err := f.guard(); err != nil {
 		return err
-	}
-	f.flushMu.Lock()
-	defer f.flushMu.Unlock()
-	if f.manifest != nil {
-		e := f.flushEpoch + 1
-		if err := f.manifest.Commit(Manifest{Shards: len(f.shards), Epoch: e}); err != nil {
-			err = fmt.Errorf("%w: %w", store.ErrBroken, err)
-			f.note(err)
-			return err
-		}
-		f.flushEpoch = e
-		for _, s := range f.shards {
-			s.SetFlushEpoch(e)
-		}
 	}
 	errs := make([]error, len(f.shards))
 	_ = fanout.Run(nil, f.Parallelism(), len(f.shards), func(i int) error {
@@ -542,10 +504,9 @@ func (f *Forest) Flush() error {
 	return err
 }
 
-// FlushShard persists one shard at the forest's current epoch, without a
-// manifest bump — the group-commit primitive for writers pinned to
-// distinct shards. Safe against crashes: the shard's durable epoch never
-// exceeds the manifest's.
+// FlushShard persists one shard — the group-commit primitive for writers
+// pinned to distinct shards. The shard commits atomically, as it does
+// inside Flush; the other shards are left as they are.
 func (f *Forest) FlushShard(i int) error {
 	if err := f.guard(); err != nil {
 		return err
@@ -558,19 +519,16 @@ func (f *Forest) FlushShard(i int) error {
 	return err
 }
 
-// Close flushes the forest and closes every shard store it was given and
-// the manifest; a shard whose store the caller manages (Shard.Store nil)
-// is flushed and its store left open. The stores are closed even when the
-// flush fails; all errors are reported.
+// Close flushes the forest and closes every shard store it was given; a
+// shard whose store the caller manages (Shard.Store nil) is flushed and
+// its store left open. The stores are closed even when the flush fails;
+// all errors are reported.
 func (f *Forest) Close() error {
 	err := f.Flush()
 	for _, st := range f.stores {
 		if st != nil {
 			err = errors.Join(err, st.Close())
 		}
-	}
-	if f.manifest != nil {
-		err = errors.Join(err, f.manifest.Close())
 	}
 	return err
 }

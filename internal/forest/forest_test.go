@@ -1,17 +1,19 @@
 package forest
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"segidx/internal/core"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/store"
+	"segidx/internal/store/faultstore"
 )
 
 // smallConfig mirrors the core test configuration: tiny pages so shards
@@ -36,7 +38,7 @@ func newMemForest(t *testing.T, n int, spanning bool) *Forest {
 		}
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{})
+	f, err := New(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,79 +253,159 @@ func TestForestStreamEarlyStopCrossesShards(t *testing.T) {
 	}
 }
 
-// TestForestFlushEpochProtocol verifies the ordering contract: Flush
-// bumps the manifest first, shards are stamped with the same epoch, and
-// FlushShard never advances it.
-func TestForestFlushEpochProtocol(t *testing.T) {
-	dir := t.TempDir()
-	mf, err := CreateManifest(store.OS, filepath.Join(dir, "f.db"), 2)
+// countingFS counts the writes (WriteAt and Truncate) and Syncs made
+// through the files it opens, per file name.
+type countingFS struct {
+	store.FS
+	mu            sync.Mutex
+	writes, syncs map[string]int
+}
+
+func newCountingFS(fsys store.FS) *countingFS {
+	return &countingFS{FS: fsys, writes: make(map[string]int), syncs: make(map[string]int)}
+}
+
+func (c *countingFS) OpenFile(name string) (store.File, error) {
+	f, err := c.FS.OpenFile(name)
 	if err != nil {
+		return nil, err
+	}
+	return countingFile{File: f, c: c, name: name}, nil
+}
+
+func (c *countingFS) count(m map[string]int, name string) {
+	c.mu.Lock()
+	m[name]++
+	c.mu.Unlock()
+}
+
+// counts reports the writes and syncs made to name so far.
+func (c *countingFS) counts(name string) (writes, syncs int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes[name], c.syncs[name]
+}
+
+type countingFile struct {
+	store.File
+	c    *countingFS
+	name string
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	f.c.count(f.c.writes, f.name)
+	return f.File.WriteAt(p, off)
+}
+
+func (f countingFile) Truncate(size int64) error {
+	f.c.count(f.c.writes, f.name)
+	return f.File.Truncate(size)
+}
+
+func (f countingFile) Sync() error {
+	f.c.count(f.c.syncs, f.name)
+	return f.File.Sync()
+}
+
+// TestForestNeverRewritesManifest pins the manifest as a file written
+// once: creating the forest writes and syncs it once, and afterwards no
+// mix of Flush, FlushShard and Close writes or syncs it again, so its
+// bytes stay identical while every shard commits.
+func TestForestNeverRewritesManifest(t *testing.T) {
+	const shardCount = 2
+	disk := faultstore.NewDisk()
+	fsys := newCountingFS(disk)
+	if err := CreateManifest(fsys, "forest.db", shardCount); err != nil {
 		t.Fatal(err)
 	}
-	stores := make([]store.Store, 2)
-	shards := make([]Shard, 2)
+	if w, s := fsys.counts("forest.db"); w != 1 || s != 1 {
+		t.Fatalf("creating the manifest made %d writes and %d syncs, want 1 and 1", w, s)
+	}
+	created := readFile(t, disk, "forest.db")
+	shards := make([]Shard, shardCount)
 	for i := range shards {
-		st := store.NewMemStore()
+		st, err := store.OpenWALStoreIn(fsys, ShardPath("forest.db", i))
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr, err := core.New(smallConfig(true), st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores[i] = st
 		shards[i] = Shard{Eng: tr, Store: st}
 	}
-	f, err := New(shards, Config{Manifest: mf})
+	f, err := New(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
-			t.Fatal(err)
+	insert := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := f.Insert(randRect(rng), node.RecordID(i+1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	insert(0, 50)
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.FlushEpoch() != 1 {
-		t.Fatalf("epoch after first Flush = %d", f.FlushEpoch())
-	}
-	for i, st := range stores {
-		meta, err := core.ReadMeta(st)
-		if err != nil {
+	insert(50, 80)
+	for i := 0; i < shardCount; i++ {
+		if err := f.FlushShard(i); err != nil {
 			t.Fatal(err)
 		}
-		if meta.FlushEpoch != 1 {
-			t.Fatalf("shard %d durable epoch = %d, want 1", i, meta.FlushEpoch)
-		}
-	}
-	// FlushShard persists at the current epoch without bumping it.
-	if err := f.FlushShard(0); err != nil {
-		t.Fatal(err)
-	}
-	if f.FlushEpoch() != 1 {
-		t.Fatalf("FlushShard moved the epoch to %d", f.FlushEpoch())
 	}
 	if err := f.FlushShard(5); err == nil {
 		t.Fatal("FlushShard(out of range) succeeded")
 	}
+	insert(80, 100)
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.FlushEpoch() != 2 {
-		t.Fatalf("epoch after second Flush = %d", f.FlushEpoch())
-	}
+	insert(100, 110)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, m, err := OpenManifest(store.OS, filepath.Join(dir, "f.db"))
+	if w, s := fsys.counts("forest.db"); w != 1 || s != 1 {
+		t.Fatalf("the manifest saw %d writes and %d syncs after its creation, want 0 and 0", w-1, s-1)
+	}
+	for i := 0; i < shardCount; i++ {
+		if _, s := fsys.counts(ShardPath("forest.db", i)); s == 0 {
+			t.Fatalf("shard %d's page file was never synced: the flushes committed nothing", i)
+		}
+	}
+	if got := readFile(t, disk, "forest.db"); !bytes.Equal(got, created) {
+		t.Fatalf("the manifest's bytes changed after its creation:\n%x\n%x", created, got)
+	}
+	m, err := OpenManifest(disk, "forest.db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close flushes once more, so the durable epoch is 3.
-	if m.Epoch != 3 || m.Shards != 2 {
-		t.Fatalf("durable manifest %+v", m)
+	if m != (Manifest{Shards: shardCount}) {
+		t.Fatalf("manifest = %+v, want %d shards at epoch 0", m, shardCount)
 	}
+}
+
+// readFile returns the whole content of name inside fsys.
+func readFile(t *testing.T, fsys store.FS, name string) []byte {
+	t.Helper()
+	f, err := fsys.OpenFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // TestForestPlacement assembles a forest over shards that come with data,
@@ -355,7 +437,7 @@ func TestForestPlacement(t *testing.T) {
 	}
 
 	placed, rects := mkShards(t, func(id node.RecordID) int { return RouteID(id, shards) })
-	f, err := New(placed, Config{})
+	f, err := New(placed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +472,7 @@ func TestForestPlacement(t *testing.T) {
 		}
 		return RouteID(id, shards)
 	})
-	f, err = New(misplaced, Config{})
+	f, err = New(misplaced)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,37 +16,31 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"segidx/internal/store"
 )
 
 // The manifest is the forest's durable root: a tiny file holding the
-// shard count and the current flush epoch, checksummed and double-slotted
-// so an interrupted write can never destroy the last durable state. Its
-// version names the placement rule the shards were written under: version
-// 1 placed records by rectangle center, version 2 by RouteID. A forest of
-// another version is refused, never re-routed.
+// shard count, checksummed, written once when the forest is created and
+// never again. Its version names the placement rule the shards were
+// written under: version 1 placed records by rectangle center, version 2
+// by RouteID. A forest of another version is refused, never re-routed.
 //
-// Layout: two 64-byte slots. A commit with epoch E writes slot E%2, so
-// consecutive commits alternate slots and a torn write tears only the
-// slot whose previous content was already superseded. Readers decode both
-// slots and adopt the checksum-valid one with the higher epoch.
+// Layout: two 64-byte slots. CreateManifest writes slot 0 at epoch 0.
+// Builds before this one committed a bumped epoch on every forest flush,
+// alternating slots, so a file they wrote may hold a higher epoch in
+// either slot; readers therefore decode both slots and adopt the
+// checksum-valid one with the higher epoch. The epoch orders nothing:
+// every shard is flushed and recovered on its own (see DESIGN §9).
 //
 // Slot layout (little endian):
 //
 //	0  u32 magic "SGFM"
 //	4  u16 version
 //	6  u16 shard count
-//	8  u64 flush epoch
+//	8  u64 epoch (0 when written by CreateManifest)
 //	16     reserved (zero)
 //	60 u32 crc32 (IEEE) over bytes [0, 60)
-//
-// Ordering contract with the shards: a forest flush first commits the
-// manifest at epoch E, then stamps every shard with E and commits it
-// (core.Tree.SetFlushEpoch rides the shard's metadata page). A crash at any
-// point therefore leaves every shard's durable epoch at or below the
-// manifest's — a shard ahead of the manifest is proof of corruption.
 const (
 	manifestMagic     = 0x5347464d // "SGFM"
 	manifestVersion   = 2
@@ -56,8 +50,8 @@ const (
 )
 
 // ErrNoManifest is returned by OpenManifest when the file holds no valid
-// manifest slot (missing, empty, or never successfully committed).
-var ErrNoManifest = errors.New("forest: no manifest (was Flush called before close?)")
+// manifest slot (missing, empty, or its creation never completed).
+var ErrNoManifest = errors.New("forest: no manifest (was the forest's creation interrupted?)")
 
 // ErrManifestVersion is returned by OpenManifest and CreateManifest when
 // the file holds an intact manifest slot of a version this build does not
@@ -67,14 +61,7 @@ var ErrManifestVersion = errors.New("forest: unsupported manifest version")
 // Manifest is the decoded durable root of a forest.
 type Manifest struct {
 	Shards int
-	Epoch  uint64
-}
-
-// ManifestFile is an open handle to a forest manifest.
-type ManifestFile struct {
-	mu     sync.Mutex
-	f      store.File
-	closed bool
+	Epoch  uint64 // 0, unless an older build bumped it on every flush
 }
 
 // ShardPath names shard i's page store under the forest path. The shard's
@@ -146,43 +133,48 @@ func readSlots(f store.File) (best Manifest, found bool, err error) {
 }
 
 // CreateManifest creates the manifest for a fresh forest at path inside
-// fsys and commits its epoch-0 slot. The file must not already hold a
-// manifest.
-func CreateManifest(fsys store.FS, path string, shards int) (*ManifestFile, error) {
+// fsys: it writes slot 0 at epoch 0, syncs it and closes the file, which
+// is never written again. The file must not already hold a manifest.
+func CreateManifest(fsys store.FS, path string, shards int) error {
 	if shards < 1 || shards > maxShards {
-		return nil, fmt.Errorf("forest: shard count %d outside [1, %d]", shards, maxShards)
+		return fmt.Errorf("forest: shard count %d outside [1, %d]", shards, maxShards)
 	}
 	f, err := fsys.OpenFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, found, err := readSlots(f); err != nil {
-		return nil, errors.Join(err, f.Close())
+		return errors.Join(err, f.Close())
 	} else if found {
-		return nil, errors.Join(fmt.Errorf("forest: %s already holds a forest manifest", path), f.Close())
+		return errors.Join(fmt.Errorf("forest: %s already holds a forest manifest", path), f.Close())
 	}
-	mf := &ManifestFile{f: f}
-	if err := mf.Commit(Manifest{Shards: shards, Epoch: 0}); err != nil {
-		return nil, errors.Join(err, f.Close())
+	if _, err := f.WriteAt(encodeSlot(Manifest{Shards: shards}), 0); err != nil {
+		return errors.Join(fmt.Errorf("forest: manifest write: %w", err), f.Close())
 	}
-	return mf, nil
+	if err := f.Sync(); err != nil {
+		return errors.Join(fmt.Errorf("forest: manifest sync: %w", err), f.Close())
+	}
+	return f.Close()
 }
 
-// OpenManifest opens an existing manifest at path inside fsys and returns
-// its recovered state: the checksum-valid slot with the highest epoch.
-func OpenManifest(fsys store.FS, path string) (*ManifestFile, Manifest, error) {
+// OpenManifest reads the manifest at path inside fsys and returns its
+// recovered state, the checksum-valid slot with the highest epoch,
+// without keeping the file open.
+func OpenManifest(fsys store.FS, path string) (Manifest, error) {
 	f, err := fsys.OpenFile(path)
 	if err != nil {
-		return nil, Manifest{}, err
+		return Manifest{}, err
 	}
 	m, found, err := readSlots(f)
-	if err != nil {
-		return nil, Manifest{}, errors.Join(err, f.Close())
+	// The read is done; a close failure cannot change what it found.
+	_ = f.Close()
+	switch {
+	case err != nil:
+		return Manifest{}, err
+	case !found:
+		return Manifest{}, ErrNoManifest
 	}
-	if !found {
-		return nil, Manifest{}, errors.Join(ErrNoManifest, f.Close())
-	}
-	return &ManifestFile{f: f}, m, nil
+	return m, nil
 }
 
 // SniffManifest reports whether path inside fsys holds a forest manifest
@@ -205,35 +197,4 @@ func SniffManifest(fsys store.FS, path string) bool {
 	// The sniff never writes; a close failure cannot change the verdict.
 	_ = f.Close()
 	return found
-}
-
-// Commit durably writes m into its slot (Epoch%2) and syncs. On failure
-// the previously committed slot is untouched, but the file handle's state
-// is unknown; callers treat a failed manifest commit as breaking the
-// forest.
-func (mf *ManifestFile) Commit(m Manifest) error {
-	mf.mu.Lock()
-	defer mf.mu.Unlock()
-	if mf.closed {
-		return store.ErrClosed
-	}
-	off := int64(m.Epoch%2) * manifestSlotBytes
-	if _, err := mf.f.WriteAt(encodeSlot(m), off); err != nil {
-		return fmt.Errorf("forest: manifest write: %w", err)
-	}
-	if err := mf.f.Sync(); err != nil {
-		return fmt.Errorf("forest: manifest sync: %w", err)
-	}
-	return nil
-}
-
-// Close releases the manifest handle. Idempotent.
-func (mf *ManifestFile) Close() error {
-	mf.mu.Lock()
-	defer mf.mu.Unlock()
-	if mf.closed {
-		return nil
-	}
-	mf.closed = true
-	return mf.f.Close()
 }

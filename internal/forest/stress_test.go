@@ -194,7 +194,7 @@ func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 	}
 	gate.Engine = fshards[0].Eng
 	fshards[0].Eng = gate
-	f, err := New(fshards, Config{})
+	f, err := New(fshards)
 	if err != nil {
 		t.Fatal(err)
 	}

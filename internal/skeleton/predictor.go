@@ -165,7 +165,6 @@ func (p *Predictor) buildLocked() error {
 		}
 	}
 	staging := p.tree.Load()
-	tree.SetFlushEpoch(staging.FlushEpoch())
 	// The swap counts as one commit on the staging tree's scale: results
 	// cached under the staging epoch report whole rectangles where the
 	// skeleton may report cut portions, and the epoch must never run
@@ -184,15 +183,6 @@ func (p *Predictor) buildLocked() error {
 func (p *Predictor) SetAttach(fn func(*core.Tree) error) {
 	p.mu.Lock()
 	p.attach = fn
-	p.mu.Unlock()
-}
-
-// SetFlushEpoch stamps the current tree with a forest flush epoch (see
-// core.Tree.SetFlushEpoch); the skeleton inherits the staging tree's stamp
-// when it is built.
-func (p *Predictor) SetFlushEpoch(e uint64) {
-	p.mu.Lock()
-	p.tree.Load().SetFlushEpoch(e)
 	p.mu.Unlock()
 }
 

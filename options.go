@@ -163,8 +163,8 @@ func WithParallelism(n int) Option {
 // semantics. Shards buy write parallelism only: each holds a uniform
 // sample of the data, so no query skips a shard.
 //
-// With WithFile or WithDurableFile, path holds the forest manifest and
-// shard i's pages live at path.shard<i> (plus a ".wal" sibling per shard
+// With WithFile or WithDurableFile, path holds the forest manifest (the
+// shard count, written once at creation) and shard i's pages live at path.shard<i> (plus a ".wal" sibling per shard
 // when durable); Open and OpenDurable detect the manifest and reassemble
 // the forest without reading its records. n <= 1 is the default, one tree:
 // a forest of one that routes nothing and stores its pages at path itself,

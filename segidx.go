@@ -255,8 +255,8 @@ func (x *Index) CheckInvariants() error { return x.f.CheckInvariants() }
 func (x *Index) Analyze() (*Report, error) { return x.f.Analyze() }
 
 // Close flushes and releases the index and closes every store the index
-// owns — each shard's in-memory store or file, and the forest manifest —
-// but not a caller's WithStore store. The stores are closed even when the
+// owns — each shard's in-memory store or file — but not a caller's
+// WithStore store. The stores are closed even when the
 // flush fails; all errors are reported.
 func (x *Index) Close() error { return x.f.Close() }
 
@@ -382,14 +382,12 @@ func (o *options) assemble(kind string, cfg core.Config,
 	}
 	n := max(o.shards, 1)
 	cfg = shardConfig(cfg, n)
-	var fc forest.Config
 	if o.path != "" && n > 1 { // one shard is one file: nothing to enumerate
-		var err error
-		if fc.Manifest, err = forest.CreateManifest(store.OS, o.path, n); err != nil {
+		if err := forest.CreateManifest(store.OS, o.path, n); err != nil {
 			return nil, err
 		}
 	}
-	f, err := o.plant(n, fc, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
+	f, err := o.plant(n, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
 	if err != nil {
 		return nil, err
 	}
@@ -399,18 +397,14 @@ func (o *options) assemble(kind string, cfg core.Config,
 // plant opens one page store per shard — a caller's WithStore store is the
 // one shard's, and stays the caller's to close — builds each shard's engine
 // with mk and assembles the forest. Any failure closes every store opened
-// so far and the manifest.
-func (o *options) plant(n int, fc forest.Config,
-	mk func(i int, st store.Store) (core.Engine, error)) (*forest.Forest, error) {
+// so far.
+func (o *options) plant(n int, mk func(i int, st store.Store) (core.Engine, error)) (*forest.Forest, error) {
 	shards := make([]forest.Shard, 0, n)
 	fail := func(err error) (*forest.Forest, error) {
 		for _, s := range shards {
 			if s.Store != nil {
 				err = errors.Join(err, s.Store.Close())
 			}
-		}
-		if fc.Manifest != nil {
-			err = errors.Join(err, fc.Manifest.Close())
 		}
 		return nil, err
 	}
@@ -431,7 +425,7 @@ func (o *options) plant(n int, fc forest.Config,
 		}
 		shards[i].Eng = eng
 	}
-	f, err := forest.New(shards, fc)
+	f, err := forest.New(shards)
 	if err != nil {
 		return fail(err)
 	}
@@ -480,18 +474,17 @@ func Open(path string, opts ...Option) (*Index, error) { return open(path, false
 // durable and discarded if not, and a completed one is re-applied, which
 // changes nothing. So the index always comes back at a commit boundary.
 // A path holding a forest manifest (WithDurableFile + WithShards) replays
-// every shard's log and reassembles the forest at the manifest's epoch.
-// Such a path opens only durably: Open refuses it, because flushing
+// every shard's log and reassembles the forest; each shard comes back at
+// one of its own commit boundaries, independently of the others. Such a
+// path opens only durably: Open refuses it, because flushing
 // without the log would leave a stale batch to be replayed over newer
 // pages.
 func OpenDurable(path string, opts ...Option) (*Index, error) { return open(path, true, opts) }
 
 // open reassembles a persisted index: the shards its manifest names, or,
 // where path holds no manifest, the one tree stored at path itself. Each
-// shard store is opened (replaying its WAL when durable) and its metadata
-// verified against the manifest — a shard whose durable epoch is ahead of
-// the manifest cannot result from any crash of the flush protocol and is
-// rejected as corruption. Opening walks no records: they are placed by
+// shard store is opened (replaying its WAL when durable) and its tree
+// reattached from its own metadata. Opening walks no records: they are placed by
 // ID, so there is no routing state to rebuild, and whether each record
 // sits on its ID's shard is CheckInvariants' to verify.
 func open(path string, durable bool, opts []Option) (*Index, error) {
@@ -502,24 +495,20 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 	// What is on disk decides the store and the shard count; the options
 	// that choose them at construction do not apply.
 	o.st, o.path, o.durable, o.shards = nil, path, durable, 1
-	var fc forest.Config
 	if forest.SniffManifest(store.OS, path) {
-		mf, m, err := forest.OpenManifest(store.OS, path)
+		m, err := forest.OpenManifest(store.OS, path)
 		if err != nil {
 			return nil, err
 		}
-		o.shards, fc.Manifest, fc.Epoch = m.Shards, mf, m.Epoch
+		o.shards = m.Shards
 	}
 	cfg := shardConfig(o.cfg, o.shards)
 	var first *core.Tree // shard 0, which names the kind
-	f, err := o.plant(o.shards, fc, func(i int, st store.Store) (core.Engine, error) {
+	f, err := o.plant(o.shards, func(i int, st store.Store) (core.Engine, error) {
 		t, err := o.openTree(cfg, st)
 		switch {
 		case err != nil:
 			return nil, fmt.Errorf("segidx: shard %d: %w", i, err)
-		case fc.Manifest != nil && t.FlushEpoch() > fc.Epoch:
-			return nil, fmt.Errorf("segidx: shard %d at epoch %d, ahead of manifest epoch %d: %w",
-				i, t.FlushEpoch(), fc.Epoch, store.ErrBroken)
 		case i == 0:
 			first = t
 		case t.Config().Spanning != first.Config().Spanning:

@@ -23,7 +23,8 @@ func shardConfig(cfg core.Config, shards int) core.Config {
 // shardPath is where shard i of n keeps its pages ("" keeps them in
 // memory). One shard lives at the path itself, with no manifest — the
 // layout a lone tree has always had, so every such file opens as a forest
-// of one; several live at path.shard<i> beside the manifest at path.
+// of one; several live at path.shard<i> beside the manifest at path,
+// which is written once, when the forest is created.
 func (o *options) shardPath(i, n int) string {
 	if o.path == "" || n == 1 {
 		return o.path
@@ -56,9 +57,9 @@ func (x *Index) Shards() int { return x.f.Shards() }
 // contend on a write lock.
 func (x *Index) ShardOf(id RecordID) int { return x.f.Route(id) }
 
-// FlushShard persists one shard's dirty pages at the forest's current
-// epoch without committing a new manifest epoch — the group-commit
-// primitive for writers pinned to distinct shards.
+// FlushShard persists one shard's dirty pages and commits that shard
+// alone — the group-commit primitive for writers pinned to distinct
+// shards.
 func (x *Index) FlushShard(i int) error { return x.f.FlushShard(i) }
 
 // ShardStats returns per-shard activity counters. (*Index).Stats is their

@@ -1,7 +1,6 @@
 package segidx_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -18,9 +17,7 @@ import (
 
 // Facade-level persistence tests: an index of any shard count survives
 // Close and Open/OpenDurable with its full contents in the file layout it
-// has always had, reopening detects a manifest automatically, and the flush
-// protocol's ordering invariant is enforced on the way back in — a shard
-// whose durable epoch is ahead of the manifest is rejected as corruption.
+// has always had, and reopening detects a manifest automatically.
 
 // TestIndexLayoutAndRoundTrip builds the same index as one tree and as a
 // forest of three, in memory, in a file and behind a write-ahead log, and
@@ -246,12 +243,12 @@ func TestOpenRefusesDurableFile(t *testing.T) {
 	}
 }
 
-// TestForestShardAheadOfManifestIsBroken destroys the manifest slot that
-// recorded the last commit, leaving every shard's durable epoch ahead of
-// the best surviving manifest epoch — a state no crash of the
-// manifest-first flush protocol can produce. Reopening must refuse with
-// ErrBroken rather than serve a forest that time-travelled backwards.
-func TestForestShardAheadOfManifestIsBroken(t *testing.T) {
+// TestForestTornManifestSlotOpensWhole tears the manifest's second slot —
+// the slot an older build committed its newer epochs to — and reopens: the
+// manifest is read from the intact slot, and every shard comes back whole.
+// The manifest names the shard count and nothing else, so no slot can make
+// the shards look ahead of or behind it.
+func TestForestTornManifestSlotOpensWhole(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "forest.db")
 	idx, err := segidx.NewSRTree(
 		segidx.WithDurableFile(path),
@@ -262,30 +259,43 @@ func TestForestShardAheadOfManifestIsBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
+	live := make(map[segidx.RecordID]segidx.Rect)
 	for i := 0; i < 50; i++ {
-		if err := idx.Insert(diffRect(rng), segidx.RecordID(i+1)); err != nil {
+		r, id := diffRect(rng), segidx.RecordID(i+1)
+		if err := idx.Insert(r, id); err != nil {
 			t.Fatal(err)
 		}
+		live[id] = r
 	}
-	if err := idx.Close(); err != nil { // commits manifest epoch 1 (slot 1)
+	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Corrupt the epoch-1 slot; slot 0 still holds the epoch-0 manifest,
-	// so the manifest itself remains readable, just older than the shards.
+	// Tear slot 1 as an interrupted commit of epoch 1 would: the slot
+	// written at creation, its epoch changed and its checksum left stale.
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(make([]byte, 64), 64); err != nil {
+	slot := make([]byte, 64)
+	if _, err := f.ReadAt(slot, 0); err != nil {
+		t.Fatal(err)
+	}
+	slot[8] = 1
+	if _, err := f.WriteAt(slot, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := segidx.OpenDurable(path); !errors.Is(err, store.ErrBroken) {
-		t.Fatalf("OpenDurable with shards ahead of manifest = %v, want ErrBroken", err)
+	re, err := segidx.OpenDurable(path)
+	if err != nil {
+		t.Fatalf("OpenDurable with a torn manifest slot: %v", err)
+	}
+	checkAgainstModel(t, re, 2, live, rng)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
