@@ -115,8 +115,8 @@ type Tree struct{ root ID }
 
 func (t *Tree) fetch(id ID) (*node, error)    { return &node{ID: id}, nil }
 func (t *Tree) mut(n *node) (*node, error)    { return n, nil }
-func (t *Tree) done(id ID, dirty bool) error  { _, _ = id, dirty; return nil }
 func (t *Tree) getQctx() *qctx                { return &qctx{} }
+func (t *Tree) beginRead() (*qctx, error)     { return &qctx{}, nil }
 func (t *Tree) releaseQctx(qc *qctx)          { _ = qc }
 
 type View struct{}
@@ -131,57 +131,16 @@ func (t *Tree) beginOp()                {}
 func (t *Tree) publishOp() error        { return nil }
 func (t *Tree) abortOp(err error) error { return err }
 
-type Pool struct{}
-
-func (p *Pool) Get(id ID) (*node, error)      { return &node{ID: id}, nil }
-func (p *Pool) Upgrade(id ID) (*node, error)  { return &node{ID: id}, nil }
-func (p *Pool) Unpin(id ID, dirty bool) error { _, _ = id, dirty; return nil }
-
-// leak: the errBad return path skips the release; the err return path is
-// clean because the failed fetch holds no pin (edge refinement).
-func (t *Tree) leak(id ID) error {
+// fetchNeedsNoRelease: a page access takes nothing that needs releasing.
+func (t *Tree) fetchNeedsNoRelease(id ID) error {
 	n, err := t.fetch(id)
 	if err != nil {
 		return err
 	}
 	if n.bad() {
-		return errBad // want pinbalance
-	}
-	return t.done(id, false)
-}
-
-// clean: released on every path, through n.ID on one arm and the original
-// argument on the other.
-func (t *Tree) clean(id ID) error {
-	n, err := t.fetch(id)
-	if err != nil {
-		return err
-	}
-	if n.bad() {
-		t.done(n.ID, false)
 		return errBad
 	}
-	return t.done(id, false)
-}
-
-// deferDone: the deferred release covers every later exit.
-func (t *Tree) deferDone(id ID) error {
-	n, err := t.fetch(id)
-	if err != nil {
-		return err
-	}
-	defer t.done(n.ID, false)
-	return n.use()
-}
-
-// doubleDone: releasing the same pin twice on one path.
-func (t *Tree) doubleDone(id ID) {
-	_, err := t.fetch(id)
-	if err != nil {
-		return
-	}
-	t.done(id, false)
-	t.done(id, false) // want pinbalance
+	return nil
 }
 
 // qctxLeak: the early return drops the query context.
@@ -207,11 +166,25 @@ func (t *Tree) handUp() *qctx {
 	return qc
 }
 
+// readLeak: the errBad return path skips the release; the err return path
+// is clean because a failed beginRead holds no context (edge refinement).
+func (t *Tree) readLeak() (int, error) {
+	qc, err := t.beginRead()
+	if err != nil {
+		return 0, err
+	}
+	if qc.empty() {
+		return 0, errBad // want pinbalance
+	}
+	t.releaseQctx(qc)
+	return 1, nil
+}
+
 // rangeErrOverwrite: the range head reassigns err each iteration, so
-// inside the loop err no longer describes the fetch — the error return
-// there leaks the pin (no edge refinement applies).
-func (t *Tree) rangeErrOverwrite(id ID, xs []error) error {
-	n, err := t.fetch(id)
+// inside the loop err no longer describes the beginRead — the error return
+// there leaks the context (no edge refinement applies).
+func (t *Tree) rangeErrOverwrite(xs []error) error {
+	qc, err := t.beginRead()
 	if err != nil {
 		return err
 	}
@@ -220,90 +193,28 @@ func (t *Tree) rangeErrOverwrite(id ID, xs []error) error {
 			return err // want pinbalance
 		}
 	}
-	return t.done(n.ID, false)
+	t.releaseQctx(qc)
+	return nil
 }
 
-// refetch: the copy-on-write idiom — release the read pin, re-acquire for
-// mutation, release again. Each done discharges the live pin; no double
-// unpin, no leak.
-func (t *Tree) refetch(id ID) error {
-	n, err := t.fetch(id)
-	if err != nil {
-		return err
-	}
-	leaf := n.bad()
-	t.done(id, false)
-	if leaf {
-		return nil
-	}
-	n, err = t.fetch(id)
-	if err != nil {
-		return err
-	}
-	if n, err = t.mut(n); err != nil {
-		return err
-	}
-	if n.bad() {
-		t.done(id, false)
-		return errBad
-	}
-	return t.done(id, true)
-}
-
-// mutLeak: the write pin an upgrade yields leaks on the errBad path like
-// any other pin.
-func (t *Tree) mutLeak(id ID) error {
-	n, err := t.fetch(id)
-	if err != nil {
-		return err
-	}
-	if n, err = t.mut(n); err != nil {
-		return err
-	}
-	if n.bad() {
-		return errBad // want pinbalance
-	}
-	return t.done(id, true)
-}
-
-// getMutClean: the pool-level copy-on-write acquisition (Get, then
-// Upgrade of its pin) balances through Unpin.
-func getMutClean(p *Pool, id ID) error {
-	if _, err := p.Get(id); err != nil {
-		return err
-	}
-	n, err := p.Upgrade(id)
-	if err != nil {
-		return err
-	}
-	defer p.Unpin(n.ID, true)
-	return n.use()
-}
-
-// upgradeClean: the write path's idiom — descend with a read pin, upgrade
-// it at the first change (into the same variable), release once by ID. The
-// untouched path releases the read pin; a failed upgrade holds nothing.
+// upgradeClean: the write path's idiom — descend, upgrade at the first
+// change into the same variable, keep using it.
 func (t *Tree) upgradeClean(id ID) error {
 	n, err := t.fetch(id)
 	if err != nil {
 		return err
 	}
 	if !n.bad() {
-		return t.done(id, false)
+		return nil
 	}
 	if n, err = t.mut(n); err != nil {
 		return err
 	}
-	if n.bad() {
-		t.done(n.ID, true)
-		return errBad
-	}
-	return t.done(id, true)
+	return n.use()
 }
 
 // upgradeStale: the upgrade's result lands in m, so n still holds the
-// published version snapshots read — touching it is a finding, and so is
-// dropping the write pin on the errBad path.
+// published version snapshots read — touching it is a finding.
 func (t *Tree) upgradeStale(id ID) error {
 	n, err := t.fetch(id)
 	if err != nil {
@@ -314,9 +225,28 @@ func (t *Tree) upgradeStale(id ID) error {
 		return err
 	}
 	if n.bad() { // want pinbalance
-		return errBad // want pinbalance
+		return errBad
 	}
-	return t.done(m.ID, true)
+	return m.use()
+}
+
+// upgradeStaleAfterBranch: n was upgraded into m on one arm only; after
+// the join, a read of n may read the retired version.
+func (t *Tree) upgradeStaleAfterBranch(id ID, change bool) error {
+	n, err := t.fetch(id)
+	if err != nil {
+		return err
+	}
+	if change {
+		m, err := t.mut(n)
+		if err != nil {
+			return err
+		}
+		if err := m.use(); err != nil {
+			return err
+		}
+	}
+	return n.use() // want pinbalance
 }
 
 // snapLeak: the early return drops the snapshot without Release.
@@ -382,11 +312,7 @@ func (t *Tree) bracketClean(id ID) error {
 		return t.abortOp(err)
 	}
 	if n.bad() {
-		t.done(id, true)
 		return t.abortOp(errBad)
-	}
-	if err := t.done(id, true); err != nil {
-		return t.abortOp(err)
 	}
 	return t.publishOp()
 }

@@ -1,12 +1,12 @@
 package analysis
 
-// pinbalance proves buffer-pool pin discipline on the query and mutation
-// paths: every node pinned by Tree.fetch, Pool.Get or Pool.NewNode, every
-// query context taken from Tree.getQctx/beginRead, every MVCC snapshot
-// taken by a Snapshot() call, and every write bracket opened by
-// Tree.beginOp, is released (Tree.done, Pool.Unpin, Tree.releaseQctx,
-// View.Release, Tree.publishOp/abortOp) on every path out of the function
-// — by a deferred release or an explicit one per path.
+// pinbalance proves that the read and write paths release what they take:
+// every query context taken from Tree.getQctx/beginRead, every MVCC
+// snapshot taken by a Snapshot() call, and every write bracket opened by
+// Tree.beginOp, is released (Tree.releaseQctx, View.Release,
+// Tree.publishOp/abortOp) on every path out of the function — by a
+// deferred release or an explicit one per path. Buffer-pool page accesses
+// take nothing that needs releasing, so they are not tracked.
 //
 // The write bracket matters beyond the page pool: publishOp commits and
 // abortOp discards the stab-accelerator sidecar staging buffers, so a
@@ -14,27 +14,19 @@ package analysis
 // sidecar records to be committed under some later, unrelated epoch —
 // silently corrupting historical snapshot answers.
 //
-// A release resolves against the *live* pin on its page: the
-// release-refetch-release idiom (done(id); fetch(id); ... done(id))
-// creates two pins on the same ID, and each done call discharges the one
-// currently held. A release with no live matching pin on some path is a
-// double unpin.
-//
-// The write path's upgrade (Tree.mut(n), Pool.Upgrade(id)) is both at
-// once: it consumes the read pin on the page — also when it fails — and
-// yields a write pin on the same page, released the same way. The pointer
-// that went in is the published version snapshots read from then on, so
-// any later use of that variable (short of overwriting it, as in
+// The write path's upgrade (Tree.mut(n), Pool.Upgrade(id)) retires the
+// version passed in: from then on it is the published version snapshots
+// read, so any later use of that variable (short of overwriting it, as in
 // n, err = t.mut(n)) is reported.
 //
-// Ownership transfer is respected: a pin whose variable escapes the
-// function (returned, stored into a struct/map/slice, or handed bare to a
-// helper call) is no longer this function's to release and is not
-// reported. Reading through the variable (v.Field, v.Method(...)) and
-// passing it to a recognized release call are borrows, not escapes. The
-// error-result idiom is modeled flow-sensitively: after
-// `n, err := t.fetch(id)`, the `err != nil` arm holds no pin, so an early
-// error return there is clean.
+// Ownership transfer is respected: a context or snapshot whose variable
+// escapes the function (returned, stored into a struct/map/slice, or
+// handed bare to a helper call) is no longer this function's to release
+// and is not reported. Reading through the variable (v.Field,
+// v.Method(...)) and passing it to a recognized release call are borrows,
+// not escapes. The error-result idiom is modeled flow-sensitively: after
+// `qc, err := t.beginRead(v, q)`, the `err != nil` arm holds no context,
+// so an early error return there is clean.
 
 import (
 	"fmt"
@@ -45,16 +37,16 @@ import (
 	"strings"
 )
 
-// PinBalance proves per-path pin/unpin balance on the audited packages.
+// PinBalance proves per-path release balance on the audited packages.
 var PinBalance = &Analyzer{
 	Name: "pinbalance",
-	Doc:  "prove every buffer-pool pin and query context is released on all paths (flow-sensitive)",
+	Doc:  "prove every query context, snapshot and write bracket is released on all paths, and no upgraded node is reused (flow-sensitive)",
 	Run:  runPinBalance,
 	AppliesTo: func(pkgPath string) bool {
-		// The tree core and the root package own pins; the forest, server,
-		// and skeleton layers own MVCC snapshots; the accelerator sidecar
-		// rides the core's write bracket. Everything else only borrows
-		// nodes.
+		// The tree core and the root package own query contexts and
+		// brackets; the forest, server, and skeleton layers own MVCC
+		// snapshots; the accelerator sidecar rides the core's write
+		// bracket.
 		return strings.HasSuffix(pkgPath, "internal/core") ||
 			strings.HasSuffix(pkgPath, "internal/forest") ||
 			strings.HasSuffix(pkgPath, "internal/server") ||
@@ -67,10 +59,12 @@ var PinBalance = &Analyzer{
 type pinKind uint8
 
 const (
-	pinPage pinKind = iota
-	pinQctx
+	pinQctx pinKind = iota
 	pinSnap
 	pinBracket
+	// pinUpgrade is not a pin: an upgrade's result landed in another
+	// variable than its argument, which must not be read again.
+	pinUpgrade
 )
 
 // pinInfo is the flow-independent description of one pin birth site.
@@ -78,19 +72,13 @@ type pinInfo struct {
 	birth   ast.Node // the CFG node (assignment) that acquires the pin
 	pos     token.Pos
 	kind    pinKind
-	desc    string // e.g. "t.fetch(t.root)"
-	argKey  string // rendered page-ID argument; "" for NewNode
+	desc    string // e.g. "t.getQctx()"
 	varObj  types.Object
 	errObj  types.Object
-	aliases map[types.Object]bool // objects assigned from varObj.ID
 	escaped bool
 
-	// upgraded is the argument of an upgrade call (nil for other births)
-	// and consumes the pins on its page the upgrade takes over; staleObj
-	// is the variable the argument names when the result lands elsewhere,
-	// i.e. the pre-upgrade pointer that must not be used again.
-	upgraded ast.Expr
-	consumes []*pinInfo
+	// staleObj is the variable an upgrade's argument names: the
+	// pre-upgrade pointer that must not be used again.
 	staleObj types.Object
 }
 
@@ -151,7 +139,7 @@ func runPinBalance(p *Pass) {
 }
 
 // collectPins finds every pin birth in the body (closures excluded — they
-// are analyzed as their own functions), then resolves aliases and escapes.
+// are analyzed as their own functions), then resolves escapes.
 func (a *pinAnalysis) collectPins(body *ast.BlockStmt) {
 	inspectNoFuncLit(body, func(n ast.Node) bool {
 		var call *ast.CallExpr
@@ -175,20 +163,19 @@ func (a *pinAnalysis) collectPins(body *ast.BlockStmt) {
 		default:
 			return true
 		}
-		kind, argKey, desc, ok := a.pinSource(call)
+		kind, desc, ok := a.pinSource(call)
 		if !ok {
 			return true
 		}
-		pi := &pinInfo{birth: n, pos: call.Pos(), kind: kind, argKey: argKey, desc: desc}
+		pi := &pinInfo{birth: n, pos: call.Pos(), kind: kind, desc: desc}
 		if len(lhs) >= 1 {
 			if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
 				pi.varObj = objOf(a.p.Info, id)
 			}
 		}
-		if a.isUpgrade(call) {
-			pi.upgraded = call.Args[0]
-			if o := identObj(a.p.Info, pi.upgraded); o != pi.varObj {
-				pi.staleObj = o
+		if kind == pinUpgrade {
+			if pi.staleObj = identObj(a.p.Info, call.Args[0]); pi.staleObj == nil || pi.staleObj == pi.varObj {
+				return true // the result overwrote the argument: nothing stale
 			}
 		}
 		if len(lhs) >= 2 {
@@ -201,77 +188,10 @@ func (a *pinAnalysis) collectPins(body *ast.BlockStmt) {
 		return true
 	})
 	for _, pi := range a.pins {
-		if pi.upgraded != nil {
-			pi.consumes = a.consumed(pi)
-			// t.mut(n) names its page through the pin it consumes.
-			for _, src := range pi.consumes {
-				if pi.argKey == "" {
-					pi.argKey = src.argKey
-				}
-			}
-		}
-		if pi.varObj == nil {
-			continue
-		}
-		pi.aliases = a.collectAliases(body, pi.varObj)
-		pi.escaped = a.escapes(body, pi)
-	}
-}
-
-// isUpgrade reports whether the call is the write path's upgrade primitive.
-func (a *pinAnalysis) isUpgrade(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	recv := namedTypeName(a.p.Info, sel.X)
-	return (sel.Sel.Name == "mut" && recv == "Tree") || (sel.Sel.Name == "Upgrade" && recv == "Pool")
-}
-
-// consumed resolves the pins an upgrade birth takes over: those held in the
-// node variable passed to mut, or on the page ID passed to Upgrade.
-func (a *pinAnalysis) consumed(up *pinInfo) []*pinInfo {
-	var out []*pinInfo
-	if obj := identObj(a.p.Info, up.upgraded); obj != nil {
-		for _, pi := range a.pins {
-			if pi != up && pi.kind == pinPage && pi.varObj == obj {
-				out = append(out, pi)
-			}
+		if pi.varObj != nil && pi.kind != pinUpgrade {
+			pi.escaped = a.escapes(body, pi)
 		}
 	}
-	for _, pi := range a.matchPagePins(up.upgraded) {
-		if pi != up {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
-// collectAliases finds `x := v.ID` style assignments so a later release
-// through the alias (t.done(old, false)) still matches the pin.
-func (a *pinAnalysis) collectAliases(body *ast.BlockStmt, varObj types.Object) map[types.Object]bool {
-	aliases := make(map[types.Object]bool)
-	inspectNoFuncLit(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		sel, ok := as.Rhs[0].(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "ID" {
-			return true
-		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || objOf(a.p.Info, base) != varObj {
-			return true
-		}
-		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-			if o := objOf(a.p.Info, id); o != nil {
-				aliases[o] = true
-			}
-		}
-		return true
-	})
-	return aliases
 }
 
 // escapes reports whether the pin variable leaves the function's custody:
@@ -304,8 +224,8 @@ func (a *pinAnalysis) escapes(body *ast.BlockStmt, pi *pinInfo) bool {
 		case *ast.BinaryExpr:
 			return true // comparisons (v == nil) do not retain the pointer
 		case *ast.CallExpr:
-			if _, isRelease := a.releaseTargets(parent); isRelease || a.isUpgrade(parent) {
-				return true // the release (or upgrade) itself is not an escape
+			if _, isRelease := a.releaseTargets(parent); isRelease {
+				return true // the release itself is not an escape
 			}
 		case *ast.AssignStmt:
 			for _, l := range parent.Lhs {
@@ -320,48 +240,35 @@ func (a *pinAnalysis) escapes(body *ast.BlockStmt, pi *pinInfo) bool {
 	return escaped
 }
 
-// pinSource classifies a call as a pin acquisition.
-func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, argKey, desc string, ok bool) {
+// pinSource classifies a call as a pin acquisition or an upgrade.
+func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, desc string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return 0, "", "", false
+		return 0, "", false
 	}
 	recv := namedTypeName(a.p.Info, sel.X)
 	name := sel.Sel.Name
+	desc = exprText(a.p.Fset, sel.X) + "." + name + "()"
 	switch {
-	case name == "fetch" && recv == "Tree" && len(call.Args) >= 1:
-		argKey = exprText(a.p.Fset, call.Args[0])
-	case name == "Get" && recv == "Pool" && len(call.Args) == 1:
-		argKey = exprText(a.p.Fset, call.Args[0])
-	case a.isUpgrade(call):
-		// The write pin an upgrade yields. Upgrade(id) names its page; for
-		// mut(n) collectPins copies the key of the pin n holds.
-		if name == "Upgrade" {
-			argKey = exprText(a.p.Fset, call.Args[0])
-		}
-		return pinPage, argKey, exprText(a.p.Fset, sel.X) + "." + name + "(" + exprText(a.p.Fset, call.Args[0]) + ")", true
-	case name == "NewNode" && recv == "Pool":
-		// Released only through the node's ID.
+	case len(call.Args) == 1 && (name == "mut" && recv == "Tree" || name == "Upgrade" && recv == "Pool"):
+		return pinUpgrade, exprText(a.p.Fset, sel.X) + "." + name + "(" + exprText(a.p.Fset, call.Args[0]) + ")", true
 	case (name == "getQctx" || name == "beginRead") && recv == "Tree":
-		return pinQctx, "", exprText(a.p.Fset, sel.X) + "." + name + "()", true
+		return pinQctx, desc, true
 	case name == "beginOp" && recv == "Tree" && len(call.Args) == 0:
 		// A write bracket: must reach publishOp or abortOp on every path
 		// (both close the bracket and settle the sidecar staging).
-		return pinBracket, "", exprText(a.p.Fset, sel.X) + ".beginOp()", true
+		return pinBracket, desc, true
 	case name == "Snapshot" && recv != "" && len(call.Args) == 0:
 		// An MVCC snapshot pin: any Snapshot() method on a named receiver
 		// (Tree, Predictor, Forest, the core.Engine interface, Index).
-		return pinSnap, "", exprText(a.p.Fset, sel.X) + ".Snapshot()", true
-	default:
-		return 0, "", "", false
+		return pinSnap, desc, true
 	}
-	desc = exprText(a.p.Fset, sel.X) + "." + name + "(" + argKey + ")"
-	return pinPage, argKey, desc, true
+	return 0, "", false
 }
 
 // releaseTargets classifies a call as a pin release and resolves which
 // tracked pins it releases. isRelease may be true with no targets (e.g.
-// an Unpin of a page this function never pinned).
+// a Release of a view this function never took).
 func (a *pinAnalysis) releaseTargets(call *ast.CallExpr) ([]*pinInfo, bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
@@ -369,76 +276,27 @@ func (a *pinAnalysis) releaseTargets(call *ast.CallExpr) ([]*pinInfo, bool) {
 	}
 	recv := namedTypeName(a.p.Info, sel.X)
 	name := sel.Sel.Name
+	var match func(*pinInfo) bool
 	switch {
-	case name == "done" && recv == "Tree" && len(call.Args) == 2,
-		name == "Unpin" && recv == "Pool" && len(call.Args) == 2:
-		return a.matchPagePins(call.Args[0]), true
 	case name == "releaseQctx" && recv == "Tree" && len(call.Args) == 1:
-		var targets []*pinInfo
 		argObj := identObj(a.p.Info, call.Args[0])
-		for _, pi := range a.pins {
-			if pi.kind != pinQctx {
-				continue
-			}
-			if argObj == nil || pi.varObj == argObj {
-				targets = append(targets, pi)
-			}
-		}
-		return targets, true
+		match = func(pi *pinInfo) bool { return pi.kind == pinQctx && (argObj == nil || pi.varObj == argObj) }
 	case (name == "publishOp" || name == "abortOp") && recv == "Tree":
-		var targets []*pinInfo
-		for _, pi := range a.pins {
-			if pi.kind == pinBracket {
-				targets = append(targets, pi)
-			}
-		}
-		return targets, true
+		match = func(pi *pinInfo) bool { return pi.kind == pinBracket }
 	case name == "Release" && len(call.Args) == 0:
 		// Snapshot release: v.Release() discharges the snapshot held in v.
-		var targets []*pinInfo
 		xObj := identObj(a.p.Info, sel.X)
-		for _, pi := range a.pins {
-			if pi.kind == pinSnap && xObj != nil && pi.varObj == xObj {
-				targets = append(targets, pi)
-			}
-		}
-		return targets, true
+		match = func(pi *pinInfo) bool { return pi.kind == pinSnap && xObj != nil && pi.varObj == xObj }
+	default:
+		return nil, false
 	}
-	return nil, false
-}
-
-// matchPagePins resolves a release call's page-ID argument against the
-// tracked pins: v.ID on the pin variable, an alias of it, or the same
-// rendered expression as the acquisition argument.
-func (a *pinAnalysis) matchPagePins(arg ast.Expr) []*pinInfo {
 	var targets []*pinInfo
-	argObj := identObj(a.p.Info, arg)
-	var idBase types.Object
-	if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "ID" {
-		idBase = identObj(a.p.Info, sel.X)
-	}
-	argText := ""
 	for _, pi := range a.pins {
-		if pi.kind != pinPage {
-			continue
+		if match(pi) {
+			targets = append(targets, pi)
 		}
-		switch {
-		case idBase != nil && pi.varObj == idBase:
-		case argObj != nil && pi.aliases[argObj]:
-		default:
-			if pi.argKey == "" {
-				continue
-			}
-			if argText == "" {
-				argText = exprText(a.p.Fset, arg)
-			}
-			if argText != pi.argKey {
-				continue
-			}
-		}
-		targets = append(targets, pi)
 	}
-	return targets
+	return targets, true
 }
 
 func (a *pinAnalysis) EntryState() pinState { return make(pinState) }
@@ -507,12 +365,6 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 		a.reportStaleUses(n, s)
 	}
 	if pi, ok := a.byBirth[n]; ok {
-		// An upgrade takes over the pins on its page, success or not.
-		for _, src := range pi.consumes {
-			if f := s[src]; f != nil {
-				f.held = triNo
-			}
-		}
 		// The assignment also overwrites whatever the variables held
 		// before: other pins sharing the variable or error object lose
 		// their tracking/refinement first.
@@ -524,12 +376,11 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 			f = &pinFact{}
 			s[pi] = f
 		}
-		f.held = triYes
-		f.errLive = pi.errObj != nil
-		f.stale = triNo
-		if pi.staleObj != nil {
-			f.stale = triYes
+		f.held, f.stale = triYes, triNo
+		if pi.kind == pinUpgrade {
+			f.held, f.stale = triNo, triYes
 		}
+		f.errLive = pi.errObj != nil
 		return s
 	}
 	if ds, ok := n.(*ast.DeferStmt); ok {
@@ -545,10 +396,8 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 		if !isRelease {
 			return true
 		}
-		// The release discharges the live pin(s) on its target: with the
-		// release-refetch-release idiom two pins share an ID, and a done
-		// call belongs to whichever is currently held. Only when no
-		// matching pin is live is this a double unpin.
+		// The release discharges the live pin(s) on its target. Only when
+		// no matching pin is live is this a double release.
 		var live []*pinInfo
 		for _, pi := range targets {
 			if f := s[pi]; f != nil && (f.held == triYes || f.held == triMaybe) {
@@ -565,7 +414,7 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 				}
 			}
 			if released != nil {
-				a.p.Reportf(call.Pos(), "releases %s but it was already released on this path (double unpin)", released.desc)
+				a.p.Reportf(call.Pos(), "releases %s but it was already released on this path (double release)", released.desc)
 			}
 		}
 		if len(live) == 0 {
@@ -679,7 +528,8 @@ func (a *pinAnalysis) transferDefer(ds *ast.DeferStmt, s pinState) {
 }
 
 // TransferEdge kills pins on the failed arm of their own error check:
-// after `n, err := t.fetch(id)`, the `err != nil` path holds no pin.
+// after `qc, err := t.beginRead(v, q)`, the `err != nil` path holds no
+// context.
 func (a *pinAnalysis) TransferEdge(e Edge, s pinState) pinState {
 	if e.Cond == nil {
 		return s
@@ -732,8 +582,7 @@ func (a *pinAnalysis) checkExit(fn string, pos token.Pos, s pinState) {
 			continue
 		}
 		line := a.p.Fset.Position(pi.pos).Line
-		what := fmt.Sprintf("the page pinned by %s at line %d", pi.desc, line)
-		release := "unpin it on this path or defer the release"
+		var what, release string
 		switch pi.kind {
 		case pinQctx:
 			what = fmt.Sprintf("the query context from %s at line %d", pi.desc, line)

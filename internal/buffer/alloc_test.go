@@ -21,19 +21,12 @@ func TestGetVersionHitZeroAllocs(t *testing.T) {
 	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
 	var ids []page.ID
 	for i := 0; i < 64; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mkPage(t, p))
 	}
 	var tally Tally
-	i := 0
+	i, e := 0, p.published.Load()
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, err := p.GetVersion(ids[i%len(ids)], 0, &tally); err != nil {
+		if _, err := p.GetVersion(ids[i%len(ids)], e, &tally); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -58,19 +51,12 @@ func TestPoolMissAllocs(t *testing.T) {
 	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 1024)
 	var ids []page.ID
 	for i := 0; i < pages; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]uint64, 20) // a full leaf
+		for j := range recs {
+			recs[j] = uint64(20*i + j)
 		}
-		for j := 0; j < 20; j++ { // a full leaf
-			addRecord(n, uint64(20*i+j))
-		}
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mkPage(t, p, recs...))
 	}
-	p.Publish(0)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +69,9 @@ func TestPoolMissAllocs(t *testing.T) {
 		err   error
 		ms    runtime.MemStats
 	)
+	e := p.published.Load()
 	get := func(i int) {
-		if img, err = p.GetVersion(ids[i%pages], 0, &tally); err != nil {
+		if img, err = p.GetVersion(ids[i%pages], e, &tally); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,30 +109,35 @@ func TestPageTableChurnHeapFlat(t *testing.T) {
 		steps  = 1_000_000
 	)
 	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
-	alloc := func() page.ID {
+	// alloc runs one bracket, as the tree runs each operation: it frees
+	// the page old (unless Nil), allocates a page, publishes and collects
+	// the freed page's version at once.
+	alloc := func(old page.ID) page.ID {
+		e := p.published.Load() + 1
+		p.BeginWrite(e)
+		if old != page.Nil {
+			if err := p.Free(old); err != nil {
+				t.Fatal(err)
+			}
+		}
 		n, err := p.NewNode(0, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Publish(0) // as the tree does after each operation; empties the queue
-		if err := p.Unpin(n.ID, false); err != nil {
+		p.Publish(e)
+		if err := p.Collect(e, true); err != nil {
 			t.Fatal(err)
 		}
 		return n.ID
 	}
 	for i := 0; i < fixed; i++ {
-		alloc()
+		alloc(page.Nil)
 	}
 	ring := make([]page.ID, window)
 	next := 0
 	step := func() {
 		slot := next % window
-		if next >= window {
-			if err := p.Free(ring[slot]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ring[slot] = alloc()
+		ring[slot] = alloc(ring[slot])
 		next++
 	}
 	heap := func() uint64 {

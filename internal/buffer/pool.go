@@ -1,28 +1,33 @@
-// Package buffer implements a pinning CLOCK buffer pool over segment index
-// pages, with copy-on-write page versioning for MVCC snapshot reads.
+// Package buffer implements a CLOCK buffer pool over segment index pages,
+// with copy-on-write page versioning for MVCC snapshot reads.
 //
 // The tree layer reads and writes nodes exclusively through a Pool. A
 // frame holds a page version as its page image (node.Image), which readers
 // scan and write-back writes out, and, once the writer has asked for them,
 // as headers (node.Node) viewing the image. A miss copies the store's bytes
-// into an image once. Frames stay resident until evicted; eviction
-// considers only unpinned frames, writing dirty ones back to the store.
+// into an image once. Frames stay resident until evicted; eviction writes
+// dirty ones back to the store. Nothing is pinned: a published version
+// never changes, and Go's garbage collector keeps a node or image alive
+// for as long as anyone holds it, also after its frame is evicted.
 //
 // # Page versioning
 //
 // Every frame carries the epoch it was installed at. The single writer of a
-// tree brackets each mutating operation with BeginWrite(e) and Publish(e):
-// inside the bracket the writer descends with Get like any reader of the
-// newest version and calls Upgrade on a page at its first mutation, not its
-// first visit. Upgrade clones the published head (copy-on-write), retires
-// the pre-image into the page's version chain with supersession epoch e
-// and hands the writer's pin over to the clone, which is born dirty — so a
-// frame is dirty exactly when it was mutated, and an operation clones,
-// writes back and logs the pages it changed rather than the path it walked.
-// Free defers the store-level page release the same way. Mutating a node
-// obtained from Get without upgrading it is the one thing the writer must
-// never do: the change would be visible to pinned snapshots and, the frame
-// being clean, lost at the next Flush.
+// tree runs every page write inside a bracket, BeginWrite(e) then
+// Publish(e) or Rollback; NewNode, Upgrade and Free refuse to run outside
+// one. Inside the bracket the writer descends with Get like any reader of
+// the newest version and calls Upgrade on a page at its first mutation,
+// not its first visit. Upgrade clones the published head (copy-on-write),
+// retires the pre-image into the page's version chain with supersession
+// epoch e and returns the clone, which is born dirty — so a frame is dirty
+// exactly when it was mutated, and an operation clones, writes back and
+// logs the pages it changed rather than the path it walked. A head evicted
+// between the writer's Get and its Upgrade was written back first, so
+// Upgrade reloads it exactly, as a Get miss would. Free defers the
+// store-level page release the same way. Mutating a node obtained from Get
+// without upgrading it is the one thing the writer must never do: the
+// change would be visible to pinned snapshots and, the frame being clean,
+// lost at the next Flush.
 //
 // A clone is a header copy viewing the pre-image's image, with no image of
 // its own. NewNode and Upgrade queue the frames they hand the writer, and
@@ -35,8 +40,6 @@
 // their epoch, otherwise the version chain does, otherwise the store does
 // (the retention discipline guarantees the durable image is never newer
 // than what such a fall-through may observe — see the invariant below).
-// Readers never pin; published images are immutable, and Go's garbage
-// collector keeps an image alive for as long as any query still holds it.
 //
 // Retention invariant: whenever a page version visible at epoch E is
 // superseded or its page freed, the pre-image is retained in the version
@@ -59,7 +62,7 @@
 // the counters and every write to the table; concurrent misses on one
 // pool therefore serialize. The byte budget covers the resident heads
 // exactly; the evictor sweeps the ring, clearing set reference bits and
-// evicting the first unpinned, published frame whose bit is clear.
+// evicting the first published frame whose bit is clear.
 // Retained superseded versions are accounted separately (RetainedBytes)
 // and live exactly as long as the snapshots that need them.
 //
@@ -80,8 +83,8 @@ import (
 	"segidx/internal/store"
 )
 
-// ErrPinned is returned when an operation requires an unpinned frame.
-var ErrPinned = errors.New("buffer: page is pinned")
+// errNoBracket is returned by a page write outside a write bracket.
+var errNoBracket = errors.New("buffer: page write outside a write bracket")
 
 // Stats counts pool activity since creation.
 type Stats struct {
@@ -136,7 +139,7 @@ type frame struct {
 	id page.ID
 
 	// install is the write epoch the frame's version was created at (0 for
-	// versions loaded from the store outside a write bracket, which are
+	// versions loaded from the store with no retained history, which are
 	// visible to every snapshot). superseded is the epoch a newer version
 	// replaced this one at; it is 0 while the frame is the resident head
 	// and strictly positive once the frame is retired to a version chain.
@@ -144,7 +147,6 @@ type frame struct {
 	superseded uint64
 
 	bytes int // on-page size of the node
-	pins  int
 	dirty bool
 	ring  int // index in the pool's CLOCK ring while resident
 }
@@ -174,7 +176,7 @@ func (pv *pageVersions) retiredAt(e uint64) bool {
 // pool's Gets and Hits once per query, so a hit writes nothing shared.
 type Tally struct{ hits uint64 }
 
-// Pool is a pinning CLOCK buffer pool with copy-on-write page versioning.
+// Pool is a CLOCK buffer pool with copy-on-write page versioning.
 // The zero value is not usable; use New.
 type Pool struct {
 	store  store.Store
@@ -186,8 +188,7 @@ type Pool struct {
 	// table.
 	mu  sync.Mutex
 	old map[page.ID]*pageVersions // retained superseded versions + graveyard
-	// ring holds the resident heads, pinned or not; the evictor's hand
-	// sweeps it.
+	// ring holds the resident heads; the evictor's hand sweeps it.
 	ring          []*frame
 	hand          int
 	bytes         int // resident head bytes
@@ -220,8 +221,7 @@ type Pool struct {
 }
 
 // New creates a pool over the given store. budgetBytes caps resident node
-// bytes (0 = unlimited). The pool must outlive every node pointer handed
-// out while pinned.
+// bytes (0 = unlimited).
 func New(st store.Store, codec node.Codec, budgetBytes int) *Pool {
 	return &Pool{
 		store:  st,
@@ -255,30 +255,23 @@ func (p *Pool) Publish(epoch uint64) {
 	p.published.Store(epoch)
 }
 
-// staleLocked drops the image of f, whose headers change outside a write
-// bracket, and queues f to be encoded again at the next Publish or
-// write-back. The caller must hold p.mu.
-func (p *Pool) staleLocked(f *frame) {
-	if f.img != nil {
-		f.img = nil
-		p.queue = append(p.queue, f)
-	}
-}
-
 // inBracket reports whether a write bracket is open. Writer-only.
 func (p *Pool) inBracket() bool { return p.writeEpoch > p.published.Load() }
 
 // NewNode allocates a fresh page of pageBytes in the store and returns the
-// corresponding empty node, pinned and marked dirty and queued for the
-// next Publish. Inside a write bracket the frame carries the bracket epoch, so
-// snapshots pinned before the bracket never observe it. Only the tree's
-// single writer may call this, under its write lock.
+// corresponding empty node, marked dirty and queued for the next Publish.
+// The frame carries the bracket epoch, so snapshots pinned before the
+// bracket never observe it. Only the tree's single writer may call this,
+// inside a write bracket, under its write lock.
 func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
+	if !p.inBracket() {
+		return nil, errNoBracket
+	}
 	id, err := p.store.Allocate(pageBytes)
 	if err != nil {
 		return nil, err
 	}
-	f := &frame{n: node.Node{ID: id, Level: level}, id: id, bytes: pageBytes, pins: 1, dirty: true, install: p.writeEpoch}
+	f := &frame{n: node.Node{ID: id, Level: level}, id: id, bytes: pageBytes, dirty: true, install: p.writeEpoch}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.queue = append(p.queue, f)
@@ -287,10 +280,11 @@ func (p *Pool) NewNode(level, pageBytes int) (*node.Node, error) {
 	return &f.n, nil
 }
 
-// Get returns the newest version of the node for id, pinned. Every Get must
-// be paired with an Unpin. Inside a write bracket the newest version may be
-// the bracket's unpublished clone — exactly what the writer's read-only
-// passes must observe.
+// Get returns the newest version of the node for id. Inside a write
+// bracket the newest version may be the bracket's unpublished clone —
+// exactly what the writer's read-only passes must observe. Nothing needs
+// releasing: the node stays valid after its frame is evicted, and the
+// writer changes it only through Upgrade.
 func (p *Pool) Get(id page.ID) (*node.Node, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,29 +292,42 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 	f := p.table.load(id)
 	if f != nil {
 		p.stats.Hits++
-		f.pins++
 		p.table.slot(id).touch()
 	} else {
 		p.stats.Misses++
-		if pv, dead := p.old[id]; dead && pv.deadAt != 0 {
-			// The page was freed in a committed or in-progress bracket and
-			// the store-level free is merely deferred for old snapshots; to
-			// the newest-version view it is gone.
-			return nil, fmt.Errorf("buffer: get %v: %w", id, store.ErrNotFound)
-		}
 		var err error
-		if f, err = p.readLocked(id); err != nil {
+		if f, err = p.loadLocked(id); err != nil {
 			return nil, err
 		}
-		f.pins = 1
-		p.installLocked(f)
 		p.evictLocked()
 	}
+	return p.headers(f), nil
+}
+
+// headers returns f's headers, building them from its image the first time
+// the writer asks for a frame a miss loaded. The caller must hold p.mu.
+func (p *Pool) headers(f *frame) *node.Node {
 	if f.n.ID == page.Nil {
-		// A frame a miss loaded gets headers when the writer first asks.
 		f.n = p.codec.Headers(f.img)
 	}
-	return &f.n, nil
+	return &f.n
+}
+
+// loadLocked reads the newest version of a page that has no resident head
+// and installs it as the head. A page freed in a committed or in-progress
+// bracket is refused: its store-level free is merely deferred for old
+// snapshots, and to the newest-version view it is gone. The caller must
+// hold p.mu.
+func (p *Pool) loadLocked(id page.ID) (*frame, error) {
+	if pv := p.old[id]; pv != nil && pv.deadAt != 0 {
+		return nil, fmt.Errorf("buffer: page %v was freed: %w", id, store.ErrNotFound)
+	}
+	f, err := p.readLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	p.installLocked(f)
+	return f, nil
 }
 
 // GetVersion returns the page image of id's version visible at the given
@@ -416,40 +423,36 @@ func (p *Pool) readLocked(id page.ID) (*frame, error) {
 	return f, nil
 }
 
-// Upgrade turns the writer's pin on id (from Get) into a pin on the open
-// bracket's mutable version of the page and returns that version. The first
+// Upgrade returns the open bracket's mutable version of page id. The first
 // Upgrade of a page per bracket clones the published head (copy-on-write,
 // a header clone viewing the head's image), retires the pre-image into the
-// version chain and marks the clone dirty; on a page the bracket already
-// owns, and outside a bracket, it returns the pinned node itself. The clone,
-// and outside a bracket the node itself, is queued for the next Publish. The
-// pointer Get returned must not be used afterwards: once retired it is what
-// snapshots read. Upgrade consumes the caller's pin even when it fails — a
-// published head someone else also pins cannot be retired (the other
-// holder would unpin into a frame no longer resident), which is a
-// pin-discipline bug in the caller. Only the tree's single writer may call
-// this, under its write lock.
+// version chain and queues the clone, born dirty, for the next Publish; on
+// a page the bracket already owns it returns that version itself. A head
+// evicted since the writer's Get is reloaded first, as a Get miss would
+// (eviction wrote it back), and a page freed in the bracket is refused.
+// The pointer Get returned must not be used afterwards: once retired it is
+// what snapshots read. Only the tree's single writer may call this, inside
+// a write bracket, under its write lock.
 func (p *Pool) Upgrade(id page.ID) (*node.Node, error) {
+	if !p.inBracket() {
+		return nil, errNoBracket
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f := p.table.load(id)
-	if f == nil || f.pins == 0 {
-		return nil, fmt.Errorf("buffer: upgrade of unpinned %v", id)
-	}
 	we := p.writeEpoch
+	f := p.table.load(id)
+	if f == nil {
+		var err error
+		if f, err = p.loadLocked(id); err != nil {
+			return nil, err
+		}
+		defer p.evictLocked() // after the clone below makes the head unevictable
+	}
 	if f.install == we {
 		return &f.n, nil
 	}
-	if !p.inBracket() {
-		p.staleLocked(f)
-		return &f.n, nil
-	}
-	f.pins--
-	if f.pins > 0 {
-		return nil, fmt.Errorf("buffer: copy-on-write of pinned %v: %w", id, ErrPinned)
-	}
 	p.retireLocked(id, f, we)
-	nf := &frame{n: f.n.CloneHeaders(), id: id, bytes: f.bytes, pins: 1, dirty: true, ring: f.ring, install: we}
+	nf := &frame{n: p.headers(f).CloneHeaders(), id: id, bytes: f.bytes, dirty: true, ring: f.ring, install: we}
 	p.queue = append(p.queue, nf)
 	p.ring[nf.ring] = nf
 	p.table.set(id, nf)
@@ -511,37 +514,10 @@ func (p *Pool) dropLocked(f *frame) {
 	p.table.set(f.id, nil)
 }
 
-// Unpin releases one pin. dirty marks the node as modified since fetch; it
-// will be written back before eviction or on Flush, and outside a write
-// bracket its image is encoded again first. A frame whose last pin goes
-// becomes evictable.
-func (p *Pool) Unpin(id page.ID, dirty bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f := p.table.load(id)
-	if f == nil {
-		return fmt.Errorf("buffer: unpin of non-resident %v", id)
-	}
-	if f.pins == 0 {
-		return fmt.Errorf("buffer: unpin of unpinned %v", id)
-	}
-	f.pins--
-	if dirty {
-		f.dirty = true
-		if !p.inBracket() {
-			p.staleLocked(f)
-		}
-	}
-	if f.pins == 0 {
-		p.evictLocked()
-	}
-	return nil
-}
-
 // evictLocked sweeps the CLOCK ring until the budget is honored: a frame
 // whose reference bit is set has it cleared and is passed over, the first
-// unpinned frame found with a clear bit is evicted, and two full turns
-// without reaching the budget end the sweep. Frames installed by the open
+// frame found with a clear bit is evicted, and two full turns without
+// reaching the budget end the sweep. Frames installed by the open
 // write bracket are skipped: writing them back would clobber the durable
 // pre-image that snapshots below the bracket (and Rollback) still rely on.
 // Frames that fail to serialize stay resident (the error will resurface on
@@ -556,7 +532,7 @@ func (p *Pool) evictLocked() {
 			p.hand = 0
 		}
 		f := p.ring[p.hand]
-		if f.pins > 0 || f.install > published || p.table.slot(f.id).clearRef() {
+		if f.install > published || p.table.slot(f.id).clearRef() {
 			p.hand++
 			continue
 		}
@@ -573,13 +549,9 @@ func (p *Pool) evictLocked() {
 	}
 }
 
-// writeBackLocked writes a dirty frame's image to the store, encoding it
-// first when its headers changed outside a write bracket. The caller must
-// hold p.mu.
+// writeBackLocked writes a dirty published frame's image to the store. The
+// caller must hold p.mu.
 func (p *Pool) writeBackLocked(f *frame) error {
-	if f.img == nil {
-		f.img = p.codec.Encode(&f.n)
-	}
 	buf, err := p.codec.Page(f.img, f.bytes)
 	if err != nil {
 		return err
@@ -608,52 +580,36 @@ func (p *Pool) Flush() error {
 	return nil
 }
 
-// Invalidate drops every unpinned resident frame — clean and dirty alike —
-// without writing anything back. It exists for the failed-commit path:
-// when a store commit fails, the durable image is some earlier commit
-// boundary, so resident nodes (and especially un-flushed dirty ones) no
-// longer describe it and must not be served or written back later. Pinned
-// frames cannot be dropped; Invalidate reports how many remain resident.
-// Retained version chains are kept: they are memory-only state serving
-// in-flight snapshots, and the broken store latches every later read
-// anyway.
-func (p *Pool) Invalidate() int {
+// Invalidate drops every resident frame — clean and dirty alike — without
+// writing anything back. It exists for the failed-commit path: when a
+// store commit fails, the durable image is some earlier commit boundary,
+// so resident nodes (and especially un-flushed dirty ones) no longer
+// describe it and must not be served or written back later. Retained
+// version chains are kept: they are memory-only state serving in-flight
+// snapshots, and the broken store latches every later read anyway.
+func (p *Pool) Invalidate() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pinned := 0
 	// Backwards, so the frame dropLocked moves into slot i has been
 	// visited already.
 	for i := len(p.ring) - 1; i >= 0; i-- {
-		if f := p.ring[i]; f.pins > 0 {
-			pinned++
-		} else {
-			p.dropLocked(f)
-		}
+		p.dropLocked(p.ring[i])
 	}
-	return pinned
 }
 
-// Free releases a page. Outside a write bracket (construction, recovery)
-// the frame is dropped and the store page freed immediately. Inside a
-// bracket the release is deferred so snapshots pinned below the bracket
-// keep reading the page: the published head (if any) is retired into the
+// Free releases a page, deferred so snapshots pinned below the bracket
+// keep reading it: the published head (if resident) is retired into the
 // version chain, the page is marked dead at the bracket epoch, and the
 // store-level free runs in a later Collect once every snapshot that could
-// see the page has been released. The node must be unpinned.
+// see the page has been released. A page the bracket allocated is freed
+// at once. Only the tree's single writer may call this, inside a write
+// bracket, under its write lock.
 func (p *Pool) Free(id page.ID) error {
+	if !p.inBracket() {
+		return errNoBracket
+	}
 	p.mu.Lock()
 	f := p.table.load(id)
-	if f != nil && f.pins > 0 {
-		p.mu.Unlock()
-		return ErrPinned
-	}
-	if !p.inBracket() {
-		if f != nil {
-			p.dropLocked(f)
-		}
-		p.mu.Unlock()
-		return p.store.Free(id)
-	}
 	we := p.writeEpoch
 	if f != nil {
 		p.dropLocked(f)
@@ -709,8 +665,6 @@ func (p *Pool) Rollback() error {
 		if f.install != we {
 			continue
 		}
-		// An error-path frame may still be pinned (the op bailed out
-		// mid-descent); dropping it is exactly the point of rollback.
 		p.dropLocked(f)
 		if !p.old[f.id].retiredAt(we) {
 			// Fresh allocation of the aborted bracket.
@@ -743,7 +697,6 @@ func (p *Pool) reinstateLocked(id page.ID, pv *pageVersions) {
 		delete(p.old, id)
 	}
 	pre.superseded = 0
-	pre.pins = 0
 	p.installLocked(pre)
 }
 

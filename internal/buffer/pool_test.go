@@ -22,13 +22,41 @@ func newPool(t *testing.T, budget int) (*Pool, *store.MemStore) {
 	return New(st, node.Codec{Dims: 2}, budget), st
 }
 
-// getMut pins id and upgrades the pin, as the writer does for a page it
-// fetches in order to change it.
+// getMut gets id and upgrades it, as the writer does for a page it fetches
+// in order to change it.
 func getMut(p *Pool, id page.ID) (*node.Node, error) {
 	if _, err := p.Get(id); err != nil {
 		return nil, err
 	}
 	return p.Upgrade(id)
+}
+
+// mkPage publishes a new 1024-byte leaf holding the given record IDs, in a
+// write bracket of its own, and returns its page ID.
+func mkPage(t testing.TB, p *Pool, recs ...uint64) page.ID {
+	t.Helper()
+	e := p.published.Load() + 1
+	p.BeginWrite(e)
+	n, err := p.NewNode(0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		addRecord(n, r)
+	}
+	p.Publish(e)
+	return n.ID
+}
+
+// readNow returns the record IDs of id's version at the published epoch, as
+// a reader of the newest state sees them.
+func readNow(t *testing.T, p *Pool, id page.ID) []uint64 {
+	t.Helper()
+	img, err := p.GetVersion(id, p.published.Load(), new(Tally))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recordIDs(img)
 }
 
 // resident reports whether id has a resident head, without touching its
@@ -67,14 +95,13 @@ func addRecord(n *node.Node, id uint64) {
 
 func TestNewGetUnpinRoundTrip(t *testing.T) {
 	p, _ := newPool(t, 0)
+	p.BeginWrite(1)
 	n, err := p.NewNode(0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addRecord(n, 42)
-	if err := p.Unpin(n.ID, true); err != nil {
-		t.Fatal(err)
-	}
+	p.Publish(1)
 
 	got, err := p.Get(n.ID)
 	if err != nil {
@@ -85,9 +112,6 @@ func TestNewGetUnpinRoundTrip(t *testing.T) {
 	}
 	if len(got.Records) != 1 || got.Records[0].ID != 42 {
 		t.Fatalf("records = %+v", got.Records)
-	}
-	if err := p.Unpin(n.ID, false); err != nil {
-		t.Fatal(err)
 	}
 
 	s := p.Stats()
@@ -101,15 +125,7 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 	p, _ := newPool(t, 2*1024)
 	var ids []page.ID
 	for i := 0; i < 6; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(i+100))
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mkPage(t, p, uint64(i+100)))
 	}
 	if got := p.Resident(); got > 2 {
 		t.Fatalf("Resident = %d, want <= 2", got)
@@ -134,9 +150,30 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 		if len(n.Records) != 1 || n.Records[0].ID != node.RecordID(i+100) {
 			t.Fatalf("node %v contents lost: %+v", id, n.Records)
 		}
-		if err := p.Unpin(id, false); err != nil {
+	}
+	// A change published by a bracket survives its page's eviction.
+	evictions := p.Stats().Evictions
+	for round := 0; round < 20; round++ {
+		b := ids[(round+3)%len(ids)]
+		e := p.published.Load() + 1
+		p.BeginWrite(e)
+		n, err := getMut(p, b)
+		if err != nil {
 			t.Fatal(err)
 		}
+		n.Records[0].ID = node.RecordID(5000 + round)
+		p.Publish(e)
+		for _, id := range []page.ID{ids[round%len(ids)], ids[(round+1)%len(ids)]} {
+			if _, err := p.Get(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := readNow(t, p, b); len(got) != 1 || got[0] != uint64(5000+round) {
+			t.Fatalf("round %d: page %v reads %v, want [%d]", round, b, got, 5000+round)
+		}
+	}
+	if p.Stats().Evictions == evictions {
+		t.Fatal("no evictions while changing pages; the check is vacuous")
 	}
 }
 
@@ -150,19 +187,9 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 func TestClockSecondChance(t *testing.T) {
 	p, st := newPool(t, 3*1024)
 	var tally Tally
-	mk := func(v uint64) page.ID {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, v)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
-		return n.ID
-	}
+	mk := func(v uint64) page.ID { return mkPage(t, p, v) }
 	hit := func(id page.ID) {
-		if _, err := p.GetVersion(id, 0, &tally); err != nil {
+		if _, err := p.GetVersion(id, p.published.Load(), &tally); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,17 +243,8 @@ func TestMissInstallsBehindHand(t *testing.T) {
 	p, _ := newPool(t, 1024)
 	var ids []page.ID
 	for i := 0; i < pages; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(i))
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mkPage(t, p, uint64(i)))
 	}
-	p.Publish(0)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +252,7 @@ func TestMissInstallsBehindHand(t *testing.T) {
 	for i := 0; i < 3*pages; i++ {
 		id := ids[i%pages]
 		before := p.Stats().Misses
-		if _, err := p.GetVersion(id, 0, &tally); err != nil {
+		if _, err := p.GetVersion(id, p.published.Load(), &tally); err != nil {
 			t.Fatal(err)
 		}
 		if p.Stats().Misses == before {
@@ -246,72 +264,14 @@ func TestMissInstallsBehindHand(t *testing.T) {
 	}
 }
 
-// TestPinnedFramesAreNotEvicted pins pages whose footprint reaches or
-// exceeds the budget, churns unpinned pages through the pool, and checks
-// each pinned pointer still resolves to the identical in-memory node.
-func TestPinnedFramesAreNotEvicted(t *testing.T) {
-	for _, tc := range []struct{ budget, pinned, churn int }{
-		{1024, 1, 1},       // a budget of one page, held by the pinned one
-		{2 * 1024, 12, 64}, // pinned footprint far above the budget
-	} {
-		t.Run(fmt.Sprintf("pinned=%d,churn=%d", tc.pinned, tc.churn), func(t *testing.T) {
-			p, _ := newPool(t, tc.budget)
-			var hold []*node.Node
-			for i := 0; i < tc.pinned; i++ {
-				n, err := p.NewNode(0, 1024)
-				if err != nil {
-					t.Fatal(err)
-				}
-				addRecord(n, uint64(9000+i))
-				hold = append(hold, n) // stays pinned
-			}
-			for i := 0; i < tc.churn; i++ {
-				n, err := p.NewNode(0, 1024)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := p.Unpin(n.ID, true); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if p.Stats().Evictions == 0 {
-				t.Fatal("no evictions; churn is vacuous")
-			}
-			for i, n := range hold {
-				got, err := p.Get(n.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != n {
-					t.Fatalf("pinned node %d was evicted and re-decoded", i)
-				}
-				if got.Records[0].ID != node.RecordID(9000+i) {
-					t.Fatalf("pinned node %d contents changed", i)
-				}
-				p.Unpin(n.ID, false) // release the Get pin
-				p.Unpin(n.ID, true)  // release the original pin
-			}
-		})
-	}
-}
-
-// TestUpgradeClonesAtFirstMutation walks the write path's protocol: pin with
-// Get, upgrade before the first change, and only then is there a clone — one
-// per page per bracket, born dirty, with the pre-image still serving the
-// epoch before it.
+// TestUpgradeClonesAtFirstMutation walks the write path's protocol: read
+// with Get, upgrade before the first change, and only then is there a clone
+// — one per page per bracket, born dirty, with the pre-image still serving
+// the epoch before it. Freed pages and page writes outside a bracket are
+// refused.
 func TestUpgradeClonesAtFirstMutation(t *testing.T) {
-	p, _ := newPool(t, 0)
-	p.BeginWrite(1)
-	n, err := p.NewNode(0, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addRecord(n, 1)
-	id := n.ID
-	if err := p.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
-	p.Publish(1)
+	p, st := newPool(t, 0)
+	id := mkPage(t, p, 1)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +280,6 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	// A bracket that only reads: no clone, nothing to write back.
 	p.BeginWrite(2)
 	if _, err := p.Get(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Unpin(id, false); err != nil {
 		t.Fatal(err)
 	}
 	p.Publish(2)
@@ -351,12 +308,6 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 	if again, err := getMut(p, id); err != nil || again != clone {
 		t.Fatalf("second upgrade in the bracket = (%p, %v), want the same clone %p", again, err, clone)
 	}
-	if err := p.Unpin(id, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Unpin(id, false); err != nil { // the upgraded pin, released as read: the clone is dirty already
-		t.Fatal(err)
-	}
 	if img := headImage(p, id); img != nil {
 		t.Fatalf("the unpublished clone has an image of %d words", len(img))
 	}
@@ -377,67 +328,118 @@ func TestUpgradeClonesAtFirstMutation(t *testing.T) {
 		t.Fatalf("%d write-backs for one changed page", got)
 	}
 
-	// A published head someone else pins cannot be retired; the failed
-	// upgrade gives its own pin up.
+	// A page freed in the bracket is gone to the writer: Get and Upgrade
+	// refuse it. A page the bracket allocated is released in the store at
+	// once; the published page only at a later Collect.
 	p.BeginWrite(4)
-	if _, err := p.Get(id); err != nil {
+	fresh, err := p.NewNode(0, 1024)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := getMut(p, id); !errors.Is(err, ErrPinned) {
-		t.Fatalf("upgrade of a twice-pinned head = %v, want ErrPinned", err)
-	}
-	if err := p.Unpin(id, false); err != nil {
+	pages := st.Len()
+	if err := p.Free(fresh.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Unpin(id, false); err == nil {
-		t.Fatal("the failed upgrade kept its pin")
+	if err := p.Free(id); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Upgrade(id); err == nil {
-		t.Fatal("Upgrade without a pin succeeded")
+	if got := st.Len(); got != pages-1 {
+		t.Fatalf("store holds %d pages after freeing a fresh and a published one, want %d", got, pages-1)
+	}
+	for _, freed := range []page.ID{fresh.ID, id} {
+		if _, err := p.Get(freed); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("Get of freed %v = %v, want ErrNotFound", freed, err)
+		}
+	}
+	if _, err := p.Upgrade(id); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("Upgrade of a page freed in the bracket = %v, want ErrNotFound", err)
 	}
 	if err := p.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Outside a bracket there is nothing to isolate: the node is mutated in
-	// place.
-	if same, err := getMut(p, id); err != nil || same != clone {
-		t.Fatalf("Get+Upgrade outside a bracket = (%p, %v), want the resident node", same, err)
+	// Outside a bracket the pool refuses every page write.
+	if _, err := p.NewNode(0, 1024); !errors.Is(err, errNoBracket) {
+		t.Fatalf("NewNode outside a bracket = %v, want errNoBracket", err)
 	}
-	if err := p.Unpin(id, false); err != nil {
-		t.Fatal(err)
+	if _, err := getMut(p, id); !errors.Is(err, errNoBracket) {
+		t.Fatalf("Get+Upgrade outside a bracket = %v, want errNoBracket", err)
 	}
-}
-
-func TestUnpinErrors(t *testing.T) {
-	p, _ := newPool(t, 0)
-	n, _ := p.NewNode(0, 1024)
-	if err := p.Unpin(n.ID, false); err != nil {
-		t.Fatal(err)
+	if err := p.Free(id); !errors.Is(err, errNoBracket) {
+		t.Fatalf("Free outside a bracket = %v, want errNoBracket", err)
 	}
-	if err := p.Unpin(n.ID, false); err == nil {
-		t.Error("double unpin accepted")
-	}
-	if err := p.Unpin(page.ID(999), false); err == nil {
-		t.Error("unpin of unknown page accepted")
+	if got := readNow(t, p, id); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("after the refused writes the page reads %v, want [1 2]", got)
 	}
 }
 
-func TestFreeRequiresUnpinned(t *testing.T) {
-	p, st := newPool(t, 0)
-	n, _ := p.NewNode(0, 1024)
-	if err := p.Free(n.ID); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Free of pinned = %v, want ErrPinned", err)
-	}
-	p.Unpin(n.ID, false)
-	if err := p.Free(n.ID); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 0 {
-		t.Error("store page not released")
-	}
-	if _, err := p.Get(n.ID); err == nil {
-		t.Error("Get of freed page succeeded")
+// TestWriterSurvivesEviction lets a reader's miss evict a published page
+// between the writer's Get and its Upgrade, in a pool that holds one page.
+// The Upgrade reloads the page and clones it: the clone starts from the
+// page's content, stays resident under pressure, and a snapshot pinned
+// before the bracket keeps reading the pre-image. Publish and Flush put the
+// clone in the store; Rollback leaves the page as it was.
+func TestWriterSurvivesEviction(t *testing.T) {
+	for _, publish := range []bool{true, false} {
+		t.Run(fmt.Sprintf("publish=%v", publish), func(t *testing.T) {
+			p, st := newPool(t, 1024)
+			a := mkPage(t, p, 1)
+			b := mkPage(t, p, 2)
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			snap := p.published.Load() // a snapshot pinned before the bracket
+			e := snap + 1
+			p.BeginWrite(e)
+			head, err := p.Get(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.GetVersion(b, snap, new(Tally)); err != nil {
+				t.Fatal(err)
+			}
+			if resident(p, a) {
+				t.Fatal("the reader's miss left the writer's page resident; the test is vacuous")
+			}
+			clone, err := p.Upgrade(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clone == head || len(clone.Records) != 1 || clone.Records[0].ID != 1 {
+				t.Fatalf("Upgrade after eviction = %p with %+v, want a clone of %p holding record 1", clone, clone.Records, head)
+			}
+			addRecord(clone, 3)
+			if _, err := p.GetVersion(b, snap, new(Tally)); err != nil {
+				t.Fatal(err)
+			}
+			if f := p.table.load(a); f == nil || &f.n != clone {
+				t.Fatal("the bracket's clone was evicted")
+			}
+			want := []uint64{1}
+			if publish {
+				p.Publish(e)
+				want = []uint64{1, 3}
+			} else if err := p.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			if img, err := p.GetVersion(a, snap, new(Tally)); err != nil || !slices.Equal(recordIDs(img), []uint64{1}) {
+				t.Fatalf("the snapshot reads %v, %v; want the pre-image [1]", recordIDs(img), err)
+			}
+			if got := readNow(t, p, a); !slices.Equal(got, want) {
+				t.Fatalf("the newest version reads %v, want %v", got, want)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			buf, err := st.Read(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := node.Codec{Dims: 2}.Unmarshal(buf, a)
+			if err != nil || len(n.Records) != len(want) || n.Records[len(want)-1].ID != node.RecordID(want[len(want)-1]) {
+				t.Fatalf("the store holds %+v, %v; want records %v", n, err, want)
+			}
+		})
 	}
 }
 
@@ -445,9 +447,13 @@ func TestFlushPersists(t *testing.T) {
 	st := store.NewMemStore()
 	codec := node.Codec{Dims: 2}
 	p := New(st, codec, 0)
-	n, _ := p.NewNode(1, 2048)
+	p.BeginWrite(1)
+	n, err := p.NewNode(1, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.Branches = append(n.Branches, node.Branch{Rect: geom.Rect2(0, 0, 1, 1), Child: 77})
-	p.Unpin(n.ID, true)
+	p.Publish(1)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -460,41 +466,36 @@ func TestFlushPersists(t *testing.T) {
 	if len(got.Branches) != 1 || got.Branches[0].Child != 77 {
 		t.Fatalf("flushed node mismatch: %+v", got)
 	}
-	p2.Unpin(n.ID, false)
 }
 
 func TestInvalidateDropsStaleFrames(t *testing.T) {
 	p, _ := newPool(t, 0)
 
-	// Two nodes flushed to the store, then dirtied in the pool so the
-	// resident copies diverge from the durable image.
-	n1, _ := p.NewNode(0, 1024)
-	addRecord(n1, 1)
-	p.Unpin(n1.ID, true)
-	n2, _ := p.NewNode(0, 1024)
-	addRecord(n2, 2)
-	p.Unpin(n2.ID, true)
+	// Two nodes flushed to the store, then changed by a published bracket
+	// so the resident copies diverge from the durable image.
+	ids := []page.ID{mkPage(t, p, 1), mkPage(t, p, 2)}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []page.ID{n1.ID, n2.ID} {
-		n, err := p.Get(id)
+	e := p.published.Load() + 1
+	p.BeginWrite(e)
+	for _, id := range ids {
+		n, err := getMut(p, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		addRecord(n, 99) // never flushed: stale after a failed commit
-		p.Unpin(id, true)
 	}
-	// A third node stays pinned; Invalidate must leave it alone.
-	n3, _ := p.NewNode(0, 1024)
+	p.Publish(e)
 
-	if pinned := p.Invalidate(); pinned != 1 {
-		t.Fatalf("Invalidate reported %d pinned frames, want 1", pinned)
+	p.Invalidate()
+	if got := p.Resident(); got != 0 {
+		t.Fatalf("%d frames resident after Invalidate, want 0", got)
 	}
 
-	// The dirtied frames are gone: Get reloads the durable image, and the
+	// The changed frames are gone: Get reloads the durable image, and the
 	// stale record was discarded rather than written back.
-	for i, id := range []page.ID{n1.ID, n2.ID} {
+	for i, id := range ids {
 		n, err := p.Get(id)
 		if err != nil {
 			t.Fatalf("Get after invalidate: %v", err)
@@ -502,24 +503,12 @@ func TestInvalidateDropsStaleFrames(t *testing.T) {
 		if len(n.Records) != 1 || n.Records[0].ID != node.RecordID(i+1) {
 			t.Fatalf("node %v after invalidate has records %+v, want the flushed copy", id, n.Records)
 		}
-		p.Unpin(id, false)
 	}
-	// The pinned node survived untouched.
-	got, err := p.Get(n3.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n3 {
-		t.Error("pinned frame was dropped by Invalidate")
-	}
-	p.Unpin(n3.ID, false)
-	p.Unpin(n3.ID, false) // release the original pin
 }
 
 func TestReadErrorPropagates(t *testing.T) {
 	p, st := newPool(t, 0)
-	n, _ := p.NewNode(0, 1024)
-	p.Unpin(n.ID, true)
+	id := mkPage(t, p)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +517,7 @@ func TestReadErrorPropagates(t *testing.T) {
 	small := New(st, node.Codec{Dims: 2}, 1)
 	boom := errors.New("disk gone")
 	st.InjectReadError(1, boom)
-	if _, err := small.Get(n.ID); !errors.Is(err, boom) {
+	if _, err := small.Get(id); !errors.Is(err, boom) {
 		t.Fatalf("Get = %v, want injected error", err)
 	}
 }
@@ -549,87 +538,25 @@ func TestCorruptPageRejected(t *testing.T) {
 	}
 }
 
-func TestPinChurnUnderPressure(t *testing.T) {
-	// Repeatedly pin chains of nodes while the budget allows only a few
-	// frames; correctness of contents must survive heavy eviction.
-	p, _ := newPool(t, 3*1024)
-	const nodes = 32
-	ids := make([]page.ID, nodes)
-	for i := 0; i < nodes; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(1000+i))
-		ids[i] = n.ID
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 50; round++ {
-		// Pin a chain of three, mutate the middle one, unpin in reverse.
-		a, b, c := ids[round%nodes], ids[(round+7)%nodes], ids[(round+13)%nodes]
-		na, err := p.Get(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := p.Get(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nc, err := p.Get(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb.Records[0].ID = node.RecordID(5000 + round)
-		_ = na
-		_ = nc
-		p.Unpin(c, false)
-		p.Unpin(b, true)
-		p.Unpin(a, false)
-		// Read the mutation back, possibly after eviction.
-		nb2, err := p.Get(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nb2.Records[0].ID != node.RecordID(5000+round) {
-			t.Fatalf("round %d: mutation lost (got %d)", round, nb2.Records[0].ID)
-		}
-		p.Unpin(b, false)
-	}
-	if p.Stats().Evictions == 0 {
-		t.Fatal("no evictions; pressure test is vacuous")
-	}
-}
-
 // TestPoolBudgetIsWhole checks that New's byte budget covers the whole
-// pool: a page of half the budget stays resident once unpinned, and only a
-// pool over its budget evicts. Under that pressure every Get is counted
+// pool: a page of half the budget stays resident once published, and only
+// a pool over its budget evicts. Under that pressure every Get is counted
 // once, as a hit or a miss.
 func TestPoolBudgetIsWhole(t *testing.T) {
 	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 16*1024)
+	p.BeginWrite(1)
 	big, err := p.NewNode(0, 8*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addRecord(big, 1)
-	if err := p.Unpin(big.ID, true); err != nil {
-		t.Fatal(err)
-	}
+	p.Publish(1)
 	if !resident(p, big.ID) || p.Stats().Evictions != 0 {
 		t.Fatalf("an 8 KiB page in a 16 KiB pool: resident = %v, stats = %+v", resident(p, big.ID), p.Stats())
 	}
 	ids := []page.ID{big.ID}
 	for i := 0; i < 24; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(i+2))
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mkPage(t, p, uint64(i+2)))
 	}
 	// Re-read every page a few times to generate hits and misses.
 	for round := 0; round < 3; round++ {
@@ -640,9 +567,6 @@ func TestPoolBudgetIsWhole(t *testing.T) {
 			}
 			if len(n.Records) != 1 {
 				t.Fatalf("page %v contents lost", id)
-			}
-			if err := p.Unpin(id, false); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -659,9 +583,10 @@ func TestPoolBudgetIsWhole(t *testing.T) {
 }
 
 // TestPoolConcurrentHammer drives a pool from many goroutines under
-// -race: all goroutines re-read a shared set of pages, each goroutine
-// mutates a private page, and Flush/Stats/Resident run concurrently. Final contents are
-// verified after the storm.
+// -race: all goroutines re-read a shared set of pages with Get and
+// GetVersion, each goroutine changes a private page in write brackets
+// serialized by a stand-in for the tree's write lock, and Flush/Stats/
+// Resident run concurrently. Final contents are verified after the storm.
 func TestPoolConcurrentHammer(t *testing.T) {
 	st := store.NewMemStore()
 	p := New(st, node.Codec{Dims: 2}, 8*1024)
@@ -672,31 +597,15 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	)
 	shared := make([]page.ID, sharedPages)
 	for i := range shared {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(i+1))
-		shared[i] = n.ID
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		shared[i] = mkPage(t, p, uint64(i+1))
 	}
 	private := make([]page.ID, goroutines)
 	for g := range private {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addRecord(n, uint64(100+g))
-		private[g] = n.ID
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
+		private[g] = mkPage(t, p, uint64(100+g))
 	}
-	// treeMu stands in for the tree's lock: a page is mutated and the pool
-	// flushed only under it (the pool encodes pinned dirty frames too).
-	var treeMu sync.RWMutex
+	// treeMu stands in for the tree's write lock: brackets and flushes
+	// run only under it.
+	var treeMu sync.Mutex
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines+1)
 	for g := 0; g < goroutines; g++ {
@@ -704,6 +613,8 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var tally Tally
+			defer p.Settle(&tally)
 			for i := 0; i < iters; i++ {
 				// Read-only access to a shared page, offset by goroutine.
 				id := shared[(i+g*3)%sharedPages]
@@ -712,24 +623,27 @@ func TestPoolConcurrentHammer(t *testing.T) {
 					errs <- err
 					return
 				}
-				if len(n.Records) != 1 {
-					errs <- fmt.Errorf("shared page %v lost its record", id)
-					return
-				}
-				if err := p.Unpin(id, false); err != nil {
-					errs <- err
-					return
-				}
-				// Mutate this goroutine's private page.
-				pn, err := p.Get(private[g])
+				img, err := p.GetVersion(id, p.published.Load(), &tally)
 				if err != nil {
 					errs <- err
 					return
 				}
-				treeMu.RLock()
-				pn.Records[0].ID = node.RecordID(1000*g + i)
-				treeMu.RUnlock()
-				if err := p.Unpin(private[g], true); err != nil {
+				if len(n.Records) != 1 || len(recordIDs(img)) != 1 {
+					errs <- fmt.Errorf("shared page %v lost its record", id)
+					return
+				}
+				// Change this goroutine's private page.
+				treeMu.Lock()
+				e := p.published.Load() + 1
+				p.BeginWrite(e)
+				pn, err := getMut(p, private[g])
+				if err == nil {
+					pn.Records[0].ID = node.RecordID(1000*g + i)
+					p.Publish(e)
+					err = p.Collect(e, true)
+				}
+				treeMu.Unlock()
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -764,7 +678,6 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		if got := n.Records[0].ID; got != node.RecordID(1000*g+iters-1) {
 			t.Fatalf("goroutine %d: final private value = %d, want %d", g, got, 1000*g+iters-1)
 		}
-		p.Unpin(private[g], false)
 	}
 	s := p.Stats()
 	if s.Gets != s.Hits+s.Misses {
@@ -794,18 +707,12 @@ func TestPoolRetainedGaugeIsIncremental(t *testing.T) {
 		}
 		addRecord(n, uint64(i))
 		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
 	}
 	p.Publish(1)
 	check("built", 0)
 	upgrade := func(ids []page.ID) {
 		for _, id := range ids {
 			if _, err := getMut(p, id); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Unpin(id, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -870,9 +777,6 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 		}
 		addRecord(n, uint64(i))
 		record[n.ID] = uint64(i)
-		if err := p.Unpin(n.ID, true); err != nil {
-			t.Fatal(err)
-		}
 	}
 	p.Publish(1)
 	history[1] = maps.Clone(record)
@@ -944,9 +848,6 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 				next++
 				addRecord(n, next)
 				work[n.ID] = next
-				if err := p.Unpin(n.ID, true); err != nil {
-					t.Fatal(err)
-				}
 			default:
 				n, err := getMut(p, id)
 				if err != nil {
@@ -955,9 +856,6 @@ func TestPoolConcurrentVersionReads(t *testing.T) {
 				next++
 				n.Records[0].ID = node.RecordID(next)
 				work[id] = next
-				if err := p.Unpin(id, true); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		if rng.Intn(5) == 0 {
@@ -998,19 +896,13 @@ func BenchmarkGetVersionHit(b *testing.B) {
 	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
 	var ids []page.ID
 	for i := 0; i < 1024; i++ {
-		n, err := p.NewNode(0, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, n.ID)
-		if err := p.Unpin(n.ID, true); err != nil {
-			b.Fatal(err)
-		}
+		ids = append(ids, mkPage(b, p))
 	}
 	var tally Tally
+	e := p.published.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.GetVersion(ids[i%len(ids)], 0, &tally); err != nil {
+		if _, err := p.GetVersion(ids[i%len(ids)], e, &tally); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1019,45 +911,25 @@ func BenchmarkGetVersionHit(b *testing.B) {
 }
 
 func BenchmarkPoolGetHit(b *testing.B) {
-	st := store.NewMemStore()
-	p := New(st, node.Codec{Dims: 2}, 0)
-	n, err := p.NewNode(0, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Unpin(n.ID, true)
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 0)
+	id := mkPage(b, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Get(n.ID); err != nil {
+		if _, err := p.Get(id); err != nil {
 			b.Fatal(err)
 		}
-		p.Unpin(n.ID, false)
 	}
 }
 
 func BenchmarkPoolGetMiss(b *testing.B) {
-	st := store.NewMemStore()
-	codec := node.Codec{Dims: 2}
 	// Tiny budget: every other access evicts.
-	p := New(st, codec, 1024)
-	a, err := p.NewNode(0, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Unpin(a.ID, true)
-	c, err := p.NewNode(0, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Unpin(c.ID, true)
-	ids := []page.ID{a.ID, c.ID}
+	p := New(store.NewMemStore(), node.Codec{Dims: 2}, 1024)
+	ids := []page.ID{mkPage(b, p), mkPage(b, p)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := ids[i%2]
-		if _, err := p.Get(id); err != nil {
+		if _, err := p.Get(ids[i%2]); err != nil {
 			b.Fatal(err)
 		}
-		p.Unpin(id, false)
 	}
 }
 
@@ -1085,22 +957,9 @@ func TestGetVersionFallsBackToDurableImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		addRecord(n, rec)
-		if err := p.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
 		p.Publish(e)
 	}
-	p.BeginWrite(1)
-	n, err := p.NewNode(0, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := n.ID
-	addRecord(n, 1)
-	if err := p.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
-	p.Publish(1)
+	id := mkPage(t, p, 1)
 
 	// Epoch 2's version is written back and evicted (Invalidate drops the
 	// clean head as eviction would); the chain keeps only epoch 1's.

@@ -96,13 +96,8 @@ func (t *Tree) Analyze() (*Report, error) {
 			}
 			lr.Occupancy += float64(entries) / float64(capTotal)
 		}
-		children := make([]page.ID, len(n.Branches))
-		for i := range n.Branches {
-			children[i] = n.Branches[i].Child
-		}
-		t.done(id, false)
-		for _, c := range children {
-			if err := walk(c); err != nil {
+		for _, b := range n.Branches {
+			if err := walk(b.Child); err != nil {
 				return err
 			}
 		}

@@ -76,9 +76,7 @@ func BulkLoad(cfg Config, st store.Store, records []Record, fill float64) (*Tree
 		for _, idx := range order[lo:hi] {
 			leaf.Records = append(leaf.Records, entries[idx])
 		}
-		cover := leaf.Cover(cfg.Dims)
-		level = append(level, node.Branch{Rect: cover, Child: leaf.ID})
-		t.done(leaf.ID, true)
+		level = append(level, node.Branch{Rect: leaf.Cover(cfg.Dims), Child: leaf.ID})
 	}
 
 	// Pack upper levels until one node remains.
@@ -107,7 +105,6 @@ func BulkLoad(cfg Config, st store.Store, records []Record, fill float64) (*Tree
 				n.Branches = append(n.Branches, level[idx])
 			}
 			next = append(next, node.Branch{Rect: n.Cover(cfg.Dims), Child: n.ID})
-			t.done(n.ID, true)
 		}
 		level = next
 		lvl++
@@ -121,7 +118,6 @@ func BulkLoad(cfg Config, st store.Store, records []Record, fill float64) (*Tree
 		return nil, t.abortOp(err)
 	}
 	t.height = rootNode.Level + 1
-	t.done(t.root, false)
 	t.size = len(records)
 	for i := range records {
 		if t.ids.add(records[i].ID) {

@@ -70,17 +70,11 @@ func (t *Tree) coalesceScan(nid page.ID, candidates map[page.ID]bool, o *op) err
 		return err
 	}
 	if n.IsLeaf() {
-		t.done(nid, false)
 		return nil
 	}
 	if n.Level > 1 {
-		children := make([]page.ID, len(n.Branches))
-		for i := range n.Branches {
-			children[i] = n.Branches[i].Child
-		}
-		t.done(nid, false)
-		for _, c := range children {
-			if err := t.coalesceScan(c, candidates, o); err != nil {
+		for _, b := range n.Branches {
+			if err := t.coalesceScan(b.Child, candidates, o); err != nil {
 				return err
 			}
 		}
@@ -107,10 +101,8 @@ func (t *Tree) coalesceScan(nid page.ID, candidates map[page.ID]bool, o *op) err
 		if err == nil && t.cfg.Spanning {
 			o.revalidate[nid] = true
 		}
-		t.done(nid, true)
 		return err // one merge per parent per trigger
 	}
-	t.done(nid, false)
 	return nil
 }
 
@@ -122,15 +114,12 @@ func (t *Tree) findMergePartner(n *node.Node, i int, o *op) int {
 	if err != nil {
 		return -1
 	}
-	ci := len(li.Records)
-	ri := li.Region
-	hasRegion := li.HasRegion()
-	t.done(li.ID, false)
-	if !hasRegion {
+	if !li.HasRegion() {
 		// Only skeleton leaves carry regions; adjacency is defined on
 		// partition regions.
 		return -1
 	}
+	ci := len(li.Records)
 	best, bestCount := -1, maxRecords+1
 	for j := range n.Branches {
 		if j == i {
@@ -140,10 +129,7 @@ func (t *Tree) findMergePartner(n *node.Node, i int, o *op) int {
 		if err != nil {
 			continue
 		}
-		ok := lj.HasRegion() && regionsAdjacent(ri, lj.Region) && ci+len(lj.Records) <= maxRecords
-		cj := len(lj.Records)
-		t.done(lj.ID, false)
-		if ok && ci+cj < bestCount {
+		if cj := len(lj.Records); ci+cj < bestCount && lj.HasRegion() && regionsAdjacent(li.Region, lj.Region) {
 			best, bestCount = j, ci+cj
 		}
 	}
@@ -187,21 +173,17 @@ func (t *Tree) mergeLeaves(n *node.Node, i, j int, o *op) error {
 	// The dropped leaf is only read: its page is freed as it stands.
 	drop, err := t.fetch(dropID, o.accesses)
 	if err != nil {
-		t.done(keepID, true)
 		return err
 	}
 	keep.Records = append(keep.Records, drop.Records...)
 	keep.Region = keep.Region.Union(drop.Region)
-	t.done(dropID, false)
 	if err := t.pool.Free(dropID); err != nil {
-		t.done(keepID, true)
 		return err
 	}
 	t.forgetLeaf(dropID)
 	t.touchLeaf(keepID)
 
 	n.Branches[i].Rect = keep.Cover(t.cfg.Dims)
-	t.done(keepID, true)
 	n.RemoveBranch(j)
 
 	// Spanning records linked to the dropped leaf relink to the merged

@@ -67,7 +67,6 @@ func nodeIDs(t *testing.T, tr *Tree) []page.ID {
 		for _, b := range n.Branches {
 			ids = append(ids, b.Child)
 		}
-		tr.done(n.ID, false)
 	}
 	return ids
 }
@@ -284,9 +283,8 @@ func TestInsertInsideLeafCoverKeepsAncestorVersions(t *testing.T) {
 			if leaf {
 				fits = len(n.Records) < tr.leafCap() && n.Cover(2).Contains(rect)
 			} else {
-				ids = append(ids, n.Branches[chooseBranch(n, rect)].Child)
+				ids = append(ids, n.Branches[chooseBranch(n, &rect)].Child)
 			}
-			tr.done(n.ID, false)
 			if leaf {
 				if fits {
 					path = ids

@@ -73,7 +73,6 @@ func (t *Tree) DeleteWhere(query geom.Rect, pred func(Entry) bool) (int, error) 
 				stack = append(stack, n.Branches[i].Child)
 			}
 		}
-		t.done(nid, false)
 	}
 	if len(ids) == 0 {
 		return 0, t.publishOp()
@@ -195,7 +194,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 				*orphans = append(*orphans, orphan{rec: rec, level: -1})
 			}
 		}
-		t.done(nid, dirty)
 		return cover, underfull, nil
 	}
 
@@ -207,7 +205,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 		child := n.Branches[i].Child
 		childCover, childGone, err := t.deleteRec(child, hint, match, o, removed, orphans)
 		if err != nil {
-			t.done(nid, dirty)
 			return geom.Rect{}, false, err
 		}
 		moved := !n.Branches[i].Rect.Equal(childCover)
@@ -231,7 +228,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 			n.RemoveBranch(i)
 			t.forgetLeaf(child)
 			if err := t.pool.Free(child); err != nil {
-				t.done(nid, dirty)
 				return geom.Rect{}, false, err
 			}
 		} else {
@@ -255,7 +251,6 @@ func (t *Tree) deleteRec(nid page.ID, hint geom.Rect, match func(node.Record) bo
 		}
 		delete(o.revalidate, nid)
 	}
-	t.done(nid, dirty)
 	return cover, underfull, nil
 }
 
@@ -268,26 +263,18 @@ func (t *Tree) resetEmptyRoot(o *op) error {
 		return err
 	}
 	if n.IsLeaf() || len(n.Branches) > 0 {
-		t.done(n.ID, false)
 		return nil
 	}
-	region := geom.Rect{}
-	if n.HasRegion() {
-		region = n.Region.Clone()
-	}
-	old := n.ID
-	t.done(old, false)
 	leaf, err := t.pool.NewNode(0, t.cfg.Sizes.BytesForLevel(0))
 	if err != nil {
 		return err
 	}
-	if region.Dims() > 0 {
-		leaf.Region = region
+	if n.HasRegion() {
+		leaf.Region = n.Region.Clone()
 	}
 	t.root = leaf.ID
 	t.height = 1
-	t.done(leaf.ID, true)
-	return t.pool.Free(old)
+	return t.pool.Free(n.ID)
 }
 
 // insertBranch re-attaches an orphaned subtree branch at the given level
@@ -302,17 +289,14 @@ func (o *op) insertBranch(b node.Branch, level int) error {
 		return err
 	}
 	if rootN.IsLeaf() && len(rootN.Records) == 0 {
-		old := rootN.ID
-		t.done(old, false)
-		if err := t.pool.Free(old); err != nil {
+		if err := t.pool.Free(rootN.ID); err != nil {
 			return err
 		}
-		t.forgetLeaf(old)
+		t.forgetLeaf(rootN.ID)
 		t.root = b.Child
 		t.height = level + 1
 		return nil
 	}
-	t.done(rootN.ID, false)
 	// If the tree is now shorter than the subtree needs, grow the root.
 	for t.height-1 < level+1 {
 		if err := t.growRootForBranch(o); err != nil {
@@ -325,16 +309,16 @@ func (o *op) insertBranch(b node.Branch, level int) error {
 		return err
 	}
 	for cur.Level > level+1 {
-		bi := chooseBranch(cur, b.Rect)
+		bi := chooseBranch(cur, &b.Rect)
 		child, err := t.fetch(cur.Branches[bi].Child, o.accesses)
 		if err != nil {
-			return o.release(path, cur, err)
+			return err
 		}
 		path = append(path, pathStep{cur, bi})
 		cur = child
 	}
 	if cur, err = t.mut(cur); err != nil {
-		return o.release(path, nil, err)
+		return err
 	}
 	o.addBranch(cur, b)
 	if t.cfg.Spanning {
@@ -353,14 +337,11 @@ func (t *Tree) growRootForBranch(o *op) error {
 	}
 	newRoot, err := t.pool.NewNode(cur.Level+1, t.cfg.Sizes.BytesForLevel(cur.Level+1))
 	if err != nil {
-		t.done(cur.ID, false)
 		return err
 	}
 	newRoot.Branches = append(newRoot.Branches, node.Branch{Rect: cur.Cover(t.cfg.Dims), Child: cur.ID})
-	t.done(cur.ID, false)
 	t.root = newRoot.ID
 	t.height++
-	t.done(newRoot.ID, true)
 	return nil
 }
 
@@ -374,14 +355,12 @@ func (t *Tree) collapseRoot(o *op) error {
 			return err
 		}
 		if n.IsLeaf() || len(n.Branches) != 1 {
-			t.done(n.ID, false)
 			return nil
 		}
 		for _, rec := range n.Records {
 			o.enqueue(rec.Rect, rec.ID)
 		}
 		child := n.Branches[0].Child
-		t.done(n.ID, false)
 		if err := t.pool.Free(n.ID); err != nil {
 			return err
 		}

@@ -390,7 +390,6 @@ func leafRecords(t *testing.T, tr *Tree) [][]node.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.done(root.ID, false)
 	var out [][]node.Record
 	for _, b := range root.Branches {
 		leaf, err := tr.fetch(b.Child, nil)
@@ -398,7 +397,6 @@ func leafRecords(t *testing.T, tr *Tree) [][]node.Record {
 			t.Fatal(err)
 		}
 		out = append(out, append([]node.Record(nil), leaf.Records...))
-		tr.done(leaf.ID, false)
 	}
 	return out
 }

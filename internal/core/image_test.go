@@ -66,9 +66,6 @@ func TestCheckInvariantsCatchesRepointedRect(t *testing.T) {
 				}
 			}
 		}
-		if err := tr.pool.Unpin(id, false); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if leaf == page.Nil {
 		t.Fatal("no leaf record with a positive extent")
@@ -103,9 +100,6 @@ func TestReadersScanOnlyPublishedImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.Branches, root.Records = nil, nil
-	if err := tr.pool.Unpin(tr.root, false); err != nil {
-		t.Fatal(err)
-	}
 	if err := tr.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants passed a root whose headers lost every entry")
 	}

@@ -10,8 +10,8 @@ import (
 	"segidx/internal/store"
 )
 
-// pathStep records one step of a root-to-node descent: the (pinned) node
-// and the branch index taken out of it.
+// pathStep records one step of a root-to-node descent: the node and the
+// branch index taken out of it.
 type pathStep struct {
 	n   *node.Node
 	idx int
@@ -119,8 +119,10 @@ func spannedBranch(n *node.Node, rect, region geom.Rect) int {
 }
 
 // chooseBranch implements Guttman's ChooseLeaf step: the branch needing the
-// least area enlargement to include rect, ties broken by smallest area.
-func chooseBranch(n *node.Node, rect geom.Rect) int {
+// least area enlargement to include rect, ties broken by smallest area. It
+// takes rect by pointer, as spansQualify does, so the caller's frame layout
+// does not change what the per-branch loop copies.
+func chooseBranch(n *node.Node, rect *geom.Rect) int {
 	best := 0
 	bestEnl := n.Branches[0].Rect.Enlargement(rect)
 	bestArea := n.Branches[0].Rect.Area()
@@ -171,7 +173,7 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 				if cur.ID != t.root && !region.Contains(rect) {
 					clip, ok := rect.Clip(region)
 					if !ok {
-						return o.release(path, cur, fmt.Errorf("core: cut of %v by %v produced no spanning portion", rect, region))
+						return fmt.Errorf("core: cut of %v by %v produced no spanning portion", rect, region)
 					}
 					remnants = rect.Remnants(region)
 					portion = clip
@@ -181,7 +183,7 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 				// will take the record is cloned.
 				if _, ok := o.spanningVictim(cur, rec); ok {
 					if cur, err = t.mut(cur); err != nil {
-						return o.release(path, nil, err)
+						return err
 					}
 				}
 				if o.placeSpanning(cur, rec) {
@@ -203,36 +205,22 @@ func (o *op) insert(rect geom.Rect, id node.RecordID, attempts int) error {
 				// its descent and is stored lower in the tree.
 			}
 		}
-		bi := chooseBranch(cur, rect)
+		bi := chooseBranch(cur, &rect)
 		region = cur.Branches[bi].Rect.Clone()
 		child, err := t.fetch(cur.Branches[bi].Child, o.accesses)
 		if err != nil {
-			return o.release(path, cur, err)
+			return err
 		}
 		path = append(path, pathStep{cur, bi})
 		cur = child
 	}
 
 	if cur, err = t.mut(cur); err != nil {
-		return o.release(path, nil, err)
+		return err
 	}
 	cur.Records = append(cur.Records, node.Record{Rect: rect, ID: id})
 	t.touchLeaf(cur.ID)
 	return o.ascend(path, cur)
-}
-
-// release unpins cur (when non-nil) and every node of a descent path, and
-// returns err: the way out of a descent that stops early, on an error or
-// because nothing above changes. Nodes the operation mutated are dirty
-// already (clones are born dirty), so everything is released as read.
-func (o *op) release(path []pathStep, cur *node.Node, err error) error {
-	if cur != nil {
-		o.t.done(cur.ID, false)
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		o.t.done(path[i].n.ID, false)
-	}
-	return err
 }
 
 // ascend walks back up a descent path from the modified node n, updating
@@ -241,18 +229,17 @@ func (o *op) release(path []pathStep, cur *node.Node, err error) error {
 // one of those changes it: the walk stops at the first one whose branch
 // rectangle already equals the child's new cover with no sibling or
 // promoted record pending — nothing above it can change either — and
-// releases the rest of the path untouched. It consumes (unpins) n and every
-// node on the path.
+// leaves the rest of the path untouched.
 func (o *op) ascend(path []pathStep, n *node.Node) error {
 	t := o.t
 	dims := t.cfg.Dims
 
-	var sibling *node.Node     // pinned; new node at child's level
+	var sibling *node.Node     // new node at child's level
 	var promoted []node.Record // spanning records bound for the parent
 	var err error
 	if t.overflowing(n) {
 		if sibling, promoted, err = o.split(n); err != nil {
-			return o.release(path, n, err)
+			return err
 		}
 	}
 
@@ -260,13 +247,12 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 	for i := len(path) - 1; i >= 0; i-- {
 		parent, idx := path[i].n, path[i].idx
 		newRect := child.Cover(dims)
-		t.done(child.ID, true)
 		moved := !parent.Branches[idx].Rect.Equal(newRect)
 		if !moved && sibling == nil && len(promoted) == 0 {
-			return o.release(path[:i+1], nil, nil)
+			return nil
 		}
 		if parent, err = t.mut(parent); err != nil {
-			return o.release(path[:i], nil, err)
+			return err
 		}
 		if moved {
 			parent.Branches[idx].Rect = newRect
@@ -283,14 +269,13 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 			o.addBranch(parent, node.Branch{
 				Rect: sibling.Cover(dims), Child: sibling.ID,
 			})
-			t.done(sibling.ID, true)
 			sibling = nil
 		}
 		o.placePromoted(parent, promoted)
 		promoted = nil
 		if t.overflowing(parent) {
 			if sibling, promoted, err = o.split(parent); err != nil {
-				return o.release(path[:i], parent, err)
+				return err
 			}
 		}
 		child = parent
@@ -300,8 +285,6 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 	for sibling != nil {
 		newRoot, err := t.pool.NewNode(child.Level+1, t.cfg.Sizes.BytesForLevel(child.Level+1))
 		if err != nil {
-			t.done(child.ID, true)
-			t.done(sibling.ID, true)
 			return err
 		}
 		newRoot.Branches = append(newRoot.Branches,
@@ -310,8 +293,6 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 		)
 		o.placePromoted(newRoot, promoted)
 		promoted = nil
-		t.done(child.ID, true)
-		t.done(sibling.ID, true)
 		sibling = nil
 		t.root = newRoot.ID
 		t.height++
@@ -319,12 +300,10 @@ func (o *op) ascend(path []pathStep, n *node.Node) error {
 		if t.overflowing(newRoot) {
 			sibling, promoted, err = o.split(newRoot)
 			if err != nil {
-				t.done(newRoot.ID, true)
 				return err
 			}
 		}
 	}
-	t.done(child.ID, true)
 	return nil
 }
 
@@ -399,7 +378,6 @@ func (o *op) revalidateNode(id page.ID) error {
 		return err
 	}
 	if n.IsLeaf() {
-		t.done(id, false)
 		return nil
 	}
 	dirty := false // set once n is the bracket's clone, made at the first stale link
@@ -430,6 +408,5 @@ func (o *op) revalidateNode(id page.ID) error {
 			o.enqueue(rec.Rect, rec.ID)
 		}
 	}
-	t.done(id, dirty)
 	return nil
 }

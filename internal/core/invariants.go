@@ -109,7 +109,6 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 			Err:  err,
 		}
 	}
-	defer t.done(id, false)
 	path = append(path, PathStep{ID: id, Level: n.Level})
 	fail := func(format string, args ...any) error {
 		return &InvariantError{
@@ -198,27 +197,16 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 		if err != nil {
 			return fail("node %v branch %d: %w", id, i, err)
 		}
-		childLevel := child.Level
-		childRegion := geom.Rect{}
+		if child.Level != n.Level-1 {
+			return fail("node %v (level %d) points to child %v at level %d", id, n.Level, b.Child, child.Level)
+		}
 		if child.HasRegion() {
-			childRegion = child.Region.Clone()
-		}
-		t.done(b.Child, false)
-		if childLevel != n.Level-1 {
-			return fail("node %v (level %d) points to child %v at level %d", id, n.Level, b.Child, childLevel)
-		}
-		if childRegion.Dims() > 0 {
 			for j := i + 1; j < len(n.Branches); j++ {
 				sib, err := t.fetch(n.Branches[j].Child, nil)
 				if err != nil {
 					return fail("node %v branch %d: %w", id, j, err)
 				}
-				overlap := 0.0
-				if sib.HasRegion() {
-					overlap = childRegion.OverlapArea(sib.Region)
-				}
-				t.done(n.Branches[j].Child, false)
-				if overlap > 0 {
+				if sib.HasRegion() && child.Region.OverlapArea(sib.Region) > 0 {
 					return fail("skeleton regions of %v and %v overlap", b.Child, n.Branches[j].Child)
 				}
 			}

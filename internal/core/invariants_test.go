@@ -117,16 +117,9 @@ func TestInvariantErrorPath(t *testing.T) {
 			// rect stays valid (min <= max) so the codec round-trips it;
 			// only the containment invariant breaks.
 			n.Records[0].Rect = geom.Rect2(-9e6, -9e6, 9e6, 9e6)
-			if err := tr.pool.Unpin(id, true); err != nil {
-				t.Fatal(err)
-			}
 			break
 		}
-		next := n.Branches[0].Child
-		if err := tr.pool.Unpin(id, false); err != nil {
-			t.Fatal(err)
-		}
-		id = next
+		id = n.Branches[0].Child
 	}
 
 	err = tr.CheckInvariants()
@@ -193,26 +186,11 @@ func TestInvariantErrorWrongLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	childID := root.Branches[0].Child
-	if err := tr.pool.Unpin(tr.root, false); err != nil {
-		t.Fatal(err)
-	}
-	child, err := tr.pool.Get(childID)
+	child, err := tr.pool.Get(root.Branches[0].Child)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grandID := child.Branches[0].Child
-	if err := tr.pool.Unpin(childID, false); err != nil {
-		t.Fatal(err)
-	}
-	root, err = tr.pool.Get(tr.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.Branches[0].Child = grandID
-	if err := tr.pool.Unpin(tr.root, true); err != nil {
-		t.Fatal(err)
-	}
+	root.Branches[0].Child = child.Branches[0].Child
 
 	err = tr.CheckInvariants()
 	if err == nil {

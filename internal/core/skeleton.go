@@ -120,11 +120,6 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 	// whole hierarchy in a single epoch bump. grid holds the node IDs of
 	// the current level in row-major order over the level's per-dim grid.
 	t.beginOp()
-	free := func(ids []page.ID) {
-		for _, id := range ids {
-			_ = t.pool.Free(id)
-		}
-	}
 	var prevGrid []page.ID
 	var prevRegions []geom.Rect
 	for l := 0; l < levels; l++ {
@@ -141,7 +136,6 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 			}
 			n, err := t.pool.NewNode(l, t.cfg.Sizes.BytesForLevel(l))
 			if err != nil {
-				free(grid[:cell])
 				return t.abortOp(err)
 			}
 			n.Region = region
@@ -156,14 +150,11 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 				// region.
 				prevP := perDim[l-1]
 				if err := t.attachChildren(n, coords, l, p, prevP, cutIdx, prevGrid, prevRegions, dims); err != nil {
-					t.done(n.ID, true)
-					free(grid[:cell+1])
 					return t.abortOp(err)
 				}
 			}
 			grid[cell] = n.ID
 			regions[cell] = region
-			t.done(n.ID, true)
 		}
 		prevGrid, prevRegions = grid, regions
 	}

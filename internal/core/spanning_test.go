@@ -22,13 +22,8 @@ func collectSpanning(t *testing.T, tr *Tree) []node.Record {
 		if !n.IsLeaf() {
 			out = append(out, n.Records...)
 		}
-		children := make([]page.ID, len(n.Branches))
-		for i := range n.Branches {
-			children[i] = n.Branches[i].Child
-		}
-		tr.done(id, false)
-		for _, c := range children {
-			walk(c)
+		for _, b := range n.Branches {
+			walk(b.Child)
 		}
 	}
 	walk(tr.root)
@@ -122,7 +117,6 @@ func findSubRootCutSegment(t *testing.T, tr *Tree) geom.Rect {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.done(tr.root, false)
 	rootCover := root.Cover(2)
 	for ci, cb := range root.Branches {
 		child, err := tr.fetch(cb.Child, nil)
@@ -130,7 +124,6 @@ func findSubRootCutSegment(t *testing.T, tr *Tree) geom.Rect {
 			t.Fatal(err)
 		}
 		if child.IsLeaf() {
-			tr.done(cb.Child, false)
 			continue
 		}
 		for _, b := range child.Branches {
@@ -141,16 +134,14 @@ func findSubRootCutSegment(t *testing.T, tr *Tree) geom.Rect {
 			if spannedBranch(root, seg, rootCover) != -1 {
 				continue // would be stored on the root without a cut
 			}
-			if chooseBranch(root, seg) != ci {
+			if chooseBranch(root, &seg) != ci {
 				continue // would descend elsewhere
 			}
 			if !spansQualify(&seg, &b.Rect) {
 				continue
 			}
-			tr.done(cb.Child, false)
 			return seg
 		}
-		tr.done(cb.Child, false)
 	}
 	t.Fatal("fixture tree offers no sub-root cut opportunity")
 	return geom.Rect{}

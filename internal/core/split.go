@@ -22,8 +22,8 @@ import (
 //     reinsertion (this can only happen when almost all records link to one
 //     branch).
 //
-// The returned sibling is pinned; the caller installs it in the parent and
-// unpins both.
+// The returned sibling is a new node of the bracket; the caller installs it
+// in the parent.
 func (o *op) split(n *node.Node) (*node.Node, []node.Record, error) {
 	t := o.t
 	dims := t.cfg.Dims
@@ -247,8 +247,8 @@ func quadraticSplit(rects []geom.Rect, minFill int) (groupA, groupB []int) {
 		bestIdx, bestDiff := -1, -1.0
 		var bestDA, bestDB float64
 		for pos, i := range rest {
-			dA := coverA.Enlargement(rects[i])
-			dB := coverB.Enlargement(rects[i])
+			dA := coverA.Enlargement(&rects[i])
+			dB := coverB.Enlargement(&rects[i])
 			diff := dA - dB
 			if diff < 0 {
 				diff = -diff

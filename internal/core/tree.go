@@ -128,15 +128,14 @@ func New(cfg Config, st store.Store) (*Tree, error) {
 	if meta != metaPageID {
 		return nil, fmt.Errorf("core: store is not fresh (metadata page allocated as %v)", meta)
 	}
+	// The empty root is written in the bracket that publishes epoch 1.
+	t.pool.BeginWrite(1)
 	root, err := t.pool.NewNode(0, cfg.Sizes.BytesForLevel(0))
 	if err != nil {
 		return nil, err
 	}
 	t.root = root.ID
 	t.height = 1
-	if err := t.pool.Unpin(root.ID, true); err != nil {
-		return nil, err
-	}
 	t.publishState(1)
 	return t, nil
 }
@@ -262,12 +261,13 @@ func (t *Tree) fitsBytes(n *node.Node) bool {
 	return t.codec.UsedBytes(n) <= t.pageBytes(n.Level)
 }
 
-// fetch pins and returns the newest version of a node for read-only use,
-// charging one logical node access to the given counter. The counter is
-// updated atomically because inspection passes run under the read lock
+// fetch returns the newest version of a node for read-only use, charging
+// one logical node access to the given counter. The counter is updated
+// atomically because inspection passes run under the read lock
 // concurrently. The caller must hold t.mu (or own the tree exclusively, as
-// bulk construction does before publishing it). The write path descends
-// with fetch too, and calls mut on a node before the first change to it.
+// bulk construction does before publishing it). The node needs no release.
+// The write path descends with fetch too, and calls mut on a node before
+// the first change to it.
 func (t *Tree) fetch(id page.ID, accesses *uint64) (*node.Node, error) {
 	n, err := t.pool.Get(id)
 	if err != nil {
@@ -279,29 +279,19 @@ func (t *Tree) fetch(id page.ID, accesses *uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// mut exchanges the pin fetch took on n for a pin on the version of the
-// page the current write bracket may change, and returns that version: the
-// bracket's copy-on-write clone, made here at the first mut of the page per
-// operation, so snapshots pinned before the operation keep reading the
-// pre-image. Pages are cloned at their first mutation, not their first
-// visit, so a frame is dirty exactly when an operation changed it; n itself
-// must not be used afterwards. On failure the pin is gone. The caller must
-// hold the write lock on t.mu.
+// mut returns the version of n's page the current write bracket may
+// change: the bracket's copy-on-write clone, made here at the first mut of
+// the page per operation, so snapshots pinned before the operation keep
+// reading the pre-image. Pages are cloned at their first mutation, not
+// their first visit, so a frame is dirty exactly when an operation changed
+// it; n itself must not be used afterwards. The caller must hold the write
+// lock on t.mu.
 func (t *Tree) mut(n *node.Node) (*node.Node, error) {
 	m, err := t.pool.Upgrade(n.ID)
 	if err != nil {
 		return nil, fmt.Errorf("core: upgrade %v: %w", n.ID, err)
 	}
 	return m, nil
-}
-
-// done unpins a node. The caller must hold t.mu.
-//
-//seglint:allow nodepanic — an unpin failure is a pin-discipline bug; surface loudly rather than silently corrupting LRU state
-func (t *Tree) done(id page.ID, dirty bool) {
-	if err := t.pool.Unpin(id, dirty); err != nil {
-		panic(err)
-	}
 }
 
 // rootCover returns the rectangle covering everything in the tree, or the
@@ -311,9 +301,7 @@ func (t *Tree) rootCover() (geom.Rect, error) {
 	if err != nil {
 		return geom.Rect{}, err
 	}
-	cover := n.Cover(t.cfg.Dims)
-	t.done(t.root, false)
-	return cover, nil
+	return n.Cover(t.cfg.Dims), nil
 }
 
 // touchLeaf records one modification of a leaf for the coalescing policy.

@@ -73,8 +73,8 @@ func FuzzRectOps(f *testing.F) {
 		}
 
 		// Enlargement is never negative.
-		if r.Enlargement(s) < 0 {
-			t.Fatalf("Enlargement(%v, %v) = %g < 0", r, s, r.Enlargement(s))
+		if r.Enlargement(&s) < 0 {
+			t.Fatalf("Enlargement(%v, %v) = %g < 0", r, s, r.Enlargement(&s))
 		}
 
 		// Intersection: symmetric with Intersects, contained in both, and

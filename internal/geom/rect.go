@@ -197,7 +197,7 @@ func (r *Rect) ExpandInPlace(s Rect) {
 
 // Enlargement returns the increase in area of r needed to fully enclose s.
 // It is the quantity minimized by Guttman's ChooseLeaf.
-func (r Rect) Enlargement(s Rect) float64 {
+func (r *Rect) Enlargement(s *Rect) float64 {
 	enlarged := 1.0
 	for d := range r.Min {
 		lo, hi := r.Min[d], r.Max[d]

@@ -57,10 +57,11 @@ func TestUnionAndEnlargement(t *testing.T) {
 	if !u.Equal(Rect2(0, 0, 3, 3)) {
 		t.Fatalf("Union = %v", u)
 	}
-	if got := a.Enlargement(b); got != 9-1 {
+	if got := a.Enlargement(&b); got != 9-1 {
 		t.Errorf("Enlargement = %g, want 8", got)
 	}
-	if got := a.Enlargement(Rect2(0.2, 0.2, 0.8, 0.8)); got != 0 {
+	inner := Rect2(0.2, 0.2, 0.8, 0.8)
+	if got := a.Enlargement(&inner); got != 0 {
 		t.Errorf("Enlargement of contained = %g, want 0", got)
 	}
 }
