@@ -2,20 +2,26 @@ package segidx
 
 import (
 	"context"
+	"runtime"
 
 	"segidx/internal/fanout"
 )
 
 // Parallelism reports the worker bound the batch APIs use: the value set
 // by WithParallelism or SetParallelism, or GOMAXPROCS when unset.
-func (x *Index) Parallelism() int { return x.f.Parallelism() }
+func (x *Index) Parallelism() int {
+	if p := x.par.Load(); p > 0 {
+		return int(p)
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // SetParallelism changes the worker bound for subsequent batch calls
 // (0 restores the GOMAXPROCS default). The bound also governs
 // scatter-gather queries and flushes across several shards. Safe to call
 // concurrently; operations already in flight keep the bound they started
 // with.
-func (x *Index) SetParallelism(n int) { x.f.SetParallelism(n) }
+func (x *Index) SetParallelism(n int) { x.par.Store(int32(max(n, 0))) }
 
 // SearchBatch runs Search for every query concurrently, with at most
 // Parallelism() goroutines, and returns the results in query order:
@@ -35,7 +41,7 @@ func (x *Index) SetParallelism(n int) { x.f.SetParallelism(n) }
 // returns ctx.Err(). On error the partial results are discarded. A nil
 // ctx is treated as context.Background().
 func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, error) {
-	v := x.f.Snapshot()
+	v := x.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(queries))
 	err := x.runBatch(ctx, len(queries), func(i int) error {
@@ -56,7 +62,7 @@ func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, err
 // ordering, parallelism, snapshot, and error semantics). Each point is a
 // coordinate slice of the index's dimensionality.
 func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, error) {
-	v := x.f.Snapshot()
+	v := x.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(points))
 	err := x.runBatch(ctx, len(points), func(i int) error {
@@ -85,7 +91,7 @@ func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, e
 // reconcile via Search. A nil ctx is treated as context.Background().
 func (x *Index) InsertBatch(ctx context.Context, records []BulkRecord) error {
 	return x.runBatch(ctx, len(records), func(i int) error {
-		return x.f.Insert(records[i].Rect, records[i].ID)
+		return x.Insert(records[i].Rect, records[i].ID)
 	})
 }
 

@@ -16,8 +16,8 @@ type variant struct {
 
 // runAblation executes the DESIGN.md ablation experiments A1-A5: each
 // varies one design parameter the paper fixes (or leaves open) and reruns
-// the QAR sweep.
-func runAblation(name string, tuples, queries int, seed uint64, csv, check bool, progress io.Writer) error {
+// the QAR sweep, writing each result to out.
+func runAblation(out io.Writer, name string, tuples, queries int, seed uint64, csv, check bool, progress io.Writer) error {
 	var (
 		ds       workload.Dataset
 		kinds    []harness.Kind
@@ -83,7 +83,7 @@ func runAblation(name string, tuples, queries int, seed uint64, csv, check bool,
 			if err != nil {
 				return err
 			}
-			emit(res, csv, false, false)
+			emit(out, res, csv, false, false)
 		}
 		return nil
 	case "leafpromo":
@@ -109,7 +109,7 @@ func runAblation(name string, tuples, queries int, seed uint64, csv, check bool,
 		if err != nil {
 			return err
 		}
-		emit(res, csv, false, false)
+		emit(out, res, csv, false, false)
 	}
 	return nil
 }

@@ -64,13 +64,13 @@ func newFlagSet() (*flag.FlagSet, *config) {
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run executes one segbench invocation and returns its exit status: 0 on
 // success, 1 on a failed run or failed claim, 2 on a usage error. Results
-// go to standard output; usage, errors and progress go to stderr.
-func run(args []string, stderr io.Writer) int {
+// go to stdout; usage, errors and progress go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs, c := newFlagSet()
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -80,7 +80,7 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 	if c.list {
-		printList(os.Stdout, fs)
+		printList(stdout, fs)
 		return 0
 	}
 	if !c.all && !c.verify && c.graphs == "" && c.ablation == "" {
@@ -100,7 +100,7 @@ func run(args []string, stderr io.Writer) int {
 	if !c.quiet {
 		progress = stderr
 	}
-	if err := c.experiments(progress); err != nil {
+	if err := c.experiments(stdout, progress); err != nil {
 		fmt.Fprintln(stderr, "segbench:", err)
 		return 1
 	}
@@ -108,10 +108,10 @@ func run(args []string, stderr io.Writer) int {
 }
 
 // experiments runs what the flags select: an ablation, the claim
-// verification, or a list of graphs.
-func (c *config) experiments(progress io.Writer) error {
+// verification, or a list of graphs, and writes the results to out.
+func (c *config) experiments(out, progress io.Writer) error {
 	if c.ablation != "" {
-		return runAblation(c.ablation, c.tuples, c.queries, c.seed, c.csv, c.check, progress)
+		return runAblation(out, c.ablation, c.tuples, c.queries, c.seed, c.csv, c.check, progress)
 	}
 
 	// graph runs paper graph g with the command line's overrides applied.
@@ -139,11 +139,11 @@ func (c *config) experiments(progress io.Writer) error {
 			results[g] = res
 		}
 		report, failures := harness.VerifyClaims(results)
-		fmt.Print(report)
+		fmt.Fprint(out, report)
 		if failures > 0 {
 			return fmt.Errorf("%d claim(s) failed", failures)
 		}
-		fmt.Println("\nall claims hold")
+		fmt.Fprintln(out, "\nall claims hold")
 		return nil
 	}
 
@@ -168,23 +168,23 @@ func (c *config) experiments(progress io.Writer) error {
 		if err != nil {
 			return err
 		}
-		emit(res, c.csv, c.json, c.chart)
+		emit(out, res, c.csv, c.json, c.chart)
 	}
 	return nil
 }
 
-func emit(res *harness.Result, csv, jsonOut, chart bool) {
+func emit(w io.Writer, res *harness.Result, csv, jsonOut, chart bool) {
 	switch {
 	case jsonOut:
-		fmt.Print(res.BenchJSON())
+		fmt.Fprint(w, res.BenchJSON())
 	case csv:
-		fmt.Printf("# %s\n%s\n", res.Spec.Name, res.CSV())
+		fmt.Fprintf(w, "# %s\n%s\n", res.Spec.Name, res.CSV())
 	default:
-		fmt.Println(res.Table())
-		fmt.Println(res.BuildSummary())
+		fmt.Fprintln(w, res.Table())
+		fmt.Fprintln(w, res.BuildSummary())
 	}
 	if chart {
-		fmt.Println(res.Chart())
+		fmt.Fprintln(w, res.Chart())
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -39,7 +40,7 @@ func TestParseKinds(t *testing.T) {
 }
 
 func TestRunAblationUnknown(t *testing.T) {
-	if err := runAblation("nope", 100, 5, 1, false, false, nil); err == nil {
+	if err := runAblation(io.Discard, "nope", 100, 5, 1, false, false, nil); err == nil {
 		t.Error("unknown ablation accepted")
 	}
 }
@@ -47,7 +48,7 @@ func TestRunAblationUnknown(t *testing.T) {
 func TestRunAblationTiny(t *testing.T) {
 	// A minimal end-to-end ablation run exercising the variant plumbing.
 	var progress bytes.Buffer
-	if err := runAblation("leafpromo", 800, 3, 1, true, false, &progress); err != nil {
+	if err := runAblation(io.Discard, "leafpromo", 800, 3, 1, true, false, &progress); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(progress.String(), "SR-Tree") {
@@ -129,14 +130,36 @@ func TestFlagsListAndReadmeAgree(t *testing.T) {
 
 func TestNoModeIsUsageError(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := run([]string{"-tuples", "100", "-quiet"}, &stderr); code != 2 {
+	if code := run([]string{"-tuples", "100", "-quiet"}, io.Discard, &stderr); code != 2 {
 		t.Errorf("exit status %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "Usage of segbench") {
 		t.Errorf("no usage printed: %q", stderr.String())
 	}
 	// A flag of a retired systems mode is undefined, which is also status 2.
-	if code := run([]string{"-hotpath"}, &stderr); code != 2 {
+	if code := run([]string{"-hotpath"}, io.Discard, &stderr); code != 2 {
 		t.Errorf("-hotpath: exit status %d, want 2", code)
+	}
+}
+
+// TestGraph3Golden pins the paper's metric end to end: `segbench -graph 3
+// -tuples 20000 -csv -quiet` must print, byte for byte, the node accesses
+// per search stored in testdata. The run is deterministic, and it reads
+// every index type through Index.Search, Stats and Analyze, so a change to
+// any layer under the facade that moves one node access shows up here.
+// Regenerate the file only with a change that means to move the figures:
+//
+//	go run ./cmd/segbench -graph 3 -tuples 20000 -csv -quiet > cmd/segbench/testdata/graph3_20000.csv
+func TestGraph3Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/graph3_20000.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-graph", "3", "-tuples", "20000", "-csv", "-quiet"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr.String())
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("graph 3 output differs from testdata/graph3_20000.csv:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

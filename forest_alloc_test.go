@@ -4,7 +4,7 @@
 // so this file is excluded from -race builds; the CI forest job still
 // runs every functional forest test under -race.
 
-package forest
+package segidx
 
 import (
 	"math/rand"

@@ -1,16 +1,21 @@
-package forest
+package segidx
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"sort"
 	"testing"
 
 	"segidx/internal/core"
+	"segidx/internal/forest"
 	"segidx/internal/geom"
 	"segidx/internal/node"
+	"segidx/internal/page"
 	"segidx/internal/store"
 	"segidx/internal/store/faultstore"
 )
@@ -70,14 +75,16 @@ func snapshotShards(src []shardModel) []shardModel {
 // non-nil) with the per-shard oracle state at those boundaries. In crash
 // runs the returned error is the injected power cut.
 func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM, opsA, opsB int, err error) {
-	if err := CreateManifest(disk, "forest.db", fcShards); err != nil {
+	if err := forest.CreateManifest(disk, "forest.db", fcShards); err != nil {
 		return 0, 0, 0, err
 	}
 	opsM = disk.Ops()
 
-	shards := make([]Shard, fcShards)
+	shards := make([]core.Engine, fcShards)
+
+	stores := make([]store.Store, fcShards)
 	for i := range shards {
-		st, err := store.OpenWALStoreIn(disk, ShardPath("forest.db", i))
+		st, err := store.OpenWALStoreIn(disk, shardPath("forest.db", i, fcShards))
 		if err != nil {
 			return opsM, 0, 0, err
 		}
@@ -86,12 +93,9 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 		if err != nil {
 			return opsM, 0, 0, err
 		}
-		shards[i] = Shard{Eng: tr, Store: st}
+		shards[i], stores[i] = tr, st
 	}
-	f, err := New(shards)
-	if err != nil {
-		return opsM, 0, 0, err
-	}
+	f := newIndex(shards, stores)
 	// One worker: the disk op counter is a coordinate system across
 	// replays only if flushes hit the disk in a deterministic order.
 	f.SetParallelism(1)
@@ -107,7 +111,7 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 		if err := f.Insert(r, id); err != nil {
 			return err
 		}
-		model[f.Route(id)][id] = r
+		model[f.ShardOf(id)][id] = r
 		return nil
 	}
 	for i := 0; i < fcPreFlush; i++ {
@@ -226,9 +230,9 @@ func shardMatches(t *testing.T, eng core.Engine, m shardModel) bool {
 // no manifest survived.
 func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shardModel, desc string) []string {
 	t.Helper()
-	m, err := OpenManifest(img, "forest.db")
+	m, err := forest.OpenManifest(img, "forest.db")
 	if err != nil {
-		if errors.Is(err, ErrNoManifest) {
+		if errors.Is(err, forest.ErrNoManifest) {
 			return nil
 		}
 		t.Fatalf("%s: recovery OpenManifest: %v", desc, err)
@@ -237,9 +241,10 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		t.Fatalf("%s: manifest says %d shards, want %d", desc, m.Shards, fcShards)
 	}
 	states := make([]string, fcShards)
-	shards := make([]Shard, fcShards)
+	shards := make([]core.Engine, fcShards)
+	stores := make([]store.Store, fcShards)
 	for i := 0; i < fcShards; i++ {
-		ws, err := store.OpenWALStoreIn(img, ShardPath("forest.db", i))
+		ws, err := store.OpenWALStoreIn(img, shardPath("forest.db", i, fcShards))
 		if err != nil {
 			t.Fatalf("%s: shard %d recovery open: %v", desc, i, err)
 		}
@@ -253,7 +258,7 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 			if err != nil {
 				t.Fatalf("%s: shard %d fresh tree: %v", desc, i, err)
 			}
-			shards[i] = Shard{Eng: tr, Store: ws}
+			shards[i], stores[i] = tr, ws
 			continue
 		}
 		if err != nil {
@@ -275,15 +280,12 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 			t.Fatalf("%s: shard %d (%d records) matches neither boundary (A=%d, B=%d records)",
 				desc, i, tr.Len(), len(mA[i]), len(mB[i]))
 		}
-		shards[i] = Shard{Eng: tr, Store: ws}
+		shards[i], stores[i] = tr, ws
 	}
 
 	// The reassembled forest must answer as the union of its recovered
 	// shards and satisfy every forest invariant.
-	f, err := New(shards)
-	if err != nil {
-		t.Fatalf("%s: forest reassembly: %v", desc, err)
-	}
+	f := newIndex(shards, stores)
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("%s: recovered forest invariants: %v", desc, err)
 	}
@@ -417,7 +419,7 @@ func TestForestShardCommitFailureBreaksForest(t *testing.T) {
 	}
 	for i := 0; i < fcShards; i++ {
 		id := node.RecordID(100000)
-		for f.Route(id) != i {
+		for f.ShardOf(id) != i {
 			id++
 		}
 		if err := f.Insert(randRect(rng), id); !errors.Is(err, store.ErrBroken) {
@@ -446,14 +448,15 @@ func TestForestShardCommitFailureBreaksForest(t *testing.T) {
 // newDurableForest creates a forest of fcShards durable R-Tree shards on
 // disk and inserts fcPreFlush records, unflushed. It returns the forest
 // and the records each shard holds.
-func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Forest, []shardModel) {
+func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Index, []shardModel) {
 	t.Helper()
-	if err := CreateManifest(disk, "forest.db", fcShards); err != nil {
+	if err := forest.CreateManifest(disk, "forest.db", fcShards); err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]Shard, fcShards)
+	shards := make([]core.Engine, fcShards)
+	stores := make([]store.Store, fcShards)
 	for i := range shards {
-		st, err := store.OpenWALStoreIn(disk, ShardPath("forest.db", i))
+		st, err := store.OpenWALStoreIn(disk, shardPath("forest.db", i, fcShards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,12 +464,9 @@ func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Forest, []shardMode
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = Shard{Eng: tr, Store: st}
+		shards[i], stores[i] = tr, st
 	}
-	f, err := New(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newIndex(shards, stores)
 	model := make([]shardModel, fcShards)
 	for i := range model {
 		model[i] = make(shardModel)
@@ -477,7 +477,123 @@ func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Forest, []shardMode
 		if err := f.Insert(r, id); err != nil {
 			t.Fatal(err)
 		}
-		model[f.Route(id)][id] = r
+		model[f.ShardOf(id)][id] = r
 	}
 	return f, model
+}
+
+// manifestSlot encodes one manifest slot by hand, as the format
+// (internal/forest/manifest.go) lays it out at version 2: the bytes every
+// build reads and writes, pinned here independently of the encoder.
+func manifestSlot(shards int, epoch uint64) []byte {
+	slot := make([]byte, 64)
+	binary.LittleEndian.PutUint32(slot[0:4], 0x5347464d) // "SGFM"
+	binary.LittleEndian.PutUint16(slot[4:6], 2)
+	binary.LittleEndian.PutUint16(slot[6:8], uint16(shards))
+	binary.LittleEndian.PutUint64(slot[8:16], epoch)
+	binary.LittleEndian.PutUint32(slot[60:64], crc32.ChecksumIEEE(slot[:60]))
+	return slot
+}
+
+// writeSlots writes one manifest slot per epoch into path, as a build that
+// committed a bumped epoch on every flush left them: epoch E in slot E%2.
+func writeSlots(t *testing.T, fsys store.FS, path string, shards int, epochs ...uint64) {
+	t.Helper()
+	f, err := fsys.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range epochs {
+		if _, err := f.WriteAt(manifestSlot(shards, e), int64(e%2)*64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// metaEpochWord is where builds that stamped a forest flush epoch on every
+// shard kept it: bytes 48:56 of the tree's metadata page, now reserved and
+// written 0.
+const metaEpochWord = 48
+
+// metaPage is the page every tree keeps its metadata on.
+const metaPage = page.ID(1)
+
+// shardMetaWord reads or, with set, rewrites and commits the epoch word of
+// shard i's metadata page.
+func shardMetaWord(t *testing.T, disk *faultstore.Disk, i int, set *uint64) uint64 {
+	t.Helper()
+	ws, err := store.OpenWALStoreIn(disk, shardPath("forest.db", i, fcShards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ws.Close() }()
+	buf, err := ws.Read(metaPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set != nil {
+		buf = append([]byte(nil), buf...)
+		binary.LittleEndian.PutUint64(buf[metaEpochWord:], *set)
+		if err := ws.Write(metaPage, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return binary.LittleEndian.Uint64(buf[metaEpochWord:])
+}
+
+// TestManifestFormatCompatibility checks the on-disk format in both
+// directions. A forest written by a build that bumped the manifest epoch on
+// every flush and stamped it on every shard opens whole under this build;
+// a forest this build writes holds what such a build reads as a forest
+// never flushed since creation — manifest epoch 0 and every shard at epoch
+// 0, which its "shard ahead of the manifest" check accepts.
+func TestManifestFormatCompatibility(t *testing.T) {
+	t.Run("older forest opens", func(t *testing.T) {
+		disk := faultstore.NewDisk()
+		f, model := newDurableForest(t, disk)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The older build's image after two flushes and a close: manifest
+		// slots at epochs 2 and 3, every shard stamped 3.
+		writeSlots(t, disk, "forest.db", fcShards, 2, 3)
+		three := uint64(3)
+		for i := 0; i < fcShards; i++ {
+			shardMetaWord(t, disk, i, &three)
+			if w := shardMetaWord(t, disk, i, nil); w != 3 {
+				t.Fatalf("shard %d metadata word reads %d after stamping 3", i, w)
+			}
+		}
+		if m, err := forest.OpenManifest(disk, "forest.db"); err != nil || m != (forest.Manifest{Shards: fcShards, Epoch: 3}) {
+			t.Fatalf("OpenManifest = %+v, %v, want %d shards at epoch 3", m, err, fcShards)
+		}
+		// Every shard recovers whole and the forest passes CheckInvariants.
+		for i, st := range recoverForestAndClassify(t, disk, model, model, "older forest") {
+			if st != "A" {
+				t.Fatalf("shard %d recovered %q, want every record", i, st)
+			}
+		}
+	})
+	t.Run("this build's forest reads as never flushed", func(t *testing.T) {
+		disk := faultstore.NewDisk()
+		f, _ := newDurableForest(t, disk)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := manifestSlot(fcShards, 0)
+		if got := readFile(t, disk, "forest.db"); !bytes.Equal(got, want) {
+			t.Fatalf("manifest file = %x, want one epoch-0 slot %x", got, want)
+		}
+		for i := 0; i < fcShards; i++ {
+			if w := shardMetaWord(t, disk, i, nil); w != 0 {
+				t.Fatalf("shard %d metadata word %d:%d = %d, want 0", i, metaEpochWord, metaEpochWord+8, w)
+			}
+		}
+	})
 }

@@ -1,4 +1,4 @@
-package forest
+package segidx
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"segidx/internal/core"
+	"segidx/internal/forest"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/store"
@@ -32,7 +33,7 @@ func shardRecords(rng *rand.Rand, n, count int) [][]core.Record {
 		if done {
 			return out
 		}
-		if s := RouteID(id, n); len(out[s]) < count {
+		if s := forest.RouteID(id, n); len(out[s]) < count {
 			out[s] = append(out[s], core.Record{Rect: randRect(rng), ID: id})
 		}
 	}
@@ -183,21 +184,19 @@ func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	fshards := make([]Shard, shards)
+	fshards := make([]core.Engine, shards)
+	stores := make([]store.Store, shards)
 	for i := range fshards {
 		st := store.NewMemStore()
 		tr, err := core.New(smallConfig(false), st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fshards[i] = Shard{Eng: tr, Store: st}
+		fshards[i], stores[i] = tr, st
 	}
-	gate.Engine = fshards[0].Eng
-	fshards[0].Eng = gate
-	f, err := New(fshards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gate.Engine = fshards[0]
+	fshards[0] = gate
+	f := newIndex(fshards, stores)
 	recs := shardRecords(rand.New(rand.NewSource(7)), shards, 100)
 
 	// Park a writer inside shard 0.

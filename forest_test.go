@@ -1,4 +1,4 @@
-package forest
+package segidx
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"segidx/internal/core"
+	"segidx/internal/forest"
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/store"
@@ -27,22 +28,26 @@ func smallConfig(spanning bool) core.Config {
 
 // newMemForest builds an n-shard forest of SR-Trees over fresh in-memory
 // stores, without a manifest.
-func newMemForest(t *testing.T, n int, spanning bool) *Forest {
+func newMemForest(t *testing.T, n int, spanning bool) *Index {
 	t.Helper()
-	shards := make([]Shard, n)
+	shards := make([]core.Engine, n)
+	stores := make([]store.Store, n)
 	for i := range shards {
 		st := store.NewMemStore()
 		tr, err := core.New(smallConfig(spanning), st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = Shard{Eng: tr, Store: st}
+		shards[i], stores[i] = tr, st
 	}
-	f, err := New(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return newIndex(shards, stores)
+}
+
+// randRect draws a rectangle of sides below 50 inside [0, 1050]².
+func randRect(rng *rand.Rand) geom.Rect {
+	x, y := rng.Float64()*1000, rng.Float64()*1000
+	w, h := rng.Float64()*50, rng.Float64()*50
+	return geom.Rect2(x, y, x+w, y+h)
 }
 
 func ids(entries []core.Entry) []node.RecordID {
@@ -315,16 +320,17 @@ func TestForestNeverRewritesManifest(t *testing.T) {
 	const shardCount = 2
 	disk := faultstore.NewDisk()
 	fsys := newCountingFS(disk)
-	if err := CreateManifest(fsys, "forest.db", shardCount); err != nil {
+	if err := forest.CreateManifest(fsys, "forest.db", shardCount); err != nil {
 		t.Fatal(err)
 	}
 	if w, s := fsys.counts("forest.db"); w != 1 || s != 1 {
 		t.Fatalf("creating the manifest made %d writes and %d syncs, want 1 and 1", w, s)
 	}
 	created := readFile(t, disk, "forest.db")
-	shards := make([]Shard, shardCount)
+	shards := make([]core.Engine, shardCount)
+	stores := make([]store.Store, shardCount)
 	for i := range shards {
-		st, err := store.OpenWALStoreIn(fsys, ShardPath("forest.db", i))
+		st, err := store.OpenWALStoreIn(fsys, shardPath("forest.db", i, shardCount))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,12 +338,9 @@ func TestForestNeverRewritesManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = Shard{Eng: tr, Store: st}
+		shards[i], stores[i] = tr, st
 	}
-	f, err := New(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newIndex(shards, stores)
 	rng := rand.New(rand.NewSource(3))
 	insert := func(from, to int) {
 		t.Helper()
@@ -373,18 +376,18 @@ func TestForestNeverRewritesManifest(t *testing.T) {
 		t.Fatalf("the manifest saw %d writes and %d syncs after its creation, want 0 and 0", w-1, s-1)
 	}
 	for i := 0; i < shardCount; i++ {
-		if _, s := fsys.counts(ShardPath("forest.db", i)); s == 0 {
+		if _, s := fsys.counts(shardPath("forest.db", i, shardCount)); s == 0 {
 			t.Fatalf("shard %d's page file was never synced: the flushes committed nothing", i)
 		}
 	}
 	if got := readFile(t, disk, "forest.db"); !bytes.Equal(got, created) {
 		t.Fatalf("the manifest's bytes changed after its creation:\n%x\n%x", created, got)
 	}
-	m, err := OpenManifest(disk, "forest.db")
+	m, err := forest.OpenManifest(disk, "forest.db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != (Manifest{Shards: shardCount}) {
+	if m != (forest.Manifest{Shards: shardCount}) {
 		t.Fatalf("manifest = %+v, want %d shards at epoch 0", m, shardCount)
 	}
 }
@@ -414,33 +417,31 @@ func readFile(t *testing.T, fsys store.FS, name string) []byte {
 // reported by CheckInvariants.
 func TestForestPlacement(t *testing.T) {
 	const shards = 3
-	mkShards := func(t *testing.T, place func(id node.RecordID) int) ([]Shard, map[node.RecordID]geom.Rect) {
-		out := make([]Shard, shards)
+	// mkForest fills each shard through place, then assembles the forest.
+	mkForest := func(t *testing.T, place func(id node.RecordID) int) (*Index, map[node.RecordID]geom.Rect) {
+		out := make([]core.Engine, shards)
+		stores := make([]store.Store, shards)
 		for i := range out {
 			st := store.NewMemStore()
 			tr, err := core.New(smallConfig(true), st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = Shard{Eng: tr, Store: st}
+			out[i], stores[i] = tr, st
 		}
 		rng := rand.New(rand.NewSource(1))
 		rects := make(map[node.RecordID]geom.Rect)
 		for id := node.RecordID(1); id <= 240; id++ {
 			r := randRect(rng)
-			if err := out[place(id)].Eng.Insert(r, id); err != nil {
+			if err := out[place(id)].Insert(r, id); err != nil {
 				t.Fatal(err)
 			}
 			rects[id] = r
 		}
-		return out, rects
+		return newIndex(out, stores), rects
 	}
 
-	placed, rects := mkShards(t, func(id node.RecordID) int { return RouteID(id, shards) })
-	f, err := New(placed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, rects := mkForest(t, func(id node.RecordID) int { return forest.RouteID(id, shards) })
 	if f.Len() != len(rects) {
 		t.Fatalf("Len = %d, want %d", f.Len(), len(rects))
 	}
@@ -466,16 +467,12 @@ func TestForestPlacement(t *testing.T) {
 	// One record on a shard its ID does not route to: assembly reads no
 	// page, so only the invariant check can tell.
 	const stray = node.RecordID(7)
-	misplaced, _ := mkShards(t, func(id node.RecordID) int {
+	f, _ = mkForest(t, func(id node.RecordID) int {
 		if id == stray {
-			return (RouteID(id, shards) + 1) % shards
+			return (forest.RouteID(id, shards) + 1) % shards
 		}
-		return RouteID(id, shards)
+		return forest.RouteID(id, shards)
 	})
-	f, err = New(misplaced)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := f.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a record stored on the wrong shard")
 	}

@@ -43,12 +43,10 @@ var PinBalance = &Analyzer{
 	Doc:  "prove every query context, snapshot and write bracket is released on all paths, and no upgraded node is reused (flow-sensitive)",
 	Run:  runPinBalance,
 	AppliesTo: func(pkgPath string) bool {
-		// The tree core and the root package own query contexts and
-		// brackets; the forest, server, and skeleton layers own MVCC
-		// snapshots; the accelerator sidecar rides the core's write
-		// bracket.
+		// The tree core owns query contexts and brackets; the root
+		// package, server, and skeleton layers own MVCC snapshots; the
+		// accelerator sidecar rides the core's write bracket.
 		return strings.HasSuffix(pkgPath, "internal/core") ||
-			strings.HasSuffix(pkgPath, "internal/forest") ||
 			strings.HasSuffix(pkgPath, "internal/server") ||
 			strings.HasSuffix(pkgPath, "internal/skeleton") ||
 			strings.HasSuffix(pkgPath, "internal/accel") ||
@@ -260,7 +258,7 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, desc string, 
 		return pinBracket, desc, true
 	case name == "Snapshot" && recv != "" && len(call.Args) == 0:
 		// An MVCC snapshot pin: any Snapshot() method on a named receiver
-		// (Tree, Predictor, Forest, the core.Engine interface, Index).
+		// (Tree, Predictor, the core.Engine interface, Index).
 		return pinSnap, desc, true
 	}
 	return 0, "", false

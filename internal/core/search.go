@@ -380,8 +380,8 @@ func (t *Tree) SearchWithin(query geom.Rect) ([]Entry, error) {
 }
 
 // Within answers SearchWithin over any SearchFunc whose stream delivers
-// every intersecting portion of a record — a tree's, or a forest's, where
-// a record lives wholly inside one shard.
+// every intersecting portion of a record — a tree's, or a sharded index's,
+// where a record lives wholly inside one shard.
 func Within(searchFunc func(geom.Rect, func(Entry) bool) error, query geom.Rect) ([]Entry, error) {
 	// Collect every intersecting portion per ID, then keep IDs whose
 	// portions all lie inside the query. A record with any portion

@@ -85,7 +85,7 @@ type Tree struct {
 	stats Stats
 }
 
-// Engine is the operation set of one tree of an index: what a forest
+// Engine is the operation set of one tree of an index: what the index
 // needs from each of its shards. A Tree and a skeleton.Predictor each are
 // one.
 type Engine interface {
@@ -93,7 +93,6 @@ type Engine interface {
 	Insert(geom.Rect, node.RecordID) error
 	Delete(node.RecordID, geom.Rect) (int, error)
 	DeleteWhere(geom.Rect, func(Entry) bool) (int, error)
-	SearchWithin(geom.Rect) ([]Entry, error)
 	VisitPortions(func(level int, e Entry) bool) error
 	Height() int
 	NodeCount() int

@@ -1,13 +1,10 @@
-// Package forest shards one logical segment index across N >= 1
-// independent trees — each with its own page store, write-ahead log,
-// buffer-pool budget, and write lock — behind the same operation set a
-// single tree exposes. Shards buy write parallelism only: every logical
-// record lives wholly in the shard its ID hashes to (RouteID), so writers
-// on different shards never contend and a record's shard needs no state to
-// find; queries scatter across every shard and gather the per-shard
-// results, which need no cross-shard deduplication. Every index is a
-// forest: the plain tree is the forest of one, which has no manifest and
-// persists as exactly the files its one tree writes.
+// Package forest holds the two contracts a sharded segment index keeps on
+// disk: the manifest, the durable root that records how many shards a
+// forest of files has, and RouteID, the placement rule that names the one
+// shard each record lives in. Both are file format: a forest written under
+// one manifest version or one RouteID must be read under the same. The
+// index that spreads itself over its shards (scatter-gather reads, the
+// breakage latch, per-shard flushes) is the root package's Index.
 package forest
 
 import (
@@ -46,8 +43,10 @@ const (
 	manifestVersion   = 2
 	manifestSlotBytes = 64
 	manifestCRCOff    = 60
-	maxShards         = 1 << 10
 )
+
+// MaxShards is the most shards a forest may have.
+const MaxShards = 1 << 10
 
 // ErrNoManifest is returned by OpenManifest when the file holds no valid
 // manifest slot (missing, empty, or its creation never completed).
@@ -62,13 +61,6 @@ var ErrManifestVersion = errors.New("forest: unsupported manifest version")
 type Manifest struct {
 	Shards int
 	Epoch  uint64 // 0, unless an older build bumped it on every flush
-}
-
-// ShardPath names shard i's page store under the forest path. The shard's
-// write-ahead log (durable forests) lives beside it at the usual
-// store.WALSuffix.
-func ShardPath(path string, i int) string {
-	return fmt.Sprintf("%s.shard%d", path, i)
 }
 
 // encodeSlot serializes one manifest slot.
@@ -106,7 +98,7 @@ func decodeSlot(buf []byte) (m Manifest, ok bool, err error) {
 		Shards: int(binary.LittleEndian.Uint16(buf[6:8])),
 		Epoch:  binary.LittleEndian.Uint64(buf[8:16]),
 	}
-	if m.Shards < 1 || m.Shards > maxShards {
+	if m.Shards < 1 || m.Shards > MaxShards {
 		return Manifest{}, false, nil
 	}
 	return m, true, nil
@@ -136,8 +128,8 @@ func readSlots(f store.File) (best Manifest, found bool, err error) {
 // fsys: it writes slot 0 at epoch 0, syncs it and closes the file, which
 // is never written again. The file must not already hold a manifest.
 func CreateManifest(fsys store.FS, path string, shards int) error {
-	if shards < 1 || shards > maxShards {
-		return fmt.Errorf("forest: shard count %d outside [1, %d]", shards, maxShards)
+	if shards < 1 || shards > MaxShards {
+		return fmt.Errorf("forest: shard count %d outside [1, %d]", shards, MaxShards)
 	}
 	f, err := fsys.OpenFile(path)
 	if err != nil {

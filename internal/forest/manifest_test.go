@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"segidx/internal/page"
 	"segidx/internal/store"
-	"segidx/internal/store/faultstore"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -89,91 +86,6 @@ func TestManifestTornSlot(t *testing.T) {
 	}
 }
 
-// metaEpochWord is where builds that stamped a forest flush epoch on every
-// shard kept it: bytes 48:56 of the tree's metadata page, now reserved and
-// written 0.
-const metaEpochWord = 48
-
-// metaPage is the page every tree keeps its metadata on.
-const metaPage = page.ID(1)
-
-// shardMetaWord reads or, with set, rewrites and commits the epoch word of
-// shard i's metadata page.
-func shardMetaWord(t *testing.T, disk *faultstore.Disk, i int, set *uint64) uint64 {
-	t.Helper()
-	ws, err := store.OpenWALStoreIn(disk, ShardPath("forest.db", i))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ws.Close() }()
-	buf, err := ws.Read(metaPage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set != nil {
-		buf = append([]byte(nil), buf...)
-		binary.LittleEndian.PutUint64(buf[metaEpochWord:], *set)
-		if err := ws.Write(metaPage, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return binary.LittleEndian.Uint64(buf[metaEpochWord:])
-}
-
-// TestManifestFormatCompatibility checks the on-disk format in both
-// directions. A forest written by a build that bumped the manifest epoch on
-// every flush and stamped it on every shard opens whole under this build;
-// a forest this build writes holds what such a build reads as a forest
-// never flushed since creation — manifest epoch 0 and every shard at epoch
-// 0, which its "shard ahead of the manifest" check accepts.
-func TestManifestFormatCompatibility(t *testing.T) {
-	t.Run("older forest opens", func(t *testing.T) {
-		disk := faultstore.NewDisk()
-		f, model := newDurableForest(t, disk)
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The older build's image after two flushes and a close: manifest
-		// slots at epochs 2 and 3, every shard stamped 3.
-		writeSlots(t, disk, "forest.db", Manifest{Shards: fcShards, Epoch: 2}, Manifest{Shards: fcShards, Epoch: 3})
-		three := uint64(3)
-		for i := 0; i < fcShards; i++ {
-			shardMetaWord(t, disk, i, &three)
-			if w := shardMetaWord(t, disk, i, nil); w != 3 {
-				t.Fatalf("shard %d metadata word reads %d after stamping 3", i, w)
-			}
-		}
-		if m, err := OpenManifest(disk, "forest.db"); err != nil || m != (Manifest{Shards: fcShards, Epoch: 3}) {
-			t.Fatalf("OpenManifest = %+v, %v, want %d shards at epoch 3", m, err, fcShards)
-		}
-		// Every shard recovers whole and the forest passes CheckInvariants.
-		for i, st := range recoverForestAndClassify(t, disk, model, model, "older forest") {
-			if st != "A" {
-				t.Fatalf("shard %d recovered %q, want every record", i, st)
-			}
-		}
-	})
-	t.Run("this build's forest reads as never flushed", func(t *testing.T) {
-		disk := faultstore.NewDisk()
-		f, _ := newDurableForest(t, disk)
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want := encodeSlot(Manifest{Shards: fcShards})
-		if got := readFile(t, disk, "forest.db"); !bytes.Equal(got, want) {
-			t.Fatalf("manifest file = %x, want one epoch-0 slot %x", got, want)
-		}
-		for i := 0; i < fcShards; i++ {
-			if w := shardMetaWord(t, disk, i, nil); w != 0 {
-				t.Fatalf("shard %d metadata word %d:%d = %d, want 0", i, metaEpochWord, metaEpochWord+8, w)
-			}
-		}
-	})
-}
-
 func TestManifestEmptyAndForeign(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.db")
@@ -205,7 +117,7 @@ func TestManifestEmptyAndForeign(t *testing.T) {
 
 func TestCreateManifestRejectsBadShardCounts(t *testing.T) {
 	dir := t.TempDir()
-	for _, n := range []int{0, -1, maxShards + 1} {
+	for _, n := range []int{0, -1, MaxShards + 1} {
 		if err := CreateManifest(store.OS, filepath.Join(dir, "m.db"), n); err == nil {
 			t.Fatalf("CreateManifest(%d) succeeded", n)
 		}

@@ -4,21 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"segidx/internal/geom"
 	"segidx/internal/node"
 )
-
-func randRect(rng *rand.Rand) geom.Rect {
-	x, y := rng.Float64()*1000, rng.Float64()*1000
-	w, h := rng.Float64()*50, rng.Float64()*50
-	return geom.Rect2(x, y, x+w, y+h)
-}
 
 func TestRouteIDDeterministicAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		id := node.RecordID(rng.Uint64())
-		for _, n := range []int{1, 2, 3, 4, 8, maxShards} {
+		for _, n := range []int{1, 2, 3, 4, 8, MaxShards} {
 			s := RouteID(id, n)
 			if s < 0 || s >= n {
 				t.Fatalf("RouteID(%d, %d) = %d out of range", id, n, s)

@@ -260,9 +260,6 @@ func (p *Predictor) Search(q geom.Rect) ([]core.Entry, error) { return p.tree.Lo
 func (p *Predictor) SearchFunc(q geom.Rect, fn func(core.Entry) bool) error {
 	return p.tree.Load().SearchFunc(q, fn)
 }
-func (p *Predictor) SearchWithin(q geom.Rect) ([]core.Entry, error) {
-	return p.tree.Load().SearchWithin(q)
-}
 func (p *Predictor) SearchContaining(q geom.Rect) ([]core.Entry, error) {
 	return p.tree.Load().SearchContaining(q)
 }

@@ -6,6 +6,7 @@ import (
 
 	"segidx/internal/accel"
 	"segidx/internal/core"
+	"segidx/internal/forest"
 	"segidx/internal/store"
 )
 
@@ -168,11 +169,11 @@ func WithParallelism(n int) Option {
 // when durable); Open and OpenDurable detect the manifest and reassemble
 // the forest without reading its records. n <= 1 is the default, one tree:
 // a forest of one that routes nothing and stores its pages at path itself,
-// with no manifest. Incompatible with WithStore.
+// with no manifest. n may be at most 1024. Incompatible with WithStore.
 func WithShards(n int) Option {
 	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("segidx: negative shard count %d", n)
+		if n < 0 || n > forest.MaxShards {
+			return fmt.Errorf("segidx: shard count %d outside [0, %d]", n, forest.MaxShards)
 		}
 		o.shards = n
 		return nil

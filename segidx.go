@@ -3,10 +3,13 @@ package segidx
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"segidx/internal/accel"
 	"segidx/internal/buffer"
 	"segidx/internal/core"
+	"segidx/internal/fanout"
 	"segidx/internal/forest"
 	"segidx/internal/geom"
 	"segidx/internal/histogram"
@@ -100,8 +103,24 @@ func NewRect(min, max []float64) (Rect, error) { return geom.NewRect(min, max) }
 // is the forest of one, which routes nothing and persists as the one file
 // (plus log) its tree writes.
 type Index struct {
-	f    *forest.Forest
-	kind string
+	// reads answers Search, SearchFunc, SearchContaining,
+	// SearchContainingFunc, Count and Len over the live shard engines.
+	reads
+
+	kind   string
+	shards []core.Engine
+	// stores[i] is the store Close closes for shard i: nil when it is the
+	// caller's (WithStore).
+	stores []store.Store
+
+	par atomic.Int32
+
+	// broken latches the first store.ErrBroken any operation surfaces, so
+	// an index with one sick shard refuses everything, index-wide, just as
+	// a single sick WALStore does.
+	broken atomic.Pointer[error]
+
+	scanPool sync.Pool
 }
 
 // Kind reports which index type this is ("r-tree", "sr-tree",
@@ -110,27 +129,57 @@ func (x *Index) Kind() string { return x.kind }
 
 // Insert adds a record. The rectangle's dimensionality must match the
 // index; IDs must be unique per logical record.
-func (x *Index) Insert(r Rect, id RecordID) error { return x.f.Insert(r, id) }
+func (x *Index) Insert(r Rect, id RecordID) error {
+	if err := x.guard(); err != nil {
+		return err
+	}
+	err := x.shards[x.ShardOf(id)].Insert(r, id)
+	x.note(err)
+	return err
+}
 
 // Delete removes the record with the given ID. hint must cover the
 // rectangle originally inserted (passing that rectangle is ideal); it
 // bounds the search for the record's portions. Returns the number of
 // logical records removed (0 or 1).
-func (x *Index) Delete(id RecordID, hint Rect) (int, error) { return x.f.Delete(id, hint) }
+func (x *Index) Delete(id RecordID, hint Rect) (int, error) {
+	if err := x.guard(); err != nil {
+		return 0, err
+	}
+	n, err := x.shards[x.ShardOf(id)].Delete(id, hint)
+	x.note(err)
+	return n, err
+}
 
 // DeleteWhere removes every logical record that has a stored portion
 // intersecting query and satisfying pred (nil matches everything),
 // returning the number removed. Useful for retention policies ("drop all
 // history before 1990").
 func (x *Index) DeleteWhere(query Rect, pred func(Entry) bool) (int, error) {
-	return x.f.DeleteWhere(query, pred)
+	if err := x.guard(); err != nil {
+		return 0, err
+	}
+	// Shards run sequentially: pred is caller code, never invoked
+	// concurrently.
+	total := 0
+	for _, s := range x.shards {
+		n, err := s.DeleteWhere(query, pred)
+		total += n
+		if err != nil {
+			x.note(err)
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // Search returns the records intersecting query, deduplicated by ID. The
 // result is owned by the caller: rectangles are copied out of the index
 // into one shared backing array, so a non-empty result costs two
 // allocations regardless of size.
-func (x *Index) Search(query Rect) ([]Entry, error) { return x.f.Search(query) }
+func (x *reads) Search(query Rect) ([]Entry, error) {
+	return x.scatter(query, core.Reader.Search)
+}
 
 // SearchFunc streams every stored portion intersecting query; fn returning
 // false stops early. Cut records may be visited once per portion.
@@ -139,19 +188,47 @@ func (x *Index) Search(query Rect) ([]Entry, error) { return x.f.Search(query) }
 // memory and is valid only for the duration of the callback. Clone the
 // rectangle to retain it. In exchange, a query over resident pages
 // performs zero heap allocations.
-func (x *Index) SearchFunc(query Rect, fn func(Entry) bool) error {
-	return x.f.SearchFunc(query, fn)
+func (x *reads) SearchFunc(query Rect, fn func(Entry) bool) error {
+	return x.stream(query, core.Reader.SearchFunc, fn)
 }
 
 // Count returns the number of logical records intersecting query.
-func (x *Index) Count(query Rect) (int, error) { return x.f.Count(query) }
+func (x *reads) Count(query Rect) (int, error) {
+	if err := x.begin(); err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, s := range x.readers {
+		n, err := s.Count(query)
+		if err != nil {
+			x.idx.note(err)
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
+}
 
 // VisitPortions walks every stored record portion with the tree level it
 // is stored at (0 = leaf; higher levels are spanning index records). For
 // structural inspection; fn returning false stops the walk. Entry
 // rectangles are views valid only during the callback.
 func (x *Index) VisitPortions(fn func(level int, e Entry) bool) error {
-	return x.f.VisitPortions(fn)
+	if err := x.guard(); err != nil {
+		return err
+	}
+	sc := x.scanPool.Get().(*scanCtx)
+	sc.levelFn, sc.stopped = fn, false
+	var err error
+	for _, s := range x.shards {
+		if err = s.VisitPortions(sc.visitL); err != nil || sc.stopped {
+			break
+		}
+	}
+	sc.levelFn = nil
+	x.scanPool.Put(sc)
+	x.note(err)
+	return err
 }
 
 // Stab returns the records containing the given point — the stabbing
@@ -171,28 +248,30 @@ func (x *Index) StabFunc(fn func(Entry) bool, coords ...float64) error {
 	// The point rectangle views the coords slice directly instead of
 	// copying it (Point validates and copies); validateRect inside the
 	// engine still rejects NaNs and dimension mismatches.
-	return x.f.SearchContainingFunc(Rect{Min: coords, Max: coords}, fn)
+	return x.stream(Rect{Min: coords, Max: coords}, core.Reader.SearchContainingFunc, fn)
 }
 
 // SearchContainingFunc streams the records that entirely contain query
 // (the generalized stabbing query), one callback per logical record with
 // the union of its stored portions as the rectangle — a view valid only
 // during the callback. fn returning false stops early.
-func (x *Index) SearchContainingFunc(query Rect, fn func(Entry) bool) error {
-	return x.f.SearchContainingFunc(query, fn)
+func (x *reads) SearchContainingFunc(query Rect, fn func(Entry) bool) error {
+	return x.stream(query, core.Reader.SearchContainingFunc, fn)
 }
 
 // SearchWithin returns the records entirely contained in query,
 // deduplicated by ID.
 func (x *Index) SearchWithin(query Rect) ([]Entry, error) {
-	return x.f.SearchWithin(query)
+	// A record lives wholly in one shard, so the index-wide stream of
+	// intersecting portions carries everything the containment test needs.
+	return core.Within(x.SearchFunc, query)
 }
 
 // SearchContaining returns the records that entirely contain query (the
 // generalized stabbing query). Cut records are reassembled before the
 // containment test.
-func (x *Index) SearchContaining(query Rect) ([]Entry, error) {
-	return x.f.SearchContaining(query)
+func (x *reads) SearchContaining(query Rect) ([]Entry, error) {
+	return x.scatter(query, core.Reader.SearchContaining)
 }
 
 // View is an immutable snapshot of an index: queries on it acquire no
@@ -208,57 +287,181 @@ var ErrSnapshotReleased = core.ErrSnapshotReleased
 // the writer copy-on-writes every page it touches, so the view's reads
 // proceed lock-free against concurrent writers and always observe the
 // commit boundary they were pinned at. Release must be called when done —
-// a held view retains every superseded page version it can reach. On a
-// sharded index the shard views are pinned in shard order (see
-// forest.Snapshot for the cross-shard atomicity contract).
-func (x *Index) Snapshot() View { return x.f.Snapshot() }
+// a held view retains every superseded page version it can reach.
+//
+// On a sharded index the shard views are pinned in shard order, not
+// atomically across shards: a write committing while Snapshot runs may be
+// visible in a later-pinned shard but not an earlier one. A logical record
+// lives wholly inside one shard, so each record is still seen atomically,
+// entirely at its shard's pinned epoch; only cross-record, cross-shard
+// ordering is relaxed — the guarantee concurrent queries already have.
+// Pinned while no write is in flight, the view is exact.
+func (x *Index) Snapshot() View {
+	v := &forestView{views: make([]core.View, len(x.shards))}
+	v.idx = x
+	v.readers = make([]core.Reader, len(x.shards))
+	for i, s := range x.shards {
+		sv := s.Snapshot()
+		v.views[i], v.readers[i] = sv, sv
+	}
+	return v
+}
 
 // CommitEpoch reports a monotonic stamp of committed mutations: stable
 // while the index is unchanged, increasing with every committed
 // Insert/Delete/DeleteWhere. Snapshots taken at equal epochs observe equal
 // contents.
-func (x *Index) CommitEpoch() uint64 { return x.f.CommitEpoch() }
+func (x *Index) CommitEpoch() uint64 {
+	var e uint64
+	for _, s := range x.shards {
+		e += s.CommitEpoch()
+	}
+	return e
+}
 
 // Len reports the number of logical records stored.
-func (x *Index) Len() int { return x.f.Len() }
+func (x *reads) Len() int {
+	n := 0
+	for _, s := range x.readers {
+		n += s.Len()
+	}
+	return n
+}
 
 // Height reports the number of tree levels.
-func (x *Index) Height() int { return x.f.Height() }
+func (x *Index) Height() int {
+	h := 0
+	for _, s := range x.shards {
+		h = max(h, s.Height())
+	}
+	return h
+}
 
 // NodeCount reports the number of index nodes (pages).
-func (x *Index) NodeCount() int { return x.f.NodeCount() }
+func (x *Index) NodeCount() int {
+	n := 0
+	for _, s := range x.shards {
+		n += s.NodeCount()
+	}
+	return n
+}
 
 // Stats returns a snapshot of activity counters. The paper's cost metric —
 // average index nodes accessed per search — is the delta of
 // SearchNodeAccesses over the delta of Searches.
-func (x *Index) Stats() Stats { return x.f.Stats() }
+func (x *Index) Stats() Stats {
+	var out Stats
+	for _, s := range x.shards {
+		out.Add(s.Stats())
+	}
+	return out
+}
 
 // PoolStats returns a snapshot of buffer pool counters: cache hits and
 // misses, evictions, and dirty write-backs. The hit rate over a query
 // sweep shows how well the working set fits the pool budget.
-func (x *Index) PoolStats() PoolStats { return x.f.PoolStats() }
+func (x *Index) PoolStats() PoolStats {
+	var out PoolStats
+	for _, s := range x.shards {
+		out.Add(s.PoolStats())
+	}
+	return out
+}
 
 // AccelStats returns per-sidecar counters for stab accelerators attached
 // via WithStabAccel — one entry per accelerated shard, in shard order.
 // Empty when no accelerator is attached, or while a predictive skeleton
 // index is still collecting its sample.
-func (x *Index) AccelStats() []AccelStats { return x.f.AccelStats() }
+func (x *Index) AccelStats() []AccelStats {
+	var out []AccelStats
+	for _, s := range x.shards {
+		out = append(out, s.AccelStats()...)
+	}
+	return out
+}
 
 // Flush persists dirty nodes and metadata to the page store.
-func (x *Index) Flush() error { return x.f.Flush() }
+func (x *Index) Flush() error {
+	if err := x.guard(); err != nil {
+		return err
+	}
+	// Each shard commits atomically on its own, concurrently with the
+	// others; nothing makes the commit atomic across shards (DESIGN §9).
+	// Every shard's flush is attempted even after one fails.
+	errs := make([]error, len(x.shards))
+	_ = fanout.Run(nil, x.Parallelism(), len(x.shards), func(i int) error {
+		errs[i] = x.shards[i].Flush()
+		return nil
+	})
+	err := errors.Join(errs...)
+	x.note(err)
+	return err
+}
 
 // CheckInvariants validates the entire structure; see core.Tree.
-func (x *Index) CheckInvariants() error { return x.f.CheckInvariants() }
+func (x *Index) CheckInvariants() error {
+	if err := x.guard(); err != nil {
+		return err
+	}
+	for i, s := range x.shards {
+		if err := s.CheckInvariants(); err != nil {
+			return fmt.Errorf("segidx: shard %d: %w", i, err)
+		}
+	}
+	return x.checkPlacement()
+}
 
 // Analyze computes a structural report: per-level node counts, coverage
 // area, sibling overlap, aspect ratios, and occupancy.
-func (x *Index) Analyze() (*Report, error) { return x.f.Analyze() }
+func (x *Index) Analyze() (*Report, error) {
+	if err := x.guard(); err != nil {
+		return nil, err
+	}
+	// The shards' reports fold into the first one's: counts sum, height is
+	// the maximum, and per-level quality metrics are node-weighted means.
+	// A forest of one reports exactly what its tree does.
+	var out *Report
+	for _, s := range x.shards {
+		r, err := s.Analyze()
+		if err != nil {
+			x.note(err)
+			return nil, err
+		}
+		if out == nil {
+			out = r
+			continue
+		}
+		out.Height = max(out.Height, r.Height)
+		out.Nodes += r.Nodes
+		out.LogicalRecords += r.LogicalRecords
+		out.StoredPortions += r.StoredPortions
+		out.SpanningRecords += r.SpanningRecords
+		for _, lv := range r.Levels {
+			for len(out.Levels) <= lv.Level {
+				out.Levels = append(out.Levels, core.LevelReport{Level: len(out.Levels)})
+			}
+			dst := &out.Levels[lv.Level]
+			if w0, w1 := float64(dst.Nodes), float64(lv.Nodes); w0+w1 > 0 {
+				dst.MeanAspect = (dst.MeanAspect*w0 + lv.MeanAspect*w1) / (w0 + w1)
+				dst.Occupancy = (dst.Occupancy*w0 + lv.Occupancy*w1) / (w0 + w1)
+			}
+			dst.Nodes += lv.Nodes
+			dst.Branches += lv.Branches
+			dst.Records += lv.Records
+			dst.Area += lv.Area
+			dst.Overlap += lv.Overlap
+		}
+	}
+	return out, nil
+}
 
 // Close flushes and releases the index and closes every store the index
 // owns — each shard's in-memory store or file — but not a caller's
 // WithStore store. The stores are closed even when the
 // flush fails; all errors are reported.
-func (x *Index) Close() error { return x.f.Close() }
+func (x *Index) Close() error {
+	return closeAll(x.stores, x.Flush())
+}
 
 // SkeletonEstimate describes the expected input for skeleton
 // pre-construction (Section 4 of the paper).
@@ -387,50 +590,49 @@ func (o *options) assemble(kind string, cfg core.Config,
 			return nil, err
 		}
 	}
-	f, err := o.plant(n, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
+	x, err := o.plant(n, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
 	if err != nil {
 		return nil, err
 	}
-	return &Index{f: f, kind: kind}, nil
+	x.kind = kind
+	return x, nil
 }
 
 // plant opens one page store per shard — a caller's WithStore store is the
 // one shard's, and stays the caller's to close — builds each shard's engine
-// with mk and assembles the forest. Any failure closes every store opened
+// with mk and assembles the index. Any failure closes every store opened
 // so far.
-func (o *options) plant(n int, mk func(i int, st store.Store) (core.Engine, error)) (*forest.Forest, error) {
-	shards := make([]forest.Shard, 0, n)
-	fail := func(err error) (*forest.Forest, error) {
-		for _, s := range shards {
-			if s.Store != nil {
-				err = errors.Join(err, s.Store.Close())
-			}
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		sh := forest.Shard{}
+func (o *options) plant(n int, mk func(i int, st store.Store) (core.Engine, error)) (*Index, error) {
+	shards := make([]core.Engine, n)
+	stores := make([]store.Store, n)
+	for i := range shards {
 		st := o.st
 		if st == nil {
 			var err error
-			if st, err = o.openStore(o.shardPath(i, n)); err != nil {
-				return fail(err)
+			if st, err = o.openStore(shardPath(o.path, i, n)); err != nil {
+				return nil, closeAll(stores, err)
 			}
-			sh.Store = st
+			stores[i] = st
 		}
-		shards = append(shards, sh) // before mk, so that fail closes this store too
 		eng, err := mk(i, st)
 		if err != nil {
-			return fail(err)
+			return nil, closeAll(stores, err)
 		}
-		shards[i].Eng = eng
+		shards[i] = eng
 	}
-	f, err := forest.New(shards)
-	if err != nil {
-		return fail(err)
+	x := newIndex(shards, stores)
+	x.SetParallelism(o.par)
+	return x, nil
+}
+
+// closeAll closes every non-nil store and joins the errors to err.
+func closeAll(stores []store.Store, err error) error {
+	for _, st := range stores {
+		if st != nil {
+			err = errors.Join(err, st.Close())
+		}
 	}
-	f.SetParallelism(o.par)
-	return f, nil
+	return err
 }
 
 // BulkRecord pairs a rectangle with its ID for bulk loading.
@@ -504,7 +706,7 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 	}
 	cfg := shardConfig(o.cfg, o.shards)
 	var first *core.Tree // shard 0, which names the kind
-	f, err := o.plant(o.shards, func(i int, st store.Store) (core.Engine, error) {
+	x, err := o.plant(o.shards, func(i int, st store.Store) (core.Engine, error) {
 		t, err := o.openTree(cfg, st)
 		switch {
 		case err != nil:
@@ -519,7 +721,8 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{f: f, kind: reopenedKind(first)}, nil
+	x.kind = reopenedKind(first)
+	return x, nil
 }
 
 // openTree reattaches the tree persisted in st: its stored metadata

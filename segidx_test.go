@@ -126,6 +126,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := segidx.NewSkeletonRTree(segidx.SkeletonEstimate{Tuples: 0}); err == nil {
 		t.Error("empty estimate accepted")
 	}
+	if _, err := segidx.NewRTree(segidx.WithShards(1025)); err == nil {
+		t.Error("1025 shards accepted")
+	}
 	// Mutually exclusive store options.
 	if _, err := segidx.NewRTree(segidx.WithFile("/tmp/x.db"), segidx.WithStore(nopStore{})); err == nil {
 		t.Error("WithFile + WithStore accepted")
