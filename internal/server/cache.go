@@ -7,8 +7,10 @@
 // facade (reads fan out through the SearchBatch/StabBatch worker pool), so
 // the zero-allocation engine path, sharded scatter-gather, and WAL
 // durability all apply unchanged. The one piece of state the server adds —
-// the result cache — is kept correct by a mutation epoch; see cache.go and
-// DESIGN.md §10 for the invalidation protocol.
+// the result cache — is kept correct by the index's commit epoch
+// (Index.CommitEpoch); see cache.go and DESIGN.md §10 for the invalidation
+// protocol. The hot response bodies are appended without encoding/json;
+// see encode.go.
 package server
 
 import (
@@ -16,12 +18,13 @@ import (
 	"sync"
 )
 
-// cache is a fixed-capacity LRU of marshaled query results keyed by
+// cache is a fixed-capacity LRU of encoded query results keyed by
 // (endpoint, query) strings. Correctness under mutations comes from an
 // epoch check, not from eager invalidation: every entry records the
-// mutation epoch observed *before* its query ran, and a lookup only
-// returns entries stamped with the current epoch. A mutation bumps the
-// server's epoch counter, which implicitly invalidates the whole cache;
+// index's commit epoch (Index.CommitEpoch) observed *before* its query
+// ran, and a lookup only returns entries stamped with the current epoch.
+// Every committed mutation bumps that epoch, which implicitly invalidates
+// the whole cache;
 // stale entries are evicted lazily when a lookup trips over them or when
 // LRU pressure recycles their slots. The engine's read path is therefore
 // untouched on a miss — no locks, callbacks, or bookkeeping are added to
@@ -46,8 +49,7 @@ type cache struct {
 }
 
 // centry is one cached result: the response fragment exactly as it will be
-// written to clients (pre-marshaled JSON), plus the epoch it was computed
-// under.
+// written to clients (encoded JSON), plus the epoch it was computed under.
 type centry struct {
 	key   string
 	epoch uint64
@@ -92,13 +94,14 @@ func (c *cache) get(key string, epoch uint64) ([]byte, bool) {
 	return ce.val, true
 }
 
-// put stores val under key at the given epoch, evicting the least
-// recently used entry if the cache is full. An existing entry for the key
-// is replaced regardless of its epoch.
+// put stores an exact-size copy of val under key at the given epoch,
+// evicting the least recently used entry if the cache is full. An
+// existing entry for the key is replaced regardless of its epoch.
 func (c *cache) put(key string, epoch uint64, val []byte) {
 	if c.cap <= 0 {
 		return
 	}
+	val = append(make([]byte, 0, len(val)), val...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

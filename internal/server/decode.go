@@ -59,9 +59,6 @@ func (r *rectJSON) toRect() (segidx.Rect, error) {
 	return rect, nil
 }
 
-// fromRect converts an engine rectangle to the wire form.
-func fromRect(r segidx.Rect) rectJSON { return rectJSON{Min: r.Min, Max: r.Max} }
-
 // searchRequest is the body of /search and /count: one rect or several.
 type searchRequest struct {
 	Rect  *rectJSON  `json:"rect,omitempty"`
@@ -202,8 +199,8 @@ func appendCoords(key []byte, coords []float64) []byte {
 // searchKey builds the cache key for a rect query on an endpoint
 // ("search", "within", "count", ...).
 func searchKey(endpoint string, r segidx.Rect) string {
-	key := make([]byte, 0, len(endpoint)+1+len(r.Min)*36)
-	key = append(key, endpoint...)
+	var buf [128]byte // a key of up to 3 dimensions is built on the stack
+	key := append(buf[:0], endpoint...)
 	key = appendCoords(key, r.Min)
 	key = append(key, '/')
 	key = appendCoords(key, r.Max)
@@ -212,8 +209,8 @@ func searchKey(endpoint string, r segidx.Rect) string {
 
 // stabKey builds the cache key for a stab point.
 func stabKey(p []float64) string {
-	key := make([]byte, 0, 5+len(p)*18)
-	key = append(key, "stab"...)
+	var buf [128]byte // a key of up to 7 dimensions is built on the stack
+	key := append(buf[:0], "stab"...)
 	key = appendCoords(key, p)
 	return string(key)
 }

@@ -60,30 +60,36 @@ func errBody(t *testing.T, rec *httptest.ResponseRecorder) string {
 	return e.Error
 }
 
-// TestHandlerTable drives every endpoint through the request classes the
-// issue demands: valid request, malformed JSON, wrong method,
-// out-of-range dimensions, oversized body.
-func TestHandlerTable(t *testing.T) {
-	const maxBody = 1 << 10
+// handlerCase is one row of the handler table.
+type handlerCase struct {
+	name       string
+	method     string
+	path       string
+	body       string
+	wantStatus int
+	// wantError is matched exactly when the message is ours, by
+	// prefix (trailing "*") when part of it comes from the stdlib.
+	wantError string
+	// check runs extra assertions on a 200 body.
+	check func(t *testing.T, body []byte)
+}
+
+// handlerMaxBody is the body limit of the handler table's servers.
+const handlerMaxBody = 1 << 10
+
+// handlerCases is the handler table: every endpoint through the request
+// classes valid request, malformed JSON, wrong method, out-of-range
+// dimensions, oversized body. Each row runs against a fresh
+// newTestServer.
+func handlerCases() []handlerCase {
 	// longNum is a valid JSON number longer than the body limit, so the
 	// decoder hits MaxBytesReader's cap mid-token rather than a syntax
 	// error.
-	longNum := "0." + strings.Repeat("1", maxBody)
+	longNum := "0." + strings.Repeat("1", handlerMaxBody)
 	big := `{"rect": {"min": [` + longNum + `, 0], "max": [1, 1]}}`
 
 	nineDims := `[0,0,0,0,0,0,0,0,0]`
-	cases := []struct {
-		name       string
-		method     string
-		path       string
-		body       string
-		wantStatus int
-		// wantError is matched exactly when the message is ours, by
-		// prefix (trailing "*") when part of it comes from the stdlib.
-		wantError string
-		// check runs extra assertions on a 200 body.
-		check func(t *testing.T, body []byte)
-	}{
+	return []handlerCase{
 		// ---- /search ----
 		{
 			name: "search valid single rect", method: "POST", path: "/search",
@@ -447,10 +453,14 @@ func TestHandlerTable(t *testing.T) {
 			wantStatus: 404,
 		},
 	}
+}
 
-	for _, tc := range cases {
+// TestHandlerTable runs every row of handlerCases: status, error text,
+// Allow and Content-Type headers, and the row's own check of a 200 body.
+func TestHandlerTable(t *testing.T) {
+	for _, tc := range handlerCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _ := newTestServer(t, Config{MaxBodyBytes: maxBody})
+			s, _ := newTestServer(t, Config{MaxBodyBytes: handlerMaxBody})
 			rec := do(t, s, tc.method, tc.path, tc.body)
 			if rec.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())

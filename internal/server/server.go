@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -98,21 +99,25 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as the JSON response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as the JSON response body with the given status,
+// which it returns. It serves the cold bodies (errors, /metrics,
+// /healthz); the hot ones are appended (encode.go).
+func writeJSON(w http.ResponseWriter, status int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	// An encode failure past WriteHeader cannot be reported to the
 	// client; the connection error is the client's signal.
 	_ = enc.Encode(v)
+	return status
 }
 
-// writeError maps err to its HTTP status and writes the JSON error body.
-// The mapping is: decoder errors carry their own status (400/413), engine
-// validation errors are 400, a broken store is 503 (the daemon is up but
-// its durable state refuses further writes), everything else is 500.
-func writeError(w http.ResponseWriter, err error) {
+// writeError maps err to its HTTP status, writes the JSON error body and
+// returns the status. The mapping is: decoder errors carry their own
+// status (400/413), engine validation errors are 400, a broken store is
+// 503 (the daemon is up but its durable state refuses further writes),
+// everything else is 500.
+func writeError(w http.ResponseWriter, err error) int {
 	status := http.StatusInternalServerError
 	var he *httpError
 	switch {
@@ -123,228 +128,88 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, store.ErrBroken):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, errorJSON{Error: err.Error()})
+	return writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
-// statusRecorder captures the response status for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with method enforcement, request counting,
-// and latency observation.
-func (s *Server) instrument(m *epMetrics, method string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// instrument wraps a handler, which returns the status it wrote, with
+// method enforcement, request counting, and latency observation.
+func (s *Server) instrument(m *epMetrics, method string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		m.requests.Add(1)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		var status int
 		if r.Method != method {
-			rec.Header().Set("Allow", method)
-			writeJSON(rec, http.StatusMethodNotAllowed,
+			w.Header().Set("Allow", method)
+			status = writeJSON(w, http.StatusMethodNotAllowed,
 				errorJSON{Error: "method " + r.Method + " not allowed; use " + method})
 		} else {
-			h(rec, r)
+			status = h(w, r)
 		}
-		if rec.status >= 400 {
+		if status >= 400 {
 			m.errors.Add(1)
 		}
 		m.latency.observe(time.Since(start))
 	}
 }
 
-// entryJSON is one search result on the wire.
-type entryJSON struct {
-	ID  uint64    `json:"id"`
-	Min []float64 `json:"min"`
-	Max []float64 `json:"max"`
-}
-
-// queryResponse is the body of /search and /stab: one result list per
-// query, in request order. Cached reports how many of the lists were
-// served from the result cache.
-type queryResponse struct {
-	Results []json.RawMessage `json:"results"`
-	Cached  int               `json:"cached"`
-	Epoch   uint64            `json:"epoch"`
-}
-
-// marshalEntries renders one query's results as the cached JSON fragment.
-func marshalEntries(entries []segidx.Entry) ([]byte, error) {
-	out := make([]entryJSON, len(entries))
-	for i, e := range entries {
-		out[i] = entryJSON{ID: uint64(e.ID), Min: e.Rect.Min, Max: e.Rect.Max}
-	}
-	return json.Marshal(out)
-}
-
-// serveCachedQueries runs the (endpoint, key) queries through the result
-// cache, computes the misses with runMisses (indexes are positions in
-// keys), and returns the per-query JSON fragments plus the hit count.
-//
-// The commit epoch is snapshotted once, before any engine work: results
-// computed concurrently with a mutation are stored under the pre-commit
-// epoch, so the commit's bump invalidates them (see the cache doc
-// comment). The engine bumps the epoch when the mutation commits — before
-// the mutation request is even acknowledged — which only widens the safe
-// margin.
-func (s *Server) serveCachedQueries(
-	keys []string,
-	runMisses func(miss []int) ([][]byte, error),
-) ([]json.RawMessage, int, uint64, error) {
-	epoch := s.idx.CommitEpoch()
-	results := make([]json.RawMessage, len(keys))
-	var miss []int
-	for i, k := range keys {
-		if val, ok := s.cache.get(k, epoch); ok {
-			results[i] = val
-		} else {
-			miss = append(miss, i)
-		}
-	}
-	cached := len(keys) - len(miss)
-	if len(miss) > 0 {
-		fresh, err := runMisses(miss)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for j, i := range miss {
-			results[i] = fresh[j]
-			s.cache.put(keys[i], epoch, fresh[j])
-		}
-	}
-	return results, cached, epoch, nil
-}
-
 // handleSearch serves POST /search: records intersecting each query rect,
 // deduplicated by ID, through the SearchBatch worker pool.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) int {
 	var req searchRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	rects, err := req.rects()
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	keys := make([]string, len(rects))
-	for i, rc := range rects {
-		keys[i] = searchKey("search", rc)
-	}
-	results, cached, epoch, err := s.serveCachedQueries(keys, func(miss []int) ([][]byte, error) {
-		queries := make([]segidx.Rect, len(miss))
-		for j, i := range miss {
-			queries[j] = rects[i]
-		}
-		batches, err := s.idx.SearchBatch(r.Context(), queries)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]byte, len(batches))
-		for j, entries := range batches {
-			if out[j], err = marshalEntries(entries); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, queryResponse{Results: results, Cached: cached, Epoch: epoch})
+	return serveCachedQueries(r.Context(), s, w, "results", rects,
+		func(q segidx.Rect) string { return searchKey("search", q) },
+		s.idx.SearchBatch, appendEntries)
 }
 
 // handleStab serves POST /stab: records containing each query point (the
 // paper's stabbing query) through the StabBatch worker pool.
-func (s *Server) handleStab(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStab(w http.ResponseWriter, r *http.Request) int {
 	var req stabRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	points, err := req.points()
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	keys := make([]string, len(points))
-	for i, p := range points {
-		keys[i] = stabKey(p)
-	}
-	results, cached, epoch, err := s.serveCachedQueries(keys, func(miss []int) ([][]byte, error) {
-		queries := make([][]float64, len(miss))
-		for j, i := range miss {
-			queries[j] = points[i]
-		}
-		batches, err := s.idx.StabBatch(r.Context(), queries)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]byte, len(batches))
-		for j, entries := range batches {
-			if out[j], err = marshalEntries(entries); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, queryResponse{Results: results, Cached: cached, Epoch: epoch})
-}
-
-// countResponse is the body of /count: one count per query rect.
-type countResponse struct {
-	Counts []json.RawMessage `json:"counts"`
-	Cached int               `json:"cached"`
-	Epoch  uint64            `json:"epoch"`
+	return serveCachedQueries(r.Context(), s, w, "results", points, stabKey,
+		s.idx.StabBatch, appendEntries)
 }
 
 // handleCount serves POST /count: the number of records intersecting each
 // query rect. Counts ride the same cache as search results.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) int {
 	var req searchRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	rects, err := req.rects()
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	keys := make([]string, len(rects))
+	return serveCachedQueries(r.Context(), s, w, "counts", rects,
+		func(q segidx.Rect) string { return searchKey("count", q) },
+		s.countRects, appendCount)
+}
+
+// countRects answers /count's cache misses, one Count per rect.
+func (s *Server) countRects(_ context.Context, rects []segidx.Rect) ([]int, error) {
+	out := make([]int, len(rects))
 	for i, rc := range rects {
-		keys[i] = searchKey("count", rc)
-	}
-	counts, cached, epoch, err := s.serveCachedQueries(keys, func(miss []int) ([][]byte, error) {
-		out := make([][]byte, len(miss))
-		for j, i := range miss {
-			n, err := s.idx.Count(rects[i])
-			if err != nil {
-				return nil, err
-			}
-			if out[j], err = json.Marshal(n); err != nil {
-				return nil, err
-			}
+		n, err := s.idx.Count(rc)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
+		out[i] = n
 	}
-	writeJSON(w, http.StatusOK, countResponse{Counts: counts, Cached: cached, Epoch: epoch})
+	return out, nil
 }
 
 // afterMutation counts the acknowledged mutation and runs the
@@ -358,96 +223,73 @@ func (s *Server) afterMutation() error {
 	return nil
 }
 
-// mutationResponse is the body of /insert, /delete, and /bulkload.
-type mutationResponse struct {
-	// Applied is 1 for insert, the records-removed count for delete, and
-	// the records-loaded count for bulkload.
-	Applied int    `json:"applied"`
-	Len     int    `json:"len"`
-	Epoch   uint64 `json:"epoch"`
-}
-
 // handleInsert serves POST /insert: one record.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) int {
 	var req recordJSON
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	rec, err := req.toRecord()
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if err := s.idx.Insert(rec.Rect, rec.ID); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if err := s.afterMutation(); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	writeJSON(w, http.StatusOK, mutationResponse{Applied: 1, Len: s.idx.Len(), Epoch: s.idx.CommitEpoch()})
+	return s.writeMutation(w, 1)
 }
 
 // handleDelete serves POST /delete: remove one record by ID; the hint
 // rect must cover the rectangle originally inserted.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) int {
 	var req deleteRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if req.ID == 0 {
-		writeError(w, badRequest("delete needs a nonzero id"))
-		return
+		return writeError(w, badRequest("delete needs a nonzero id"))
 	}
 	if req.Hint == nil {
-		writeError(w, badRequest("delete needs a hint rect covering the inserted rect"))
-		return
+		return writeError(w, badRequest("delete needs a hint rect covering the inserted rect"))
 	}
 	hint, err := req.Hint.toRect()
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	n, err := s.idx.Delete(segidx.RecordID(req.ID), hint)
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if err := s.afterMutation(); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	writeJSON(w, http.StatusOK, mutationResponse{Applied: n, Len: s.idx.Len(), Epoch: s.idx.CommitEpoch()})
+	return s.writeMutation(w, n)
 }
 
 // handleBulkload serves POST /bulkload: insert a batch of records through
 // the InsertBatch worker pool. On error the batch may be partially
 // applied (see segidx.InsertBatch); the epoch is bumped regardless so no
 // stale cache entry survives a partial load.
-func (s *Server) handleBulkload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBulkload(w http.ResponseWriter, r *http.Request) int {
 	var req bulkloadRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if len(req.Records) == 0 {
-		writeError(w, badRequest(`body needs a non-empty "records" array`))
-		return
+		return writeError(w, badRequest(`body needs a non-empty "records" array`))
 	}
 	if len(req.Records) > maxBulkRecords {
-		writeError(w, badRequest("bulkload of %d records exceeds the %d-record limit",
+		return writeError(w, badRequest("bulkload of %d records exceeds the %d-record limit",
 			len(req.Records), maxBulkRecords))
-		return
 	}
 	recs := make([]segidx.BulkRecord, len(req.Records))
 	for i := range req.Records {
 		rec, err := req.Records[i].toRecord()
 		if err != nil {
-			writeError(w, err)
-			return
+			return writeError(w, err)
 		}
 		recs[i] = rec
 	}
@@ -455,16 +297,12 @@ func (s *Server) handleBulkload(w http.ResponseWriter, r *http.Request) {
 		// Workers may have inserted a prefix before the failure; each of
 		// those inserts already bumped the commit epoch, so cached results
 		// computed against the old state are invalid without further action.
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	if err := s.afterMutation(); err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	writeJSON(w, http.StatusOK, mutationResponse{
-		Applied: len(recs), Len: s.idx.Len(), Epoch: s.idx.CommitEpoch(),
-	})
+	return s.writeMutation(w, len(recs))
 }
 
 // Metrics is the /metrics document: server, cache, per-endpoint, and
@@ -533,8 +371,8 @@ func (s *Server) snapshotMetrics() Metrics {
 }
 
 // handleMetrics serves GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshotMetrics())
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
+	return writeJSON(w, http.StatusOK, s.snapshotMetrics())
 }
 
 // healthResponse is the body of /healthz.
@@ -545,8 +383,8 @@ type healthResponse struct {
 }
 
 // handleHealthz serves GET /healthz: a cheap liveness probe.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthResponse{
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
+	return writeJSON(w, http.StatusOK, healthResponse{
 		Status: "ok",
 		Len:    s.idx.Len(),
 		Shards: s.idx.Shards(),
