@@ -351,10 +351,11 @@ func TestAccelAutoRoutesByShape(t *testing.T) {
 
 // TestAccelBirthsNondecreasing pins the invariant the sidecar's
 // comparison-free count relies on — births never decrease along any slot
-// list — across every way a sidecar is seeded: attached to the built
-// skeleton at a predictor's swap, then reseeded from the page file by
-// OpenDurable, each followed by churn. CheckInvariants verifies it on
-// every attached sidecar.
+// list — across every way a sidecar is seeded: attached to a predicted
+// tree at construction and carried through the bracket that builds its
+// skeleton, then reseeded from the page file by OpenDurable, each
+// followed by churn. CheckInvariants verifies it on every attached
+// sidecar.
 func TestAccelBirthsNondecreasing(t *testing.T) {
 	const n = 400
 	path := filepath.Join(t.TempDir(), "ix.seg")
@@ -391,20 +392,25 @@ func TestAccelBirthsNondecreasing(t *testing.T) {
 			}
 		}
 	}
-	// The predictor samples the first 5 % of the estimate, then swaps.
+	// The tree samples the first 5 % of the estimate, then builds its
+	// skeleton. The sidecar is attached from the start and keeps the
+	// sampled records across the build.
 	swapAt := int(est.PredictFraction * n)
 	for i := 0; i < swapAt; i++ {
-		if len(x.AccelStats()) != 0 {
-			t.Fatalf("a sidecar was attached after %d of %d sampled inserts", i, swapAt)
+		if len(x.AccelStats()) != 1 {
+			t.Fatalf("no sidecar attached after %d of %d sampled inserts", i, swapAt)
 		}
 		if err := x.Insert(recs[i], segidx.RecordID(i+1)); err != nil {
 			t.Fatal(err)
 		}
+		if i == swapAt-2 {
+			check("while sampling")
+		}
 	}
 	if len(x.AccelStats()) != 1 {
-		t.Fatal("no sidecar attached at the predictor's swap")
+		t.Fatal("no sidecar attached after the skeleton was built")
 	}
-	check("after the swap")
+	check("after the build")
 	churn(swapAt, n/2)
 	check("after churn on the built skeleton")
 	if err := x.Close(); err != nil {

@@ -80,7 +80,7 @@ func driveForestCrashWorkload(disk *faultstore.Disk, mA, mB *[]shardModel) (opsM
 	}
 	opsM = disk.Ops()
 
-	shards := make([]core.Engine, fcShards)
+	shards := make([]*core.Tree, fcShards)
 
 	stores := make([]store.Store, fcShards)
 	for i := range shards {
@@ -211,7 +211,7 @@ func forestCrashCells() []forestCrashCell {
 }
 
 // shardMatches reports whether eng answers exactly like the shard model.
-func shardMatches(t *testing.T, eng core.Engine, m shardModel) bool {
+func shardMatches(t *testing.T, eng *core.Tree, m shardModel) bool {
 	t.Helper()
 	if eng.Len() != len(m) {
 		return false
@@ -241,7 +241,7 @@ func recoverForestAndClassify(t *testing.T, img *faultstore.Disk, mA, mB []shard
 		t.Fatalf("%s: manifest says %d shards, want %d", desc, m.Shards, fcShards)
 	}
 	states := make([]string, fcShards)
-	shards := make([]core.Engine, fcShards)
+	shards := make([]*core.Tree, fcShards)
 	stores := make([]store.Store, fcShards)
 	for i := 0; i < fcShards; i++ {
 		ws, err := store.OpenWALStoreIn(img, shardPath("forest.db", i, fcShards))
@@ -453,7 +453,7 @@ func newDurableForest(t *testing.T, disk *faultstore.Disk) (*Index, []shardModel
 	if err := forest.CreateManifest(disk, "forest.db", fcShards); err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]core.Engine, fcShards)
+	shards := make([]*core.Tree, fcShards)
 	stores := make([]store.Store, fcShards)
 	for i := range shards {
 		st, err := store.OpenWALStoreIn(disk, shardPath("forest.db", i, fcShards))

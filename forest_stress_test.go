@@ -10,7 +10,6 @@ import (
 	"segidx/internal/forest"
 	"segidx/internal/geom"
 	"segidx/internal/node"
-	"segidx/internal/store"
 )
 
 // The stress suite runs the forest's intended concurrent shape — one
@@ -156,55 +155,34 @@ func TestForestConcurrentStress(t *testing.T) {
 	}
 }
 
-// gatedEngine wraps a shard engine so the test can hold its Insert open:
-// entered signals once a writer is inside the shard's insert path, and
-// release lets it finish.
-type gatedEngine struct {
-	core.Engine
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (g *gatedEngine) Insert(r geom.Rect, id node.RecordID) error {
-	g.once.Do(func() { close(g.entered) })
-	<-g.release
-	return g.Engine.Insert(r, id)
-}
-
 // TestForestBlockedShardDoesNotSerializeWriters is the non-serialization
-// proof: while a writer is parked inside shard 0's insert path, writers
-// on shards 1..3 must run to completion. A forest that funneled inserts
+// proof: while a writer is parked inside shard 0's write path, writers
+// on shards 1..3 must run to completion. A forest that funneled writes
 // through any shared write lock would deadlock here (and the test would
 // time out); with per-shard locks the blocked shard is invisible to the
 // others.
 func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 	const shards = 4
-	gate := &gatedEngine{
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	fshards := make([]core.Engine, shards)
-	stores := make([]store.Store, shards)
-	for i := range fshards {
-		st := store.NewMemStore()
-		tr, err := core.New(smallConfig(false), st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fshards[i], stores[i] = tr, st
-	}
-	gate.Engine = fshards[0]
-	fshards[0] = gate
-	f := newIndex(fshards, stores)
+	f := newMemForest(t, shards, false)
 	recs := shardRecords(rand.New(rand.NewSource(7)), shards, 100)
+	if err := f.Insert(recs[0][0].Rect, recs[0][0].ID); err != nil {
+		t.Fatal(err)
+	}
 
-	// Park a writer inside shard 0.
+	// Park a writer inside shard 0: DeleteWhere visits the shards in
+	// order and calls its predicate under the shard's write lock.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	blockedDone := make(chan error, 1)
 	go func() {
-		blockedDone <- f.Insert(recs[0][0].Rect, recs[0][0].ID)
+		_, err := f.DeleteWhere(geom.Rect2(0, 0, 1100, 1100), func(core.Entry) bool {
+			once.Do(func() { close(entered) })
+			<-release
+			return false
+		})
+		blockedDone <- err
 	}()
-	<-gate.entered
+	<-entered
 
 	// With shard 0 held open, the other writers must finish unaided.
 	var wg sync.WaitGroup
@@ -234,7 +212,7 @@ func TestForestBlockedShardDoesNotSerializeWriters(t *testing.T) {
 	}
 
 	// Release the parked writer and confirm the forest is whole.
-	close(gate.release)
+	close(release)
 	if err := <-blockedDone; err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func smallConfig(spanning bool) core.Config {
 // stores, without a manifest.
 func newMemForest(t *testing.T, n int, spanning bool) *Index {
 	t.Helper()
-	shards := make([]core.Engine, n)
+	shards := make([]*core.Tree, n)
 	stores := make([]store.Store, n)
 	for i := range shards {
 		st := store.NewMemStore()
@@ -327,7 +327,7 @@ func TestForestNeverRewritesManifest(t *testing.T) {
 		t.Fatalf("creating the manifest made %d writes and %d syncs, want 1 and 1", w, s)
 	}
 	created := readFile(t, disk, "forest.db")
-	shards := make([]core.Engine, shardCount)
+	shards := make([]*core.Tree, shardCount)
 	stores := make([]store.Store, shardCount)
 	for i := range shards {
 		st, err := store.OpenWALStoreIn(fsys, shardPath("forest.db", i, shardCount))
@@ -419,7 +419,7 @@ func TestForestPlacement(t *testing.T) {
 	const shards = 3
 	// mkForest fills each shard through place, then assembles the forest.
 	mkForest := func(t *testing.T, place func(id node.RecordID) int) (*Index, map[node.RecordID]geom.Rect) {
-		out := make([]core.Engine, shards)
+		out := make([]*core.Tree, shards)
 		stores := make([]store.Store, shards)
 		for i := range out {
 			st := store.NewMemStore()

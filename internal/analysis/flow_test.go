@@ -48,7 +48,7 @@ func (t *Tree) perPath(x int) int {
 }
 
 // handoff: release-then-return on the fast path, defer on the slow one
-// (the predictor idiom).
+// (a read-mostly accessor idiom).
 func (t *Tree) handoff() int {
 	t.mu.RLock()
 	if t.size == 0 {

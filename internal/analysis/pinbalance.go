@@ -44,11 +44,10 @@ var PinBalance = &Analyzer{
 	Run:  runPinBalance,
 	AppliesTo: func(pkgPath string) bool {
 		// The tree core owns query contexts and brackets; the root
-		// package, server, and skeleton layers own MVCC snapshots; the
-		// accelerator sidecar rides the core's write bracket.
+		// package and server layers own MVCC snapshots; the accelerator
+		// sidecar rides the core's write bracket.
 		return strings.HasSuffix(pkgPath, "internal/core") ||
 			strings.HasSuffix(pkgPath, "internal/server") ||
-			strings.HasSuffix(pkgPath, "internal/skeleton") ||
 			strings.HasSuffix(pkgPath, "internal/accel") ||
 			!strings.Contains(pkgPath, "/")
 	},
@@ -258,7 +257,7 @@ func (a *pinAnalysis) pinSource(call *ast.CallExpr) (kind pinKind, desc string, 
 		return pinBracket, desc, true
 	case name == "Snapshot" && recv != "" && len(call.Args) == 0:
 		// An MVCC snapshot pin: any Snapshot() method on a named receiver
-		// (Tree, Predictor, the core.Engine interface, Index).
+		// (Tree, Index).
 		return pinSnap, desc, true
 	}
 	return 0, "", false

@@ -111,21 +111,18 @@ func BulkLoad(cfg Config, st store.Store, records []Record, fill float64) (*Tree
 	}
 
 	// Replace the empty root created by New.
-	oldRoot := t.root
-	t.root = level[0].Child
-	rootNode, err := t.fetch(t.root, nil)
+	rootNode, err := t.fetch(level[0].Child, nil)
 	if err != nil {
 		return nil, t.abortOp(err)
 	}
-	t.height = rootNode.Level + 1
+	if err := t.replaceTree(rootNode.ID, rootNode.Level+1); err != nil {
+		return nil, t.abortOp(err)
+	}
 	t.size = len(records)
 	for i := range records {
 		if t.ids.add(records[i].ID) {
 			t.cutPortions++
 		}
-	}
-	if err := t.pool.Free(oldRoot); err != nil {
-		return nil, t.abortOp(err)
 	}
 	if err := t.publishOp(); err != nil {
 		return nil, err

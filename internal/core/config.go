@@ -12,8 +12,8 @@
 //
 //	R-Tree           Config{Spanning: false}, dynamic build
 //	SR-Tree          Config{Spanning: true},  dynamic build
-//	Skeleton R-Tree  Config{Spanning: false}, BuildSkeleton
-//	Skeleton SR-Tree Config{Spanning: true},  BuildSkeleton
+//	Skeleton R-Tree  Config{Spanning: false}, BuildSkeleton or NewPredicted
+//	Skeleton SR-Tree Config{Spanning: true},  BuildSkeleton or NewPredicted
 //
 // Nodes live on pages managed by a buffer pool over a page store; all
 // fanout limits derive from page sizes and the on-page entry encoding.

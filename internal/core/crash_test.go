@@ -36,14 +36,18 @@ type crashVariant struct {
 	name     string
 	cfg      Config
 	skeleton bool
+	// predict builds the tree with NewPredicted and a sample larger
+	// than the first Flush's inserts, so that Flush runs the bracket
+	// that builds the skeleton inside commit A.
+	predict bool
 }
 
 func crashVariants() []crashVariant {
 	return []crashVariant{
-		{"r", smallConfig(false), false},
-		{"sr", smallConfig(true), false},
-		{"skr", skeletonConfig(false), true},
-		{"sksr", skeletonConfig(true), true},
+		{name: "r", cfg: smallConfig(false)},
+		{name: "sr", cfg: smallConfig(true)},
+		{name: "skr", cfg: skeletonConfig(false), skeleton: true},
+		{name: "sksr", cfg: skeletonConfig(true), skeleton: true},
 	}
 }
 
@@ -65,12 +69,17 @@ func driveCrashWorkload(v crashVariant, disk *faultstore.Disk, mA, mB *model) (o
 		return 0, 0, err
 	}
 	defer ws.Close() // idempotent; rolls back pending state in crash runs
-	tr, err := New(v.cfg, ws)
+	est := Estimate{Tuples: crashPreFlush + crashPostFlush, Domain: domain1000()}
+	var tr *Tree
+	if v.predict {
+		tr, err = NewPredicted(v.cfg, ws, est, crashPreFlush+1)
+	} else {
+		tr, err = New(v.cfg, ws)
+	}
 	if err != nil {
 		return 0, 0, err
 	}
 	if v.skeleton {
-		est := Estimate{Tuples: crashPreFlush + crashPostFlush, Domain: domain1000()}
 		if err := tr.BuildSkeleton(est); err != nil {
 			return 0, 0, err
 		}
@@ -292,6 +301,15 @@ func TestCrashMatrix(t *testing.T) {
 			runCrashMatrix(t, v)
 		})
 	}
+}
+
+// TestCrashMatrixPredicted runs the crash matrix over a predicted
+// skeleton whose first Flush builds the skeleton: every crash inside that
+// commit recovers either nothing or the built skeleton with every record
+// (Open checks the stored spanning mode against the skeleton's, so a
+// persisted staging tree would fail it).
+func TestCrashMatrixPredicted(t *testing.T) {
+	runCrashMatrix(t, crashVariant{name: "predicted", cfg: skeletonConfig(true), predict: true})
 }
 
 // TestFlushCommitFailureKeepsCommitBoundary is the task-4 regression: a

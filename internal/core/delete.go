@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"segidx/internal/geom"
 	"segidx/internal/node"
 	"segidx/internal/page"
@@ -151,6 +153,11 @@ func (t *Tree) deleteMatching(hint geom.Rect, match func(node.Record) bool) (int
 	}
 	t.size -= len(removed)
 	t.stats.Deletes += uint64(len(removed))
+	if p := t.sampling; p != nil && len(removed) > 0 {
+		// The staging tree stores each sampled rectangle unchanged, so
+		// the same test drops exactly the records it removed.
+		p.sample = slices.DeleteFunc(p.sample, func(r node.Record) bool { return r.Rect.Intersects(hint) && match(r) })
+	}
 	return len(removed), nil
 }
 

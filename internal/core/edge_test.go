@@ -248,3 +248,31 @@ func TestStoreErrorSurfacesFromInsert(t *testing.T) {
 		t.Fatalf("tree unusable after transient store error: %v", err)
 	}
 }
+
+// TestSplitInfiniteEnlargements splits nodes whose every candidate's
+// area enlargement overflows to +Inf in both groups: PickNext's
+// difference is then NaN for every candidate, and the split must still
+// place each one instead of indexing the candidate list at -1.
+func TestSplitInfiniteEnlargements(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Spanning = true
+	tr, err := NewInMemory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 1; i <= n; i++ {
+		if err := tr.Insert(geom.Rect2(-1e300, -float64(i)*1e298, 1e300, 1e300), node.RecordID(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tr.Count(geom.Rect2(-1e300, -1e301, 1e300, 1e300)); err != nil || got != n {
+		t.Fatalf("Count = %d, %v; want %d", got, err, n)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -56,12 +56,30 @@ func (t *Tree) Insert(rect geom.Rect, id node.RecordID) error {
 	defer t.mu.Unlock()
 	t.beginOp()
 	t.stageSidecarInsert(rect, id)
-	o := t.newOp(&t.stats.InsertNodeAccesses)
-	if err := o.insert(rect.Clone(), id, 0); err != nil {
+	if err := t.insertOne(rect, id); err != nil {
 		return t.abortOp(err)
 	}
+	p := t.sampling
+	if p == nil {
+		return t.publishOp()
+	}
+	p.sample = append(p.sample, node.Record{Rect: rect.Clone(), ID: id})
+	if err := t.publishOp(); err != nil || len(p.sample) < p.target {
+		return err
+	}
+	return t.predict()
+}
+
+// insertOne is Insert's body: it places one record, counts it, and
+// coalesces on the configured cadence. The caller must hold the write
+// lock on t.mu and have opened a write bracket.
+func (t *Tree) insertOne(rect geom.Rect, id node.RecordID) error {
+	o := t.newOp(&t.stats.InsertNodeAccesses)
+	if err := o.insert(rect.Clone(), id, 0); err != nil {
+		return err
+	}
 	if err := o.drain(); err != nil {
-		return t.abortOp(err)
+		return err
 	}
 	t.size++
 	t.stats.Inserts++
@@ -75,14 +93,12 @@ func (t *Tree) Insert(rect geom.Rect, id node.RecordID) error {
 		if t.sinceCoalesce >= t.cfg.CoalesceEvery {
 			t.sinceCoalesce = 0
 			if err := t.coalesce(o); err != nil {
-				return t.abortOp(err)
+				return err
 			}
-			if err := o.drain(); err != nil {
-				return t.abortOp(err)
-			}
+			return o.drain()
 		}
 	}
-	return t.publishOp()
+	return nil
 }
 
 // spansQualify reports whether rec qualifies as a spanning record for the

@@ -1,4 +1,4 @@
-package skeleton
+package core
 
 import (
 	"reflect"
@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"segidx/internal/core"
 	"segidx/internal/geom"
 	"segidx/internal/histogram"
 	"segidx/internal/node"
@@ -14,48 +13,61 @@ import (
 	"segidx/internal/workload"
 )
 
-func testConfig() core.Config {
-	cfg := core.DefaultConfig()
+func predictConfig() Config {
+	cfg := DefaultConfig()
 	cfg.Sizes.LeafBytes = 256
 	cfg.Spanning = true
 	cfg.CoalesceEvery = 200
 	return cfg
 }
 
-func domain() geom.Rect { return workload.Domain() }
+// newPredictedTree builds a predicted tree over a fresh in-memory store
+// that expects tuples records and samples the first sample of them.
+func newPredictedTree(t *testing.T, cfg Config, tuples, sample int) *Tree {
+	t.Helper()
+	tr, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: tuples, Domain: workload.Domain()}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// buffering reports whether tr is still collecting its sample.
+func buffering(tr *Tree) bool {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.sampling != nil
+}
 
 func TestPredictorValidation(t *testing.T) {
-	cfg := testConfig()
-	if _, err := New(cfg, store.NewMemStore(), domain(), 0, 0.1); err == nil {
+	cfg := predictConfig()
+	if _, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 0, Domain: workload.Domain()}, 1); err == nil {
 		t.Error("zero expected tuples accepted")
 	}
-	if _, err := New(cfg, store.NewMemStore(), domain(), 100, 0); err == nil {
-		t.Error("zero sample fraction accepted")
+	if _, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: workload.Domain()}, 0); err == nil {
+		t.Error("zero sample accepted")
 	}
-	if _, err := New(cfg, store.NewMemStore(), domain(), 100, 1.5); err == nil {
-		t.Error("sample fraction > 1 accepted")
+	if _, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: workload.Domain()}, 150); err == nil {
+		t.Error("sample above the expected tuples accepted")
 	}
 	bad := geom.Rect{Min: []float64{0}, Max: []float64{1}}
-	if _, err := New(cfg, store.NewMemStore(), bad, 100, 0.1); err == nil {
+	if _, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: bad}, 10); err == nil {
 		t.Error("bad domain accepted")
 	}
 }
 
 func TestPredictorBuildsAfterSample(t *testing.T) {
-	p, err := New(testConfig(), store.NewMemStore(), domain(), 1000, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), 1000, 100)
 	data := workload.I3.Generate(1000, 99)
 	for i, r := range data {
 		if err := p.Insert(r, node.RecordID(i+1)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		if i < 99 && !p.Buffering() {
+		if i < 99 && !buffering(p) {
 			t.Fatalf("built after only %d inserts (sample is 100)", i+1)
 		}
 	}
-	if p.Buffering() {
+	if buffering(p) {
 		t.Fatal("never built the skeleton")
 	}
 	if p.Len() != 1000 {
@@ -67,13 +79,15 @@ func TestPredictorBuildsAfterSample(t *testing.T) {
 	if p.Height() < 2 {
 		t.Fatalf("height %d", p.Height())
 	}
+	// The skeleton's counters count the drain and what followed it, so
+	// every record is counted once across the bracket.
+	if got := p.Stats().Inserts; got != 1000 {
+		t.Fatalf("Stats().Inserts = %d after 1000 inserts", got)
+	}
 }
 
 func TestPredictorSearchDuringAndAfterBuffering(t *testing.T) {
-	p, err := New(testConfig(), store.NewMemStore(), domain(), 400, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), 400, 200)
 	data := workload.I1.Generate(400, 123)
 	check := func(phase string) {
 		q := geom.Rect2(0, 0, workload.DomainHi, workload.DomainHi)
@@ -118,10 +132,7 @@ func TestPredictorSearchDuringAndAfterBuffering(t *testing.T) {
 }
 
 func TestPredictorDeleteDuringBuffering(t *testing.T) {
-	p, err := New(testConfig(), store.NewMemStore(), domain(), 100, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), 100, 50)
 	r := geom.Rect2(1, 1, 2, 1)
 	if err := p.Insert(r, 7); err != nil {
 		t.Fatal(err)
@@ -137,22 +148,21 @@ func TestPredictorDeleteDuringBuffering(t *testing.T) {
 	}
 }
 
+// TestPredictorFinalizeEarly covers input that ends before the sample
+// target: the first Flush builds the skeleton from what was sampled.
 func TestPredictorFinalizeEarly(t *testing.T) {
-	p, err := New(testConfig(), store.NewMemStore(), domain(), 1000, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), 1000, 500)
 	data := workload.R2.Generate(50, 5)
 	for i, r := range data {
 		if err := p.Insert(r, node.RecordID(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Finalize(); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Buffering() {
-		t.Fatal("still buffering after Finalize")
+	if buffering(p) {
+		t.Fatal("still buffering after Flush")
 	}
 	if p.Len() != 50 {
 		t.Fatalf("Len = %d", p.Len())
@@ -166,10 +176,7 @@ func TestPredictionAdaptsPartitionsToSkew(t *testing.T) {
 	// Feed exponential-Y data: the built skeleton must put more, narrower
 	// partitions at low Y. Verify indirectly: count leaves whose region
 	// center is below the median of the domain.
-	p, err := New(testConfig(), store.NewMemStore(), domain(), 3000, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), 3000, 300)
 	data := workload.I2.Generate(3000, 77)
 	for i, r := range data {
 		if err := p.Insert(r, node.RecordID(i+1)); err != nil {
@@ -199,8 +206,8 @@ func TestPredictionAdaptsPartitionsToSkew(t *testing.T) {
 	// query in the empty high-Y half must be cheaper on the predicted
 	// skeleton, whose high-Y partitions are few and coarse, than on the
 	// uniform skeleton, which pre-allocated fine partitions there.
-	uni, err := core.NewSkeleton(testConfig(), store.NewMemStore(), core.Estimate{
-		Tuples: 3000, Domain: domain(),
+	uni, err := NewSkeleton(predictConfig(), store.NewMemStore(), Estimate{
+		Tuples: 3000, Domain: workload.Domain(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,14 +218,14 @@ func TestPredictionAdaptsPartitionsToSkew(t *testing.T) {
 		}
 	}
 	strip := geom.Rect2(0, 70000, workload.DomainHi, 72000)
-	cost := func(tr *core.Tree) uint64 {
+	cost := func(tr *Tree) uint64 {
 		before := tr.Stats().SearchNodeAccesses
 		if _, err := tr.Search(strip); err != nil {
 			t.Fatal(err)
 		}
 		return tr.Stats().SearchNodeAccesses - before
 	}
-	predCost := cost(p.Tree())
+	predCost := cost(p)
 	uniCost := cost(uni)
 	if predCost >= uniCost {
 		t.Errorf("high-Y strip: predicted skeleton cost %d not below uniform %d", predCost, uniCost)
@@ -238,23 +245,21 @@ func TestPredictedSkeletonMatchesDirectBuild(t *testing.T) {
 	queries := workload.Queries(1, 30, 42)
 	queries = append(queries, workload.Queries(0.01, 30, 43)...)
 	for _, spanning := range []bool{false, true} {
-		cfg := testConfig()
+		cfg := predictConfig()
 		cfg.Spanning = spanning
 
-		p, err := New(cfg, store.NewMemStore(), domain(), n, float64(sample)/n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newPredictedTree(t, cfg, n, sample)
 		hists := make([]*histogram.Histogram, cfg.Dims)
+		var err error
 		for d := range hists {
-			if hists[d], err = histogram.New(domain().Min[d], domain().Max[d], DefaultBins); err != nil {
+			if hists[d], err = histogram.New(workload.Domain().Min[d], workload.Domain().Max[d], DefaultBins); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range data[:sample] {
 				hists[d].AddInterval(r.Min[d], r.Max[d])
 			}
 		}
-		direct, err := core.NewSkeleton(cfg, store.NewMemStore(), core.Estimate{Tuples: n, Domain: domain(), Hists: hists})
+		direct, err := NewSkeleton(cfg, store.NewMemStore(), Estimate{Tuples: n, Domain: workload.Domain(), Hists: hists})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +304,7 @@ func TestPredictedSkeletonMatchesDirectBuild(t *testing.T) {
 // under -race.
 func TestPredictorReadersAcrossSwap(t *testing.T) {
 	const n = 600
-	p, err := New(testConfig(), store.NewMemStore(), domain(), n, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPredictedTree(t, predictConfig(), n, n/2)
 	data := workload.I3.Generate(n, 7)
 	all := geom.Rect2(0, 0, workload.DomainHi, workload.DomainHi)
 
@@ -345,7 +347,7 @@ func TestPredictorReadersAcrossSwap(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if p.Buffering() {
+	if buffering(p) {
 		t.Fatal("the run never crossed the swap")
 	}
 	if got, err := p.Count(all); err != nil || got != n {

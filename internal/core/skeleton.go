@@ -58,6 +58,94 @@ func NewSkeleton(cfg Config, st store.Store, est Estimate) (*Tree, error) {
 	return t, nil
 }
 
+// DefaultBins is the per-dimension histogram resolution used for
+// distribution prediction.
+const DefaultBins = 100
+
+// prediction is the sampling phase of a tree built by NewPredicted. The
+// sample mirrors the staging tree's records in arrival order: inserts
+// append to it and deleteMatching drops what it removes.
+type prediction struct {
+	cfg    Config   // the skeleton's configuration
+	est    Estimate // tuples and domain; predict adds the histograms
+	target int      // sample size T
+	sample []node.Record
+}
+
+// NewPredicted creates a skeleton index that predicts its input
+// distribution (Section 4): "the first T tuples are kept in memory",
+// per-dimension histograms are computed from them, a skeleton is built
+// from those histograms, and the sampled plus subsequent tuples are
+// inserted into it. Until then the tree is a plain R-Tree on st, with
+// spanning and coalescing off, since nothing is known yet that either
+// would adapt to. The T-th insert, or the first Flush or Close, builds
+// the skeleton. The paper found T between 5% and 10% of the expected
+// input to work well.
+func NewPredicted(cfg Config, st store.Store, est Estimate, sample int) (*Tree, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := est.Validate(cfg); err != nil {
+		return nil, err
+	}
+	if sample < 1 || sample > est.Tuples {
+		return nil, fmt.Errorf("core: prediction sample %d outside [1, %d]", sample, est.Tuples)
+	}
+	staging := cfg
+	staging.Spanning, staging.CoalesceEvery = false, 0
+	t, err := New(staging, st)
+	if err != nil {
+		return nil, err
+	}
+	est.Domain, est.Hists = est.Domain.Clone(), nil
+	t.sampling = &prediction{cfg: cfg, est: est, target: sample}
+	return t, nil
+}
+
+// predict ends the sampling phase inside one write bracket: it computes
+// the histograms from the sample, replaces the staging pages with the
+// skeleton's, and drains the sample into it in arrival order. Readers see
+// the staging tree until the one publish and the drained skeleton after
+// it, never a skeleton still being drained; snapshots pinned before keep
+// reading the staging pages through their versions. The sidecar, if any,
+// already holds every sampled record, so the drain does not stage them
+// again. The caller must hold the write lock on t.mu.
+func (t *Tree) predict() error {
+	p := t.sampling
+	est := p.est
+	est.Hists = make([]*histogram.Histogram, t.cfg.Dims)
+	for d := range est.Hists {
+		h, err := histogram.New(est.Domain.Min[d], est.Domain.Max[d], DefaultBins)
+		if err != nil {
+			return err
+		}
+		for _, r := range p.sample {
+			h.AddInterval(r.Rect.Min[d], r.Rect.Max[d])
+		}
+		est.Hists[d] = h
+	}
+	// The skeleton starts from nothing, as a freshly built one does: its
+	// counters count the drain, not the staging inserts.
+	ids, staging := t.ids, t.cfg
+	t.sampling, t.ids, t.modCounts, t.sinceCoalesce = nil, idSet{}, make(map[page.ID]uint64), 0
+	t.size, t.cutPortions = 0, 0
+	t.resetStats()
+	// Field by field: lock-free readers read t.cfg.Dims.
+	t.cfg.Spanning, t.cfg.CoalesceEvery = p.cfg.Spanning, p.cfg.CoalesceEvery
+	t.beginOp()
+	err := t.buildSkeleton(est)
+	for i := 0; err == nil && i < len(p.sample); i++ {
+		err = t.insertOne(p.sample[i].Rect, p.sample[i].ID)
+	}
+	if err != nil {
+		// The staging tree stays, and the next insert or Flush retries.
+		t.sampling, t.ids = p, ids
+		t.cfg.Spanning, t.cfg.CoalesceEvery = staging.Spanning, staging.CoalesceEvery
+		return t.abortOp(err)
+	}
+	return t.publishOp()
+}
+
 // BuildSkeleton replaces the empty tree with a pre-allocated skeleton. The
 // tree must be empty.
 func (t *Tree) BuildSkeleton(est Estimate) error {
@@ -69,7 +157,19 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 	if err := est.Validate(t.cfg); err != nil {
 		return err
 	}
+	t.beginOp()
+	if err := t.buildSkeleton(est); err != nil {
+		return t.abortOp(err)
+	}
+	return t.publishOp()
+}
 
+// buildSkeleton builds the skeleton's pages and frees every page of the
+// tree it replaces. It runs inside the caller's write bracket, so a
+// failure rolls every freshly allocated page back and success publishes
+// the whole hierarchy in one epoch. The caller must hold the write lock on
+// t.mu.
+func (t *Tree) buildSkeleton(est Estimate) error {
 	perDim, err := t.skeletonShape(est.Tuples)
 	if err != nil {
 		return err
@@ -115,11 +215,8 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 		cutIdx[l] = idx
 	}
 
-	// Build bottom-up, inside one write bracket: a failure rolls every
-	// freshly allocated skeleton page back, and success publishes the
-	// whole hierarchy in a single epoch bump. grid holds the node IDs of
-	// the current level in row-major order over the level's per-dim grid.
-	t.beginOp()
+	// Build bottom-up. grid holds the node IDs of the current level in
+	// row-major order over the level's per-dim grid.
 	var prevGrid []page.ID
 	var prevRegions []geom.Rect
 	for l := 0; l < levels; l++ {
@@ -136,7 +233,7 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 			}
 			n, err := t.pool.NewNode(l, t.cfg.Sizes.BytesForLevel(l))
 			if err != nil {
-				return t.abortOp(err)
+				return err
 			}
 			n.Region = region
 			if l == 0 {
@@ -150,7 +247,7 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 				// region.
 				prevP := perDim[l-1]
 				if err := t.attachChildren(n, coords, l, p, prevP, cutIdx, prevGrid, prevRegions, dims); err != nil {
-					return t.abortOp(err)
+					return err
 				}
 			}
 			grid[cell] = n.ID
@@ -159,14 +256,7 @@ func (t *Tree) BuildSkeleton(est Estimate) error {
 		prevGrid, prevRegions = grid, regions
 	}
 
-	// Replace the empty root leaf with the skeleton root.
-	oldRoot := t.root
-	t.root = prevGrid[0]
-	t.height = levels
-	if err := t.pool.Free(oldRoot); err != nil {
-		return t.abortOp(err)
-	}
-	return t.publishOp()
+	return t.replaceTree(prevGrid[0], levels)
 }
 
 // attachChildren installs branches on the level-l node at grid coordinates

@@ -244,20 +244,6 @@ func (t *Tree) acquireRead(qc *queryCtx) {
 // cache keys its entries on this value.
 func (t *Tree) CommitEpoch() uint64 { return t.state.Load().epoch - 1 }
 
-// AdvanceCommitEpoch republishes the committed state at commit epoch e when
-// e is ahead of the tree's own, changing no contents. A tree taking over
-// from another (a predictor's built skeleton from its staging tree) uses it
-// so the epoch its readers and caches key on never runs backwards. Page
-// versions and sidecar records are compared against epochs, never counted,
-// so the gap is harmless.
-func (t *Tree) AdvanceCommitEpoch(e uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state.Load().epoch < e+1 {
-		t.publishState(e + 1)
-	}
-}
-
 // View is an immutable snapshot of an index. All methods are safe for
 // concurrent use by multiple goroutines; queries acquire no tree-level
 // lock and observe exactly the committed state at the pin epoch, no matter

@@ -253,7 +253,9 @@ func quadraticSplit(rects []geom.Rect, minFill int) (groupA, groupB []int) {
 			if diff < 0 {
 				diff = -diff
 			}
-			if diff > bestDiff {
+			// Two infinite enlargements give a NaN diff, which compares
+			// false; the first candidate is taken regardless.
+			if diff > bestDiff || bestIdx < 0 {
 				bestIdx, bestDiff = pos, diff
 				bestDA, bestDB = dA, dB
 			}

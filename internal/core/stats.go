@@ -87,3 +87,15 @@ func (t *Tree) Stats() Stats {
 		CutPortions:        uint64(t.cutPortions),
 	}
 }
+
+// resetStats zeroes every counter. Lock-free readers bump the search
+// counters concurrently, so those are stored atomically. The caller must
+// hold the write lock on t.mu.
+func (t *Tree) resetStats() {
+	s := &t.stats
+	atomic.StoreUint64(&s.Searches, 0)
+	atomic.StoreUint64(&s.SearchNodeAccesses, 0)
+	s.Inserts, s.InsertNodeAccesses, s.Deletes, s.Reinserts = 0, 0, 0, 0
+	s.LeafSplits, s.NonLeafSplits, s.Cuts, s.Remnants = 0, 0, 0, 0
+	s.SpanPlaced, s.Promotions, s.Demotions, s.Relinks, s.Coalesces = 0, 0, 0, 0, 0
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"segidx/internal/accel"
 	"segidx/internal/buffer"
 	"segidx/internal/geom"
 	"segidx/internal/node"
@@ -23,7 +22,9 @@ var (
 
 // Tree is a paged segment index: an R-Tree when Spanning is disabled, an
 // SR-Tree when enabled, and the skeleton variants of either when built with
-// BuildSkeleton.
+// BuildSkeleton, or by NewPredicted, whose tree samples its input as a
+// plain R-Tree and then turns itself into the skeleton in one write
+// bracket.
 //
 // A Tree is safe for concurrent use: mutations (Insert, Delete, Flush,
 // Close) serialize behind an exclusive lock, while queries (Search*,
@@ -83,27 +84,11 @@ type Tree struct {
 	sinceCoalesce int
 
 	stats Stats
-}
 
-// Engine is the operation set of one tree of an index: what the index
-// needs from each of its shards. A Tree and a skeleton.Predictor each are
-// one.
-type Engine interface {
-	Reader
-	Insert(geom.Rect, node.RecordID) error
-	Delete(node.RecordID, geom.Rect) (int, error)
-	DeleteWhere(geom.Rect, func(Entry) bool) (int, error)
-	VisitPortions(func(level int, e Entry) bool) error
-	Height() int
-	NodeCount() int
-	Stats() Stats
-	PoolStats() buffer.Stats
-	AccelStats() []accel.Stats
-	Flush() error
-	CheckInvariants() error
-	Analyze() (*Report, error)
-	Snapshot() View
-	CommitEpoch() uint64
+	// sampling is the distribution-prediction phase of a tree built by
+	// NewPredicted; nil once the skeleton is built, and for every other
+	// tree.
+	sampling *prediction
 }
 
 // New creates an empty dynamic index over the given store. Pass a fresh
@@ -144,7 +129,9 @@ func NewInMemory(cfg Config) (*Tree, error) {
 	return New(cfg, store.NewMemStore())
 }
 
-// Config returns the tree's configuration.
+// Config returns the tree's configuration. A predicted tree reports its
+// staging configuration until the skeleton is built, and building it
+// changes the configuration, so call Config only while no write runs.
 func (t *Tree) Config() Config { return t.cfg }
 
 // Len implements Reader. Lock-free: reads the published state.
@@ -173,9 +160,15 @@ func (t *Tree) Flush() error {
 	return t.flushLocked()
 }
 
-// flushLocked writes dirty nodes plus metadata and commits. The caller
-// must hold the write lock on t.mu.
+// flushLocked writes dirty nodes plus metadata and commits, building a
+// predicted tree's skeleton first: only a built skeleton is ever
+// persisted. The caller must hold the write lock on t.mu.
 func (t *Tree) flushLocked() error {
+	if t.sampling != nil {
+		if err := t.predict(); err != nil {
+			return err
+		}
+	}
 	if err := t.pool.Flush(); err != nil {
 		return err
 	}
@@ -301,6 +294,30 @@ func (t *Tree) rootCover() (geom.Rect, error) {
 		return geom.Rect{}, err
 	}
 	return n.Cover(t.cfg.Dims), nil
+}
+
+// replaceTree installs root, at the given height, in place of the tree
+// and frees every page of the old one through the deferred path, so
+// snapshots pinned before the bracket keep reading them. The caller must
+// hold the write lock on t.mu and have opened a write bracket.
+func (t *Tree) replaceTree(root page.ID, height int) error {
+	stack := []page.ID{t.root}
+	t.root, t.height = root, height
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, err := t.fetch(id, nil)
+		if err != nil {
+			return err
+		}
+		for i := range n.Branches {
+			stack = append(stack, n.Branches[i].Child)
+		}
+		if err := t.pool.Free(id); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // touchLeaf records one modification of a leaf for the coalescing policy.

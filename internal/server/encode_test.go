@@ -200,6 +200,9 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 			}
 			t.Run(tc.name, func(t *testing.T) {
 				s, idx := newTestServer(t, Config{MaxBodyBytes: handlerMaxBody})
+				if tc.setup != nil {
+					tc.setup(t, idx)
+				}
 				switch tc.path {
 				case "/search", "/stab", "/count":
 					seen := map[string]bool{}
@@ -231,8 +234,9 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		// format: 'e' below 1e-6 and from 1e21, 'f' between, integers,
 		// negatives, signed zeros and subnormals; one extent in four is
 		// degenerate, as in a line segment. They stay far enough below
-		// MaxFloat64 that a 3-D volume is finite: the engine's quadratic
-		// split cannot choose between two infinite enlargements.
+		// MaxFloat64 that a 3-D volume is finite, so splits compare
+		// finite enlargements (core's TestSplitInfiniteEnlargements
+		// covers the infinite ones).
 		scales := []float64{1, 1e5, 1e-7, 1e-300, 1e22, 1e100, 5e-324}
 		coord := func() float64 {
 			switch rng.IntN(8) {

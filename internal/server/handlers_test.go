@@ -67,6 +67,8 @@ type handlerCase struct {
 	path       string
 	body       string
 	wantStatus int
+	// setup, when set, prepares the fresh index before the request.
+	setup func(t *testing.T, idx *segidx.Index)
 	// wantError is matched exactly when the message is ours, by
 	// prefix (trailing "*") when part of it comes from the stdlib.
 	wantError string
@@ -284,6 +286,31 @@ func handlerCases() []handlerCase {
 			},
 		},
 		{
+			// Every candidate's area enlargement overflows to +Inf, so
+			// the leaf split this insert triggers compares NaN
+			// differences; it once indexed its candidates at -1 and
+			// panicked the handler.
+			name: "insert overflowing split", method: "POST", path: "/insert",
+			setup: func(t *testing.T, idx *segidx.Index) {
+				for i := 1; i <= 17; i++ {
+					if err := idx.Insert(segidx.Box(-1e300, -float64(i)*1e298, 1e300, 1e300), segidx.RecordID(1000+i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			body:       `{"id": 1018, "rect": {"min": [-1e300, -1.8e299], "max": [1e300, 1e300]}}`,
+			wantStatus: 200,
+			check: func(t *testing.T, body []byte) {
+				var resp mutationResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatalf("unmarshal: %v", err)
+				}
+				if resp.Applied != 1 || resp.Len != 21 {
+					t.Fatalf("insert response = %+v, want applied 1, len 21", resp)
+				}
+			},
+		},
+		{
 			name: "insert malformed JSON", method: "POST", path: "/insert",
 			body: `{"id": }`, wantStatus: 400, wantError: "malformed JSON body: *",
 		},
@@ -460,7 +487,10 @@ func handlerCases() []handlerCase {
 func TestHandlerTable(t *testing.T) {
 	for _, tc := range handlerCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _ := newTestServer(t, Config{MaxBodyBytes: handlerMaxBody})
+			s, idx := newTestServer(t, Config{MaxBodyBytes: handlerMaxBody})
+			if tc.setup != nil {
+				tc.setup(t, idx)
+			}
 			rec := do(t, s, tc.method, tc.path, tc.body)
 			if rec.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())

@@ -14,7 +14,6 @@ import (
 	"segidx/internal/geom"
 	"segidx/internal/histogram"
 	"segidx/internal/node"
-	"segidx/internal/skeleton"
 	"segidx/internal/store"
 )
 
@@ -104,11 +103,11 @@ func NewRect(min, max []float64) (Rect, error) { return geom.NewRect(min, max) }
 // (plus log) its tree writes.
 type Index struct {
 	// reads answers Search, SearchFunc, SearchContaining,
-	// SearchContainingFunc, Count and Len over the live shard engines.
+	// SearchContainingFunc, Count and Len over the live shard trees.
 	reads
 
 	kind   string
-	shards []core.Engine
+	shards []*core.Tree
 	// stores[i] is the store Close closes for shard i: nil when it is the
 	// caller's (WithStore).
 	stores []store.Store
@@ -370,8 +369,7 @@ func (x *Index) PoolStats() PoolStats {
 
 // AccelStats returns per-sidecar counters for stab accelerators attached
 // via WithStabAccel — one entry per accelerated shard, in shard order.
-// Empty when no accelerator is attached, or while a predictive skeleton
-// index is still collecting its sample.
+// Empty when no accelerator is attached.
 func (x *Index) AccelStats() []AccelStats {
 	var out []AccelStats
 	for _, s := range x.shards {
@@ -517,7 +515,7 @@ func build(kind string, spanning bool, est *SkeletonEstimate, opts []Option) (*I
 	} else if err := est.validate(cfg.Dims); err != nil {
 		return nil, err
 	}
-	return o.assemble(kind, cfg, func(_ int, cfg core.Config, st store.Store) (core.Engine, error) {
+	return o.assemble(kind, cfg, est, func(_ int, cfg core.Config, st store.Store) (*core.Tree, error) {
 		return o.newEngine(cfg, st, est)
 	})
 }
@@ -539,47 +537,29 @@ func (e *SkeletonEstimate) validate(dims int) error {
 	return ce.Validate(core.Config{Dims: dims})
 }
 
-// newEngine creates one tree's engine on st — a plain tree without an
-// estimate, a staging predictor under distribution prediction, else a
-// pre-built skeleton. Each tree of a forest is sized for its roughly 1/n
-// share of the estimated input.
-func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstimate) (core.Engine, error) {
+// newEngine creates one tree on st — a plain tree without an estimate, a
+// predicted skeleton under distribution prediction, else a pre-built
+// skeleton. Each tree of a forest is sized for its roughly 1/n share of
+// the estimated input.
+func (o *options) newEngine(cfg core.Config, st store.Store, est *SkeletonEstimate) (*core.Tree, error) {
 	if est == nil {
-		t, err := core.New(cfg, st)
-		if err != nil {
-			return nil, err
-		}
-		return t, o.attachStabAccel(t, nil)
+		return core.New(cfg, st)
 	}
 	n := max(o.shards, 1)
-	tuples := (est.Tuples + n - 1) / n
+	ce := core.Estimate{Tuples: (est.Tuples + n - 1) / n, Domain: est.Domain}
 	if est.PredictFraction > 0 {
-		p, err := skeleton.New(cfg, st, est.Domain, tuples, est.PredictFraction)
-		if err != nil {
-			return nil, err
-		}
-		if o.accelOn {
-			p.SetAttach(func(t *core.Tree) error { return o.attachStabAccel(t, est) })
-		}
-		return p, nil
+		return core.NewPredicted(cfg, st, ce, max(int(float64(ce.Tuples)*est.PredictFraction), 1))
 	}
-	t, err := core.NewSkeleton(cfg, st, core.Estimate{
-		Tuples: tuples,
-		Domain: est.Domain,
-		Hists:  est.Histograms,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, o.attachStabAccel(t, est)
+	ce.Hists = est.Histograms
+	return core.NewSkeleton(cfg, st, ce)
 }
 
 // assemble is the one constructor behind every New* and BulkLoad call: it
 // validates cfg, creates the manifest a forest of several files needs, and
 // plants n = max(shards, 1) trees built by mk. Validation comes first so
 // that a rejected call creates no file.
-func (o *options) assemble(kind string, cfg core.Config,
-	mk func(i int, cfg core.Config, st store.Store) (core.Engine, error)) (*Index, error) {
+func (o *options) assemble(kind string, cfg core.Config, est *SkeletonEstimate,
+	mk func(i int, cfg core.Config, st store.Store) (*core.Tree, error)) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -590,7 +570,7 @@ func (o *options) assemble(kind string, cfg core.Config,
 			return nil, err
 		}
 	}
-	x, err := o.plant(n, func(i int, st store.Store) (core.Engine, error) { return mk(i, cfg, st) })
+	x, err := o.plant(n, est, func(i int, st store.Store) (*core.Tree, error) { return mk(i, cfg, st) })
 	if err != nil {
 		return nil, err
 	}
@@ -599,26 +579,28 @@ func (o *options) assemble(kind string, cfg core.Config,
 }
 
 // plant opens one page store per shard — a caller's WithStore store is the
-// one shard's, and stays the caller's to close — builds each shard's engine
-// with mk and assembles the index. Any failure closes every store opened
-// so far.
-func (o *options) plant(n int, mk func(i int, st store.Store) (core.Engine, error)) (*Index, error) {
-	shards := make([]core.Engine, n)
+// one shard's, and stays the caller's to close — builds each shard's tree
+// with mk, attaches the configured stab accelerator (est, when given, is
+// the index's skeleton estimate) and assembles the index. Any failure
+// closes every store opened so far.
+func (o *options) plant(n int, est *SkeletonEstimate, mk func(i int, st store.Store) (*core.Tree, error)) (*Index, error) {
+	shards := make([]*core.Tree, n)
 	stores := make([]store.Store, n)
 	for i := range shards {
 		st := o.st
+		var err error
 		if st == nil {
-			var err error
 			if st, err = o.openStore(shardPath(o.path, i, n)); err != nil {
 				return nil, closeAll(stores, err)
 			}
 			stores[i] = st
 		}
-		eng, err := mk(i, st)
-		if err != nil {
+		if shards[i], err = mk(i, st); err != nil {
 			return nil, closeAll(stores, err)
 		}
-		shards[i] = eng
+		if err := o.attachStabAccel(shards[i], est); err != nil {
+			return nil, closeAll(stores, err)
+		}
 	}
 	x := newIndex(shards, stores)
 	x.SetParallelism(o.par)
@@ -653,12 +635,8 @@ func BulkLoadRTree(records []BulkRecord, fill float64, opts ...Option) (*Index, 
 	cfg.Spanning = false
 	cfg.CoalesceEvery = 0
 	parts := partitionByShard(records, max(o.shards, 1))
-	return o.assemble("packed-r-tree", cfg, func(i int, cfg core.Config, st store.Store) (core.Engine, error) {
-		t, err := core.BulkLoad(cfg, st, parts[i], fill)
-		if err != nil {
-			return nil, err
-		}
-		return t, o.attachStabAccel(t, nil)
+	return o.assemble("packed-r-tree", cfg, nil, func(i int, cfg core.Config, st store.Store) (*core.Tree, error) {
+		return core.BulkLoad(cfg, st, parts[i], fill)
 	})
 }
 
@@ -706,7 +684,7 @@ func open(path string, durable bool, opts []Option) (*Index, error) {
 	}
 	cfg := shardConfig(o.cfg, o.shards)
 	var first *core.Tree // shard 0, which names the kind
-	x, err := o.plant(o.shards, func(i int, st store.Store) (core.Engine, error) {
+	x, err := o.plant(o.shards, nil, func(i int, st store.Store) (*core.Tree, error) {
 		t, err := o.openTree(cfg, st)
 		switch {
 		case err != nil:
@@ -737,11 +715,7 @@ func (o *options) openTree(cfg core.Config, st store.Store) (*core.Tree, error) 
 	cfg.Sizes.LeafBytes = meta.LeafBytes
 	cfg.Sizes.Growth = meta.Growth
 	cfg.Spanning = meta.Spanning
-	t, err := core.Open(cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	return t, o.attachStabAccel(t, nil)
+	return core.Open(cfg, st)
 }
 
 // reopenedKind names a reopened index: the metadata records whether it

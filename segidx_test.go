@@ -326,9 +326,9 @@ func edgeScript(t *testing.T, x *segidx.Index) []string {
 // TestVariantsAgreeOnEdgeScript runs edgeScript over the variant table ×
 // shards {1, 4} and requires one transcript from all of them. The expected
 // input is sized so that the predicted skeleton builds on its third insert
-// (one shard) and the sampling variant only at the final Flush: the tree a
-// predictor answers from while sampling, the swap itself, and the built
-// skeleton all have to agree with the plain R-Tree.
+// (one shard) and the sampling variant only at the final Flush: the
+// staging tree that answers while sampling, the bracket that builds the
+// skeleton, and the built skeleton all have to agree with the plain R-Tree.
 func TestVariantsAgreeOnEdgeScript(t *testing.T) {
 	var want []string
 	for _, kind := range variantKinds {

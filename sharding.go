@@ -20,12 +20,12 @@ import (
 // need no cross-shard deduplication. An index built without WithShards has
 // one shard and answers all of it the same way.
 
-// newIndex assembles an index over its shard engines and the stores Close
+// newIndex assembles an index over its shard trees and the stores Close
 // closes (Index.stores). Every shard must be configured identically (dims,
 // page sizes, spanning mode), and shards that come with data must hold
 // only records RouteID places on them; newIndex reads no page to check
 // either (CheckInvariants does).
-func newIndex(shards []core.Engine, stores []store.Store) *Index {
+func newIndex(shards []*core.Tree, stores []store.Store) *Index {
 	x := &Index{shards: shards, stores: stores}
 	x.idx = x
 	x.readers = make([]core.Reader, len(shards))
@@ -75,7 +75,7 @@ func (x *Index) note(err error) {
 }
 
 // reads is the scatter-gather read path over one set of shard readers:
-// the live engines (embedded in Index) or pinned shard views (embedded in
+// the live trees (embedded in Index) or pinned shard views (embedded in
 // forestView). Both answer every core.Reader method from here.
 type reads struct {
 	idx      *Index // breakage latch, parallelism, scan pool

@@ -23,7 +23,7 @@ import (
 // variantKinds is the variant table the differential batteries run over:
 // the paper's four indexes, plus the predicted skeleton with a sample so
 // large (half the expected input) that a run starts on the staging tree
-// and crosses the staging-to-skeleton swap midway.
+// and crosses the bracket that builds the skeleton midway.
 var variantKinds = []string{"r-tree", "sr-tree", "skeleton-r-tree", "skeleton-sr-tree", "skeleton-sr-tree/sampling"}
 
 // mkVariant builds one index of the named kind (shards <= 1 for a plain
