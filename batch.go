@@ -40,7 +40,17 @@ func (x *Index) SetParallelism(n int) { x.par.Store(int32(max(n, 0))) }
 // The first error stops the batch and is returned; a canceled context
 // returns ctx.Err(). On error the partial results are discarded. A nil
 // ctx is treated as context.Background().
+//
+// A batch of one query runs as Search on the calling goroutine: Search
+// pins every shard just as the batch snapshot would, without the
+// snapshot's allocations or a fan-out.
 func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, error) {
+	if len(queries) == 1 {
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
+		return single(x.Search(queries[0]))
+	}
 	v := x.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(queries))
@@ -60,8 +70,15 @@ func (x *Index) SearchBatch(ctx context.Context, queries []Rect) ([][]Entry, err
 
 // StabBatch runs Stab for every point concurrently (see SearchBatch for
 // ordering, parallelism, snapshot, and error semantics). Each point is a
-// coordinate slice of the index's dimensionality.
+// coordinate slice of the index's dimensionality. A batch of one point
+// runs as Stab on the calling goroutine.
 func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, error) {
+	if len(points) == 1 {
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
+		return single(x.Stab(points[0]...))
+	}
 	v := x.Snapshot()
 	defer v.Release()
 	results := make([][]Entry, len(points))
@@ -77,6 +94,23 @@ func (x *Index) StabBatch(ctx context.Context, points [][]float64) ([][]Entry, e
 		return nil, err
 	}
 	return results, nil
+}
+
+// canceled reports ctx.Err(), treating a nil ctx as
+// context.Background().
+func canceled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// single wraps one query's result as a batch of one.
+func single(out []Entry, err error) ([][]Entry, error) {
+	if err != nil {
+		return nil, err
+	}
+	return [][]Entry{out}, nil
 }
 
 // InsertBatch inserts every record through a pool of at most

@@ -217,6 +217,63 @@ func TestSearchBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestOneQueryBatch covers the one-query path of SearchBatch and
+// StabBatch, which skips the batch snapshot and the fan-out: on a 3-shard
+// index it returns exactly what Search and Stab return, an error from the
+// query itself, and ctx.Err() for a canceled context.
+func TestOneQueryBatch(t *testing.T) {
+	idx, err := segidx.NewSRTree(segidx.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for i, r := range workload.I3.Generate(1500, 17) {
+		if err := idx.Insert(r, segidx.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	rng := workload.NewRNG(19)
+	for _, q := range batchQueries() {
+		want, err := idx.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.SearchBatch(ctx, []segidx.Rect{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("SearchBatch(%v) = %v, want [%v]", q, got, want)
+		}
+
+		p := []float64{rng.Uniform(0, workload.DomainHi), rng.Uniform(0, workload.DomainHi)}
+		want, err = idx.Stab(p...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = idx.StabBatch(nil, [][]float64{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("StabBatch(%v) = %v, want [%v]", p, got, want)
+		}
+	}
+
+	if res, err := idx.StabBatch(ctx, [][]float64{{1}}); err == nil || res != nil {
+		t.Fatalf("a stab of the wrong dimensionality returned %v, %v; want an error", res, err)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if res, err := idx.SearchBatch(canceled, batchQueries()[:1]); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled SearchBatch = %v, %v; want context.Canceled", res, err)
+	}
+	if res, err := idx.StabBatch(canceled, [][]float64{{1, 1}}); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled StabBatch = %v, %v; want context.Canceled", res, err)
+	}
+}
+
 // TestBatchParallelismKnob covers the parallelism accessors and the
 // empty-batch and option paths.
 func TestBatchParallelismKnob(t *testing.T) {

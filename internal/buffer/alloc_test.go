@@ -6,6 +6,7 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"testing"
@@ -40,9 +41,10 @@ func TestGetVersionHitZeroAllocs(t *testing.T) {
 }
 
 // TestPoolMissAllocs gates a read miss: GetVersion on a page that is not
-// resident allocates the store's read buffer, the page image and the
-// frame, and nothing else — no node headers, no entry slices. The image's
-// element type holds no pointers, so the collector never scans it.
+// resident allocates the store's read buffer, which becomes the page image
+// (node.Codec.Decode adopts it), and the frame, and nothing else — no
+// image copy, no node headers, no entry slices. The image's element type
+// holds no pointers, so the collector never scans it.
 func TestPoolMissAllocs(t *testing.T) {
 	if k := reflect.TypeOf(node.Image(nil)).Elem().Kind(); k != reflect.Float64 {
 		t.Fatalf("a page image holds %v words, want float64", k)
@@ -91,8 +93,12 @@ func TestPoolMissAllocs(t *testing.T) {
 	}
 	per := float64(mallocs) / float64(misses)
 	t.Logf("%d misses, %.2f allocations each", misses, per)
-	if per > 3 {
-		t.Fatalf("a GetVersion miss allocates %.2f objects, want at most 3", per)
+	want := 2.0
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		want = 3 // a big-endian host copies the buffer into an image
+	}
+	if per > want {
+		t.Fatalf("a GetVersion miss allocates %.2f objects, want at most %g", per, want)
 	}
 }
 

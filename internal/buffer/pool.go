@@ -4,11 +4,12 @@
 // The tree layer reads and writes nodes exclusively through a Pool. A
 // frame holds a page version as its page image (node.Image), which readers
 // scan and write-back writes out, and, once the writer has asked for them,
-// as headers (node.Node) viewing the image. A miss copies the store's bytes
-// into an image once. Frames stay resident until evicted; eviction writes
-// dirty ones back to the store. Nothing is pinned: a published version
-// never changes, and Go's garbage collector keeps a node or image alive
-// for as long as anyone holds it, also after its frame is evicted.
+// as headers (node.Node) viewing the image. A miss keeps the store's read
+// buffer as the image (node.Codec.Decode), without a copy. Frames stay
+// resident until evicted; eviction writes dirty ones back to the store.
+// Nothing is pinned: a published version never changes, and Go's garbage
+// collector keeps a node or image alive for as long as anyone holds it,
+// also after its frame is evicted.
 //
 // # Page versioning
 //
@@ -400,13 +401,14 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (node.Image, error) {
 	return f.img, nil
 }
 
-// readLocked reads a page from the store into a fresh image, returning an
-// uninstalled frame without headers. The install epoch is inferred from
-// the version chain: the durable image of a page with retained versions
-// is its most recently superseded-away head, which was installed exactly
-// when the newest chain entry was retired. The caller must hold p.mu. The
-// store read happens under it because a read done outside could install
-// an image older than a head that was written back and evicted in between.
+// readLocked reads a page from the store and adopts the store's fresh
+// buffer as its image, returning an uninstalled frame without headers.
+// The install epoch is inferred from the version chain: the durable image
+// of a page with retained versions is its most recently superseded-away
+// head, which was installed exactly when the newest chain entry was
+// retired. The caller must hold p.mu. The store read happens under it
+// because a read done outside could install an image older than a head
+// that was written back and evicted in between.
 func (p *Pool) readLocked(id page.ID) (*frame, error) {
 	buf, err := p.store.Read(id)
 	if err != nil {

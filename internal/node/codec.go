@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"segidx/internal/geom"
 	"segidx/internal/page"
@@ -87,10 +88,16 @@ func (c Codec) UsedBytes(n *Node) int {
 // as floats and IDs as math.Float64bits of their word, whatever the
 // host's byte order. An image is immutable once built: readers test
 // entries on its runs with geom.Rect.NextOverlap and hand out Rect views
-// into it.
+// into it. An image Decode adopts in place keeps its whole page buffer
+// reachable, not only the used prefix.
 type Image []float64
 
 const headerWords = fixedHeader / 8
+
+// littleEndian reports whether the host lays a u64 out as its
+// little-endian bytes, so that a page's bytes, read in place, are its
+// image's words.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func (m Image) word(i int) uint64 { return math.Float64bits(m[i]) }
 
@@ -242,8 +249,13 @@ func (c Codec) Marshal(n *Node, pageBytes int) ([]byte, error) {
 	return c.Page(c.image(n), pageBytes)
 }
 
-// Decode copies the used prefix of a page's bytes into an image, with
+// Decode returns the used prefix of a page's bytes as an image, with
 // every check Unmarshal makes; want guards against page-table corruption.
+// On a little-endian host an 8-byte aligned buf becomes the image itself,
+// without a copy: the image shares buf's memory, so the caller must not
+// write to buf afterwards. Go aligns every heap object of 16 bytes or
+// more to 8 bytes, so every Store.Read result qualifies. Any other buf is
+// copied word by word. Decode never writes to buf.
 func (c Codec) Decode(buf []byte, want page.ID) (Image, error) {
 	if len(buf) < c.HeaderBytes() {
 		return nil, fmt.Errorf("node: page %v too small (%d bytes)", want, len(buf))
@@ -260,9 +272,15 @@ func (c Codec) Decode(buf []byte, want page.ID) (Image, error) {
 	if need > len(buf) {
 		return nil, fmt.Errorf("node: page %v declares %d+%d entries exceeding page size", want, nb, nr)
 	}
-	m := make(Image, need/8)
-	for i, b := 0, buf[:need]; i < len(m); i, b = i+1, b[8:] {
-		m[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	var m Image
+	if p := unsafe.SliceData(buf); littleEndian && uintptr(unsafe.Pointer(p))%8 == 0 {
+		// The page's little-endian u64s are the image's words in place.
+		m = unsafe.Slice((*float64)(unsafe.Pointer(p)), need/8)
+	} else {
+		m = make(Image, need/8)
+		for i, b := 0, buf[:need]; i < len(m); i, b = i+1, b[8:] {
+			m[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
 	}
 	k := c.Dims
 	if m.word(2)&flagHasRegion != 0 && invalid(m[headerWords:headerWords+2*k], k, 2*k) >= 0 {

@@ -82,7 +82,8 @@ func buildFuzzNode(r *fuzzByteReader, dims int) *Node {
 }
 
 // FuzzNodeCodec exercises the page codec from both directions. Arbitrary
-// bytes must never panic Unmarshal (corrupt pages surface as errors), and a
+// bytes must never panic Unmarshal (corrupt pages surface as errors) and
+// must decode the same from an unaligned copy as in place, and a
 // structured node derived from the same bytes must round-trip through
 // Marshal/Unmarshal with identical fields and a byte-identical re-encoding.
 func FuzzNodeCodec(f *testing.F) {
@@ -117,6 +118,26 @@ func FuzzNodeCodec(f *testing.F) {
 			if _, err := c.Marshal(n, len(data)); err != nil {
 				t.Fatalf("decoded node does not re-encode into its own page size: %v", err)
 			}
+		}
+		// Whatever decodes in place decodes bit-identically from an
+		// unaligned copy, through the copying path; neither writes to
+		// its buffer.
+		orig := bytes.Clone(data)
+		if m, err := c.Decode(data, want); err == nil {
+			u := unalignedCopy(orig)
+			mu, err := c.Decode(u, want)
+			if err != nil {
+				t.Fatalf("an unaligned copy does not decode: %v", err)
+			}
+			if !sameBits(m, mu) {
+				t.Fatal("the unaligned copy decodes to a different image")
+			}
+			if !bytes.Equal(u, orig) {
+				t.Fatal("Decode wrote to an unaligned buffer")
+			}
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("Decode wrote to its buffer")
 		}
 		if _, err := c.Unmarshal(data, 0); err == nil && want != 0 && len(data) >= 16 {
 			t.Fatal("page claiming a nonzero ID also decoded as page 0")

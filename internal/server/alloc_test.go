@@ -29,11 +29,12 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 // cache-miss /search through Handler(). The request, its body and the
 // writer are reused, so the counts are the server's: request decoding,
 // cache, engine and encoding. With encoding/json writing the replies they
-// were 20 and 48 (go1.24).
+// were 20 and 48 (go1.24); the miss was 39 while a one-query batch still
+// pinned a forest snapshot and ran the fan-out.
 func TestHandlerAllocs(t *testing.T) {
 	const (
 		maxHitStab    = 16
-		maxMissSearch = 39
+		maxMissSearch = 33
 	)
 	s, _ := newTestServer(t, Config{CacheEntries: 4})
 	h := s.Handler()

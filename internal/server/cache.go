@@ -4,7 +4,8 @@
 // surfacing cache, per-endpoint latency, and engine counters.
 //
 // The server is a thin shell: every query goes through the public segidx
-// facade (reads fan out through the SearchBatch/StabBatch worker pool), so
+// facade (reads go through SearchBatch/StabBatch: a one-query batch runs on
+// the request's goroutine, a larger one on the worker pool), so
 // the zero-allocation engine path, sharded scatter-gather, and WAL
 // durability all apply unchanged. The one piece of state the server adds —
 // the result cache — is kept correct by the index's commit epoch

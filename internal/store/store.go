@@ -36,8 +36,9 @@ type Store interface {
 	// Write stores data as the page contents. len(data) must equal the
 	// allocated size of the page.
 	Write(id page.ID, data []byte) error
-	// Read returns the page contents. The returned slice is a copy the
-	// caller may retain.
+	// Read returns the page contents in a freshly allocated slice that
+	// the store never touches again: the caller owns it. The buffer pool
+	// keeps it as the page's immutable image (node.Codec.Decode).
 	Read(id page.ID) ([]byte, error)
 	// Free releases the page. Its space may be reused; its ID is not.
 	Free(id page.ID) error
