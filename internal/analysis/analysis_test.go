@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -410,6 +411,28 @@ func TestLoaderLoadsRealPackage(t *testing.T) {
 	}
 	if again != pkg {
 		t.Fatal("loader did not cache the package")
+	}
+}
+
+// TestLoaderHonoursBuildConstraints loads a package whose files declare
+// one function twice, once per side of a build constraint: only the file
+// for the loader's platform may be type-checked.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"on.go":  "//go:build " + runtime.GOOS + "\n\npackage p\n\nfunc f() int { return 1 }\n",
+		"off.go": "//go:build !" + runtime.GOOS + "\n\npackage p\n\nfunc f() string { return \"\" }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := NewLoader(dir, "p").LoadDir(dir, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 1 {
+		t.Fatalf("loaded %d files, want the one built on %s", len(pkg.Files), runtime.GOOS)
 	}
 }
 

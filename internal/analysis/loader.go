@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -158,7 +159,9 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 	return p, nil
 }
 
-// goSources lists the buildable non-test Go files in dir, sorted.
+// goSources lists the buildable non-test Go files in dir, sorted: build
+// constraints and _GOOS/_GOARCH file names select them for the platform
+// the loader runs on, as the go command would.
 func goSources(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -169,6 +172,11 @@ func goSources(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

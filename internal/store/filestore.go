@@ -285,7 +285,8 @@ func (fs *FileStore) Write(id page.ID, data []byte) error {
 	return err
 }
 
-// Read returns the page contents.
+// Read returns the page contents. A read that comes back short fails
+// with an error wrapping io.ErrUnexpectedEOF.
 func (fs *FileStore) Read(id page.ID) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -297,7 +298,12 @@ func (fs *FileStore) Read(id page.ID) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	buf := make([]byte, s.size)
-	if _, err := fs.f.ReadAt(buf, s.off+slotHeader); err != nil && err != io.EOF {
+	if n, err := fs.f.ReadAt(buf, s.off+slotHeader); n < len(buf) {
+		// Never hand out a zero-padded page: a file that ends inside a
+		// live slot was cut behind the store's back.
+		if err == nil || errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("store: read %v: %w", id, err)
 	}
 	return buf, nil

@@ -2,7 +2,9 @@
 // in-memory store for experiments (the paper's metric — node accesses — is
 // machine independent) and a single-file store demonstrating durable paged
 // layout with variable page sizes, free-list reuse, and crash-tolerant
-// recovery by scanning.
+// recovery by scanning. On linux the real filesystem's files (OS) serve
+// reads by copying from a read-only mapping of the file; every write is
+// still a pwrite, and every commit an fsync.
 package store
 
 import (
