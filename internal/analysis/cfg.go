@@ -2,10 +2,10 @@ package analysis
 
 // Control-flow graphs over go/ast function bodies, in the spirit of
 // golang.org/x/tools/go/cfg but standard-library-only. The graph is the
-// substrate for the flow-sensitive passes (locks, pinbalance,
-// walorder): basic blocks of statements and evaluated expressions,
-// connected by edges that remember the branch condition they encode so a
-// dataflow problem can refine facts along `err != nil`-style edges.
+// substrate for the flow-sensitive passes (locks, pinbalance): basic
+// blocks of statements and evaluated expressions, connected by edges that
+// remember the branch condition they encode so a dataflow problem can
+// refine facts along `err != nil`-style edges.
 //
 // Coverage: if/else chains, for (all clause shapes), range, switch,
 // type-switch (including fallthrough), select (with and without default),

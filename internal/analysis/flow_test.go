@@ -336,186 +336,3 @@ func (t *Tree) bracketDouble() error {
 }
 `)
 }
-
-func TestWALOrder(t *testing.T) {
-	const header = `package fixture
-
-type logFile struct{}
-
-func (*logFile) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
-func (*logFile) Sync() error                              { return nil }
-func (*logFile) Truncate(n int64) error                   { return nil }
-
-type dataFile struct{}
-
-func (*dataFile) Write(p []byte) error { return nil }
-func (*dataFile) Sync() error          { return nil }
-
-type Store struct {
-	log   *logFile
-	inner *dataFile
-	sick  error
-}
-
-func (ws *Store) applyLocked(recs []byte) error { return nil }
-`
-
-	t.Run("correct protocol", func(t *testing.T) {
-		checkFixture(t, WALOrder, header+`
-// Commit follows the full order: write, cut the stale tail, sync log,
-// apply, sync data.
-func (ws *Store) Commit(batch []byte, cut bool) error {
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return err
-	}
-	if cut {
-		if err := ws.log.Truncate(int64(len(batch))); err != nil {
-			return err
-		}
-	}
-	if err := ws.log.Sync(); err != nil {
-		return err
-	}
-	if err := ws.applyLocked(batch); err != nil {
-		return err
-	}
-	if err := ws.inner.Sync(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// replay applies a batch logged by an earlier call: nothing is logged
-// in-function, so applying first is correct.
-func (ws *Store) replay(batch []byte) error {
-	if err := ws.applyLocked(batch); err != nil {
-		return err
-	}
-	return ws.inner.Sync()
-}
-
-// latchClosure is the Commit idiom: a closure latches sick on error paths
-// only, so the happy path stays clean.
-func (ws *Store) latchClosure(batch []byte) error {
-	fail := func(err error) error {
-		ws.sick = err
-		return err
-	}
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return fail(err)
-	}
-	if err := ws.log.Sync(); err != nil {
-		return fail(err)
-	}
-	return ws.applyLocked(batch)
-}
-`)
-	})
-
-	t.Run("merged branch stays may-fact", func(t *testing.T) {
-		// applyLocked on only one arm must not poison the merged
-		// continuation: the log append after the join is a fresh batch,
-		// not a write-ahead inversion, and the protocol that follows it
-		// is in order.
-		checkFixture(t, WALOrder, header+`
-func (ws *Store) replayThenCommit(batch []byte, replay bool) error {
-	if replay {
-		if err := ws.applyLocked(batch); err != nil {
-			return err
-		}
-	}
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return err
-	}
-	if err := ws.log.Sync(); err != nil {
-		return err
-	}
-	if err := ws.applyLocked(batch); err != nil {
-		return err
-	}
-	return ws.inner.Sync()
-}
-`)
-	})
-
-	t.Run("commit before sync", func(t *testing.T) {
-		checkFixture(t, WALOrder, header+`
-// Commit returns success while the applied batch is not yet durable.
-func (ws *Store) Commit(batch []byte) error {
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return err
-	}
-	if err := ws.log.Sync(); err != nil {
-		return err
-	}
-	if err := ws.applyLocked(batch); err != nil {
-		return err
-	}
-	return nil // want walorder
-}
-`)
-	})
-
-	t.Run("apply before log sync", func(t *testing.T) {
-		checkFixture(t, WALOrder, header+`
-func (ws *Store) commitNoSync(batch []byte) error {
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return err
-	}
-	if err := ws.applyLocked(batch); err != nil { // want walorder
-		return err
-	}
-	return ws.log.Sync()
-}
-`)
-	})
-
-	t.Run("cut after log sync", func(t *testing.T) {
-		// A cut is a log write: after the log sync it leaves the log
-		// unsynced again, so the apply that follows it is reported.
-		checkFixture(t, WALOrder, header+`
-func (ws *Store) cutLate(batch []byte) error {
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		return err
-	}
-	if err := ws.log.Sync(); err != nil {
-		return err
-	}
-	if err := ws.log.Truncate(int64(len(batch))); err != nil {
-		return err
-	}
-	if err := ws.applyLocked(batch); err != nil { // want walorder
-		return err
-	}
-	return ws.inner.Sync()
-}
-`)
-	})
-
-	t.Run("log after apply", func(t *testing.T) {
-		checkFixture(t, WALOrder, header+`
-func (ws *Store) inverted(batch []byte) error {
-	if err := ws.applyLocked(batch); err != nil {
-		return err
-	}
-	if _, err := ws.log.WriteAt(batch, 0); err != nil { // want walorder
-		return err
-	}
-	return ws.log.Sync()
-}
-`)
-	})
-
-	t.Run("write after latch", func(t *testing.T) {
-		checkFixture(t, WALOrder, header+`
-func (ws *Store) latched(batch []byte) error {
-	if _, err := ws.log.WriteAt(batch, 0); err != nil {
-		ws.sick = err
-		ws.log.Sync() // want walorder
-		return err
-	}
-	return ws.log.Sync()
-}
-`)
-	})
-}

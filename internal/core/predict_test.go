@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -53,6 +54,45 @@ func TestPredictorValidation(t *testing.T) {
 	bad := geom.Rect{Min: []float64{0}, Max: []float64{1}}
 	if _, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: bad}, 10); err == nil {
 		t.Error("bad domain accepted")
+	}
+}
+
+// TestPredictorWideDomain runs a predicted SR-Tree over a domain whose
+// width times the histogram's bin count overflows: the sample's histograms
+// must still bin every record. A domain whose width itself overflows is
+// rejected at construction, not on the T-th insert.
+func TestPredictorWideDomain(t *testing.T) {
+	cfg := predictConfig()
+	wide := geom.Rect2(-1e307, -1e307, 1e307, 1e307)
+	p, err := NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: wide}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		lo := 5e306 + float64(i)*1e304
+		if err := p.Insert(geom.Rect2(lo, -lo, lo+1e303, -lo+1e303), node.RecordID(i+1)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if buffering(p) {
+		t.Fatal("never built the skeleton")
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.Search(wide); err != nil || len(got) != 20 {
+		t.Fatalf("Search(domain) = %d records, %v; want 20", len(got), err)
+	}
+
+	m := math.MaxFloat64
+	p, err = NewPredicted(cfg, store.NewMemStore(), Estimate{Tuples: 100, Domain: geom.Rect2(-m, -m, m, m)}, 10)
+	if err == nil {
+		for i := 0; i < 10; i++ {
+			if err := p.Insert(geom.Rect2(0, 0, 1, 1), node.RecordID(i+1)); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+		t.Fatal("a domain of infinite width was accepted")
 	}
 }
 

@@ -35,6 +35,9 @@ func (e Estimate) Validate(cfg Config) error {
 		if e.Domain.Length(d) <= 0 {
 			return fmt.Errorf("core: skeleton domain degenerate in dimension %d", d)
 		}
+		if math.IsInf(e.Domain.Length(d), 0) {
+			return fmt.Errorf("core: skeleton domain has infinite width in dimension %d", d)
+		}
 	}
 	if len(e.Hists) != 0 && len(e.Hists) != cfg.Dims {
 		return fmt.Errorf("core: %d histograms for %d dimensions", len(e.Hists), cfg.Dims)

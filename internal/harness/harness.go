@@ -103,7 +103,9 @@ type Spec struct {
 // leaves doubling per level, 2/3 branch reserve, distribution prediction
 // over the first 10,000 tuples (scaled down for small runs), coalescing
 // every 1,000 insertions among the 10 least-modified leaves, 100 queries
-// per QAR.
+// per QAR. The seed is 1991, the paper's year. The paper's claims do not
+// hold on every seed: at 200 000 tuples, seed 4 breaks Graph 1's "no
+// crossover" claim.
 func NewSpec(name string, ds workload.Dataset, tuples int) Spec {
 	sample := 10000
 	if sample > tuples/2 {
@@ -116,7 +118,7 @@ func NewSpec(name string, ds workload.Dataset, tuples int) Spec {
 		Name:               name,
 		Dataset:            ds,
 		Tuples:             tuples,
-		Seed:               1991, // the paper's year; any fixed seed works
+		Seed:               1991,
 		Kinds:              AllKinds(),
 		QARs:               workload.QARs(),
 		QueriesPerQAR:      workload.QueriesPerQAR,

@@ -8,6 +8,7 @@ package histogram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -18,10 +19,14 @@ type Histogram struct {
 	total  float64
 }
 
-// New creates a histogram over [lo, hi] with the given number of bins.
+// New creates a histogram over [lo, hi] with the given number of bins. The
+// domain's width hi - lo must be finite.
 func New(lo, hi float64, bins int) (*Histogram, error) {
 	if hi <= lo {
 		return nil, fmt.Errorf("histogram: empty domain [%g, %g]", lo, hi)
+	}
+	if math.IsInf(hi-lo, 0) {
+		return nil, fmt.Errorf("histogram: domain [%g, %g] has infinite width", lo, hi)
 	}
 	if bins < 1 {
 		return nil, fmt.Errorf("histogram: need at least 1 bin, got %d", bins)
@@ -116,7 +121,14 @@ func (h *Histogram) binOf(v float64) int {
 	if v >= h.Hi {
 		return len(h.Bins) - 1
 	}
-	i := int(float64(len(h.Bins)) * (v - h.Lo) / (h.Hi - h.Lo))
+	x := float64(len(h.Bins)) * (v - h.Lo)
+	if math.IsInf(x, 0) {
+		// A domain wider than MaxFloat64 / len(Bins): divide first.
+		x = (v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins))
+	} else {
+		x /= h.Hi - h.Lo
+	}
+	i := int(x)
 	if i >= len(h.Bins) {
 		i = len(h.Bins) - 1
 	}

@@ -18,6 +18,26 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(5, 1, 4); err == nil {
 		t.Error("inverted domain accepted")
 	}
+	if _, err := New(-math.MaxFloat64, math.MaxFloat64, 100); err == nil {
+		t.Error("domain of infinite width accepted")
+	}
+}
+
+// TestWideDomain bins values of a domain whose width times the bin count
+// overflows.
+func TestWideDomain(t *testing.T) {
+	h, err := New(-1e307, 1e307, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Add(5e306)
+	if h.Bins[75] != 1 {
+		t.Fatalf("5e306 not in bin 75 of [-1e307, 1e307]: %v", h.Bins)
+	}
+	h.AddInterval(-1e307, 1e307)
+	if got := h.Total(); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("Total = %g after one value and one interval, want 2", got)
+	}
 }
 
 func TestUniformQuantiles(t *testing.T) {

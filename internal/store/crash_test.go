@@ -190,6 +190,18 @@ func viewMatches(v walView, model map[page.ID][]byte) bool {
 	return true
 }
 
+// crashCells are the crash images a WAL test reopens: each policy, and
+// KeepSubset under two seeds.
+var crashCells = []struct {
+	policy faultstore.CrashPolicy
+	seed   uint64
+}{
+	{faultstore.KeepNone, 0},
+	{faultstore.KeepAll, 0},
+	{faultstore.KeepSubset, 1},
+	{faultstore.KeepSubset, 2},
+}
+
 // TestWALStaleBatchCrashSweep cuts power at every op of a script's last
 // commit, under each crash policy, with the crashing write torn or whole.
 // The log is never emptied, so each crash leaves the new batch written
@@ -231,17 +243,26 @@ func TestWALStaleBatchCrashSweep(t *testing.T) {
 			s.write(a, 0x3A)
 			s.commit()
 		}},
+		{"batch writing pages the logged one did not", func(s *walScript) {
+			// A page written before the log sync can survive a crash
+			// that loses the new batch from the log; replaying the
+			// logged batch rewrites only ids[0], so such a page would
+			// show the new batch alone. KeepSubset/2 drops the log
+			// write and keeps the fourth page write.
+			var ids []page.ID
+			for i := 0; i < 4; i++ {
+				ids = append(ids, s.alloc(256, byte(0x10+i)))
+			}
+			s.commit()
+			s.write(ids[0], 0x20)
+			s.commit()
+			for i, id := range ids {
+				s.write(id, byte(0x30+i))
+			}
+			s.commit()
+		}},
 	}
 	tears := []int{7, 100, 1 << 30} // torn in the header, torn in a record, whole
-	cells := []struct {
-		policy faultstore.CrashPolicy
-		seed   uint64
-	}{
-		{faultstore.KeepNone, 0},
-		{faultstore.KeepAll, 0},
-		{faultstore.KeepSubset, 1},
-		{faultstore.KeepSubset, 2},
-	}
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := runWALScript(t, sc.script, 0, 0)
@@ -249,7 +270,7 @@ func TestWALStaleBatchCrashSweep(t *testing.T) {
 			before, after := ref.snaps[last-1], ref.snaps[last]
 			for n := ref.ops[last-1] + 1; n <= ref.ops[last]; n++ {
 				for _, tear := range tears {
-					for _, cell := range cells {
+					for _, cell := range crashCells {
 						where := fmt.Sprintf("op %d, tear %d, %v/%d", n, tear, cell.policy, cell.seed)
 						run := runWALScript(t, sc.script, n, tear)
 						if !run.disk.Crashed() {

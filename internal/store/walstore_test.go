@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -347,6 +348,51 @@ func TestWALStoreCommitFailureIsSticky(t *testing.T) {
 	}
 	if again := ws.Close(); !errors.Is(again, store.ErrBroken) {
 		t.Errorf("second Close = %v, want first result replayed", again)
+	}
+}
+
+// TestWALLogSyncFailureStopsCommit: a commit whose log sync fails stops
+// there. It neither writes nor syncs the page file after the failure, so
+// whatever the crash keeps of the unsynced log, reopening shows the state
+// before the commit or after it, never a mix. The batch writes a page the
+// logged batch did not write: replaying the older batch over a page file
+// that took the new one would show that page changed and the other one not.
+func TestWALLogSyncFailureStopsCommit(t *testing.T) {
+	disk := faultstore.NewDisk()
+	fsys := &countingFS{FS: disk}
+	ws, err := store.OpenWALStoreIn(fsys, "pages.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &walScript{t: t, disk: disk, ws: ws, pages: make(map[page.ID][]byte)}
+	a, b := s.alloc(64, 0x1A), s.alloc(64, 0x1B)
+	s.commit()
+	s.write(a, 0x2A) // the log now holds a batch writing only a
+	s.commit()
+	before := maps.Clone(s.pages)
+	s.write(a, 0x3A)
+	s.write(b, 0x3B)
+	after := s.pages
+
+	ops, syncs := disk.Ops(), fsys.syncs
+	boom := errors.New("boom")
+	disk.FailSync(1, boom) // the commit's first sync is the log's
+	if err := ws.Commit(); !errors.Is(err, store.ErrBroken) || !errors.Is(err, boom) {
+		t.Fatalf("Commit with a failing log sync = %v, want store.ErrBroken wrapping boom", err)
+	}
+	if w, y := disk.Ops()-ops, fsys.syncs-syncs; w != 1 || y != 1 {
+		t.Fatalf("commit made %d writes and %d syncs, want 1 and 1: the log write and the failed log sync", w, y)
+	}
+	_ = ws.Close() // reports the breakage
+
+	for _, cell := range crashCells {
+		got := requireReplayIsNoOp(t, disk.CrashImage(cell.policy, cell.seed), "pages.db", []page.ID{a, b})
+		switch {
+		case cell.policy == faultstore.KeepNone && !viewMatches(got, before):
+			t.Errorf("%v: reopened store is not the state before the failed commit: %+v", cell.policy, got)
+		case !viewMatches(got, before) && !viewMatches(got, after):
+			t.Errorf("%v/%d: reopened store mixes the failed commit with the one before: %+v", cell.policy, cell.seed, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package segidx_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -331,6 +332,10 @@ func TestRejectedConstructionLeavesNoFiles(t *testing.T) {
 		},
 		"no domain": func(o ...segidx.Option) (*segidx.Index, error) {
 			return segidx.NewSkeletonRTree(segidx.SkeletonEstimate{Tuples: 100, PredictFraction: 0.1}, o...)
+		},
+		"domain of infinite width": func(o ...segidx.Option) (*segidx.Index, error) {
+			m := math.MaxFloat64
+			return segidx.NewSkeletonSRTree(segidx.SkeletonEstimate{Tuples: 100, Domain: segidx.Box(-m, -m, m, m), PredictFraction: 0.1}, o...)
 		},
 		"domain of wrong dims": func(o ...segidx.Option) (*segidx.Index, error) {
 			return segidx.NewSkeletonRTree(segidx.SkeletonEstimate{Tuples: 100, Domain: segidx.Point(1, 2, 3)}, o...)
