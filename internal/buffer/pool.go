@@ -7,9 +7,25 @@
 // as headers (node.Node) viewing the image. A miss keeps the store's read
 // buffer as the image (node.Codec.Decode), without a copy. Frames stay
 // resident until evicted; eviction writes dirty ones back to the store.
-// Nothing is pinned: a published version never changes, and Go's garbage
-// collector keeps a node or image alive for as long as anyone holds it,
-// also after its frame is evicted.
+// Nothing is pinned: a published version never changes, and its image
+// stays valid after its frame is evicted, for as long as the rule below
+// keeps it.
+//
+// # Reusing evicted frames
+//
+// Every reader announces itself for the span of one query, Enter then
+// Leave, and uses the images GetVersion hands it only in between. An
+// evicted frame that a miss loaded and that never had headers built goes
+// to limbo instead of to the garbage collector. When the pool's count of
+// active readers reads zero under its mutex, every frame in limbo goes to
+// a spare list for the next miss, and its adopted read buffer back to the
+// store (store.Recycle). That is safe: each frame in limbo left the page
+// table under the mutex before, so a reader that enters after cannot
+// reach it, and every reader that could have reached it has left. Frames
+// that ever had headers are never reused, because the writer may hold
+// their node, and neither are version-chain frames. Limbo is bounded by
+// maxLimboBytes; past it an evicted frame is left to the collector. In steady
+// state a read miss therefore allocates nothing.
 //
 // # Page versioning
 //
@@ -94,6 +110,7 @@ type Stats struct {
 	Misses    uint64 // calls that read from the store
 	Evictions uint64 // frames evicted to honor the budget
 	Writes    uint64 // dirty pages written back
+	Reused    uint64 // misses that took an evicted frame no reader held
 
 	Clones        uint64 // copy-on-write clones made by Upgrade
 	ClonedBytes   uint64 // page bytes of those clones
@@ -111,6 +128,7 @@ func (s *Stats) Add(o Stats) {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.Writes += o.Writes
+	s.Reused += o.Reused
 	s.Clones += o.Clones
 	s.ClonedBytes += o.ClonedBytes
 	s.Collected += o.Collected
@@ -149,7 +167,10 @@ type frame struct {
 
 	bytes int // on-page size of the node
 	dirty bool
-	ring  int // index in the pool's CLOCK ring while resident
+	// adopted is set when img is the store's read buffer, handed back to
+	// the store when the frame is reused.
+	adopted bool
+	ring    int // index in the pool's CLOCK ring while resident
 }
 
 // visibleAt reports whether a retired version serves a snapshot at epoch e.
@@ -215,11 +236,30 @@ type Pool struct {
 	// Guarded by mu.
 	queue []*frame
 
-	// hits counts the lock-free hits readers settled, on a cache line of
-	// its own so that settling does not disturb the lines lookups read.
-	_    [64]byte
-	hits atomic.Uint64
+	// limbo holds evicted frames a reader may still read, spare the
+	// frames none can; see the package comment. Guarded by mu, except
+	// that Leave reads limboBytes without it.
+	limbo      []*frame
+	spare      []*frame
+	limboBytes atomic.Int64
+
+	// hits counts the lock-free hits readers settled, and readers the
+	// readers between Enter and Leave: per-query writes, on a cache line
+	// of their own so that they do not disturb the lines lookups read.
+	_       [64]byte
+	hits    atomic.Uint64
+	readers atomic.Int64
 }
+
+// maxLimboBytes bounds the page bytes of the evicted frames waiting for the
+// active readers to drain: the most that recycling holds back from the
+// garbage collector. One reader at a time empties limbo at the end of
+// each query, which evicts about as many pages as it misses: tens of KiB
+// on average, but up to about 1 MiB for the widest range searches of the
+// cold-read benchmark (at 256 KiB one miss in twenty still allocated).
+// Overlapping readers may keep the count above zero for long; past the
+// bound an evicted frame is left to the collector, as if never reused.
+const maxLimboBytes = 1 << 20
 
 // New creates a pool over the given store. budgetBytes caps resident node
 // bytes (0 = unlimited).
@@ -290,19 +330,22 @@ func (p *Pool) Get(id page.ID) (*node.Node, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Gets++
-	f := p.table.load(id)
-	if f != nil {
+	if f := p.table.load(id); f != nil {
 		p.stats.Hits++
 		p.table.slot(id).touch()
-	} else {
-		p.stats.Misses++
-		var err error
-		if f, err = p.loadLocked(id); err != nil {
-			return nil, err
-		}
-		p.evictLocked()
+		return p.headers(f), nil
 	}
-	return p.headers(f), nil
+	p.stats.Misses++
+	f, err := p.loadLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	// Headers before the sweep: it may evict f at once, and a frame
+	// without headers would go to limbo and be reused while the writer
+	// still holds its node.
+	n := p.headers(f)
+	p.evictLocked()
+	return n, nil
 }
 
 // headers returns f's headers, building them from its image the first time
@@ -333,10 +376,10 @@ func (p *Pool) loadLocked(id page.ID) (*frame, error) {
 
 // GetVersion returns the page image of id's version visible at the given
 // snapshot epoch, without pinning it. The image is immutable and remains
-// valid for as long as the caller holds it, even across eviction. The
-// caller must hold a snapshot registration at the epoch, which is what
-// keeps the version chain populated (see the retention invariant in the
-// package comment).
+// valid, even across eviction, until the caller's Leave: the caller must
+// have called Enter first. It must also hold a snapshot registration at
+// the epoch, which is what keeps the version chain populated (see the
+// retention invariant in the package comment).
 //
 // A resident head installed at or before the epoch is served from the
 // page table without a lock and counted in t; hand t to Settle when the
@@ -351,6 +394,40 @@ func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (node.Image, error
 		return f.img, nil
 	}
 	return p.getVersionSlow(id, epoch)
+}
+
+// Enter announces a reader: until its Leave, no image GetVersion hands it
+// is reused.
+func (p *Pool) Enter() { p.readers.Add(1) }
+
+// Leave ends a reader's Enter. The last reader to leave while frames wait
+// in limbo moves them to the spare list.
+func (p *Pool) Leave() {
+	if p.readers.Add(-1) == 0 && p.limboBytes.Load() != 0 {
+		p.mu.Lock()
+		p.drainLocked()
+		p.mu.Unlock()
+	}
+}
+
+// drainLocked moves the frames in limbo to the spare list and hands their
+// adopted buffers back to the store, if no reader is active. A reader that
+// enters after the check cannot reach them: each left the page table under
+// p.mu before. The caller must hold p.mu.
+func (p *Pool) drainLocked() {
+	if p.readers.Load() != 0 {
+		return
+	}
+	for i, f := range p.limbo {
+		if f.adopted {
+			store.Recycle(node.PageBuffer(f.img, f.bytes))
+		}
+		*f = frame{}
+		p.spare = append(p.spare, f)
+		p.limbo[i] = nil
+	}
+	p.limbo = p.limbo[:0]
+	p.limboBytes.Store(0)
 }
 
 // Settle adds the hits counted in t to the pool's Gets and Hits and
@@ -401,8 +478,9 @@ func (p *Pool) getVersionSlow(id page.ID, epoch uint64) (node.Image, error) {
 	return f.img, nil
 }
 
-// readLocked reads a page from the store and adopts the store's fresh
-// buffer as its image, returning an uninstalled frame without headers.
+// readLocked reads a page from the store and adopts the store's read
+// buffer as its image, returning an uninstalled frame without headers,
+// a spare one when there is one.
 // The install epoch is inferred from the version chain: the durable image
 // of a page with retained versions is its most recently superseded-away
 // head, which was installed exactly when the newest chain entry was
@@ -414,11 +492,23 @@ func (p *Pool) readLocked(id page.ID) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := p.codec.Decode(buf, id)
+	img, adopted, err := p.codec.Decode(buf, id)
+	if !adopted {
+		store.Recycle(buf) // copied or refused: nobody reads buf
+	}
 	if err != nil {
 		return nil, fmt.Errorf("buffer: decode %v: %w", id, err)
 	}
-	f := &frame{img: img, id: id, bytes: len(buf)}
+	var f *frame
+	if n := len(p.spare); n > 0 {
+		f = p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		p.stats.Reused++
+	} else {
+		f = new(frame)
+	}
+	*f = frame{img: img, id: id, bytes: len(buf), adopted: adopted}
 	if pv, ok := p.old[id]; ok && len(pv.frames) > 0 {
 		f.install = pv.frames[0].superseded
 	}
@@ -548,6 +638,12 @@ func (p *Pool) evictLocked() {
 		}
 		p.dropLocked(f) // the ring's last frame moves under the hand
 		p.stats.Evictions++
+		if f.n.ID == page.Nil && p.limboBytes.Load()+int64(f.bytes) <= maxLimboBytes {
+			// Loaded by a miss and never handed to the writer: reusable
+			// once the readers drain.
+			p.limbo = append(p.limbo, f)
+			p.limboBytes.Add(int64(f.bytes))
+		}
 	}
 }
 

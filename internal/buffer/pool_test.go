@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -994,4 +995,111 @@ func TestGetVersionFallsBackToDurableImage(t *testing.T) {
 		!slices.Equal(recordIDs(img), []uint64{1, 2, 3}) {
 		t.Fatalf("epoch 3 reads %v, %v; want the resident head's [1 2 3]", recordIDs(img), err)
 	}
+}
+
+// TestRecycleWaitsForReaders pins the rule that makes reusing evicted
+// frames safe. An image an announced reader holds keeps its bytes while
+// other readers force its frame out and try to drain limbo; no drain moves
+// anything while a reader is active; the last Leave does, and later misses
+// reuse the frames. A frame the writer's Get built headers for is never
+// reused, however often it is evicted.
+func TestRecycleWaitsForReaders(t *testing.T) {
+	const pages = 16
+	p, _ := newPool(t, 1024) // one page resident
+	ids := make([]page.ID, pages)
+	for i := range ids {
+		ids[i] = mkPage(t, p, uint64(100*i), uint64(100*i+1))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e := p.published.Load()
+	read := func(id page.ID) node.Image {
+		img, err := p.GetVersion(id, e, new(Tally))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	// cycle is another reader's queries: one page each, every page once,
+	// so each miss evicts the page read before it and each Leave drains
+	// if it is the last.
+	cycle := func() {
+		for _, id := range ids {
+			p.Enter()
+			read(id)
+			p.Leave()
+		}
+	}
+	drain := func() {
+		p.mu.Lock()
+		p.drainLocked()
+		p.mu.Unlock()
+	}
+	cycle()
+	cycle()
+	if p.Stats().Reused == 0 {
+		t.Fatal("no miss reused a frame with no reader active")
+	}
+
+	p.Enter()
+	held := read(ids[0])
+	want := slices.Clone(held)
+	spares := len(p.spare)
+	for round := 0; round < 3; round++ {
+		cycle()
+		drain()
+		if !slices.Equal(bitsOf(held), bitsOf(want)) {
+			t.Fatalf("round %d: a held image changed under eviction and drains", round)
+		}
+		if len(p.spare) > spares || len(p.limbo) == 0 {
+			t.Fatalf("round %d: %d spare frames (%d before), %d in limbo: a drain ran with a reader active",
+				round, len(p.spare), spares, len(p.limbo))
+		}
+		spares = len(p.spare)
+	}
+	p.Leave()
+	if len(p.limbo) != 0 || len(p.spare) == 0 {
+		t.Fatalf("after the last Leave: %d in limbo, %d spare; want limbo drained", len(p.limbo), len(p.spare))
+	}
+
+	// The resident page's reference bit is set, so the sweep after the
+	// writer's miss passes it over and evicts the page just read.
+	p.Enter()
+	read(ids[0])
+	read(ids[0])
+	p.Leave()
+	n, err := p.Get(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident(p, ids[1]) {
+		t.Fatal("the writer's miss stayed resident; the test is vacuous")
+	}
+	recs := slices.Clone(n.Records)
+	for i := range recs {
+		recs[i].Rect = recs[i].Rect.Clone() // not a view into the image
+	}
+	same := func(a, b node.Record) bool { return a.ID == b.ID && a.Span == b.Span && a.Rect.Equal(b.Rect) }
+	for round := 0; round < 3; round++ {
+		cycle()
+		for _, f := range slices.Concat(p.spare, p.limbo) {
+			if &f.n == n {
+				t.Fatalf("round %d: the frame the writer holds went to limbo or the spares", round)
+			}
+		}
+	}
+	if !slices.EqualFunc(n.Records, recs, same) {
+		t.Fatalf("the writer's node changed to %+v", n.Records)
+	}
+}
+
+// bitsOf returns an image's words as their bit patterns, so a comparison
+// sees every byte (NaN payloads included).
+func bitsOf(img node.Image) []uint64 {
+	out := make([]uint64, len(img))
+	for i, w := range img {
+		out[i] = math.Float64bits(w)
+	}
+	return out
 }

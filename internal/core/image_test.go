@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -227,6 +228,201 @@ func TestViewsReadEvictedVersions(t *testing.T) {
 	}
 	if got := tr.PoolStats().Evictions - evictions; got == 0 {
 		t.Fatal("no evictions under the writes: no version was read from its durable image")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecycleStress reads through a FileStore pool of 4 KiB, where nearly
+// every query misses and evicted frames are reused whenever the readers
+// drain, while one writer inserts and deletes. Readers alternate direct
+// queries and pinned views over Search, SearchFunc, Count and point stabs
+// (SearchContainingFunc). Every answer must equal a brute-force model at an
+// epoch the query could have read, and every rectangle reported must lie
+// in its record's: a reader handed an image that a later miss overwrote
+// would report another page's records or rectangles.
+func TestRecycleStress(t *testing.T) {
+	cfg := smallConfig(true)
+	cfg.PoolBytes = 4 * 1024
+	st, err := store.OpenFileStore(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rng := rand.New(rand.NewSource(53))
+	rects := make(map[node.RecordID]geom.Rect) // every record ever inserted
+	live := newModel()
+	var ids []node.RecordID
+	insert := func(id node.RecordID) {
+		r := randSegment(rng)
+		if err := tr.Insert(r, id); err != nil {
+			t.Fatal(err)
+		}
+		rects[id] = r.Clone()
+		live.insert(r, id)
+		ids = append(ids, id)
+	}
+	for i := 1; i <= 400; i++ {
+		insert(node.RecordID(i))
+	}
+	// Inserted IDs are drawn up front, so readers can look rectangles up
+	// in rects without a lock while the writer runs.
+	for i := 0; i < 300; i++ {
+		rects[node.RecordID(1000+i)] = randSegment(rng)
+	}
+	var (
+		mu      sync.Mutex // orders epochs against history
+		history = map[uint64]map[node.RecordID]geom.Rect{tr.CommitEpoch(): maps.Clone(live.rects)}
+	)
+	reused := tr.PoolStats().Reused
+
+	// ask runs one query of the given shape and returns the IDs it
+	// reports, checking each reported rectangle on the way.
+	ask := func(rd Reader, shape int, q geom.Rect) ([]node.RecordID, error) {
+		var out []node.RecordID
+		var bad error
+		in := func(e Entry, want func(geom.Rect) bool) {
+			if r, ok := rects[e.ID]; !ok || !r.Contains(e.Rect) || !want(e.Rect) {
+				bad = fmt.Errorf("record %d reported as %v, stored as %v", e.ID, e.Rect, r)
+			}
+		}
+		switch shape {
+		case 0:
+			res, err := rd.Search(q)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range res {
+				in(e, q.Intersects)
+				out = append(out, e.ID)
+			}
+		case 1:
+			seen := make(map[node.RecordID]bool)
+			err := rd.SearchFunc(q, func(e Entry) bool {
+				in(e, q.Intersects)
+				if !seen[e.ID] {
+					seen[e.ID] = true
+					out = append(out, e.ID)
+				}
+				return true
+			})
+			if err != nil {
+				return nil, err
+			}
+		case 2:
+			n, err := rd.Count(q)
+			if err != nil {
+				return nil, err
+			}
+			out = make([]node.RecordID, n) // only the length is compared
+		case 3:
+			err := rd.SearchContainingFunc(q, func(e Entry) bool {
+				in(e, func(r geom.Rect) bool { return r.Contains(q) })
+				out = append(out, e.ID)
+				return true
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		slices.Sort(out)
+		return out, bad
+	}
+	// want is the model's answer at one epoch.
+	want := func(m map[node.RecordID]geom.Rect, shape int, q geom.Rect) []node.RecordID {
+		var out []node.RecordID
+		for id, r := range m {
+			if shape == 3 && r.Contains(q) || shape != 3 && r.Intersects(q) {
+				out = append(out, id)
+			}
+		}
+		slices.Sort(out)
+		if shape == 2 {
+			return make([]node.RecordID, len(out))
+		}
+		return out
+	}
+
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for round := 0; round < 300; round++ {
+				shape := rng.Intn(4)
+				q := randQuery(rng)
+				if shape == 3 {
+					q = geom.Rect2(q.Min[0], q.Min[1], q.Min[0], q.Min[1])
+				}
+				var (
+					rd     Reader = tr
+					view   View
+					lo, hi uint64
+				)
+				mu.Lock()
+				if rng.Intn(2) == 0 {
+					view = tr.Snapshot()
+					rd, lo = view, view.Epoch()
+				} else {
+					lo = tr.CommitEpoch()
+				}
+				mu.Unlock()
+				got, err := ask(rd, shape, q)
+				mu.Lock()
+				if hi = lo; view == nil {
+					hi = tr.CommitEpoch()
+				}
+				ok := false
+				for e := lo; e <= hi && !ok; e++ {
+					ok = slices.Equal(got, want(history[e], shape, q))
+				}
+				mu.Unlock()
+				if view != nil {
+					view.Release()
+				}
+				if err == nil && !ok {
+					err = fmt.Errorf("shape %d, %v at epochs %d..%d: %d records match no model", shape, q, lo, hi, len(got))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(r))))
+	}
+	for i := 0; i < 300; i++ {
+		mu.Lock()
+		if j := rng.Intn(len(ids)); rng.Intn(3) == 0 {
+			id := ids[j]
+			ids = slices.Delete(ids, j, j+1)
+			if n, err := tr.Delete(id, live.rects[id]); err != nil || n != 1 {
+				t.Fatalf("Delete(%d) = (%d, %v)", id, n, err)
+			}
+			live.delete(id)
+		} else {
+			id := node.RecordID(1000 + i)
+			if err := tr.Insert(rects[id], id); err != nil {
+				t.Fatal(err)
+			}
+			live.insert(rects[id], id)
+			ids = append(ids, id)
+		}
+		history[tr.CommitEpoch()] = maps.Clone(live.rects)
+		mu.Unlock()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := tr.PoolStats().Reused - reused; got == 0 {
+		t.Fatal("no miss reused an evicted frame: the test is vacuous")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -230,6 +230,8 @@ func (t *Tree) checkNode(id page.ID, parentRect *geom.Rect, seen map[page.ID]boo
 // bit. The caller must hold t.mu and a pin on n, so the lookup is a table
 // hit, counted in a tally nobody settles.
 func (t *Tree) checkImage(n *node.Node) error {
+	t.pool.Enter()
+	defer t.pool.Leave()
 	img, err := t.pool.GetVersion(n.ID, t.state.Load().epoch, new(buffer.Tally))
 	if err != nil {
 		return err

@@ -149,12 +149,14 @@ func Open(cfg Config, st store.Store) (*Tree, error) {
 		return nil, errors.New("core: corrupt tree metadata")
 	}
 	// Sanity-check the root decodes at the expected level.
+	t.pool.Enter()
 	img, err := t.pool.GetVersion(t.root, 0, new(buffer.Tally))
+	if err == nil && img.Level() != t.height-1 {
+		err = fmt.Errorf("root level %d does not match height %d", img.Level(), t.height)
+	}
+	t.pool.Leave()
 	if err != nil {
 		return nil, fmt.Errorf("core: open root: %w", err)
-	}
-	if level := img.Level(); level != t.height-1 {
-		return nil, fmt.Errorf("core: root level %d does not match height %d", level, t.height)
 	}
 	t.publishState(1)
 	return t, nil

@@ -84,24 +84,29 @@ func newQueryCtx() *queryCtx {
 	return qc
 }
 
-// getQctx returns a recycled (or fresh) query context. No lock is needed:
-// the context must be handed back through releaseQctx when the query ends.
+// getQctx returns a recycled (or fresh) query context and announces the
+// reader to the pool (buffer.Pool.Enter), so no page image the query reads
+// is reused before it ends. No lock is needed: the context must be handed
+// back through releaseQctx when the query ends.
 func (t *Tree) getQctx() *queryCtx {
+	t.pool.Enter()
 	if v := t.qctxPool.Get(); v != nil {
 		return v.(*queryCtx)
 	}
 	return newQueryCtx()
 }
 
-// releaseQctx unregisters the context's snapshot slot (if this query
-// registered it), resets the context, recycles it, and gives the releasing
-// reader a chance to sweep version garbage its release may have unpinned.
+// releaseQctx ends the reader's announcement, unregisters the context's
+// snapshot slot (if this query registered it), resets the context,
+// recycles it, and gives the releasing reader a chance to sweep version
+// garbage its release may have unpinned.
 func (t *Tree) releaseQctx(qc *queryCtx) {
 	if qc.nodes != 0 {
 		atomic.AddUint64(&t.stats.SearchNodeAccesses, qc.nodes)
 		qc.nodes = 0
 	}
 	t.pool.Settle(&qc.tally)
+	t.pool.Leave()
 	registered := qc.slot != nil && qc.slot.e.Load() != 0
 	if registered {
 		qc.slot.e.Store(0)

@@ -24,7 +24,7 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, err := c.Decode(buf, n.ID); err != nil {
+		if _, _, err := c.Decode(buf, n.ID); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -252,30 +252,31 @@ func (c Codec) Marshal(n *Node, pageBytes int) ([]byte, error) {
 // Decode returns the used prefix of a page's bytes as an image, with
 // every check Unmarshal makes; want guards against page-table corruption.
 // On a little-endian host an 8-byte aligned buf becomes the image itself,
-// without a copy: the image shares buf's memory, so the caller must not
-// write to buf afterwards. Go aligns every heap object of 16 bytes or
-// more to 8 bytes, so every Store.Read result qualifies. Any other buf is
-// copied word by word. Decode never writes to buf.
-func (c Codec) Decode(buf []byte, want page.ID) (Image, error) {
+// without a copy, and adopted reports it: the image shares buf's memory,
+// so the caller must not write to buf afterwards, nor hand buf on
+// (store.Recycle) while anyone may read the image. Go aligns every heap
+// object of 16 bytes or more to 8 bytes, so every Store.Read result
+// qualifies. Any other buf is copied word by word, and is the caller's
+// again. Decode never writes to buf.
+func (c Codec) Decode(buf []byte, want page.ID) (m Image, adopted bool, err error) {
 	if len(buf) < c.HeaderBytes() {
-		return nil, fmt.Errorf("node: page %v too small (%d bytes)", want, len(buf))
+		return nil, false, fmt.Errorf("node: page %v too small (%d bytes)", want, len(buf))
 	}
 	if magic := binary.LittleEndian.Uint16(buf[0:2]); magic != codecMagic {
-		return nil, fmt.Errorf("node: page %v bad magic %#x", want, magic)
+		return nil, false, fmt.Errorf("node: page %v bad magic %#x", want, magic)
 	}
 	if id := page.ID(binary.LittleEndian.Uint64(buf[8:16])); id != want {
-		return nil, fmt.Errorf("node: page says it is %v, expected %v", id, want)
+		return nil, false, fmt.Errorf("node: page says it is %v, expected %v", id, want)
 	}
 	nb := int(binary.LittleEndian.Uint16(buf[4:6]))
 	nr := int(binary.LittleEndian.Uint16(buf[6:8]))
 	need := c.HeaderBytes() + nb*c.BranchBytes() + nr*c.RecordBytes()
 	if need > len(buf) {
-		return nil, fmt.Errorf("node: page %v declares %d+%d entries exceeding page size", want, nb, nr)
+		return nil, false, fmt.Errorf("node: page %v declares %d+%d entries exceeding page size", want, nb, nr)
 	}
-	var m Image
 	if p := unsafe.SliceData(buf); littleEndian && uintptr(unsafe.Pointer(p))%8 == 0 {
 		// The page's little-endian u64s are the image's words in place.
-		m = unsafe.Slice((*float64)(unsafe.Pointer(p)), need/8)
+		m, adopted = unsafe.Slice((*float64)(unsafe.Pointer(p)), need/8), true
 	} else {
 		m = make(Image, need/8)
 		for i, b := 0, buf[:need]; i < len(m); i, b = i+1, b[8:] {
@@ -284,16 +285,23 @@ func (c Codec) Decode(buf []byte, want page.ID) (Image, error) {
 	}
 	k := c.Dims
 	if m.word(2)&flagHasRegion != 0 && invalid(m[headerWords:headerWords+2*k], k, 2*k) >= 0 {
-		return nil, fmt.Errorf("node: page %v has corrupt region rect", want)
+		return nil, false, fmt.Errorf("node: page %v has corrupt region rect", want)
 	}
 	branches, records := m.Runs(k)
 	if i := invalid(branches, k, 2*k+1); i >= 0 {
-		return nil, fmt.Errorf("node: page %v branch %d has corrupt rect", want, i)
+		return nil, false, fmt.Errorf("node: page %v branch %d has corrupt rect", want, i)
 	}
 	if i := invalid(records, k, 2*k+2); i >= 0 {
-		return nil, fmt.Errorf("node: page %v record %d has corrupt rect", want, i)
+		return nil, false, fmt.Errorf("node: page %v record %d has corrupt rect", want, i)
 	}
-	return m, nil
+	return m, adopted, nil
+}
+
+// PageBuffer returns the page buffer of pageBytes bytes that Decode
+// adopted as m, for store.Recycle once nobody reads m any more. m must be
+// an image Decode adopted from a buffer of exactly pageBytes.
+func PageBuffer(m Image, pageBytes int) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(m))), pageBytes)
 }
 
 // invalid returns the index of the first entry of run, at stride words,
@@ -313,7 +321,7 @@ func invalid(run []float64, k, stride int) int {
 // Unmarshal decodes a page into the writer's form of its node (Decode,
 // then Headers). The expected ID guards against page-table corruption.
 func (c Codec) Unmarshal(buf []byte, want page.ID) (*Node, error) {
-	m, err := c.Decode(buf, want)
+	m, _, err := c.Decode(buf, want)
 	if err != nil {
 		return nil, err
 	}

@@ -49,13 +49,18 @@ func TestDecodePaths(t *testing.T) {
 	if !aligned8(buf) {
 		t.Fatal("a 1 KiB page buffer is not 8-byte aligned")
 	}
-	m, err := c.Decode(buf, n.ID)
+	m, reported, err := c.Decode(buf, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adopted := unsafe.Pointer(unsafe.SliceData(m)) == unsafe.Pointer(unsafe.SliceData(buf))
-	if adopted != littleEndian {
-		t.Fatalf("aligned buffer adopted = %v on a host with littleEndian = %v", adopted, littleEndian)
+	if adopted != littleEndian || reported != adopted {
+		t.Fatalf("aligned buffer adopted = %v, reported %v, on a host with littleEndian = %v", adopted, reported, littleEndian)
+	}
+	if adopted {
+		if pb := PageBuffer(m, len(buf)); unsafe.SliceData(pb) != unsafe.SliceData(buf) || len(pb) != len(buf) {
+			t.Fatal("PageBuffer of the adopted image is not the page buffer")
+		}
 	}
 	if want := c.UsedBytes(n) / 8; len(m) != want || cap(m) != want {
 		t.Fatalf("image len %d cap %d, want both %d (the used prefix)", len(m), cap(m), want)
@@ -68,11 +73,11 @@ func TestDecodePaths(t *testing.T) {
 	if aligned8(u) {
 		t.Fatal("unalignedCopy returned an aligned buffer")
 	}
-	mu, err := c.Decode(u, n.ID)
+	mu, reported, err := c.Decode(u, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.Pointer(unsafe.SliceData(mu)) == unsafe.Pointer(unsafe.SliceData(u)) {
+	if reported || unsafe.Pointer(unsafe.SliceData(mu)) == unsafe.Pointer(unsafe.SliceData(u)) {
 		t.Fatal("an unaligned buffer was adopted, not copied")
 	}
 	if !sameBits(m, mu) {

@@ -123,9 +123,9 @@ func FuzzNodeCodec(f *testing.F) {
 		// unaligned copy, through the copying path; neither writes to
 		// its buffer.
 		orig := bytes.Clone(data)
-		if m, err := c.Decode(data, want); err == nil {
+		if m, _, err := c.Decode(data, want); err == nil {
 			u := unalignedCopy(orig)
-			mu, err := c.Decode(u, want)
+			mu, _, err := c.Decode(u, want)
 			if err != nil {
 				t.Fatalf("an unaligned copy does not decode: %v", err)
 			}

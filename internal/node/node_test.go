@@ -295,7 +295,7 @@ func TestDecodeMatchesUnmarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := c.Decode(buf, n.ID)
+		m, _, err := c.Decode(buf, n.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestCloneHeadersSharesFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Decode(buf, n.ID)
+	m, _, err := c.Decode(buf, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestEncodeKeepsPreImageViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Decode(buf, n.ID)
+	m, _, err := c.Decode(buf, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

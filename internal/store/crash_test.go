@@ -191,7 +191,8 @@ func viewMatches(v walView, model map[page.ID][]byte) bool {
 }
 
 // crashCells are the crash images a WAL test reopens: each policy, and
-// KeepSubset under two seeds.
+// KeepSubset under two seeds. LoseLog is the image that shows a page
+// written before the log's sync, whatever the seeds' coin flips do.
 var crashCells = []struct {
 	policy faultstore.CrashPolicy
 	seed   uint64
@@ -200,6 +201,7 @@ var crashCells = []struct {
 	{faultstore.KeepAll, 0},
 	{faultstore.KeepSubset, 1},
 	{faultstore.KeepSubset, 2},
+	{faultstore.LoseLog, 0},
 }
 
 // TestWALStaleBatchCrashSweep cuts power at every op of a script's last
@@ -247,8 +249,9 @@ func TestWALStaleBatchCrashSweep(t *testing.T) {
 			// A page written before the log sync can survive a crash
 			// that loses the new batch from the log; replaying the
 			// logged batch rewrites only ids[0], so such a page would
-			// show the new batch alone. KeepSubset/2 drops the log
-			// write and keeps the fourth page write.
+			// show the new batch alone. LoseLog drops the log write and
+			// keeps every page write (so, by its coin flips, does
+			// KeepSubset/2).
 			var ids []page.ID
 			for i := 0; i < 4; i++ {
 				ids = append(ids, s.alloc(256, byte(0x10+i)))

@@ -8,8 +8,9 @@
 // Each file tracks two states: the synced image (what the last Sync made
 // durable) and a journal of mutations since. A power cut freezes the disk;
 // CrashImage then materializes the surviving bytes under an explicit
-// policy — unsynced mutations all lost, all kept, or a seeded subset kept
-// (modeling the kernel reordering page writeback) — as a fresh Disk the
+// policy — unsynced mutations all lost, all kept, a seeded subset kept
+// (modeling the kernel reordering page writeback), or all kept except a
+// write-ahead log's — as a fresh Disk the
 // test reopens its store on. Everything is deterministic: the same
 // operation sequence, crash point, policy, and seed produce the same
 // image.
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"segidx/internal/store"
@@ -41,6 +43,11 @@ const (
 	// KeepSubset retains a deterministic seed-selected subset of unsynced
 	// writes, modeling reordered writeback; truncations are kept in order.
 	KeepSubset
+	// LoseLog loses every unsynced mutation of a file named with
+	// store.WALSuffix and keeps every other file's (the crashing write
+	// still torn): the page file reached the disk, the log did not. Any
+	// page write issued before the log's sync shows under it.
+	LoseLog
 )
 
 func (p CrashPolicy) String() string {
@@ -51,6 +58,8 @@ func (p CrashPolicy) String() string {
 		return "keep-all"
 	case KeepSubset:
 		return "keep-subset"
+	case LoseLog:
+		return "lose-log"
 	default:
 		return fmt.Sprintf("CrashPolicy(%d)", int(p))
 	}
@@ -195,6 +204,8 @@ func (d *Disk) CrashImage(policy CrashPolicy, seed uint64) *Disk {
 				// Truncations model metadata ops the journal orders;
 				// data writes survive per a deterministic coin flip.
 				keep = op.truncate || subsetBit(seed, i)
+			case LoseLog:
+				keep = !strings.HasSuffix(name, store.WALSuffix)
 			}
 			if keep {
 				data = applyOp(data, op)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"segidx/internal/store"
 )
 
 func mustOpen(t *testing.T, d *Disk, name string) *handle {
@@ -129,6 +131,50 @@ func TestCrashImagePolicies(t *testing.T) {
 	// The synced prefix always survives.
 	if len(s1) < 4 || string(s1[:4]) != "base" {
 		t.Errorf("KeepSubset lost synced data: %q", s1)
+	}
+	if got := read(build().CrashImage(LoseLog, 0)); string(got) != "baseAAAABBBBCC" {
+		t.Errorf("LoseLog image of a page file = %q, want all writes with torn tail", got)
+	}
+}
+
+// TestLoseLogDropsOnlyTheLog writes, unsynced, to a page file and to its
+// log: LoseLog keeps the page file's writes and loses the log's, its
+// truncation included.
+func TestLoseLogDropsOnlyTheLog(t *testing.T) {
+	d := NewDisk()
+	pages := mustOpen(t, d, "pages.db")
+	log := mustOpen(t, d, "pages.db"+store.WALSuffix)
+	for _, f := range []*handle{pages, log} {
+		if _, err := f.WriteAt([]byte("base"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := log.WriteAt([]byte("LOG!"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pages.WriteAt([]byte("PAGE"), 4); err != nil {
+		t.Fatal(err)
+	}
+	img := d.CrashImage(LoseLog, 0)
+	for name, want := range map[string]string{"pages.db": "basePAGE", "pages.db" + store.WALSuffix: "base"} {
+		f := mustOpen(t, img, name)
+		n, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != want {
+			t.Errorf("%s = %q, want %q", name, buf, want)
+		}
 	}
 }
 

@@ -285,8 +285,9 @@ func (fs *FileStore) Write(id page.ID, data []byte) error {
 	return err
 }
 
-// Read returns the page contents. A read that comes back short fails
-// with an error wrapping io.ErrUnexpectedEOF.
+// Read returns the page contents in a buffer of the page's size from the
+// spares (Recycle). A read that comes back short fails with an error
+// wrapping io.ErrUnexpectedEOF.
 func (fs *FileStore) Read(id page.ID) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -297,10 +298,13 @@ func (fs *FileStore) Read(id page.ID) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	buf := make([]byte, s.size)
+	buf := newBuffer(s.size)
 	if n, err := fs.f.ReadAt(buf, s.off+slotHeader); n < len(buf) {
 		// Never hand out a zero-padded page: a file that ends inside a
-		// live slot was cut behind the store's back.
+		// live slot was cut behind the store's back. The half-filled
+		// buffer goes back to the spares, which the next Read of its size
+		// overwrites whole.
+		Recycle(buf)
 		if err == nil || errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}

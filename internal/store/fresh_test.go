@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -10,12 +12,14 @@ import (
 )
 
 // TestReadReturnsFreshBuffer pins the Read contract the buffer pool keeps
-// page images on: every Read returns a freshly allocated slice that the
-// store never touches again. Two Reads of one page share no memory,
-// scribbling over a returned slice changes neither the page nor a later
-// Read, and a later Write of the page leaves an earlier result alone. Each
-// store is read while the page is pending in its batch and once it is
-// committed.
+// page images on: every Read returns a slice that the store never touches
+// again. Two Reads of one page share no memory, scribbling over a returned
+// slice changes neither the page nor a later Read, and a later Write of
+// the page leaves an earlier result alone. Each store is read while the
+// page is pending in its batch and once it is committed. A buffer handed
+// back through Recycle comes back only from a later Read of a page of its
+// size, overwritten whole; a failed Read hands out nothing it half
+// filled; and Recycle of a nil or resliced buffer is harmless.
 func TestReadReturnsFreshBuffer(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
@@ -77,8 +81,77 @@ func TestReadReturnsFreshBuffer(t *testing.T) {
 			}
 			data = next
 			check("rewritten")
+
+			other, err := s.Allocate(96)
+			if err != nil {
+				t.Fatal(err)
+			}
+			otherData := bytes.Repeat([]byte{0x77}, 96)
+			if err := s.Write(other, otherData); err != nil {
+				t.Fatal(err)
+			}
+			junk := bytes.Repeat([]byte{0xEE}, 64)
+			store.Recycle(junk)
+			if got := readPage(t, s, other); sameMemory(got, junk) || !bytes.Equal(got, otherData) {
+				t.Fatal("a Read of a 96-byte page returned a recycled 64-byte buffer")
+			}
+			if _, err := s.Read(id + 1000); !errors.Is(err, store.ErrNotFound) {
+				t.Fatalf("Read of a missing page = %v, want ErrNotFound", err)
+			}
+			if got := readPage(t, s, id); !sameMemory(got, junk) || !bytes.Equal(got, data) {
+				t.Fatalf("Read after Recycle: reused %v, %x; want the recycled buffer holding %x",
+					sameMemory(got, junk), got, data)
+			}
+			odd := bytes.Repeat([]byte{0xDD}, 128)[:64]
+			store.Recycle(nil)
+			store.Recycle([]byte{})
+			store.Recycle(odd)
+			if got := readPage(t, s, id); sameMemory(got, odd) || !bytes.Equal(got, data) {
+				t.Fatal("a resliced buffer came back from Read")
+			}
 		})
 	}
+
+	// A Read that fails on a page file cut behind the store's back may
+	// have filled part of its buffer; the next Read of that size must
+	// still return its own page whole.
+	t.Run("cut file", func(t *testing.T) {
+		size := 2 * os.Getpagesize()
+		open := func(name string, b byte) (*store.FileStore, page.ID, []byte) {
+			s, err := store.OpenFileStore(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := s.Allocate(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := bytes.Repeat([]byte{b}, size)
+			if err := s.Write(id, data); err != nil {
+				t.Fatal(err)
+			}
+			return s, id, data
+		}
+		healthy, hid, want := open("healthy.db", 0x11)
+		defer healthy.Close()
+		cut, cid, _ := open("cut.db", 0x22)
+		defer cut.Close()
+		store.Recycle(readPage(t, cut, cid))
+		if err := os.Truncate(filepath.Join(dir, "cut.db"), 100); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cut.Read(cid); err == nil {
+			t.Fatalf("Read of a cut page = %d bytes, nil error", len(got))
+		}
+		if got := readPage(t, healthy, hid); !bytes.Equal(got, want) {
+			t.Fatal("the Read after a failed one returned bytes of the failed page")
+		}
+	})
+}
+
+// sameMemory reports whether a and b start at the same byte.
+func sameMemory(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 func readPage(t *testing.T, s store.Store, id page.ID) []byte {

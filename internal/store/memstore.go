@@ -67,7 +67,8 @@ func (m *MemStore) Write(id page.ID, data []byte) error {
 	return nil
 }
 
-// Read returns a copy of the page contents.
+// Read returns a copy of the page contents, in a buffer from the spares
+// (Recycle).
 func (m *MemStore) Read(id page.ID) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -84,7 +85,7 @@ func (m *MemStore) Read(id page.ID) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	out := make([]byte, len(buf))
+	out := newBuffer(len(buf))
 	copy(out, buf)
 	return out, nil
 }

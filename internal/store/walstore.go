@@ -289,12 +289,14 @@ func (ws *WALStore) Read(id page.ID) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	if buf, ok := ws.writes[id]; ok {
-		out := make([]byte, len(buf))
+		out := newBuffer(len(buf))
 		copy(out, buf)
 		return out, nil
 	}
 	if size, ok := ws.allocs[id]; ok {
-		return make([]byte, size), nil
+		out := newBuffer(size)
+		clear(out)
+		return out, nil
 	}
 	return ws.inner.Read(id)
 }
