@@ -199,7 +199,7 @@ type Accel struct {
 	bounds  []atomic.Pointer[slotList]
 	origins []atomic.Pointer[slotList]
 
-	mode     atomic.Int32
+	mode     Mode // the routing policy, fixed by New
 	degraded atomic.Bool
 
 	// Routing counters; see Route.
@@ -233,17 +233,14 @@ func New(cfg Config) (*Accel, error) {
 		bounds:  make([]atomic.Pointer[slotList], 2*n),
 		origins: make([]atomic.Pointer[slotList], n),
 		live:    make(map[uint64]uint32),
+		mode:    cfg.Mode,
 	}
-	a.mode.Store(int32(cfg.Mode))
 	a.recs.Store(&recTable{})
 	return a, nil
 }
 
 // Dim reports the hot dimension.
 func (a *Accel) Dim() int { return a.dim }
-
-// SetMode changes the routing policy.
-func (a *Accel) SetMode(m Mode) { a.mode.Store(int32(m)) }
 
 // Degrade permanently disables routing: every future query goes to the
 // tree. Used when the accelerator's one-rect-per-ID model cannot represent
@@ -264,8 +261,6 @@ func (a *Accel) Degraded() bool { return a.degraded.Load() }
 // out-of-domain values to the edge cells. Monotone: v <= w implies
 // cellOf(v) <= cellOf(w), which the comparison-free covers proof and the
 // candidate-completeness arguments rely on.
-//
-//seglint:hotpath
 func (a *Accel) cellOf(v float64) uint32 {
 	f := (v - a.lo) * a.scale
 	if !(f > 0) { // also catches NaN defensively

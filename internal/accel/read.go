@@ -36,8 +36,6 @@ type read struct {
 // through the monotonicity of cellOf. Returns the number of matches
 // reported: all of them unless fn stopped the scan. Allocation-free; safe
 // for concurrent lock-free use.
-//
-//seglint:hotpath
 func (a *Accel) ContainVisit(epoch uint64, qmin, qmax []float64, fn VisitFunc) int {
 	r := read{t: a.recs.Load(), epoch: epoch, lim: qmin, need: qmax, fn: fn}
 	skipHot := -1
@@ -67,8 +65,6 @@ func (a *Accel) ContainVisit(epoch uint64, qmin, qmax []float64, fn VisitFunc) i
 //
 // Returns the number of matches reported: all of them unless fn stopped
 // the scan. Allocation-free; safe for concurrent lock-free use.
-//
-//seglint:hotpath
 func (a *Accel) RangeVisit(epoch uint64, qmin, qmax []float64, fn VisitFunc) int {
 	r := read{t: a.recs.Load(), epoch: epoch, lim: qmax, need: qmin, fn: fn}
 	ca := a.cellOf(qmin[a.dim])
@@ -89,8 +85,6 @@ func (a *Accel) RangeVisit(epoch uint64, qmin, qmax []float64, fn VisitFunc) int
 // skipHot names a dimension whose match — and split — the hierarchy
 // already proved (or -1). The list's box can prove the other dimensions'
 // matches, or rule out every slot.
-//
-//seglint:hotpath
 func (a *Accel) scan(r *read, l *slotList, skipHot int, originPart bool) {
 	if l == nil || r.stopped {
 		return
@@ -135,8 +129,6 @@ slots:
 // dimensions: no slot can match (miss), or every slot matches (inside)
 // because box max <= lim and box min >= need, and each slot's min <= max
 // lies within the box. Neither: every slot needs comparing.
-//
-//seglint:hotpath
 func (a *Accel) classify(r *read, box []float64) (miss, inside bool) {
 	k, inside := a.k, true
 	for i := 0; i < k; i++ {
@@ -155,8 +147,6 @@ func (a *Accel) classify(r *read, box []float64) (miss, inside bool) {
 // a binary search, because births never decrease along a list (see
 // slotList). A list header can be newer than the column header; slots past
 // the columns' visible prefix belong to younger epochs anyway.
-//
-//seglint:hotpath
 func (r *read) born(slots []uint32) int {
 	return sort.Search(len(slots), func(i int) bool {
 		s := slots[i]
@@ -166,8 +156,6 @@ func (r *read) born(slots []uint32) int {
 
 // countLive counts the slots visible at the epoch, for a list whose every
 // visible slot is a match: one atomic death load per born slot.
-//
-//seglint:hotpath
 func (r *read) countLive(slots []uint32) (n int) {
 	for _, s := range slots[:r.born(slots)] {
 		chunk := r.t.deaths[s>>deathChunkShift]

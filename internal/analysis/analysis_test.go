@@ -227,32 +227,6 @@ func LocalOnly() int {
 `)
 }
 
-func TestFloatCmp(t *testing.T) {
-	checkFixture(t, FloatCmp, `package fixture
-
-func eq(a, b float64) bool { return a == b } // want floatcmp
-func ne(a, b float64) bool { return a != b } // want floatcmp
-func zero(x float64) bool  { return x == 0 } // want floatcmp
-func f32(a, b float32) bool { return a == b } // want floatcmp
-
-func lt(a, b float64) bool { return a < b }
-func ints(a, b int) bool   { return a == b }
-func strs(a, b string) bool { return a == b }
-
-const c1, c2 = 1.5, 2.5
-
-var constsEqual = c1 == c2 // exact by definition: both compile-time constants
-
-func mixed(xs []float64, i int) bool {
-	return xs[i] == 0 // want floatcmp
-}
-
-func allowed(a, b float64) bool {
-	return a == b //seglint:allow floatcmp — fixture rationale
-}
-`)
-}
-
 func TestErrCheckLite(t *testing.T) {
 	checkFixture(t, ErrCheckLite, `package fixture
 
@@ -361,17 +335,14 @@ func MustOK(x int) int {
 `)
 }
 
-// TestAppliesTo pins the package filters: floatcmp only guards geom/core,
-// and the library-package filter exempts cmd and examples.
+// TestAppliesTo pins the package filter: the library-package filter exempts
+// cmd and examples.
 func TestAppliesTo(t *testing.T) {
 	cases := []struct {
 		a    *Analyzer
 		path string
 		want bool
 	}{
-		{FloatCmp, "segidx/internal/geom", true},
-		{FloatCmp, "segidx/internal/core", true},
-		{FloatCmp, "segidx/internal/workload", false},
 		{NodePanic, "segidx/internal/core", true},
 		{NodePanic, "segidx/cmd/segbench", false},
 		{NodePanic, "segidx/examples/quickstart", false},
@@ -455,51 +426,4 @@ func TestMatchPatterns(t *testing.T) {
 			t.Errorf("Match(%q, %q) = %v, want %v", c.pkg, c.pattern, got, c.want)
 		}
 	}
-}
-
-func TestHotAlloc(t *testing.T) {
-	checkFixture(t, HotAlloc, `package fixture
-
-type Rect struct{ Min, Max []float64 }
-
-func (r Rect) Clone() Rect {
-	return Rect{Min: append([]float64(nil), r.Min...), Max: append([]float64(nil), r.Max...)}
-}
-
-type queryCtx struct {
-	stack   []uint64
-	entries []Rect
-}
-
-type Tree struct{ qc queryCtx }
-
-// hot is on the read path.
-//
-//seglint:hotpath
-func (t *Tree) hot(r Rect) int {
-	seen := make(map[uint64]bool) // want hotalloc
-	buf := []float64{1, 2}        // want hotalloc
-	c := r.Clone()                // want hotalloc
-	var local []Rect
-	local = append(local, c) // want hotalloc
-	t.qc.stack = append(t.qc.stack, 1)
-	t.qc.entries = append(t.qc.entries, r)
-	return len(seen) + len(buf) + len(local) + len(t.qc.stack)
-}
-
-// hotAllowed documents a deliberate exception.
-//
-//seglint:hotpath
-func (t *Tree) hotAllowed(r Rect) Rect {
-	//seglint:allow hotalloc — fixture: cold error branch
-	c := r.Clone()
-	return c
-}
-
-// cold is unmarked: the same constructs are fine here.
-func (t *Tree) cold(r Rect) []Rect {
-	out := make([]Rect, 0, 4)
-	return append(out, r.Clone())
-}
-`)
 }

@@ -6,7 +6,10 @@ package analysis
 // fit: the tri lattice below distinguishes "on every path" (triYes/triNo)
 // from "on some paths" (triMaybe), and Join merges path facts pointwise.
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/token"
+)
 
 // tri is a three-point lattice value plus bottom: triBot means "no path
 // has said anything", triYes/triNo are must-facts, triMaybe is the top
@@ -28,19 +31,6 @@ func (a tri) join(b tri) tri {
 		return b
 	default:
 		return triMaybe
-	}
-}
-
-func (a tri) String() string {
-	switch a {
-	case triNo:
-		return "no"
-	case triYes:
-		return "yes"
-	case triMaybe:
-		return "maybe"
-	default:
-		return "bot"
 	}
 }
 
@@ -113,4 +103,154 @@ func Solve[S any](g *CFG, p FlowProblem[S]) (map[*Block]S, bool) {
 		}
 	}
 	return in, true
+}
+
+// joinTri merges another path's fact src into *dst and reports a change.
+// An absent key means "untouched on this path", which operationally is
+// "not held": joining it with a held fact yields Maybe, while two
+// not-held paths stay not-held.
+func joinTri(dst *tri, src tri) bool {
+	a := *dst
+	if a == triBot {
+		a = triNo
+	}
+	if src == triBot {
+		src = triNo
+	}
+	j := a.join(src)
+	changed := j != *dst
+	*dst = j
+	return changed
+}
+
+// pathFact is what locks and pinbalance track per key on each path:
+// whether the lock or pin is held, and whether its release is deferred.
+// The zero value is the fact of a path that never touched the key.
+type pathFact struct {
+	held, deferred tri
+}
+
+func (f *pathFact) join(o pathFact) bool {
+	h := joinTri(&f.held, o.held)
+	d := joinTri(&f.deferred, o.deferred)
+	return h || d
+}
+
+// leak classifies a fact at a normal function exit.
+type leak uint8
+
+const (
+	noLeak         leak = iota // released, never taken, or a deferred release is due
+	leakHeld                   // held on every path here, with no release scheduled
+	leakSomePaths              // released on some paths but not this one
+	leakDeferMaybe             // the deferred release is scheduled on only some paths
+)
+
+func (f *pathFact) leak() leak {
+	switch {
+	case f.held != triYes && f.held != triMaybe, f.deferred == triYes:
+		return noLeak
+	case f.deferred == triMaybe:
+		return leakDeferMaybe
+	case f.held == triYes:
+		return leakHeld
+	}
+	return leakSomePaths
+}
+
+// fact is a flow state's per-key record: join merges another path's
+// record into it, nil meaning the key is absent on that path.
+type fact[F any] interface {
+	*F
+	join(*F) bool
+}
+
+// cloneFacts deep-copies a fact-map state.
+func cloneFacts[K comparable, F any](s map[K]*F) map[K]*F {
+	out := make(map[K]*F, len(s))
+	for k, f := range s {
+		c := *f
+		out[k] = &c
+	}
+	return out
+}
+
+// joinFacts is the Join of a fact-map state: key by key, a key on one side
+// only joined with its absence on the other.
+func joinFacts[K comparable, F any, P fact[F]](dst, src map[K]*F) (map[K]*F, bool) {
+	changed := false
+	for k, sf := range src {
+		if df, ok := dst[k]; ok {
+			changed = P(df).join(sf) || changed
+			continue
+		}
+		nf := *sf
+		P(&nf).join(nil)
+		dst[k] = &nf
+		changed = true
+	}
+	for k, df := range dst {
+		if _, ok := src[k]; !ok {
+			changed = P(df).join(nil) || changed
+		}
+	}
+	return dst, changed
+}
+
+// replayProblem is a flow problem that reports while it replays the
+// solved states: replay switches its diagnostics on, and checkExit judges
+// the state at one normal (non-panic) exit.
+type replayProblem[S any] interface {
+	FlowProblem[S]
+	replay()
+	checkExit(pos token.Pos, s S)
+}
+
+// runFlow is the solve-and-replay loop locks and pinbalance share: it
+// solves prob over body's CFG, reports a solver that stopped short of its
+// fixpoint, then replays every reachable block from its in-state with
+// diagnostics on and hands the state at each normal exit to checkExit.
+func runFlow[S any](p *Pass, fn, facts string, body *ast.BlockStmt, prob replayProblem[S]) {
+	g := BuildCFG(body)
+	in, converged := Solve(g, prob)
+	if !converged {
+		p.Reportf(body.Pos(), "%s: dataflow solver hit its step bound before reaching a fixpoint; %s facts for this function are incomplete", fn, facts)
+	}
+	prob.replay()
+	for _, b := range g.Reachable() {
+		s, ok := in[b]
+		if !ok {
+			continue
+		}
+		s = prob.Clone(s)
+		for _, n := range b.Nodes {
+			s = prob.Transfer(n, s)
+		}
+		for _, e := range b.Succs {
+			if e.To != g.Exit || e.Kind == EdgePanic {
+				continue
+			}
+			pos := body.Rbrace
+			if len(b.Nodes) > 0 {
+				pos = b.Nodes[len(b.Nodes)-1].Pos()
+			}
+			prob.checkExit(pos, s)
+		}
+	}
+}
+
+// deferredCalls visits the calls a defer statement schedules: the
+// deferred call itself, or every call inside a deferred closure.
+func deferredCalls(ds *ast.DeferStmt, visit func(*ast.CallExpr)) {
+	lit, ok := ds.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		visit(ds.Call)
+		return
+	}
+	inspectNoFuncLit(lit, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			visit(call)
+		}
+		return true
+	})
 }

@@ -334,5 +334,28 @@ func (t *Tree) bracketDouble() error {
 	}
 	return nil
 }
+
+// bracketOneArm: the error arm of the if aborts and falls through; the
+// other path reaches the return with the bracket still open.
+func (t *Tree) bracketOneArm(id ID) error {
+	t.beginOp()
+	n, err := t.fetch(id)
+	if err != nil {
+		_ = t.abortOp(err)
+	}
+	return n.use() // want pinbalance
+}
+
+// bracketDoubleOneArm: the error arm aborts and falls through to the
+// publish, which closes the bracket a second time on that path only.
+func (t *Tree) bracketDoubleOneArm(id ID) error {
+	t.beginOp()
+	n, err := t.fetch(id)
+	if err != nil {
+		_ = t.abortOp(err)
+	}
+	_ = n.use()
+	return t.publishOp() // want pinbalance
+}
 `)
 }

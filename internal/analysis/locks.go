@@ -60,10 +60,19 @@ var lockRelease = map[string]bool{"Unlock": true, "RUnlock": true}
 
 // lockFact is the per-path state of one lock key.
 type lockFact struct {
-	held     tri // is the lock held here?
-	deferred tri // is a release scheduled via defer?
-	pos      token.Pos
-	local    bool // the mutex is declared inside the analyzed function
+	pathFact
+	pos   token.Pos // the first acquisition
+	local bool      // the mutex is declared inside the analyzed function
+}
+
+func (f *lockFact) join(o *lockFact) bool {
+	if o == nil {
+		return f.pathFact.join(pathFact{})
+	}
+	if !f.pos.IsValid() {
+		f.pos = o.pos
+	}
+	return f.pathFact.join(o.pathFact)
 }
 
 type lockState map[string]*lockFact
@@ -103,103 +112,19 @@ func runLocks(p *Pass) {
 		}
 	}
 	forEachFunc(p.Files, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
-		g := BuildCFG(body)
 		a := &lockAnalysis{p: p, body: body, helpers: helpers, fn: name}
 		if body == decl.Body {
 			a.helper = helpers[p.Info.Defs[decl.Name]]
 			a.exported = !a.helper && decl.Name.IsExported()
 		}
-		in, converged := Solve[lockState](g, a)
-		if !converged {
-			p.Reportf(body.Pos(), "%s: dataflow solver hit its step bound before reaching a fixpoint; lock facts for this function are incomplete", name)
-		}
-		a.report = true
-		for _, b := range g.Reachable() {
-			s, ok := in[b]
-			if !ok {
-				continue
-			}
-			s = a.Clone(s)
-			for _, n := range b.Nodes {
-				s = a.Transfer(n, s)
-			}
-			for _, e := range b.Succs {
-				if e.To != g.Exit || e.Kind == EdgePanic {
-					continue
-				}
-				pos := body.Rbrace
-				if len(b.Nodes) > 0 {
-					pos = b.Nodes[len(b.Nodes)-1].Pos()
-				}
-				a.checkExit(pos, s)
-			}
-		}
+		runFlow(p, name, "lock", body, a)
 	})
 }
 
-func (a *lockAnalysis) EntryState() lockState { return make(lockState) }
-
-func (a *lockAnalysis) Clone(s lockState) lockState {
-	out := make(lockState, len(s))
-	for k, f := range s {
-		c := *f
-		out[k] = &c
-	}
-	return out
-}
-
-// joinPath merges two path facts. An absent key means "untouched on this
-// path", which operationally is "not held": joining it with a held fact
-// yields Maybe, while two not-held paths stay not-held.
-func joinPath(a, b tri) tri {
-	if a == triBot {
-		a = triNo
-	}
-	if b == triBot {
-		b = triNo
-	}
-	return a.join(b)
-}
-
-func (a *lockAnalysis) Join(dst, src lockState) (lockState, bool) {
-	changed := false
-	for k, sf := range src {
-		df, ok := dst[k]
-		if !ok {
-			nf := *sf
-			nf.held = joinPath(triBot, sf.held)
-			nf.deferred = joinPath(triBot, sf.deferred)
-			dst[k] = &nf
-			changed = true
-			continue
-		}
-		if h := joinPath(df.held, sf.held); h != df.held {
-			df.held = h
-			changed = true
-		}
-		if d := joinPath(df.deferred, sf.deferred); d != df.deferred {
-			df.deferred = d
-			changed = true
-		}
-		if !df.pos.IsValid() && sf.pos.IsValid() {
-			df.pos = sf.pos
-		}
-	}
-	for k, df := range dst {
-		if _, ok := src[k]; ok {
-			continue
-		}
-		if h := joinPath(df.held, triBot); h != df.held {
-			df.held = h
-			changed = true
-		}
-		if d := joinPath(df.deferred, triBot); d != df.deferred {
-			df.deferred = d
-			changed = true
-		}
-	}
-	return dst, changed
-}
+func (a *lockAnalysis) EntryState() lockState                     { return make(lockState) }
+func (a *lockAnalysis) Clone(s lockState) lockState               { return cloneFacts(s) }
+func (a *lockAnalysis) Join(dst, src lockState) (lockState, bool) { return joinFacts(dst, src) }
+func (a *lockAnalysis) replay()                                   { a.report = true }
 
 func (a *lockAnalysis) TransferEdge(e Edge, s lockState) lockState { return s }
 
@@ -293,23 +218,13 @@ func (a *lockAnalysis) checkHelperCall(call *ast.CallExpr, s lockState) {
 // transferDefer records releases scheduled by a defer statement: either
 // `defer mu.Unlock()` directly or releases inside `defer func() { ... }()`.
 func (a *lockAnalysis) transferDefer(ds *ast.DeferStmt, s lockState) {
-	mark := func(call *ast.CallExpr) {
+	deferredCalls(ds, func(call *ast.CallExpr) {
 		op, isOp := a.mutexOp(call)
 		if !isOp || a.takesCallersLock(op, call.Pos()) || op.acquire {
 			return
 		}
 		a.fact(s, op).deferred = triYes
-	}
-	if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-		inspectNoFuncLit(lit, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				mark(call)
-			}
-			return true
-		})
-		return
-	}
-	mark(ds.Call)
+	})
 }
 
 func (a *lockAnalysis) applyAcquire(s lockState, op mutexOp, pos token.Pos) {
@@ -355,27 +270,20 @@ func (a *lockAnalysis) checkExit(pos token.Pos, s lockState) {
 	for _, k := range keys {
 		f := s[k]
 		disp := lockDisplay(k)
-		switch f.held {
-		case triYes, triMaybe:
-			if f.deferred == triYes {
-				continue // released when the function returns
-			}
-			where := ""
-			if f.pos.IsValid() {
-				where = fmt.Sprintf(" (acquired at line %d)", a.p.Fset.Position(f.pos).Line)
-			}
-			switch {
-			case f.deferred == triMaybe:
-				a.p.Reportf(pos, "%s may return with %s held: its deferred release is scheduled on only some paths%s", a.fn, disp, where)
-			case f.held == triYes:
-				a.p.Reportf(pos, "%s returns with %s held%s; release it on this path or defer the release", a.fn, disp, where)
-			default:
-				a.p.Reportf(pos, "%s may return with %s held: it is released on some paths but not this one%s", a.fn, disp, where)
-			}
-		case triNo:
-			if f.deferred == triYes {
-				a.p.Reportf(pos, "%s schedules a deferred release of %s but also releases it explicitly on this path (double unlock at return)", a.fn, disp)
-			}
+		if f.held == triNo && f.deferred == triYes {
+			a.p.Reportf(pos, "%s schedules a deferred release of %s but also releases it explicitly on this path (double unlock at return)", a.fn, disp)
+		}
+		where := ""
+		if f.pos.IsValid() {
+			where = fmt.Sprintf(" (acquired at line %d)", a.p.Fset.Position(f.pos).Line)
+		}
+		switch f.leak() {
+		case leakDeferMaybe:
+			a.p.Reportf(pos, "%s may return with %s held: its deferred release is scheduled on only some paths%s", a.fn, disp, where)
+		case leakHeld:
+			a.p.Reportf(pos, "%s returns with %s held%s; release it on this path or defer the release", a.fn, disp, where)
+		case leakSomePaths:
+			a.p.Reportf(pos, "%s may return with %s held: it is released on some paths but not this one%s", a.fn, disp, where)
 		}
 	}
 }

@@ -81,8 +81,7 @@ type pinInfo struct {
 
 // pinFact is the per-path state of one pin.
 type pinFact struct {
-	held     tri
-	deferred tri
+	pathFact
 	// errLive is true while the birth's error variable still describes
 	// this acquisition, enabling `err != nil` edge refinement.
 	errLive bool
@@ -90,10 +89,37 @@ type pinFact struct {
 	stale tri
 }
 
+func (f *pinFact) join(o *pinFact) bool {
+	src := pinFact{errLive: true} // absent: errLive stays as it is
+	if o != nil {
+		src = *o
+	}
+	changed := f.pathFact.join(src.pathFact)
+	if joinTri(&f.stale, src.stale) {
+		changed = true
+	}
+	if f.errLive && !src.errLive {
+		f.errLive = false
+		changed = true
+	}
+	return changed
+}
+
 type pinState map[*pinInfo]*pinFact
+
+// fact returns the state's fact for pi, creating it on first use.
+func (s pinState) fact(pi *pinInfo) *pinFact {
+	f := s[pi]
+	if f == nil {
+		f = &pinFact{}
+		s[pi] = f
+	}
+	return f
+}
 
 type pinAnalysis struct {
 	p       *Pass
+	fn      string
 	pins    []*pinInfo
 	byBirth map[ast.Node]*pinInfo
 	report  bool
@@ -101,36 +127,9 @@ type pinAnalysis struct {
 
 func runPinBalance(p *Pass) {
 	forEachFunc(p.Files, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
-		a := &pinAnalysis{p: p, byBirth: make(map[ast.Node]*pinInfo)}
-		a.collectPins(body)
-		if len(a.pins) == 0 {
-			return
-		}
-		g := BuildCFG(body)
-		in, converged := Solve[pinState](g, a)
-		if !converged {
-			p.Reportf(body.Pos(), "%s: dataflow solver hit its step bound before reaching a fixpoint; pin-balance facts for this function are incomplete", name)
-		}
-		a.report = true
-		for _, b := range g.Reachable() {
-			s, ok := in[b]
-			if !ok {
-				continue
-			}
-			s = a.Clone(s)
-			for _, n := range b.Nodes {
-				s = a.Transfer(n, s)
-			}
-			for _, e := range b.Succs {
-				if e.To != g.Exit || e.Kind == EdgePanic {
-					continue
-				}
-				pos := body.Rbrace
-				if len(b.Nodes) > 0 {
-					pos = b.Nodes[len(b.Nodes)-1].Pos()
-				}
-				a.checkExit(name, pos, s)
-			}
+		a := &pinAnalysis{p: p, fn: name, byBirth: make(map[ast.Node]*pinInfo)}
+		if a.collectPins(body); len(a.pins) > 0 {
+			runFlow(p, name, "pin-balance", body, a)
 		}
 	})
 }
@@ -296,66 +295,10 @@ func (a *pinAnalysis) releaseTargets(call *ast.CallExpr) ([]*pinInfo, bool) {
 	return targets, true
 }
 
-func (a *pinAnalysis) EntryState() pinState { return make(pinState) }
-
-func (a *pinAnalysis) Clone(s pinState) pinState {
-	out := make(pinState, len(s))
-	for k, f := range s {
-		c := *f
-		out[k] = &c
-	}
-	return out
-}
-
-func (a *pinAnalysis) Join(dst, src pinState) (pinState, bool) {
-	changed := false
-	for k, sf := range src {
-		df, ok := dst[k]
-		if !ok {
-			nf := *sf
-			nf.held = joinPath(triBot, sf.held)
-			nf.deferred = joinPath(triBot, sf.deferred)
-			nf.stale = joinPath(triBot, sf.stale)
-			dst[k] = &nf
-			changed = true
-			continue
-		}
-		if h := joinPath(df.held, sf.held); h != df.held {
-			df.held = h
-			changed = true
-		}
-		if d := joinPath(df.deferred, sf.deferred); d != df.deferred {
-			df.deferred = d
-			changed = true
-		}
-		if st := joinPath(df.stale, sf.stale); st != df.stale {
-			df.stale = st
-			changed = true
-		}
-		if df.errLive && !sf.errLive {
-			df.errLive = false
-			changed = true
-		}
-	}
-	for k, df := range dst {
-		if _, ok := src[k]; ok {
-			continue
-		}
-		if h := joinPath(df.held, triBot); h != df.held {
-			df.held = h
-			changed = true
-		}
-		if d := joinPath(df.deferred, triBot); d != df.deferred {
-			df.deferred = d
-			changed = true
-		}
-		if st := joinPath(df.stale, triBot); st != df.stale {
-			df.stale = st
-			changed = true
-		}
-	}
-	return dst, changed
-}
+func (a *pinAnalysis) EntryState() pinState                    { return make(pinState) }
+func (a *pinAnalysis) Clone(s pinState) pinState               { return cloneFacts(s) }
+func (a *pinAnalysis) Join(dst, src pinState) (pinState, bool) { return joinFacts(dst, src) }
+func (a *pinAnalysis) replay()                                 { a.report = true }
 
 func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 	if a.report {
@@ -368,11 +311,7 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 		if as, ok := n.(*ast.AssignStmt); ok {
 			a.transferAssign(as, s)
 		}
-		f := s[pi]
-		if f == nil {
-			f = &pinFact{}
-			s[pi] = f
-		}
+		f := s.fact(pi)
 		f.held, f.stale = triYes, triNo
 		if pi.kind == pinUpgrade {
 			f.held, f.stale = triNo, triYes
@@ -393,37 +332,38 @@ func (a *pinAnalysis) Transfer(n ast.Node, s pinState) pinState {
 		if !isRelease {
 			return true
 		}
-		// The release discharges the live pin(s) on its target. Only when
-		// no matching pin is live is this a double release.
+		// The release discharges the live pin(s) on its target. When no
+		// target is held on every path, it is a double release: on this
+		// path when none is live, else on a path that released it and
+		// joins here (the one-arm release of an error if).
 		var live []*pinInfo
+		must := false
 		for _, pi := range targets {
 			if f := s[pi]; f != nil && (f.held == triYes || f.held == triMaybe) {
 				live = append(live, pi)
+				must = must || f.held == triYes
 			}
 		}
-		if len(live) == 0 && a.report {
+		if a.report && !must {
+			was, where := triNo, "on this path (double release)"
+			if len(live) > 0 {
+				was, where = triMaybe, "on a path that reaches here (double release on that path)"
+			}
 			var released *pinInfo
 			for _, pi := range targets {
-				if f := s[pi]; f != nil && f.held == triNo {
-					if released == nil || pi.pos > released.pos {
-						released = pi
-					}
+				if f := s[pi]; f != nil && f.held == was && (released == nil || pi.pos > released.pos) {
+					released = pi
 				}
 			}
 			if released != nil {
-				a.p.Reportf(call.Pos(), "releases %s but it was already released on this path (double release)", released.desc)
+				a.p.Reportf(call.Pos(), "releases %s but it was already released %s", released.desc, where)
 			}
 		}
 		if len(live) == 0 {
 			live = targets
 		}
 		for _, pi := range live {
-			f := s[pi]
-			if f == nil {
-				f = &pinFact{}
-				s[pi] = f
-			}
-			f.held = triNo
+			s.fact(pi).held = triNo
 		}
 		return true
 	})
@@ -498,30 +438,12 @@ func (a *pinAnalysis) reportStaleUses(n ast.Node, s pinState) {
 // transferDefer records releases scheduled by defer, directly or inside a
 // deferred closure.
 func (a *pinAnalysis) transferDefer(ds *ast.DeferStmt, s pinState) {
-	mark := func(call *ast.CallExpr) {
-		targets, isRelease := a.releaseTargets(call)
-		if !isRelease {
-			return
-		}
+	deferredCalls(ds, func(call *ast.CallExpr) {
+		targets, _ := a.releaseTargets(call)
 		for _, pi := range targets {
-			f := s[pi]
-			if f == nil {
-				f = &pinFact{}
-				s[pi] = f
-			}
-			f.deferred = triYes
+			s.fact(pi).deferred = triYes
 		}
-	}
-	if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-		inspectNoFuncLit(lit, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				mark(call)
-			}
-			return true
-		})
-		return
-	}
-	mark(ds.Call)
+	})
 }
 
 // TransferEdge kills pins on the failed arm of their own error check:
@@ -561,7 +483,7 @@ func (a *pinAnalysis) TransferEdge(e Edge, s pinState) pinState {
 	return s
 }
 
-func (a *pinAnalysis) checkExit(fn string, pos token.Pos, s pinState) {
+func (a *pinAnalysis) checkExit(pos token.Pos, s pinState) {
 	pins := make([]*pinInfo, 0, len(s))
 	for pi := range s {
 		pins = append(pins, pi)
@@ -571,11 +493,8 @@ func (a *pinAnalysis) checkExit(fn string, pos token.Pos, s pinState) {
 		if pi.escaped {
 			continue
 		}
-		f := s[pi]
-		if f.held != triYes && f.held != triMaybe {
-			continue
-		}
-		if f.deferred == triYes {
+		l := s[pi].leak()
+		if l == noLeak {
 			continue
 		}
 		line := a.p.Fset.Position(pi.pos).Line
@@ -591,13 +510,13 @@ func (a *pinAnalysis) checkExit(fn string, pos token.Pos, s pinState) {
 			what = fmt.Sprintf("the write bracket opened by %s at line %d", pi.desc, line)
 			release = "commit it with publishOp or roll it back with abortOp on this path"
 		}
-		switch {
-		case f.deferred == triMaybe:
-			a.p.Reportf(pos, "%s may return without releasing %s: its deferred release is scheduled on only some paths", fn, what)
-		case f.held == triYes:
-			a.p.Reportf(pos, "%s returns without releasing %s; %s", fn, what, release)
-		default:
-			a.p.Reportf(pos, "%s may return without releasing %s (released on some paths but not this one)", fn, what)
+		switch l {
+		case leakDeferMaybe:
+			a.p.Reportf(pos, "%s may return without releasing %s: its deferred release is scheduled on only some paths", a.fn, what)
+		case leakHeld:
+			a.p.Reportf(pos, "%s returns without releasing %s; %s", a.fn, what, release)
+		case leakSomePaths:
+			a.p.Reportf(pos, "%s may return without releasing %s (released on some paths but not this one)", a.fn, what)
 		}
 	}
 }

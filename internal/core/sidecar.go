@@ -122,8 +122,6 @@ func (t *Tree) stageSidecarDelete(id node.RecordID) {
 }
 
 // sidecarFor returns the accelerator the pinned state may consult, or nil.
-//
-//seglint:hotpath
 func (t *Tree) sidecarFor(st *treeState) *accel.Accel {
 	ref := t.sidecar.Load()
 	if ref == nil || st.epoch < ref.attachEpoch {
@@ -137,8 +135,6 @@ func (t *Tree) sidecarFor(st *treeState) *accel.Accel {
 // selects the SearchContaining class (stabs included, reported through emit
 // or, on the tree side, emitContaining) over the intersection class (Search
 // and Count); a nil emit counts.
-//
-//seglint:hotpath
 func (t *Tree) routed(qc *queryCtx, query geom.Rect, contain bool, body nodeBody, emit accel.VisitFunc) error {
 	if a := t.sidecarFor(qc.st); a != nil && a.Route(query.Min, query.Max) {
 		if contain {

@@ -9,10 +9,10 @@ import "math"
 const Eps = 1e-9
 
 // Feq reports whether a and b are equal within Eps, scaled by magnitude:
-// |a - b| <= Eps * max(1, |a|, |b|). It is the comparison the repo's
-// floatcmp analyzer requires in place of raw == / != on coordinates.
+// |a - b| <= Eps * max(1, |a|, |b|). Coordinates that different arithmetic
+// paths produce compare with it, not with raw == / !=.
 func Feq(a, b float64) bool {
-	if a == b { //seglint:allow floatcmp — the epsilon helper's exact fast path (also handles ±Inf)
+	if a == b { // the exact fast path; it also handles ±Inf
 		return true
 	}
 	if math.IsInf(a, 0) || math.IsInf(b, 0) {

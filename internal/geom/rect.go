@@ -123,8 +123,6 @@ func (r Rect) CopyInto(dst []float64, off int) Rect {
 // tolerance here would let a cover drift past its parent rectangle while
 // containment checks (which are exact) still fail. Use Feq for approximate
 // coordinate comparisons.
-//
-//seglint:allow floatcmp — exactness is load-bearing for change detection
 func (r Rect) Equal(s Rect) bool {
 	if r.Dims() != s.Dims() {
 		return false
@@ -230,8 +228,6 @@ func (r Rect) Intersects(s Rect) bool {
 // (a page image's IDs) are never read. The test is Intersects'
 // closed-interval test, so touching edges overlap; it is the one kernel a
 // reader tests node entries with, one call per hit rather than per entry.
-//
-//seglint:hotpath
 func (r Rect) NextOverlap(keys []float64, stride, from int) int {
 	k := len(r.Min)
 	lo, hi := r.Min, r.Max[:k]

@@ -361,3 +361,17 @@ func TestOverlapAreaSymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAspectRatioWithinEps pins AspectRatio's degenerate cases to the
+// tolerant zero test: an extent of one rounding step is degenerate, as an
+// exact zero is. With a raw == 0 test the first case returns 1/5.6e-17 and
+// the second +Inf.
+func TestAspectRatioWithinEps(t *testing.T) {
+	lo, hi := 0.3, math.Nextafter(0.3, 1)
+	if got := Rect2(0, lo, 1, hi).AspectRatio(); !math.IsInf(got, 1) {
+		t.Errorf("AspectRatio of a height-%g rect = %g, want +Inf", hi-lo, got)
+	}
+	if got := Rect2(lo, lo, hi, hi).AspectRatio(); got != 1 {
+		t.Errorf("AspectRatio of a %g-wide square = %g, want 1", hi-lo, got)
+	}
+}

@@ -115,8 +115,6 @@ func (m Image) counts() (nb, nr int) {
 
 // Runs returns the image's branch run (stride 2k+1) and record run
 // (stride 2k+2) at dimensionality k.
-//
-//seglint:hotpath
 func (m Image) Runs(k int) (branches, records []float64) {
 	nb, nr := m.counts()
 	b := headerWords + 2*k
@@ -126,16 +124,12 @@ func (m Image) Runs(k int) (branches, records []float64) {
 
 // Child returns the child page of entry i of a branch run at
 // dimensionality k.
-//
-//seglint:hotpath
 func Child(branches []float64, k, i int) page.ID {
 	return page.ID(math.Float64bits(branches[i*(2*k+1)+2*k]))
 }
 
 // RecordAt returns entry i of a record run at dimensionality k: a view of
 // its rectangle into the run, and its record ID.
-//
-//seglint:hotpath
 func RecordAt(records []float64, k, i int) (geom.Rect, RecordID) {
 	o := i * (2*k + 2)
 	return rectAt(records, o, k), RecordID(math.Float64bits(records[o+2*k]))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"segidx/internal/page"
 )
@@ -16,8 +17,10 @@ type MemStore struct {
 	closed bool
 
 	// failReads / failWrites inject errors after N more operations when
-	// set to a positive countdown; used by failure-injection tests.
-	failReads  int
+	// set to a positive countdown; used by failure-injection tests. Reads
+	// share mu, so theirs counts down atomically: the one Read that takes
+	// it to zero fails.
+	failReads  atomic.Int64
 	failWrites int
 	injected   error
 }
@@ -75,11 +78,8 @@ func (m *MemStore) Read(id page.ID) ([]byte, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if m.failReads > 0 {
-		m.failReads--
-		if m.failReads == 0 {
-			return nil, m.injected
-		}
+	if m.failReads.Load() > 0 && m.failReads.Add(-1) == 0 {
+		return nil, m.injected
 	}
 	buf, ok := m.pages[id]
 	if !ok {
@@ -139,7 +139,7 @@ func (m *MemStore) Close() error {
 func (m *MemStore) InjectReadError(after int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.failReads = after
+	m.failReads.Store(int64(after))
 	m.injected = err
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -274,6 +275,38 @@ func TestMemStoreErrorInjection(t *testing.T) {
 	m.InjectWriteError(1, boom)
 	if err := m.Write(id, make([]byte, 64)); !errors.Is(err, boom) {
 		t.Errorf("injected write error not delivered: %v", err)
+	}
+}
+
+// TestMemStoreReadErrorInjectionConcurrent arms a read fault and races
+// eight Reads against it: exactly one of them fails, on every arming, and
+// the countdown is race-free although Reads share the store's read lock.
+func TestMemStoreReadErrorInjectionConcurrent(t *testing.T) {
+	m := NewMemStore()
+	id, _ := m.Allocate(64)
+	boom := errors.New("boom")
+	for round := 0; round < 50; round++ {
+		m.InjectReadError(4, boom)
+		var wg sync.WaitGroup
+		var failed atomic.Int32
+		start := make(chan struct{})
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := m.Read(id); errors.Is(err, boom) {
+					failed.Add(1)
+				} else if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := failed.Load(); n != 1 {
+			t.Fatalf("round %d: %d reads failed, want exactly 1", round, n)
+		}
 	}
 }
 
